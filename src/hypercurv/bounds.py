@@ -49,6 +49,10 @@ class GlobalData:
     scalSign: str = "unknown"
 
     def __post_init__(self):
+        for name in ("vol", "S", "weylL2", "c", "A2avg"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.vol <= 0.0:
             raise ValueError(f"vol must be positive, got {self.vol}")
         if self.S is not None and self.S < 0.0:

@@ -10,9 +10,10 @@ difference of two of them factors exactly as
     v_I - v_J = 1/2 (l_b - l_c)(l_a - l_d)
 
 for suitable index labels. Consequently m = 4 gives w = 3, m = 3 gives
-w = 3, m = 2 gives w = 2 or 3 depending on the partition shape, m = 1
-gives w = 1, and a conformally flat point (some principal curvature of
-multiplicity at least three) is exactly a point with w = 1.
+w = 2, m = 2 gives w = 1 or 2 depending on the partition shape (w = 2 for
+two double curvatures, w = 1 for a triple one), m = 1 gives w = 1, and a
+conformally flat point (some principal curvature of multiplicity at least
+three) is exactly a point with w = 1.
 
 All clusterings in this module are driven by a single gap tolerance.
 Eigenvalue gaps are compared against tol * (1 + max|l|); Weyl-operator

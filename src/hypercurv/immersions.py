@@ -8,16 +8,21 @@ principal curvatures cot(pi/8 + k pi/4). Product charts come with exact
 per-factor quadrature rules (trapezoid on periodic angles, Gauss-Legendre
 with the sine-power Jacobian folded into the weights on polar angles), so
 integral functionals of the curvature converge spectrally in the
-resolution.
+resolution. Every chart is a product of two round spheres (the geodesic
+sphere is S^4(1) x S^0(0)); charts and normals broadcast over leading
+axes, (..., 4) -> (..., 6).
 
 The second fundamental form can also be extracted numerically from the
 chart by central finite differences with one Richardson extrapolation
-level, which serves as an oracle for the catalog spectra.
+level, which serves as an oracle for the catalog spectra. It works on
+batches of chart points, so quadrature over a chart without an analytic
+spectrum evaluates its nodes in fixed-size blocks.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 import warnings
@@ -41,7 +46,20 @@ __all__ = [
     "integrate",
 ]
 
-_SPHERE_VOL = {1: 2.0 * math.pi, 2: 4.0 * math.pi, 3: 2.0 * math.pi ** 2}
+# Volume of the unit sphere S^d; S^0 enters charts as the single point +1.
+_SPHERE_VOL = {0: 1.0, 1: 2.0 * math.pi, 2: 4.0 * math.pi, 3: 2.0 * math.pi ** 2,
+               4: 8.0 * math.pi ** 2 / 3.0}
+
+# Chart angle names of S^d: polar angles first, the periodic angle last.
+_SPHERE_ANGLES = {0: (), 1: ("t",), 2: ("phi", "theta"), 3: ("psi", "phi", "theta"),
+                  4: ("psi1", "psi2", "psi3", "theta")}
+
+# Nodes per finite-difference batch in `integrate`: all 1,296 nodes of a
+# res-6 grid at once cost ~8 MiB more peak memory, blocks of 128 ~2 MiB.
+_BLOCK = 128
+
+# Upper-triangle index pairs (i, j), i < j, of a 4 x 4 matrix.
+_ROWS, _COLS = np.triu_indices(4, 1)
 
 
 @dataclass(frozen=True)
@@ -96,7 +114,11 @@ class QuadratureGrid:
 
 @dataclass(frozen=True)
 class Immersion:
-    """A hypersurface of the unit 5-sphere with an optional product chart."""
+    """A hypersurface of the unit 5-sphere with an optional product chart.
+
+    ``chart`` and ``normal`` map parameters of shape (..., n) to points
+    and unit normals of shape (..., n + 2).
+    """
 
     kind: str
     label: str
@@ -153,16 +175,63 @@ def catalog_point(kind: str) -> PointState:
     raise ValueError(f"unknown catalog kind {kind!r}")
 
 
-def _sphere_coords(angles, radius: float) -> np.ndarray:
-    """Hyperspherical embedding of S^d(radius), d = len(angles)."""
+def _sphere_coords(angles: np.ndarray) -> np.ndarray:
+    """Hyperspherical embedding (..., d) -> (..., d + 1) of the unit S^d.
+
+    For d = 0 this is the point +1 of S^0.
+    """
+    d = angles.shape[-1]
+    if d == 0:
+        return np.ones(angles.shape[:-1] + (1,))
+    cos, sin = np.cos(angles), np.sin(angles)
     out = []
-    sin_prod = radius
-    for a in angles[:-1]:
-        out.append(sin_prod * math.cos(a))
-        sin_prod *= math.sin(a)
-    out.append(sin_prod * math.cos(angles[-1]))
-    out.append(sin_prod * math.sin(angles[-1]))
-    return np.array(out)
+    sin_prod = 1.0
+    for i in range(d - 1):
+        out.append(sin_prod * cos[..., i])
+        sin_prod = sin_prod * sin[..., i]
+    out.append(sin_prod * cos[..., d - 1])
+    out.append(sin_prod * sin[..., d - 1])
+    return np.stack(out, axis=-1)
+
+
+def _sphere_factors(d: int, radius: float, suffix: str) -> tuple:
+    """Quadrature factors of S^d(radius): polar angles with powers d-1..1,
+    then the periodic angle; the first angle carries radius^d."""
+    return tuple(
+        Factor(name + suffix, "periodic" if i == d - 1 else "polar", power=d - 1 - i,
+               scale=radius ** d if i == 0 else 1.0)
+        for i, name in enumerate(_SPHERE_ANGLES[d]))
+
+
+def _sphere_product(kind: str, label: str, k: int, spectrum: np.ndarray) -> Immersion:
+    """Minimal product S^k(sqrt(k/4)) x S^(4-k)(sqrt((4-k)/4)) in S^5.
+
+    The chart is (r1 u, r2 v) for unit-sphere points u, v of the factors,
+    with the S^k angles first; the normal (-r2 u, r1 v) gives the S^k
+    factor the principal curvature r2/r1 = sqrt((4-k)/k).
+    """
+    dims = (k, 4 - k)
+    r1, r2 = math.sqrt(k / 4), math.sqrt((4 - k) / 4)
+    suffixes = ("1", "2") if dims[0] == dims[1] else ("", "")
+
+    def factor_points(p):
+        p = np.asarray(p, dtype=float)
+        return _sphere_coords(p[..., :k]), _sphere_coords(p[..., k:])
+
+    def chart(p):
+        u, v = factor_points(p)
+        return np.concatenate([r1 * u, r2 * v], axis=-1)
+
+    def normal(p):
+        u, v = factor_points(p)
+        return np.concatenate([-r2 * u, r1 * v], axis=-1)
+
+    factors = _sphere_factors(dims[0], r1, suffixes[0]) + _sphere_factors(dims[1], r2, suffixes[1])
+    volume = _SPHERE_VOL[dims[0]] * r1 ** dims[0] * _SPHERE_VOL[dims[1]] * r2 ** dims[1]
+    # ``Immersion.k`` is the Clifford factor dimension, which S^4 x S^0 lacks
+    return Immersion(kind=kind, label=label, n=4, k=k if k < 4 else None, chart=chart,
+                     normal=normal, spectrum=spectrum, factors=factors, closed=True,
+                     volume=volume)
 
 
 def clifford_immersion(n: int = 4, k: int = 1) -> Immersion:
@@ -174,98 +243,14 @@ def clifford_immersion(n: int = 4, k: int = 1) -> Immersion:
     """
     if n != 4:
         raise ValueError(f"clifford_immersion charts support n = 4 only, got n = {n}")
-    spectrum = _clifford_spectrum(n, k)
-    r1 = math.sqrt(k / n)
-    r2 = math.sqrt((n - k) / n)
-    if k == 1:
-        def chart(p):
-            t, psi, phi, theta = p
-            u = np.array([math.cos(t), math.sin(t)])
-            v = _sphere_coords([psi, phi, theta], 1.0)
-            return np.concatenate([r1 * u, r2 * v])
-
-        def normal(p):
-            t, psi, phi, theta = p
-            u = np.array([math.cos(t), math.sin(t)])
-            v = _sphere_coords([psi, phi, theta], 1.0)
-            return np.concatenate([-r2 * u, r1 * v])
-
-        factors = (
-            Factor("t", "periodic", scale=r1),
-            Factor("psi", "polar", power=2, scale=r2 ** 3),
-            Factor("phi", "polar", power=1),
-            Factor("theta", "periodic"),
-        )
-        volume = _SPHERE_VOL[1] * r1 * _SPHERE_VOL[3] * r2 ** 3
-    elif k == 2:
-        def chart(p):
-            phi1, th1, phi2, th2 = p
-            u = _sphere_coords([phi1, th1], 1.0)
-            v = _sphere_coords([phi2, th2], 1.0)
-            return np.concatenate([r1 * u, r2 * v])
-
-        def normal(p):
-            phi1, th1, phi2, th2 = p
-            u = _sphere_coords([phi1, th1], 1.0)
-            v = _sphere_coords([phi2, th2], 1.0)
-            return np.concatenate([-r2 * u, r1 * v])
-
-        factors = (
-            Factor("phi1", "polar", power=1, scale=r1 ** 2),
-            Factor("theta1", "periodic"),
-            Factor("phi2", "polar", power=1, scale=r2 ** 2),
-            Factor("theta2", "periodic"),
-        )
-        volume = _SPHERE_VOL[2] * r1 ** 2 * _SPHERE_VOL[2] * r2 ** 2
-    elif k == 3:
-        def chart(p):
-            psi, phi, theta, t = p
-            u = _sphere_coords([psi, phi, theta], 1.0)
-            v = np.array([math.cos(t), math.sin(t)])
-            return np.concatenate([r1 * u, r2 * v])
-
-        def normal(p):
-            psi, phi, theta, t = p
-            u = _sphere_coords([psi, phi, theta], 1.0)
-            v = np.array([math.cos(t), math.sin(t)])
-            return np.concatenate([-r2 * u, r1 * v])
-
-        factors = (
-            Factor("psi", "polar", power=2, scale=r1 ** 3),
-            Factor("phi", "polar", power=1),
-            Factor("theta", "periodic"),
-            Factor("t", "periodic", scale=r2),
-        )
-        volume = _SPHERE_VOL[3] * r1 ** 3 * _SPHERE_VOL[1] * r2
-    else:
-        raise ValueError(f"k must be 1, 2 or 3 for n = 4, got {k}")
-    return Immersion(kind="cliffordProduct", label=f"clifford:4:{k}", n=4, k=k,
-                     chart=chart, normal=normal, spectrum=spectrum,
-                     factors=factors, closed=True, volume=volume)
+    return _sphere_product("cliffordProduct", f"clifford:4:{k}", k, _clifford_spectrum(n, k))
 
 
 def totally_geodesic_sphere(n: int = 4) -> Immersion:
-    """Equatorial totally geodesic S^4 in S^5."""
+    """Equatorial totally geodesic S^4 in S^5, with normal e_6."""
     if n != 4:
         raise ValueError(f"totally_geodesic_sphere charts support n = 4 only, got n = {n}")
-
-    def chart(p):
-        psi1, psi2, psi3, theta = p
-        v = _sphere_coords([psi1, psi2, psi3, theta], 1.0)
-        return np.concatenate([v, [0.0]])
-
-    def normal(p):
-        return np.array([0.0] * 5 + [1.0])
-
-    factors = (
-        Factor("psi1", "polar", power=3),
-        Factor("psi2", "polar", power=2),
-        Factor("psi3", "polar", power=1),
-        Factor("theta", "periodic"),
-    )
-    return Immersion(kind="totallyGeodesicSphere", label="geodesic:4", n=4,
-                     chart=chart, normal=normal, spectrum=np.zeros(4),
-                     factors=factors, closed=True, volume=8.0 * math.pi ** 2 / 3.0)
+    return _sphere_product("totallyGeodesicSphere", "geodesic:4", 4, np.zeros(4))
 
 
 def get_immersion(label: str) -> Immersion:
@@ -297,80 +282,90 @@ def build_grid(imm: Immersion, res: int) -> QuadratureGrid:
     )
 
 
-def _first_derivatives(chart, params: np.ndarray, h: float) -> np.ndarray:
-    cols = []
+def _node_blocks(grid: QuadratureGrid, size: int = _BLOCK):
+    """Yield (params, weights) of the grid nodes in row-major order, ``size``
+    nodes at a time; each weight is the product of its factor weights."""
+    shape = tuple(len(n) for n in grid.nodes)
+    total = math.prod(shape)
+    for start in range(0, total, size):
+        idx = np.unravel_index(np.arange(start, min(start + size, total)), shape)
+        params = np.stack([n[i] for n, i in zip(grid.nodes, idx)], axis=-1)
+        weights = functools.reduce(np.multiply, [w[i] for w, i in zip(grid.weights, idx)])
+        yield params, weights
+
+
+def _stencil(h: float) -> np.ndarray:
+    """Parameter offsets: 0, then +-h e_i, then +-h e_i +-h e_j for i < j."""
+    e = h * np.eye(4)
+    rows = [np.zeros(4)]
     for i in range(4):
-        e = np.zeros(4)
-        e[i] = h
-        cols.append((chart(params + e) - chart(params - e)) / (2.0 * h))
-    return np.stack(cols, axis=1)
+        rows += [e[i], -e[i]]
+    for i, j in zip(_ROWS, _COLS):
+        rows += [e[i] + e[j], e[i] - e[j], -e[i] + e[j], -e[i] - e[j]]
+    return np.array(rows)
 
 
-def _second_derivatives(chart, params: np.ndarray, h: float, x0: np.ndarray) -> np.ndarray:
-    out = np.zeros((4, 4, x0.size))
-    for i in range(4):
-        ei = np.zeros(4)
-        ei[i] = h
-        out[i, i] = (chart(params + ei) - 2.0 * x0 + chart(params - ei)) / (h * h)
-        for j in range(i + 1, 4):
-            ej = np.zeros(4)
-            ej[j] = h
-            mixed = (chart(params + ei + ej) - chart(params + ei - ej)
-                     - chart(params - ei + ej) + chart(params - ei - ej)) / (4.0 * h * h)
-            out[i, j] = mixed
-            out[j, i] = mixed
-    return out
-
-
-def _shape_operator_fd(imm: Immersion, params: np.ndarray, h: float) -> np.ndarray:
-    chart = imm.chart
-    x0 = chart(params)
-    J = _first_derivatives(chart, params, h)
-    g = J.T @ J
+def _shape_operators_fd(imm: Immersion, params: np.ndarray, h: float) -> np.ndarray:
+    """Shape operators (B, 4, 4) at chart points (B, 4) from one stencil of step h."""
+    # axis 1 follows the `_stencil` rows
+    x = imm.chart(params[:, None, :] + _stencil(h))
+    x0, plus, minus = x[:, 0], x[:, 1:9:2], x[:, 2:9:2]
+    radius = np.linalg.norm(x0, axis=-1)
+    bad = np.flatnonzero(~(np.abs(radius - 1.0) <= 1e-10))
+    if bad.size:
+        b = bad[0]
+        raise ValueError(f"chart image must lie on the unit sphere at params "
+                         f"{params[b].tolist()}, |x| = {float(radius[b])!r}")
+    # rows of J are the chart's partial derivatives
+    J = (plus - minus) / (2.0 * h)
+    g = J @ J.swapaxes(-1, -2)
     cond = np.linalg.cond(g)
-    if cond > 1e8:
-        raise ValueError(f"degenerate chart Jacobian at params {params.tolist()} "
-                         f"(metric condition number {cond:.3e})")
-    M = np.concatenate([x0[None, :], J.T], axis=0)
-    _, sv, vt = np.linalg.svd(M)
-    nu = vt[-1]
+    bad = np.flatnonzero(~(cond <= 1e8))
+    if bad.size:
+        b = bad[0]
+        raise ValueError(f"degenerate chart Jacobian at params {params[b].tolist()} "
+                         f"(metric condition number {cond[b]:.3e})")
+    nu = np.linalg.svd(np.concatenate([x0[:, None, :], J], axis=1))[2][:, -1]
     if imm.normal is not None:
-        ref = imm.normal(params)
-        if float(nu @ ref) < 0.0:
-            nu = -nu
-    elif nu[np.argmax(np.abs(nu))] < 0.0:
-        nu = -nu
-    hij = np.einsum("ijd,d->ij", _second_derivatives(chart, params, h, x0), nu)
+        flip = np.einsum("bd,bd->b", nu, imm.normal(params)) < 0.0
+    else:
+        flip = nu[np.arange(len(nu)), np.argmax(np.abs(nu), axis=-1)] < 0.0
+    nu = np.where(flip[:, None], -nu, nu)
+    pp, pm, mp, mm = (x[:, 9 + s::4] for s in range(4))
+    diag = (plus - 2.0 * x0[:, None] + minus) / (h * h)
+    mixed = (pp - pm - mp + mm) / (4.0 * h * h)
+    hij = np.empty_like(g)
+    hij[:, range(4), range(4)] = np.einsum("bid,bd->bi", diag, nu)
+    hij[:, _ROWS, _COLS] = hij[:, _COLS, _ROWS] = np.einsum("bpd,bd->bp", mixed, nu)
     L = np.linalg.cholesky(g)
-    A = np.linalg.solve(L, np.linalg.solve(L, hij.T).T)
-    return 0.5 * (A + A.T)
+    A = np.linalg.solve(L, np.linalg.solve(L, hij.swapaxes(-1, -2)).swapaxes(-1, -2))
+    return 0.5 * (A + A.swapaxes(-1, -2))
 
 
 def numeric_second_fundamental_form(imm: Immersion, params, h: float = 1e-4,
                                     richardson: bool = True) -> np.ndarray:
-    """Shape operator at a chart point by central finite differences.
+    """Shape operator at chart points by central finite differences.
 
-    Uses step ``h`` and, when ``richardson`` is set, one Richardson
-    extrapolation level combining steps h and h/2. The chart image must
-    lie on the unit sphere (checked to 1e-10); a rank-deficient chart
-    Jacobian (e.g. a polar axis point) is an input error reporting the
-    metric condition number. The result is expressed in an orthonormal
-    eigenframe-agnostic basis: compare spectra, not raw matrices.
+    ``params`` is one chart point of shape (4,), giving a (4, 4) result,
+    or a batch of shape (N, 4), giving (N, 4, 4); a single point is a
+    batch of one. Uses step ``h`` and, when ``richardson`` is set, one
+    Richardson extrapolation level combining steps h and h/2. Each chart
+    image must lie on the unit sphere (checked to 1e-10); a rank-deficient
+    chart Jacobian (e.g. a polar axis point) is an input error reporting
+    the metric condition number. Both errors name the first failing
+    point. The result is expressed in an orthonormal eigenframe-agnostic
+    basis: compare spectra, not raw matrices.
     """
     if imm.chart is None:
         raise ValueError(f"{imm.label} is point-data only and has no chart")
     params = np.asarray(params, dtype=float)
-    if params.shape != (4,):
-        raise ValueError(f"params must have shape (4,), got {params.shape}")
-    x0 = imm.chart(params)
-    radius = float(np.linalg.norm(x0))
-    if abs(radius - 1.0) > 1e-10:
-        raise ValueError(f"chart image must lie on the unit sphere, |x| = {radius!r}")
-    A_h = _shape_operator_fd(imm, params, h)
-    if not richardson:
-        return A_h
-    A_half = _shape_operator_fd(imm, params, 0.5 * h)
-    return (4.0 * A_half - A_h) / 3.0
+    if params.ndim not in (1, 2) or params.shape[-1] != 4:
+        raise ValueError(f"params must have shape (4,) or (N, 4), got {params.shape}")
+    batch = params.reshape(-1, 4)
+    A = _shape_operators_fd(imm, batch, h)
+    if richardson:
+        A = (4.0 * _shape_operators_fd(imm, batch, 0.5 * h) - A) / 3.0
+    return A.reshape(params.shape[:-1] + (4, 4))
 
 
 _FUNCTIONAL_ALIASES = {
@@ -396,19 +391,17 @@ def _integrand_value(p: PointState, functional: str) -> float:
     raise ValueError(f"unknown functional {functional!r}")
 
 
-def _dump_rows(path: str, grid: QuadratureGrid, values, constant: bool):
+def _dump_rows(path: str, grid: QuadratureGrid, values):
+    """Write one CSV row per node; ``values`` is one integrand value per
+    node, or a single value shared by all nodes."""
+    values = iter(values) if np.ndim(values) else itertools.repeat(values)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(grid.names) + ["integrand", "weight"])
-        index_iter = itertools.product(*(range(len(n)) for n in grid.nodes))
-        for flat, idx in enumerate(index_iter):
-            row = [grid.nodes[d][i] for d, i in enumerate(idx)]
-            weight = 1.0
-            for d, i in enumerate(idx):
-                weight *= grid.weights[d][i]
-            value = values if constant else values[flat]
-            writer.writerow([repr(float(v)) for v in row]
-                            + [repr(float(value)), repr(float(weight))])
+        for params, weights in _node_blocks(grid):
+            for row, value, weight in zip(params, values, weights):
+                writer.writerow([repr(float(v)) for v in row]
+                                + [repr(float(value)), repr(float(weight))])
 
 
 def integrate(imm: Immersion, functional: str, res: int = 64,
@@ -422,10 +415,13 @@ def integrate(imm: Immersion, functional: str, res: int = 64,
 
     Catalog geometries have constant curvature data over the chart, so
     the integrand is evaluated once and the quadrature carries the volume
-    factor; non-catalog charts are evaluated per node through the finite
-    difference extractor. Integrating a non-closed custom chart yields a
-    local patch value only and draws a warning, since the result is not
-    a topological invariant there.
+    factor. Charts without an analytic spectrum go through the finite
+    difference extractor: the nodes, in row-major order with the product
+    of their factor weights, are passed to it in blocks of 128, so each
+    block costs one chart call per stencil step, and the integrand is
+    then evaluated per node through `PointState`. Integrating a non-closed
+    custom chart yields a local patch value only and draws a warning,
+    since the result is not a topological invariant there.
     """
     functional = _FUNCTIONAL_ALIASES.get(functional.strip().lower(), functional)
     if functional not in ("cgbEuler", "weylFunctional", "signature", "volume"):
@@ -438,23 +434,14 @@ def integrate(imm: Immersion, functional: str, res: int = 64,
     if imm.spectrum is not None:
         value = _integrand_value(imm.point(), functional)
         if dump is not None:
-            _dump_rows(dump, grid, value, constant=True)
+            _dump_rows(dump, grid, value)
         return value * grid.total_weight
-    values = []
-    for idx in itertools.product(*(range(len(n)) for n in grid.nodes)):
-        params = np.array([grid.nodes[d][i] for d, i in enumerate(idx)])
-        A = numeric_second_fundamental_form(imm, params)
-        p = PointState(A=A, c=imm.c)
-        values.append(_integrand_value(p, functional))
+    values, weights = [], []
+    for params, block_weights in _node_blocks(grid):
+        for A in numeric_second_fundamental_form(imm, params):
+            values.append(_integrand_value(PointState(A=A, c=imm.c), functional))
+        weights.append(block_weights)
     values = np.array(values)
-    weights = np.ones_like(values)
-    pos = 0
-    for idx in itertools.product(*(range(len(n)) for n in grid.nodes)):
-        w = 1.0
-        for d, i in enumerate(idx):
-            w *= grid.weights[d][i]
-        weights[pos] = w
-        pos += 1
     if dump is not None:
-        _dump_rows(dump, grid, values, constant=False)
-    return float(np.sum(values * weights))
+        _dump_rows(dump, grid, values)
+    return float(np.sum(values * np.concatenate(weights)))

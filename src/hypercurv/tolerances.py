@@ -2,8 +2,10 @@
 
 Every numerical equality test is relative: a quantity x is treated as equal
 to y when |x - y| <= tol * scale for a scale natural to the data. The two
-defaults below can be overridden per call, globally via the HYPERCURV_TOL
-environment variable, or uniformly by the command line --tol flag.
+defaults below bind at import and can be overridden per call. The command
+line applies the HYPERCURV_TOL environment variable (its --tol flag wins);
+library calls do not, unless the caller passes `default_tol()` or
+`default_cluster_tol()` as ``tol``.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ CLUSTER_TOL = 1e-8
 
 
 def default_tol(fallback: float = EQUALITY_TOL) -> float:
-    """Resolve the effective default tolerance.
+    """Resolve a tolerance from the environment at call time.
 
     The HYPERCURV_TOL environment variable, when set to a positive float,
-    overrides ``fallback``.
+    overrides ``fallback``. Pass the result as an explicit ``tol``.
     """
     raw = os.environ.get(ENV_VAR)
     if raw is None:
@@ -39,4 +41,5 @@ def default_tol(fallback: float = EQUALITY_TOL) -> float:
 
 
 def default_cluster_tol() -> float:
+    """`default_tol` with the clustering default as fallback."""
     return default_tol(CLUSTER_TOL)

@@ -164,6 +164,18 @@ def test_bounds_negative_discriminant_reported_inline(capsys):
     assert "error" in rep["s_quadratic"]
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--vol", "nan"), ("--S", "inf"), ("--weyl-l2", "nan"), ("--c", "-inf"), ("--a2avg", "nan"),
+])
+def test_bounds_non_finite_input_exits_two(capsys, flag, value):
+    # before the check, --vol nan printed NaN tokens (invalid JSON) and exited 0
+    args = {"--chi": "2", "--vol": "1.0", flag: value}
+    code, out, err = _run(capsys, ["bounds"] + [f"{k}={v}" for k, v in args.items()])
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
+
+
 def test_integrate_euler_characteristic(capsys):
     code, rep = _run_json(capsys, [
         "integrate", "--geometry", "clifford:4:2",

@@ -81,6 +81,19 @@ def test_charts_land_on_unit_sphere():
             assert np.dot(x, nu) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_charts_and_normals_broadcast_over_leading_axes():
+    rng = np.random.default_rng(64)
+    for label in ("clifford:4:1", "clifford:4:2", "clifford:4:3", "geodesic:4"):
+        imm = immersions.get_immersion(label)
+        params = rng.uniform(0.3, 2.8, size=(6, 4))
+        points, normals = imm.chart(params), imm.normal(params)
+        assert points.shape == normals.shape == (6, 6)
+        for p, x, nu in zip(params, points, normals):
+            assert imm.chart(p).shape == imm.normal(p).shape == (6,)
+            np.testing.assert_array_equal(imm.chart(p), x)
+            np.testing.assert_array_equal(imm.normal(p), nu)
+
+
 # -------------------------------------------------------------- quadrature
 
 
@@ -183,6 +196,51 @@ def test_numeric_extraction_richardson_beats_plain():
     err_rich = np.abs(np.sort(np.linalg.eigvalsh(rich))[::-1] - exact).max()
     assert err_rich < err_plain
     assert err_plain < 1e-4
+
+
+def test_batched_extraction_matches_single_points():
+    # integrate() extracts shape operators a block of nodes at a time
+    rng = np.random.default_rng(65)
+    for label in ("clifford:4:1", "clifford:4:2", "geodesic:4"):
+        imm = immersions.get_immersion(label)
+        params = np.column_stack([
+            rng.uniform(0.5, 5.5, 20) if f.kind == "periodic" else rng.uniform(0.6, PI - 0.6, 20)
+            for f in imm.factors])
+        batch = immersions.numeric_second_fundamental_form(imm, params)
+        assert batch.shape == (20, 4, 4)
+        single = np.array([immersions.numeric_second_fundamental_form(imm, p) for p in params])
+        np.testing.assert_allclose(batch, single, rtol=0, atol=1e-12)
+
+
+def test_extraction_checks_name_the_failing_node():
+    imm = immersions.get_immersion("clifford:4:2")
+    params = np.array([[0.9, 1.3, 1.1, 2.0], [0.8, 1.2, 1.0, 1.9]])
+    off_sphere = dataclasses.replace(imm, chart=lambda p: 1.001 * imm.chart(p))
+    with pytest.raises(ValueError, match=r"unit sphere at params \[0\.9, 1\.3, 1\.1, 2\.0\]"):
+        immersions.numeric_second_fundamental_form(off_sphere, params)
+    with pytest.raises(ValueError, match=r"params must have shape"):
+        immersions.numeric_second_fundamental_form(imm, params[:, :3])
+
+
+def test_grid_through_polar_axis_raises_degenerate_jacobian():
+    # phi1 = 0 is the pole of the first S^2 factor: d/dtheta1 vanishes there
+    imm = dataclasses.replace(immersions.get_immersion("clifford:4:2"), spectrum=None)
+    grid = immersions.build_grid(imm, 3)
+    polar = dataclasses.replace(grid, nodes=(np.array([0.0, 1.0, 2.0]),) + grid.nodes[1:])
+    with pytest.raises(ValueError, match=r"degenerate chart Jacobian at params \[0\.0, 0\.0, "
+                                         r".*metric condition number"):
+        immersions.integrate(imm, "cgbEuler", grid=polar)
+
+
+@pytest.mark.parametrize("label, reference", [
+    ("clifford:4:1", -6.5815552e-08),
+    ("clifford:4:2", 3.99999998994826),
+    ("geodesic:4", 1.99992580739971),
+])
+def test_spectrum_free_res6_euler_integrals(label, reference):
+    # values of the per-node extraction path before it was batched
+    imm = dataclasses.replace(immersions.get_immersion(label), spectrum=None)
+    assert immersions.integrate(imm, "cgbEuler", res=6) == pytest.approx(reference, abs=1e-9)
 
 
 def test_per_node_fd_integration_agrees_with_constant_fold():
