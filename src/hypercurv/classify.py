@@ -25,6 +25,7 @@ cluster count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,10 @@ def _as_spectrum(lam, expected: int | None = None) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if lam.ndim != 1:
         raise ValueError(f"spectrum must be a flat vector, got shape {lam.shape}")
+    # A Python-level scan: np.isfinite(lam).all() costs four times as much
+    # on four entries, and spectrum_report revalidates in each helper.
+    if not all(map(math.isfinite, lam.tolist())):
+        raise ValueError(f"spectrum entries must be finite numbers, got {lam.tolist()}")
     if expected is not None and lam.size != expected:
         raise ValueError(f"expected {expected} principal curvatures, got {lam.size}")
     return lam

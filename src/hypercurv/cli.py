@@ -71,9 +71,13 @@ def _load_point_payload(raw: str):
     else:
         text = raw
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise _InputError(f"input is neither an existing file nor valid JSON: {exc}") from exc
+
+
+def _reject_constant(token: str):
+    raise _InputError(f"non-finite number {token} in input; values must be finite")
 
 
 def _point_report(data: dict, tol: float, cluster_tol: float) -> dict:

@@ -18,6 +18,7 @@ A_ijk = (nabla_k A)_ij.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -76,6 +77,13 @@ def _nabla_to_flat(arr: np.ndarray) -> list:
     return [float(arr[i - 1, j - 1, k - 1]) for (i, j, k) in NABLA_ORDER]
 
 
+def _require_finite(name: str, value: float) -> None:
+    # Callers pass the scalar itself or the 1 + max |entry| scale they
+    # already compute, which is NaN or inf exactly when an entry is.
+    if not math.isfinite(value):
+        raise ValueError(f"{name}: entries must be finite numbers")
+
+
 class PointState:
     """Pointwise data of a hypersurface immersed in a space form.
 
@@ -116,10 +124,12 @@ class PointState:
         if n < 3:
             raise ValueError(f"A: dimension must be at least 3, got {n}")
         scale = 1.0 + np.abs(A).max()
+        _require_finite("lambda" if from_spectrum else "A", scale)
         if np.abs(A - A.T).max() > tol * scale:
             raise ValueError("A: shape operator must be symmetric")
         A = 0.5 * (A + A.T)
         c = float(c)
+        _require_finite("c", c)
         if c not in (-1.0, 0.0, 1.0):
             warnings.warn(f"ambient curvature c={c} lies outside the normalized set {{-1, 0, 1}}",
                           stacklevel=2)
@@ -135,6 +145,7 @@ class PointState:
                 raise ValueError(f"nablaA: expected shape {(n, n, n)} or a flat 20-vector, got {nabla.shape}")
             sym = _symmetrize3(nabla)
             nscale = 1.0 + np.abs(nabla).max()
+            _require_finite("nablaA", nscale)
             if np.abs(nabla - sym).max() > tol * nscale:
                 raise ValueError("nablaA: components must be totally symmetric")
             nabla = sym
@@ -146,6 +157,7 @@ class PointState:
             if hess.shape != (n, n):
                 raise ValueError(f"hessS: expected shape {(n, n)}, got {hess.shape}")
             hscale = 1.0 + np.abs(hess).max()
+            _require_finite("hessS", hscale)
             if np.abs(hess - hess.T).max() > tol * hscale:
                 raise ValueError("hessS: must be symmetric")
             hess = 0.5 * (hess + hess.T)
@@ -265,11 +277,11 @@ class NormPack:
 
 def _eye_like(A: np.ndarray) -> np.ndarray:
     n = A.shape[-1]
-    return np.broadcast_to(np.eye(n), A.shape)
+    return np.broadcast_to(np.eye(n, dtype=A.dtype), A.shape)
 
 
 def _kn_sym(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    return 0.5 * (_kn_raw(U, V) + _kn_raw(V, U))
+    return (_kn_raw(U, V) + _kn_raw(V, U)) / 2
 
 
 def _scal4(x: np.ndarray) -> np.ndarray:
@@ -281,17 +293,19 @@ def _weyl_raw(A: np.ndarray) -> np.ndarray:
 
     Broadcasts over leading axes: A of shape (..., 4, 4) gives a
     (..., 4, 4, 4, 4) result. The ambient curvature c drops out of the
-    Weyl part entirely, which is why it does not appear here.
+    Weyl part entirely, which is why it does not appear here. Generic in
+    the dtype: only integer constants enter, so the exact certifier runs
+    this same kernel on object arrays of rational polynomials.
     """
-    A = np.asarray(A, dtype=float)
+    A = np.asarray(A)
     I = _eye_like(A)
     A2 = A @ A
     H = np.trace(A, axis1=-2, axis2=-1)
     S = np.einsum("...ij,...ij->...", A, A)
-    W = 0.5 * _kn_raw(A, A)
-    W = W - _scal4(0.5 * H) * _kn_sym(A, I)
-    W = W + 0.5 * _kn_sym(A2, I)
-    W = W + _scal4((H * H - S) / 12.0) * _kn_raw(I, I)
+    W = _kn_raw(A, A) / 2
+    W = W - _scal4(H / 2) * _kn_sym(A, I)
+    W = W + _kn_sym(A2, I) / 2
+    W = W + _scal4((H * H - S) / 12) * _kn_raw(I, I)
     return W
 
 

@@ -284,8 +284,10 @@ class CurvTensor4:
 
 
 def _star4(arr: np.ndarray) -> np.ndarray:
-    # Left star on the first pair; broadcasts over leading axes.
-    return 0.5 * np.einsum("ijrs,...rskl->...ijkl", _EPS4, arr)
+    # Left star on the first pair; broadcasts over leading axes. Generic in
+    # the dtype (the exact certifier runs it on polynomial object arrays);
+    # _EPS4 stays float because an integer symbol doubles the float cost.
+    return np.einsum("ijrs,...rskl->...ijkl", _EPS4, arr) / 2
 
 
 def star_weyl(T, tol: float = EQUALITY_TOL) -> CurvTensor4:
@@ -306,7 +308,7 @@ def star_weyl(T, tol: float = EQUALITY_TOL) -> CurvTensor4:
 
 def _kn_raw(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     # (U o V)_ijkl = U_ik V_jl + U_jl V_ik - U_il V_jk - U_jk V_il,
-    # broadcasting over leading axes of U and V.
+    # broadcasting over leading axes of U and V; generic in the dtype.
     return (
         np.einsum("...ik,...jl->...ijkl", U, V)
         + np.einsum("...jl,...ik->...ijkl", U, V)
@@ -320,9 +322,10 @@ def kulkarni_nomizu(U, V) -> CurvTensor4:
 
     Returns 1/2 (U o V + V o U) as a CurvTensor4, where
     (U o V)_ijkl = U_ik V_jl + U_jl V_ik - U_il V_jk - U_jk V_il. The
-    symmetrization makes the result pair-symmetric for U != V; for U = V
-    it reduces to U o U. In particular (g o g)_ijkl =
-    2 (d_ik d_jl - d_il d_jk).
+    product is symmetric in U and V, and for symmetric U, V it already
+    carries the curvature symmetries; the average only changes float
+    rounding and is kept so that results stay byte-identical. In
+    particular (g o g)_ijkl = 2 (d_ik d_jl - d_il d_jk).
     """
     Ua = _as_components(U, (4, 4), "U")
     Va = _as_components(V, (4, 4), "V")

@@ -9,6 +9,13 @@ diagonal variables l1..ln and checking that the difference is the zero
 polynomial. That is a proof, not a numerical test: no sampling, no
 tolerance.
 
+The tensor left-hand sides are the shipped kernels themselves, evaluated
+over Q[l1..ln]: the Weyl tensor is ``extrinsic._weyl_raw``, the star is
+``lambda2._star4`` and Kulkarni-Nomizu products are ``lambda2._kn_raw``,
+each called on object arrays of RationalPoly and looked up at call time.
+So a defect in the code that ``hypercurv point`` runs fails certification.
+The right-hand sides are the stated closed forms under test.
+
 The diagonal-A reduction is the only analytic step taken on faith here,
 and it is spot-checked in floating point against non-diagonal shape
 operators by the test suite.
@@ -30,6 +37,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
+from . import extrinsic, lambda2
+
 __all__ = [
     "RationalPoly",
     "IdentityRecord",
@@ -43,14 +54,20 @@ __all__ = [
 ]
 
 _DEGREE_CAP = 12
+_SCALARS = (int, float, Fraction)
 
 
 def _frac(x) -> Fraction:
+    # Integer-valued floats are exact (the float Levi-Civita entries of the
+    # shipped star kernel); any other float means a kernel left the
+    # rationals, so it raises instead of certifying an approximation.
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    raise TypeError(f"rational coefficient expected, got {type(x).__name__}")
+    if isinstance(x, float) and x.is_integer():
+        return Fraction(int(x))
+    raise TypeError(f"rational coefficient expected, got {type(x).__name__} {x!r}")
 
 
 class RationalPoly:
@@ -58,7 +75,11 @@ class RationalPoly:
 
     Terms map exponent tuples to nonzero Fractions. Total degree is
     capped at 12, enough for every registered identity; exceeding the cap
-    means an assembly bug, so it raises. Instances are immutable.
+    means an assembly bug, so it raises. Instances are immutable, so sums
+    and products with a zero operand return an operand unchanged; object
+    einsum over sparse tensors produces mostly such products. Products
+    with a non-scalar (an ndarray) are left to the other operand, so
+    polynomials and object arrays combine elementwise on either side.
     """
 
     __slots__ = ("nvars", "terms")
@@ -116,6 +137,10 @@ class RationalPoly:
 
     def __add__(self, other):
         other = self._coerce(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
             acc = terms.get(exps, Fraction(0)) + coeff
@@ -138,13 +163,19 @@ class RationalPoly:
 
     def __mul__(self, other):
         if not isinstance(other, RationalPoly):
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
             coeff = _frac(other)
             if coeff == 0:
                 return RationalPoly.zero(self.nvars)
+            if coeff == 1 or not self.terms:
+                return self
             return RationalPoly(self.nvars, {e: c * coeff for e, c in self.terms.items()})
         other = self._coerce(other)
-        if not self.terms or not other.terms:
-            return RationalPoly.zero(self.nvars)
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -157,6 +188,11 @@ class RationalPoly:
         return RationalPoly(self.nvars, terms)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return self * (1 / Fraction(other))
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -219,122 +255,11 @@ class RationalPoly:
         return "RationalPoly(" + " + ".join(bits) + suffix + ")"
 
 
-def _eps4(i, j, k, l) -> int:
-    perm = (i, j, k, l)
-    if len(set(perm)) != 4:
-        return 0
-    sign = 1
-    p = list(perm)
-    for a in range(4):
-        for b in range(a + 1, 4):
-            if p[a] > p[b]:
-                sign = -sign
-    return sign
-
-
-def _zero_t4(n: int, nv: int):
-    z = RationalPoly.zero(nv)
-    return [[[[z for _ in range(n)] for _ in range(n)] for _ in range(n)] for _ in range(n)]
-
-
-def _kn(U, V, n: int, nv: int):
-    T = _zero_t4(n, nv)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    T[i][j][k][l] = (U[i][k] * V[j][l] + U[j][l] * V[i][k]
-                                     - U[i][l] * V[j][k] - U[j][k] * V[i][l])
-    return T
-
-
-def _kn_sym(U, V, n: int, nv: int):
-    half = Fraction(1, 2)
-    A = _kn(U, V, n, nv)
-    B = _kn(V, U, n, nv)
-    return [[[[(A[i][j][k][l] + B[i][j][k][l]) * half
-               for l in range(n)] for k in range(n)] for j in range(n)] for i in range(n)]
-
-
-def _t4_combine(parts, n: int):
-    """Linear combination sum(scale * T) with polynomial scales."""
-    out = None
-    for scale, T in parts:
-        term = [[[[T[i][j][k][l] * scale for l in range(n)] for k in range(n)]
-                 for j in range(n)] for i in range(n)]
-        if out is None:
-            out = term
-        else:
-            out = [[[[out[i][j][k][l] + term[i][j][k][l] for l in range(n)]
-                     for k in range(n)] for j in range(n)] for i in range(n)]
-    return out
-
-
-def _diag(entries, n: int, nv: int):
-    z = RationalPoly.zero(nv)
-    return [[entries[i] if i == j else z for j in range(n)] for i in range(n)]
-
-
-def _eye(n: int, nv: int):
-    return _diag([RationalPoly.const(1, nv) for _ in range(n)], n, nv)
-
-
-def _star4_sym(T, nv: int):
-    half = Fraction(1, 2)
-    out = _zero_t4(4, nv)
-    for i in range(4):
-        for j in range(4):
-            for k in range(4):
-                for l in range(4):
-                    acc = RationalPoly.zero(nv)
-                    for r in range(4):
-                        for s in range(4):
-                            e = _eps4(i, j, r, s)
-                            if e and T[r][s][k][l].terms:
-                                acc = acc + T[r][s][k][l] * e
-                    out[i][j][k][l] = acc * half
-    return out
-
-
-def _inner4(T1, T2, n: int, nv: int) -> RationalPoly:
-    acc = RationalPoly.zero(nv)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    a = T1[i][j][k][l]
-                    if not a.terms:
-                        continue
-                    b = T2[i][j][k][l]
-                    if not b.terms:
-                        continue
-                    acc = acc + a * b
-    return acc
-
-
-def _triple4(T1, T2, T3, nv: int) -> RationalPoly:
-    # T1_ijkl T2_pqkl T3_ijpq, exploiting sparsity of diagonal-A tensors.
-    by_kl: dict = {}
-    for p in range(4):
-        for q in range(4):
-            for k in range(4):
-                for l in range(4):
-                    poly = T2[p][q][k][l]
-                    if poly.terms:
-                        by_kl.setdefault((k, l), []).append((p, q, poly))
-    acc = RationalPoly.zero(nv)
-    for i in range(4):
-        for j in range(4):
-            for k in range(4):
-                for l in range(4):
-                    a = T1[i][j][k][l]
-                    if not a.terms:
-                        continue
-                    for p, q, b in by_kl.get((k, l), ()):
-                        c = T3[i][j][p][q]
-                        if c.terms:
-                            acc = acc + a * b * c
-    return acc
+def _diag(entries):
+    """Diagonal object matrix over the polynomials ``entries``."""
+    D = np.full((len(entries), len(entries)), RationalPoly.zero(entries[0].nvars))
+    np.fill_diagonal(D, entries)
+    return D
 
 
 def _lam_vars(n: int, nv: int):
@@ -360,31 +285,15 @@ def _power_sums(lams, nv: int):
     return {"H": H, "S": S, "trA3": t3, "A2sq": t4, "trA5": t5, "trA6": t6}
 
 
-def _weyl4(lams, nv: int):
+def _weyl4(lams):
     """H-general Weyl tensor of a diagonal shape operator, n = 4."""
-    ps = _power_sums(lams, nv)
-    H, S = ps["H"], ps["S"]
-    A = _diag(lams, 4, nv)
-    A2 = _diag([l * l for l in lams], 4, nv)
-    I = _eye(4, nv)
-    half = RationalPoly.const(Fraction(1, 2), nv)
-    return _t4_combine([
-        (half, _kn(A, A, 4, nv)),
-        (H * Fraction(-1, 2), _kn_sym(A, I, 4, nv)),
-        (half, _kn_sym(A2, I, 4, nv)),
-        ((H * H - S) * Fraction(1, 12), _kn(I, I, 4, nv)),
-    ], 4)
+    return extrinsic._weyl_raw(_diag(lams))
 
 
-def _weyl4_pm(lams, nv: int):
-    W = _weyl4(lams, nv)
-    SW = _star4_sym(W, nv)
-    half = Fraction(1, 2)
-    Wp = [[[[(W[i][j][k][l] + SW[i][j][k][l]) * half for l in range(4)]
-            for k in range(4)] for j in range(4)] for i in range(4)]
-    Wm = [[[[(W[i][j][k][l] - SW[i][j][k][l]) * half for l in range(4)]
-            for k in range(4)] for j in range(4)] for i in range(4)]
-    return Wp, Wm
+def _weyl4_pm(lams):
+    W = _weyl4(lams)
+    SW = lambda2._star4(W)
+    return (W + SW) / 2, (W - SW) / 2
 
 
 def _ric_tf_entries(lams, nv: int):
@@ -426,22 +335,22 @@ class IdentityRecord:
 def _build_normWpm(rhs_seven_sixths=Fraction(7, 6)):
     nv = 4
     lams = _lam_vars(4, nv)
-    Wp, Wm = _weyl4_pm(lams, nv)
+    Wp, Wm = _weyl4_pm(lams)
     ps = _power_sums(lams, nv)
     H, S = ps["H"], ps["S"]
     rhs = (S * S * rhs_seven_sixths + (H ** 2) * (H ** 2) * Fraction(1, 6)
            - ps["A2sq"] * 2 + H * ps["trA3"] * 2 - H * H * S * Fraction(4, 3))
     return [
-        (_inner4(Wp, Wp, 4, nv), rhs),
-        (_inner4(Wm, Wm, 4, nv), rhs),
+        (np.einsum("ijkl,ijkl->", Wp, Wp), rhs),
+        (np.einsum("ijkl,ijkl->", Wm, Wm), rhs),
     ]
 
 
 def _build_normW():
     nv = 4
     lams = _lam_vars(4, nv)
-    W = _weyl4(lams, nv)
-    return [(_inner4(W, W, 4, nv), _wpm_closed(lams, nv) * 2)]
+    W = _weyl4(lams)
+    return [(np.einsum("ijkl,ijkl->", W, W), _wpm_closed(lams, nv) * 2)]
 
 
 def _build_ricTFsq():
@@ -464,12 +373,12 @@ def _build_cgb():
     c = RationalPoly.variable(4, nv)
     ps = _power_sums(lams, nv)
     H, S = ps["H"], ps["S"]
-    W = _weyl4(lams, nv)
+    W = _weyl4(lams)
     ric_sq = RationalPoly.zero(nv)
     for r in _ric_tf_entries(lams, nv):
         ric_sq = ric_sq + r * r
     R = c * 12 + H * H - S
-    lhs = _inner4(W, W, 4, nv) - ric_sq * 2 + R * R * Fraction(1, 6)
+    lhs = np.einsum("ijkl,ijkl->", W, W) - ric_sq * 2 + R * R * Fraction(1, 6)
     rhs = (S * S * 3 - ps["A2sq"] * 6 - H * H * S * 6 + (H ** 2) * (H ** 2)
            + H * ps["trA3"] * 8 + c * (c * 6 - S + H * H) * 4)
     return [(lhs, rhs)]
@@ -478,31 +387,20 @@ def _build_cgb():
 def _build_fialkow():
     nv = 4
     lams = _lam_vars(4, nv)
-    W = _weyl4(lams, nv)
-    ps = _power_sums(lams, nv)
-    S = ps["S"]
-    A = _diag(lams, 4, nv)
-    F = _diag([(lam * lam - S * Fraction(1, 6)) * Fraction(1, 2) for lam in lams], 4, nv)
-    I = _eye(4, nv)
-    rhs = _t4_combine([
-        (RationalPoly.const(Fraction(1, 2), nv), _kn(A, A, 4, nv)),
-        (RationalPoly.const(1, nv), _kn_sym(F, I, 4, nv)),
-    ], 4)
-    pairs = []
-    for i in range(4):
-        for j in range(4):
-            for k in range(4):
-                for l in range(4):
-                    pairs.append((_eliminate_last(W[i][j][k][l], 4),
-                                  _eliminate_last(rhs[i][j][k][l], 4)))
-    return pairs
+    W = _weyl4(lams)
+    S = _power_sums(lams, nv)["S"]
+    A = _diag(lams)
+    F = _diag([(lam * lam - S / 6) / 2 for lam in lams])
+    rhs = lambda2._kn_raw(A, A) / 2 + lambda2._kn_raw(F, np.eye(4, dtype=object))
+    return [(_eliminate_last(w, 4), _eliminate_last(r, 4))
+            for w, r in zip(W.flat, rhs.flat)]
 
 
 def _build_cubic_contraction():
     nv = 4
     lams = _lam_vars(4, nv)
-    W = _weyl4(lams, nv)
-    lhs = _eliminate_last(_triple4(W, W, W, nv), 4)
+    W = _weyl4(lams)
+    lhs = _eliminate_last(np.einsum("ijkl,pqkl,ijpq->", W, W, W), 4)
     ps = _power_sums(lams, nv)
     S = ps["S"]
     rhs = _eliminate_last(
@@ -514,39 +412,22 @@ def _build_cubic_contraction():
 def _build_cubic_half():
     nv = 4
     lams = _lam_vars(4, nv)
-    W = _weyl4(lams, nv)
-    Wp, _ = _weyl4_pm(lams, nv)
-    lhs = _eliminate_last(_triple4(W, W, W, nv), 4)
-    rhs = _eliminate_last(_triple4(Wp, Wp, Wp, nv) * 2, 4)
+    W = _weyl4(lams)
+    Wp, _ = _weyl4_pm(lams)
+    lhs = _eliminate_last(np.einsum("ijkl,pqkl,ijpq->", W, W, W), 4)
+    rhs = _eliminate_last(np.einsum("ijkl,pqkl,ijpq->", Wp, Wp, Wp) * 2, 4)
     return [(lhs, rhs)]
 
 
 def _build_quadratic_split():
     nv = 4
-    lams = _lam_vars(4, nv)
     pairs = []
-    eighth = Fraction(1, 8)
-    for T in _weyl4_pm(lams, nv):
-        wsq = _inner4(T, T, 4, nv)
-        for i in range(4):
-            for j in range(4):
-                for k in range(4):
-                    for l in range(4):
-                        lhs = RationalPoly.zero(nv)
-                        for p in range(4):
-                            for q in range(4):
-                                a = T[i][p][k][q]
-                                if a.terms:
-                                    b = T[j][p][l][q]
-                                    if b.terms:
-                                        lhs = lhs + a * b
-                                a = T[i][p][l][q]
-                                if a.terms:
-                                    b = T[j][p][k][q]
-                                    if b.terms:
-                                        lhs = lhs + a * b
-                        rhs = wsq * eighth if (i == j and k == l) else RationalPoly.zero(nv)
-                        pairs.append((lhs, rhs))
+    zero = RationalPoly.zero(nv)
+    for T in _weyl4_pm(_lam_vars(4, nv)):
+        wsq = np.einsum("ijkl,ijkl->", T, T)
+        lhs = np.einsum("ipkq,jplq->ijkl", T, T) + np.einsum("iplq,jpkq->ijkl", T, T)
+        for (i, j, k, l), poly in np.ndenumerate(lhs):
+            pairs.append((poly, wsq / 8 if (i == j and k == l) else zero))
     return pairs
 
 
@@ -555,34 +436,27 @@ def _build_harmweyl_equality():
     # leaves a nonzero polynomial.
     nv = 4
     lams = _lam_vars(4, nv)
-    Wp, _ = _weyl4_pm(lams, nv)
+    Wp, _ = _weyl4_pm(lams)
     ps = _power_sums(lams, nv)
     S = ps["S"]
     lhs = (ps["trA3"] * ps["trA3"] * 15 - ps["trA6"] * 42
            + S * ps["A2sq"] * Fraction(55, 2) - S ** 3 * Fraction(13, 4))
-    rhs = _triple4(Wp, Wp, Wp, nv) * 3 + S * _inner4(Wp, Wp, 4, nv) * Fraction(1, 2)
+    rhs = (np.einsum("ijkl,pqkl,ijpq->", Wp, Wp, Wp) * 3
+           + S * np.einsum("ijkl,ijkl->", Wp, Wp) * Fraction(1, 2))
     return [(_eliminate_last(lhs, 4), _eliminate_last(rhs, 4))]
 
 
 def _weyl_general_n(lams, c: RationalPoly, n: int, nv: int):
+    """Weyl tensor by its definition, riem - Ric0 o g/(n-2) - R g o g/(2n(n-1))."""
+    kn = lambda2._kn_raw
     ps = _power_sums(lams, nv)
     H, S = ps["H"], ps["S"]
-    I = _eye(n, nv)
-    A = _diag(lams, n, nv)
+    A = _diag(lams)
+    I = np.eye(n, dtype=object)
     R = c * (n * (n - 1)) + H * H - S
-    ric_tf = _diag([c * (n - 1) + H * lam - lam * lam - R * Fraction(1, n)
-                    for lam in lams], n, nv)
-    half = RationalPoly.const(Fraction(1, 2), nv)
-    riem = _t4_combine([
-        (c * Fraction(1, 2), _kn(I, I, n, nv)),
-        (half, _kn(A, A, n, nv)),
-    ], n)
-    correction = _t4_combine([
-        (RationalPoly.const(Fraction(1, n - 2), nv), _kn_sym(ric_tf, I, n, nv)),
-        (R * Fraction(1, 2 * n * (n - 1)), _kn(I, I, n, nv)),
-    ], n)
-    return [[[[riem[i][j][k][l] - correction[i][j][k][l] for l in range(n)]
-              for k in range(n)] for j in range(n)] for i in range(n)]
+    ric_tf = _diag([c * (n - 1) + H * lam - lam * lam - R / n for lam in lams])
+    riem = c / 2 * kn(I, I) + kn(A, A) / 2
+    return riem - kn(ric_tf, I) / (n - 2) - R / (2 * n * (n - 1)) * kn(I, I)
 
 
 def _build_general_n():
@@ -592,7 +466,7 @@ def _build_general_n():
         lams = _lam_vars(n, nv)
         c = RationalPoly.variable(n, nv)
         W = _weyl_general_n(lams, c, n, nv)
-        lhs = _inner4(W, W, n, nv)
+        lhs = np.einsum("ijkl,ijkl->", W, W)
         ps = _power_sums(lams, nv)
         S = ps["S"]
         rhs = (S * S * Fraction(2 * (n * n - 3 * n + 3), (n - 1) * (n - 2))
@@ -769,12 +643,11 @@ def _register_recipes():
         for r in _ric_tf_entries(lams, nv):
             ric_sq = ric_sq + r * r
         out["ricTFsq"] = ric_sq
-        W = _weyl4(lams, nv)
-        SW = _star4_sym(W, nv)
-        out["trWstarW"] = _inner4(W, SW, 4, nv)
-        out["tripleW"] = _triple4(W, W, W, nv)
-        Wp, _ = _weyl4_pm(lams, nv)
-        out["tripleWplus"] = _triple4(Wp, Wp, Wp, nv)
+        W = _weyl4(lams)
+        out["trWstarW"] = np.einsum("ijkl,ijkl->", W, lambda2._star4(W))
+        out["tripleW"] = np.einsum("ijkl,pqkl,ijpq->", W, W, W)
+        Wp, _ = _weyl4_pm(lams)
+        out["tripleWplus"] = np.einsum("ijkl,pqkl,ijpq->", Wp, Wp, Wp)
         if minimal:
             out = {k: _eliminate_last(v, 4) for k, v in out.items()}
         return out

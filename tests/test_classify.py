@@ -162,6 +162,18 @@ def test_sharp_inequalities_margins_and_flags():
         classify.sharp_inequalities([1.0, 1.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("lam", [
+    [math.nan, 1.0, 1.0, 1.0],
+    [math.inf, 1.0, 1.0, -1.0],
+    [-math.inf, 0.0, 0.0, 0.0],
+])
+def test_raw_spectra_must_be_finite(lam):
+    for fn in (classify.spectrum_report, classify.principal_multiplicities,
+               classify.sharp_inequalities):
+        with pytest.raises(ValueError, match="finite"):
+            fn(lam)
+
+
 def test_sharp_inequalities_general_dimension():
     # n=3: upper constant (n^2-3n+3)/(n(n-1)) = 1/2, so the mult-2
     # spectrum (2,-1,-1) with S=6, |A^2|^2=18=36/2 is tight on both the

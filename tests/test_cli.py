@@ -2,6 +2,7 @@
 
 import io
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -22,6 +23,20 @@ def _run_json(capsys, argv):
 
 
 CLIFFORD22 = json.dumps({"n": 4, "c": 1.0, "lambda": [1.0, 1.0, -1.0, -1.0]})
+
+# Golden outputs were generated by the code before the certifier ran on
+# the shipped tensor kernels; they pin stdout byte for byte.
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["point", str(DATA / "point_golden_in.json")], "point_golden_out.json"),
+    (["verify", "--all"], "verify_all_golden.json"),
+])
+def test_output_matches_golden_bytes(capsys, argv, golden):
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert out == (DATA / golden).read_text()
 
 
 def test_point_clifford_report(capsys):
@@ -219,6 +234,13 @@ def test_verify_single_identity(capsys):
                           "A": [[1, 0, 0, 0], [0, 1, 0, 0],
                                 [0, 0, 1, 0], [0, 0, 0, 1]]})],
     ["classify", json.dumps({"n": 4, "lambda": [1, 2, 3]})],
+    ["point", '{"n": 4, "c": 1.0, "lambda": [NaN, 1, 1, 1]}'],
+    ["point", '{"n": 4, "c": 1.0, "lambda": [Infinity, 1, 1, -1]}'],
+    ["point", '{"n": 4, "c": -Infinity, "lambda": [1, 1, -1, -1]}'],
+    ["point", '{"n": 4, "c": 1.0, "lambda": [1e999, 1, 1, -1]}'],
+    ["classify", '{"n": 4, "lambda": [NaN, 1, 1, 1]}'],
+    ["classify", '{"n": 4, "lambda": [Infinity, 1, 1, -1]}'],
+    ["classify", '[{"n": 4, "lambda": [1, 1, -1, -1]}, {"n": 4, "lambda": [-Infinity, 1, 1, 1]}]'],
     ["integrate", "--geometry", "torus:7"],
     ["integrate", "--geometry", "clifford:4:2", "--functional", "nope"],
     ["verify"],

@@ -41,6 +41,18 @@ def test_point_state_validation():
     np.testing.assert_allclose(st.lam, [3, -1, -1, -1])
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    ({"lam": [math.nan, 1.0, 1.0, 1.0]}, "lambda"),
+    ({"A": np.diag([1.0, 1.0, 1.0, math.inf])}, "A"),
+    ({"lam": [1.0, 1.0, -1.0, -1.0], "c": math.nan}, "c"),
+    ({"lam": [1.0, 2.0, 3.0, -6.0], "nablaA": [math.inf] + [0.0] * 19}, "nablaA"),
+    ({"lam": [1.0, 2.0, 3.0, -6.0], "hessS": np.full((4, 4), -math.inf)}, "hessS"),
+])
+def test_point_state_rejects_non_finite(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field}: entries must be finite"):
+        extrinsic.PointState(**kwargs)
+
+
 def test_point_state_warns_on_odd_c():
     with pytest.warns(UserWarning):
         _state([1, 0, 0, 0], c=2.5)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercurv import extrinsic, polyverify
+from hypercurv import extrinsic, lambda2, polyverify
 from hypercurv.polyverify import RationalPoly
 
 
@@ -117,6 +117,32 @@ def test_corrupted_record_is_caught_with_witness():
     assert bad.witness["lhs"] == "0"
     assert bad.witness["rhs"] == "-1/6"
     assert "nonzero polynomial" in bad.detail
+
+
+@pytest.mark.parametrize("module, name", [(extrinsic, "_weyl_raw"), (lambda2, "_star4")])
+def test_certifier_runs_the_shipped_kernels(monkeypatch, module, name):
+    # Doubles the Weyl tensor, or drops the 1/2 of the star.
+    kernel = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda arr: kernel(arr) * 2)
+    bad = polyverify.verify_identity("normWpm_generalH")
+    assert not bad.passed
+    assert bad.witness["point"] is not None
+    assert Fraction(bad.witness["lhs"]) != Fraction(bad.witness["rhs"])
+
+
+def test_registry_components_are_polynomials():
+    for rec in list(polyverify.REGISTRY.values()) + [polyverify.corrupted_normWpm_record()]:
+        for lhs, rhs in rec.build():
+            assert type(lhs) is RationalPoly and type(rhs) is RationalPoly, rec.name
+
+
+def test_float_coefficients_must_be_integers():
+    x = RationalPoly.variable(0, 1)
+    assert (x * -1.0) == -x
+    assert (x * 0.0).is_zero
+    with pytest.raises(TypeError, match="rational coefficient"):
+        x * 0.5
+    assert (x / 2).eval((1,)) == Fraction(1, 2)
 
 
 def test_unknown_identity_lists_known_names():
