@@ -25,6 +25,7 @@ from .bounds import (
 from .classify import (
     SharpReport,
     SpectrumReport,
+    classify_batch,
     principal_multiplicities,
     sharp_inequalities,
     spectrum_report,
@@ -107,6 +108,7 @@ __all__ = [
     "build_grid",
     "catalog_point",
     "cgb_integrand",
+    "classify_batch",
     "clifford_immersion",
     "closed_form_norms",
     "default_cluster_tol",

@@ -18,9 +18,14 @@ three) is exactly a point with w = 1.
 All clusterings in this module are driven by a single gap tolerance.
 Eigenvalue gaps are compared against tol * (1 + max|l|); Weyl-operator
 gaps against tol * (1 + max|l|)^2, since those eigenvalues are quadratic
-in the principal curvatures. Gaps within a factor of two of the threshold
-mark the report as indeterminate rather than silently committing to a
-cluster count.
+in the principal curvatures. Gaps within a factor of two of the threshold,
+or a measured w that the dictionary contradicts, mark the report as
+indeterminate rather than silently committing to a cluster count.
+
+One kernel, ``_classify``, does this for an (N, 4) array of spectra in a
+single pass. ``spectrum_report`` runs it on a batch of one, and
+``classify_batch`` returns its (m, w, indeterminate) columns for many
+spectra at once; the two agree row for row.
 """
 
 from __future__ import annotations
@@ -30,12 +35,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extrinsic import PointState
+from .extrinsic import PointState, _require_scale
 from .tolerances import CLUSTER_TOL, EQUALITY_TOL
 
 __all__ = [
     "SpectrumReport",
     "SharpReport",
+    "classify_batch",
     "principal_multiplicities",
     "weyl_operator_spectrum",
     "structure_predicates",
@@ -44,73 +50,101 @@ __all__ = [
 ]
 
 
-def _as_spectrum(lam, expected: int | None = None) -> np.ndarray:
-    if isinstance(lam, PointState):
+def _as_spectra(lam, ndim: int, width: int | None = None) -> np.ndarray:
+    """Shape check (ndim 1 for one spectrum, 2 for rows) plus the entry check
+    of PointState, which may stand for one spectrum as it was checked."""
+    if ndim == 1 and isinstance(lam, PointState):
         lam = np.linalg.eigvalsh(lam.A)
-    lam = np.asarray(lam, dtype=float)
-    if lam.ndim != 1:
-        raise ValueError(f"spectrum must be a flat vector, got shape {lam.shape}")
-    # A Python-level scan: np.isfinite(lam).all() costs four times as much
-    # on four entries, and spectrum_report revalidates in each helper.
-    if not all(map(math.isfinite, lam.tolist())):
-        raise ValueError(f"spectrum entries must be finite numbers, got {lam.tolist()}")
-    if expected is not None and lam.size != expected:
-        raise ValueError(f"expected {expected} principal curvatures, got {lam.size}")
+    else:
+        lam = np.asarray(lam, dtype=float)
+        if lam.ndim != ndim:
+            raise ValueError(f"expected a spectrum array with {ndim} axes, got shape {lam.shape}")
+        _require_scale("spectrum", 1.0 + np.abs(lam).max(initial=0.0))
+    if width is not None and lam.shape[-1] != width:
+        raise ValueError(f"expected {width} principal curvatures, got {lam.shape[-1]}")
     return lam
 
 
-def _cluster_sizes(sorted_desc: np.ndarray, threshold: float):
-    """Cluster sizes of a descending sequence split at gaps > threshold.
+def _split(desc: np.ndarray, t: np.ndarray):
+    """Cut mask of descending rows at gaps above the (N, 1) threshold t, and per
+    row whether any gap falls in the indeterminate band (t/2, 2t]."""
+    gaps = desc[:, :-1] - desc[:, 1:]
+    return gaps > t, ((gaps > 0.5 * t) & (gaps <= 2.0 * t)).any(axis=1)
 
-    Also reports whether any gap falls inside the indeterminate band
-    (threshold/2, 2*threshold].
+
+def _lambda_cuts(lams: np.ndarray, tol: float):
+    """(cuts, band, (N, 1) scale 1 + max|l|) of (N, n) spectra; cut j lies
+    below the j-th largest l."""
+    scale = 1.0 + np.abs(lams).max(axis=1, keepdims=True, initial=0.0)
+    cuts, band = _split(np.sort(lams, axis=1)[:, ::-1], tol * scale)
+    return cuts, band, scale
+
+
+def _partition(cuts: np.ndarray) -> tuple:
+    """Cluster sizes, in descending curvature order, of one row of cuts."""
+    ends = [j + 1 for j, cut in enumerate(cuts.tolist()) if cut] + [cuts.size + 1]
+    return tuple(b - a for a, b in zip([0] + ends, ends))
+
+
+def _pairing_values(lams: np.ndarray) -> np.ndarray:
+    """SD (equivalently ASD) Weyl operator eigenvalues of (N, 4) spectra.
+
+    The pairing {0,j}|{a,b} of the principal directions has the eigenvalue
+    v = 1/2 s (s - H) + (H^2 - S)/6 with s = l_0 + l_j; replacing s by
+    H - s leaves v unchanged, so the pairing, not the side, determines it.
     """
-    gaps = sorted_desc[:-1] - sorted_desc[1:]
-    sizes = []
-    current = 1
-    for g in gaps:
-        if g > threshold:
-            sizes.append(current)
-            current = 1
-        else:
-            current += 1
-    sizes.append(current)
-    indet = bool(np.any((gaps > 0.5 * threshold) & (gaps <= 2.0 * threshold)))
-    return tuple(sizes), indet
+    H = lams.sum(axis=1, keepdims=True)
+    S = (lams * lams).sum(axis=1, keepdims=True)
+    s = lams[:, :1] + lams[:, 1:]
+    return 0.5 * s * (s - H) + (H * H - S) / 6.0
+
+
+# The exact m -> w dictionary over the eight cut patterns of four sorted
+# curvatures, indexed by 4 cut_0 + 2 cut_1 + cut_2: a multiplicity >= 3
+# forces w = 1, four simple curvatures force w = 3, everything else w = 2.
+_CUT_INDEX = np.array([4, 2, 1])
+_DICTIONARY_W = np.array([1 if max(p) >= 3 else (3 if len(p) == 4 else 2) for p in
+                          map(_partition, np.array([[k & 4, k & 2, k & 1] for k in range(8)], dtype=bool))])
+
+
+def _dictionary_w(cuts: np.ndarray) -> np.ndarray:
+    """The w that the dictionary assigns to (N, 3) principal-curvature cuts."""
+    return _DICTIONARY_W[cuts @ _CUT_INDEX]
+
+
+def _classify(lams: np.ndarray, tol: float):
+    """Per row of validated (N, 4) spectra: lambda cuts, descending Weyl
+    eigenvalues, w, and indeterminate (a gap in the band, or a w that the
+    dictionary contradicts: lambda gaps enter the Weyl gaps as pairwise
+    products, so a near-degenerate spectrum can measure too small a w)."""
+    cuts, band, scale = _lambda_cuts(lams, tol)
+    v = np.sort(_pairing_values(lams), axis=1)[:, ::-1]
+    vcuts, vband = _split(v, tol * scale * scale)
+    w = 1 + vcuts.sum(axis=1)
+    return cuts, v, w, band | vband | (w != _dictionary_w(cuts))
+
+
+def classify_batch(lams, tol: float = CLUSTER_TOL):
+    """(m, w, indeterminate) arrays for an (N, 4) array of spectra.
+
+    Entries must be finite and within the PointState scale cap. Row i
+    equals ``spectrum_report(lams[i], tol)`` on all three.
+    """
+    cuts, _, w, indeterminate = _classify(_as_spectra(lams, 2, 4), tol)
+    return 1 + cuts.sum(axis=1), w, indeterminate
 
 
 def principal_multiplicities(lam, tol: float = CLUSTER_TOL):
     """Number of distinct principal curvatures and their partition.
 
-    The spectrum is sorted in descending order and split at gaps larger
-    than tol * (1 + max|l|). The partition lists cluster sizes in that
-    order, e.g. (sqrt3, -1/sqrt3, -1/sqrt3, -1/sqrt3) -> m = 2,
+    The spectrum (any length) is sorted in descending order and split at
+    gaps larger than tol * (1 + max|l|). The partition lists cluster sizes
+    in that order, e.g. (sqrt3, -1/sqrt3, -1/sqrt3, -1/sqrt3) -> m = 2,
     partition (1, 3).
     """
-    lam = _as_spectrum(lam)
-    desc = np.sort(lam)[::-1]
-    threshold = tol * (1.0 + np.abs(lam).max(initial=0.0))
-    sizes, _ = _cluster_sizes(desc, threshold)
-    return len(sizes), sizes
-
-
-def _pairing_values(lam: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the SD (equivalently ASD) Weyl operator from the spectrum.
-
-    For each of the three pairings {i,j}|{a,b} of the four principal
-    directions the operator eigenvalue is
-
-        v = 1/2 s (s - H) + (H^2 - S)/6,   s = l_i + l_j,
-
-    which is invariant under replacing s by H - s, so the pairing (not the
-    side) determines the value.
-    """
-    if lam.size != 4:
-        raise ValueError(f"Weyl operator spectrum needs 4 principal curvatures, got {lam.size}")
-    H = lam.sum()
-    S = float(np.sum(lam * lam))
-    s = np.array([lam[0] + lam[1], lam[0] + lam[2], lam[0] + lam[3]])
-    return 0.5 * s * (s - H) + (H * H - S) / 6.0
+    cuts, _, _ = _lambda_cuts(_as_spectra(lam, 1)[None], tol)
+    partition = _partition(cuts[0])
+    return len(partition), partition
 
 
 def weyl_operator_spectrum(lam, H: float | None = None, S: float | None = None,
@@ -121,16 +155,25 @@ def weyl_operator_spectrum(lam, H: float | None = None, S: float | None = None,
     spectrum; a materially inconsistent pair is an input error. Returns
     (w, eigenvalues sorted descending). The eigenvalues sum to zero.
     """
-    lam = _as_spectrum(lam, expected=4)
-    scale = 1.0 + np.abs(lam).max(initial=0.0)
+    lam = _as_spectra(lam, 1, 4)
+    scale = 1.0 + np.abs(lam).max()
     if H is not None and abs(H - lam.sum()) > 1e-8 * scale:
         raise ValueError(f"H = {H} inconsistent with the spectrum (sum {lam.sum()})")
-    if S is not None and abs(S - float(np.sum(lam * lam))) > 1e-8 * scale * scale:
+    if S is not None and abs(S - (lam * lam).sum()) > 1e-8 * scale * scale:
         raise ValueError(f"S = {S} inconsistent with the spectrum")
-    v = np.sort(_pairing_values(lam))[::-1]
-    threshold = tol * scale * scale
-    sizes, _ = _cluster_sizes(v, threshold)
-    return len(sizes), v
+    _, v, w, _ = _classify(lam[None], tol)
+    return int(w[0]), v[0]
+
+
+def _flags(lam: np.ndarray, cuts: np.ndarray, tol: float) -> dict:
+    H = float(lam.sum())
+    S = float((lam * lam).sum())
+    ric_tf = H * lam - lam * lam - (H * H - S) / 4.0
+    return {
+        "lcf": bool(_dictionary_w(cuts)[0] == 1),
+        "einstein": bool(np.abs(ric_tf).max() <= tol * (1.0 + S)),
+        "twoTwoSplit": _partition(cuts[0]) == (2, 2),
+    }
 
 
 def structure_predicates(lam, tol: float = CLUSTER_TOL) -> dict:
@@ -142,17 +185,13 @@ def structure_predicates(lam, tol: float = CLUSTER_TOL) -> dict:
     this happens exactly for the (l, l, -l, -l) spectra and A = 0.
     twoTwoSplit: the multiplicity partition is (2, 2).
     """
-    lam = _as_spectrum(lam, expected=4)
-    m, partition = principal_multiplicities(lam, tol=tol)
-    H = lam.sum()
-    S = float(np.sum(lam * lam))
-    ric_tf = H * lam - lam * lam - (H * H - S) / 4.0
-    scale = 1.0 + S
-    return {
-        "lcf": max(partition) >= 3,
-        "einstein": bool(np.abs(ric_tf).max() <= tol * scale),
-        "twoTwoSplit": partition == (2, 2),
-    }
+    lam = _as_spectra(lam, 1, 4)
+    cuts, _, _ = _lambda_cuts(lam[None], tol)
+    return _flags(lam, cuts, tol)
+
+
+def _trace_free(lam: np.ndarray) -> bool:
+    return abs(lam.sum()) <= EQUALITY_TOL * (1.0 + np.abs(lam).sum())
 
 
 @dataclass(frozen=True)
@@ -185,30 +224,31 @@ def sharp_inequalities(state, tol: float = EQUALITY_TOL) -> SharpReport:
                              f"(H = {state.H:.3e})")
         lam = np.linalg.eigvalsh(state.A)
     else:
-        lam = _as_spectrum(state)
-        if abs(lam.sum()) > EQUALITY_TOL * (1.0 + np.abs(lam).sum()):
+        lam = _as_spectra(state, 1)
+        if not _trace_free(lam):
             raise ValueError(f"sharp_inequalities requires a trace-free spectrum "
                              f"(sum = {lam.sum():.3e})")
+    return _sharp(lam, tol)
+
+
+def _sharp(lam: np.ndarray, tol: float) -> SharpReport:
     n = lam.size
-    S = float(np.sum(lam * lam))
-    A2sq = float(np.sum(lam ** 4))
-    trA3 = float(np.sum(lam ** 3))
+    S = float((lam * lam).sum())
+    A2sq = float((lam ** 4).sum())
+    trA3 = float((lam ** 3).sum())
     upper = (n * n - 3 * n + 3) / (n * (n - 1))
-    tr3_bound = float((n - 2) / np.sqrt(n * (n - 1)) * S ** 1.5)
+    tr3_bound = (n - 2) / math.sqrt(n * (n - 1)) * S ** 1.5
     margins = {
         "a2_lower": A2sq - S * S / n,
         "a2_upper": upper * S * S - A2sq,
         "tr3_upper": tr3_bound - trA3,
         "tr3_lower": trA3 + tr3_bound,
     }
-    s2 = S * S
-    s32 = S ** 1.5
-    equality = {
-        "lcf": bool(margins["a2_upper"] <= tol * s2),
-        "einstein": bool(margins["a2_lower"] <= tol * s2),
-        "trace": bool(min(margins["tr3_upper"], margins["tr3_lower"]) <= tol * s32),
-    }
-    return SharpReport(margins=margins, equality=equality)
+    return SharpReport(margins=margins, equality={
+        "lcf": bool(margins["a2_upper"] <= tol * (S * S)),
+        "einstein": bool(margins["a2_lower"] <= tol * (S * S)),
+        "trace": bool(min(margins["tr3_upper"], margins["tr3_lower"]) <= tol * S ** 1.5),
+    })
 
 
 @dataclass(frozen=True)
@@ -224,15 +264,9 @@ class SpectrumReport:
     indeterminate: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "partition": list(self.partition),
-            "w": self.w,
-            "weylEigen": list(self.weyl_eigen),
-            "flags": dict(self.flags),
-            "margins": dict(self.margins),
-            "indeterminate": self.indeterminate,
-        }
+        return {"m": self.m, "partition": list(self.partition), "w": self.w,
+                "weylEigen": list(self.weyl_eigen), "flags": dict(self.flags),
+                "margins": dict(self.margins), "indeterminate": self.indeterminate}
 
 
 def spectrum_report(state, tol: float = CLUSTER_TOL) -> SpectrumReport:
@@ -248,64 +282,16 @@ def spectrum_report(state, tol: float = CLUSTER_TOL) -> SpectrumReport:
         lam = np.linalg.eigvalsh(state.A)
         minimal = state.minimal
     else:
-        lam = _as_spectrum(state, expected=4)
-        minimal = abs(lam.sum()) <= EQUALITY_TOL * (1.0 + np.abs(lam).sum())
-    desc = np.sort(lam)[::-1]
-    scale = 1.0 + np.abs(lam).max(initial=0.0)
-    partition, indet_m = _cluster_sizes(desc, tol * scale)
-    v = np.sort(_pairing_values(lam))[::-1]
-    wsizes, indet_w = _cluster_sizes(v, tol * scale * scale)
-    # exact dictionary from the partition: mult >= 3 forces w = 1, four
-    # simple curvatures force w = 3, everything else w = 2. Lambda gaps
-    # enter the Weyl gaps as pairwise products, so near-degenerate
-    # spectra can measure a smaller w than the partition implies; that
-    # mismatch is a resolution artifact and is flagged, not classified.
-    w_pred = 1 if max(partition) >= 3 else (3 if len(partition) == 4 else 2)
-    flags = structure_predicates(lam, tol=tol)
-    margins = {}
-    if minimal:
-        margins = sharp_inequalities(lam).margins
+        lam = _as_spectra(state, 1, 4)
+        minimal = _trace_free(lam)
+    cuts, v, w, indeterminate = _classify(lam[None], tol)
+    partition = _partition(cuts[0])
     return SpectrumReport(
         m=len(partition),
         partition=partition,
-        w=len(wsizes),
-        weyl_eigen=tuple(float(x) for x in v),
-        flags=flags,
-        margins=margins,
-        indeterminate=indet_m or indet_w or len(wsizes) != w_pred,
+        w=int(w[0]),
+        weyl_eigen=tuple(v[0].tolist()),
+        flags=_flags(lam, cuts, tol),
+        margins=_sharp(lam, EQUALITY_TOL).margins if minimal else {},
+        indeterminate=bool(indeterminate[0]),
     )
-
-
-def _batch_mw(lams: np.ndarray, tol: float = CLUSTER_TOL):
-    """Vectorized (m, w, indeterminate) for an (N, 4) spectrum batch.
-
-    Shares the thresholds of the scalar API; used by the bulk invariance
-    suites where per-point Python dispatch would dominate the runtime.
-    """
-    lams = np.asarray(lams, dtype=float)
-    desc = np.sort(lams, axis=1)[:, ::-1]
-    scale = 1.0 + np.abs(lams).max(axis=1)
-    t_l = tol * scale
-    gaps_l = desc[:, :-1] - desc[:, 1:]
-    m = 1 + np.sum(gaps_l > t_l[:, None], axis=1)
-    H = lams.sum(axis=1)
-    S = np.sum(lams * lams, axis=1)
-    s = np.stack([lams[:, 0] + lams[:, 1], lams[:, 0] + lams[:, 2], lams[:, 0] + lams[:, 3]], axis=1)
-    v = 0.5 * s * (s - H[:, None]) + ((H * H - S) / 6.0)[:, None]
-    v = np.sort(v, axis=1)[:, ::-1]
-    t_v = tol * scale * scale
-    gaps_v = v[:, :-1] - v[:, 1:]
-    w = 1 + np.sum(gaps_v > t_v[:, None], axis=1)
-    indet = (
-        np.any((gaps_l > 0.5 * t_l[:, None]) & (gaps_l <= 2.0 * t_l[:, None]), axis=1)
-        | np.any((gaps_v > 0.5 * t_v[:, None]) & (gaps_v <= 2.0 * t_v[:, None]), axis=1)
-    )
-    # the multiplicity dictionary is exact, so a mismatch between the
-    # measured w and the one the lambda partition implies can only be a
-    # resolution artifact (lambda gaps enter the Weyl gaps as products,
-    # so a (2,2) spectrum at gap g has Weyl gaps of order g^2); flag it
-    boundary = gaps_l > t_l[:, None]
-    max_ge3 = (m == 1) | ((m == 2) & ~boundary[:, 1])
-    w_pred = np.where(max_ge3, 1, np.where(m == 4, 3, 2))
-    indet |= w != w_pred
-    return m, w, indet

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -35,7 +36,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import classify as classify_mod
 from . import extrinsic, immersions, polyverify
-from .tolerances import CLUSTER_TOL, EQUALITY_TOL, ENV_VAR
+from .tolerances import CLUSTER_TOL, EQUALITY_TOL, ENV_VAR, default_tol
 
 _EXIT_OK = 0
 _EXIT_VIOLATION = 1
@@ -270,16 +271,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.tol is None:
-        env = os.environ.get(ENV_VAR)
-        if env is not None:
-            try:
-                args.tol = float(env)
-            except ValueError:
-                print(f"error: {ENV_VAR} must be a float, got {env!r}", file=sys.stderr)
-                return _EXIT_INPUT
-    if args.tol is not None and args.tol <= 0.0:
-        print(f"error: --tol must be positive, got {args.tol}", file=sys.stderr)
+    if args.tol is None and ENV_VAR in os.environ:
+        try:
+            args.tol = default_tol()
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return _EXIT_INPUT
+    if args.tol is not None and not 0.0 < args.tol < math.inf:
+        print(f"error: --tol must be positive and finite, got {args.tol}", file=sys.stderr)
         return _EXIT_INPUT
     try:
         return args.func(args)

@@ -55,6 +55,9 @@ NABLA_ORDER = tuple(
 
 _MINIMAL_REL_TOL = 1e-10
 _CONDITION_WARN_S = 1e8
+# Cap on the 1 + max|entry| scale of A or a spectrum: below it the degree-6
+# invariants (trA^6, S^3, their products with H) stay inside float64.
+_MAX_SCALE = 1e50
 
 
 def _symmetrize3(arr: np.ndarray) -> np.ndarray:
@@ -82,6 +85,13 @@ def _require_finite(name: str, value: float) -> None:
     # already compute, which is NaN or inf exactly when an entry is.
     if not math.isfinite(value):
         raise ValueError(f"{name}: entries must be finite numbers")
+
+
+def _require_scale(name: str, scale: float) -> None:
+    _require_finite(name, scale)
+    if scale > _MAX_SCALE:
+        raise ValueError(f"{name}: entries must not exceed {_MAX_SCALE:.0e} in magnitude; "
+                         "degree-6 invariants such as trA^6 and S^3 would overflow")
 
 
 class PointState:
@@ -124,7 +134,7 @@ class PointState:
         if n < 3:
             raise ValueError(f"A: dimension must be at least 3, got {n}")
         scale = 1.0 + np.abs(A).max()
-        _require_finite("lambda" if from_spectrum else "A", scale)
+        _require_scale("lambda" if from_spectrum else "A", scale)
         if np.abs(A - A.T).max() > tol * scale:
             raise ValueError("A: shape operator must be symmetric")
         A = 0.5 * (A + A.T)

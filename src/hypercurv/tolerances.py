@@ -3,13 +3,14 @@
 Every numerical equality test is relative: a quantity x is treated as equal
 to y when |x - y| <= tol * scale for a scale natural to the data. The two
 defaults below bind at import and can be overridden per call. The command
-line applies the HYPERCURV_TOL environment variable (its --tol flag wins);
-library calls do not, unless the caller passes `default_tol()` or
-`default_cluster_tol()` as ``tol``.
+line reads the HYPERCURV_TOL environment variable through `default_tol`
+(its --tol flag wins); library calls do not, unless the caller passes
+`default_tol()` or `default_cluster_tol()` as ``tol``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 ENV_VAR = "HYPERCURV_TOL"
@@ -25,8 +26,9 @@ CLUSTER_TOL = 1e-8
 def default_tol(fallback: float = EQUALITY_TOL) -> float:
     """Resolve a tolerance from the environment at call time.
 
-    The HYPERCURV_TOL environment variable, when set to a positive float,
-    overrides ``fallback``. Pass the result as an explicit ``tol``.
+    The HYPERCURV_TOL environment variable, when set to a positive finite
+    float, overrides ``fallback``; any other value is a ValueError. Pass
+    the result as an explicit ``tol``.
     """
     raw = os.environ.get(ENV_VAR)
     if raw is None:
@@ -35,8 +37,8 @@ def default_tol(fallback: float = EQUALITY_TOL) -> float:
         value = float(raw)
     except ValueError as exc:
         raise ValueError(f"{ENV_VAR} must be a float, got {raw!r}") from exc
-    if value <= 0.0:
-        raise ValueError(f"{ENV_VAR} must be positive, got {value}")
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{ENV_VAR} must be positive and finite, got {value}")
     return value
 
 

@@ -107,7 +107,7 @@ def test_criterion_03_multiplicity_weyl_dictionary():
         lams[sel] = np.repeat(vals, pat, axis=1)
         m_true[sel] = k
         w_true[sel] = 1 if max(pat) >= 3 else (3 if k == 4 else 2)
-    m, w, indet = classify._batch_mw(lams, tol=1e-8)
+    m, w, indet = classify.classify_batch(lams, tol=1e-8)
     confident = ~indet
     mis = confident & ((m != m_true) | (w != w_true))
     if mis.any():
@@ -120,7 +120,7 @@ def test_criterion_03_multiplicity_weyl_dictionary():
     start = rng.uniform(1.0, 3.0, near)[:, None]
     vals = start - np.concatenate(
         [np.zeros((near, 1)), np.cumsum(gaps, axis=1)], axis=1)
-    ndm, ndw, ndindet = classify._batch_mw(vals, tol=1e-8)
+    ndm, ndw, ndindet = classify.classify_batch(vals, tol=1e-8)
     ndmis = (~ndindet) & ((ndm != 4) | (ndw != 3))
     if ndmis.any():
         failures.append(f"{ndmis.sum()} confident misclassifications at gap 1e-6")

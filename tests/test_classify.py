@@ -168,10 +168,21 @@ def test_sharp_inequalities_margins_and_flags():
     [-math.inf, 0.0, 0.0, 0.0],
 ])
 def test_raw_spectra_must_be_finite(lam):
-    for fn in (classify.spectrum_report, classify.principal_multiplicities,
-               classify.sharp_inequalities):
+    # the batch entry gets the bad spectrum as the second row of a batch
+    for fn, arg in ((classify.spectrum_report, lam), (classify.principal_multiplicities, lam),
+                    (classify.sharp_inequalities, lam),
+                    (classify.classify_batch, [[1.0, 1.0, -1.0, -1.0], lam])):
         with pytest.raises(ValueError, match="finite"):
-            fn(lam)
+            fn(arg)
+
+
+def test_raw_spectra_share_the_state_scale_cap():
+    classify.spectrum_report([1e50, 1e50, -1e50, -1e50])
+    for fn, arg in ((classify.spectrum_report, [1e160, 1.0, 1.0, -1.0]),
+                    (classify.structure_predicates, [1e60, 1.0, 1.0, -1.0]),
+                    (classify.classify_batch, [[1.0, 1.0, -1.0, -1.0], [1e60, 1.0, 1.0, -1.0]])):
+        with pytest.raises(ValueError, match="must not exceed 1e\\+50"):
+            fn(arg)
 
 
 def test_sharp_inequalities_general_dimension():
@@ -212,23 +223,68 @@ def test_spectrum_report_skips_margins_for_mean_curved():
     assert rep.margins == {}
 
 
-def test_batch_mw_agrees_with_scalar():
+def _reference_classification(lam, tol=1e-8):
+    """Loop-based (partition, w, Weyl eigenvalues, indeterminate) of one spectrum,
+    with the arithmetic of the kernel written out entry by entry."""
+    l0, l1, l2, l3 = (float(x) for x in lam)
+    scale = 1.0 + max(abs(l0), abs(l1), abs(l2), abs(l3))
+    H = l0 + l1 + l2 + l3
+    S = l0 * l0 + l1 * l1 + l2 * l2 + l3 * l3
+    v = sorted((0.5 * s * (s - H) + (H * H - S) / 6.0 for s in (l0 + l1, l0 + l2, l0 + l3)),
+               reverse=True)
+
+    def clusters(desc, t):
+        sizes, band = [1], False
+        for a, b in zip(desc, desc[1:]):
+            gap = a - b
+            band |= 0.5 * t < gap <= 2.0 * t
+            if gap > t:
+                sizes.append(1)
+            else:
+                sizes[-1] += 1
+        return tuple(sizes), band
+
+    partition, band_l = clusters(sorted(lam, reverse=True), tol * scale)
+    wsizes, band_v = clusters(v, tol * scale * scale)
+    w_pred = 1 if max(partition) >= 3 else (3 if len(partition) == 4 else 2)
+    return partition, len(wsizes), tuple(v), band_l or band_v or len(wsizes) != w_pred
+
+
+def test_classify_batch_agrees_with_scalar():
+    # every row, band rows included: random spectra, then spectra with a
+    # gap placed at the clustering threshold of either side; both entry
+    # points must also reproduce the loop-based reference exactly
     rng = np.random.default_rng(44)
     lams = rng.uniform(-10, 10, size=(500, 4))
-    m, w, indet = classify._batch_mw(lams)
-    for i in range(500):
+    band = np.repeat(rng.uniform(-2, 2, size=(300, 2)), 2, axis=1)
+    scale = 1.0 + np.abs(band).max(axis=1)
+    band[:100, 1] += 1e-8 * scale[:100]
+    band[100:200, 1] += 1e-8 * scale[100:200] * rng.uniform(0.25, 4.0, 100)
+    band[200:, 1] += np.sqrt(1e-8) * scale[200:] * rng.uniform(0.5, 2.0, 100)
+    band[200:, 3] += np.sqrt(1e-8) * scale[200:] * rng.uniform(0.5, 2.0, 100)
+    lams = np.concatenate([lams, band])
+    m, w, indet = classify.classify_batch(lams)
+    assert indet[500:].any() and not indet[500:].all()
+    for i in range(len(lams)):
         rep = classify.spectrum_report(lams[i])
-        assert m[i] == rep.m
-        if not (indet[i] or rep.indeterminate):
-            assert w[i] == rep.w
+        assert (m[i], w[i], indet[i]) == (rep.m, rep.w, rep.indeterminate)
+        assert (rep.partition, rep.w, rep.weyl_eigen, rep.indeterminate) == \
+            _reference_classification(lams[i])
 
 
-def test_batch_mw_near_degenerate_band():
+def test_classify_batch_input_shape():
+    with pytest.raises(ValueError, match="2 axes"):
+        classify.classify_batch([1.0, 1.0, -1.0, -1.0])
+    with pytest.raises(ValueError, match="4 principal curvatures"):
+        classify.classify_batch([[1.0, 1.0, -1.0]])
+
+
+def test_classify_batch_near_degenerate_band():
     # rows whose smallest pairing-value gap lands inside the band must be
     # flagged rather than silently classified
     base = np.array([0.0, 1e-6, 2.0, 3.0])
     lams = np.tile(base, (50, 1)) + np.linspace(-5, 5, 50)[:, None]
-    m, w, indet = classify._batch_mw(lams)
+    m, w, indet = classify.classify_batch(lams)
     assert np.all(m == 4)          # gap 1e-6 is far above the m threshold
     assert np.all((w == 3) | indet)  # w=3 is exact; the band may absorb rows
 

@@ -246,6 +246,14 @@ def test_verify_single_identity(capsys):
     ["verify"],
     ["verify", "--identity", "not_registered"],
     ["--tol", "-1.0", "verify", "--all"],
+    # finite magnitudes whose degree-6 invariants overflow float64
+    ["point", '{"n": 4, "c": 1.0, "lambda": [1e160, 1, 1, -1]}'],
+    ["point", '{"n": 4, "c": 1.0, "lambda": [1e100, 1, 1, -1]}'],
+    ["point", '{"n": 4, "c": 1.0, "lambda": [1e60, 1, 1, -1]}'],
+    ["classify", '{"n": 4, "lambda": [1e160, 1, 1, -1]}'],
+    ["point", json.dumps({"n": 4, "c": 1.0, "A": (np.eye(4) * 1e60).tolist()})],
+    ["--tol", "nan", "classify", json.dumps({"n": 4, "lambda": [1, 2, 3, 4]})],
+    ["--tol", "inf", "classify", json.dumps({"n": 4, "lambda": [1, 2, 3, 4]})],
 ])
 def test_input_errors_exit_two(capsys, argv):
     code, out, err = _run(capsys, argv)
@@ -253,8 +261,9 @@ def test_input_errors_exit_two(capsys, argv):
     assert "error" in err.lower()
 
 
-def test_env_tolerance_must_parse(capsys, monkeypatch):
-    monkeypatch.setenv("HYPERCURV_TOL", "not-a-float")
+@pytest.mark.parametrize("value", ["not-a-float", "0", "-1e-3", "nan", "inf"])
+def test_env_tolerance_must_parse(capsys, monkeypatch, value):
+    monkeypatch.setenv("HYPERCURV_TOL", value)
     code, out, err = _run(capsys, ["verify", "--all"])
     assert code == 2
     assert "HYPERCURV_TOL" in err

@@ -53,6 +53,20 @@ def test_point_state_rejects_non_finite(kwargs, field):
         extrinsic.PointState(**kwargs)
 
 
+def test_point_state_caps_the_entry_scale():
+    # at the cap every degree-6 invariant is representable; above it the
+    # state is rejected before anything overflows
+    with pytest.warns(UserWarning, match="large"):
+        st = extrinsic.PointState(lam=[1e50, 1e50, 1e50, -1e50])
+    norms = extrinsic.closed_form_norms(st)
+    assert np.isfinite([norms.S, norms.A2sq, norms.trA3, norms.trA5, norms.trA6, norms.Wsq,
+                        norms.Wpmsq, norms.RicTFsq, extrinsic.cgb_integrand(st)]).all()
+    with pytest.raises(ValueError, match="^lambda: entries must not exceed 1e\\+50"):
+        extrinsic.PointState(lam=[1.0000001e50, 1.0, 1.0, -1.0])
+    with pytest.raises(ValueError, match="^A: entries must not exceed"):
+        extrinsic.PointState(A=np.full((4, 4), 1e60))
+
+
 def test_point_state_warns_on_odd_c():
     with pytest.warns(UserWarning):
         _state([1, 0, 0, 0], c=2.5)
