@@ -2,8 +2,9 @@
 
 Every closed-form identity the float layer relies on is restated over
 exact rationals: both sides are assembled as multivariate polynomials
-in the principal curvatures (Fraction coefficients, no floating point),
-subtracted, and required to cancel term by term. A deliberately
+in the principal curvatures (integer numerators over one common
+denominator, no floating point), subtracted, and required to cancel term
+by term. A deliberately
 corrupted identity shows what failure looks like: a concrete witness
 point where the difference polynomial is nonzero.
 """

@@ -55,8 +55,9 @@ NABLA_ORDER = tuple(
 
 _MINIMAL_REL_TOL = 1e-10
 _CONDITION_WARN_S = 1e8
-# Cap on the 1 + max|entry| scale of A or a spectrum: below it the degree-6
-# invariants (trA^6, S^3, their products with H) stay inside float64.
+# Cap on the 1 + max|entry| scale of A or a spectrum, of c, nablaA and hessS:
+# with every input below it the degree-6 invariants (trA^6, S^3, their
+# products with H) and the Bach, Bochner and CGB values stay inside float64.
 _MAX_SCALE = 1e50
 
 
@@ -80,18 +81,14 @@ def _nabla_to_flat(arr: np.ndarray) -> list:
     return [float(arr[i - 1, j - 1, k - 1]) for (i, j, k) in NABLA_ORDER]
 
 
-def _require_finite(name: str, value: float) -> None:
-    # Callers pass the scalar itself or the 1 + max |entry| scale they
-    # already compute, which is NaN or inf exactly when an entry is.
-    if not math.isfinite(value):
-        raise ValueError(f"{name}: entries must be finite numbers")
-
-
 def _require_scale(name: str, scale: float) -> None:
-    _require_finite(name, scale)
+    # Callers pass the 1 + max|entry| scale they already compute, which is
+    # NaN or inf exactly when an entry is.
+    if not math.isfinite(scale):
+        raise ValueError(f"{name}: entries must be finite numbers")
     if scale > _MAX_SCALE:
         raise ValueError(f"{name}: entries must not exceed {_MAX_SCALE:.0e} in magnitude; "
-                         "degree-6 invariants such as trA^6 and S^3 would overflow")
+                         "invariants of degree up to 6 in them would overflow")
 
 
 class PointState:
@@ -139,7 +136,7 @@ class PointState:
             raise ValueError("A: shape operator must be symmetric")
         A = 0.5 * (A + A.T)
         c = float(c)
-        _require_finite("c", c)
+        _require_scale("c", 1.0 + abs(c))
         if c not in (-1.0, 0.0, 1.0):
             warnings.warn(f"ambient curvature c={c} lies outside the normalized set {{-1, 0, 1}}",
                           stacklevel=2)
@@ -155,7 +152,7 @@ class PointState:
                 raise ValueError(f"nablaA: expected shape {(n, n, n)} or a flat 20-vector, got {nabla.shape}")
             sym = _symmetrize3(nabla)
             nscale = 1.0 + np.abs(nabla).max()
-            _require_finite("nablaA", nscale)
+            _require_scale("nablaA", nscale)
             if np.abs(nabla - sym).max() > tol * nscale:
                 raise ValueError("nablaA: components must be totally symmetric")
             nabla = sym
@@ -167,7 +164,7 @@ class PointState:
             if hess.shape != (n, n):
                 raise ValueError(f"hessS: expected shape {(n, n)}, got {hess.shape}")
             hscale = 1.0 + np.abs(hess).max()
-            _require_finite("hessS", hscale)
+            _require_scale("hessS", hscale)
             if np.abs(hess - hess.T).max() > tol * hscale:
                 raise ValueError("hessS: must be symmetric")
             hess = 0.5 * (hess + hess.T)

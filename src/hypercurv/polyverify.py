@@ -33,6 +33,7 @@ source statement, and is reported rather than auto-corrected.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,6 +56,12 @@ __all__ = [
 
 _DEGREE_CAP = 12
 _SCALARS = (int, float, Fraction)
+# A monomial is one int: exponent e_i in 5-bit digit n-1-i, total degree in
+# digit n. Exponents and degrees of capped factors are at most 12, so a
+# product's digits stay under 32 and multiplying monomials is adding ints
+# without carries, and int order is graded-lex order on exponent tuples.
+_BITS = 5
+_DIGIT = (1 << _BITS) - 1
 
 
 def _frac(x) -> Fraction:
@@ -70,19 +77,31 @@ def _frac(x) -> Fraction:
     raise TypeError(f"rational coefficient expected, got {type(x).__name__} {x!r}")
 
 
+def _pack(exps) -> int:
+    key = sum(exps)
+    for e in exps:
+        key = (key << _BITS) | e
+    return key
+
+
 class RationalPoly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    Terms map exponent tuples to nonzero Fractions. Total degree is
-    capped at 12, enough for every registered identity; exceeding the cap
-    means an assembly bug, so it raises. Instances are immutable, so sums
-    and products with a zero operand return an operand unchanged; object
-    einsum over sparse tensors produces mostly such products. Products
-    with a non-scalar (an ndarray) are left to the other operand, so
-    polynomials and object arrays combine elementwise on either side.
+    Stored as integer numerators over one positive denominator, in lowest
+    terms (zero is no numerators over 1), keyed by monomials packed into
+    ints; ``terms`` presents them as exponent tuples mapped to nonzero
+    Fractions. Total degree is capped at 12, enough for every registered
+    identity; exceeding the cap means an assembly bug, so it raises, and a
+    product checks it once, on the sum of the leading monomials. The
+    constructor validates its input; arithmetic builds results through
+    ``_trusted``. Instances are immutable, so sums and products with a zero
+    operand return an operand unchanged; object einsum over sparse tensors
+    produces mostly such products. Products with a non-scalar (an ndarray)
+    are left to the other operand, so polynomials and object arrays combine
+    elementwise on either side.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_num", "_den")
 
     def __init__(self, nvars: int, terms=None):
         clean = {}
@@ -93,19 +112,40 @@ class RationalPoly:
             exps = tuple(int(e) for e in exps)
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps} does not match nvars = {nvars}")
+            if min(exps, default=0) < 0:
+                raise ValueError(f"negative exponent in term {exps}")
             if sum(exps) > _DEGREE_CAP:
                 raise ValueError(f"degree cap {_DEGREE_CAP} exceeded by term {exps}")
-            clean[exps] = coeff
+            clean[_pack(exps)] = coeff
+        # Over the lcm of reduced denominators the numerators share no
+        # factor with it, so the result is already in lowest terms.
+        den = math.lcm(*(c.denominator for c in clean.values()))
         self.nvars = nvars
-        self.terms = clean
+        self._num = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
+        self._den = den
+
+    @classmethod
+    def _trusted(cls, nvars: int, num: dict, den: int) -> "RationalPoly":
+        """Result of arithmetic: nonzero numerators over ``den`` > 0, reduced here."""
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num = {k: v // g for k, v in num.items()}
+                den //= g
+        poly = object.__new__(cls)
+        poly.nvars = nvars
+        poly._num = num
+        poly._den = den
+        return poly
 
     @classmethod
     def zero(cls, nvars: int) -> "RationalPoly":
-        return cls(nvars, {})
+        return cls._trusted(nvars, {}, 1)
 
     @classmethod
     def const(cls, value, nvars: int) -> "RationalPoly":
-        return cls(nvars, {tuple([0] * nvars): _frac(value)})
+        value = value if type(value) is int else _frac(value)
+        return cls._trusted(nvars, {0: value.numerator} if value else {}, value.denominator)
 
     @classmethod
     def variable(cls, index: int, nvars: int) -> "RationalPoly":
@@ -113,20 +153,25 @@ class RationalPoly:
             raise ValueError(f"variable index {index} out of range for nvars = {nvars}")
         exps = [0] * nvars
         exps[index] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls._trusted(nvars, {_pack(exps): 1}, 1)
+
+    def _exps(self, key: int) -> tuple:
+        return tuple((key >> s) & _DIGIT for s in range(_BITS * (self.nvars - 1), -1, -_BITS))
+
+    @property
+    def terms(self) -> dict:
+        return {self._exps(k): Fraction(v, self._den) for k, v in self._num.items()}
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        return max(self._num) >> _BITS * self.nvars if self._num else 0
 
     def sorted_terms(self):
         """Canonical graded-lexicographic term order."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        return [(self._exps(k), Fraction(self._num[k], self._den)) for k in sorted(self._num)]
 
     def _coerce(self, other):
         if isinstance(other, RationalPoly):
@@ -135,64 +180,85 @@ class RationalPoly:
             return other
         return RationalPoly.const(other, self.nvars)
 
+    def _combine(self, other: "RationalPoly", sign: int) -> "RationalPoly":
+        d1, d2 = self._den, other._den
+        den = d1 if d1 == d2 else math.lcm(d1, d2)
+        a, b = den // d1, sign * (den // d2)
+        num = dict(self._num) if a == 1 else {k: v * a for k, v in self._num.items()}
+        for k, v in other._num.items():
+            acc = num.get(k, 0) + b * v
+            if acc:
+                num[k] = acc
+            else:
+                del num[k]
+        return RationalPoly._trusted(self.nvars, num, den)
+
     def __add__(self, other):
         other = self._coerce(other)
-        if not other.terms:
+        if not other._num:
             return self
-        if not self.terms:
+        if not self._num:
             return other
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = terms.get(exps, Fraction(0)) + coeff
-            if acc == 0:
-                terms.pop(exps, None)
-            else:
-                terms[exps] = acc
-        return RationalPoly(self.nvars, terms)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return RationalPoly._trusted(self.nvars, {k: -v for k, v in self._num.items()}, self._den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        if not other._num:
+            return self
+        if not self._num:
+            return -other
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
         if not isinstance(other, RationalPoly):
-            if not isinstance(other, _SCALARS):
-                return NotImplemented
-            coeff = _frac(other)
-            if coeff == 0:
+            if type(other) is not int:
+                if not isinstance(other, _SCALARS):
+                    return NotImplemented
+                other = _frac(other)
+            if not other:
                 return RationalPoly.zero(self.nvars)
-            if coeff == 1 or not self.terms:
+            if other == 1 or not self._num:
                 return self
-            return RationalPoly(self.nvars, {e: c * coeff for e, c in self.terms.items()})
+            return RationalPoly._trusted(
+                self.nvars, {k: v * other.numerator for k, v in self._num.items()},
+                self._den * other.denominator)
         other = self._coerce(other)
-        if not self.terms:
+        if not self._num:
             return self
-        if not other.terms:
+        if not other._num:
             return other
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(exps, Fraction(0)) + c1 * c2
-                if acc == 0:
-                    terms.pop(exps, None)
-                else:
-                    terms[exps] = acc
-        return RationalPoly(self.nvars, terms)
+        # Graded-lex order is a monomial order: the product's leading
+        # monomial is the sum of the leading monomials.
+        lead = max(self._num) + max(other._num)
+        if lead >> _BITS * self.nvars > _DEGREE_CAP:
+            raise ValueError(f"degree cap {_DEGREE_CAP} exceeded by term {self._exps(lead)}")
+        num: dict = {}
+        get = num.get
+        items = other._num.items()
+        for k1, c1 in self._num.items():
+            for k2, c2 in items:
+                k = k1 + k2
+                num[k] = get(k, 0) + c1 * c2
+        num = {k: v for k, v in num.items() if v}
+        return RationalPoly._trusted(self.nvars, num, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return self * (1 / Fraction(other))
+        if not other:
+            raise ZeroDivisionError("polynomial division by zero")
+        # object einsum divides mostly zero entries
+        return self if not self._num else self * Fraction(other.denominator, other.numerator)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -211,16 +277,16 @@ class RationalPoly:
     def substitute(self, index: int, replacement: "RationalPoly") -> "RationalPoly":
         """Replace variable ``index`` by a polynomial (same variable space)."""
         replacement = self._coerce(replacement)
-        out = RationalPoly.zero(self.nvars)
-        powers = {0: RationalPoly.const(1, self.nvars)}
-        for exps, coeff in self.terms.items():
-            e = exps[index]
-            if e not in powers:
-                powers[e] = replacement ** e
-            rest = list(exps)
-            rest[index] = 0
-            mono = RationalPoly(self.nvars, {tuple(rest): coeff})
-            out = out + mono * powers[e]
+        n = self.nvars
+        shift = _BITS * (n - 1 - range(n)[index])
+        by_power: dict = {}
+        for key, num in self._num.items():
+            e = (key >> shift) & _DIGIT
+            rest = key - (e << shift) - (e << _BITS * n)
+            by_power.setdefault(e, {})[rest] = num
+        out = RationalPoly.zero(n)
+        for e, num in by_power.items():
+            out = out + RationalPoly._trusted(n, num, self._den) * replacement ** e
         return out
 
     def eval(self, point) -> Fraction:
@@ -228,30 +294,30 @@ class RationalPoly:
         if len(values) != self.nvars:
             raise ValueError(f"point has {len(values)} coordinates, expected {self.nvars}")
         total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(values, exps):
+        for key, num in self._num.items():
+            term = Fraction(num)
+            for v, e in zip(values, self._exps(key)):
                 if e:
                     term *= v ** e
             total += term
-        return total
+        return total / self._den
 
     def __eq__(self, other):
         return (isinstance(other, RationalPoly) and self.nvars == other.nvars
-                and self.terms == other.terms)
+                and self._den == other._den and self._num == other._num)
 
     def __hash__(self):
         return hash((self.nvars, tuple(self.sorted_terms())))
 
     def __repr__(self):
-        if not self.terms:
+        if not self._num:
             return "RationalPoly(0)"
         bits = []
         for exps, coeff in self.sorted_terms()[:8]:
             mono = "*".join(f"x{i}^{e}" if e > 1 else f"x{i}"
                             for i, e in enumerate(exps) if e)
             bits.append(f"{coeff}{'*' + mono if mono else ''}")
-        suffix = " + ..." if len(self.terms) > 8 else ""
+        suffix = " + ..." if len(self._num) > 8 else ""
         return "RationalPoly(" + " + ".join(bits) + suffix + ")"
 
 
@@ -455,8 +521,9 @@ def _weyl_general_n(lams, c: RationalPoly, n: int, nv: int):
     I = np.eye(n, dtype=object)
     R = c * (n * (n - 1)) + H * H - S
     ric_tf = _diag([c * (n - 1) + H * lam - lam * lam - R / n for lam in lams])
-    riem = c / 2 * kn(I, I) + kn(A, A) / 2
-    return riem - kn(ric_tf, I) / (n - 2) - R / (2 * n * (n - 1)) * kn(I, I)
+    gg = kn(I, I)
+    riem = c / 2 * gg + kn(A, A) / 2
+    return riem - kn(ric_tf, I) / (n - 2) - R / (2 * n * (n - 1)) * gg
 
 
 def _build_general_n():

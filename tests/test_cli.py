@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hypercurv import cli
+from hypercurv.extrinsic import NABLA_ORDER
 
 
 def _run(capsys, argv):
@@ -20,6 +21,14 @@ def _run_json(capsys, argv):
     code, out, err = _run(capsys, argv)
     assert err == ""
     return code, json.loads(out)
+
+
+def _trace_free_nabla(value):
+    # flat NABLA_ORDER vector with only the (1, 2, 3) component set; it has
+    # no repeated index, so every trace A_iik vanishes
+    flat = [0.0] * 20
+    flat[NABLA_ORDER.index((1, 2, 3))] = value
+    return flat
 
 
 CLIFFORD22 = json.dumps({"n": 4, "c": 1.0, "lambda": [1.0, 1.0, -1.0, -1.0]})
@@ -252,6 +261,12 @@ def test_verify_single_identity(capsys):
     ["point", '{"n": 4, "c": 1.0, "lambda": [1e60, 1, 1, -1]}'],
     ["classify", '{"n": 4, "lambda": [1e160, 1, 1, -1]}'],
     ["point", json.dumps({"n": 4, "c": 1.0, "A": (np.eye(4) * 1e60).tolist()})],
+    # c, nablaA and hessS share the 1e50 cap of A and lambda
+    ["point", '{"n": 4, "c": 1e200, "lambda": [1, 1, -1, -1]}'],
+    ["point", json.dumps({"n": 4, "c": 1.0, "lambda": [1, 1, -1, -1],
+                          "nablaA": _trace_free_nabla(1e200), "hessS": np.zeros((4, 4)).tolist()})],
+    ["point", json.dumps({"n": 4, "c": 1.0, "lambda": [1, 1, -1, -1],
+                          "nablaA": _trace_free_nabla(0.0), "hessS": (np.eye(4) * 1e200).tolist()})],
     ["--tol", "nan", "classify", json.dumps({"n": 4, "lambda": [1, 2, 3, 4]})],
     ["--tol", "inf", "classify", json.dumps({"n": 4, "lambda": [1, 2, 3, 4]})],
 ])
@@ -259,6 +274,22 @@ def test_input_errors_exit_two(capsys, argv):
     code, out, err = _run(capsys, argv)
     assert code == 2
     assert "error" in err.lower()
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_point_at_the_scale_cap_emits_finite_json(capsys):
+    state = {"n": 4, "c": 1e50, "lambda": [1e50, 1e50, -1e50, -1e50],
+             "nablaA": _trace_free_nabla(1e50), "hessS": (np.eye(4) * 1e50).tolist()}
+    code, out, err = _run(capsys, ["point", json.dumps(state)])
+    assert code == 0
+
+    def reject(token):
+        raise AssertionError(f"non-finite JSON token {token}")
+
+    rep = json.loads(out, parse_constant=reject)
+    assert isinstance(rep["cgb_integrand"], float)
+    assert isinstance(rep["bochner"]["simons"], float)
+    assert np.isfinite(rep["bach"]).all()
 
 
 @pytest.mark.parametrize("value", ["not-a-float", "0", "-1e-3", "nan", "inf"])

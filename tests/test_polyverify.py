@@ -64,6 +64,37 @@ def test_degree_cap_guards_runaway_products():
         p * x
 
 
+def test_representation_is_canonical():
+    x = RationalPoly.variable(0, 3)
+    y = RationalPoly.variable(2, 3)
+    p = x * x * Fraction(2, 3) + y * Fraction(-5, 4) + 7
+    q = RationalPoly(3, {(0, 0, 0): 7, (0, 0, 1): Fraction(-5, 4), (2, 0, 0): Fraction(4, 6)})
+    r = (y * Fraction(-15, 4) + 21 + x * x * 2) / 3
+    assert p == q == r
+    assert hash(p) == hash(q) == hash(r)
+    assert (p - p).is_zero and p - p == RationalPoly.zero(3)
+    assert RationalPoly(3, p.terms) == p
+    third = RationalPoly.const(Fraction(1, 3 ** 60), 3)
+    assert third * 3 ** 60 == RationalPoly.const(1, 3)
+    assert (third * 3 ** 60).terms == {(0, 0, 0): Fraction(1)}
+
+
+def test_constructor_and_products_validate():
+    with pytest.raises(ValueError, match="degree cap"):
+        RationalPoly(2, {(7, 6): 1})
+    with pytest.raises(ValueError, match="nvars"):
+        RationalPoly(2, {(1, 0, 0): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        RationalPoly(2, {(-1, 2): 1})
+    x6 = RationalPoly(2, {(6, 0): 1})
+    with pytest.raises(ValueError, match="degree cap"):
+        x6 * RationalPoly(2, {(3, 4): Fraction(1, 2)})
+    with pytest.raises(ValueError, match="nvars mismatch"):
+        x6 * RationalPoly.variable(0, 3)
+    with pytest.raises(ValueError, match="nvars mismatch"):
+        x6 + RationalPoly.variable(0, 3)
+
+
 _coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 # keep each factor at degree <= 3 so triple products stay under the
 # degree cap enforced by the constructor
