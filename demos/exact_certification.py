@@ -1,10 +1,10 @@
 """Exact certification of the curvature identity registry.
 
-Every closed-form identity the float layer relies on is restated over
-exact rationals: both sides are assembled as multivariate polynomials
+Every closed-form identity the float layer relies on is checked over
+exact rationals: the shipped kernels run on multivariate polynomials
 in the principal curvatures (integer numerators over one common
-denominator, no floating point), subtracted, and required to cancel term
-by term. A deliberately
+denominator, no floating point), and both sides are subtracted and
+required to cancel term by term. A deliberately
 corrupted identity shows what failure looks like: a concrete witness
 point where the difference polynomial is nonzero.
 """

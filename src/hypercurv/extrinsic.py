@@ -21,6 +21,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -89,6 +90,19 @@ def _require_scale(name: str, scale: float) -> None:
     if scale > _MAX_SCALE:
         raise ValueError(f"{name}: entries must not exceed {_MAX_SCALE:.0e} in magnitude; "
                          "invariants of degree up to 6 in them would overflow")
+
+
+def _json_numbers(name: str, value) -> np.ndarray:
+    """A JSON number or nested arrays of them as a float array; booleans,
+    strings, null, objects, ragged arrays and ints beyond float range raise."""
+    leaves = np.asarray(value, dtype=object)
+    # A ragged array leaves lists among the object leaves.
+    if not set(map(type, leaves.flat)) <= {int, float}:
+        raise ValueError(f"{name}: expected JSON numbers")
+    try:
+        return leaves.astype(float)
+    except OverflowError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 class PointState:
@@ -223,6 +237,9 @@ class PointState:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PointState":
+        """State from a decoded JSON object. c, lambda, A, nablaA and hessS hold
+        JSON numbers, n an integer equal to the size of lambda or A, parallel a
+        boolean; anything else is a ValueError."""
         if not isinstance(data, dict):
             raise ValueError("point state: expected a JSON object")
         known = {"n", "c", "lambda", "A", "nablaA", "hessS", "parallel"}
@@ -231,22 +248,24 @@ class PointState:
                 raise ValueError(f"{key}: unknown field")
         if ("lambda" in data) == ("A" in data):
             raise ValueError("point state: provide exactly one of 'lambda' or 'A'")
-        n = data.get("n")
-        kwargs = {}
-        if "lambda" in data:
-            lam = data["lambda"]
-            if n is not None and len(lam) != n:
-                raise ValueError(f"lambda: expected {n} entries, got {len(lam)}")
-            kwargs["lam"] = lam
-        else:
-            kwargs["A"] = data["A"]
-        return cls(
-            c=data.get("c", 1.0),
-            nablaA=data.get("nablaA"),
-            hessS=data.get("hessS"),
-            parallel=bool(data.get("parallel", False)),
-            **kwargs,
-        )
+        shape_key = "lambda" if "lambda" in data else "A"
+        fields = {key: _json_numbers(key, data[key])
+                  for key in ("c", shape_key, "nablaA", "hessS") if key in data}
+        c, main = fields.get("c", 1.0), fields[shape_key]
+        if "c" in fields and c.ndim:
+            raise ValueError("c: expected a number")
+        if "n" in data:
+            n = data["n"]
+            if type(n) is not int:
+                raise ValueError("n: expected an integer")
+            if main.ndim and len(main) != n:
+                raise ValueError(f"{shape_key}: expected {n} entries, got {len(main)}")
+        parallel = data.get("parallel", False)
+        if type(parallel) is not bool:
+            raise ValueError("parallel: expected true or false")
+        kwargs = {"lam" if shape_key == "lambda" else "A": main}
+        return cls(c=float(c), nablaA=fields.get("nablaA"), hessS=fields.get("hessS"),
+                   parallel=parallel, **kwargs)
 
     @classmethod
     def from_json(cls, text: str) -> "PointState":
@@ -316,6 +335,76 @@ def _weyl_raw(A: np.ndarray) -> np.ndarray:
     return W
 
 
+# The kernels below are, like _weyl_raw, generic in the dtype: the exact
+# certifier runs these same functions on rational polynomials.
+
+
+def _ratio(num: int, den: int, like):
+    """num/den as a float for float ``like`` (the bits of the literal
+    ``num.0 / den.0``), else as an exact Fraction."""
+    return num / den if np.asarray(like).dtype.kind == "f" else Fraction(num, den)
+
+
+def _trace_powers(A: np.ndarray) -> tuple:
+    """(H, S, A2sq, trA3, trA5, trA6) = (tr A, |A|^2, |A^2|^2, tr A^3, tr A^5, tr A^6)
+    of a symmetric A: the power sums of its principal curvatures."""
+    A2 = A @ A
+    A3 = A2 @ A
+    return (A.trace(), (A * A).sum(), (A2 * A2).sum(),
+            A3.trace(), (A3 @ A2).trace(), (A3 @ A3).trace())
+
+
+def _gauss(A: np.ndarray, c) -> tuple:
+    """(riem, ric, scal, ricTF) from (A, c) in any dimension; see gauss_equations."""
+    n = len(A)
+    I = np.eye(n, dtype=A.dtype)
+    H = A.trace()
+    S = (A * A).sum()
+    riem = c / 2 * _kn_raw(I, I) + _kn_raw(A, A) / 2
+    ric = (n - 1) * c * I + H * A - A @ A
+    scal = n * (n - 1) * c + H * H - S
+    return riem, ric, scal, ric - scal / n * I
+
+
+def _wpm_sq(H, S, A2sq, trA3):
+    """|W+|^2 = |W-|^2 = 7/6 S^2 + 1/6 H^4 - 2|A^2|^2 + 2 H trA^3 - 4/3 H^2 S (n = 4)."""
+    return (_ratio(7, 6, S) * S * S + H ** 4 / 6 - 2 * A2sq + 2 * H * trA3
+            - _ratio(4, 3, S) * H * H * S)
+
+
+def _w_sq(H, S, A2sq, trA3):
+    """|W|^2 = |W+|^2 + |W-|^2 = 2 |W+-|^2 (n = 4)."""
+    return 2 * _wpm_sq(H, S, A2sq, trA3)
+
+
+def _ric0_sq(H, S, A2sq, trA3, n: int):
+    """|Ric0|^2 = H^2 S - 2 H trA^3 + |A^2|^2 - (H^2 - S)^2 / n, any n; for n = 4
+    |A^2|^2 - 1/4 S^2 + 3/2 H^2 S - 2H trA^3 - 1/4 H^4."""
+    return H * H * S - 2 * H * trA3 + A2sq - (H * H - S) ** 2 / n
+
+
+def _cgb(H, S, A2sq, trA3, c):
+    """Extrinsic Chern-Gauss-Bonnet integrand |W|^2 - 2|Ric0|^2 + R^2/6 (n = 4):
+
+        3 S^2 - 6 |A^2|^2 - 6 H^2 S + H^4 + 8 H trA^3 + 4c(6c - S + H^2).
+    """
+    return (3 * S * S - 6 * A2sq - 6 * H * H * S + H ** 4
+            + 8 * H * trA3 + 4 * c * (6 * c - S + H * H))
+
+
+def _w_sq_minimal(S, A2sq, n: int):
+    """|W|^2 of a minimal hypersurface of dimension n >= 3,
+    2(n^2 - 3n + 3)/((n-1)(n-2)) S^2 - 2n/(n-2) |A^2|^2."""
+    return (_ratio(2 * (n * n - 3 * n + 3), (n - 1) * (n - 2), S) * S * S
+            - _ratio(2 * n, n - 2, S) * A2sq)
+
+
+def _fialkow(A: np.ndarray, S):
+    """F = 1/2 (A^2 - S/6 g), with W = 1/2 A o A + F o g when H = 0 (n = 4)."""
+    A2 = A @ A
+    return (A2 - S / 6 * np.eye(len(A), dtype=A.dtype)) / 2
+
+
 def _weyl_split_norms(A: np.ndarray):
     """Batched (|W+|^2, |W-|^2, |W|^2) via the tensor route."""
     W = _weyl_raw(A)
@@ -336,15 +425,8 @@ def gauss_equations(p: PointState) -> CurvaturePack:
     Ric = (n-1) c g + H A - A^2, the scalar curvature
     R = n(n-1) c + H^2 - S, and the trace-free Ricci tensor.
     """
-    A, c, n = p.A, p.c, p.n
-    I = np.eye(n)
-    A2 = A @ A
-    H, S = p.H, p.S
-    riem = 0.5 * c * _kn_raw(I, I) + 0.5 * _kn_raw(A, A)
-    ric = (n - 1) * c * I + H * A - A2
-    scal = n * (n - 1) * c + H * H - S
-    ricTF = ric - (scal / n) * I
-    riem_out = CurvTensor4(riem, check=False) if n == 4 else riem
+    riem, ric, scal, ricTF = _gauss(p.A, p.c)
+    riem_out = CurvTensor4(riem, check=False) if p.n == 4 else riem
     return CurvaturePack(riem=riem_out, ric=ric, scal=float(scal), ricTF=ricTF)
 
 
@@ -370,27 +452,18 @@ def closed_form_norms(p: PointState) -> NormPack:
     no closed form here and is an unsupported request. Fields without a
     general-dimension meaning (Wpmsq, F) are None when n != 4.
     """
-    A, n = p.A, p.n
-    A2 = A @ A
-    A3 = A2 @ A
-    H, S = p.H, p.S
-    A2sq = float(np.sum(A2 * A2))
-    trA3 = float(np.trace(A3))
-    trA5 = float(np.trace(A3 @ A2))
-    trA6 = float(np.trace(A3 @ A3))
-    ricTFsq = H * H * S - 2.0 * H * trA3 + A2sq - (H * H - S) ** 2 / n
+    n = p.n
+    H, S, A2sq, trA3, trA5, trA6 = map(float, _trace_powers(p.A))
+    powers = dict(S=S, A2sq=A2sq, trA3=trA3, trA5=trA5, trA6=trA6)
+    ricTFsq = _ric0_sq(H, S, A2sq, trA3, n)
     if n == 4:
-        wpm = 7.0 / 6.0 * S * S + H ** 4 / 6.0 - 2.0 * A2sq + 2.0 * H * trA3 - 4.0 / 3.0 * H * H * S
-        wsq = 2.0 * wpm
-        F = 0.5 * (A2 - (S / 6.0) * np.eye(4))
-        return NormPack(S=S, A2sq=A2sq, trA3=trA3, trA5=trA5, trA6=trA6,
-                        Wsq=float(wsq), Wpmsq=float(wpm), RicTFsq=float(ricTFsq), F=F)
+        return NormPack(**powers, Wsq=_w_sq(H, S, A2sq, trA3), Wpmsq=_wpm_sq(H, S, A2sq, trA3),
+                        RicTFsq=ricTFsq, F=_fialkow(p.A, S))
     if not p.minimal:
         raise ValueError(
             f"closed-form |W|^2 for n = {n} requires a minimal state (H = {H:.3e})")
-    wsq = 2.0 * (n * n - 3 * n + 3) / ((n - 1) * (n - 2)) * S * S - 2.0 * n / (n - 2) * A2sq
-    return NormPack(S=S, A2sq=A2sq, trA3=trA3, trA5=trA5, trA6=trA6,
-                    Wsq=float(wsq), Wpmsq=None, RicTFsq=float(ricTFsq), F=None)
+    return NormPack(**powers, Wsq=_w_sq_minimal(S, A2sq, n), Wpmsq=None,
+                    RicTFsq=ricTFsq, F=None)
 
 
 def cgb_integrand(p: PointState) -> float:
@@ -405,13 +478,8 @@ def cgb_integrand(p: PointState) -> float:
     """
     if p.n != 4:
         raise ValueError(f"cgb_integrand supports n = 4 only, got n = {p.n}")
-    A = p.A
-    A2 = A @ A
-    H, S, c = p.H, p.S, p.c
-    A2sq = float(np.sum(A2 * A2))
-    trA3 = float(np.trace(A2 @ A))
-    return (3.0 * S * S - 6.0 * A2sq - 6.0 * H * H * S + H ** 4
-            + 8.0 * H * trA3 + 4.0 * c * (6.0 * c - S + H * H))
+    H, S, A2sq, trA3, _, _ = map(float, _trace_powers(p.A))
+    return _cgb(H, S, A2sq, trA3, p.c)
 
 
 def signature_integrand(p: PointState) -> float:
@@ -463,8 +531,7 @@ def bach_tensor(p: PointState, tol: float = EQUALITY_TOL) -> np.ndarray:
     A, c, S = p.A, p.c, p.S
     A2 = A @ A
     A4 = A2 @ A2
-    trA3 = float(np.trace(A2 @ A))
-    A2sq = float(np.sum(A2 * A2))
+    _, _, A2sq, trA3, _, _ = map(float, _trace_powers(A))
     T2 = np.einsum("ikt,jkt->ij", nabla, nabla)
     grad_sq = float(np.sum(nabla * nabla))
     twoB = (2.0 * A4 - 2.0 * trA3 * A - 4.0 * c * A2 + 4.0 / 3.0 * S * A2
@@ -560,13 +627,8 @@ def bochner_residuals(p: PointState, field_data: dict | None = None) -> dict:
                 ("lap_A", "simons", "lap_A2", "lap_A2_norm", "first_bach",
                  "second_bach", "scalar_bochner")}
 
-    nabla = p.nablaA
-    hess = p.hessS
+    nabla, hess = _require_derivatives(p, False, False, "bochner_residuals")
     if p.parallel:
-        if nabla is None:
-            nabla = np.zeros((n, n, n))
-        if hess is None:
-            hess = np.zeros((n, n))
         field_data.setdefault("lap_A", np.zeros((n, n)))
         field_data.setdefault("lap_A2", np.zeros((n, n)))
         field_data.setdefault("lap_A2_sq", 0.0)
@@ -597,7 +659,7 @@ def bochner_residuals(p: PointState, field_data: dict | None = None) -> dict:
 
     lap_A2_sq = field_data.get("lap_A2_sq")
     grad_A2_sq = field_data.get("grad_A2_sq")
-    A2sq = float(np.sum(A2 * A2))
+    _, _, A2sq, trA3, trA5, trA6 = map(float, _trace_powers(A))
     if lap_A2_sq is not None and grad_A2_sq is not None and nabla is not None:
         T2 = np.einsum("ikt,jkt->ij", nabla, nabla)
         rhs = float(grad_A2_sq) + 2.0 * (n * c - S) * A2sq + 2.0 * float(np.sum(A2 * T2))
@@ -606,9 +668,6 @@ def bochner_residuals(p: PointState, field_data: dict | None = None) -> dict:
         out["lap_A2_norm"] = "unavailable"
 
     if n == 4 and nabla is not None and hess is not None:
-        A3 = A2 @ A
-        trA3 = float(np.trace(A3))
-        trA5 = float(np.trace(A3 @ A2))
         lhs = float(np.einsum("ij,ikl,jkl->", A, nabla, nabla))
         rhs = trA5 - (2.0 * c + S / 3.0) * trA3 + float(np.sum(A * hess)) / 6.0
         out["first_bach"] = lhs - rhs
@@ -616,9 +675,6 @@ def bochner_residuals(p: PointState, field_data: dict | None = None) -> dict:
         out["first_bach"] = "unavailable"
 
     if n == 4 and lap_A2_sq is not None and grad_A2_sq is not None and hess is not None:
-        A3 = A2 @ A
-        trA3 = float(np.trace(A3))
-        trA6 = float(np.trace(A3 @ A3))
         rhs = (float(grad_A2_sq) + 2.0 * trA6 - 2.0 * trA3 * trA3
                - 7.0 / 6.0 * S * A2sq + S ** 3 / 6.0
                + c * (4.0 * A2sq - S * S)

@@ -11,10 +11,15 @@ tolerance.
 
 The tensor left-hand sides are the shipped kernels themselves, evaluated
 over Q[l1..ln]: the Weyl tensor is ``extrinsic._weyl_raw``, the star is
-``lambda2._star4`` and Kulkarni-Nomizu products are ``lambda2._kn_raw``,
-each called on object arrays of RationalPoly and looked up at call time.
-So a defect in the code that ``hypercurv point`` runs fails certification.
-The right-hand sides are the stated closed forms under test.
+``lambda2._star4``, Kulkarni-Nomizu products are ``lambda2._kn_raw`` and
+Ricci data come from the Gauss-equation kernel ``extrinsic._gauss``. The
+right-hand sides are the shipped closed-form kernels that
+``closed_form_norms`` and ``cgb_integrand`` evaluate in floating point:
+power sums, |W+-|^2, |W|^2, |Ric0|^2, the Chern-Gauss-Bonnet integrand,
+the Fialkow tensor and the general-n minimal |W|^2. All are looked up at
+call time, so a defect in the code that ``hypercurv point`` runs fails
+certification, and a float constant that is not an integer raises
+TypeError instead of certifying an approximation.
 
 The diagonal-A reduction is the only analytic step taken on faith here,
 and it is spot-checked in floating point against non-diagonal shape
@@ -25,9 +30,8 @@ H = 0 by eliminating the last variable, ln := -(l1 + ... + l(n-1)),
 before the zero test.
 
 A failing identity is reported with a rational witness point and the
-exact values of both sides there. The certifier treats the stated
-polynomial as the claim under test; a failure therefore points at the
-source statement, and is reported rather than auto-corrected.
+exact values of both sides there. A failure points at a shipped kernel
+or at the stated relation, and is reported rather than auto-corrected.
 """
 
 from __future__ import annotations
@@ -332,23 +336,9 @@ def _lam_vars(n: int, nv: int):
     return [RationalPoly.variable(i, nv) for i in range(n)]
 
 
-def _power_sums(lams, nv: int):
-    H = RationalPoly.zero(nv)
-    S = RationalPoly.zero(nv)
-    t3 = RationalPoly.zero(nv)
-    t4 = RationalPoly.zero(nv)
-    t5 = RationalPoly.zero(nv)
-    t6 = RationalPoly.zero(nv)
-    for lam in lams:
-        l2 = lam * lam
-        l3 = l2 * lam
-        H = H + lam
-        S = S + l2
-        t3 = t3 + l3
-        t4 = t4 + l2 * l2
-        t5 = t5 + l3 * l2
-        t6 = t6 + l3 * l3
-    return {"H": H, "S": S, "trA3": t3, "A2sq": t4, "trA5": t5, "trA6": t6}
+def _diag_powers(lams):
+    """Shipped power sums (H, S, A2sq, trA3, trA5, trA6) of diag(lams)."""
+    return extrinsic._trace_powers(_diag(lams))
 
 
 def _weyl4(lams):
@@ -360,20 +350,6 @@ def _weyl4_pm(lams):
     W = _weyl4(lams)
     SW = lambda2._star4(W)
     return (W + SW) / 2, (W - SW) / 2
-
-
-def _ric_tf_entries(lams, nv: int):
-    ps = _power_sums(lams, nv)
-    H, S = ps["H"], ps["S"]
-    shift = (H * H - S) * Fraction(1, 4)
-    return [H * lam - lam * lam - shift for lam in lams]
-
-
-def _wpm_closed(lams, nv: int) -> RationalPoly:
-    ps = _power_sums(lams, nv)
-    H, S = ps["H"], ps["S"]
-    return (S * S * Fraction(7, 6) + (H ** 2) * (H ** 2) * Fraction(1, 6)
-            - ps["A2sq"] * 2 + H * ps["trA3"] * 2 - H * H * S * Fraction(4, 3))
 
 
 def _eliminate_last(poly: RationalPoly, n: int) -> RationalPoly:
@@ -398,14 +374,10 @@ class IdentityRecord:
     build: object
 
 
-def _build_normWpm(rhs_seven_sixths=Fraction(7, 6)):
-    nv = 4
-    lams = _lam_vars(4, nv)
+def _build_normWpm():
+    lams = _lam_vars(4, 4)
     Wp, Wm = _weyl4_pm(lams)
-    ps = _power_sums(lams, nv)
-    H, S = ps["H"], ps["S"]
-    rhs = (S * S * rhs_seven_sixths + (H ** 2) * (H ** 2) * Fraction(1, 6)
-           - ps["A2sq"] * 2 + H * ps["trA3"] * 2 - H * H * S * Fraction(4, 3))
+    rhs = extrinsic._wpm_sq(*_diag_powers(lams)[:4])
     return [
         (np.einsum("ijkl,ijkl->", Wp, Wp), rhs),
         (np.einsum("ijkl,ijkl->", Wm, Wm), rhs),
@@ -413,23 +385,17 @@ def _build_normWpm(rhs_seven_sixths=Fraction(7, 6)):
 
 
 def _build_normW():
-    nv = 4
-    lams = _lam_vars(4, nv)
+    lams = _lam_vars(4, 4)
     W = _weyl4(lams)
-    return [(np.einsum("ijkl,ijkl->", W, W), _wpm_closed(lams, nv) * 2)]
+    return [(np.einsum("ijkl,ijkl->", W, W), extrinsic._w_sq(*_diag_powers(lams)[:4]))]
 
 
 def _build_ricTFsq():
+    # Ric0 does not depend on c, so c = 0 keeps the four variables.
     nv = 4
     lams = _lam_vars(4, nv)
-    ps = _power_sums(lams, nv)
-    H, S = ps["H"], ps["S"]
-    lhs = RationalPoly.zero(nv)
-    for r in _ric_tf_entries(lams, nv):
-        lhs = lhs + r * r
-    rhs = (ps["A2sq"] - S * S * Fraction(1, 4) + H * H * S * Fraction(3, 2)
-           - H * ps["trA3"] * 2 - (H ** 2) * (H ** 2) * Fraction(1, 4))
-    return [(lhs, rhs)]
+    ric_tf = extrinsic._gauss(_diag(lams), RationalPoly.zero(nv))[3]
+    return [(np.sum(ric_tf * ric_tf), extrinsic._ric0_sq(*_diag_powers(lams)[:4], 4))]
 
 
 def _build_cgb():
@@ -437,41 +403,29 @@ def _build_cgb():
     nv = 5
     lams = _lam_vars(4, nv)
     c = RationalPoly.variable(4, nv)
-    ps = _power_sums(lams, nv)
-    H, S = ps["H"], ps["S"]
+    _, _, scal, ric_tf = extrinsic._gauss(_diag(lams), c)
     W = _weyl4(lams)
-    ric_sq = RationalPoly.zero(nv)
-    for r in _ric_tf_entries(lams, nv):
-        ric_sq = ric_sq + r * r
-    R = c * 12 + H * H - S
-    lhs = np.einsum("ijkl,ijkl->", W, W) - ric_sq * 2 + R * R * Fraction(1, 6)
-    rhs = (S * S * 3 - ps["A2sq"] * 6 - H * H * S * 6 + (H ** 2) * (H ** 2)
-           + H * ps["trA3"] * 8 + c * (c * 6 - S + H * H) * 4)
-    return [(lhs, rhs)]
+    lhs = np.einsum("ijkl,ijkl->", W, W) - np.sum(ric_tf * ric_tf) * 2 + scal * scal / 6
+    return [(lhs, extrinsic._cgb(*_diag_powers(lams)[:4], c))]
 
 
 def _build_fialkow():
-    nv = 4
-    lams = _lam_vars(4, nv)
+    lams = _lam_vars(4, 4)
     W = _weyl4(lams)
-    S = _power_sums(lams, nv)["S"]
     A = _diag(lams)
-    F = _diag([(lam * lam - S / 6) / 2 for lam in lams])
+    F = extrinsic._fialkow(A, _diag_powers(lams)[1])
     rhs = lambda2._kn_raw(A, A) / 2 + lambda2._kn_raw(F, np.eye(4, dtype=object))
     return [(_eliminate_last(w, 4), _eliminate_last(r, 4))
             for w, r in zip(W.flat, rhs.flat)]
 
 
 def _build_cubic_contraction():
-    nv = 4
-    lams = _lam_vars(4, nv)
+    lams = _lam_vars(4, 4)
     W = _weyl4(lams)
     lhs = _eliminate_last(np.einsum("ijkl,pqkl,ijpq->", W, W, W), 4)
-    ps = _power_sums(lams, nv)
-    S = ps["S"]
+    _, S, A2sq, trA3, _, trA6 = _diag_powers(lams)
     rhs = _eliminate_last(
-        ps["trA3"] * ps["trA3"] * 10 - ps["trA6"] * 28 + S * ps["A2sq"] * 19
-        - S ** 3 * Fraction(23, 9), 4)
+        trA3 * trA3 * 10 - trA6 * 28 + S * A2sq * 19 - S ** 3 * Fraction(23, 9), 4)
     return [(lhs, rhs)]
 
 
@@ -500,44 +454,29 @@ def _build_quadratic_split():
 def _build_harmweyl_equality():
     # The (S/2)|W+|^2 term is part of the source relation; omitting it
     # leaves a nonzero polynomial.
-    nv = 4
-    lams = _lam_vars(4, nv)
+    lams = _lam_vars(4, 4)
     Wp, _ = _weyl4_pm(lams)
-    ps = _power_sums(lams, nv)
-    S = ps["S"]
-    lhs = (ps["trA3"] * ps["trA3"] * 15 - ps["trA6"] * 42
-           + S * ps["A2sq"] * Fraction(55, 2) - S ** 3 * Fraction(13, 4))
+    _, S, A2sq, trA3, _, trA6 = _diag_powers(lams)
+    lhs = (trA3 * trA3 * 15 - trA6 * 42 + S * A2sq * Fraction(55, 2)
+           - S ** 3 * Fraction(13, 4))
     rhs = (np.einsum("ijkl,pqkl,ijpq->", Wp, Wp, Wp) * 3
            + S * np.einsum("ijkl,ijkl->", Wp, Wp) * Fraction(1, 2))
     return [(_eliminate_last(lhs, 4), _eliminate_last(rhs, 4))]
 
 
-def _weyl_general_n(lams, c: RationalPoly, n: int, nv: int):
-    """Weyl tensor by its definition, riem - Ric0 o g/(n-2) - R g o g/(2n(n-1))."""
-    kn = lambda2._kn_raw
-    ps = _power_sums(lams, nv)
-    H, S = ps["H"], ps["S"]
-    A = _diag(lams)
-    I = np.eye(n, dtype=object)
-    R = c * (n * (n - 1)) + H * H - S
-    ric_tf = _diag([c * (n - 1) + H * lam - lam * lam - R / n for lam in lams])
-    gg = kn(I, I)
-    riem = c / 2 * gg + kn(A, A) / 2
-    return riem - kn(ric_tf, I) / (n - 2) - R / (2 * n * (n - 1)) * gg
-
-
 def _build_general_n():
+    kn = lambda2._kn_raw
     pairs = []
     for n in range(3, 9):
         nv = n + 1
         lams = _lam_vars(n, nv)
-        c = RationalPoly.variable(n, nv)
-        W = _weyl_general_n(lams, c, n, nv)
+        # the Weyl tensor by its definition, riem - Ric0 o g/(n-2) - R g o g/(2n(n-1))
+        riem, _, scal, ric_tf = extrinsic._gauss(_diag(lams), RationalPoly.variable(n, nv))
+        I = np.eye(n, dtype=object)
+        W = riem - kn(ric_tf, I) / (n - 2) - scal / (2 * n * (n - 1)) * kn(I, I)
+        _, S, A2sq, _, _, _ = _diag_powers(lams)
+        rhs = extrinsic._w_sq_minimal(S, A2sq, n)
         lhs = np.einsum("ijkl,ijkl->", W, W)
-        ps = _power_sums(lams, nv)
-        S = ps["S"]
-        rhs = (S * S * Fraction(2 * (n * n - 3 * n + 3), (n - 1) * (n - 2))
-               - ps["A2sq"] * Fraction(2 * n, n - 2))
         pairs.append((_eliminate_last(lhs, n), _eliminate_last(rhs, n)))
     return pairs
 
@@ -553,11 +492,9 @@ def _build_strict_harmweyl_rhs():
 
 
 def _build_lcf_trace6():
-    nv = 1
-    t = RationalPoly.variable(0, nv)
-    lams = [t * (-3), t, t, t]
-    ps = _power_sums(lams, nv)
-    return [(ps["trA6"], ps["S"] ** 3 * Fraction(61, 144))]
+    t = RationalPoly.variable(0, 1)
+    _, S, _, _, _, trA6 = _diag_powers([t * (-3), t, t, t])
+    return [(trA6, S ** 3 * Fraction(61, 144))]
 
 
 REGISTRY = {
@@ -617,15 +554,20 @@ REGISTRY = {
 
 
 def corrupted_normWpm_record() -> IdentityRecord:
-    """Negative control: the 7/6 coefficient replaced by 1.
+    """Negative control: S^2/6 subtracted from the shipped |W+-|^2 kernel,
+    which turns its 7/6 S^2 into S^2.
 
     Must fail with witness lambda = (1, 0, 0, 0), where the true side is
     0 and the corrupted side is -1/6.
     """
+    def build():
+        S = _diag_powers(_lam_vars(4, 4))[1]
+        return [(lhs, rhs - S * S / 6) for lhs, rhs in _build_normWpm()]
+
     return IdentityRecord(
         "normWpm_corrupted", "none",
         "negative control, 7/6 S^2 deliberately replaced by S^2",
-        lambda: _build_normWpm(rhs_seven_sixths=Fraction(1)))
+        build)
 
 
 @dataclass(frozen=True)
@@ -700,16 +642,12 @@ _RECIPES = {}
 
 def _register_recipes():
     def scalars(minimal):
-        nv = 4
-        lams = _lam_vars(4, nv)
-        ps = _power_sums(lams, nv)
-        out = dict(ps)
-        out["Wpmsq"] = _wpm_closed(lams, nv)
-        out["Wsq"] = out["Wpmsq"] * 2
-        ric_sq = RationalPoly.zero(nv)
-        for r in _ric_tf_entries(lams, nv):
-            ric_sq = ric_sq + r * r
-        out["ricTFsq"] = ric_sq
+        lams = _lam_vars(4, 4)
+        powers = _diag_powers(lams)
+        out = dict(zip(("H", "S", "A2sq", "trA3", "trA5", "trA6"), powers))
+        out["Wpmsq"] = extrinsic._wpm_sq(*powers[:4])
+        out["Wsq"] = extrinsic._w_sq(*powers[:4])
+        out["ricTFsq"] = extrinsic._ric0_sq(*powers[:4], 4)
         W = _weyl4(lams)
         out["trWstarW"] = np.einsum("ijkl,ijkl->", W, lambda2._star4(W))
         out["tripleW"] = np.einsum("ijkl,pqkl,ijpq->", W, W, W)

@@ -6,6 +6,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hypercurv import cli
 from hypercurv.extrinsic import NABLA_ORDER
@@ -269,11 +271,68 @@ def test_verify_single_identity(capsys):
                           "nablaA": _trace_free_nabla(0.0), "hessS": (np.eye(4) * 1e200).tolist()})],
     ["--tol", "nan", "classify", json.dumps({"n": 4, "lambda": [1, 2, 3, 4]})],
     ["--tol", "inf", "classify", json.dumps({"n": 4, "lambda": [1, 2, 3, 4]})],
+    # wrongly typed JSON fields: a string is not the boolean false, bools
+    # and strings are not numbers, and n must match the size of A
+    ["point", '{"lambda": [1, -1, 1, -1], "parallel": "false"}'],
+    ["point", '{"lambda": [1, -1, 1, -1], "c": null}'],
+    ["classify", '{"lambda": [1, -1, 1, -1], "c": null}'],
+    ["point", '{"lambda": [1, -1, 1, -1], "c": [1]}'],
+    ["classify", '{"lambda": [1, -1, 1, -1], "c": [1]}'],
+    ["point", '{"lambda": {"a": 1, "b": -1, "c": 1, "d": -1}}'],
+    ["classify", '{"lambda": {"a": 1, "b": -1, "c": 1, "d": -1}}'],
+    ["point", '{"lambda": [1, -1, 1, -1], "nablaA": {"x": 1}}'],
+    ["classify", '{"lambda": [1, -1, 1, -1], "nablaA": {"x": 1}}'],
+    ["point", '{"lambda": ["4", -1, 1, -1]}'],
+    ["point", '{"lambda": [1, -1, 1, -1], "c": true}'],
+    ["classify", '{"lambda": [true, -1, 1, -1]}'],
+    ["point", json.dumps({"A": np.eye(4).tolist(), "n": 5})],
+    ["point", '{"lambda": [1%s, 1, -1, -1]}' % ("0" * 400)],
 ])
 def test_input_errors_exit_two(capsys, argv):
     code, out, err = _run(capsys, argv)
     assert code == 2
     assert "error" in err.lower()
+
+
+_VALID_STATES = (
+    {"n": 4, "c": 1.0, "lambda": [1.0, 1.0, -1.0, -1.0], "parallel": False,
+     "nablaA": _trace_free_nabla(0.5), "hessS": np.eye(4).tolist()},
+    {"n": 4, "c": -1.0, "A": [[1.0, 0.5, 0.0, 0.0], [0.5, -1.0, 0.0, 0.0],
+                               [0.0, 0.0, 0.25, 0.0], [0.0, 0.0, 0.0, -0.25]],
+     "parallel": True, "nablaA": _trace_free_nabla(-1.0), "hessS": np.zeros((4, 4)).tolist()},
+)
+_FIELDS = ("c", "n", "parallel", "lambda", "A", "nablaA", "hessS")
+_OTHER_JSON = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4),
+    st.lists(st.one_of(st.integers(-3, 3), st.booleans(), st.none(), st.text(max_size=2)),
+             max_size=5),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=3),
+    st.floats(min_value=float(np.nextafter(1e50, np.inf)), max_value=1e52),
+)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["point", "classify"]), base=st.sampled_from(_VALID_STATES),
+       field=st.sampled_from(_FIELDS), value=_OTHER_JSON, in_batch=st.booleans())
+def test_malformed_field_exits_two_or_emits_strict_json(capsys, command, base, field,
+                                                        value, in_batch):
+    # One field of a valid state replaced by a JSON value of another type,
+    # alone or as one bad item in a batch: either an input error or a
+    # report in strict JSON, never a traceback.
+    bad = dict(base, **{field: value})
+    payload = [base, bad, base] if in_batch else bad
+    code, out, err = _run(capsys, [command, json.dumps(payload)])
+
+    def reject(token):
+        raise AssertionError(f"non-finite JSON token {token}")
+
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
+    else:
+        assert code == 0, err
+        json.loads(out, parse_constant=reject)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

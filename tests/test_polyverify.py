@@ -150,15 +150,46 @@ def test_corrupted_record_is_caught_with_witness():
     assert "nonzero polynomial" in bad.detail
 
 
-@pytest.mark.parametrize("module, name", [(extrinsic, "_weyl_raw"), (lambda2, "_star4")])
+def _doubled(kernel):
+    return lambda *args: kernel(*args) * 2
+
+
+def _doubled_ric_tf(kernel):
+    def gauss(A, c):
+        riem, ric, scal, ric_tf = kernel(A, c)
+        return riem, ric, scal, ric_tf * 2
+    return gauss
+
+
+# kernel name -> (corruption, identities it must fail)
+_CORRUPTIONS = {
+    "_weyl_raw": (_doubled, ["normWpm_generalH"]),
+    "_star4": (_doubled, ["normWpm_generalH"]),
+    "_wpm_sq": (_doubled, ["normWpm_generalH"]),
+    "_w_sq": (_doubled, ["normW_generalH"]),
+    "_ric0_sq": (_doubled, ["ricTFsq"]),
+    "_cgb": (_doubled, ["cgb_consistency"]),
+    "_w_sq_minimal": (_doubled, ["generalN_weylnorm"]),
+    "_gauss": (_doubled_ric_tf, ["ricTFsq", "cgb_consistency", "generalN_weylnorm"]),
+    "_fialkow": (_doubled, ["fialkow_form"]),
+}
+
+
+@pytest.mark.parametrize("module, name", [
+    (extrinsic, "_weyl_raw"), (lambda2, "_star4"), (extrinsic, "_wpm_sq"),
+    (extrinsic, "_w_sq"), (extrinsic, "_ric0_sq"), (extrinsic, "_cgb"),
+    (extrinsic, "_w_sq_minimal"), (extrinsic, "_gauss"), (extrinsic, "_fialkow"),
+])
 def test_certifier_runs_the_shipped_kernels(monkeypatch, module, name):
-    # Doubles the Weyl tensor, or drops the 1/2 of the star.
-    kernel = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda arr: kernel(arr) * 2)
-    bad = polyverify.verify_identity("normWpm_generalH")
-    assert not bad.passed
-    assert bad.witness["point"] is not None
-    assert Fraction(bad.witness["lhs"]) != Fraction(bad.witness["rhs"])
+    # Doubles a shipped kernel's value (the trace-free Ricci tensor for the
+    # Gauss kernel): every identity built on it must fail with a witness.
+    corrupt, identities = _CORRUPTIONS[name]
+    monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
+    for identity in identities:
+        bad = polyverify.verify_identity(identity)
+        assert not bad.passed, identity
+        assert bad.witness["point"] is not None
+        assert Fraction(bad.witness["lhs"]) != Fraction(bad.witness["rhs"])
 
 
 def test_registry_components_are_polynomials():
