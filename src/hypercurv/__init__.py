@@ -44,6 +44,7 @@ from .extrinsic import (
     div_weyl_sd_norms,
     gauss_equations,
     signature_integrand,
+    weyl_split_norms,
     weyl_tensor,
 )
 from .immersions import (
@@ -142,6 +143,7 @@ __all__ = [
     "verify_identity",
     "volume_hypothesis_bounds",
     "weyl_operator_spectrum",
+    "weyl_split_norms",
     "weyl_tensor",
     "weyl_threshold_report",
 ]

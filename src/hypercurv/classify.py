@@ -23,9 +23,9 @@ or a measured w that the dictionary contradicts, mark the report as
 indeterminate rather than silently committing to a cluster count.
 
 One kernel, ``_classify``, does this for an (N, 4) array of spectra in a
-single pass. ``spectrum_report`` runs it on a batch of one, and
-``classify_batch`` returns its (m, w, indeterminate) columns for many
-spectra at once; the two agree row for row.
+single pass. ``spectrum_report`` runs it on a batch of one, the CLI on a
+whole batch of states, and ``classify_batch`` returns its (m, w,
+indeterminate) columns for many spectra at once; all agree row for row.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extrinsic import PointState, _require_scale
+from .extrinsic import PointState, _require_four, _require_scale
 from .tolerances import CLUSTER_TOL, EQUALITY_TOL
 
 __all__ = [
@@ -166,13 +166,14 @@ def weyl_operator_spectrum(lam, H: float | None = None, S: float | None = None,
 
 
 def _flags(lam: np.ndarray, cuts: np.ndarray, tol: float) -> dict:
+    """Structure flags of one spectrum from its row of lambda cuts."""
     H = float(lam.sum())
     S = float((lam * lam).sum())
     ric_tf = H * lam - lam * lam - (H * H - S) / 4.0
     return {
-        "lcf": bool(_dictionary_w(cuts)[0] == 1),
+        "lcf": bool(_dictionary_w(cuts) == 1),
         "einstein": bool(np.abs(ric_tf).max() <= tol * (1.0 + S)),
-        "twoTwoSplit": _partition(cuts[0]) == (2, 2),
+        "twoTwoSplit": _partition(cuts) == (2, 2),
     }
 
 
@@ -187,7 +188,7 @@ def structure_predicates(lam, tol: float = CLUSTER_TOL) -> dict:
     """
     lam = _as_spectra(lam, 1, 4)
     cuts, _, _ = _lambda_cuts(lam[None], tol)
-    return _flags(lam, cuts, tol)
+    return _flags(lam, cuts[0], tol)
 
 
 def _trace_free(lam: np.ndarray) -> bool:
@@ -269,6 +270,40 @@ class SpectrumReport:
                 "margins": dict(self.margins), "indeterminate": self.indeterminate}
 
 
+def _check_state(state: PointState) -> None:
+    """The dimension check of spectrum_report."""
+    _require_four(state, "spectrum_report")
+
+
+def _spectrum_reports(lams: np.ndarray, minimal, tol: float) -> list:
+    """SpectrumReport of each row of validated (N, 4) spectra, from one
+    _classify pass; row i gets margins when minimal[i] is true."""
+    cuts, v, w, indeterminate = _classify(lams, tol)
+    reports = []
+    for lam, cut, v_row, w_row, unsure, trace_free in zip(
+            lams, cuts, v.tolist(), w.tolist(), indeterminate.tolist(), minimal):
+        partition = _partition(cut)
+        reports.append(SpectrumReport(
+            m=len(partition),
+            partition=partition,
+            w=w_row,
+            weyl_eigen=tuple(v_row),
+            flags=_flags(lam, cut, tol),
+            margins=_sharp(lam, EQUALITY_TOL).margins if trace_free else {},
+            indeterminate=unsure,
+        ))
+    return reports
+
+
+def _state_reports(states, tol: float) -> list:
+    """spectrum_report of each n = 4 PointState, from one eigvalsh and one
+    classification pass over the whole list."""
+    for state in states:
+        _check_state(state)
+    lams = np.linalg.eigvalsh(np.array([state.A for state in states]).reshape(-1, 4, 4))
+    return _spectrum_reports(lams, [state.minimal for state in states], tol)
+
+
 def spectrum_report(state, tol: float = CLUSTER_TOL) -> SpectrumReport:
     """Full classification report for a point state or raw spectrum.
 
@@ -277,21 +312,6 @@ def spectrum_report(state, tol: float = CLUSTER_TOL) -> SpectrumReport:
     bounds do not apply.
     """
     if isinstance(state, PointState):
-        if state.n != 4:
-            raise ValueError(f"spectrum_report supports n = 4 only, got n = {state.n}")
-        lam = np.linalg.eigvalsh(state.A)
-        minimal = state.minimal
-    else:
-        lam = _as_spectra(state, 1, 4)
-        minimal = _trace_free(lam)
-    cuts, v, w, indeterminate = _classify(lam[None], tol)
-    partition = _partition(cuts[0])
-    return SpectrumReport(
-        m=len(partition),
-        partition=partition,
-        w=int(w[0]),
-        weyl_eigen=tuple(v[0].tolist()),
-        flags=_flags(lam, cuts, tol),
-        margins=_sharp(lam, EQUALITY_TOL).margins if minimal else {},
-        indeterminate=bool(indeterminate[0]),
-    )
+        return _state_reports([state], tol)[0]
+    lam = _as_spectra(state, 1, 4)
+    return _spectrum_reports(lam[None], [_trace_free(lam)], tol)[0]

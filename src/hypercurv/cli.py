@@ -19,8 +19,12 @@ Point input is a JSON object (inline, a file path, or '-' for stdin)
 with fields n, c, and exactly one of "lambda" or "A", plus optional
 "nablaA" (for n = 4 a flat 20-vector over the lexicographic i<=j<=k
 component order), "hessS", "parallel". A JSON array of such objects is
-processed as a batch with output order preserved. Output is
-deterministic: identical input yields byte-identical JSON.
+processed as a batch with output order preserved. point and classify
+validate every item before building any report, so one bad item exits 2
+with no output; the states of one dimension then go through each batched
+kernel together, and an item's report equals the one it gets alone.
+Warnings keep their count and text but may be grouped on stderr. Output
+is deterministic: identical input yields byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import classify as classify_mod
 from . import extrinsic, immersions, polyverify
-from .tolerances import CLUSTER_TOL, EQUALITY_TOL, ENV_VAR, default_tol
+from .tolerances import CLUSTER_TOL, ENV_VAR, default_tol
 
 _EXIT_OK = 0
 _EXIT_VIOLATION = 1
@@ -81,68 +85,72 @@ def _reject_constant(token: str):
     raise _InputError(f"non-finite number {token} in input; values must be finite")
 
 
-def _point_report(data: dict, tol: float, cluster_tol: float) -> dict:
-    try:
-        state = extrinsic.PointState.from_dict(data)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
-    pack = extrinsic.gauss_equations(state)
-    report: dict = {
-        "n": state.n,
-        "c": state.c,
-        "H": state.H,
-        "S": state.S,
-        "minimal": state.minimal,
-        "scal": pack.scal,
-        "ric": pack.ric.tolist(),
-        "ricTF": pack.ricTF.tolist(),
-    }
-    if state.n == 4:
-        norms = extrinsic.closed_form_norms(state)
-        report["norms"] = {
-            "S": norms.S, "A2sq": norms.A2sq, "trA3": norms.trA3,
-            "trA5": norms.trA5, "trA6": norms.trA6,
-            "Wsq": norms.Wsq, "Wpmsq": norms.Wpmsq, "RicTFsq": norms.RicTFsq,
-        }
-        report["spectrum"] = classify_mod.spectrum_report(state, tol=cluster_tol).to_dict()
-        report["cgb_integrand"] = extrinsic.cgb_integrand(state)
-        report["signature_integrand"] = extrinsic.signature_integrand(state)
-        has_derivatives = state.parallel or (state.nablaA is not None
-                                             and state.hessS is not None)
-        if state.minimal and has_derivatives:
-            report["bach"] = extrinsic.bach_tensor(state).tolist()
-        else:
-            report["bach"] = None
-        report["bochner"] = extrinsic.bochner_residuals(state)
-    return report
+def _states(payload, check=None) -> list:
+    """The PointState of each item of a batch, or of one object, validated in
+    order; ``check`` runs on each state before the next item is read."""
+    states = []
+    for data in payload if isinstance(payload, list) else [payload]:
+        try:
+            state = extrinsic.PointState.from_dict(data)
+            if check is not None:
+                check(state)
+        except ValueError as exc:
+            raise _InputError(str(exc)) from exc
+        states.append(state)
+    return states
+
+
+def _point_reports(states: list, cluster_tol: float) -> list:
+    """The point report of each state. The states of one dimension go
+    through each batched kernel together; Bach and Bochner run per state."""
+    reports: list = [None] * len(states)
+    by_n: dict = {}
+    for k, state in enumerate(states):
+        by_n.setdefault(state.n, []).append(k)
+    for n, index in by_n.items():
+        group = [states[k] for k in index]
+        A = np.array([state.A for state in group])
+        minimal = [state.minimal for state in group]
+        _, ric, scal, ric_tf = extrinsic._gauss(A, np.array([state.c for state in group]))
+        spectra = signatures = [None] * len(group)
+        if n == 4:
+            spectra = classify_mod._spectrum_reports(np.linalg.eigvalsh(A), minimal, cluster_tol)
+            signatures = extrinsic._signatures(A).tolist()
+        for k, state, is_minimal, powers, scal_k, ric_k, ric_tf_k, spectrum, signature in zip(
+                index, group, minimal, extrinsic._power_rows(A), scal.tolist(), ric.tolist(),
+                ric_tf.tolist(), spectra, signatures):
+            report = {"n": n, "c": state.c, "H": powers[0], "S": powers[1],
+                      "minimal": is_minimal, "scal": scal_k, "ric": ric_k, "ricTF": ric_tf_k}
+            if n == 4:
+                has_derivatives = state.parallel or (state.nablaA is not None
+                                                     and state.hessS is not None)
+                report.update({
+                    "norms": extrinsic._norm_fields(powers, 4),
+                    "spectrum": spectrum.to_dict(),
+                    "cgb_integrand": extrinsic._cgb(*powers[:4], state.c),
+                    "signature_integrand": signature,
+                    "bach": (extrinsic.bach_tensor(state).tolist()
+                             if is_minimal and has_derivatives else None),
+                    "bochner": extrinsic.bochner_residuals(state),
+                })
+            reports[k] = report
+    return reports
 
 
 def _cmd_point(args) -> int:
     payload = _load_point_payload(args.input)
     cluster_tol = args.tol if args.tol is not None else CLUSTER_TOL
-    tol = args.tol if args.tol is not None else EQUALITY_TOL
-    if isinstance(payload, list):
-        _emit([_point_report(item, tol, cluster_tol) for item in payload])
-    else:
-        _emit(_point_report(payload, tol, cluster_tol))
+    reports = _point_reports(_states(payload), cluster_tol)
+    _emit(reports if isinstance(payload, list) else reports[0])
     return _EXIT_OK
 
 
 def _cmd_classify(args) -> int:
     payload = _load_point_payload(args.input)
     cluster_tol = args.tol if args.tol is not None else CLUSTER_TOL
-
-    def one(data):
-        try:
-            state = extrinsic.PointState.from_dict(data)
-            return classify_mod.spectrum_report(state, tol=cluster_tol).to_dict()
-        except ValueError as exc:
-            raise _InputError(str(exc)) from exc
-
-    if isinstance(payload, list):
-        _emit([one(item) for item in payload])
-    else:
-        _emit(one(payload))
+    states = _states(payload, check=classify_mod._check_state)
+    reports = [r.to_dict() for r in classify_mod._state_reports(states, cluster_tol)]
+    _emit(reports if isinstance(payload, list) else reports[0])
     return _EXIT_OK
 
 

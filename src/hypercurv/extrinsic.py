@@ -25,7 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lambda2 import CurvTensor4, _kn_raw, _star4, inner, star_weyl, triple
+from .lambda2 import CurvTensor4, _kn_raw, _star4, star_weyl, triple
+from .lambda2 import inner  # noqa: F401  (re-exported: callers look it up on this module)
 from .tolerances import EQUALITY_TOL
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "closed_form_norms",
     "cgb_integrand",
     "signature_integrand",
+    "weyl_split_norms",
     "bach_tensor",
     "div_weyl_sd",
     "div_weyl_sd_norms",
@@ -122,14 +124,17 @@ class PointState:
     hessS:
         Optional symmetric (n, n) Hessian of the squared norm S = |A|^2.
     parallel:
-        Asserts nabla A = 0 and Hess S = 0; derivative-dependent
-        quantities then use zeros without explicit arrays.
+        A boolean; True asserts nabla A = 0 and Hess S = 0, and
+        derivative-dependent quantities then use zeros without explicit
+        arrays.
     """
 
     __slots__ = ("n", "c", "A", "nablaA", "hessS", "parallel", "_from_spectrum")
 
     def __init__(self, A=None, c: float = 1.0, lam=None, nablaA=None, hessS=None,
                  parallel: bool = False, tol: float = EQUALITY_TOL):
+        if not isinstance(parallel, (bool, np.bool_)):
+            raise ValueError("parallel: expected true or false")
         if (A is None) == (lam is None):
             raise ValueError("provide exactly one of A or lam")
         from_spectrum = lam is not None
@@ -260,12 +265,9 @@ class PointState:
                 raise ValueError("n: expected an integer")
             if main.ndim and len(main) != n:
                 raise ValueError(f"{shape_key}: expected {n} entries, got {len(main)}")
-        parallel = data.get("parallel", False)
-        if type(parallel) is not bool:
-            raise ValueError("parallel: expected true or false")
         kwargs = {"lam" if shape_key == "lambda" else "A": main}
         return cls(c=float(c), nablaA=fields.get("nablaA"), hessS=fields.get("hessS"),
-                   parallel=parallel, **kwargs)
+                   parallel=data.get("parallel", False), **kwargs)
 
     @classmethod
     def from_json(cls, text: str) -> "PointState":
@@ -301,17 +303,10 @@ class NormPack:
     F: np.ndarray
 
 
-def _eye_like(A: np.ndarray) -> np.ndarray:
-    n = A.shape[-1]
-    return np.broadcast_to(np.eye(n, dtype=A.dtype), A.shape)
-
-
-def _kn_sym(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    return (_kn_raw(U, V) + _kn_raw(V, U)) / 2
-
-
-def _scal4(x: np.ndarray) -> np.ndarray:
-    return np.asarray(x)[..., None, None, None, None]
+def _bcast(x, k: int) -> np.ndarray:
+    """x, a scalar or a (...) batch of scalars, with k trailing unit axes, so
+    that it broadcasts against a (..., n^k) batch of tensors."""
+    return np.asarray(x)[(...,) + (None,) * k]
 
 
 def _weyl_raw(A: np.ndarray) -> np.ndarray:
@@ -324,19 +319,23 @@ def _weyl_raw(A: np.ndarray) -> np.ndarray:
     this same kernel on object arrays of rational polynomials.
     """
     A = np.asarray(A)
-    I = _eye_like(A)
+    I = np.eye(A.shape[-1], dtype=A.dtype)
     A2 = A @ A
     H = np.trace(A, axis1=-2, axis2=-1)
     S = np.einsum("...ij,...ij->...", A, A)
+    # U o g = g o U exactly, in floats too: each component has at most two
+    # nonzero terms, so their order cannot change the rounding.
     W = _kn_raw(A, A) / 2
-    W = W - _scal4(H / 2) * _kn_sym(A, I)
-    W = W + _kn_sym(A2, I) / 2
-    W = W + _scal4((H * H - S) / 12) * _kn_raw(I, I)
+    W -= _bcast(H / 2, 4) * _kn_raw(A, I)
+    W += _kn_raw(A2, I) / 2
+    W += _bcast((H * H - S) / 12, 4) * _kn_raw(I, I)
     return W
 
 
 # The kernels below are, like _weyl_raw, generic in the dtype: the exact
-# certifier runs these same functions on rational polynomials.
+# certifier runs these same functions on rational polynomials. Those that
+# take A broadcast over its leading axes, with scalars of the same leading
+# shape.
 
 
 def _ratio(num: int, den: int, like):
@@ -350,20 +349,30 @@ def _trace_powers(A: np.ndarray) -> tuple:
     of a symmetric A: the power sums of its principal curvatures."""
     A2 = A @ A
     A3 = A2 @ A
-    return (A.trace(), (A * A).sum(), (A2 * A2).sum(),
-            A3.trace(), (A3 @ A2).trace(), (A3 @ A3).trace())
+    return (A.trace(axis1=-2, axis2=-1), (A * A).sum(axis=(-2, -1)),
+            (A2 * A2).sum(axis=(-2, -1)), A3.trace(axis1=-2, axis2=-1),
+            (A3 @ A2).trace(axis1=-2, axis2=-1), (A3 @ A3).trace(axis1=-2, axis2=-1))
+
+
+def _power_rows(A: np.ndarray) -> list:
+    """The _trace_powers of each shape operator in an (N, n, n) float batch,
+    one row of Python floats per operator. The closed forms run on Python
+    floats, one operator at a time: their ``**`` rounds differently from
+    numpy's."""
+    return np.stack(_trace_powers(A), axis=-1).tolist()
 
 
 def _gauss(A: np.ndarray, c) -> tuple:
-    """(riem, ric, scal, ricTF) from (A, c) in any dimension; see gauss_equations."""
-    n = len(A)
+    """(riem, ric, scal, ricTF) from (A, c) in any dimension; see gauss_equations.
+    c is a scalar or has the leading shape of A."""
+    n = A.shape[-1]
     I = np.eye(n, dtype=A.dtype)
-    H = A.trace()
-    S = (A * A).sum()
-    riem = c / 2 * _kn_raw(I, I) + _kn_raw(A, A) / 2
-    ric = (n - 1) * c * I + H * A - A @ A
+    H = A.trace(axis1=-2, axis2=-1)
+    S = (A * A).sum(axis=(-2, -1))
+    riem = _bcast(c / 2, 4) * _kn_raw(I, I) + _kn_raw(A, A) / 2
+    ric = _bcast((n - 1) * c, 2) * I + _bcast(H, 2) * A - A @ A
     scal = n * (n - 1) * c + H * H - S
-    return riem, ric, scal, ric - scal / n * I
+    return riem, ric, scal, ric - _bcast(scal / n, 2) * I
 
 
 def _wpm_sq(H, S, A2sq, trA3):
@@ -399,22 +408,78 @@ def _w_sq_minimal(S, A2sq, n: int):
             - _ratio(2 * n, n - 2, S) * A2sq)
 
 
+def _norm_fields(powers, n: int) -> dict:
+    """The scalar fields of a NormPack from one _power_rows row. For n != 4
+    the Weyl norm is the minimal-case one, and Wpmsq is None."""
+    H, S, A2sq, trA3, trA5, trA6 = powers
+    four = n == 4
+    return dict(S=S, A2sq=A2sq, trA3=trA3, trA5=trA5, trA6=trA6,
+                Wsq=_w_sq(H, S, A2sq, trA3) if four else _w_sq_minimal(S, A2sq, n),
+                Wpmsq=_wpm_sq(H, S, A2sq, trA3) if four else None,
+                RicTFsq=_ric0_sq(H, S, A2sq, trA3, n))
+
+
 def _fialkow(A: np.ndarray, S):
     """F = 1/2 (A^2 - S/6 g), with W = 1/2 A o A + F o g when H = 0 (n = 4)."""
     A2 = A @ A
-    return (A2 - S / 6 * np.eye(len(A), dtype=A.dtype)) / 2
+    return (A2 - _bcast(S / 6, 2) * np.eye(A.shape[-1], dtype=A.dtype)) / 2
 
 
-def _weyl_split_norms(A: np.ndarray):
-    """Batched (|W+|^2, |W-|^2, |W|^2) via the tensor route."""
-    W = _weyl_raw(A)
-    SW = _star4(W)
-    Wp = 0.5 * (W + SW)
-    Wm = 0.5 * (W - SW)
-    wp = np.einsum("...ijkl,...ijkl->...", Wp, Wp)
-    wm = np.einsum("...ijkl,...ijkl->...", Wm, Wm)
-    ww = np.einsum("...ijkl,...ijkl->...", W, W)
-    return wp, wm, ww
+# Shape operators per block of the batched Weyl route: a block's
+# (block, 4, 4, 4, 4) float temporaries take 0.5 MiB each, whatever the
+# batch; blocks of 32 to 1,024 states ran equally fast per state.
+_WEYL_BLOCK = 256
+
+
+def _weyl_blocks(A: np.ndarray):
+    """(slice, W, *W) for consecutive blocks of an (N, 4, 4) batch."""
+    for start in range(0, len(A), _WEYL_BLOCK):
+        rows = slice(start, start + _WEYL_BLOCK)
+        W = _weyl_raw(A[rows])
+        yield rows, W, _star4(W)
+
+
+def _contract(T1: np.ndarray, T2: np.ndarray) -> np.ndarray:
+    return np.einsum("...ijkl,...ijkl->...", T1, T2)
+
+
+def _signatures(A: np.ndarray) -> np.ndarray:
+    """<W, *W> of each shape operator in an (N, 4, 4) float batch."""
+    out = np.empty(len(A))
+    for rows, W, SW in _weyl_blocks(A):
+        out[rows] = _contract(W, SW)
+    return out
+
+
+def weyl_split_norms(A) -> tuple:
+    """(|W+|^2, |W-|^2, |W|^2) of each shape operator in a (..., 4, 4) batch.
+
+    Tensor route: the Weyl tensor of the induced metric, split by the star
+    and contracted in full, a fixed-size block of operators at a time. The
+    closed form says |W+|^2 = |W-|^2 = Wpmsq of closed_form_norms. Entries
+    must be finite, at most 1e50 in magnitude, and each matrix symmetric.
+    The three arrays have the leading shape of A.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim < 2 or A.shape[-2:] != (4, 4):
+        raise ValueError(f"A: expected shape (..., 4, 4), got {A.shape}")
+    scale = 1.0 + np.abs(A).max(axis=(-2, -1), initial=0.0)
+    _require_scale("A", scale.max(initial=0.0))
+    if (np.abs(A - A.swapaxes(-2, -1)).max(axis=(-2, -1), initial=0.0)
+            > EQUALITY_TOL * scale).any():
+        raise ValueError("A: shape operators must be symmetric")
+    flat = A.reshape(-1, 4, 4)
+    out = np.empty((3, len(flat)))
+    for rows, W, SW in _weyl_blocks(flat):
+        Wp = 0.5 * (W + SW)
+        Wm = 0.5 * (W - SW)
+        out[:, rows] = _contract(Wp, Wp), _contract(Wm, Wm), _contract(W, W)
+    return tuple(out.reshape((3,) + A.shape[:-2]))
+
+
+def _require_four(p: PointState, what: str) -> None:
+    if p.n != 4:
+        raise ValueError(f"{what} supports n = 4 only, got n = {p.n}")
 
 
 def gauss_equations(p: PointState) -> CurvaturePack:
@@ -436,8 +501,7 @@ def weyl_tensor(p: PointState) -> CurvTensor4:
     The result depends only on A; recomputing with any ambient c gives
     bit-identical components. Dimensions other than four are rejected.
     """
-    if p.n != 4:
-        raise ValueError(f"weyl_tensor supports n = 4 only, got n = {p.n}")
+    _require_four(p, "weyl_tensor")
     return CurvTensor4(_weyl_raw(p.A), check=False)
 
 
@@ -453,17 +517,11 @@ def closed_form_norms(p: PointState) -> NormPack:
     general-dimension meaning (Wpmsq, F) are None when n != 4.
     """
     n = p.n
-    H, S, A2sq, trA3, trA5, trA6 = map(float, _trace_powers(p.A))
-    powers = dict(S=S, A2sq=A2sq, trA3=trA3, trA5=trA5, trA6=trA6)
-    ricTFsq = _ric0_sq(H, S, A2sq, trA3, n)
-    if n == 4:
-        return NormPack(**powers, Wsq=_w_sq(H, S, A2sq, trA3), Wpmsq=_wpm_sq(H, S, A2sq, trA3),
-                        RicTFsq=ricTFsq, F=_fialkow(p.A, S))
-    if not p.minimal:
+    powers = [float(x) for x in _trace_powers(p.A)]
+    if n != 4 and not p.minimal:
         raise ValueError(
-            f"closed-form |W|^2 for n = {n} requires a minimal state (H = {H:.3e})")
-    return NormPack(**powers, Wsq=_w_sq_minimal(S, A2sq, n), Wpmsq=None,
-                    RicTFsq=ricTFsq, F=None)
+            f"closed-form |W|^2 for n = {n} requires a minimal state (H = {powers[0]:.3e})")
+    return NormPack(**_norm_fields(powers, n), F=_fialkow(p.A, powers[1]) if n == 4 else None)
 
 
 def cgb_integrand(p: PointState) -> float:
@@ -476,8 +534,7 @@ def cgb_integrand(p: PointState) -> float:
     Integrating this over a closed hypersurface and dividing by 32 pi^2
     gives the Euler characteristic.
     """
-    if p.n != 4:
-        raise ValueError(f"cgb_integrand supports n = 4 only, got n = {p.n}")
+    _require_four(p, "cgb_integrand")
     H, S, A2sq, trA3, _, _ = map(float, _trace_powers(p.A))
     return _cgb(H, S, A2sq, trA3, p.c)
 
@@ -488,8 +545,8 @@ def signature_integrand(p: PointState) -> float:
     Identically zero for hypersurface-induced metrics: the signature of a
     closed hypersurface of a space form vanishes.
     """
-    W = weyl_tensor(p)
-    return inner(W, star_weyl(W))
+    _require_four(p, "signature_integrand")
+    return float(_signatures(p.A[None])[0])
 
 
 def _require_derivatives(p: PointState, need_nabla: bool, need_hess: bool, what: str):
@@ -523,8 +580,7 @@ def bach_tensor(p: PointState, tol: float = EQUALITY_TOL) -> np.ndarray:
     draws a warning instead of an error so that measured data can still
     be inspected.
     """
-    if p.n != 4:
-        raise ValueError(f"bach_tensor supports n = 4 only, got n = {p.n}")
+    _require_four(p, "bach_tensor")
     if not p.minimal:
         raise ValueError(f"bach_tensor requires a minimal state (H = {p.H:.3e})")
     nabla, hess = _require_derivatives(p, True, True, "bach_tensor")
@@ -562,8 +618,7 @@ def div_weyl_sd(p: PointState) -> list:
     1-based "indices" (k, i, j) and float "plus"/"minus" values, 12 in
     total.
     """
-    if p.n != 4:
-        raise ValueError(f"div_weyl_sd supports n = 4 only, got n = {p.n}")
+    _require_four(p, "div_weyl_sd")
     A = p.A
     off = A - np.diag(np.diag(A))
     if np.abs(off).max() > EQUALITY_TOL * (1.0 + np.abs(A).max()):
@@ -687,7 +742,7 @@ def bochner_residuals(p: PointState, field_data: dict | None = None) -> dict:
         W = weyl_tensor(p)
         SW = star_weyl(W)
         Wp = 0.5 * (W.components + SW.components)
-        R = float(n * (n - 1) * c + p.H ** 2 - S)
+        R = float(_gauss(A, c)[2])
         wp_sq = float(np.sum(Wp * Wp))
         out["scalar_bochner"] = R * wp_sq - 6.0 * triple(Wp, Wp, Wp)
     else:

@@ -306,15 +306,28 @@ def star_weyl(T, tol: float = EQUALITY_TOL) -> CurvTensor4:
     return CurvTensor4(_star4(arr), check=False)
 
 
+def _swap_pairs(T: np.ndarray) -> np.ndarray:
+    """T_jilk: swaps i with j and k with l."""
+    return T.swapaxes(-4, -3).swapaxes(-2, -1)
+
+
 def _kn_raw(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     # (U o V)_ijkl = U_ik V_jl + U_jl V_ik - U_il V_jk - U_jk V_il,
     # broadcasting over leading axes of U and V; generic in the dtype.
-    return (
-        np.einsum("...ik,...jl->...ijkl", U, V)
-        + np.einsum("...jl,...ik->...ijkl", U, V)
-        - np.einsum("...il,...jk->...ijkl", U, V)
-        - np.einsum("...jk,...il->...ijkl", U, V)
-    )
+    # With P = U_ik V_jl and Q = U_il V_jk the four terms are P, P_jilk, Q
+    # and Q_jilk, summed in this order.
+    U, V = np.asarray(U), np.asarray(V)
+    P = U[..., :, None, :, None] * V[..., None, :, None, :]
+    Q = U[..., :, None, None, :] * V[..., None, :, :, None]
+    out = P + _swap_pairs(P)
+    out -= Q
+    out -= _swap_pairs(Q)
+    if out.dtype.kind == "f":
+        # A zero product with a negative factor is -0.0; adding +0.0 makes
+        # every zero +0.0, as einsum's sums from +0.0 gave, and leaves every
+        # other float as it is.
+        out += 0.0
+    return out
 
 
 def kulkarni_nomizu(U, V) -> CurvTensor4:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from hypercurv import bounds, classify, extrinsic, immersions, polyverify
+from hypercurv import bounds, classify, extrinsic, immersions, polyverify, weyl_split_norms
 
 _RNG_SEED = 20260815
 
@@ -33,7 +33,7 @@ def test_criterion_01_half_norm_balance():
     for start in range(0, total, chunk):
         M = rng.uniform(-10.0, 10.0, (chunk, 4, 4))
         A = 0.5 * (M + np.transpose(M, (0, 2, 1)))
-        wp, wm, ww = extrinsic._weyl_split_norms(A)
+        wp, wm, ww = weyl_split_norms(A)
         bad = np.abs(wp - wm) > 1e-10 * ww
         if bad.any():
             failures.append(f"{bad.sum()} states violate the half-norm balance")

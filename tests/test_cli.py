@@ -35,14 +35,24 @@ def _trace_free_nabla(value):
 
 CLIFFORD22 = json.dumps({"n": 4, "c": 1.0, "lambda": [1.0, 1.0, -1.0, -1.0]})
 
-# Golden outputs were generated by the code before the certifier ran on
-# the shipped tensor kernels; they pin stdout byte for byte.
+# Golden outputs pin stdout byte for byte. The point and verify files were
+# generated by the code before the certifier ran on the shipped tensor
+# kernels, the classify files by the code before reports were built in
+# batches. classify_golden_in.json covers the five multiplicity patterns,
+# near and band gaps, A and lambda input, minimal and mean-curved states.
 DATA = pathlib.Path(__file__).parent / "data"
+CLASSIFY_ONE = json.dumps({"n": 4, "c": 1.0, "A": [
+    [-1.6212914500116016, -0.5461485462310042, 0.11754435342211597, -0.6759282071610884],
+    [-0.5461485462310042, 0.7599119549079634, 0.3290378022726832, -0.42951724499752675],
+    [0.11754435342211597, 0.3290378022726832, 0.5673071337077791, -0.10531461781210746],
+    [-0.6759282071610884, -0.42951724499752675, -0.10531461781210746, 0.2940723613958591]]})
 
 
 @pytest.mark.parametrize("argv, golden", [
     (["point", str(DATA / "point_golden_in.json")], "point_golden_out.json"),
     (["verify", "--all"], "verify_all_golden.json"),
+    (["classify", str(DATA / "classify_golden_in.json")], "classify_golden_out.json"),
+    (["classify", CLASSIFY_ONE], "classify_golden_one_out.json"),
 ])
 def test_output_matches_golden_bytes(capsys, argv, golden):
     code, out, _ = _run(capsys, argv)
@@ -144,6 +154,69 @@ def test_classify_batch(capsys):
     assert [r["m"] for r in reps] == [2, 2]
     assert reps[0]["partition"] == [2, 2]
     assert reps[1]["partition"] == [1, 3]
+
+
+def _mixed_batch():
+    rng = np.random.default_rng(5)
+
+    def sym(n, minimal=False):
+        M = rng.normal(size=(n, n))
+        M = M + M.T
+        return (M - np.trace(M) / n * np.eye(n) if minimal else M).tolist()
+
+    root3 = 3.0 ** 0.5
+    return [
+        {"n": 3, "c": 1.0, "lambda": [0.5, -1.0, 2.0]},
+        {"n": 4, "c": 0.0, "A": sym(4)},
+        {"n": 5, "c": -1.0, "A": sym(5, minimal=True)},
+        {"n": 4, "c": 1.0, "lambda": [1.0, 1.0, -1.0, -1.0], "parallel": True},
+        {"n": 6, "c": 0.0, "lambda": [1.0, 2.0, -3.0, 0.5, 0.25, -0.75]},
+        {"n": 4, "c": -1.0, "A": sym(4, minimal=True),
+         "nablaA": _trace_free_nabla(0.5), "hessS": np.eye(4).tolist()},
+        {"n": 4, "c": 1.0, "lambda": [root3, -1 / root3, -1 / root3, -1 / root3],
+         "parallel": True},
+        {"n": 4, "c": 0.0, "lambda": [2.0, 2.0, 2.0, -1.0]},
+        {"n": 3, "c": -1.0, "A": sym(3)},
+        {"n": 4, "c": 1.0, "lambda": [0.0, 0.0, 0.0, 0.0], "parallel": True},
+        {"n": 4, "c": 1.0, "lambda": [0.75, -0.25, -0.5, 0.0],
+         "nablaA": _trace_free_nabla(-1.5), "hessS": np.zeros((4, 4)).tolist()},
+    ]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("command", ["point", "classify"])
+def test_batch_item_reports_equal_lone_reports(capsys, command):
+    # Every batched kernel treats the rows of a batch independently: an
+    # item's report, down to the last bit, does not depend on its neighbours.
+    batch = [item for item in _mixed_batch() if command == "point" or item["n"] == 4]
+    code, out, _ = _run(capsys, [command, json.dumps(batch)])
+    assert code == 0
+    together = json.loads(out)
+    assert len(together) == len(batch)
+    for item, report in zip(batch, together):
+        code, out, _ = _run(capsys, [command, json.dumps(item)])
+        assert code == 0
+        assert json.loads(out) == report
+
+
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+@pytest.mark.parametrize("command, bad, line", [
+    ("point", {"n": 4, "c": 1.0, "lambda": [1, 2, 3]}, "error: lambda: expected 4 entries, got 3"),
+    ("point", {"lambda": [1, -1, 1, -1], "parallel": "false"},
+     "error: parallel: expected true or false"),
+    ("point", {"A": [[1, 2], [3, 4]]}, "error: A: dimension must be at least 3, got 2"),
+    ("classify", {"n": 5, "lambda": [1, 1, 1, 1, 1]},
+     "error: spectrum_report supports n = 4 only, got n = 5"),
+    ("classify", {"lambda": [1, -1, 1, -1], "c": None}, "error: c: expected JSON numbers"),
+])
+def test_one_bad_item_fails_the_batch(capsys, command, bad, line, position):
+    good = [item for item in _mixed_batch() if item["n"] == 4 and "nablaA" not in item]
+    at = {"first": 0, "middle": len(good) // 2, "last": len(good)}[position]
+    batch = good[:at] + [bad] + good[at:]
+    code, out, err = _run(capsys, [command, json.dumps(batch)])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == line
 
 
 def test_bounds_exact_clifford_data_holds(capsys):

@@ -41,6 +41,19 @@ def test_point_state_validation():
     np.testing.assert_allclose(st.lam, [3, -1, -1, -1])
 
 
+@pytest.mark.parametrize("parallel", ["false", "true", 0, 1, None, [True]])
+def test_point_state_rejects_non_boolean_parallel(parallel):
+    # bool("false") is True: a non-boolean must be an error, not a truth value
+    with pytest.raises(ValueError, match="^parallel: expected true or false"):
+        _state([1, 1, -1, -1], parallel=parallel)
+
+
+def test_point_state_accepts_boolean_parallel():
+    assert _state([1, 1, -1, -1], parallel=True).parallel is True
+    assert _state([1, 1, -1, -1], parallel=False).parallel is False
+    assert _state([1, 1, -1, -1], parallel=np.bool_(True)).parallel is True
+
+
 @pytest.mark.parametrize("kwargs, field", [
     ({"lam": [math.nan, 1.0, 1.0, 1.0]}, "lambda"),
     ({"A": np.diag([1.0, 1.0, 1.0, math.inf])}, "A"),
@@ -185,6 +198,77 @@ def test_weyl_fialkow_route_minimal():
     W = extrinsic.weyl_tensor(st).components
     np.testing.assert_allclose(route, W, atol=1e-12 * (1 + np.abs(W).max()))
     np.testing.assert_allclose(extrinsic.closed_form_norms(st).F, F, atol=1e-12)
+
+
+def test_weyl_kernel_matches_symmetrized_reference_bitwise():
+    # The kernel writes A o g where the definition has the symmetrized
+    # 1/2 (A o g + g o A); in floats the two agree bit for bit.
+    rng = np.random.default_rng(32)
+    M = rng.normal(size=(200, 4, 4)) * 3.0
+    A = M + M.transpose(0, 2, 1)
+    A[::4, 2, :] = 0.0
+    A[::4, :, 2] = 0.0
+    g = np.eye(4)
+
+    def sym(U, V):
+        return (_kn_raw(U, V) + _kn_raw(V, U)) / 2
+
+    H = np.trace(A, axis1=-2, axis2=-1)[:, None, None, None, None]
+    S = np.einsum("...ij,...ij->...", A, A)[:, None, None, None, None]
+    ref = _kn_raw(A, A) / 2
+    ref = ref - H / 2 * sym(A, g)
+    ref = ref + sym(A @ A, g) / 2
+    ref = ref + (H * H - S) / 12 * _kn_raw(g, g)
+    assert np.array_equal(extrinsic._weyl_raw(A).view(np.uint64), ref.view(np.uint64))
+
+
+def test_batched_kernels_equal_per_state_calls(monkeypatch):
+    # A small Weyl block makes the batch span several blocks.
+    monkeypatch.setattr(extrinsic, "_WEYL_BLOCK", 7)
+    rng = np.random.default_rng(33)
+    states = [extrinsic.PointState(A=_rand_sym(rng, scale=2.0), c=float(k % 3 - 1))
+              for k in range(30)]
+    states += [_state([1, 1, -1, -1], parallel=True), _state([2, 2, 2, -1], c=0.0)]
+    A = np.array([st.A for st in states])
+    _, ric, scal, ric_tf = extrinsic._gauss(A, np.array([st.c for st in states]))
+    rows = extrinsic._power_rows(A)
+    signatures = extrinsic._signatures(A)
+    for k, st in enumerate(states):
+        pack = extrinsic.gauss_equations(st)
+        assert np.array_equal(pack.ric, ric[k]) and np.array_equal(pack.ricTF, ric_tf[k])
+        assert pack.scal == scal[k]
+        norms = extrinsic.closed_form_norms(st)
+        fields = extrinsic._norm_fields(rows[k], 4)
+        assert fields == {key: getattr(norms, key) for key in fields}
+        assert extrinsic.cgb_integrand(st) == extrinsic._cgb(*rows[k][:4], st.c)
+        assert extrinsic.signature_integrand(st) == signatures[k]
+    assert [row[:2] for row in rows] == [[st.H, st.S] for st in states]
+
+
+def test_weyl_split_norms_batch():
+    rng = np.random.default_rng(34)
+    M = rng.normal(size=(2, 3, 4, 4))
+    A = M + np.swapaxes(M, -1, -2)
+    wp, wm, ww = extrinsic.weyl_split_norms(A)
+    assert wp.shape == wm.shape == ww.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        norms = extrinsic.closed_form_norms(extrinsic.PointState(A=A[idx]))
+        assert wp[idx] == pytest.approx(norms.Wpmsq, rel=1e-9)
+        assert wm[idx] == pytest.approx(norms.Wpmsq, rel=1e-9)
+        assert ww[idx] == pytest.approx(norms.Wsq, rel=1e-9)
+    assert extrinsic.weyl_split_norms(np.zeros((0, 4, 4)))[0].shape == (0,)
+
+
+@pytest.mark.parametrize("A, match", [
+    (np.zeros((3, 3)), "expected shape"),
+    (np.zeros((2, 4, 5)), "expected shape"),
+    (np.arange(16.0).reshape(1, 4, 4), "symmetric"),
+    (np.full((2, 4, 4), math.nan), "finite"),
+    (np.full((4, 4), 1e60), "must not exceed"),
+])
+def test_weyl_split_norms_rejects_bad_input(A, match):
+    with pytest.raises(ValueError, match=match):
+        extrinsic.weyl_split_norms(A)
 
 
 def test_weyl_tensor_trace_free():

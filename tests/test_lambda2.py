@@ -200,6 +200,44 @@ def test_kulkarni_nomizu_symmetrization():
     lambda2.CurvTensor4(T1.components)  # carries all curvature symmetries
 
 
+def _kn_einsum(U, V):
+    # reference: the four terms of (U o V)_ijkl = U_ik V_jl + U_jl V_ik
+    # - U_il V_jk - U_jk V_il, each an einsum, summed in this order
+    return (np.einsum("...ik,...jl->...ijkl", U, V) + np.einsum("...jl,...ik->...ijkl", U, V)
+            - np.einsum("...il,...jk->...ijkl", U, V) - np.einsum("...jk,...il->...ijkl", U, V))
+
+
+def test_kn_raw_matches_einsum_reference_bitwise():
+    rng = np.random.default_rng(15)
+    M = rng.normal(size=(300, 4, 4))
+    A = M + M.transpose(0, 2, 1)
+    A[::3, 1, :] = 0.0
+    A[::3, :, 1] = 0.0
+    g = np.eye(4)
+    # zero entries times negative ones: the plain products hold -0.0
+    P = A[:, :, None, :, None] * A[:, None, :, None, :]
+    assert (np.signbit(P) & (P == 0)).any()
+    for U, V in [(A, A), (A, g), (g, A), (g, g), (-g, A), (A[0], A[1]),
+                 (A[:, None], A[None, :5])]:
+        got, ref = lambda2._kn_raw(U, V), _kn_einsum(U, V)
+        assert got.shape == ref.shape
+        # compared as bit patterns, so the sign of every zero counts
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def test_kn_raw_matches_einsum_reference_on_polynomials():
+    from hypercurv.polyverify import RationalPoly, _diag
+
+    x = [RationalPoly.variable(i, 4) for i in range(4)]
+    D = _diag(x)
+    F = np.array([[x[(i + j) % 4] * (i - j + 1) for j in range(4)] for i in range(4)],
+                 dtype=object)
+    g = np.eye(4, dtype=object)
+    for U, V in [(D, D), (D, g), (g, F), (F, D)]:
+        got, ref = lambda2._kn_raw(U, V), _kn_einsum(U, V)
+        assert all((a - b).is_zero for a, b in zip(got.flat, ref.flat))
+
+
 def test_lambda2_spectrum_block_structure():
     # a KN square has equal SD and ASD spectra; eigenvalues descend
     rng = np.random.default_rng(14)
