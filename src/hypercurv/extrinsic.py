@@ -344,14 +344,22 @@ def _ratio(num: int, den: int, like):
     return num / den if np.asarray(like).dtype.kind == "f" else Fraction(num, den)
 
 
+def _quartic_powers(A: np.ndarray) -> tuple:
+    """(H, S, A2sq, trA3) = (tr A, |A|^2, |A^2|^2, tr A^3) of a symmetric A: the
+    power sums of degree up to four, all that |W|^2, |Ric0|^2 and the CGB
+    integrand need."""
+    A2 = A @ A
+    return (A.trace(axis1=-2, axis2=-1), (A * A).sum(axis=(-2, -1)),
+            (A2 * A2).sum(axis=(-2, -1)), (A2 @ A).trace(axis1=-2, axis2=-1))
+
+
 def _trace_powers(A: np.ndarray) -> tuple:
-    """(H, S, A2sq, trA3, trA5, trA6) = (tr A, |A|^2, |A^2|^2, tr A^3, tr A^5, tr A^6)
-    of a symmetric A: the power sums of its principal curvatures."""
+    """(H, S, A2sq, trA3, trA5, trA6): the _quartic_powers, then tr A^5 and tr A^6;
+    together the power sums of the principal curvatures."""
     A2 = A @ A
     A3 = A2 @ A
-    return (A.trace(axis1=-2, axis2=-1), (A * A).sum(axis=(-2, -1)),
-            (A2 * A2).sum(axis=(-2, -1)), A3.trace(axis1=-2, axis2=-1),
-            (A3 @ A2).trace(axis1=-2, axis2=-1), (A3 @ A3).trace(axis1=-2, axis2=-1))
+    return _quartic_powers(A) + ((A3 @ A2).trace(axis1=-2, axis2=-1),
+                                 (A3 @ A3).trace(axis1=-2, axis2=-1))
 
 
 def _power_rows(A: np.ndarray) -> list:
@@ -535,7 +543,7 @@ def cgb_integrand(p: PointState) -> float:
     gives the Euler characteristic.
     """
     _require_four(p, "cgb_integrand")
-    H, S, A2sq, trA3, _, _ = map(float, _trace_powers(p.A))
+    H, S, A2sq, trA3 = map(float, _quartic_powers(p.A))
     return _cgb(H, S, A2sq, trA3, p.c)
 
 
@@ -587,7 +595,7 @@ def bach_tensor(p: PointState, tol: float = EQUALITY_TOL) -> np.ndarray:
     A, c, S = p.A, p.c, p.S
     A2 = A @ A
     A4 = A2 @ A2
-    _, _, A2sq, trA3, _, _ = map(float, _trace_powers(A))
+    _, _, A2sq, trA3 = map(float, _quartic_powers(A))
     T2 = np.einsum("ikt,jkt->ij", nabla, nabla)
     grad_sq = float(np.sum(nabla * nabla))
     twoB = (2.0 * A4 - 2.0 * trA3 * A - 4.0 * c * A2 + 4.0 / 3.0 * S * A2

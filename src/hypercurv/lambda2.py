@@ -323,9 +323,9 @@ def _kn_raw(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     out -= Q
     out -= _swap_pairs(Q)
     if out.dtype.kind == "f":
-        # A zero product with a negative factor is -0.0; adding +0.0 makes
-        # every zero +0.0, as einsum's sums from +0.0 gave, and leaves every
-        # other float as it is.
+        # A zero product with a negative factor is -0.0; adding +0.0 turns
+        # every zero into +0.0, so no sign of zero depends on the operand
+        # order, and leaves every other float as it is.
         out += 0.0
     return out
 
