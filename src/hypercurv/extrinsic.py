@@ -198,7 +198,7 @@ class PointState:
         self.hessS = hess
         self.parallel = bool(parallel)
         self._from_spectrum = from_spectrum
-        if self.minimal and nabla is not None:
+        if nabla is not None and self.minimal:
             div = np.einsum("iik->k", nabla)
             if np.abs(div).max() > tol * (1.0 + np.abs(nabla).max()):
                 raise ValueError(
@@ -417,8 +417,9 @@ def _w_sq_minimal(S, A2sq, n: int):
 
 
 def _norm_fields(powers, n: int) -> dict:
-    """The scalar fields of a NormPack from one _power_rows row. For n != 4
-    the Weyl norm is the minimal-case one, and Wpmsq is None."""
+    """The scalar fields of a NormPack from one row (H, S, A2sq, trA3, trA5,
+    trA6) of Python floats. For n != 4 the Weyl norm is the minimal-case
+    one, and Wpmsq is None."""
     H, S, A2sq, trA3, trA5, trA6 = powers
     four = n == 4
     return dict(S=S, A2sq=A2sq, trA3=trA3, trA5=trA5, trA6=trA6,
