@@ -324,8 +324,8 @@ def _kn_raw(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     out -= _swap_pairs(Q)
     if out.dtype.kind == "f":
         # A zero product with a negative factor is -0.0; adding +0.0 turns
-        # every zero into +0.0, so no sign of zero depends on the operand
-        # order, and leaves every other float as it is.
+        # every zero into +0.0, matching the einsum reference in the tests
+        # bit for bit, and leaves every other float as it is.
         out += 0.0
     return out
 
