@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extrinsic import PointState, _require_four, _require_scale
+from .extrinsic import PointState, _is_minimal, _require_four, _require_scale
 from .tolerances import CLUSTER_TOL, EQUALITY_TOL
 
 __all__ = [
@@ -191,10 +191,6 @@ def structure_predicates(lam, tol: float = CLUSTER_TOL) -> dict:
     return _flags(lam, cuts[0], tol)
 
 
-def _trace_free(lam: np.ndarray) -> bool:
-    return abs(lam.sum()) <= EQUALITY_TOL * (1.0 + np.abs(lam).sum())
-
-
 @dataclass(frozen=True)
 class SharpReport:
     """Slack and equality flags for the sharp pointwise inequalities."""
@@ -219,16 +215,10 @@ def sharp_inequalities(state, tol: float = EQUALITY_TOL) -> SharpReport:
     >= n - 1. A state with nonzero mean curvature is outside the scope of
     these bounds and is an input error.
     """
-    if isinstance(state, PointState):
-        if not state.minimal:
-            raise ValueError(f"sharp_inequalities requires a trace-free shape operator "
-                             f"(H = {state.H:.3e})")
-        lam = np.linalg.eigvalsh(state.A)
-    else:
-        lam = _as_spectra(state, 1)
-        if not _trace_free(lam):
-            raise ValueError(f"sharp_inequalities requires a trace-free spectrum "
-                             f"(sum = {lam.sum():.3e})")
+    lam = _as_spectra(state, 1)
+    if not (state.minimal if isinstance(state, PointState) else _is_minimal(np.diag(lam))):
+        raise ValueError(f"sharp_inequalities requires a trace-free shape operator "
+                         f"(H = {lam.sum():.3e})")
     return _sharp(lam, tol)
 
 
@@ -308,10 +298,11 @@ def spectrum_report(state, tol: float = CLUSTER_TOL) -> SpectrumReport:
     """Full classification report for a point state or raw spectrum.
 
     Margins from the sharp inequalities are included when the state is
-    trace-free; for mean-curved states that block is empty since the
-    bounds do not apply.
+    minimal (``PointState.minimal``, whose rule a raw spectrum follows
+    too); for mean-curved states that block is empty since the bounds do
+    not apply.
     """
     if isinstance(state, PointState):
         return _state_reports([state], tol)[0]
     lam = _as_spectra(state, 1, 4)
-    return _spectrum_reports(lam[None], [_trace_free(lam)], tol)[0]
+    return _spectrum_reports(lam[None], [_is_minimal(np.diag(lam))], tol)[0]

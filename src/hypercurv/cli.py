@@ -233,8 +233,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="hypercurv",
         description="Curvature invariants of 4-dimensional hypersurfaces in space forms")
     parser.add_argument("--tol", type=float, default=None,
-                        help=f"override all module tolerances (default: env {ENV_VAR} "
-                             "or per-module defaults)")
+                        help="clustering tolerance of point/classify and threshold tolerance "
+                             f"of bounds (default: env {ENV_VAR}, else {CLUSTER_TOL:g})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("point", help="full pointwise curvature report")

@@ -94,6 +94,22 @@ def _require_scale(name: str, scale: float) -> None:
                          "invariants of degree up to 6 in them would overflow")
 
 
+def _is_minimal(A: np.ndarray) -> bool:
+    """The minimality rule of every state and spectrum: |tr A| <= 1e-10 (1 + |A|_F)."""
+    return bool(abs(float(np.trace(A))) <= _MINIMAL_REL_TOL * (1.0 + np.linalg.norm(A)))
+
+
+def _warn_unusual(c: float, S: float) -> None:
+    """Warn, at the caller's caller, of an ambient curvature outside {-1, 0, 1}
+    and of a squared norm S above 1e8."""
+    if c not in (-1.0, 0.0, 1.0):
+        warnings.warn(f"ambient curvature c={c} lies outside the normalized set {{-1, 0, 1}}",
+                      stacklevel=3)
+    if S > _CONDITION_WARN_S:
+        warnings.warn(f"S = {S:.3e} is large; downstream quartic expressions lose "
+                      "roughly half the available precision", stacklevel=3)
+
+
 def _json_numbers(name: str, value) -> np.ndarray:
     """A JSON number or nested arrays of them as a float array; booleans,
     strings, null, objects, ragged arrays and ints beyond float range raise."""
@@ -129,7 +145,7 @@ class PointState:
         arrays.
     """
 
-    __slots__ = ("n", "c", "A", "nablaA", "hessS", "parallel", "_from_spectrum")
+    __slots__ = ("n", "c", "A", "nablaA", "hessS", "parallel", "minimal", "_from_spectrum")
 
     def __init__(self, A=None, c: float = 1.0, lam=None, nablaA=None, hessS=None,
                  parallel: bool = False, tol: float = EQUALITY_TOL):
@@ -156,13 +172,7 @@ class PointState:
         A = 0.5 * (A + A.T)
         c = float(c)
         _require_scale("c", 1.0 + abs(c))
-        if c not in (-1.0, 0.0, 1.0):
-            warnings.warn(f"ambient curvature c={c} lies outside the normalized set {{-1, 0, 1}}",
-                          stacklevel=2)
-        S = float(np.sum(A * A))
-        if S > _CONDITION_WARN_S:
-            warnings.warn(f"S = {S:.3e} is large; downstream quartic expressions lose "
-                          "roughly half the available precision", stacklevel=2)
+        _warn_unusual(c, float(np.sum(A * A)))
         if nablaA is not None:
             nabla = np.asarray(nablaA, dtype=float)
             if nabla.shape == (20,) and n == 4:
@@ -198,6 +208,7 @@ class PointState:
         self.hessS = hess
         self.parallel = bool(parallel)
         self._from_spectrum = from_spectrum
+        self.minimal = _is_minimal(A)
         if nabla is not None and self.minimal:
             div = np.einsum("iik->k", nabla)
             if np.abs(div).max() > tol * (1.0 + np.abs(nabla).max()):
@@ -218,10 +229,6 @@ class PointState:
     def lam(self) -> np.ndarray:
         """Principal curvatures in descending order."""
         return np.linalg.eigvalsh(self.A)[::-1].copy()
-
-    @property
-    def minimal(self) -> bool:
-        return bool(abs(self.H) <= _MINIMAL_REL_TOL * (1.0 + np.linalg.norm(self.A)))
 
     def to_json(self) -> str:
         data: dict = {"n": self.n, "c": self.c}
@@ -683,14 +690,13 @@ def bochner_residuals(p: PointState, field_data: dict | None = None) -> dict:
     for key in field_data:
         if key not in _FIELD_KEYS:
             raise ValueError(f"field_data: unknown key {key!r}; known keys {_FIELD_KEYS}")
-    n, c, A, S = p.n, p.c, p.A, p.S
-    A2 = A @ A
-    out: dict = {}
     if not p.minimal:
         return {k: "unavailable" for k in
                 ("lap_A", "simons", "lap_A2", "lap_A2_norm", "first_bach",
                  "second_bach", "scalar_bochner")}
-
+    n, c, A, S = p.n, p.c, p.A, p.S
+    A2 = A @ A
+    out: dict = {}
     nabla, hess = _require_derivatives(p, False, False, "bochner_residuals")
     if p.parallel:
         field_data.setdefault("lap_A", np.zeros((n, n)))
@@ -699,6 +705,8 @@ def bochner_residuals(p: PointState, field_data: dict | None = None) -> dict:
         field_data.setdefault("grad_A2_sq", 0.0)
 
     grad_sq = float(np.sum(nabla * nabla)) if nabla is not None else None
+    # A_ikt A_jkt enters only identities that need field data
+    T2 = np.einsum("ikt,jkt->ij", nabla, nabla) if nabla is not None and field_data else None
     lapS = float(np.trace(hess)) if hess is not None else None
 
     lap_A = field_data.get("lap_A")
@@ -716,7 +724,6 @@ def bochner_residuals(p: PointState, field_data: dict | None = None) -> dict:
     lap_A2 = field_data.get("lap_A2")
     if lap_A2 is not None and nabla is not None:
         lap_A2 = np.asarray(lap_A2, dtype=float)
-        T2 = np.einsum("ikt,jkt->ij", nabla, nabla)
         out["lap_A2"] = float(np.abs(lap_A2 - 2.0 * (n * c - S) * A2 - 2.0 * T2).max())
     else:
         out["lap_A2"] = "unavailable"
@@ -725,7 +732,6 @@ def bochner_residuals(p: PointState, field_data: dict | None = None) -> dict:
     grad_A2_sq = field_data.get("grad_A2_sq")
     _, _, A2sq, trA3, trA5, trA6 = map(float, _trace_powers(A))
     if lap_A2_sq is not None and grad_A2_sq is not None and nabla is not None:
-        T2 = np.einsum("ikt,jkt->ij", nabla, nabla)
         rhs = float(grad_A2_sq) + 2.0 * (n * c - S) * A2sq + 2.0 * float(np.sum(A2 * T2))
         out["lap_A2_norm"] = 0.5 * float(lap_A2_sq) - rhs
     else:

@@ -31,7 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .extrinsic import PointState, cgb_integrand, closed_form_norms, signature_integrand
+from .extrinsic import (PointState, _cgb, _power_rows, _require_scale, _signatures, _w_sq,
+                        _warn_unusual)
+from .extrinsic import cgb_integrand  # noqa: F401  (re-exported: callers look it up on this module)
 
 __all__ = [
     "Factor",
@@ -151,28 +153,37 @@ def _clifford_spectrum(n: int, k: int) -> np.ndarray:
 _M4_SPECTRUM = np.array([1.0 / math.tan(math.pi / 8.0 + j * math.pi / 4.0) for j in range(4)])
 
 
+def _parse_label(label: str) -> tuple:
+    """(name, n, k) of "clifford:n:k", "geodesic[:n]" (n = 4 by default) or "m4";
+    aliases "totallyGeodesicSphere", "s4" and "m4point", "isoparametric",
+    "isoparametricM4Point"; names are case-insensitive."""
+    parts = label.split(":")
+    name = parts[0].strip().lower()
+    if name == "clifford":
+        if len(parts) != 3:
+            raise ValueError(f"clifford geometry must be 'clifford:n:k', got {label!r}")
+        return name, int(parts[1]), int(parts[2])
+    if name in ("geodesic", "totallygeodesicsphere", "s4"):
+        return "geodesic", int(parts[1]) if len(parts) > 1 else 4, None
+    if name in ("m4", "m4point", "isoparametric", "isoparametricm4point"):
+        return "m4", 4, None
+    raise ValueError(f"unknown geometry {label!r}")
+
+
 def catalog_point(kind: str) -> PointState:
     """Pointwise curvature state of a catalog geometry.
 
-    ``kind`` accepts "clifford:n:k", "geodesic:n", and "m4" (aliases
-    "isoparametric", "m4point", "isoparametricM4Point"). Clifford and
+    ``kind`` is a label of `_parse_label`, with any n. Clifford and
     geodesic states are parallel; the m4 isoparametric point is not
     (its Simons identity forces |nabla A|^2 = S(S - 4) = 96 != 0), so it
     carries hessS = 0 (S is constant on the family) but no nablaA.
     """
-    parts = kind.split(":")
-    name = parts[0].strip().lower()
+    name, n, k = _parse_label(kind)
     if name == "clifford":
-        if len(parts) != 3:
-            raise ValueError(f"clifford kind must be 'clifford:n:k', got {kind!r}")
-        n, k = int(parts[1]), int(parts[2])
         return PointState(lam=_clifford_spectrum(n, k), c=1.0, parallel=True)
-    if name in ("geodesic", "totallygeodesicsphere"):
-        n = int(parts[1]) if len(parts) > 1 else 4
+    if name == "geodesic":
         return PointState(lam=np.zeros(n), c=1.0, parallel=True)
-    if name in ("m4", "m4point", "isoparametric", "isoparametricm4point"):
-        return PointState(lam=_M4_SPECTRUM, c=1.0, parallel=False, hessS=np.zeros((4, 4)))
-    raise ValueError(f"unknown catalog kind {kind!r}")
+    return PointState(lam=_M4_SPECTRUM, c=1.0, parallel=False, hessS=np.zeros((4, 4)))
 
 
 def _sphere_coords(angles: np.ndarray) -> np.ndarray:
@@ -254,20 +265,14 @@ def totally_geodesic_sphere(n: int = 4) -> Immersion:
 
 
 def get_immersion(label: str) -> Immersion:
-    """Resolve a geometry string such as 'clifford:4:1' or 'geodesic:4'."""
-    parts = label.split(":")
-    name = parts[0].strip().lower()
+    """Resolve a geometry label of `_parse_label`, such as 'clifford:4:1'."""
+    name, n, k = _parse_label(label)
     if name == "clifford":
-        if len(parts) != 3:
-            raise ValueError(f"clifford geometry must be 'clifford:n:k', got {label!r}")
-        return clifford_immersion(int(parts[1]), int(parts[2]))
-    if name in ("geodesic", "totallygeodesicsphere", "s4"):
-        n = int(parts[1]) if len(parts) > 1 else 4
+        return clifford_immersion(n, k)
+    if name == "geodesic":
         return totally_geodesic_sphere(n)
-    if name in ("m4", "m4point", "isoparametric", "isoparametricm4point"):
-        raise ValueError("the isoparametric m4 family member is point-data only; "
-                         "use catalog_point('m4')")
-    raise ValueError(f"unknown geometry {label!r}")
+    raise ValueError("the isoparametric m4 family member is point-data only; "
+                     "use catalog_point('m4')")
 
 
 def build_grid(imm: Immersion, res: int) -> QuadratureGrid:
@@ -368,27 +373,17 @@ def numeric_second_fundamental_form(imm: Immersion, params, h: float = 1e-4,
     return A.reshape(params.shape[:-1] + (4, 4))
 
 
-_FUNCTIONAL_ALIASES = {
-    "cgb": "cgbEuler",
-    "cgbeuler": "cgbEuler",
-    "euler": "cgbEuler",
-    "weyl": "weylFunctional",
-    "weylfunctional": "weylFunctional",
-    "signature": "signature",
-    "volume": "volume",
+# Lower-case functional name or alias -> (name, integrand over an (N, 4, 4)
+# float batch of shape operators at curvature c, normalization): `point`'s kernels.
+_CGB = ("cgbEuler", lambda A, c: [_cgb(*row[:4], c) for row in _power_rows(A)],
+        32.0 * math.pi ** 2)
+_WEYL = ("weylFunctional", lambda A, c: [_w_sq(*row[:4]) for row in _power_rows(A)], 1.0)
+_FUNCTIONALS = {
+    "cgbeuler": _CGB, "cgb": _CGB, "euler": _CGB,
+    "weylfunctional": _WEYL, "weyl": _WEYL,
+    "signature": ("signature", lambda A, c: _signatures(A), 48.0 * math.pi ** 2),
+    "volume": ("volume", lambda A, c: np.ones(len(A)), 1.0),
 }
-
-
-def _integrand_value(p: PointState, functional: str) -> float:
-    if functional == "cgbEuler":
-        return cgb_integrand(p) / (32.0 * math.pi ** 2)
-    if functional == "weylFunctional":
-        return closed_form_norms(p).Wsq
-    if functional == "signature":
-        return signature_integrand(p) / (48.0 * math.pi ** 2)
-    if functional == "volume":
-        return 1.0
-    raise ValueError(f"unknown functional {functional!r}")
 
 
 def _dump_rows(path: str, grid: QuadratureGrid, values):
@@ -418,30 +413,36 @@ def integrate(imm: Immersion, functional: str, res: int = 64,
     factor. Charts without an analytic spectrum go through the finite
     difference extractor: the nodes, in row-major order with the product
     of their factor weights, are passed to it in blocks of 128, so each
-    block costs one chart call per stencil step, and the integrand is
-    then evaluated per node through `PointState`. Integrating a non-closed
-    custom chart yields a local patch value only and draws a warning,
-    since the result is not a topological invariant there.
+    block costs one chart call per stencil step, and the integrand then
+    runs on the block's shape operators with the batched kernels of
+    `point`, after PointState's entry cap and warnings. Integrating a
+    non-closed custom chart yields a local patch value only and draws a
+    warning, since the result is not a topological invariant there.
     """
-    functional = _FUNCTIONAL_ALIASES.get(functional.strip().lower(), functional)
-    if functional not in ("cgbEuler", "weylFunctional", "signature", "volume"):
-        raise ValueError(f"unknown functional {functional!r}")
+    try:
+        functional, integrand, norm = _FUNCTIONALS[functional.strip().lower()]
+    except KeyError:
+        raise ValueError(f"unknown functional {functional!r}") from None
     if grid is None:
         grid = build_grid(imm, res)
     if not imm.closed and functional in ("cgbEuler", "signature"):
         warnings.warn(f"{imm.label} is not closed: {functional} over the chart is a "
                       "local patch value only, not a topological invariant", stacklevel=2)
+    c = float(imm.c)
     if imm.spectrum is not None:
-        value = _integrand_value(imm.point(), functional)
+        value = float(np.divide(integrand(imm.point().A[None], c), norm)[0])
         if dump is not None:
             _dump_rows(dump, grid, value)
         return value * grid.total_weight
+    _require_scale("c", 1.0 + abs(c))
     values, weights = [], []
     for params, block_weights in _node_blocks(grid):
-        for A in numeric_second_fundamental_form(imm, params):
-            values.append(_integrand_value(PointState(A=A, c=imm.c), functional))
+        A = numeric_second_fundamental_form(imm, params)
+        _require_scale("A", 1.0 + np.abs(A).max())
+        _warn_unusual(c, float((A * A).sum(axis=(1, 2)).max()))
+        values.append(np.divide(integrand(A, c), norm))
         weights.append(block_weights)
-    values = np.array(values)
+    values = np.concatenate(values)
     if dump is not None:
         _dump_rows(dump, grid, values)
     return float(np.sum(values * np.concatenate(weights)))

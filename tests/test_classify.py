@@ -223,6 +223,19 @@ def test_spectrum_report_skips_margins_for_mean_curved():
     assert rep.margins == {}
 
 
+def test_raw_spectra_follow_the_state_minimal_rule():
+    # |sum| = 3e-10 lies above 1e-10 (1 + |A|_F) = 2.6e-10 but below the
+    # 4e-10 a 1 + sum|l| scale would allow: a raw spectrum and its state
+    # must agree that it is not minimal
+    lam = [1.0, -1.0, 0.5, -0.5 + 3e-10]
+    state = extrinsic.PointState(lam=lam)
+    assert not state.minimal
+    assert classify.spectrum_report(lam).margins == classify.spectrum_report(state).margins == {}
+    for arg in (lam, state):
+        with pytest.raises(ValueError, match="trace-free"):
+            classify.sharp_inequalities(arg)
+
+
 def _reference_classification(lam, tol=1e-8):
     """Loop-based (partition, w, Weyl eigenvalues, indeterminate) of one spectrum,
     with the arithmetic of the kernel written out entry by entry."""

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -509,6 +510,36 @@ def test_bochner_scalar_term_needs_parallel():
                         "lap_A2_sq": 0.0, "grad_A2_sq": 0.0})
     assert res["scalar_bochner"] == "unavailable"
     assert res["simons"] == pytest.approx(0.0, abs=1e-12)
+
+
+def _trace_free_nabla(rng):
+    """A random totally symmetric trace-free (4, 4, 4) tensor."""
+    T = extrinsic._symmetrize3(rng.normal(size=(4, 4, 4)))
+    v = np.einsum("iik->k", T)
+    g = np.eye(4)
+    return T - (np.einsum("ij,k->ijk", g, v) + np.einsum("ik,j->ijk", g, v)
+                + np.einsum("jk,i->ijk", g, v)) / 6.0
+
+
+def test_second_bach_pinned_to_the_bach_tensor():
+    # second_bach restates 7/6 S|A^2|^2 - S^3/6 outside the certified
+    # kernels; on minimal states it must equal
+    # lap_A2_norm - <2B, A^2> - (S/3) simons with B the shipped Bach tensor
+    rng = np.random.default_rng(83)
+    for _ in range(200):
+        A = _rand_sym(rng, scale=rng.uniform(0.1, 3.0))
+        A -= np.trace(A) / 4.0 * np.eye(4)
+        st = extrinsic.PointState(A=A, c=float(rng.choice([-1.0, 0.0, 1.0])),
+                                  nablaA=_trace_free_nabla(rng), hessS=_rand_sym(rng))
+        res = extrinsic.bochner_residuals(
+            st, field_data={"lap_A2_sq": rng.normal(), "grad_A2_sq": rng.normal()})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # random data violates the Simons identity
+            B = extrinsic.bach_tensor(st)
+        S = st.S
+        expect = (res["lap_A2_norm"] - float(np.sum(2.0 * B * (st.A @ st.A)))
+                  - S / 3.0 * res["simons"])
+        assert abs(res["second_bach"] - expect) <= 1e-12 * (1.0 + abs(res["second_bach"]) + S ** 3)
 
 
 def test_bochner_scalar_identity_at_clifford_22():

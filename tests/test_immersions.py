@@ -52,10 +52,30 @@ def test_get_immersion_errors():
         immersions.get_immersion("torus:7")
     with pytest.raises(ValueError):
         immersions.get_immersion("clifford:4:0")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="point-data only"):
         immersions.get_immersion("m4")   # point data only, no chart
-    with pytest.raises(ValueError):
-        immersions.catalog_point("nope")
+    for parse in (immersions.get_immersion, immersions.catalog_point):
+        with pytest.raises(ValueError, match=r"^unknown geometry 'nope'$"):
+            parse("nope")
+        with pytest.raises(ValueError, match=r"must be 'clifford:n:k'"):
+            parse("clifford:4")
+
+
+def test_catalog_point_and_get_immersion_share_aliases():
+    # one label parser: every alias names the same geometry in both
+    for label in ("geodesic", "s4", "S4:4", "totallyGeodesicSphere", "Clifford:4:2"):
+        np.testing.assert_array_equal(immersions.catalog_point(label).lam,
+                                      immersions.get_immersion(label).point().lam)
+    for label in ("m4", "m4point", "isoparametric", "isoparametricM4Point"):
+        np.testing.assert_array_equal(immersions.catalog_point(label).lam,
+                                      immersions.catalog_point("m4").lam)
+        with pytest.raises(ValueError, match="point-data only"):
+            immersions.get_immersion(label)
+    # catalog spectra exist in any dimension, charts only for n = 4
+    assert immersions.catalog_point("clifford:5:2").n == 5
+    assert immersions.catalog_point("geodesic:6").n == 6
+    with pytest.raises(ValueError, match="n = 4 only"):
+        immersions.get_immersion("clifford:5:2")
 
 
 def test_catalog_volumes():
@@ -232,15 +252,38 @@ def test_grid_through_polar_axis_raises_degenerate_jacobian():
         immersions.integrate(imm, "cgbEuler", grid=polar)
 
 
-@pytest.mark.parametrize("label, reference", [
-    ("clifford:4:1", -6.5815552e-08),
-    ("clifford:4:2", 3.99999998994826),
-    ("geodesic:4", 1.99992580739971),
+@pytest.mark.parametrize("label, functional, reference", [
+    ("clifford:4:1", "cgbEuler", -6.581555243399213e-08),
+    ("clifford:4:1", "weylFunctional", 1.5174900218671963e-12),
+    ("clifford:4:1", "signature", 3.386255296236811e-54),
+    ("clifford:4:1", "volume", 40.278310864447825),
+    ("clifford:4:2", "cgbEuler", 3.9999999899482646),
+    ("clifford:4:2", "weylFunctional", 842.2062384337239),
+    ("clifford:4:2", "signature", 1.8521781022298009e-34),
+    ("clifford:4:2", "volume", 39.47841758372093),
+    ("clifford:4:3", "cgbEuler", -6.581555262732164e-08),
+    ("clifford:4:3", "weylFunctional", 1.4725141740028363e-12),
+    ("clifford:4:3", "signature", 5.376619075306376e-54),
+    ("clifford:4:3", "volume", 40.27831086444783),
+    ("geodesic:4", "cgbEuler", 1.9999258073997073),
+    ("geodesic:4", "weylFunctional", 0.0),
+    ("geodesic:4", "signature", 0.0),
+    ("geodesic:4", "volume", 26.31796873408578),
 ])
-def test_spectrum_free_res6_euler_integrals(label, reference):
-    # values of the per-node extraction path before it was batched
+def test_spectrum_free_res6_integrals(label, functional, reference):
+    # values of the per-node extraction path, which built one PointState
+    # per node, before the integrands ran on node blocks
     imm = dataclasses.replace(immersions.get_immersion(label), spectrum=None)
-    assert immersions.integrate(imm, "cgbEuler", res=6) == pytest.approx(reference, abs=1e-9)
+    assert immersions.integrate(imm, functional, res=6) == pytest.approx(
+        reference, rel=1e-12, abs=1e-9)
+
+
+def test_non_finite_block_is_rejected_like_a_point_state(monkeypatch):
+    imm = dataclasses.replace(immersions.get_immersion("clifford:4:2"), spectrum=None)
+    monkeypatch.setattr(immersions, "numeric_second_fundamental_form",
+                        lambda imm, params: np.full((len(params), 4, 4), np.nan))
+    with pytest.raises(ValueError, match=r"^A: entries must be finite"):
+        immersions.integrate(imm, "cgbEuler", res=3)
 
 
 def test_per_node_fd_integration_agrees_with_constant_fold():
