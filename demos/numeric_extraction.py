@@ -1,10 +1,12 @@
 """Recovering the shape operator of an embedded hypersurface numerically.
 
-Given only the embedding chart and its unit normal, central finite
-differences of the normal along coordinate directions give the shape
-operator in the induced metric; Richardson extrapolation removes the
-leading h^2 error. The catalog immersions carry their exact principal
-curvatures, so the extraction error is directly measurable.
+Central second differences of the embedding chart along coordinate
+directions, projected onto a unit normal built from the chart point and
+its difference Jacobian, give the second fundamental form, and the
+induced metric turns it into the shape operator; Richardson extrapolation
+removes the leading h^2 error. The chart's analytic normal, where it has
+one, only orients that normal. The catalog immersions carry their exact
+principal curvatures, so the extraction error is directly measurable.
 """
 
 import dataclasses

@@ -13,10 +13,13 @@ sphere is S^4(1) x S^0(0)); charts and normals broadcast over leading
 axes, (..., 4) -> (..., 6).
 
 The second fundamental form can also be extracted numerically from the
-chart by central finite differences with one Richardson extrapolation
-level, which serves as an oracle for the catalog spectra. It works on
-batches of chart points, so quadrature over a chart without an analytic
-spectrum evaluates its nodes in fixed-size blocks.
+chart: central second differences with one Richardson extrapolation
+level, projected onto the unit normal that the projector onto the kernel
+of [x; J] (chart point and difference Jacobian) yields, with the metric
+condition number taken from eigvalsh. It serves as an oracle for the
+catalog spectra and works on batches of chart points, so quadrature over
+a chart without an analytic spectrum evaluates its nodes in fixed-size
+blocks, one chart call per block.
 """
 
 from __future__ import annotations
@@ -310,66 +313,77 @@ def _stencil(h: float) -> np.ndarray:
     return np.array(rows)
 
 
-def _shape_operators_fd(imm: Immersion, params: np.ndarray, h: float) -> np.ndarray:
-    """Shape operators (B, 4, 4) at chart points (B, 4) from one stencil of step h."""
-    # axis 1 follows the `_stencil` rows
-    x = imm.chart(params[:, None, :] + _stencil(h))
-    x0, plus, minus = x[:, 0], x[:, 1:9:2], x[:, 2:9:2]
-    radius = np.linalg.norm(x0, axis=-1)
-    bad = np.flatnonzero(~(np.abs(radius - 1.0) <= 1e-10))
-    if bad.size:
-        b = bad[0]
-        raise ValueError(f"chart image must lie on the unit sphere at params "
-                         f"{params[b].tolist()}, |x| = {float(radius[b])!r}")
-    # rows of J are the chart's partial derivatives
-    J = (plus - minus) / (2.0 * h)
-    g = J @ J.swapaxes(-1, -2)
-    cond = np.linalg.cond(g)
-    bad = np.flatnonzero(~(cond <= 1e8))
-    if bad.size:
-        b = bad[0]
-        raise ValueError(f"degenerate chart Jacobian at params {params[b].tolist()} "
-                         f"(metric condition number {cond[b]:.3e})")
-    nu = np.linalg.svd(np.concatenate([x0[:, None, :], J], axis=1))[2][:, -1]
-    if imm.normal is not None:
-        flip = np.einsum("bd,bd->b", nu, imm.normal(params)) < 0.0
-    else:
-        flip = nu[np.arange(len(nu)), np.argmax(np.abs(nu), axis=-1)] < 0.0
-    nu = np.where(flip[:, None], -nu, nu)
-    pp, pm, mp, mm = (x[:, 9 + s::4] for s in range(4))
-    diag = (plus - 2.0 * x0[:, None] + minus) / (h * h)
-    mixed = (pp - pm - mp + mm) / (4.0 * h * h)
-    hij = np.empty_like(g)
-    hij[:, range(4), range(4)] = np.einsum("bid,bd->bi", diag, nu)
-    hij[:, _ROWS, _COLS] = hij[:, _COLS, _ROWS] = np.einsum("bpd,bd->bp", mixed, nu)
-    L = np.linalg.cholesky(g)
-    A = np.linalg.solve(L, np.linalg.solve(L, hij.swapaxes(-1, -2)).swapaxes(-1, -2))
-    return 0.5 * (A + A.swapaxes(-1, -2))
-
-
 def numeric_second_fundamental_form(imm: Immersion, params, h: float = 1e-4,
                                     richardson: bool = True) -> np.ndarray:
     """Shape operator at chart points by central finite differences.
 
     ``params`` is one chart point of shape (4,), giving a (4, 4) result,
     or a batch of shape (N, 4), giving (N, 4, 4); a single point is a
-    batch of one. Uses step ``h`` and, when ``richardson`` is set, one
-    Richardson extrapolation level combining steps h and h/2. Each chart
-    image must lie on the unit sphere (checked to 1e-10); a rank-deficient
-    chart Jacobian (e.g. a polar axis point) is an input error reporting
-    the metric condition number. Both errors name the first failing
-    point. The result is expressed in an orthonormal eigenframe-agnostic
-    basis: compare spectra, not raw matrices.
+    batch of one. Uses step ``h``, positive and finite, and, when
+    ``richardson`` is set, one Richardson extrapolation level combining
+    steps h and h/2; one chart call evaluates the stencils of both.
+
+    Second differences of the chart are projected onto its unit normal:
+    the largest-diagonal column, normalised, of the projector
+    I - M^T (M M^T)^-1 M onto the kernel of M = [x; J], the chart point
+    over the rows of the difference Jacobian. The analytic ``normal``,
+    if any, only orients it; otherwise the component largest at step h
+    is made positive at both steps. Each chart image must lie on the
+    unit sphere (checked to 1e-10), and the metric g = J J^T must have
+    eigenvalues (eigvalsh) with lambda_max <= 1e8 lambda_min: a rank-
+    deficient chart Jacobian (e.g. a polar axis point) is an input error
+    reporting the metric condition number lambda_max / lambda_min, inf
+    when lambda_min <= 0. Both errors name the first failing point. The
+    result is expressed in an orthonormal eigenframe-agnostic basis:
+    compare spectra, not raw matrices.
     """
     if imm.chart is None:
         raise ValueError(f"{imm.label} is point-data only and has no chart")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
     params = np.asarray(params, dtype=float)
     if params.ndim not in (1, 2) or params.shape[-1] != 4:
         raise ValueError(f"params must have shape (4,) or (N, 4), got {params.shape}")
     batch = params.reshape(-1, 4)
-    A = _shape_operators_fd(imm, batch, h)
-    if richardson:
-        A = (4.0 * _shape_operators_fd(imm, batch, 0.5 * h) - A) / 3.0
+    steps = (h, 0.5 * h) if richardson else (h,)
+    # axis 0 follows the steps, axis 2 the `_stencil` rows
+    x = imm.chart(np.stack([batch[:, None, :] + _stencil(step) for step in steps]))
+    x0, plus, minus = x[:, :, 0], x[:, :, 1:9:2], x[:, :, 2:9:2]
+    radius = np.linalg.norm(x0[0], axis=-1)
+    bad = np.flatnonzero(~(np.abs(radius - 1.0) <= 1e-10))
+    if bad.size:
+        b = bad[0]
+        raise ValueError(f"chart image must lie on the unit sphere at params "
+                         f"{batch[b].tolist()}, |x| = {float(radius[b])!r}")
+    step = np.array(steps)[:, None, None, None]
+    # rows of J are the chart's partial derivatives
+    J = (plus - minus) / (2.0 * step)
+    g = J @ J.swapaxes(-1, -2)
+    lam = np.linalg.eigvalsh(g)
+    bad = np.flatnonzero(~((lam[..., 0] > 0.0) & (lam[..., -1] <= 1e8 * lam[..., 0])))
+    if bad.size:
+        b, (lo, hi) = bad[0] % len(batch), lam.reshape(-1, 4)[bad[0], [0, -1]]
+        raise ValueError(f"degenerate chart Jacobian at params {batch[b].tolist()} "
+                         f"(metric condition number {hi / lo if lo > 0.0 else math.inf:.3e})")
+    M = np.concatenate([x0[:, :, None], J], axis=2)
+    P = np.eye(6) - M.swapaxes(-1, -2) @ np.linalg.solve(M @ M.swapaxes(-1, -2), M)
+    k = np.argmax(np.diagonal(P, axis1=-2, axis2=-1), axis=-1)
+    nu = np.take_along_axis(P, k[..., None, None], axis=-1)[..., 0]
+    nu /= np.linalg.norm(nu, axis=-1, keepdims=True)
+    # without an analytic normal, both steps make the component largest at
+    # step h positive: a per-step choice can flip one step where two tie
+    ref = imm.normal(batch) if imm.normal is not None else np.eye(6)[np.argmax(abs(nu[0]), -1)]
+    nu = np.where((np.einsum("sbd,bd->sb", nu, ref) < 0.0)[..., None], -nu, nu)
+    pp, pm, mp, mm = (x[:, :, 9 + s::4] for s in range(4))
+    diag = (plus - 2.0 * x0[:, :, None] + minus) / (step * step)
+    mixed = (pp - pm - mp + mm) / (4.0 * step * step)
+    hij = np.empty_like(g)
+    hij[..., range(4), range(4)] = np.einsum("sbid,sbd->sbi", diag, nu)
+    hij[..., _ROWS, _COLS] = hij[..., _COLS, _ROWS] = np.einsum("sbpd,sbd->sbp", mixed, nu)
+    Linv = np.linalg.inv(np.linalg.cholesky(g))
+    A = Linv @ hij @ Linv.swapaxes(-1, -2)
+    A = 0.5 * (A + A.swapaxes(-1, -2))
+    A = (4.0 * A[1] - A[0]) / 3.0 if richardson else A[0]
     return A.reshape(params.shape[:-1] + (4, 4))
 
 
@@ -413,7 +427,7 @@ def integrate(imm: Immersion, functional: str, res: int = 64,
     factor. Charts without an analytic spectrum go through the finite
     difference extractor: the nodes, in row-major order with the product
     of their factor weights, are passed to it in blocks of 128, so each
-    block costs one chart call per stencil step, and the integrand then
+    block costs a single chart call, and the integrand then
     runs on the block's shape operators with the batched kernels of
     `point`, after PointState's entry cap and warnings. Integrating a
     non-closed custom chart yields a local patch value only and draws a

@@ -232,6 +232,107 @@ def test_batched_extraction_matches_single_points():
         np.testing.assert_allclose(batch, single, rtol=0, atol=1e-12)
 
 
+# Shape operators at fixed interior nodes, as computed when the extractor
+# read the unit normal from an SVD of [x; J] and the condition number from
+# np.linalg.cond. The geodesic sphere's chart has a vanishing sixth
+# coordinate, so its second differences are tangent and A is exactly 0.
+_PINNED_NODES = {
+    "clifford:4:1": (
+        [[0.7, 0.9, 1.3, 2.1], [2.5, 1.7, 0.8, 4.4], [5.1, 2.3, 2.0, 0.4]],
+        [[[1.732050908220556, 0.0, 0.0, 0.0],
+          [0.0, -0.5773503482347316, -3.836651268036217e-09, 2.6971841479330515e-09],
+          [0.0, -3.836651268036217e-09, -0.5773503980786427, 4.485022700150146e-09],
+          [0.0, 2.6971841479330515e-09, 4.485022700150146e-09, -0.577350387978328]],
+         [[1.7320507962528338, 0.0, 0.0, 0.0],
+          [0.0, -0.5773501878641157, 4.267065632522108e-09, 5.518325539460816e-09],
+          [0.0, 4.267065632522108e-09, -0.5773501821521639, -4.273855259582705e-09],
+          [0.0, 5.518325539460816e-09, -4.273855259582705e-09, -0.57735027747163]],
+         [[1.7320508655845128, 0.0, 0.0, 0.0],
+          [0.0, -0.5773502637189336, 2.3583567080342567e-10, 1.3933378952103767e-09],
+          [0.0, 2.3583567080342567e-10, -0.5773502022096731, -5.520555914114843e-09],
+          [0.0, 1.3933378952103767e-09, -5.520555914114843e-09, -0.5773502507788315]]],
+    ),
+    "clifford:4:2": (
+        [[0.9, 1.3, 1.1, 2.0], [1.7, 4.2, 2.4, 0.6], [2.6, 5.5, 0.7, 3.3]],
+        [[[1.000000003357941, 3.949362499282194e-09, 0.0, 0.0],
+          [3.949362499282194e-09, 1.0000000234878843, 0.0, 0.0],
+          [0.0, 0.0, -1.0000000273952214, 1.9665338530482715e-08],
+          [0.0, 0.0, 1.9665338530482715e-08, -1.000000088341986]],
+         [[0.9999998610016275, 3.962302596042229e-09, 0.0, 0.0],
+          [3.962302596042229e-09, 1.0000000158213098, 0.0, 0.0],
+          [0.0, 0.0, -0.9999999488910332, 9.855362123292444e-09],
+          [0.0, 0.0, 9.855362123292444e-09, -1.0000000475642477]],
+         [[1.0000000731670535, -9.912187592142653e-09, 0.0, 0.0],
+          [-9.912187592142653e-09, 1.0000000026702278, 0.0, 0.0],
+          [0.0, 0.0, -1.0000001241814382, 2.7391067126149058e-09],
+          [0.0, 0.0, 2.7391067126149058e-09, -1.0000001503790898]]],
+    ),
+    "geodesic:4": (
+        [[0.8, 1.4, 2.2, 1.1], [1.9, 0.7, 1.2, 3.9], [2.4, 2.6, 0.9, 5.8]],
+        np.zeros((3, 4, 4)),
+    ),
+}
+# sin(1e-3)^2 scales one metric entry: condition number ~1e6
+_NEAR_POLE_A = [[0.9999999809495845, -8.014057364435025e-11, 0.0, 0.0],
+                [-8.014057364435025e-11, 0.9999999005535711, 0.0, 0.0],
+                [0.0, 0.0, -1.0000000273952219, 1.9665338623914086e-08],
+                [0.0, 0.0, 1.9665338623914086e-08, -1.0000000883419862]]
+
+
+@pytest.mark.parametrize("label", sorted(_PINNED_NODES))
+def test_extraction_pinned_to_svd_normal_values(label):
+    nodes, expect = _PINNED_NODES[label]
+    A = immersions.numeric_second_fundamental_form(immersions.get_immersion(label), nodes)
+    np.testing.assert_allclose(A, expect, rtol=0, atol=1e-12)
+
+
+def test_extraction_pinned_near_a_pole():
+    imm = immersions.get_immersion("clifford:4:2")
+    A = immersions.numeric_second_fundamental_form(imm, [1e-3, 1.3, 1.1, 2.0])
+    np.testing.assert_allclose(A, _NEAR_POLE_A, rtol=0, atol=1e-9)
+
+
+def test_extraction_of_an_empty_batch():
+    imm = immersions.get_immersion("clifford:4:2")
+    assert immersions.numeric_second_fundamental_form(imm, np.zeros((0, 4))).shape == (0, 4, 4)
+
+
+def test_extraction_makes_one_chart_call():
+    # both Richardson steps share one stacked stencil
+    imm = immersions.get_immersion("clifford:4:2")
+    calls = []
+    counted = dataclasses.replace(imm, chart=lambda p: calls.append(p.shape) or imm.chart(p))
+    immersions.numeric_second_fundamental_form(counted, np.full((5, 4), 1.2))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-4, math.nan, math.inf])
+def test_extraction_rejects_a_bad_step(h):
+    imm = immersions.get_immersion("clifford:4:2")
+    calls = []
+    counted = dataclasses.replace(imm, chart=lambda p: calls.append(p) or imm.chart(p))
+    with pytest.raises(ValueError, match=r"^h must be positive and finite, got "):
+        immersions.numeric_second_fundamental_form(counted, [0.9, 1.3, 1.1, 2.0], h=h)
+    assert not calls
+
+
+def test_chart_without_analytic_normal_agrees_up_to_sign():
+    imm = dataclasses.replace(immersions.get_immersion("clifford:4:2"), spectrum=None)
+    bare = dataclasses.replace(imm, normal=None)
+    rng = np.random.default_rng(67)
+    params = np.column_stack([rng.uniform(0.6, PI - 0.6, 40), rng.uniform(0.5, 5.5, 40),
+                              rng.uniform(0.6, PI - 0.6, 40), rng.uniform(0.5, 5.5, 40)])
+    oriented = immersions.numeric_second_fundamental_form(imm, params)
+    unoriented = immersions.numeric_second_fundamental_form(bare, params)
+    sign = np.sign(np.einsum("bij,bij->b", oriented, unoriented))
+    np.testing.assert_array_equal(np.abs(sign), 1.0)
+    np.testing.assert_allclose(unoriented, sign[:, None, None] * oriented, rtol=0, atol=1e-12)
+    # the res-3 grid has nodes where two normal components tie in size;
+    # orienting the two Richardson steps separately gave chi = 4.43 there
+    assert immersions.integrate(bare, "cgbEuler", res=3) == pytest.approx(
+        immersions.integrate(imm, "cgbEuler", res=3), rel=0, abs=1e-12)
+
+
 def test_extraction_checks_name_the_failing_node():
     imm = immersions.get_immersion("clifford:4:2")
     params = np.array([[0.9, 1.3, 1.1, 2.0], [0.8, 1.2, 1.0, 1.9]])
