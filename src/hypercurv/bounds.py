@@ -110,6 +110,16 @@ def s_quadratic(c: float, chi: int, vol: float, A2avg: float) -> SQuadraticResul
                             warnings=tuple(warns))
 
 
+def _regimes(x: float) -> dict:
+    """The three pinching regime bounds at x, None outside their domains."""
+    return {
+        "low": -4.0 + 8.0 * math.sqrt(1.0 - x) if x <= 1.0 else None,
+        "mid": 4.0 * math.sqrt(x) if x >= 0.0 else None,
+        "high": (4.0 / 3.0 + (8.0 * math.sqrt(2.0) / 3.0) * math.sqrt(1.5 * x - 1.0)
+                 if x >= 2.0 / 3.0 else None),
+    }
+
+
 def f_lower_bound_candidates(r: float) -> dict:
     """The three regime bounds underlying f, None outside their domains.
 
@@ -118,13 +128,7 @@ def f_lower_bound_candidates(r: float) -> dict:
     Keys: "low" (defined for x <= 1), "mid" (x >= 0), "high" (x >= 2/3).
     f is the pointwise maximum of the defined candidates.
     """
-    x = math.pi ** 2 * r
-    return {
-        "low": -4.0 + 8.0 * math.sqrt(1.0 - x) if x <= 1.0 else None,
-        "mid": 4.0 * math.sqrt(x) if x >= 0.0 else None,
-        "high": (4.0 / 3.0 + (8.0 * math.sqrt(2.0) / 3.0) * math.sqrt(1.5 * x - 1.0)
-                 if x >= 2.0 / 3.0 else None),
-    }
+    return _regimes(math.pi ** 2 * r)
 
 
 def f_lower_bound(r: float) -> float:
@@ -141,11 +145,7 @@ def f_lower_bound(r: float) -> float:
     are defined.
     """
     x = math.pi ** 2 * r
-    if x <= 9.0 / 25.0:
-        return -4.0 + 8.0 * math.sqrt(1.0 - x)
-    if x <= 1.0:
-        return 4.0 * math.sqrt(x)
-    return 4.0 / 3.0 + (8.0 * math.sqrt(2.0) / 3.0) * math.sqrt(1.5 * x - 1.0)
+    return _regimes(x)["low" if x <= 9.0 / 25.0 else "mid" if x <= 1.0 else "high"]
 
 
 def _entry(hypothesis_ok, violated, threshold, value, tol):
@@ -248,8 +248,8 @@ class VolumeBound:
 def volume_hypothesis_bounds(chi: int) -> VolumeBound:
     """Lower bound for S given chi, under the volume cap vol <= 5 pi^3/4.
 
-    Substituting the volume cap into the topological bound f yields, with
-    y = 4 chi / (5 pi):
+    Substituting the volume cap into the topological bound f yields its
+    "low" and "high" regimes at x = y = 4 chi / (5 pi):
 
         chi <= 0:  S >= -4 + 8 sqrt(1 - y)
         chi >= 4:  S >= 4/3 + (8 sqrt2 / 3) sqrt(3y/2 - 1)
@@ -265,14 +265,10 @@ def volume_hypothesis_bounds(chi: int) -> VolumeBound:
         raise ValueError(f"chi must be an integer, got {chi!r}")
     if chi % 2 != 0:
         raise ValueError(f"chi must be even for a closed hypersurface, got {chi}")
-    y = 4.0 * chi / (5.0 * math.pi)
-    if chi <= 0:
-        bound = -4.0 + 8.0 * math.sqrt(1.0 - y)
-        return VolumeBound(chi=chi, bound=bound, exceeds_16_3=bound > 16.0 / 3.0)
     if chi == 2:
         return VolumeBound(chi=chi, bound=None, exceeds_16_3=None,
                            note="no bound stated for chi = 2")
-    bound = 4.0 / 3.0 + (8.0 * math.sqrt(2.0) / 3.0) * math.sqrt(1.5 * y - 1.0)
+    bound = _regimes(4.0 * chi / (5.0 * math.pi))["low" if chi <= 0 else "high"]
     if chi == 4:
         return VolumeBound(chi=chi, bound=bound, exceeds_16_3=False,
                            note="bound defined; the 16/3 exceedance claim is not made at chi = 4")

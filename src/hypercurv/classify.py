@@ -26,6 +26,8 @@ One kernel, ``_classify``, does this for an (N, 4) array of spectra in a
 single pass. ``spectrum_report`` runs it on a batch of one, the CLI on a
 whole batch of states, and ``classify_batch`` returns its (m, w,
 indeterminate) columns for many spectra at once; all agree row for row.
+The flags and sharp margins are batched the same way: every power sum
+comes from ``_powers``, and every n = 4 partition from one table.
 """
 
 from __future__ import annotations
@@ -86,6 +88,12 @@ def _partition(cuts: np.ndarray) -> tuple:
     return tuple(b - a for a, b in zip([0] + ends, ends))
 
 
+def _powers(lams: np.ndarray) -> list:
+    """The (N, 1) columns H, S, sum l^3 and sum l^4 of (N, n) spectra: the
+    one place in this module that sums powers of a spectrum."""
+    return [(lams ** p).sum(axis=1, keepdims=True) for p in (1, 2, 3, 4)]
+
+
 def _pairing_values(lams: np.ndarray) -> np.ndarray:
     """SD (equivalently ASD) Weyl operator eigenvalues of (N, 4) spectra.
 
@@ -93,35 +101,32 @@ def _pairing_values(lams: np.ndarray) -> np.ndarray:
     v = 1/2 s (s - H) + (H^2 - S)/6 with s = l_0 + l_j; replacing s by
     H - s leaves v unchanged, so the pairing, not the side, determines it.
     """
-    H = lams.sum(axis=1, keepdims=True)
-    S = (lams * lams).sum(axis=1, keepdims=True)
+    H, S, _, _ = _powers(lams)
     s = lams[:, :1] + lams[:, 1:]
     return 0.5 * s * (s - H) + (H * H - S) / 6.0
 
 
-# The exact m -> w dictionary over the eight cut patterns of four sorted
-# curvatures, indexed by 4 cut_0 + 2 cut_1 + cut_2: a multiplicity >= 3
-# forces w = 1, four simple curvatures force w = 3, everything else w = 2.
+# The code of a row of four sorted curvatures is 4 cut_0 + 2 cut_1 + cut_2.
+# Each code has one partition, and the exact m -> w dictionary gives it one
+# w: a multiplicity >= 3 forces w = 1, four simple curvatures force w = 3,
+# everything else w = 2.
 _CUT_INDEX = np.array([4, 2, 1])
-_DICTIONARY_W = np.array([1 if max(p) >= 3 else (3 if len(p) == 4 else 2) for p in
-                          map(_partition, np.array([[k & 4, k & 2, k & 1] for k in range(8)], dtype=bool))])
-
-
-def _dictionary_w(cuts: np.ndarray) -> np.ndarray:
-    """The w that the dictionary assigns to (N, 3) principal-curvature cuts."""
-    return _DICTIONARY_W[cuts @ _CUT_INDEX]
+_PARTITIONS = tuple(_partition(np.array([k & 4, k & 2, k & 1], dtype=bool)) for k in range(8))
+_M = np.array([len(p) for p in _PARTITIONS])
+_DICTIONARY_W = np.array([1 if max(p) >= 3 else (3 if len(p) == 4 else 2) for p in _PARTITIONS])
 
 
 def _classify(lams: np.ndarray, tol: float):
-    """Per row of validated (N, 4) spectra: lambda cuts, descending Weyl
-    eigenvalues, w, and indeterminate (a gap in the band, or a w that the
-    dictionary contradicts: lambda gaps enter the Weyl gaps as pairwise
-    products, so a near-degenerate spectrum can measure too small a w)."""
+    """Per row of validated (N, 4) spectra: code, descending Weyl eigenvalues,
+    w, and indeterminate (a gap in the band, or a w that the dictionary
+    contradicts: lambda gaps enter the Weyl gaps as pairwise products, so a
+    near-degenerate spectrum can measure too small a w)."""
     cuts, band, scale = _lambda_cuts(lams, tol)
+    codes = cuts @ _CUT_INDEX
     v = np.sort(_pairing_values(lams), axis=1)[:, ::-1]
     vcuts, vband = _split(v, tol * scale * scale)
     w = 1 + vcuts.sum(axis=1)
-    return cuts, v, w, band | vband | (w != _dictionary_w(cuts))
+    return codes, v, w, band | vband | (w != _DICTIONARY_W[codes])
 
 
 def classify_batch(lams, tol: float = CLUSTER_TOL):
@@ -130,8 +135,8 @@ def classify_batch(lams, tol: float = CLUSTER_TOL):
     Entries must be finite and within the PointState scale cap. Row i
     equals ``spectrum_report(lams[i], tol)`` on all three.
     """
-    cuts, _, w, indeterminate = _classify(_as_spectra(lams, 2, 4), tol)
-    return 1 + cuts.sum(axis=1), w, indeterminate
+    codes, _, w, indeterminate = _classify(_as_spectra(lams, 2, 4), tol)
+    return _M[codes], w, indeterminate
 
 
 def principal_multiplicities(lam, tol: float = CLUSTER_TOL):
@@ -155,26 +160,26 @@ def weyl_operator_spectrum(lam, H: float | None = None, S: float | None = None,
     spectrum; a materially inconsistent pair is an input error. Returns
     (w, eigenvalues sorted descending). The eigenvalues sum to zero.
     """
-    lam = _as_spectra(lam, 1, 4)
-    scale = 1.0 + np.abs(lam).max()
-    if H is not None and abs(H - lam.sum()) > 1e-8 * scale:
-        raise ValueError(f"H = {H} inconsistent with the spectrum (sum {lam.sum()})")
-    if S is not None and abs(S - (lam * lam).sum()) > 1e-8 * scale * scale:
+    lams = _as_spectra(lam, 1, 4)[None]
+    scale = 1.0 + np.abs(lams).max()
+    lam_H, lam_S = (float(p[0, 0]) for p in _powers(lams)[:2])
+    if H is not None and abs(H - lam_H) > 1e-8 * scale:
+        raise ValueError(f"H = {H} inconsistent with the spectrum (sum {lam_H})")
+    if S is not None and abs(S - lam_S) > 1e-8 * scale * scale:
         raise ValueError(f"S = {S} inconsistent with the spectrum")
-    _, v, w, _ = _classify(lam[None], tol)
+    _, v, w, _ = _classify(lams, tol)
     return int(w[0]), v[0]
 
 
-def _flags(lam: np.ndarray, cuts: np.ndarray, tol: float) -> dict:
-    """Structure flags of one spectrum from its row of lambda cuts."""
-    H = float(lam.sum())
-    S = float((lam * lam).sum())
-    ric_tf = H * lam - lam * lam - (H * H - S) / 4.0
-    return {
-        "lcf": bool(_dictionary_w(cuts) == 1),
-        "einstein": bool(np.abs(ric_tf).max() <= tol * (1.0 + S)),
-        "twoTwoSplit": _partition(cuts) == (2, 2),
-    }
+def _flags(lams: np.ndarray, codes: np.ndarray, tol: float) -> list:
+    """Structure flags of each row of (N, 4) spectra from its code; the
+    Einstein test reads the Ric_0 eigenvalues H l - l^2 - (H^2 - S)/4."""
+    H, S, _, _ = _powers(lams)
+    ric_tf = H * lams - lams * lams - (H * H - S) / 4.0
+    einstein = np.abs(ric_tf).max(axis=1) <= tol * (1.0 + S[:, 0])
+    return [{"lcf": lcf, "einstein": is_einstein, "twoTwoSplit": _PARTITIONS[code] == (2, 2)}
+            for lcf, is_einstein, code in zip(
+                (_DICTIONARY_W[codes] == 1).tolist(), einstein.tolist(), codes.tolist())]
 
 
 def structure_predicates(lam, tol: float = CLUSTER_TOL) -> dict:
@@ -186,9 +191,9 @@ def structure_predicates(lam, tol: float = CLUSTER_TOL) -> dict:
     this happens exactly for the (l, l, -l, -l) spectra and A = 0.
     twoTwoSplit: the multiplicity partition is (2, 2).
     """
-    lam = _as_spectra(lam, 1, 4)
-    cuts, _, _ = _lambda_cuts(lam[None], tol)
-    return _flags(lam, cuts[0], tol)
+    lams = _as_spectra(lam, 1, 4)[None]
+    cuts, _, _ = _lambda_cuts(lams, tol)
+    return _flags(lams, cuts @ _CUT_INDEX, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -215,31 +220,35 @@ def sharp_inequalities(state, tol: float = EQUALITY_TOL) -> SharpReport:
     >= n - 1. A state with nonzero mean curvature is outside the scope of
     these bounds and is an input error.
     """
-    lam = _as_spectra(state, 1)
-    if not (state.minimal if isinstance(state, PointState) else _is_minimal(np.diag(lam))):
+    lams = _as_spectra(state, 1)[None]
+    if not (state.minimal if isinstance(state, PointState) else _is_minimal(np.diag(lams[0]))):
         raise ValueError(f"sharp_inequalities requires a trace-free shape operator "
-                         f"(H = {lam.sum():.3e})")
-    return _sharp(lam, tol)
+                         f"(H = {_powers(lams)[0][0, 0]:.3e})")
+    return _sharp(lams, tol)[0]
 
 
-def _sharp(lam: np.ndarray, tol: float) -> SharpReport:
-    n = lam.size
-    S = float((lam * lam).sum())
-    A2sq = float((lam ** 4).sum())
-    trA3 = float((lam ** 3).sum())
+def _sharp(lams: np.ndarray, tol: float) -> list:
+    """SharpReport of each row of (N, n) trace-free spectra. The margins are
+    taken on Python floats: numpy's array S ** 1.5 differs from Python's in
+    the last bit on some rows."""
+    n = lams.shape[1]
     upper = (n * n - 3 * n + 3) / (n * (n - 1))
-    tr3_bound = (n - 2) / math.sqrt(n * (n - 1)) * S ** 1.5
-    margins = {
-        "a2_lower": A2sq - S * S / n,
-        "a2_upper": upper * S * S - A2sq,
-        "tr3_upper": tr3_bound - trA3,
-        "tr3_lower": trA3 + tr3_bound,
-    }
-    return SharpReport(margins=margins, equality={
-        "lcf": bool(margins["a2_upper"] <= tol * (S * S)),
-        "einstein": bool(margins["a2_lower"] <= tol * (S * S)),
-        "trace": bool(min(margins["tr3_upper"], margins["tr3_lower"]) <= tol * S ** 1.5),
-    })
+    tr3_factor = (n - 2) / math.sqrt(n * (n - 1))
+    reports = []
+    for S, trA3, A2sq in zip(*(p[:, 0].tolist() for p in _powers(lams)[1:])):
+        tr3_bound = tr3_factor * S ** 1.5
+        margins = {
+            "a2_lower": A2sq - S * S / n,
+            "a2_upper": upper * S * S - A2sq,
+            "tr3_upper": tr3_bound - trA3,
+            "tr3_lower": trA3 + tr3_bound,
+        }
+        reports.append(SharpReport(margins=margins, equality={
+            "lcf": margins["a2_upper"] <= tol * (S * S),
+            "einstein": margins["a2_lower"] <= tol * (S * S),
+            "trace": min(margins["tr3_upper"], margins["tr3_lower"]) <= tol * S ** 1.5,
+        }))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -268,21 +277,15 @@ def _check_state(state: PointState) -> None:
 def _spectrum_reports(lams: np.ndarray, minimal, tol: float) -> list:
     """SpectrumReport of each row of validated (N, 4) spectra, from one
     _classify pass; row i gets margins when minimal[i] is true."""
-    cuts, v, w, indeterminate = _classify(lams, tol)
-    reports = []
-    for lam, cut, v_row, w_row, unsure, trace_free in zip(
-            lams, cuts, v.tolist(), w.tolist(), indeterminate.tolist(), minimal):
-        partition = _partition(cut)
-        reports.append(SpectrumReport(
-            m=len(partition),
-            partition=partition,
-            w=w_row,
-            weyl_eigen=tuple(v_row),
-            flags=_flags(lam, cut, tol),
-            margins=_sharp(lam, EQUALITY_TOL).margins if trace_free else {},
-            indeterminate=unsure,
-        ))
-    return reports
+    codes, v, w, indeterminate = _classify(lams, tol)
+    sharp = iter(_sharp(lams[np.array(minimal, dtype=bool)], EQUALITY_TOL))
+    return [SpectrumReport(m=len(_PARTITIONS[code]), partition=_PARTITIONS[code], w=w_row,
+                           weyl_eigen=tuple(v_row), flags=flags,
+                           margins=next(sharp).margins if trace_free else {},
+                           indeterminate=unsure)
+            for code, v_row, w_row, flags, unsure, trace_free in zip(
+                codes.tolist(), v.tolist(), w.tolist(), _flags(lams, codes, tol),
+                indeterminate.tolist(), minimal)]
 
 
 def _state_reports(states, tol: float) -> list:

@@ -51,20 +51,8 @@ class _InputError(Exception):
     pass
 
 
-def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True, default=_json_default))
+    print(json.dumps(obj, indent=2, sort_keys=True))
 
 
 def _load_point_payload(raw: str):

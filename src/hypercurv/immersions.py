@@ -313,6 +313,10 @@ def _stencil(h: float) -> np.ndarray:
     return np.array(rows)
 
 
+# step * _UNIT_STENCIL equals _stencil(step) bit for bit, signed zeros too
+_UNIT_STENCIL = _stencil(1.0)
+
+
 def numeric_second_fundamental_form(imm: Immersion, params, h: float = 1e-4,
                                     richardson: bool = True) -> np.ndarray:
     """Shape operator at chart points by central finite differences.
@@ -346,8 +350,8 @@ def numeric_second_fundamental_form(imm: Immersion, params, h: float = 1e-4,
         raise ValueError(f"params must have shape (4,) or (N, 4), got {params.shape}")
     batch = params.reshape(-1, 4)
     steps = (h, 0.5 * h) if richardson else (h,)
-    # axis 0 follows the steps, axis 2 the `_stencil` rows
-    x = imm.chart(np.stack([batch[:, None, :] + _stencil(step) for step in steps]))
+    # axis 0 follows the steps, axis 2 the stencil rows
+    x = imm.chart(np.stack([batch[:, None, :] + step * _UNIT_STENCIL for step in steps]))
     x0, plus, minus = x[:, :, 0], x[:, :, 1:9:2], x[:, :, 2:9:2]
     radius = np.linalg.norm(x0[0], axis=-1)
     bad = np.flatnonzero(~(np.abs(radius - 1.0) <= 1e-10))

@@ -226,3 +226,15 @@ def test_volume_hypothesis_rejects_bad_chi():
         bounds.volume_hypothesis_bounds(True)
     with pytest.raises(ValueError):
         bounds.volume_hypothesis_bounds(2.5)
+
+
+def test_volume_hypothesis_bounds_are_the_regimes_at_the_volume_cap():
+    # one statement of the regimes: the volume-cap bound is the "low" or
+    # "high" regime of f at x = 4 chi / (5 pi), bit for bit
+    for chi in range(-40, 41, 2):
+        vb = bounds.volume_hypothesis_bounds(chi)
+        if chi == 2:
+            assert vb.bound is None
+            continue
+        regime = "low" if chi <= 0 else "high"
+        assert vb.bound == bounds._regimes(4.0 * chi / (5.0 * PI))[regime]

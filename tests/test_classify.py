@@ -307,3 +307,95 @@ def test_indeterminate_flag_in_scalar_report():
     lam = np.array([1.0, 1.0 + 1.5e-8, -1.0, -1.0])
     rep = classify.spectrum_report(lam)
     assert rep.indeterminate
+
+
+def _degenerate_spectra():
+    """Catalog, repeated and near-threshold spectra, half of them trace-free."""
+    rows = [[1.0, 1.0, -1.0, -1.0], [SQRT3] + [-1 / SQRT3] * 3, [0.0] * 4, [2.0, 2.0, 2.0, -6.0],
+            [1.0] * 4, [3.0, 1.0, -2.0, -2.0], [1.0, 1.0 + 1.5e-8, -1.0, -1.0],
+            [1.0, 1.0 + 1e-3, -1.0, -1.0], [5.0, 5.0, 5.0, 5.0 - 4e-8], [-1.0, -1.0, -1.0, 3.0]]
+    return np.array(rows + [np.array(r) - np.mean(r) for r in rows])
+
+
+def _reference_margins(lam):
+    """Sharp margins of one spectrum with the per-row arithmetic they had
+    before they were batched: the S ** 1.5 of numpy arrays differs from
+    Python's in some rows, so the bound is taken on a Python float."""
+    n = lam.size
+    S, trA3, A2sq = (float((lam ** p).sum()) for p in (2, 3, 4))
+    bound = (n - 2) / math.sqrt(n * (n - 1)) * S ** 1.5
+    return [A2sq - S * S / n, (n * n - 3 * n + 3) / (n * (n - 1)) * S * S - A2sq,
+            bound - trA3, trA3 + bound]
+
+
+def test_per_item_functions_equal_the_batched_report_rows_bitwise():
+    # the CLI's batched report pass and the per-item public functions are
+    # one computation: flags and margins agree bit for bit on every row
+    rng = np.random.default_rng(46)
+    lams = rng.normal(size=(300, 4)) * rng.choice([1e-3, 1.0, 30.0], size=(300, 1))
+    lams[::2] -= lams[::2].mean(axis=1, keepdims=True)
+    lams = np.concatenate([lams, _degenerate_spectra()])
+    minimal = [extrinsic._is_minimal(np.diag(lam)) for lam in lams]
+    assert 100 < sum(minimal) < len(lams)
+    for lam, row in zip(lams, classify._spectrum_reports(lams, minimal, 1e-8)):
+        assert classify.spectrum_report(lam) == row
+        flags = classify.structure_predicates(lam)
+        assert flags == row.flags and all(type(v) is bool for v in flags.values())
+        if row.margins:
+            sharp = classify.sharp_inequalities(lam)
+            assert list(map(float.hex, sharp.margins.values())) == \
+                list(map(float.hex, row.margins.values())) == \
+                list(map(float.hex, _reference_margins(lam)))
+            assert all(type(v) is bool for v in sharp.equality.values())
+
+
+# (lambda, [a2_lower, a2_upper, tr3_upper, tr3_lower], equality flags), as
+# computed before the margins were batched: two random and two degenerate
+# trace-free spectra for each of n = 3, 5 and 6
+_SHARP_PINS = [
+    ([0.1251507129289564, -0.6373558824984105, 0.512205169569454],
+     [0.07803058308960259, -5.551115123125783e-17, 0.35363518628796586, 0.10849724516069606],
+     (True, False, False)),
+    ([4.5647063092808295, -2.904898140457271, -1.6598081688235586],
+     [170.98617664074925, 0.0, 7.977370938364828, 140.03177726291236], (True, False, False)),
+    ([0.6666666666666667, 0.6666666666666667, -1.3333333333333333],
+     [1.1851851851851847, 8.881784197001252e-16, 3.5555555555555554, 1.3322676295501878e-15],
+     (True, False, True)),
+    ([1.3333333333333333, -0.6666666666666667, -0.6666666666666667],
+     [1.1851851851851842, 1.3322676295501878e-15, 1.1102230246251565e-15, 3.5555555555555554],
+     (True, False, True)),
+    ([0.5648785242625947, -0.12885259556847387, 0.5311337004805753, -0.7991863266297592,
+      -0.167973302544937],
+     [0.2603122785456825, 0.4824008046788719, 1.1640536192305577, 0.7895779877591358],
+     (False, False, False)),
+    ([-0.6890887229108973, 0.9978648712993641, 3.8681911826610347, 2.026845059973739,
+      -6.20381239102324],
+     [1026.3717835195291, 541.6115712890276, 476.1263072111569, 132.3349819563814],
+     (False, False, False)),
+    ([0.3999999999999999] * 4 + [-1.6],
+     [4.6080000000000005, -8.881784197001252e-16, 7.6800000000000015, -4.440892098500626e-16],
+     (True, False, True)),
+    ([1.2, 1.2, -0.8, -0.8, -0.8],
+     [0.767999999999998, 9.600000000000005, 5.134530459215554, 8.974530459215554],
+     (False, False, False)),
+    ([0.8114512124762753, -0.9311287242638555, -0.33609552453143815, 0.5213954359160708,
+      -0.26630876656179253, 0.20068636696473996],
+     [0.5975147984588879, 1.5818509847635713, 2.278942983407827, 1.9189166211419293],
+     (False, False, False)),
+    ([-4.2229550364166, -1.2728186988381205, 6.078926107010289, 0.23897881150445177,
+      2.1680232255917113, -2.9901544088517302],
+     [969.1171026402953, 1652.0784320618955, 297.9375924953756, 559.4059444085908],
+     (False, False, False)),
+    ([0.33333333333333326] * 5 + [-1.6666666666666667],
+     [5.925925925925927, -8.881784197001252e-16, 8.88888888888889, -8.881784197001252e-16],
+     (True, False, True)),
+    ([1.0, 1.0, 1.0, -1.0, -1.0, -1.0],
+     [0.0, 19.199999999999996, 10.73312629199899, 10.73312629199899], (False, True, False)),
+]
+
+
+@pytest.mark.parametrize("lam, margins, equality", _SHARP_PINS)
+def test_sharp_inequalities_pinned_in_other_dimensions(lam, margins, equality):
+    rep = classify.sharp_inequalities(lam)
+    assert list(map(float.hex, rep.margins.values())) == list(map(float.hex, margins))
+    assert tuple(rep.equality[k] for k in ("lcf", "einstein", "trace")) == equality

@@ -552,3 +552,45 @@ def test_bochner_scalar_identity_at_clifford_22():
     assert scal * wpsq == pytest.approx(256.0 / 3.0, rel=1e-12)
     assert 6.0 * lambda2.triple(Wp, Wp, Wp) == pytest.approx(256.0 / 3.0, rel=1e-12)
     assert extrinsic.bochner_residuals(st)["scalar_bochner"] == pytest.approx(0.0, abs=1e-10)
+
+
+def _assert_same_state(a, b):
+    assert (a.n, a.c, a.parallel, a.minimal) == (b.n, b.c, b.parallel, b.minimal)
+    np.testing.assert_array_equal(a.A, b.A)
+    for name in ("nablaA", "hessS"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None)
+        if x is not None:  # reading symmetrizes again, which may move a last bit
+            np.testing.assert_allclose(x, y, rtol=1e-15, atol=0)
+
+
+def test_to_json_round_trip():
+    rng = np.random.default_rng(47)
+    states = [
+        extrinsic.PointState(A=_rand_sym(rng), c=0.0,
+                             nablaA=extrinsic._symmetrize3(rng.normal(size=(4, 4, 4))),
+                             hessS=_rand_sym(rng)),
+        extrinsic.PointState(A=_rand_sym(rng, n=5), c=-1.0,
+                             nablaA=extrinsic._symmetrize3(rng.normal(size=(5, 5, 5)))),
+        _state([1.0, 1.0, -1.0, -1.0], parallel=True),
+    ]
+    for st in states:
+        text = st.to_json()
+        back = extrinsic.PointState.from_json(text)
+        _assert_same_state(st, back)
+        assert json.loads(back.to_json()).keys() == json.loads(text).keys()
+    assert "lambda" in json.loads(states[2].to_json())
+    assert len(json.loads(states[0].to_json())["nablaA"]) == 20
+
+
+def test_point_state_rejects_asymmetric_hess():
+    hess = np.zeros((4, 4))
+    hess[0, 1] = 1.0
+    with pytest.raises(ValueError, match="^hessS: must be symmetric"):
+        _state([1.0, 2.0, 3.0, -6.0], hessS=hess)
+
+
+def test_bochner_rejects_unknown_field_data_key():
+    with pytest.raises(ValueError, match="^field_data: unknown key 'lap_S'"):
+        extrinsic.bochner_residuals(_state([1, 1, -1, -1], parallel=True),
+                                    field_data={"lap_S": 0.0})

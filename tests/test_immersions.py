@@ -409,3 +409,16 @@ def test_point_requires_spectrum():
     broken = dataclasses.replace(imm, spectrum=None)
     with pytest.raises(ValueError):
         broken.point()
+
+
+def test_dump_on_the_finite_difference_path(tmp_path):
+    imm = dataclasses.replace(immersions.get_immersion("clifford:4:2"), spectrum=None)
+    path = tmp_path / "nodes.csv"
+    value = immersions.integrate(imm, "cgbEuler", res=3, dump=str(path))
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    grid = immersions.build_grid(imm, 3)
+    assert header == list(grid.names) + ["integrand", "weight"]
+    assert len(rows) == math.prod(len(nodes) for nodes in grid.nodes)
+    total = math.fsum(float(row[-2]) * float(row[-1]) for row in rows)
+    assert total == pytest.approx(value, rel=1e-12)

@@ -265,3 +265,10 @@ def test_symbolic_matches_float_layer_at_rational_points():
             exact = float(polys[name].eval(pt))
             approx = getter(pack)
             assert approx == pytest.approx(exact, rel=1e-12, abs=1e-12), name
+
+
+@pytest.mark.parametrize("minimal", [False, True])
+def test_every_recipe_alias_resolves_to_its_canonical_polynomial(minimal):
+    for alias, canonical in polyverify._ALIASES.items():
+        assert polyverify.assemble_symbolic(alias, minimal) == \
+            polyverify.assemble_symbolic(canonical, minimal), alias
