@@ -12,14 +12,18 @@ resolution. Every chart is a product of two round spheres (the geodesic
 sphere is S^4(1) x S^0(0)); charts and normals broadcast over leading
 axes, (..., 4) -> (..., 6).
 
-The second fundamental form can also be extracted numerically from the
-chart: central second differences with one Richardson extrapolation
-level, projected onto the unit normal that the projector onto the kernel
-of [x; J] (chart point and difference Jacobian) yields, with the metric
-condition number taken from eigvalsh. It serves as an oracle for the
-catalog spectra and works on batches of chart points, so quadrature over
-a chart without an analytic spectrum evaluates its nodes in fixed-size
-blocks, one chart call per block.
+Charts without an analytic spectrum get their second fundamental form
+from derivatives of the chart. `integrate` seeds each block of nodes as
+a second-order jet (`_Jet`) and makes one chart call per block, which
+yields the points, the Jacobian and the second derivatives exact to
+rounding. A chart that uses an operation jets do not carry (say np.exp)
+falls back to `numeric_second_fundamental_form`: central second
+differences with one Richardson extrapolation level, one chart call per
+block for all stencil rows. Both routes share one tail: the second
+derivatives are projected onto the unit normal that the projector onto
+the kernel of [x; J] (chart point and Jacobian) yields, behind a gate on
+the metric condition number taken from eigvalsh. The finite-difference
+extractor also serves as an oracle for the catalog spectra.
 """
 
 from __future__ import annotations
@@ -59,8 +63,9 @@ _SPHERE_VOL = {0: 1.0, 1: 2.0 * math.pi, 2: 4.0 * math.pi, 3: 2.0 * math.pi ** 2
 _SPHERE_ANGLES = {0: (), 1: ("t",), 2: ("phi", "theta"), 3: ("psi", "phi", "theta"),
                   4: ("psi1", "psi2", "psi3", "theta")}
 
-# Nodes per finite-difference batch in `integrate`: all 1,296 nodes of a
-# res-6 grid at once cost ~8 MiB more peak memory, blocks of 128 ~2 MiB.
+# Nodes per block of `integrate`'s spectrum-free path: on the finite-
+# difference route all 1,296 nodes of a res-6 grid at once cost ~8 MiB
+# more peak memory, blocks of 128 ~2 MiB.
 _BLOCK = 128
 
 # Upper-triangle index pairs (i, j), i < j, of a 4 x 4 matrix.
@@ -122,7 +127,9 @@ class Immersion:
     """A hypersurface of the unit 5-sphere with an optional product chart.
 
     ``chart`` and ``normal`` map parameters of shape (..., n) to points
-    and unit normals of shape (..., n + 2).
+    and unit normals of shape (..., n + 2). A chart written with the
+    operations that `_Jet` carries also runs on jets, which gives
+    `integrate` its exact derivatives.
     """
 
     kind: str
@@ -189,6 +196,124 @@ def catalog_point(kind: str) -> PointState:
     return PointState(lam=_M4_SPECTRUM, c=1.0, parallel=False, hessS=np.zeros((4, 4)))
 
 
+class _JetUnsupported(TypeError):
+    """A chart applied to a `_Jet` an operation that jets do not carry."""
+
+
+class _Jet(np.lib.mixins.NDArrayOperatorsMixin):
+    """Second-order jet of an array in the 4 chart parameters.
+
+    ``val`` (...), ``grad`` (..., 4) and ``hess`` (..., 4, 4) hold each
+    entry's value, gradient and Hessian. The ufuncs cos, sin, add,
+    subtract, multiply and negative (also as Python operators), np.stack,
+    np.concatenate and basic indexing of the value axes carry all three
+    by the chain and product rules, exact to rounding. So a chart built
+    from them, like the product-of-spheres charts, returns its points,
+    Jacobian and second derivatives from one call on `seed`. Any other
+    NumPy operation, conversion to an array included, raises
+    `_JetUnsupported`.
+    """
+
+    __slots__ = ("val", "grad", "hess")
+
+    def __init__(self, val, grad, hess):
+        self.val, self.grad, self.hess = val, grad, hess
+
+    @classmethod
+    def seed(cls, params: np.ndarray) -> "_Jet":
+        """The coordinate functions at an (N, 4) batch of parameter points."""
+        n = len(params)
+        return cls(params, np.broadcast_to(np.eye(4), (n, 4, 4)), np.zeros((n, 4, 4, 4)))
+
+    @classmethod
+    def lift(cls, a) -> "_Jet":
+        """A jet as is; an array or number as a constant jet."""
+        if isinstance(a, cls):
+            return a
+        a = np.asarray(a, dtype=float)
+        return cls(a, np.zeros(a.shape + (4,)), np.zeros(a.shape + (4, 4)))
+
+    @property
+    def shape(self) -> tuple:
+        return self.val.shape
+
+    def __getitem__(self, key):
+        key = key if isinstance(key, tuple) else (key,)
+        # an Ellipsis anchors the key on the trailing value axes
+        tail = any(k is Ellipsis for k in key)
+        return _Jet(self.val[key], self.grad[key + (slice(None),) * tail],
+                    self.hess[key + (slice(None),) * (2 * tail)])
+
+    def __array__(self, dtype=None, copy=None):
+        raise _JetUnsupported("a jet cannot be converted to an array")
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        rule = _JET_UFUNCS.get(ufunc)
+        if rule is None or method != "__call__" or kwargs:
+            raise _JetUnsupported(f"jets do not carry {ufunc.__name__}.{method}")
+        return rule(*inputs)
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func not in (np.stack, np.concatenate) or set(kwargs) - {"axis"}:
+            raise _JetUnsupported(f"jets do not carry {func.__name__}")
+        return _jet_join(func, *args, **kwargs)
+
+
+# Chain and product rules of the `_Jet` ufuncs: u = f(a) has gradient
+# f'(a) grad a and Hessian f''(a) grad a grad a^T + f'(a) hess a.
+
+
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
+def _jet_cos(a):
+    cos, sin = np.cos(a.val), np.sin(a.val)
+    return _Jet(cos, -sin[..., None] * a.grad,
+                -cos[..., None, None] * _outer(a.grad, a.grad) - sin[..., None, None] * a.hess)
+
+
+def _jet_sin(a):
+    cos, sin = np.cos(a.val), np.sin(a.val)
+    return _Jet(sin, cos[..., None] * a.grad,
+                cos[..., None, None] * a.hess - sin[..., None, None] * _outer(a.grad, a.grad))
+
+
+def _jet_multiply(a, b):
+    if not isinstance(a, _Jet):
+        a, b = b, a
+    if not isinstance(b, _Jet):
+        b = np.asarray(b, dtype=float)
+        return _Jet(a.val * b, a.grad * b[..., None], a.hess * b[..., None, None])
+    cross = _outer(a.grad, b.grad)
+    return _Jet(a.val * b.val, a.val[..., None] * b.grad + b.val[..., None] * a.grad,
+                a.val[..., None, None] * b.hess + b.val[..., None, None] * a.hess
+                + cross + cross.swapaxes(-1, -2))
+
+
+def _jet_add(a, b):
+    a, b = _Jet.lift(a), _Jet.lift(b)
+    return _Jet(a.val + b.val, a.grad + b.grad, a.hess + b.hess)
+
+
+def _jet_negative(a):
+    return _Jet(-a.val, -a.grad, -a.hess)
+
+
+def _jet_join(join, jets, axis=0):
+    """np.stack or np.concatenate of jets (constants are lifted) along a value axis."""
+    jets = [_Jet.lift(j) for j in jets]
+    ndim = jets[0].val.ndim + (join is np.stack)
+    axis = axis if axis >= 0 else axis + ndim
+    return _Jet(join([j.val for j in jets], axis=axis), join([j.grad for j in jets], axis=axis),
+                join([j.hess for j in jets], axis=axis))
+
+
+_JET_UFUNCS = {np.cos: _jet_cos, np.sin: _jet_sin, np.multiply: _jet_multiply,
+               np.add: _jet_add, np.subtract: lambda a, b: _jet_add(a, np.negative(b)),
+               np.negative: _jet_negative}
+
+
 def _sphere_coords(angles: np.ndarray) -> np.ndarray:
     """Hyperspherical embedding (..., d) -> (..., d + 1) of the unit S^d.
 
@@ -229,7 +354,7 @@ def _sphere_product(kind: str, label: str, k: int, spectrum: np.ndarray) -> Imme
     suffixes = ("1", "2") if dims[0] == dims[1] else ("", "")
 
     def factor_points(p):
-        p = np.asarray(p, dtype=float)
+        p = p if isinstance(p, _Jet) else np.asarray(p, dtype=float)
         return _sphere_coords(p[..., :k]), _sphere_coords(p[..., k:])
 
     def chart(p):
@@ -317,6 +442,79 @@ def _stencil(h: float) -> np.ndarray:
 _UNIT_STENCIL = _stencil(1.0)
 
 
+def _shape_operators(imm: Immersion, batch: np.ndarray, x0: np.ndarray, jacobian,
+                     second) -> np.ndarray:
+    """Shape operators (S, B, 4, 4) from chart derivatives at the (B, 4)
+    parameter points ``batch``; axis S holds finite-difference steps.
+
+    ``x0`` (S, B, 6) are the chart points, each checked to lie on the
+    unit sphere. ``jacobian()`` gives J (S, B, 4, 6), whose rows are the
+    partial derivatives; it is called after that check, so a chart image
+    off the sphere (inf, say) is reported before any difference of it is
+    taken. The metric g = J J^T must have eigenvalues (eigvalsh) with
+    0 < lambda_min and lambda_max <= 1e8 lambda_min. The unit normal nu is
+    the normalised largest-diagonal column of the projector onto the
+    kernel of [x; J], oriented by the analytic ``normal`` if any, else by
+    its largest component at the first step. ``second(nu)`` gives the
+    projected second derivatives h_ij = <d_i d_j x, nu>, and the result
+    is L^-1 h L^-T for g = L L^T, symmetrised.
+    """
+    radius = np.linalg.norm(x0[0], axis=-1)
+    bad = np.flatnonzero(~(np.abs(radius - 1.0) <= 1e-10))
+    if bad.size:
+        b = bad[0]
+        raise ValueError(f"chart image must lie on the unit sphere at params "
+                         f"{batch[b].tolist()}, |x| = {float(radius[b])!r}")
+    J = jacobian()
+    g = J @ J.swapaxes(-1, -2)
+    lam = np.linalg.eigvalsh(g)
+    bad = np.flatnonzero(~((lam[..., 0] > 0.0) & (lam[..., -1] <= 1e8 * lam[..., 0])))
+    if bad.size:
+        b, (lo, hi) = bad[0] % len(batch), lam.reshape(-1, 4)[bad[0], [0, -1]]
+        raise ValueError(f"degenerate chart Jacobian at params {batch[b].tolist()} "
+                         f"(metric condition number {hi / lo if lo > 0.0 else math.inf:.3e})")
+    M = np.concatenate([x0[:, :, None], J], axis=2)
+    P = np.eye(6) - M.swapaxes(-1, -2) @ np.linalg.solve(M @ M.swapaxes(-1, -2), M)
+    k = np.argmax(np.diagonal(P, axis1=-2, axis2=-1), axis=-1)
+    nu = np.take_along_axis(P, k[..., None, None], axis=-1)[..., 0]
+    nu /= np.linalg.norm(nu, axis=-1, keepdims=True)
+    # without an analytic normal, every step makes the component largest at
+    # the first step positive: a per-step choice can flip one step where two tie
+    ref = imm.normal(batch) if imm.normal is not None else np.eye(6)[np.argmax(abs(nu[0]), -1)]
+    nu = np.where((np.einsum("sbd,bd->sb", nu, ref) < 0.0)[..., None], -nu, nu)
+    Linv = np.linalg.inv(np.linalg.cholesky(g))
+    A = Linv @ second(nu) @ Linv.swapaxes(-1, -2)
+    return 0.5 * (A + A.swapaxes(-1, -2))
+
+
+def _jet_second_fundamental_form(imm: Immersion, params: np.ndarray) -> np.ndarray:
+    """Shape operators (N, 4, 4) at an (N, 4) batch of chart points from one
+    chart call on `_Jet.seed`, whose exact derivatives go through
+    `_shape_operators`. Raises `_JetUnsupported` for a chart that jets
+    cannot run through.
+
+    Each coordinate is first divided by the least power of two above the
+    length of its partial derivative: a linear change of coordinates that
+    leaves A as it is and rounds nothing. The metric gate then bounds the
+    condition number of a metric with diagonal in [1/4, 1). That number,
+    not the raw one, sets the error: near a pole of a product chart it
+    stays below 4 and the spectra stay within 1.3e-15 of exact, while on
+    rotated (non-orthogonal) charts the error grows with it, to 1.4e-8
+    below the 1e8 bound, the size of the finite-difference floor. A
+    vanishing derivative stays zero, so its metric stays rank-deficient
+    and is rejected.
+    """
+    # without a chart, the finite-difference route raises the input error
+    X = None if imm.chart is None else imm.chart(_Jet.seed(params))
+    if not isinstance(X, _Jet):
+        raise _JetUnsupported(f"{imm.label} has no chart that returns a jet")
+    d = np.ldexp(1.0, np.frexp(np.linalg.norm(X.grad, axis=-2))[1])
+    hess = X.hess / (d[:, None, :, None] * d[:, None, None, :])
+    return _shape_operators(imm, params, X.val[None],
+                            lambda: (X.grad / d[:, None, :]).swapaxes(-1, -2)[None],
+                            lambda nu: np.einsum("bdij,bd->bij", hess, nu[0])[None])[0]
+
+
 def numeric_second_fundamental_form(imm: Immersion, params, h: float = 1e-4,
                                     richardson: bool = True) -> np.ndarray:
     """Shape operator at chart points by central finite differences.
@@ -339,7 +537,8 @@ def numeric_second_fundamental_form(imm: Immersion, params, h: float = 1e-4,
     reporting the metric condition number lambda_max / lambda_min, inf
     when lambda_min <= 0. Both errors name the first failing point. The
     result is expressed in an orthonormal eigenframe-agnostic basis:
-    compare spectra, not raw matrices.
+    compare spectra, not raw matrices. `integrate` uses it for charts
+    that jets cannot run through.
     """
     if imm.chart is None:
         raise ValueError(f"{imm.label} is point-data only and has no chart")
@@ -353,40 +552,18 @@ def numeric_second_fundamental_form(imm: Immersion, params, h: float = 1e-4,
     # axis 0 follows the steps, axis 2 the stencil rows
     x = imm.chart(np.stack([batch[:, None, :] + step * _UNIT_STENCIL for step in steps]))
     x0, plus, minus = x[:, :, 0], x[:, :, 1:9:2], x[:, :, 2:9:2]
-    radius = np.linalg.norm(x0[0], axis=-1)
-    bad = np.flatnonzero(~(np.abs(radius - 1.0) <= 1e-10))
-    if bad.size:
-        b = bad[0]
-        raise ValueError(f"chart image must lie on the unit sphere at params "
-                         f"{batch[b].tolist()}, |x| = {float(radius[b])!r}")
     step = np.array(steps)[:, None, None, None]
-    # rows of J are the chart's partial derivatives
-    J = (plus - minus) / (2.0 * step)
-    g = J @ J.swapaxes(-1, -2)
-    lam = np.linalg.eigvalsh(g)
-    bad = np.flatnonzero(~((lam[..., 0] > 0.0) & (lam[..., -1] <= 1e8 * lam[..., 0])))
-    if bad.size:
-        b, (lo, hi) = bad[0] % len(batch), lam.reshape(-1, 4)[bad[0], [0, -1]]
-        raise ValueError(f"degenerate chart Jacobian at params {batch[b].tolist()} "
-                         f"(metric condition number {hi / lo if lo > 0.0 else math.inf:.3e})")
-    M = np.concatenate([x0[:, :, None], J], axis=2)
-    P = np.eye(6) - M.swapaxes(-1, -2) @ np.linalg.solve(M @ M.swapaxes(-1, -2), M)
-    k = np.argmax(np.diagonal(P, axis1=-2, axis2=-1), axis=-1)
-    nu = np.take_along_axis(P, k[..., None, None], axis=-1)[..., 0]
-    nu /= np.linalg.norm(nu, axis=-1, keepdims=True)
-    # without an analytic normal, both steps make the component largest at
-    # step h positive: a per-step choice can flip one step where two tie
-    ref = imm.normal(batch) if imm.normal is not None else np.eye(6)[np.argmax(abs(nu[0]), -1)]
-    nu = np.where((np.einsum("sbd,bd->sb", nu, ref) < 0.0)[..., None], -nu, nu)
-    pp, pm, mp, mm = (x[:, :, 9 + s::4] for s in range(4))
-    diag = (plus - 2.0 * x0[:, :, None] + minus) / (step * step)
-    mixed = (pp - pm - mp + mm) / (4.0 * step * step)
-    hij = np.empty_like(g)
-    hij[..., range(4), range(4)] = np.einsum("sbid,sbd->sbi", diag, nu)
-    hij[..., _ROWS, _COLS] = hij[..., _COLS, _ROWS] = np.einsum("sbpd,sbd->sbp", mixed, nu)
-    Linv = np.linalg.inv(np.linalg.cholesky(g))
-    A = Linv @ hij @ Linv.swapaxes(-1, -2)
-    A = 0.5 * (A + A.swapaxes(-1, -2))
+
+    def second(nu):
+        pp, pm, mp, mm = (x[:, :, 9 + s::4] for s in range(4))
+        diag = (plus - 2.0 * x0[:, :, None] + minus) / (step * step)
+        mixed = (pp - pm - mp + mm) / (4.0 * step * step)
+        hij = np.empty(nu.shape[:-1] + (4, 4))
+        hij[..., range(4), range(4)] = np.einsum("sbid,sbd->sbi", diag, nu)
+        hij[..., _ROWS, _COLS] = hij[..., _COLS, _ROWS] = np.einsum("sbpd,sbd->sbp", mixed, nu)
+        return hij
+
+    A = _shape_operators(imm, batch, x0, lambda: (plus - minus) / (2.0 * step), second)
     A = (4.0 * A[1] - A[0]) / 3.0 if richardson else A[0]
     return A.reshape(params.shape[:-1] + (4, 4))
 
@@ -428,12 +605,14 @@ def integrate(imm: Immersion, functional: str, res: int = 64,
 
     Catalog geometries have constant curvature data over the chart, so
     the integrand is evaluated once and the quadrature carries the volume
-    factor. Charts without an analytic spectrum go through the finite
-    difference extractor: the nodes, in row-major order with the product
-    of their factor weights, are passed to it in blocks of 128, so each
-    block costs a single chart call, and the integrand then
-    runs on the block's shape operators with the batched kernels of
-    `point`, after PointState's entry cap and warnings. Integrating a
+    factor. Charts without an analytic spectrum are evaluated at the
+    nodes, in row-major order with the product of their factor weights,
+    in blocks of 128 with a single chart call per block: on second-order
+    jets, which give exact derivatives, or, for a chart that uses an
+    operation jets do not carry, through the finite-difference
+    extractor `numeric_second_fundamental_form`. The integrand then runs
+    on the block's shape operators with the batched kernels of `point`,
+    after PointState's entry cap and warnings. Integrating a
     non-closed custom chart yields a local patch value only and draws a
     warning, since the result is not a topological invariant there.
     """
@@ -454,8 +633,13 @@ def integrate(imm: Immersion, functional: str, res: int = 64,
         return value * grid.total_weight
     _require_scale("c", 1.0 + abs(c))
     values, weights = [], []
+    extract = _jet_second_fundamental_form
     for params, block_weights in _node_blocks(grid):
-        A = numeric_second_fundamental_form(imm, params)
+        try:
+            A = extract(imm, params)
+        except _JetUnsupported:
+            extract = numeric_second_fundamental_form
+            A = extract(imm, params)
         _require_scale("A", 1.0 + np.abs(A).max())
         _warn_unusual(c, float((A * A).sum(axis=(1, 2)).max()))
         values.append(np.divide(integrand(A, c), norm))

@@ -670,7 +670,7 @@ _ALIASES = {
     "|w+-|^2": "Wpmsq", "|w±|²": "Wpmsq", "|w±|^2": "Wpmsq",
     "rictfsq": "ricTFsq", "|ric0|^2": "ricTFsq",
     "trwstarw": "trWstarW", "tr(wo*w)": "trWstarW",
-    "tr(w∘⋆w)": "trWstarW", "tr(w ∘ ⋆w)": "trWstarW",
+    "tr(w∘⋆w)": "trWstarW",
     "tr(w*w)": "trWstarW",
     "triplew": "tripleW", "triplewplus": "tripleWplus", "triplew+": "tripleWplus",
 }

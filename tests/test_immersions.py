@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercurv import extrinsic, immersions
 
@@ -353,38 +355,30 @@ def test_grid_through_polar_axis_raises_degenerate_jacobian():
         immersions.integrate(imm, "cgbEuler", grid=polar)
 
 
-@pytest.mark.parametrize("label, functional, reference", [
-    ("clifford:4:1", "cgbEuler", -6.581555243399213e-08),
-    ("clifford:4:1", "weylFunctional", 1.5174900218671963e-12),
-    ("clifford:4:1", "signature", 3.386255296236811e-54),
-    ("clifford:4:1", "volume", 40.278310864447825),
-    ("clifford:4:2", "cgbEuler", 3.9999999899482646),
-    ("clifford:4:2", "weylFunctional", 842.2062384337239),
-    ("clifford:4:2", "signature", 1.8521781022298009e-34),
-    ("clifford:4:2", "volume", 39.47841758372093),
-    ("clifford:4:3", "cgbEuler", -6.581555262732164e-08),
-    ("clifford:4:3", "weylFunctional", 1.4725141740028363e-12),
-    ("clifford:4:3", "signature", 5.376619075306376e-54),
-    ("clifford:4:3", "volume", 40.27831086444783),
-    ("geodesic:4", "cgbEuler", 1.9999258073997073),
-    ("geodesic:4", "weylFunctional", 0.0),
-    ("geodesic:4", "signature", 0.0),
-    ("geodesic:4", "volume", 26.31796873408578),
-])
-def test_spectrum_free_res6_integrals(label, functional, reference):
-    # values of the per-node extraction path, which built one PointState
-    # per node, before the integrands ran on node blocks
-    imm = dataclasses.replace(immersions.get_immersion(label), spectrum=None)
-    assert immersions.integrate(imm, functional, res=6) == pytest.approx(
-        reference, rel=1e-12, abs=1e-9)
+@pytest.mark.parametrize("functional", ["cgbEuler", "weylFunctional", "signature", "volume"])
+@pytest.mark.parametrize("label", ["clifford:4:1", "clifford:4:2", "clifford:4:3", "geodesic:4"])
+def test_spectrum_free_res6_integrals(label, functional):
+    # on the same grid, exact chart derivatives reproduce the analytic
+    # spectrum's integral; finite differences missed it by up to 6.6e-8
+    imm = immersions.get_immersion(label)
+    analytic = immersions.integrate(imm, functional, res=6)
+    free = immersions.integrate(dataclasses.replace(imm, spectrum=None), functional, res=6)
+    assert abs(free - analytic) <= 1e-13 * (1.0 + abs(analytic))
 
 
 def test_non_finite_block_is_rejected_like_a_point_state(monkeypatch):
     imm = dataclasses.replace(immersions.get_immersion("clifford:4:2"), spectrum=None)
-    monkeypatch.setattr(immersions, "numeric_second_fundamental_form",
+    monkeypatch.setattr(immersions, "_jet_second_fundamental_form",
                         lambda imm, params: np.full((len(params), 4, 4), np.nan))
     with pytest.raises(ValueError, match=r"^A: entries must be finite"):
         immersions.integrate(imm, "cgbEuler", res=3)
+
+
+def test_non_finite_block_is_rejected_on_the_fallback_route(monkeypatch):
+    monkeypatch.setattr(immersions, "numeric_second_fundamental_form",
+                        lambda imm, params: np.full((len(params), 4, 4), np.nan))
+    with pytest.raises(ValueError, match=r"^A: entries must be finite"):
+        immersions.integrate(_exp_chart(), "cgbEuler", res=3)
 
 
 def test_per_node_fd_integration_agrees_with_constant_fold():
@@ -422,3 +416,146 @@ def test_dump_on_the_finite_difference_path(tmp_path):
     assert len(rows) == math.prod(len(nodes) for nodes in grid.nodes)
     total = math.fsum(float(row[-2]) * float(row[-1]) for row in rows)
     assert total == pytest.approx(value, rel=1e-12)
+
+
+# ------------------------------------------------------ exact jet derivatives
+
+
+def _exp_chart():
+    """clifford:4:2 without its spectrum, through np.exp, which jets do not
+    carry; on floats the factor is exactly 1."""
+    imm = immersions.get_immersion("clifford:4:2")
+    return dataclasses.replace(imm, spectrum=None,
+                               chart=lambda p: imm.chart(p) * np.exp(0.0 * p[..., :1]))
+
+
+def _rotated(imm, R):
+    """The chart of ``imm`` in the rotated coordinates q = R p."""
+    def chart(p):
+        return imm.chart(np.stack([sum(R[i, j] * p[..., j] for j in range(4))
+                                   for i in range(4)], axis=-1))
+    return dataclasses.replace(imm, spectrum=None, chart=chart,
+                               normal=lambda p: imm.normal(p @ R.T))
+
+
+_coords = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.lists(_coords, min_size=4, max_size=4), a=st.lists(_coords, min_size=4, max_size=4),
+       b=st.lists(_coords, min_size=4, max_size=4), alpha=_coords, beta=_coords)
+def test_jet_rules_match_closed_form_derivatives(p, a, b, alpha, beta):
+    p, a, b = np.array([p]), np.array(a), np.array(b)
+    x = immersions._Jet.seed(p)
+    u = sum(a[i] * x[..., i] for i in range(4)) + alpha
+    v = sum(b[i] * x[..., i] for i in range(4)) - beta
+    su, cu = np.sin(p @ a + alpha), np.cos(p @ a + alpha)
+    sv, cv = np.sin(p @ b - beta), np.cos(p @ b - beta)
+    aa, bb, ab = np.outer(a, a), np.outer(b, b), np.outer(a, b)
+    # f = sin u cos v, g = cos u - v, h = -(u v)
+    f = np.sin(u) * np.cos(v)
+    g = np.cos(u) - v
+    h = -(u * v)
+    expect = {
+        "f": (su * cv, (cu * cv)[:, None] * a - (su * sv)[:, None] * b,
+              -(su * cv)[:, None, None] * (aa + bb) - (cu * sv)[:, None, None] * (ab + ab.T)),
+        "g": (cu - (p @ b - beta), -su[:, None] * a - b, -cu[:, None, None] * aa),
+        "h": (-(p @ a + alpha) * (p @ b - beta),
+              -((p @ b - beta)[:, None] * a + (p @ a + alpha)[:, None] * b), -(ab + ab.T)[None]),
+    }
+    scale = 1.0 + (np.abs(a).sum() + np.abs(b).sum() + abs(alpha) + abs(beta) + 12.0) ** 2
+    for name, jet in (("f", f), ("g", g), ("h", h)):
+        for got, want in zip((jet.val, jet.grad, jet.hess), expect[name]):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale, err_msg=name)
+    # stack adds a value axis, concatenate extends one, both at the end
+    stacked = np.stack([f, g], axis=-1)
+    joined = np.concatenate([stacked, h[..., None]], axis=-1)
+    assert joined.shape == (1, 3)
+    for part in ("val", "grad", "hess"):
+        for k, jet in enumerate((f, g, h)):
+            np.testing.assert_array_equal(getattr(joined, part)[:, k], getattr(jet, part))
+
+
+def test_jet_rejects_operations_it_does_not_carry():
+    x = immersions._Jet.seed(np.ones((2, 4)))
+    for op in (np.exp, np.sqrt, np.asarray, lambda j: j / 2.0, lambda j: np.sum(j)):
+        with pytest.raises(immersions._JetUnsupported):
+            op(x)
+    assert issubclass(immersions._JetUnsupported, TypeError)
+
+
+def test_catalog_jets_give_exact_spectra():
+    rng = np.random.default_rng(71)
+    for label in ("clifford:4:1", "clifford:4:2", "clifford:4:3", "geodesic:4"):
+        imm = immersions.get_immersion(label)
+        params = np.column_stack([
+            rng.uniform(0.0, 2.0 * PI, 50) if f.kind == "periodic"
+            else rng.uniform(0.01, PI - 0.01, 50) for f in imm.factors])
+        A = immersions._jet_second_fundamental_form(imm, params)
+        lam = np.sort(np.linalg.eigvalsh(A), axis=-1)
+        np.testing.assert_allclose(lam, np.broadcast_to(np.sort(imm.spectrum), lam.shape),
+                                   rtol=0, atol=1e-14)
+
+
+def test_jet_path_makes_one_chart_call_per_block():
+    imm = immersions.get_immersion("clifford:4:2")
+    calls = []
+    counted = dataclasses.replace(imm, spectrum=None,
+                                  chart=lambda p: calls.append(type(p)) or imm.chart(p))
+    # 4^4 = 256 nodes are two blocks of 128
+    immersions.integrate(counted, "cgbEuler", res=4)
+    assert calls == [immersions._Jet, immersions._Jet]
+
+
+def test_chart_without_jet_support_falls_back_to_finite_differences():
+    # the value the finite-difference path gives for clifford:4:2 at res 6
+    assert immersions.integrate(_exp_chart(), "cgbEuler", res=6) == 3.9999999899482654
+
+
+def test_fallback_without_analytic_normal_orients_both_steps_alike():
+    # the res-3 grid has nodes where two normal components tie in size;
+    # orienting the two Richardson steps separately gave chi = 4.43 there
+    chart = _exp_chart()
+    bare = dataclasses.replace(chart, normal=None)
+    assert immersions.integrate(bare, "cgbEuler", res=3) == pytest.approx(
+        immersions.integrate(chart, "cgbEuler", res=3), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("res", [12, 16])
+@pytest.mark.parametrize("label, chi", [("clifford:4:1", 0), ("clifford:4:2", 4),
+                                        ("clifford:4:3", 0), ("geodesic:4", 2)])
+def test_spectrum_free_euler_characteristic_to_rounding(label, chi, res):
+    imm = dataclasses.replace(immersions.get_immersion(label), spectrum=None)
+    assert abs(immersions.integrate(imm, "cgbEuler", res=res) - chi) <= 1e-12
+
+
+@pytest.mark.parametrize("res", [10, 14])
+def test_spectrum_free_geodesic_sphere_near_its_poles(res):
+    # corner nodes have raw metric condition 2e8..5e10 at res 10..16,
+    # which the finite-difference gate of 1e8 rejects; res 12 and 16
+    # are checked against chi above
+    imm = immersions.get_immersion("geodesic:4")
+    analytic = immersions.integrate(imm, "cgbEuler", res=res)
+    free = immersions.integrate(dataclasses.replace(imm, spectrum=None), "cgbEuler", res=res)
+    assert abs(free - analytic) <= 1e-13 * (1.0 + abs(analytic))
+
+
+def test_jet_gate_bounds_the_rescaled_metric_condition():
+    imm = immersions.get_immersion("clifford:4:2")
+    node = np.array([1e-6, 1.3, 1.1, 2.0])
+    # a product chart 1e-6 from a pole: raw condition ~1e12, rescaled 1
+    A = immersions._jet_second_fundamental_form(imm, node[None])
+    np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(A[0])), np.sort(imm.spectrum),
+                               rtol=0, atol=1e-14)
+    # rotated coordinates mix the short direction into the others, and
+    # there eigenvalue errors grow with the condition number
+    R = np.linalg.qr(np.random.default_rng(73).normal(size=(4, 4)))[0]
+    with pytest.raises(ValueError, match=r"degenerate chart Jacobian .*metric condition number"):
+        immersions._jet_second_fundamental_form(_rotated(imm, R), (R.T @ node)[None])
+
+
+def test_jet_route_names_a_nan_node():
+    imm = immersions.get_immersion("clifford:4:2")
+    with pytest.raises(ValueError, match=r"unit sphere at params \[nan, 1\.3, 1\.1, 2\.0\]"):
+        immersions._jet_second_fundamental_form(imm, np.array([[0.9, 1.3, 1.1, 2.0],
+                                                               [np.nan, 1.3, 1.1, 2.0]]))

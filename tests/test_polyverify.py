@@ -272,3 +272,10 @@ def test_every_recipe_alias_resolves_to_its_canonical_polynomial(minimal):
     for alias, canonical in polyverify._ALIASES.items():
         assert polyverify.assemble_symbolic(alias, minimal) == \
             polyverify.assemble_symbolic(canonical, minimal), alias
+
+
+def test_spaced_recipe_resolves_like_its_unspaced_alias():
+    # the lookup strips spaces, so one unspaced key serves both spellings
+    for minimal in (False, True):
+        assert polyverify.assemble_symbolic("tr(W ∘ ⋆W)", minimal) == \
+            polyverify.assemble_symbolic("trWstarW", minimal)
