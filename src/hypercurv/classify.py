@@ -22,12 +22,13 @@ in the principal curvatures. Gaps within a factor of two of the threshold,
 or a measured w that the dictionary contradicts, mark the report as
 indeterminate rather than silently committing to a cluster count.
 
-One kernel, ``_classify``, does this for an (N, 4) array of spectra in a
-single pass. ``spectrum_report`` runs it on a batch of one, the CLI on a
-whole batch of states, and ``classify_batch`` returns its (m, w,
-indeterminate) columns for many spectra at once; all agree row for row.
-The flags and sharp margins are batched the same way: every power sum
-comes from ``_powers``, and every n = 4 partition from one table.
+Every function reads shape operators A: a raw spectrum l is the state
+diag(l). Spectra are eigvalsh(A), and power sums come from
+``extrinsic._quartic_powers``, the kernel of the norms. One kernel,
+``_classify``, does this for (N, 4, 4) operators in a single pass:
+``spectrum_report`` runs it on a batch of one, the CLI on a batch of
+states, ``classify_batch`` on many spectra; all agree row for row, and
+every n = 4 partition comes from one table.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extrinsic import PointState, _is_minimal, _require_four, _require_scale
+from .extrinsic import PointState, _is_minimal, _quartic_powers, _require_scale
 from .tolerances import CLUSTER_TOL, EQUALITY_TOL
 
 __all__ = [
@@ -52,19 +53,24 @@ __all__ = [
 ]
 
 
-def _as_spectra(lam, ndim: int, width: int | None = None) -> np.ndarray:
-    """Shape check (ndim 1 for one spectrum, 2 for rows) plus the entry check
-    of PointState, which may stand for one spectrum as it was checked."""
-    if ndim == 1 and isinstance(lam, PointState):
-        lam = np.linalg.eigvalsh(lam.A)
+def _operators(state, ndim: int, width: int | None = None) -> np.ndarray:
+    """The (N, n, n) shape operators of a PointState, or of one raw spectrum
+    (ndim 1) or rows of them (ndim 2). A raw spectrum l passes the entry
+    check of PointState and is the state diag(l), as PointState(lam=l)
+    builds it."""
+    if ndim == 1 and isinstance(state, PointState):
+        A = state.A[None]
     else:
-        lam = np.asarray(lam, dtype=float)
-        if lam.ndim != ndim:
-            raise ValueError(f"expected a spectrum array with {ndim} axes, got shape {lam.shape}")
-        _require_scale("spectrum", 1.0 + np.abs(lam).max(initial=0.0))
-    if width is not None and lam.shape[-1] != width:
-        raise ValueError(f"expected {width} principal curvatures, got {lam.shape[-1]}")
-    return lam
+        lams = np.asarray(state, dtype=float)
+        if lams.ndim != ndim:
+            raise ValueError(f"expected a spectrum array with {ndim} axes, got shape {lams.shape}")
+        _require_scale("spectrum", 1.0 + np.abs(lams).max(initial=0.0))
+        lams = np.atleast_2d(lams)
+        A = np.zeros(lams.shape + lams.shape[-1:])
+        A[:, range(lams.shape[1]), range(lams.shape[1])] = lams
+    if width is not None and A.shape[-1] != width:
+        raise ValueError(f"expected {width} principal curvatures, got {A.shape[-1]}")
+    return A
 
 
 def _split(desc: np.ndarray, t: np.ndarray):
@@ -75,10 +81,10 @@ def _split(desc: np.ndarray, t: np.ndarray):
 
 
 def _lambda_cuts(lams: np.ndarray, tol: float):
-    """(cuts, band, (N, 1) scale 1 + max|l|) of (N, n) spectra; cut j lies
-    below the j-th largest l."""
+    """(cuts, band, (N, 1) scale 1 + max|l|) of (N, n) ascending spectra; cut j
+    lies below the j-th largest l."""
     scale = 1.0 + np.abs(lams).max(axis=1, keepdims=True, initial=0.0)
-    cuts, band = _split(np.sort(lams, axis=1)[:, ::-1], tol * scale)
+    cuts, band = _split(lams[:, ::-1], tol * scale)
     return cuts, band, scale
 
 
@@ -88,20 +94,15 @@ def _partition(cuts: np.ndarray) -> tuple:
     return tuple(b - a for a, b in zip([0] + ends, ends))
 
 
-def _powers(lams: np.ndarray) -> list:
-    """The (N, 1) columns H, S, sum l^3 and sum l^4 of (N, n) spectra: the
-    one place in this module that sums powers of a spectrum."""
-    return [(lams ** p).sum(axis=1, keepdims=True) for p in (1, 2, 3, 4)]
-
-
-def _pairing_values(lams: np.ndarray) -> np.ndarray:
-    """SD (equivalently ASD) Weyl operator eigenvalues of (N, 4) spectra.
+def _pairing_values(lams: np.ndarray, powers: tuple) -> np.ndarray:
+    """SD (equivalently ASD) Weyl operator eigenvalues of (N, 4) ascending
+    spectra from their _quartic_powers.
 
     The pairing {0,j}|{a,b} of the principal directions has the eigenvalue
     v = 1/2 s (s - H) + (H^2 - S)/6 with s = l_0 + l_j; replacing s by
     H - s leaves v unchanged, so the pairing, not the side, determines it.
     """
-    H, S, _, _ = _powers(lams)
+    H, S = (p[:, None] for p in powers[:2])
     s = lams[:, :1] + lams[:, 1:]
     return 0.5 * s * (s - H) + (H * H - S) / 6.0
 
@@ -116,14 +117,15 @@ _M = np.array([len(p) for p in _PARTITIONS])
 _DICTIONARY_W = np.array([1 if max(p) >= 3 else (3 if len(p) == 4 else 2) for p in _PARTITIONS])
 
 
-def _classify(lams: np.ndarray, tol: float):
-    """Per row of validated (N, 4) spectra: code, descending Weyl eigenvalues,
-    w, and indeterminate (a gap in the band, or a w that the dictionary
-    contradicts: lambda gaps enter the Weyl gaps as pairwise products, so a
-    near-degenerate spectrum can measure too small a w)."""
+def _classify(lams: np.ndarray, powers: tuple, tol: float):
+    """Per row of validated (N, 4) ascending spectra and their _quartic_powers:
+    code, descending Weyl eigenvalues, w, and indeterminate (a gap in the
+    band, or a w that the dictionary contradicts: lambda gaps enter the Weyl
+    gaps as pairwise products, so a near-degenerate spectrum can measure too
+    small a w)."""
     cuts, band, scale = _lambda_cuts(lams, tol)
     codes = cuts @ _CUT_INDEX
-    v = np.sort(_pairing_values(lams), axis=1)[:, ::-1]
+    v = np.sort(_pairing_values(lams, powers), axis=1)[:, ::-1]
     vcuts, vband = _split(v, tol * scale * scale)
     w = 1 + vcuts.sum(axis=1)
     return codes, v, w, band | vband | (w != _DICTIONARY_W[codes])
@@ -135,7 +137,8 @@ def classify_batch(lams, tol: float = CLUSTER_TOL):
     Entries must be finite and within the PointState scale cap. Row i
     equals ``spectrum_report(lams[i], tol)`` on all three.
     """
-    codes, _, w, indeterminate = _classify(_as_spectra(lams, 2, 4), tol)
+    A = _operators(lams, 2, 4)
+    codes, _, w, indeterminate = _classify(np.linalg.eigvalsh(A), _quartic_powers(A), tol)
     return _M[codes], w, indeterminate
 
 
@@ -147,7 +150,7 @@ def principal_multiplicities(lam, tol: float = CLUSTER_TOL):
     in that order, e.g. (sqrt3, -1/sqrt3, -1/sqrt3, -1/sqrt3) -> m = 2,
     partition (1, 3).
     """
-    cuts, _, _ = _lambda_cuts(_as_spectra(lam, 1)[None], tol)
+    cuts, _, _ = _lambda_cuts(np.linalg.eigvalsh(_operators(lam, 1)), tol)
     partition = _partition(cuts[0])
     return len(partition), partition
 
@@ -160,21 +163,23 @@ def weyl_operator_spectrum(lam, H: float | None = None, S: float | None = None,
     spectrum; a materially inconsistent pair is an input error. Returns
     (w, eigenvalues sorted descending). The eigenvalues sum to zero.
     """
-    lams = _as_spectra(lam, 1, 4)[None]
+    A = _operators(lam, 1, 4)
+    lams, powers = np.linalg.eigvalsh(A), _quartic_powers(A)
     scale = 1.0 + np.abs(lams).max()
-    lam_H, lam_S = (float(p[0, 0]) for p in _powers(lams)[:2])
+    lam_H, lam_S = float(powers[0][0]), float(powers[1][0])
     if H is not None and abs(H - lam_H) > 1e-8 * scale:
         raise ValueError(f"H = {H} inconsistent with the spectrum (sum {lam_H})")
     if S is not None and abs(S - lam_S) > 1e-8 * scale * scale:
         raise ValueError(f"S = {S} inconsistent with the spectrum")
-    _, v, w, _ = _classify(lams, tol)
+    _, v, w, _ = _classify(lams, powers, tol)
     return int(w[0]), v[0]
 
 
-def _flags(lams: np.ndarray, codes: np.ndarray, tol: float) -> list:
-    """Structure flags of each row of (N, 4) spectra from its code; the
-    Einstein test reads the Ric_0 eigenvalues H l - l^2 - (H^2 - S)/4."""
-    H, S, _, _ = _powers(lams)
+def _flags(lams: np.ndarray, codes: np.ndarray, powers: tuple, tol: float) -> list:
+    """Structure flags of each row of (N, 4) spectra from its code and
+    _quartic_powers; the Einstein test reads the Ric_0 eigenvalues
+    H l - l^2 - (H^2 - S)/4."""
+    H, S = (p[:, None] for p in powers[:2])
     ric_tf = H * lams - lams * lams - (H * H - S) / 4.0
     einstein = np.abs(ric_tf).max(axis=1) <= tol * (1.0 + S[:, 0])
     return [{"lcf": lcf, "einstein": is_einstein, "twoTwoSplit": _PARTITIONS[code] == (2, 2)}
@@ -191,9 +196,10 @@ def structure_predicates(lam, tol: float = CLUSTER_TOL) -> dict:
     this happens exactly for the (l, l, -l, -l) spectra and A = 0.
     twoTwoSplit: the multiplicity partition is (2, 2).
     """
-    lams = _as_spectra(lam, 1, 4)[None]
+    A = _operators(lam, 1, 4)
+    lams = np.linalg.eigvalsh(A)
     cuts, _, _ = _lambda_cuts(lams, tol)
-    return _flags(lams, cuts @ _CUT_INDEX, tol)[0]
+    return _flags(lams, cuts @ _CUT_INDEX, _quartic_powers(A), tol)[0]
 
 
 @dataclass(frozen=True)
@@ -220,22 +226,22 @@ def sharp_inequalities(state, tol: float = EQUALITY_TOL) -> SharpReport:
     >= n - 1. A state with nonzero mean curvature is outside the scope of
     these bounds and is an input error.
     """
-    lams = _as_spectra(state, 1)[None]
-    if not (state.minimal if isinstance(state, PointState) else _is_minimal(np.diag(lams[0]))):
+    A = _operators(state, 1)
+    powers = _quartic_powers(A)
+    if not _is_minimal(A[0]):
         raise ValueError(f"sharp_inequalities requires a trace-free shape operator "
-                         f"(H = {_powers(lams)[0][0, 0]:.3e})")
-    return _sharp(lams, tol)[0]
+                         f"(H = {powers[0][0]:.3e})")
+    return _sharp(powers, A.shape[-1], tol)[0]
 
 
-def _sharp(lams: np.ndarray, tol: float) -> list:
-    """SharpReport of each row of (N, n) trace-free spectra. The margins are
-    taken on Python floats: numpy's array S ** 1.5 differs from Python's in
-    the last bit on some rows."""
-    n = lams.shape[1]
+def _sharp(powers: tuple, n: int, tol: float) -> list:
+    """SharpReport of each trace-free n-dim row of _quartic_powers. The
+    margins are taken on Python floats: numpy's array S ** 1.5 differs from
+    Python's in the last bit on some rows."""
     upper = (n * n - 3 * n + 3) / (n * (n - 1))
     tr3_factor = (n - 2) / math.sqrt(n * (n - 1))
     reports = []
-    for S, trA3, A2sq in zip(*(p[:, 0].tolist() for p in _powers(lams)[1:])):
+    for S, A2sq, trA3 in zip(*(p.tolist() for p in powers[1:])):
         tr3_bound = tr3_factor * S ** 1.5
         margins = {
             "a2_lower": A2sq - S * S / n,
@@ -269,32 +275,20 @@ class SpectrumReport:
                 "margins": dict(self.margins), "indeterminate": self.indeterminate}
 
 
-def _check_state(state: PointState) -> None:
-    """The dimension check of spectrum_report."""
-    _require_four(state, "spectrum_report")
-
-
-def _spectrum_reports(lams: np.ndarray, minimal, tol: float) -> list:
-    """SpectrumReport of each row of validated (N, 4) spectra, from one
-    _classify pass; row i gets margins when minimal[i] is true."""
-    codes, v, w, indeterminate = _classify(lams, tol)
-    sharp = iter(_sharp(lams[np.array(minimal, dtype=bool)], EQUALITY_TOL))
+def _spectrum_reports(A: np.ndarray, powers: tuple, minimal, tol: float) -> list:
+    """SpectrumReport of each of the validated (N, 4, 4) operators A, given
+    their _quartic_powers, from one _classify pass; row i gets margins when
+    minimal[i] is true."""
+    lams = np.linalg.eigvalsh(A)
+    codes, v, w, indeterminate = _classify(lams, powers, tol)
+    sharp = iter(_sharp([p[np.array(minimal, dtype=bool)] for p in powers], 4, EQUALITY_TOL))
     return [SpectrumReport(m=len(_PARTITIONS[code]), partition=_PARTITIONS[code], w=w_row,
                            weyl_eigen=tuple(v_row), flags=flags,
                            margins=next(sharp).margins if trace_free else {},
                            indeterminate=unsure)
             for code, v_row, w_row, flags, unsure, trace_free in zip(
-                codes.tolist(), v.tolist(), w.tolist(), _flags(lams, codes, tol),
+                codes.tolist(), v.tolist(), w.tolist(), _flags(lams, codes, powers, tol),
                 indeterminate.tolist(), minimal)]
-
-
-def _state_reports(states, tol: float) -> list:
-    """spectrum_report of each n = 4 PointState, from one eigvalsh and one
-    classification pass over the whole list."""
-    for state in states:
-        _check_state(state)
-    lams = np.linalg.eigvalsh(np.array([state.A for state in states]).reshape(-1, 4, 4))
-    return _spectrum_reports(lams, [state.minimal for state in states], tol)
 
 
 def spectrum_report(state, tol: float = CLUSTER_TOL) -> SpectrumReport:
@@ -305,7 +299,5 @@ def spectrum_report(state, tol: float = CLUSTER_TOL) -> SpectrumReport:
     too); for mean-curved states that block is empty since the bounds do
     not apply.
     """
-    if isinstance(state, PointState):
-        return _state_reports([state], tol)[0]
-    lam = _as_spectra(state, 1, 4)
-    return _spectrum_reports(lam[None], [_is_minimal(np.diag(lam))], tol)[0]
+    A = _operators(state, 1, 4)
+    return _spectrum_reports(A, _quartic_powers(A), [_is_minimal(A[0])], tol)[0]

@@ -100,22 +100,23 @@ def _point_reports(states: list, cluster_tol: float) -> list:
         A = np.array([state.A for state in group])
         minimal = [state.minimal for state in group]
         _, ric, scal, ric_tf = extrinsic._gauss(A, np.array([state.c for state in group]))
+        powers = extrinsic._trace_powers(A)
         spectra = signatures = [None] * len(group)
         if n == 4:
-            spectra = classify_mod._spectrum_reports(np.linalg.eigvalsh(A), minimal, cluster_tol)
+            spectra = classify_mod._spectrum_reports(A, powers[:4], minimal, cluster_tol)
             signatures = extrinsic._signatures(A).tolist()
-        for k, state, is_minimal, powers, scal_k, ric_k, ric_tf_k, spectrum, signature in zip(
-                index, group, minimal, extrinsic._power_rows(A), scal.tolist(), ric.tolist(),
-                ric_tf.tolist(), spectra, signatures):
-            report = {"n": n, "c": state.c, "H": powers[0], "S": powers[1],
+        for k, state, is_minimal, row, scal_k, ric_k, ric_tf_k, spectrum, signature in zip(
+                index, group, minimal, np.stack(powers, axis=-1).tolist(), scal.tolist(),
+                ric.tolist(), ric_tf.tolist(), spectra, signatures):
+            report = {"n": n, "c": state.c, "H": row[0], "S": row[1],
                       "minimal": is_minimal, "scal": scal_k, "ric": ric_k, "ricTF": ric_tf_k}
             if n == 4:
                 has_derivatives = state.parallel or (state.nablaA is not None
                                                      and state.hessS is not None)
                 report.update({
-                    "norms": extrinsic._norm_fields(powers, 4),
+                    "norms": extrinsic._norm_fields(row, 4),
                     "spectrum": spectrum.to_dict(),
-                    "cgb_integrand": extrinsic._cgb(*powers[:4], state.c),
+                    "cgb_integrand": extrinsic._cgb(*row[:4], state.c),
                     "signature_integrand": signature,
                     "bach": (extrinsic.bach_tensor(state).tolist()
                              if is_minimal and has_derivatives else None),
@@ -136,8 +137,10 @@ def _cmd_point(args) -> int:
 def _cmd_classify(args) -> int:
     payload = _load_point_payload(args.input)
     cluster_tol = args.tol if args.tol is not None else CLUSTER_TOL
-    states = _states(payload, check=classify_mod._check_state)
-    reports = [r.to_dict() for r in classify_mod._state_reports(states, cluster_tol)]
+    states = _states(payload, check=lambda state: extrinsic._require_four(state, "spectrum_report"))
+    A = np.array([state.A for state in states]).reshape(-1, 4, 4)
+    reports = [r.to_dict() for r in classify_mod._spectrum_reports(
+        A, extrinsic._quartic_powers(A), [state.minimal for state in states], cluster_tol)]
     _emit(reports if isinstance(payload, list) else reports[0])
     return _EXIT_OK
 

@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .extrinsic import (PointState, _cgb, _power_rows, _require_scale, _signatures, _w_sq,
-                        _warn_unusual)
+from .extrinsic import (PointState, _cgb, _power_rows, _quartic_powers, _require_scale,
+                        _signatures, _w_sq, _warn_unusual)
 from .extrinsic import cgb_integrand  # noqa: F401  (re-exported: callers look it up on this module)
 
 __all__ = [
@@ -570,9 +570,10 @@ def numeric_second_fundamental_form(imm: Immersion, params, h: float = 1e-4,
 
 # Lower-case functional name or alias -> (name, integrand over an (N, 4, 4)
 # float batch of shape operators at curvature c, normalization): `point`'s kernels.
-_CGB = ("cgbEuler", lambda A, c: [_cgb(*row[:4], c) for row in _power_rows(A)],
+_CGB = ("cgbEuler", lambda A, c: [_cgb(*row, c) for row in _power_rows(A, _quartic_powers)],
         32.0 * math.pi ** 2)
-_WEYL = ("weylFunctional", lambda A, c: [_w_sq(*row[:4]) for row in _power_rows(A)], 1.0)
+_WEYL = ("weylFunctional", lambda A, c: [_w_sq(*row) for row in _power_rows(A, _quartic_powers)],
+         1.0)
 _FUNCTIONALS = {
     "cgbeuler": _CGB, "cgb": _CGB, "euler": _CGB,
     "weylfunctional": _WEYL, "weyl": _WEYL,

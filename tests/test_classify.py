@@ -1,6 +1,7 @@
 """Tests for spectrum clustering, Weyl-operator eigenvalues and sharp bounds."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercurv import classify, extrinsic, lambda2
+from hypercurv import classify, cli, extrinsic, lambda2
 
 SQRT3 = math.sqrt(3.0)
 
@@ -238,11 +239,12 @@ def test_raw_spectra_follow_the_state_minimal_rule():
 
 def _reference_classification(lam, tol=1e-8):
     """Loop-based (partition, w, Weyl eigenvalues, indeterminate) of one spectrum,
-    with the arithmetic of the kernel written out entry by entry."""
-    l0, l1, l2, l3 = (float(x) for x in lam)
+    with the arithmetic of the kernel written out entry by entry: H and S are
+    the trace power sums of diag(lam), and each pairing joins the smallest l
+    with one other."""
+    l0, l1, l2, l3 = sorted(float(x) for x in lam)
     scale = 1.0 + max(abs(l0), abs(l1), abs(l2), abs(l3))
-    H = l0 + l1 + l2 + l3
-    S = l0 * l0 + l1 * l1 + l2 * l2 + l3 * l3
+    H, S = (float(p) for p in extrinsic._quartic_powers(np.diag(lam))[:2])
     v = sorted((0.5 * s * (s - H) + (H * H - S) / 6.0 for s in (l0 + l1, l0 + l2, l0 + l3)),
                reverse=True)
 
@@ -318,11 +320,11 @@ def _degenerate_spectra():
 
 
 def _reference_margins(lam):
-    """Sharp margins of one spectrum with the per-row arithmetic they had
-    before they were batched: the S ** 1.5 of numpy arrays differs from
+    """Sharp margins of one spectrum from the trace power sums of diag(lam),
+    with per-row arithmetic: the S ** 1.5 of numpy arrays differs from
     Python's in some rows, so the bound is taken on a Python float."""
     n = lam.size
-    S, trA3, A2sq = (float((lam ** p).sum()) for p in (2, 3, 4))
+    _, S, A2sq, trA3 = (float(p) for p in extrinsic._quartic_powers(np.diag(lam)))
     bound = (n - 2) / math.sqrt(n * (n - 1)) * S ** 1.5
     return [A2sq - S * S / n, (n * n - 3 * n + 3) / (n * (n - 1)) * S * S - A2sq,
             bound - trA3, trA3 + bound]
@@ -337,7 +339,9 @@ def test_per_item_functions_equal_the_batched_report_rows_bitwise():
     lams = np.concatenate([lams, _degenerate_spectra()])
     minimal = [extrinsic._is_minimal(np.diag(lam)) for lam in lams]
     assert 100 < sum(minimal) < len(lams)
-    for lam, row in zip(lams, classify._spectrum_reports(lams, minimal, 1e-8)):
+    A = np.array([np.diag(lam) for lam in lams])
+    for lam, row in zip(lams, classify._spectrum_reports(
+            A, extrinsic._quartic_powers(A), minimal, 1e-8)):
         assert classify.spectrum_report(lam) == row
         flags = classify.structure_predicates(lam)
         assert flags == row.flags and all(type(v) is bool for v in flags.values())
@@ -349,20 +353,84 @@ def test_per_item_functions_equal_the_batched_report_rows_bitwise():
             assert all(type(v) is bool for v in sharp.equality.values())
 
 
-# (lambda, [a2_lower, a2_upper, tr3_upper, tr3_lower], equality flags), as
-# computed before the margins were batched: two random and two degenerate
-# trace-free spectra for each of n = 3, 5 and 6
+def _hexed(value):
+    """value with every float (numpy arrays and scalars too) as its float.hex."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: _hexed(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_hexed(v) for v in value]
+    return value
+
+
+def _sharp_or_error(arg):
+    try:
+        rep = classify.sharp_inequalities(arg)
+    except ValueError as exc:
+        return str(exc)
+    return _hexed(rep.margins), rep.equality
+
+
+def _spectra_of_every_kind(rng, n, count):
+    """count random spectra of length n over three scales, half trace-free,
+    then repeated, zero and signed-zero ones, each also trace-free."""
+    lams = rng.normal(size=(count, n)) * rng.choice([1e-3, 1.0, 30.0], size=(count, 1))
+    lams[::2] -= lams[::2].mean(axis=1, keepdims=True)
+    rows = [[1.0] * n, [0.0] * n, [-0.0] + [0.0] * (n - 1), [2.0] * (n - 1) + [-1.0],
+            [1.0, 1.0] + [-1.0] * (n - 2), [3.0, -0.0, 0.0] + [-1.0] * (n - 3),
+            [1.0, 1.0 + 1.5e-8] + [-1.0] * (n - 2), [5.0] * (n - 1) + [5.0 - 4e-8]]
+    rows += [np.array(r) - np.mean(r) for r in rows]
+    return np.concatenate([lams, rows])
+
+
+def test_a_spectrum_its_state_and_its_cli_row_get_one_answer(capsys, tmp_path):
+    # a raw spectrum l is the state diag(l): every public function gives it
+    # the answer it gives PointState(lam=l), bit for bit, and a classify
+    # batch of the states gives the same report rows
+    rng = np.random.default_rng(47)
+    lams = np.concatenate([_spectra_of_every_kind(rng, 4, 300), _degenerate_spectra()])
+    states = [extrinsic.PointState(lam=lam) for lam in lams]
+    assert 100 < sum(state.minimal for state in states) < len(states)
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps([{"n": 4, "c": 1.0, "lambda": lam.tolist()} for lam in lams]))
+    assert cli.main(["classify", str(batch)]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    m, w, indeterminate = classify.classify_batch(lams)
+    for k, (lam, state, row) in enumerate(zip(lams, states, rows)):
+        report = classify.spectrum_report(lam)
+        assert _hexed(report.to_dict()) == _hexed(classify.spectrum_report(state).to_dict()) \
+            == _hexed(row)
+        assert (m[k], w[k], indeterminate[k]) == (report.m, report.w, report.indeterminate)
+        assert classify.structure_predicates(lam) == classify.structure_predicates(state)
+        assert _hexed(classify.weyl_operator_spectrum(lam)) == \
+            _hexed(classify.weyl_operator_spectrum(state))
+        assert classify.principal_multiplicities(lam) == classify.principal_multiplicities(state)
+        assert _sharp_or_error(lam) == _sharp_or_error(state)
+    for n in (3, 5, 6):
+        for lam in _spectra_of_every_kind(rng, n, 60):
+            state = extrinsic.PointState(lam=lam)
+            assert classify.principal_multiplicities(lam) == \
+                classify.principal_multiplicities(state)
+            assert _sharp_or_error(lam) == _sharp_or_error(state)
+
+
+# (lambda, [a2_lower, a2_upper, tr3_upper, tr3_lower], equality flags), the
+# margins taken on the trace power sums of diag(lambda): two random and two
+# degenerate trace-free spectra for each of n = 3, 5 and 6
 _SHARP_PINS = [
     ([0.1251507129289564, -0.6373558824984105, 0.512205169569454],
-     [0.07803058308960259, -5.551115123125783e-17, 0.35363518628796586, 0.10849724516069606],
+     [0.07803058308960256, -2.7755575615628914e-17, 0.3536351862879659, 0.10849724516069603],
      (True, False, False)),
     ([4.5647063092808295, -2.904898140457271, -1.6598081688235586],
      [170.98617664074925, 0.0, 7.977370938364828, 140.03177726291236], (True, False, False)),
     ([0.6666666666666667, 0.6666666666666667, -1.3333333333333333],
-     [1.1851851851851847, 8.881784197001252e-16, 3.5555555555555554, 1.3322676295501878e-15],
+     [1.1851851851851847, 8.881784197001252e-16, 3.555555555555556, 8.881784197001252e-16],
      (True, False, True)),
     ([1.3333333333333333, -0.6666666666666667, -0.6666666666666667],
-     [1.1851851851851842, 1.3322676295501878e-15, 1.1102230246251565e-15, 3.5555555555555554],
+     [1.1851851851851847, 8.881784197001252e-16, 6.661338147750939e-16, 3.5555555555555562],
      (True, False, True)),
     ([0.5648785242625947, -0.12885259556847387, 0.5311337004805753, -0.7991863266297592,
       -0.167973302544937],
@@ -370,24 +438,24 @@ _SHARP_PINS = [
      (False, False, False)),
     ([-0.6890887229108973, 0.9978648712993641, 3.8681911826610347, 2.026845059973739,
       -6.20381239102324],
-     [1026.3717835195291, 541.6115712890276, 476.1263072111569, 132.3349819563814],
+     [1026.3717835195291, 541.6115712890273, 476.12630721115687, 132.33498195638134],
      (False, False, False)),
     ([0.3999999999999999] * 4 + [-1.6],
-     [4.6080000000000005, -8.881784197001252e-16, 7.6800000000000015, -4.440892098500626e-16],
+     [4.608000000000002, -2.6645352591003757e-15, 7.6800000000000015, -4.440892098500626e-16],
      (True, False, True)),
     ([1.2, 1.2, -0.8, -0.8, -0.8],
-     [0.767999999999998, 9.600000000000005, 5.134530459215554, 8.974530459215554],
+     [0.7679999999999989, 9.600000000000005, 5.134530459215554, 8.974530459215554],
      (False, False, False)),
     ([0.8114512124762753, -0.9311287242638555, -0.33609552453143815, 0.5213954359160708,
       -0.26630876656179253, 0.20068636696473996],
-     [0.5975147984588879, 1.5818509847635713, 2.278942983407827, 1.9189166211419293],
+     [0.5975147984588877, 1.5818509847635722, 2.278942983407828, 1.9189166211419304],
      (False, False, False)),
     ([-4.2229550364166, -1.2728186988381205, 6.078926107010289, 0.23897881150445177,
       2.1680232255917113, -2.9901544088517302],
-     [969.1171026402953, 1652.0784320618955, 297.9375924953756, 559.4059444085908],
+     [969.1171026402957, 1652.0784320618945, 297.93759249537555, 559.4059444085908],
      (False, False, False)),
     ([0.33333333333333326] * 5 + [-1.6666666666666667],
-     [5.925925925925927, -8.881784197001252e-16, 8.88888888888889, -8.881784197001252e-16],
+     [5.925925925925928, -1.7763568394002505e-15, 8.88888888888889, -8.881784197001252e-16],
      (True, False, True)),
     ([1.0, 1.0, 1.0, -1.0, -1.0, -1.0],
      [0.0, 19.199999999999996, 10.73312629199899, 10.73312629199899], (False, True, False)),

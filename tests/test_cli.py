@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -35,11 +36,12 @@ def _trace_free_nabla(value):
 
 CLIFFORD22 = json.dumps({"n": 4, "c": 1.0, "lambda": [1.0, 1.0, -1.0, -1.0]})
 
-# Golden outputs pin stdout byte for byte. The point and verify files were
-# generated by the code before the certifier ran on the shipped tensor
-# kernels, the classify files by the code before reports were built in
-# batches. classify_golden_in.json covers the five multiplicity patterns,
-# near and band gaps, A and lambda input, minimal and mean-curved states.
+# Golden outputs pin stdout byte for byte. The verify file was generated by
+# the code before the certifier ran on the shipped tensor kernels; the point
+# and classify files were regenerated when classification moved onto the
+# trace power sums of the shape operator. classify_golden_in.json covers the
+# five multiplicity patterns, near and band gaps, A and lambda input, minimal
+# and mean-curved states.
 DATA = pathlib.Path(__file__).parent / "data"
 CLASSIFY_ONE = json.dumps({"n": 4, "c": 1.0, "A": [
     [-1.6212914500116016, -0.5461485462310042, 0.11754435342211597, -0.6759282071610884],
@@ -197,6 +199,28 @@ def test_batch_item_reports_equal_lone_reports(capsys, command):
         code, out, _ = _run(capsys, [command, json.dumps(item)])
         assert code == 0
         assert json.loads(out) == report
+
+
+def test_point_margins_rest_on_the_norms(capsys):
+    # the spectrum block and the norms read one power-sum kernel: on a
+    # minimal state each sharp margin is its closed form in the norms' S,
+    # A2sq and trA3, bit for bit
+    rng = np.random.default_rng(52)
+    batch = [{"n": 4, "c": 1.0, "lambda": [1.0, 0.5, -0.25, -1.25]}]
+    for _ in range(30):
+        M = rng.normal(size=(4, 4)) * rng.choice([1e-2, 1.0, 20.0])
+        A = M + M.T
+        batch.append({"n": 4, "c": 1.0, "A": (A - np.trace(A) / 4 * np.eye(4)).tolist()})
+    code, reports = _run_json(capsys, ["point", json.dumps(batch)])
+    assert code == 0
+    for report in reports:
+        assert report["minimal"]
+        norms, margins = report["norms"], report["spectrum"]["margins"]
+        S, A2sq, trA3 = norms["S"], norms["A2sq"], norms["trA3"]
+        bound = 2 / math.sqrt(12) * S ** 1.5
+        assert [margins[key].hex() for key in ("a2_lower", "a2_upper", "tr3_upper", "tr3_lower")] \
+            == [v.hex() for v in (A2sq - S * S / 4, 7 / 12 * S * S - A2sq, bound - trA3,
+                                  trA3 + bound)]
 
 
 @pytest.mark.parametrize("position", ["first", "middle", "last"])
