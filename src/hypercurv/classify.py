@@ -23,12 +23,12 @@ or a measured w that the dictionary contradicts, mark the report as
 indeterminate rather than silently committing to a cluster count.
 
 Every function reads shape operators A: a raw spectrum l is the state
-diag(l). Spectra are eigvalsh(A), and power sums come from
-``extrinsic._quartic_powers``, the kernel of the norms. One kernel,
-``_classify``, does this for (N, 4, 4) operators in a single pass:
-``spectrum_report`` runs it on a batch of one, the CLI on a batch of
-states, ``classify_batch`` on many spectra; all agree row for row, and
-every n = 4 partition comes from one table.
+diag(l). A diagonal A has its sorted diagonal as spectrum, any other A
+eigvalsh(A); power sums come from ``extrinsic._quartic_powers``, the
+kernel of the norms. One kernel, ``_classify``, does this for (N, 4, 4)
+operators in a single pass: ``spectrum_report`` runs it on a batch of
+one, the CLI on a batch of states, ``classify_batch`` on many spectra;
+all agree row for row, and every n = 4 partition comes from one table.
 """
 
 from __future__ import annotations
@@ -56,14 +56,16 @@ __all__ = [
 def _operators(state, ndim: int, width: int | None = None) -> np.ndarray:
     """The (N, n, n) shape operators of a PointState, or of one raw spectrum
     (ndim 1) or rows of them (ndim 2). A raw spectrum l passes the entry
-    check of PointState and is the state diag(l), as PointState(lam=l)
-    builds it."""
+    checks of PointState and is the state diag(l) that PointState(lam=l) is."""
     if ndim == 1 and isinstance(state, PointState):
         A = state.A[None]
     else:
         lams = np.asarray(state, dtype=float)
         if lams.ndim != ndim:
             raise ValueError(f"expected a spectrum array with {ndim} axes, got shape {lams.shape}")
+        if lams.shape[-1] < 3:
+            raise ValueError(f"lambda: expected at least 3 principal curvatures, "
+                             f"got shape {lams.shape}")
         _require_scale("spectrum", 1.0 + np.abs(lams).max(initial=0.0))
         lams = np.atleast_2d(lams)
         A = np.zeros(lams.shape + lams.shape[-1:])
@@ -71,6 +73,15 @@ def _operators(state, ndim: int, width: int | None = None) -> np.ndarray:
     if width is not None and A.shape[-1] != width:
         raise ValueError(f"expected {width} principal curvatures, got {A.shape[-1]}")
     return A
+
+
+def _spectra(A: np.ndarray) -> np.ndarray:
+    """Ascending spectra of (N, n, n) symmetric operators; a diagonal one has
+    its sorted diagonal, exactly (eigvalsh rescales below norm ~1e-146)."""
+    lams = np.sort(np.diagonal(A, axis1=-2, axis2=-1), axis=-1)
+    full = np.count_nonzero(A, axis=(-2, -1)) > np.count_nonzero(lams, axis=-1)
+    lams[full] = np.linalg.eigvalsh(A[full])
+    return lams
 
 
 def _split(desc: np.ndarray, t: np.ndarray):
@@ -94,19 +105,6 @@ def _partition(cuts: np.ndarray) -> tuple:
     return tuple(b - a for a, b in zip([0] + ends, ends))
 
 
-def _pairing_values(lams: np.ndarray, powers: tuple) -> np.ndarray:
-    """SD (equivalently ASD) Weyl operator eigenvalues of (N, 4) ascending
-    spectra from their _quartic_powers.
-
-    The pairing {0,j}|{a,b} of the principal directions has the eigenvalue
-    v = 1/2 s (s - H) + (H^2 - S)/6 with s = l_0 + l_j; replacing s by
-    H - s leaves v unchanged, so the pairing, not the side, determines it.
-    """
-    H, S = (p[:, None] for p in powers[:2])
-    s = lams[:, :1] + lams[:, 1:]
-    return 0.5 * s * (s - H) + (H * H - S) / 6.0
-
-
 # The code of a row of four sorted curvatures is 4 cut_0 + 2 cut_1 + cut_2.
 # Each code has one partition, and the exact m -> w dictionary gives it one
 # w: a multiplicity >= 3 forces w = 1, four simple curvatures force w = 3,
@@ -122,10 +120,18 @@ def _classify(lams: np.ndarray, powers: tuple, tol: float):
     code, descending Weyl eigenvalues, w, and indeterminate (a gap in the
     band, or a w that the dictionary contradicts: lambda gaps enter the Weyl
     gaps as pairwise products, so a near-degenerate spectrum can measure too
-    small a w)."""
+    small a w).
+
+    The Weyl eigenvalues are those of the SD (equivalently ASD) operator:
+    the pairing {0,j}|{a,b} of the principal directions has the eigenvalue
+    v = 1/2 s (s - H) + (H^2 - S)/6 with s = l_0 + l_j; replacing s by
+    H - s leaves v unchanged, so the pairing, not the side, determines it.
+    """
     cuts, band, scale = _lambda_cuts(lams, tol)
     codes = cuts @ _CUT_INDEX
-    v = np.sort(_pairing_values(lams, powers), axis=1)[:, ::-1]
+    H, S = (p[:, None] for p in powers[:2])
+    s = lams[:, :1] + lams[:, 1:]
+    v = np.sort(0.5 * s * (s - H) + (H * H - S) / 6.0, axis=1)[:, ::-1]
     vcuts, vband = _split(v, tol * scale * scale)
     w = 1 + vcuts.sum(axis=1)
     return codes, v, w, band | vband | (w != _DICTIONARY_W[codes])
@@ -138,7 +144,7 @@ def classify_batch(lams, tol: float = CLUSTER_TOL):
     equals ``spectrum_report(lams[i], tol)`` on all three.
     """
     A = _operators(lams, 2, 4)
-    codes, _, w, indeterminate = _classify(np.linalg.eigvalsh(A), _quartic_powers(A), tol)
+    codes, _, w, indeterminate = _classify(_spectra(A), _quartic_powers(A), tol)
     return _M[codes], w, indeterminate
 
 
@@ -150,7 +156,7 @@ def principal_multiplicities(lam, tol: float = CLUSTER_TOL):
     in that order, e.g. (sqrt3, -1/sqrt3, -1/sqrt3, -1/sqrt3) -> m = 2,
     partition (1, 3).
     """
-    cuts, _, _ = _lambda_cuts(np.linalg.eigvalsh(_operators(lam, 1)), tol)
+    cuts, _, _ = _lambda_cuts(_spectra(_operators(lam, 1)), tol)
     partition = _partition(cuts[0])
     return len(partition), partition
 
@@ -164,7 +170,7 @@ def weyl_operator_spectrum(lam, H: float | None = None, S: float | None = None,
     (w, eigenvalues sorted descending). The eigenvalues sum to zero.
     """
     A = _operators(lam, 1, 4)
-    lams, powers = np.linalg.eigvalsh(A), _quartic_powers(A)
+    lams, powers = _spectra(A), _quartic_powers(A)
     scale = 1.0 + np.abs(lams).max()
     lam_H, lam_S = float(powers[0][0]), float(powers[1][0])
     if H is not None and abs(H - lam_H) > 1e-8 * scale:
@@ -197,7 +203,7 @@ def structure_predicates(lam, tol: float = CLUSTER_TOL) -> dict:
     twoTwoSplit: the multiplicity partition is (2, 2).
     """
     A = _operators(lam, 1, 4)
-    lams = np.linalg.eigvalsh(A)
+    lams = _spectra(A)
     cuts, _, _ = _lambda_cuts(lams, tol)
     return _flags(lams, cuts @ _CUT_INDEX, _quartic_powers(A), tol)[0]
 
@@ -279,7 +285,7 @@ def _spectrum_reports(A: np.ndarray, powers: tuple, minimal, tol: float) -> list
     """SpectrumReport of each of the validated (N, 4, 4) operators A, given
     their _quartic_powers, from one _classify pass; row i gets margins when
     minimal[i] is true."""
-    lams = np.linalg.eigvalsh(A)
+    lams = _spectra(A)
     codes, v, w, indeterminate = _classify(lams, powers, tol)
     sharp = iter(_sharp([p[np.array(minimal, dtype=bool)] for p in powers], 4, EQUALITY_TOL))
     return [SpectrumReport(m=len(_PARTITIONS[code]), partition=_PARTITIONS[code], w=w_row,

@@ -106,7 +106,7 @@ def _point_reports(states: list, cluster_tol: float) -> list:
             spectra = classify_mod._spectrum_reports(A, powers[:4], minimal, cluster_tol)
             signatures = extrinsic._signatures(A).tolist()
         for k, state, is_minimal, row, scal_k, ric_k, ric_tf_k, spectrum, signature in zip(
-                index, group, minimal, np.stack(powers, axis=-1).tolist(), scal.tolist(),
+                index, group, minimal, extrinsic._power_rows(powers), scal.tolist(),
                 ric.tolist(), ric_tf.tolist(), spectra, signatures):
             report = {"n": n, "c": state.c, "H": row[0], "S": row[1],
                       "minimal": is_minimal, "scal": scal_k, "ric": ric_k, "ricTF": ric_tf_k}

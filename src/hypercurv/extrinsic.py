@@ -369,12 +369,10 @@ def _trace_powers(A: np.ndarray) -> tuple:
                                  (A3 @ A3).trace(axis1=-2, axis2=-1))
 
 
-def _power_rows(A: np.ndarray, kernel=_trace_powers) -> list:
-    """The power sums ``kernel`` (_trace_powers or _quartic_powers) gives for
-    an (N, n, n) float batch, one row of Python floats per operator. The
-    closed forms run on Python floats, one operator at a time: their ``**``
-    rounds differently from numpy's."""
-    return np.stack(kernel(A), axis=-1).tolist()
+def _power_rows(powers: tuple) -> list:
+    """Power-sum columns as one row of Python floats per operator: the closed
+    forms run on those, as their ``**`` rounds differently from numpy's."""
+    return np.stack(powers, axis=-1).tolist()
 
 
 def _gauss(A: np.ndarray, c) -> tuple:

@@ -570,9 +570,9 @@ def numeric_second_fundamental_form(imm: Immersion, params, h: float = 1e-4,
 
 # Lower-case functional name or alias -> (name, integrand over an (N, 4, 4)
 # float batch of shape operators at curvature c, normalization): `point`'s kernels.
-_CGB = ("cgbEuler", lambda A, c: [_cgb(*row, c) for row in _power_rows(A, _quartic_powers)],
+_CGB = ("cgbEuler", lambda A, c: [_cgb(*row, c) for row in _power_rows(_quartic_powers(A))],
         32.0 * math.pi ** 2)
-_WEYL = ("weylFunctional", lambda A, c: [_w_sq(*row) for row in _power_rows(A, _quartic_powers)],
+_WEYL = ("weylFunctional", lambda A, c: [_w_sq(*row) for row in _power_rows(_quartic_powers(A))],
          1.0)
 _FUNCTIONALS = {
     "cgbeuler": _CGB, "cgb": _CGB, "euler": _CGB,

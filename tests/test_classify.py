@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -265,6 +266,28 @@ def _reference_classification(lam, tol=1e-8):
     return partition, len(wsizes), tuple(v), band_l or band_v or len(wsizes) != w_pred
 
 
+def test_quartic_powers_of_a_diagonal_are_the_exact_power_sums():
+    # the references above take their power sums from the kernel under
+    # test; this anchors that kernel to exact rational sums: each power sum
+    # of degree d of diag(l) is within (n + d) ulp(1) sum |l|^d of the exact
+    # one, the error bound of rounded products summed in turn, plus n d
+    # ulp(0) for the products that underflow
+    rng = np.random.default_rng(53)
+    spectra = [lam for n in (3, 4, 5, 6) for lam in _spectra_of_every_kind(rng, n, 60)]
+    for lam in spectra + list(_degenerate_spectra()):
+        exact = [Fraction(0)] * 4
+        absolute = [Fraction(0)] * 4
+        for x in map(Fraction, lam.tolist()):
+            for d in range(4):
+                exact[d] += x ** (d + 1)
+                absolute[d] += abs(x) ** (d + 1)
+        # (H, S, A2sq, trA3) has degrees 1, 2, 4, 3
+        for p, d in zip(extrinsic._quartic_powers(np.diag(lam)), (1, 2, 4, 3)):
+            bound = ((lam.size + d) * Fraction(math.ulp(1.0)) * absolute[d - 1]
+                     + lam.size * d * Fraction(math.ulp(0.0)))
+            assert abs(Fraction(float(p)) - exact[d - 1]) <= bound
+
+
 def test_classify_batch_agrees_with_scalar():
     # every row, band rows included: random spectra, then spectra with a
     # gap placed at the clustering threshold of either side; both entry
@@ -375,9 +398,12 @@ def _sharp_or_error(arg):
 
 
 def _spectra_of_every_kind(rng, n, count):
-    """count random spectra of length n over three scales, half trace-free,
-    then repeated, zero and signed-zero ones, each also trace-free."""
-    lams = rng.normal(size=(count, n)) * rng.choice([1e-3, 1.0, 30.0], size=(count, 1))
+    """count random spectra of length n over five scales, half trace-free,
+    then repeated, zero and signed-zero ones, each also trace-free. Below
+    about 1e-146 eigvalsh rescales and moves last bits, which at scale
+    1e-150 still show in the Weyl eigenvalues; at 1e-300 they underflow."""
+    scales = [1e-300, 1e-150, 1e-3, 1.0, 30.0]
+    lams = rng.normal(size=(count, n)) * rng.choice(scales, size=(count, 1))
     lams[::2] -= lams[::2].mean(axis=1, keepdims=True)
     rows = [[1.0] * n, [0.0] * n, [-0.0] + [0.0] * (n - 1), [2.0] * (n - 1) + [-1.0],
             [1.0, 1.0] + [-1.0] * (n - 2), [3.0, -0.0, 0.0] + [-1.0] * (n - 3),
@@ -389,7 +415,9 @@ def _spectra_of_every_kind(rng, n, count):
 def test_a_spectrum_its_state_and_its_cli_row_get_one_answer(capsys, tmp_path):
     # a raw spectrum l is the state diag(l): every public function gives it
     # the answer it gives PointState(lam=l), bit for bit, and a classify
-    # batch of the states gives the same report rows
+    # batch of the states gives the same report rows; so does the state
+    # with A = diag(l), and a spectrum too short for a state is refused
+    # with the state's error
     rng = np.random.default_rng(47)
     lams = np.concatenate([_spectra_of_every_kind(rng, 4, 300), _degenerate_spectra()])
     states = [extrinsic.PointState(lam=lam) for lam in lams]
@@ -402,7 +430,8 @@ def test_a_spectrum_its_state_and_its_cli_row_get_one_answer(capsys, tmp_path):
     for k, (lam, state, row) in enumerate(zip(lams, states, rows)):
         report = classify.spectrum_report(lam)
         assert _hexed(report.to_dict()) == _hexed(classify.spectrum_report(state).to_dict()) \
-            == _hexed(row)
+            == _hexed(row) == _hexed(classify.spectrum_report(
+                extrinsic.PointState(A=np.diag(lam))).to_dict())
         assert (m[k], w[k], indeterminate[k]) == (report.m, report.w, report.indeterminate)
         assert classify.structure_predicates(lam) == classify.structure_predicates(state)
         assert _hexed(classify.weyl_operator_spectrum(lam)) == \
@@ -415,6 +444,15 @@ def test_a_spectrum_its_state_and_its_cli_row_get_one_answer(capsys, tmp_path):
             assert classify.principal_multiplicities(lam) == \
                 classify.principal_multiplicities(state)
             assert _sharp_or_error(lam) == _sharp_or_error(state)
+    for lam in ([], [0.0], [1.0, -1.0]):
+        with pytest.raises(ValueError) as refused:
+            extrinsic.PointState(lam=lam)
+        for function in (classify.spectrum_report, classify.structure_predicates,
+                         classify.weyl_operator_spectrum, classify.principal_multiplicities,
+                         classify.sharp_inequalities):
+            with pytest.raises(ValueError) as exc:
+                function(lam)
+            assert str(exc.value) == str(refused.value)
 
 
 # (lambda, [a2_lower, a2_upper, tr3_upper, tr3_lower], equality flags), the

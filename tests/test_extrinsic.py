@@ -232,7 +232,7 @@ def test_batched_kernels_equal_per_state_calls(monkeypatch):
     states += [_state([1, 1, -1, -1], parallel=True), _state([2, 2, 2, -1], c=0.0)]
     A = np.array([st.A for st in states])
     _, ric, scal, ric_tf = extrinsic._gauss(A, np.array([st.c for st in states]))
-    rows = extrinsic._power_rows(A)
+    rows = extrinsic._power_rows(extrinsic._trace_powers(A))
     signatures = extrinsic._signatures(A)
     for k, st in enumerate(states):
         pack = extrinsic.gauss_equations(st)
