@@ -148,28 +148,15 @@ def f_lower_bound(r: float) -> float:
     return _regimes(x)["low" if x <= 9.0 / 25.0 else "mid" if x <= 1.0 else "high"]
 
 
-def _entry(hypothesis_ok, violated, threshold, value, tol):
-    if value is None or threshold is None:
-        return {
-            "applicable": hypothesis_ok,
-            "violated": violated,
-            "threshold": threshold,
-            "slack": None,
-            "holds": None,
-            "equality": None,
-            "note": "unavailable: missing data",
-        }
-    slack = value - threshold
-    scale = 1.0 + abs(threshold) + abs(value)
-    return {
-        "applicable": hypothesis_ok,
-        "violated": violated,
-        "threshold": threshold,
-        "slack": slack,
-        "holds": slack >= -tol * scale,
-        "equality": abs(slack) <= tol * scale,
-        "note": None,
-    }
+def _entry(violated, threshold, value, tol):
+    out = {"applicable": violated is None, "violated": violated, "threshold": threshold,
+           "slack": None, "holds": None, "equality": None, "note": "unavailable: missing data"}
+    if value is not None and threshold is not None:
+        slack = value - threshold
+        scale = 1.0 + abs(threshold) + abs(value)
+        out.update(slack=slack, holds=slack >= -tol * scale,
+                   equality=abs(slack) <= tol * scale, note=None)
+    return out
 
 
 def weyl_threshold_report(g: GlobalData, tol: float = CLUSTER_TOL) -> dict:
@@ -193,31 +180,29 @@ def weyl_threshold_report(g: GlobalData, tol: float = CLUSTER_TOL) -> dict:
     informative even off-hypothesis.
     """
     out = {}
-    hyp_ok = g.c == 0.0
     out["weyl_c0_strict"] = _entry(
-        hyp_ok, None if hyp_ok else f"requires c = 0, data has c = {g.c:g}",
+        None if g.c == 0.0 else f"requires c = 0, data has c = {g.c:g}",
         256.0 / 9.0 * math.pi ** 2 * g.chi if g.chi is not None else None,
         g.weylL2, tol)
 
-    hyp_ok = g.c == 1.0 and g.S is not None
     violated = None
     if g.c != 1.0:
         violated = f"requires c = 1, data has c = {g.c:g}"
     elif g.S is None:
         violated = "requires constant S, not supplied"
     out["weyl_c1_clifford"] = _entry(
-        hyp_ok, violated, 64.0 / 3.0 * math.pi ** 2 * g.chi, g.weylL2, tol)
+        violated, 64.0 / 3.0 * math.pi ** 2 * g.chi, g.weylL2, tol)
 
-    hyp_ok = g.scalSign in ("zero", "negative")
     out["weyl_nonpos_scal"] = _entry(
-        hyp_ok, None if hyp_ok else f"requires nonpositive scalar curvature, sign is {g.scalSign!r}",
+        None if g.scalSign in ("zero", "negative")
+        else f"requires nonpositive scalar curvature, sign is {g.scalSign!r}",
         32.0 * math.pi ** 2 * g.chi, g.weylL2, tol)
 
     if g.chi >= 0:
         bound = 4.0 * math.pi * math.sqrt(g.chi / g.vol)
-        out["corpinch"] = _entry(True, None, bound, g.S, tol)
+        out["corpinch"] = _entry(None, bound, g.S, tol)
     else:
-        out["corpinch"] = _entry(False, f"requires chi >= 0, got {g.chi}", None, g.S, tol)
+        out["corpinch"] = _entry(f"requires chi >= 0, got {g.chi}", None, g.S, tol)
     return out
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extrinsic import PointState, _is_minimal, _quartic_powers, _require_scale
+from .extrinsic import PointState, _is_minimal, _quartic_powers, _require_scale, _spectra
 from .tolerances import CLUSTER_TOL, EQUALITY_TOL
 
 __all__ = [
@@ -53,35 +53,36 @@ __all__ = [
 ]
 
 
-def _operators(state, ndim: int, width: int | None = None) -> np.ndarray:
-    """The (N, n, n) shape operators of a PointState, or of one raw spectrum
-    (ndim 1) or rows of them (ndim 2). A raw spectrum l passes the entry
-    checks of PointState and is the state diag(l) that PointState(lam=l) is."""
-    if ndim == 1 and isinstance(state, PointState):
-        A = state.A[None]
-    else:
-        lams = np.asarray(state, dtype=float)
-        if lams.ndim != ndim:
-            raise ValueError(f"expected a spectrum array with {ndim} axes, got shape {lams.shape}")
-        if lams.shape[-1] < 3:
-            raise ValueError(f"lambda: expected at least 3 principal curvatures, "
-                             f"got shape {lams.shape}")
-        _require_scale("spectrum", 1.0 + np.abs(lams).max(initial=0.0))
-        lams = np.atleast_2d(lams)
-        A = np.zeros(lams.shape + lams.shape[-1:])
-        A[:, range(lams.shape[1]), range(lams.shape[1])] = lams
-    if width is not None and A.shape[-1] != width:
-        raise ValueError(f"expected {width} principal curvatures, got {A.shape[-1]}")
+def _rows(lams, ndim: int) -> np.ndarray:
+    """(N, n) rows of a raw spectrum (ndim 1) or an (N, n) array, checked as PointState(lam=l)."""
+    lams = np.asarray(lams, dtype=float)
+    if lams.ndim != ndim:
+        raise ValueError(f"expected a spectrum array with {ndim} axes, got shape {lams.shape}")
+    if lams.shape[-1] < 3:
+        raise ValueError(f"lambda: expected at least 3 principal curvatures, "
+                         f"got shape {lams.shape}")
+    _require_scale("lambda", 1.0 + np.abs(lams).max(initial=0.0))
+    return np.atleast_2d(lams)
+
+
+def _require_width(n: int, width: int | None) -> None:
+    if width is not None and n != width:
+        raise ValueError(f"expected {width} principal curvatures, got {n}")
+
+
+def _diagonal(lams: np.ndarray) -> np.ndarray:
+    """The (N, n, n) operators diag(l) of (N, n) rows l, as PointState(lam=l)."""
+    A = np.zeros(lams.shape + lams.shape[-1:])
+    A[:, range(lams.shape[1]), range(lams.shape[1])] = lams
     return A
 
 
-def _spectra(A: np.ndarray) -> np.ndarray:
-    """Ascending spectra of (N, n, n) symmetric operators; a diagonal one has
-    its sorted diagonal, exactly (eigvalsh rescales below norm ~1e-146)."""
-    lams = np.sort(np.diagonal(A, axis1=-2, axis2=-1), axis=-1)
-    full = np.count_nonzero(A, axis=(-2, -1)) > np.count_nonzero(lams, axis=-1)
-    lams[full] = np.linalg.eigvalsh(A[full])
-    return lams
+def _operators(state, width: int | None = None) -> np.ndarray:
+    """The (1, n, n) shape operator of a PointState or of a raw spectrum l,
+    which is the state diag(l) that PointState(lam=l) is."""
+    A = state.A[None] if isinstance(state, PointState) else _diagonal(_rows(state, 1))
+    _require_width(A.shape[-1], width)
+    return A
 
 
 def _split(desc: np.ndarray, t: np.ndarray):
@@ -137,15 +138,25 @@ def _classify(lams: np.ndarray, powers: tuple, tol: float):
     return codes, v, w, band | vband | (w != _DICTIONARY_W[codes])
 
 
+# Spectra per block of classify_batch: a block's (block, 4, 4) operators and
+# their power-sum temporaries take 0.5 MiB each, whatever the batch.
+_BATCH_BLOCK = 4096
+
+
 def classify_batch(lams, tol: float = CLUSTER_TOL):
     """(m, w, indeterminate) arrays for an (N, 4) array of spectra.
 
     Entries must be finite and within the PointState scale cap. Row i
     equals ``spectrum_report(lams[i], tol)`` on all three.
     """
-    A = _operators(lams, 2, 4)
-    codes, _, w, indeterminate = _classify(_spectra(A), _quartic_powers(A), tol)
-    return _M[codes], w, indeterminate
+    lams = _rows(lams, 2)
+    _require_width(lams.shape[-1], 4)
+    codes, w, unsure = (np.empty(len(lams), dtype=kind) for kind in (int, int, bool))
+    for start in range(0, len(lams), _BATCH_BLOCK):
+        rows = slice(start, start + _BATCH_BLOCK)
+        A = _diagonal(lams[rows])
+        codes[rows], _, w[rows], unsure[rows] = _classify(_spectra(A), _quartic_powers(A), tol)
+    return _M[codes], w, unsure
 
 
 def principal_multiplicities(lam, tol: float = CLUSTER_TOL):
@@ -156,7 +167,7 @@ def principal_multiplicities(lam, tol: float = CLUSTER_TOL):
     in that order, e.g. (sqrt3, -1/sqrt3, -1/sqrt3, -1/sqrt3) -> m = 2,
     partition (1, 3).
     """
-    cuts, _, _ = _lambda_cuts(_spectra(_operators(lam, 1)), tol)
+    cuts, _, _ = _lambda_cuts(_spectra(_operators(lam)), tol)
     partition = _partition(cuts[0])
     return len(partition), partition
 
@@ -169,7 +180,7 @@ def weyl_operator_spectrum(lam, H: float | None = None, S: float | None = None,
     spectrum; a materially inconsistent pair is an input error. Returns
     (w, eigenvalues sorted descending). The eigenvalues sum to zero.
     """
-    A = _operators(lam, 1, 4)
+    A = _operators(lam, 4)
     lams, powers = _spectra(A), _quartic_powers(A)
     scale = 1.0 + np.abs(lams).max()
     lam_H, lam_S = float(powers[0][0]), float(powers[1][0])
@@ -202,7 +213,7 @@ def structure_predicates(lam, tol: float = CLUSTER_TOL) -> dict:
     this happens exactly for the (l, l, -l, -l) spectra and A = 0.
     twoTwoSplit: the multiplicity partition is (2, 2).
     """
-    A = _operators(lam, 1, 4)
+    A = _operators(lam, 4)
     lams = _spectra(A)
     cuts, _, _ = _lambda_cuts(lams, tol)
     return _flags(lams, cuts @ _CUT_INDEX, _quartic_powers(A), tol)[0]
@@ -232,7 +243,7 @@ def sharp_inequalities(state, tol: float = EQUALITY_TOL) -> SharpReport:
     >= n - 1. A state with nonzero mean curvature is outside the scope of
     these bounds and is an input error.
     """
-    A = _operators(state, 1)
+    A = _operators(state)
     powers = _quartic_powers(A)
     if not _is_minimal(A[0]):
         raise ValueError(f"sharp_inequalities requires a trace-free shape operator "
@@ -305,5 +316,5 @@ def spectrum_report(state, tol: float = CLUSTER_TOL) -> SpectrumReport:
     too); for mean-curved states that block is empty since the bounds do
     not apply.
     """
-    A = _operators(state, 1, 4)
+    A = _operators(state, 4)
     return _spectrum_reports(A, _quartic_powers(A), [_is_minimal(A[0])], tol)[0]

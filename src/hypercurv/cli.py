@@ -40,7 +40,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import classify as classify_mod
 from . import extrinsic, immersions, polyverify
-from .tolerances import CLUSTER_TOL, ENV_VAR, default_tol
+from .tolerances import CLUSTER_TOL, ENV_VAR, default_cluster_tol
 
 _EXIT_OK = 0
 _EXIT_VIOLATION = 1
@@ -128,32 +128,29 @@ def _point_reports(states: list, cluster_tol: float) -> list:
 
 def _cmd_point(args) -> int:
     payload = _load_point_payload(args.input)
-    cluster_tol = args.tol if args.tol is not None else CLUSTER_TOL
-    reports = _point_reports(_states(payload), cluster_tol)
+    reports = _point_reports(_states(payload), args.tol)
     _emit(reports if isinstance(payload, list) else reports[0])
     return _EXIT_OK
 
 
 def _cmd_classify(args) -> int:
     payload = _load_point_payload(args.input)
-    cluster_tol = args.tol if args.tol is not None else CLUSTER_TOL
     states = _states(payload, check=lambda state: extrinsic._require_four(state, "spectrum_report"))
     A = np.array([state.A for state in states]).reshape(-1, 4, 4)
     reports = [r.to_dict() for r in classify_mod._spectrum_reports(
-        A, extrinsic._quartic_powers(A), [state.minimal for state in states], cluster_tol)]
+        A, extrinsic._quartic_powers(A), [state.minimal for state in states], args.tol)]
     _emit(reports if isinstance(payload, list) else reports[0])
     return _EXIT_OK
 
 
 def _cmd_bounds(args) -> int:
-    tol = args.tol if args.tol is not None else CLUSTER_TOL
     try:
         data = bounds_mod.GlobalData(
             chi=args.chi, vol=args.vol, S=args.S, weylL2=args.weyl_l2,
             c=args.c, A2avg=args.a2avg, scalSign=args.scal_sign)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
-    report: dict = {"thresholds": bounds_mod.weyl_threshold_report(data, tol=tol)}
+    report: dict = {"thresholds": bounds_mod.weyl_threshold_report(data, tol=args.tol)}
     report["f_lower_bound"] = bounds_mod.f_lower_bound(data.chi / data.vol)
     if data.S is not None:
         low, high = bounds_mod.euler_integrand_bounds(data.S)
@@ -270,13 +267,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.tol is None and ENV_VAR in os.environ:
+    if args.tol is None:
         try:
-            args.tol = default_tol()
+            args.tol = default_cluster_tol()
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return _EXIT_INPUT
-    if args.tol is not None and not 0.0 < args.tol < math.inf:
+    if not 0.0 < args.tol < math.inf:
         print(f"error: --tol must be positive and finite, got {args.tol}", file=sys.stderr)
         return _EXIT_INPUT
     try:

@@ -25,8 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lambda2 import CurvTensor4, _kn_raw, _star4, star_weyl, triple
-from .lambda2 import inner  # noqa: F401  (re-exported: callers look it up on this module)
+from .lambda2 import CurvTensor4, _kn_raw, _star4, triple
+from .lambda2 import inner, star_weyl  # noqa: F401  (re-exported: looked up on this module)
 from .tolerances import EQUALITY_TOL
 
 __all__ = [
@@ -97,6 +97,15 @@ def _require_scale(name: str, scale: float) -> None:
 def _is_minimal(A: np.ndarray) -> bool:
     """The minimality rule of every state and spectrum: |tr A| <= 1e-10 (1 + |A|_F)."""
     return bool(abs(float(np.trace(A))) <= _MINIMAL_REL_TOL * (1.0 + np.linalg.norm(A)))
+
+
+def _spectra(A: np.ndarray) -> np.ndarray:
+    """Ascending spectra of (N, n, n) symmetric operators; a diagonal one has
+    its sorted diagonal, exactly (eigvalsh rescales below norm ~1e-146)."""
+    lams = np.sort(np.diagonal(A, axis1=-2, axis2=-1), axis=-1)
+    full = np.count_nonzero(A, axis=(-2, -1)) > np.count_nonzero(lams, axis=-1)
+    lams[full] = np.linalg.eigvalsh(A[full])
+    return lams
 
 
 def _warn_unusual(c: float, S: float) -> None:
@@ -173,6 +182,7 @@ class PointState:
         c = float(c)
         _require_scale("c", 1.0 + abs(c))
         _warn_unusual(c, float(np.sum(A * A)))
+        nabla = hess = None
         if nablaA is not None:
             nabla = np.asarray(nablaA, dtype=float)
             if nabla.shape == (20,) and n == 4:
@@ -186,8 +196,6 @@ class PointState:
                 raise ValueError("nablaA: components must be totally symmetric")
             nabla = sym
             nabla.setflags(write=False)
-        else:
-            nabla = None
         if hessS is not None:
             hess = np.array(hessS, dtype=float)
             if hess.shape != (n, n):
@@ -198,8 +206,6 @@ class PointState:
                 raise ValueError("hessS: must be symmetric")
             hess = 0.5 * (hess + hess.T)
             hess.setflags(write=False)
-        else:
-            hess = None
         A.setflags(write=False)
         self.n = n
         self.c = c
@@ -227,8 +233,8 @@ class PointState:
 
     @property
     def lam(self) -> np.ndarray:
-        """Principal curvatures in descending order."""
-        return np.linalg.eigvalsh(self.A)[::-1].copy()
+        """Principal curvatures in descending order, as classify reads them."""
+        return _spectra(self.A[None])[0, ::-1].copy()
 
     def to_json(self) -> str:
         data: dict = {"n": self.n, "c": self.c}
@@ -669,96 +675,64 @@ def bochner_residuals(p: PointState, field_data: dict | None = None) -> dict:
 
     Each identity holds on a minimal hypersurface of a space form; a
     residual materially different from zero means the supplied point and
-    field data are mutually inconsistent. Identities whose required data
-    is absent are reported as the string "unavailable". With the parallel
-    flag set, all derivative inputs default to zero.
+    field data are mutually inconsistent. Every residual defaults to the
+    string "unavailable", kept unless the state is minimal and has the
+    data named below. The parallel flag sets all derivative inputs to zero.
 
     Recognized ``field_data`` keys: "lap_A" (n x n), "lap_A2" (n x n),
     "lap_A2_sq" (float, Laplacian of |A^2|^2), "grad_A2_sq" (float,
     squared norm of the gradient of A^2). The Laplacian of S is taken as
     the trace of hessS.
 
-    Residual keys: "lap_A", "simons", "lap_A2", "lap_A2_norm",
-    "first_bach", "second_bach" (the two Bach-derived scalar identities,
-    valid for Bach-flat states), "scalar_bochner" (R |W+|^2 = 6 triple W+,
-    valid when W is parallel; computed only under the parallel flag).
+    Residual keys, with their data: "lap_A" (lap_A), "simons" (nablaA,
+    hessS), "lap_A2" (lap_A2, nablaA), "lap_A2_norm" (lap_A2_sq,
+    grad_A2_sq, nablaA); for n = 4 only "first_bach" (nablaA, hessS),
+    "second_bach" (lap_A2_sq, grad_A2_sq, hessS), the two Bach-derived
+    scalar identities, valid for Bach-flat states, and "scalar_bochner"
+    (R |W+|^2 = 6 triple W+, valid when W is parallel; parallel flag).
     Tensor-valued residuals are reported as max-abs entries.
     """
     field_data = dict(field_data or {})
     for key in field_data:
         if key not in _FIELD_KEYS:
             raise ValueError(f"field_data: unknown key {key!r}; known keys {_FIELD_KEYS}")
+    out = dict.fromkeys(("lap_A", "simons", "lap_A2", "lap_A2_norm", "first_bach",
+                         "second_bach", "scalar_bochner"), "unavailable")
     if not p.minimal:
-        return {k: "unavailable" for k in
-                ("lap_A", "simons", "lap_A2", "lap_A2_norm", "first_bach",
-                 "second_bach", "scalar_bochner")}
+        return out
     n, c, A, S = p.n, p.c, p.A, p.S
     A2 = A @ A
-    out: dict = {}
     nabla, hess = _require_derivatives(p, False, False, "bochner_residuals")
     if p.parallel:
-        field_data.setdefault("lap_A", np.zeros((n, n)))
-        field_data.setdefault("lap_A2", np.zeros((n, n)))
-        field_data.setdefault("lap_A2_sq", 0.0)
-        field_data.setdefault("grad_A2_sq", 0.0)
-
-    grad_sq = float(np.sum(nabla * nabla)) if nabla is not None else None
+        field_data = {"lap_A": np.zeros((n, n)), "lap_A2": np.zeros((n, n)),
+                      "lap_A2_sq": 0.0, "grad_A2_sq": 0.0, **field_data}
+    lap_A, lap_A2, lap_A2_sq, grad_A2_sq = map(field_data.get, _FIELD_KEYS)
     # A_ikt A_jkt enters only identities that need field data
     T2 = np.einsum("ikt,jkt->ij", nabla, nabla) if nabla is not None and field_data else None
-    lapS = float(np.trace(hess)) if hess is not None else None
-
-    lap_A = field_data.get("lap_A")
-    if lap_A is not None:
-        lap_A = np.asarray(lap_A, dtype=float)
-        out["lap_A"] = float(np.abs(lap_A - (n * c - S) * A).max())
-    else:
-        out["lap_A"] = "unavailable"
-
-    if lapS is not None and grad_sq is not None:
-        out["simons"] = 0.5 * lapS - grad_sq - S * (n * c - S)
-    else:
-        out["simons"] = "unavailable"
-
-    lap_A2 = field_data.get("lap_A2")
-    if lap_A2 is not None and nabla is not None:
-        lap_A2 = np.asarray(lap_A2, dtype=float)
-        out["lap_A2"] = float(np.abs(lap_A2 - 2.0 * (n * c - S) * A2 - 2.0 * T2).max())
-    else:
-        out["lap_A2"] = "unavailable"
-
-    lap_A2_sq = field_data.get("lap_A2_sq")
-    grad_A2_sq = field_data.get("grad_A2_sq")
     _, _, A2sq, trA3, trA5, trA6 = map(float, _trace_powers(A))
+
+    if lap_A is not None:
+        out["lap_A"] = float(np.abs(np.asarray(lap_A, dtype=float) - (n * c - S) * A).max())
+    if nabla is not None and hess is not None:
+        out["simons"] = 0.5 * float(np.trace(hess)) - float(np.sum(nabla * nabla)) - S * (n * c - S)
+    if lap_A2 is not None and nabla is not None:
+        out["lap_A2"] = float(np.abs(np.asarray(lap_A2, dtype=float) - 2.0 * (n * c - S) * A2
+                                     - 2.0 * T2).max())
     if lap_A2_sq is not None and grad_A2_sq is not None and nabla is not None:
-        rhs = float(grad_A2_sq) + 2.0 * (n * c - S) * A2sq + 2.0 * float(np.sum(A2 * T2))
-        out["lap_A2_norm"] = 0.5 * float(lap_A2_sq) - rhs
-    else:
-        out["lap_A2_norm"] = "unavailable"
-
+        out["lap_A2_norm"] = 0.5 * float(lap_A2_sq) - (
+            float(grad_A2_sq) + 2.0 * (n * c - S) * A2sq + 2.0 * float(np.sum(A2 * T2)))
     if n == 4 and nabla is not None and hess is not None:
-        lhs = float(np.einsum("ij,ikl,jkl->", A, nabla, nabla))
-        rhs = trA5 - (2.0 * c + S / 3.0) * trA3 + float(np.sum(A * hess)) / 6.0
-        out["first_bach"] = lhs - rhs
-    else:
-        out["first_bach"] = "unavailable"
-
+        out["first_bach"] = float(np.einsum("ij,ikl,jkl->", A, nabla, nabla)) - (
+            trA5 - (2.0 * c + S / 3.0) * trA3 + float(np.sum(A * hess)) / 6.0)
     if n == 4 and lap_A2_sq is not None and grad_A2_sq is not None and hess is not None:
-        rhs = (float(grad_A2_sq) + 2.0 * trA6 - 2.0 * trA3 * trA3
-               - 7.0 / 6.0 * S * A2sq + S ** 3 / 6.0
-               + c * (4.0 * A2sq - S * S)
-               + float(np.sum(hess * A2)) / 3.0 + S * lapS / 6.0)
-        out["second_bach"] = 0.5 * float(lap_A2_sq) - rhs
-    else:
-        out["second_bach"] = "unavailable"
-
+        out["second_bach"] = 0.5 * float(lap_A2_sq) - (
+            float(grad_A2_sq) + 2.0 * trA6 - 2.0 * trA3 * trA3
+            - 7.0 / 6.0 * S * A2sq + S ** 3 / 6.0
+            + c * (4.0 * A2sq - S * S)
+            + float(np.sum(hess * A2)) / 3.0 + S * float(np.trace(hess)) / 6.0)
     if n == 4 and p.parallel:
-        W = weyl_tensor(p)
-        SW = star_weyl(W)
-        Wp = 0.5 * (W.components + SW.components)
-        R = float(_gauss(A, c)[2])
-        wp_sq = float(np.sum(Wp * Wp))
-        out["scalar_bochner"] = R * wp_sq - 6.0 * triple(Wp, Wp, Wp)
-    else:
-        out["scalar_bochner"] = "unavailable"
-
+        W = _weyl_raw(A)
+        Wp = 0.5 * (W + _star4(W))
+        out["scalar_bochner"] = (float(_gauss(A, c)[2]) * float(np.sum(Wp * Wp))
+                                 - 6.0 * triple(Wp, Wp, Wp))
     return out

@@ -2,10 +2,10 @@
 
 Every numerical equality test is relative: a quantity x is treated as equal
 to y when |x - y| <= tol * scale for a scale natural to the data. The two
-defaults below bind at import and can be overridden per call. The command
-line reads the HYPERCURV_TOL environment variable through `default_tol`
-(its --tol flag wins); library calls do not, unless the caller passes
-`default_tol()` or `default_cluster_tol()` as ``tol``.
+defaults below bind at import and can be overridden per call. Without
+--tol the command line takes `default_cluster_tol()`, which reads the
+HYPERCURV_TOL environment variable; library calls do not, unless the
+caller passes `default_tol()` or `default_cluster_tol()` as ``tol``.
 """
 
 from __future__ import annotations

@@ -164,6 +164,21 @@ def test_threshold_missing_data_noted():
     assert "missing" in entry["note"]
 
 
+def test_threshold_record_without_value_or_threshold():
+    # weylL2 missing leaves weyl_c0_strict without a value, chi < 0 leaves
+    # corpinch without a threshold: both records keep their fields and order
+    rep = _entries(chi=-2, vol=1.0, c=0.0, S=4.0)
+    missing = {"slack": None, "holds": None, "equality": None,
+               "note": "unavailable: missing data"}
+    assert rep["weyl_c0_strict"] == {"applicable": True, "violated": None,
+                                     "threshold": 256.0 / 9.0 * PI**2 * -2, **missing}
+    assert rep["corpinch"] == {"applicable": False, "violated": "requires chi >= 0, got -2",
+                               "threshold": None, **missing}
+    for entry in rep.values():
+        assert list(entry) == ["applicable", "violated", "threshold", "slack", "holds",
+                               "equality", "note"]
+
+
 def test_threshold_c0_strict_violation():
     thr = 256.0 / 9.0 * PI**2 * 2
     rep = _entries(chi=2, vol=1.0, c=0.0, weylL2=thr * 0.5)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -325,6 +326,40 @@ def test_classify_batch_near_degenerate_band():
     m, w, indet = classify.classify_batch(lams)
     assert np.all(m == 4)          # gap 1e-6 is far above the m threshold
     assert np.all((w == 3) | indet)  # w=3 is exact; the band may absorb rows
+
+
+def test_classify_batch_works_in_bounded_memory():
+    # rows go through the kernel a fixed-size block at a time: the answers
+    # equal one pass over the whole batch, and the peak allocation stays
+    # near the size of the outputs instead of growing with (N, 4, 4) operators
+    rng = np.random.default_rng(53)
+    lams = rng.normal(size=(100_000, 4))
+    lams[::10, 1] = lams[::10, 0] + 1e-9
+    lams[5::10, 1] = lams[5::10, 0] + 1.5e-8 * (1.0 + np.abs(lams[5::10]).max(axis=1))
+    tracemalloc.start()
+    try:
+        m, w, indeterminate = classify.classify_batch(lams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
+    A = classify._diagonal(lams)
+    codes, _, w_all, indeterminate_all = classify._classify(
+        extrinsic._spectra(A), extrinsic._quartic_powers(A), classify.CLUSTER_TOL)
+    for got, expect in ((m, classify._M[codes]), (w, w_all), (indeterminate, indeterminate_all)):
+        assert got.dtype == expect.dtype and np.array_equal(got, expect)
+    assert indeterminate.any() and not indeterminate.all()
+
+
+@pytest.mark.parametrize("lam", [[1.0, math.nan, 0.0, -1.0], [1e60, 1.0, -1.0, 0.0]])
+def test_raw_spectra_fail_with_the_text_of_their_state(lam):
+    with pytest.raises(ValueError) as state_error:
+        extrinsic.PointState(lam=lam)
+    for fn, arg in ((classify.spectrum_report, lam), (classify.sharp_inequalities, lam),
+                    (classify.classify_batch, [lam])):
+        with pytest.raises(ValueError) as error:
+            fn(arg)
+        assert str(error.value) == str(state_error.value)
 
 
 def test_indeterminate_flag_in_scalar_report():

@@ -1,5 +1,6 @@
 """Tests for Gauss-equation curvature, Weyl data, Bach and Bochner residuals."""
 
+import itertools
 import json
 import math
 import warnings
@@ -120,6 +121,19 @@ def test_from_dict_schema():
     round_trip = extrinsic.PointState.from_dict(json.loads(st.to_json()))
     np.testing.assert_allclose(round_trip.lam, st.lam)
     assert round_trip.parallel
+
+
+def test_lam_of_a_diagonal_state_is_its_sorted_diagonal_bitwise():
+    # eigvalsh rescales tiny matrices and moves last bits; a diagonal state
+    # reads its spectrum off the diagonal, as every classification does
+    rng = np.random.default_rng(131)
+    for scale in (1e-300, 1e-200, 1e-150, 1e-3, 1.0, 30.0):
+        for n in (3, 4, 5, 6):
+            for _ in range(25):
+                lam = rng.normal(size=n) * scale
+                expect = np.sort(lam)[::-1]
+                for st in (extrinsic.PointState(lam=lam), extrinsic.PointState(A=np.diag(lam))):
+                    assert st.lam.tobytes() == expect.tobytes(), (scale, lam)
 
 
 # ---------------------------------------------------------- Gauss equations
@@ -540,6 +554,75 @@ def test_second_bach_pinned_to_the_bach_tensor():
         expect = (res["lap_A2_norm"] - float(np.sum(2.0 * B * (st.A @ st.A)))
                   - S / 3.0 * res["simons"])
         assert abs(res["second_bach"] - expect) <= 1e-12 * (1.0 + abs(res["second_bach"]) + S ** 3)
+
+
+def test_first_bach_is_minus_the_bach_tensor_against_A():
+    # first_bach restates trA^5 - (2c + S/3) trA^3 + <A, Hess S>/6 - <A, T2>,
+    # which is -<B, A> with B the shipped Bach tensor (tr A = 0)
+    rng = np.random.default_rng(89)
+    for _ in range(200):
+        A = _rand_sym(rng, scale=rng.uniform(0.1, 3.0))
+        A -= np.trace(A) / 4.0 * np.eye(4)
+        st = extrinsic.PointState(A=A, c=float(rng.choice([-1.0, 0.0, 1.0])),
+                                  nablaA=_trace_free_nabla(rng), hessS=_rand_sym(rng))
+        res = extrinsic.bochner_residuals(st)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # random data violates the Simons identity
+            B = extrinsic.bach_tensor(st)
+        S = st.S
+        scale = 1.0 + S ** 2.5 + (np.sum(st.nablaA ** 2) + np.abs(st.hessS).sum()) * math.sqrt(S)
+        assert abs(res["first_bach"] + float(np.sum(B * st.A))) <= 1e-12 * scale
+
+
+# The data each residual needs besides a minimal state, as the
+# bochner_residuals docstring states it, and whether it needs n = 4.
+# The parallel flag supplies every derivative input.
+_BOCHNER_NEEDS = {
+    "lap_A": (False, {"lap_A"}),
+    "simons": (False, {"nablaA", "hessS"}),
+    "lap_A2": (False, {"lap_A2", "nablaA"}),
+    "lap_A2_norm": (False, {"lap_A2_sq", "grad_A2_sq", "nablaA"}),
+    "first_bach": (True, {"nablaA", "hessS"}),
+    "second_bach": (True, {"lap_A2_sq", "grad_A2_sq", "hessS"}),
+    "scalar_bochner": (True, {"parallel"}),
+}
+
+
+def test_bochner_availability_matrix():
+    rng = np.random.default_rng(97)
+    field_keys = ("lap_A", "lap_A2", "lap_A2_sq", "grad_A2_sq")
+    seen = set()
+    for n, minimal, parallel, has_nabla, has_hess in itertools.product(
+            (4, 5), (True, False), (True, False), (True, False), (True, False)):
+        A = _rand_sym(rng, n)
+        A -= np.trace(A) / n * np.eye(n)
+        if not minimal:
+            A += np.eye(n)
+        # a gradient with three distinct indices only is trace-free
+        nabla = extrinsic._symmetrize3(np.einsum("i,j,k->ijk", *np.eye(n)[:3]))
+        st = extrinsic.PointState(A=A, c=1.0, parallel=parallel,
+                                  nablaA=nabla if has_nabla else None,
+                                  hessS=_rand_sym(rng, n) if has_hess else None)
+        assert st.minimal == minimal
+        for k in range(len(field_keys) + 1):
+            for keys in itertools.combinations(field_keys, k):
+                data = {key: (_rand_sym(rng, n) if key in ("lap_A", "lap_A2") else rng.normal())
+                        for key in keys}
+                res = extrinsic.bochner_residuals(st, data)
+                assert list(res) == list(_BOCHNER_NEEDS)
+                have = set(keys) | {name for name, given in (("nablaA", has_nabla),
+                                                             ("hessS", has_hess)) if given}
+                if parallel:
+                    have |= {"parallel", "nablaA", "hessS", *field_keys}
+                for name, (four_only, needs) in _BOCHNER_NEEDS.items():
+                    available = minimal and (n == 4 or not four_only) and needs <= have
+                    value = res[name]
+                    if available:
+                        assert type(value) is float and math.isfinite(value), (name, value)
+                    else:
+                        assert value == "unavailable", (name, n, minimal, parallel, keys)
+                    seen.add((name, available))
+    assert len(seen) == 2 * len(_BOCHNER_NEEDS)
 
 
 def test_bochner_scalar_identity_at_clifford_22():
