@@ -49,6 +49,8 @@ class GlobalData:
     scalSign: str = "unknown"
 
     def __post_init__(self):
+        if isinstance(self.chi, bool) or not isinstance(self.chi, int):
+            raise ValueError(f"chi must be an integer, got {self.chi!r}")
         for name in ("vol", "S", "weylL2", "c", "A2avg"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):

@@ -23,7 +23,11 @@ or a measured w that the dictionary contradicts, mark the report as
 indeterminate rather than silently committing to a cluster count.
 
 Every function reads shape operators A: a raw spectrum l is the state
-diag(l). A diagonal A has its sorted diagonal as spectrum, any other A
+diag(l), validated by the state validator of ``extrinsic`` as
+PointState(lam=l) is (``_spectrum_rows``: the lambda shape rule, then
+the entry cap row by row, on a whole (N, n) array at once in
+``classify_batch``), but without the state's c and S warnings. A
+diagonal A has its sorted diagonal as spectrum, any other A
 eigvalsh(A); power sums come from ``extrinsic._quartic_powers``, the
 kernel of the norms. One kernel, ``_classify``, does this for (N, 4, 4)
 operators in a single pass: ``spectrum_report`` runs it on a batch of
@@ -38,7 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extrinsic import PointState, _is_minimal, _quartic_powers, _require_scale, _spectra
+from .extrinsic import (PointState, _diagonal, _is_minimal, _quartic_powers, _spectra,
+                        _spectrum_rows)
 from .tolerances import CLUSTER_TOL, EQUALITY_TOL
 
 __all__ = [
@@ -53,34 +58,15 @@ __all__ = [
 ]
 
 
-def _rows(lams, ndim: int) -> np.ndarray:
-    """(N, n) rows of a raw spectrum (ndim 1) or an (N, n) array, checked as PointState(lam=l)."""
-    lams = np.asarray(lams, dtype=float)
-    if lams.ndim != ndim:
-        raise ValueError(f"expected a spectrum array with {ndim} axes, got shape {lams.shape}")
-    if lams.shape[-1] < 3:
-        raise ValueError(f"lambda: expected at least 3 principal curvatures, "
-                         f"got shape {lams.shape}")
-    _require_scale("lambda", 1.0 + np.abs(lams).max(initial=0.0))
-    return np.atleast_2d(lams)
-
-
 def _require_width(n: int, width: int | None) -> None:
     if width is not None and n != width:
         raise ValueError(f"expected {width} principal curvatures, got {n}")
 
 
-def _diagonal(lams: np.ndarray) -> np.ndarray:
-    """The (N, n, n) operators diag(l) of (N, n) rows l, as PointState(lam=l)."""
-    A = np.zeros(lams.shape + lams.shape[-1:])
-    A[:, range(lams.shape[1]), range(lams.shape[1])] = lams
-    return A
-
-
 def _operators(state, width: int | None = None) -> np.ndarray:
     """The (1, n, n) shape operator of a PointState or of a raw spectrum l,
     which is the state diag(l) that PointState(lam=l) is."""
-    A = state.A[None] if isinstance(state, PointState) else _diagonal(_rows(state, 1))
+    A = state.A[None] if isinstance(state, PointState) else _diagonal(_spectrum_rows(state, 1))
     _require_width(A.shape[-1], width)
     return A
 
@@ -149,7 +135,7 @@ def classify_batch(lams, tol: float = CLUSTER_TOL):
     Entries must be finite and within the PointState scale cap. Row i
     equals ``spectrum_report(lams[i], tol)`` on all three.
     """
-    lams = _rows(lams, 2)
+    lams = _spectrum_rows(lams, 2)
     _require_width(lams.shape[-1], 4)
     codes, w, unsure = (np.empty(len(lams), dtype=kind) for kind in (int, int, bool))
     for start in range(0, len(lams), _BATCH_BLOCK):

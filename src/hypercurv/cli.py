@@ -20,11 +20,17 @@ with fields n, c, and exactly one of "lambda" or "A", plus optional
 "nablaA" (for n = 4 a flat 20-vector over the lexicographic i<=j<=k
 component order), "hessS", "parallel". A JSON array of such objects is
 processed as a batch with output order preserved. point and classify
-validate every item before building any report, so one bad item exits 2
-with no output; the states of one dimension then go through each batched
-kernel together, and an item's report equals the one it gets alone.
-Warnings keep their count and text but may be grouped on stderr. Output
-is deterministic: identical input yields byte-identical JSON.
+validate the whole batch before building any report, as arrays
+(extrinsic._validate, the validator PointState runs on a batch of one):
+structural checks item by item, then the numeric checks once per
+dimension on the stacked states. One bad item exits 2 with no output and
+the error line it gets alone, that of the first failing item's first
+failing check. The stacked states of one dimension then go through each
+batched kernel together, and an item's report equals the one it gets
+alone. Warnings keep their count and text but come grouped on stderr:
+validation's c and S warnings first, in input order, then the per-state
+Bach warnings. Output is deterministic: identical input yields
+byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -73,50 +79,45 @@ def _reject_constant(token: str):
     raise _InputError(f"non-finite number {token} in input; values must be finite")
 
 
-def _states(payload, check=None) -> list:
-    """The PointState of each item of a batch, or of one object, validated in
-    order; ``check`` runs on each state before the next item is read."""
-    states = []
-    for data in payload if isinstance(payload, list) else [payload]:
-        try:
-            state = extrinsic.PointState.from_dict(data)
-            if check is not None:
-                check(state)
-        except ValueError as exc:
-            raise _InputError(str(exc)) from exc
-        states.append(state)
-    return states
+def _states(payload, check_n=None) -> list:
+    """The validated states of a batch, or of one object, as one group per
+    dimension (see extrinsic._validate); ``check_n(n)`` is the last check of
+    each item."""
+    items = payload if isinstance(payload, list) else [payload]
+    try:
+        return extrinsic._validate(items, extrinsic._json_args, check_n=check_n)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
 
 
-def _point_reports(states: list, cluster_tol: float) -> list:
-    """The point report of each state. The states of one dimension go
-    through each batched kernel together; Bach and Bochner run per state."""
-    reports: list = [None] * len(states)
-    by_n: dict = {}
-    for k, state in enumerate(states):
-        by_n.setdefault(state.n, []).append(k)
-    for n, index in by_n.items():
-        group = [states[k] for k in index]
-        A = np.array([state.A for state in group])
-        minimal = [state.minimal for state in group]
-        _, ric, scal, ric_tf = extrinsic._gauss(A, np.array([state.c for state in group]))
+def _point_reports(groups: list, cluster_tol: float) -> list:
+    """The point report of each item of the validated groups. The states of
+    one dimension go through each batched kernel together; Bach and
+    Bochner run per state."""
+    reports: list = [None] * sum(len(group.index) for group in groups)
+    for group in groups:
+        A = group.A
+        n = A.shape[-1]
+        minimal = group.minimal.tolist()
+        _, ric, scal, ric_tf = extrinsic._gauss(A, group.c)
         powers = extrinsic._trace_powers(A)
-        spectra = signatures = [None] * len(group)
+        spectra = signatures = [None] * len(A)
         if n == 4:
             spectra = classify_mod._spectrum_reports(A, powers[:4], minimal, cluster_tol)
             signatures = extrinsic._signatures(A).tolist()
-        for k, state, is_minimal, row, scal_k, ric_k, ric_tf_k, spectrum, signature in zip(
-                index, group, minimal, extrinsic._power_rows(powers), scal.tolist(),
-                ric.tolist(), ric_tf.tolist(), spectra, signatures):
-            report = {"n": n, "c": state.c, "H": row[0], "S": row[1],
+        for i, (k, c, is_minimal, row, scal_k, ric_k, ric_tf_k, spectrum, signature) in enumerate(
+                zip(group.index, group.c.tolist(), minimal, extrinsic._power_rows(powers),
+                    scal.tolist(), ric.tolist(), ric_tf.tolist(), spectra, signatures)):
+            report = {"n": n, "c": c, "H": row[0], "S": row[1],
                       "minimal": is_minimal, "scal": scal_k, "ric": ric_k, "ricTF": ric_tf_k}
             if n == 4:
+                state = extrinsic.PointState._trusted(group, i)
                 has_derivatives = state.parallel or (state.nablaA is not None
                                                      and state.hessS is not None)
                 report.update({
                     "norms": extrinsic._norm_fields(row, 4),
                     "spectrum": spectrum.to_dict(),
-                    "cgb_integrand": extrinsic._cgb(*row[:4], state.c),
+                    "cgb_integrand": extrinsic._cgb(*row[:4], c),
                     "signature_integrand": signature,
                     "bach": (extrinsic.bach_tensor(state).tolist()
                              if is_minimal and has_derivatives else None),
@@ -135,10 +136,12 @@ def _cmd_point(args) -> int:
 
 def _cmd_classify(args) -> int:
     payload = _load_point_payload(args.input)
-    states = _states(payload, check=lambda state: extrinsic._require_four(state, "spectrum_report"))
-    A = np.array([state.A for state in states]).reshape(-1, 4, 4)
+    groups = _states(payload, check_n=lambda n: extrinsic._require_four(n, "spectrum_report"))
+    # every item has n = 4, so one group holds them all, in input order
+    A = groups[0].A if groups else np.empty((0, 4, 4))
+    minimal = groups[0].minimal.tolist() if groups else []
     reports = [r.to_dict() for r in classify_mod._spectrum_reports(
-        A, extrinsic._quartic_powers(A), [state.minimal for state in states], args.tol)]
+        A, extrinsic._quartic_powers(A), minimal, args.tol)]
     _emit(reports if isinstance(payload, list) else reports[0])
     return _EXIT_OK
 

@@ -17,11 +17,13 @@ A_ijk = (nabla_k A)_ij.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,19 +67,22 @@ _MAX_SCALE = 1e50
 
 
 def _symmetrize3(arr: np.ndarray) -> np.ndarray:
-    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-    return sum(arr.transpose(p) for p in perms) / 6.0
+    """Total symmetrization over the last three axes."""
+    lead = tuple(range(arr.ndim - 3))
+    return sum(arr.transpose(lead + tuple(len(lead) + i for i in p))
+               for p in itertools.permutations(range(3))) / 6.0
 
 
-def _nabla_from_flat(flat) -> np.ndarray:
-    flat = np.asarray(flat, dtype=float)
-    if flat.shape != (20,):
-        raise ValueError(f"nablaA: expected 20 entries, got shape {flat.shape}")
-    arr = np.zeros((4, 4, 4))
-    for value, (i, j, k) in zip(flat, NABLA_ORDER):
-        for p in {(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)}:
-            arr[p[0] - 1, p[1] - 1, p[2] - 1] = value
-    return arr
+def _flat_positions() -> np.ndarray:
+    """Position in the flat NABLA_ORDER vector of each (i, j, k) component."""
+    index = np.empty((4, 4, 4), dtype=int)
+    for position, ijk in enumerate(NABLA_ORDER):
+        for i, j, k in itertools.permutations(ijk):
+            index[i - 1, j - 1, k - 1] = position
+    return index
+
+
+_NABLA_INDEX = _flat_positions()
 
 
 def _nabla_to_flat(arr: np.ndarray) -> list:
@@ -94,9 +99,17 @@ def _require_scale(name: str, scale: float) -> None:
                          "invariants of degree up to 6 in them would overflow")
 
 
-def _is_minimal(A: np.ndarray) -> bool:
-    """The minimality rule of every state and spectrum: |tr A| <= 1e-10 (1 + |A|_F)."""
-    return bool(abs(float(np.trace(A))) <= _MINIMAL_REL_TOL * (1.0 + np.linalg.norm(A)))
+def _fail(message: str):
+    raise ValueError(message)
+
+
+def _is_minimal(A: np.ndarray):
+    """The minimality rule of every state and spectrum, for (..., n, n)
+    operators: |tr A| <= 1e-10 (1 + |A|_F), with |A|_F summed as
+    np.linalg.norm sums it."""
+    flat = A.reshape(A.shape[:-2] + (1, -1))
+    norm = np.sqrt((flat @ flat.swapaxes(-2, -1))[..., 0, 0])
+    return np.abs(np.trace(A, axis1=-2, axis2=-1)) <= _MINIMAL_REL_TOL * (1.0 + norm)
 
 
 def _spectra(A: np.ndarray) -> np.ndarray:
@@ -108,20 +121,31 @@ def _spectra(A: np.ndarray) -> np.ndarray:
     return lams
 
 
-def _warn_unusual(c: float, S: float) -> None:
-    """Warn, at the caller's caller, of an ambient curvature outside {-1, 0, 1}
-    and of a squared norm S above 1e8."""
+def _warn_unusual(c: float, S: float, stacklevel: int = 3) -> None:
+    """Warn, by default at the caller's caller, of an ambient curvature
+    outside {-1, 0, 1} and of a squared norm S above 1e8."""
     if c not in (-1.0, 0.0, 1.0):
         warnings.warn(f"ambient curvature c={c} lies outside the normalized set {{-1, 0, 1}}",
-                      stacklevel=3)
+                      stacklevel=stacklevel)
     if S > _CONDITION_WARN_S:
         warnings.warn(f"S = {S:.3e} is large; downstream quartic expressions lose "
-                      "roughly half the available precision", stacklevel=3)
+                      "roughly half the available precision", stacklevel=stacklevel)
+
+
+# The checks of one state in the order they apply to it: the structural
+# checks (rank 0), then these ranks, of which _C_VALUE, _NABLA_SHAPE and
+# _HESS_SHAPE are the structural checks that follow A's numeric ones.
+(_A_SCALE, _A_SYM, _C_VALUE, _C_SCALE, _NABLA_SHAPE, _NABLA_SCALE, _NABLA_SYM, _HESS_SHAPE,
+ _HESS_SCALE, _HESS_SYM, _NABLA_TRACE, _DIMENSION) = range(1, 13)
+_JSON_FIELDS = ("n", "c", "lambda", "A", "nablaA", "hessS", "parallel")
 
 
 def _json_numbers(name: str, value) -> np.ndarray:
     """A JSON number or nested arrays of them as a float array; booleans,
     strings, null, objects, ragged arrays and ints beyond float range raise."""
+    # a float or a flat list of floats, the common case, needs no object array
+    if type(value) is float or (type(value) is list and all(type(v) is float for v in value)):
+        return np.array(value)
     leaves = np.asarray(value, dtype=object)
     # A ragged array leaves lists among the object leaves.
     if not set(map(type, leaves.flat)) <= {int, float}:
@@ -130,6 +154,260 @@ def _json_numbers(name: str, value) -> np.ndarray:
         return leaves.astype(float)
     except OverflowError as exc:
         raise ValueError(f"{name}: {exc}") from None
+
+
+def _json_args(data) -> dict:
+    """PointState arguments of one decoded JSON object. c, lambda, A, nablaA
+    and hessS hold JSON numbers, n an integer equal to the size of lambda or
+    A, parallel a boolean; anything else is a ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("point state: expected a JSON object")
+    for key in data:
+        if key not in _JSON_FIELDS:
+            raise ValueError(f"{key}: unknown field")
+    if ("lambda" in data) == ("A" in data):
+        raise ValueError("point state: provide exactly one of 'lambda' or 'A'")
+    shape_key = "lambda" if "lambda" in data else "A"
+    fields = {key: _json_numbers(key, data[key])
+              for key in ("c", shape_key, "nablaA", "hessS") if key in data}
+    c, main = fields.get("c", 1.0), fields[shape_key]
+    if "c" in fields and c.ndim:
+        raise ValueError("c: expected a number")
+    if "n" in data:
+        n = data["n"]
+        if type(n) is not int:
+            raise ValueError("n: expected an integer")
+        if main.ndim and len(main) != n:
+            raise ValueError(f"{shape_key}: expected {n} entries, got {len(main)}")
+    return {"lam" if shape_key == "lambda" else "A": main, "c": float(c),
+            "nablaA": fields.get("nablaA"), "hessS": fields.get("hessS"),
+            "parallel": data.get("parallel", False)}
+
+
+def _spectrum_shape(lams, ndim: int) -> np.ndarray:
+    """lams as floats, one spectrum (ndim 1) or an (N, n) array of them (ndim
+    2), each of at least 3 principal curvatures: the shape rule of lambda."""
+    lams = np.asarray(lams, dtype=float)
+    if ndim == 2 and lams.ndim != 2:
+        raise ValueError(f"expected a spectrum array with 2 axes, got shape {lams.shape}")
+    if lams.ndim != ndim or lams.shape[-1] < 3:
+        raise ValueError(f"lambda: expected at least 3 principal curvatures, "
+                         f"got shape {lams.shape}")
+    return lams
+
+
+def _spectrum_rows(lams, ndim: int) -> np.ndarray:
+    """(N, n) rows of a raw spectrum (ndim 1) or an (N, n) array (ndim 2),
+    validated as the states PointState(lam=l) with no other field: the shape
+    rule, then the entry cap, raised for the first failing row."""
+    lams = np.atleast_2d(_spectrum_shape(lams, ndim))
+    scale = 1.0 + np.abs(lams).max(axis=1, initial=0.0)
+    bad = ~(scale <= _MAX_SCALE)
+    if bad.any():
+        _require_scale("lambda", scale[bad.argmax()])
+    return lams
+
+
+def _diagonal(lams: np.ndarray) -> np.ndarray:
+    """The (N, n, n) operators diag(l) of (N, n) rows l, as PointState(lam=l)."""
+    A = np.zeros(lams.shape + lams.shape[-1:])
+    A[:, range(lams.shape[1]), range(lams.shape[1])] = lams
+    return A
+
+
+class _Shaped(NamedTuple):
+    """One state's arguments after the structural checks. ``main`` is lam
+    (n,) or A (n, n); ``late`` is (rank, error) of a failed check of c,
+    nablaA or hessS, with that field and the ones after it None."""
+
+    n: int
+    from_spectrum: bool
+    main: np.ndarray
+    c: float
+    nabla: np.ndarray | None
+    hess: np.ndarray | None
+    parallel: bool
+    late: tuple | None
+
+
+def _shaped(A=None, c=1.0, lam=None, nablaA=None, hessS=None, parallel=False) -> _Shaped:
+    """PointState arguments after their structural checks. A failing check
+    ranked before A's numeric checks raises; a later one comes back late."""
+    if not isinstance(parallel, (bool, np.bool_)):
+        raise ValueError("parallel: expected true or false")
+    if (A is None) == (lam is None):
+        raise ValueError("provide exactly one of A or lam")
+    if lam is not None:
+        main = _spectrum_shape(lam, 1)
+    else:
+        main = np.array(A, dtype=float)
+        if main.ndim != 2 or main.shape[0] != main.shape[1]:
+            raise ValueError(f"A: expected a square matrix, got shape {main.shape}")
+        if len(main) < 3:
+            raise ValueError(f"A: dimension must be at least 3, got {len(main)}")
+    n = len(main)
+    value, nabla, hess, rank = math.nan, None, None, _C_VALUE
+    try:
+        value = float(c)
+        rank = _NABLA_SHAPE
+        if nablaA is not None:
+            nabla = np.asarray(nablaA, dtype=float)
+            if nabla.shape == (20,) and n == 4:
+                nabla = nabla[_NABLA_INDEX]
+            if nabla.shape != (n, n, n):
+                raise ValueError(f"nablaA: expected shape {(n, n, n)} or a flat 20-vector, "
+                                 f"got {nabla.shape}")
+        rank = _HESS_SHAPE
+        if hessS is not None:
+            hess = np.array(hessS, dtype=float)
+            if hess.shape != (n, n):
+                raise ValueError(f"hessS: expected shape {(n, n)}, got {hess.shape}")
+    except (OverflowError, TypeError, ValueError) as exc:
+        return _Shaped(n, lam is not None, main, value, nabla if rank == _HESS_SHAPE else None,
+                       None, bool(parallel), (rank, exc))
+    return _Shaped(n, lam is not None, main, value, nabla, hess, bool(parallel), None)
+
+
+class _StateGroup(NamedTuple):
+    """Validated states of one dimension n, in input order: their input
+    positions ``index``; A (N, n, n), c and minimal (N,); per state nablaA
+    (n, n, n) or None, hessS (n, n) or None, parallel and whether it came
+    from a spectrum. The arrays are read-only."""
+
+    index: list
+    A: np.ndarray
+    c: np.ndarray
+    minimal: np.ndarray
+    nablaA: list
+    hessS: list
+    parallel: list
+    from_spectrum: list
+
+
+def _check_group(index: list, rows: list, tol: float) -> tuple:
+    """The numeric checks of the shaped states ``rows`` of one dimension, at
+    items ``index``, on stacked arrays: (group, failures, warned), where
+    failures holds (item, rank, error) for the first failing row of each
+    check and warned (item, c, S) for each row with an unusual c or S."""
+    n, count = rows[0].n, len(rows)
+    failures = []
+
+    def first(rank: int, positions, bad: np.ndarray, check) -> None:
+        # check(row) raises the error of a failing row
+        if bad.any():
+            hit = int(bad.argmax())
+            try:
+                check(hit)
+            except ValueError as exc:
+                failures.append((index[positions[hit]], rank, exc))
+
+    every = range(count)
+    spectra = [i for i in every if rows[i].from_spectrum]
+    matrices = [i for i in every if not rows[i].from_spectrum]
+    A = np.empty((count, n, n))
+    if spectra:
+        A[spectra] = _diagonal(np.array([rows[i].main for i in spectra]))
+    if matrices:
+        A[matrices] = np.array([rows[i].main for i in matrices])
+    scale = 1.0 + np.abs(A).max(axis=(1, 2))
+    first(_A_SCALE, every, ~(scale <= _MAX_SCALE),
+          lambda i: _require_scale("lambda" if rows[i].from_spectrum else "A", scale[i]))
+    first(_A_SYM, every, np.abs(A - A.swapaxes(1, 2)).max(axis=(1, 2)) > tol * scale,
+          lambda i: _fail("A: shape operator must be symmetric"))
+    A = 0.5 * (A + A.swapaxes(1, 2))
+    c = np.array([row.c for row in rows])
+    c_scale = 1.0 + np.abs(c)
+    first(_C_SCALE, every, ~(c_scale <= _MAX_SCALE), lambda i: _require_scale("c", c_scale[i]))
+    minimal = _is_minimal(A)
+    nablaA, hessS = [None] * count, [None] * count
+    given = [i for i in every if rows[i].nabla is not None]
+    if given:
+        raw = np.array([rows[i].nabla for i in given])
+        sym = _symmetrize3(raw)
+        nscale = 1.0 + np.abs(raw).max(axis=(1, 2, 3))
+        first(_NABLA_SCALE, given, ~(nscale <= _MAX_SCALE),
+              lambda j: _require_scale("nablaA", nscale[j]))
+        first(_NABLA_SYM, given, np.abs(raw - sym).max(axis=(1, 2, 3)) > tol * nscale,
+              lambda j: _fail("nablaA: components must be totally symmetric"))
+        div = np.abs(np.einsum("...iik->...k", sym)).max(axis=-1)
+        first(_NABLA_TRACE, given,
+              minimal[given] & (div > tol * (1.0 + np.abs(sym).max(axis=(1, 2, 3)))),
+              lambda j: _fail("nablaA: trace A_iik must equal the H gradient, which vanishes "
+                              f"for a minimal state (max violation {div[j]:.3e})"))
+        sym.setflags(write=False)
+        for i, value in zip(given, sym):
+            nablaA[i] = value
+    given = [i for i in every if rows[i].hess is not None]
+    if given:
+        raw = np.array([rows[i].hess for i in given])
+        hscale = 1.0 + np.abs(raw).max(axis=(1, 2))
+        first(_HESS_SCALE, given, ~(hscale <= _MAX_SCALE),
+              lambda j: _require_scale("hessS", hscale[j]))
+        first(_HESS_SYM, given, np.abs(raw - raw.swapaxes(1, 2)).max(axis=(1, 2)) > tol * hscale,
+              lambda j: _fail("hessS: must be symmetric"))
+        hess = 0.5 * (raw + raw.swapaxes(1, 2))
+        hess.setflags(write=False)
+        for i, value in zip(given, hess):
+            hessS[i] = value
+    S = (A * A).sum(axis=(1, 2))
+    unusual = (c != -1.0) & (c != 0.0) & (c != 1.0) | (S > _CONDITION_WARN_S)
+    warned = [(index[i], c[i].item(), S[i].item())
+              for i in np.flatnonzero(unusual)] if unusual.any() else []
+    A.setflags(write=False)
+    group = _StateGroup(index, A, c, minimal, nablaA, hessS, [row.parallel for row in rows],
+                        [row.from_spectrum for row in rows])
+    return group, failures, warned
+
+
+def _validate(items, parse=dict, tol: float = EQUALITY_TOL, check_n=None) -> list:
+    """The validated states of a batch of items, as one _StateGroup per
+    dimension in order of first appearance.
+
+    ``parse`` turns an item into PointState arguments (``_json_args`` for
+    decoded JSON objects). The structural checks run item by item in plain
+    Python and stop at the first item that fails one; the numeric checks
+    then run once per dimension on stacked arrays. The first failing item
+    raises the error of its first failing check, in PointState's order of
+    checks, after the odd-c and large-S warnings of the items before it.
+    The warnings go out, in input order, when the batch is validated, at
+    the caller of the function that asked for validation. ``check_n(n)``,
+    if given, is the last check of every item of dimension n.
+    """
+    shaped, failures = [], []
+    for k, item in enumerate(items):
+        try:
+            row = _shaped(**parse(item))
+        except (OverflowError, TypeError, ValueError) as exc:
+            failures.append((k, 0, exc))
+            break
+        shaped.append(row)
+        if row.late is not None:
+            failures.append((k,) + row.late)
+            break
+    index_by_n: dict = {}
+    for k, row in enumerate(shaped):
+        index_by_n.setdefault(row.n, []).append(k)
+    groups, warned = [], []
+    # rows that fail a check may overflow or hold NaN in the later ones
+    with np.errstate(all="ignore"):
+        for n, index in index_by_n.items():
+            group, group_failures, group_warned = _check_group(
+                index, [shaped[k] for k in index], tol)
+            groups.append(group)
+            failures += group_failures
+            warned += group_warned
+            if check_n is not None:
+                try:
+                    check_n(n)
+                except ValueError as exc:
+                    failures.append((index[0], _DIMENSION, exc))
+    stop = min(failures, key=lambda failure: failure[:2]) if failures else None
+    for k, c, S in sorted(warned):
+        if stop is None or k < stop[0] or (k == stop[0] and stop[1] > _C_SCALE):
+            _warn_unusual(c, S, stacklevel=4)
+    if stop is not None:
+        raise stop[2]
+    return groups
 
 
 class PointState:
@@ -152,76 +430,38 @@ class PointState:
         A boolean; True asserts nabla A = 0 and Hess S = 0, and
         derivative-dependent quantities then use zeros without explicit
         arrays.
+
+    The arguments are validated as a batch of one by ``_validate``, the
+    validator the CLI runs on whole batches: the first failing check
+    (types and shapes, the 1e50 entry cap, symmetry, the trace of nablaA
+    on a minimal state) raises its ValueError, and the c and S warnings
+    point at the caller.
     """
 
     __slots__ = ("n", "c", "A", "nablaA", "hessS", "parallel", "minimal", "_from_spectrum")
 
     def __init__(self, A=None, c: float = 1.0, lam=None, nablaA=None, hessS=None,
                  parallel: bool = False, tol: float = EQUALITY_TOL):
-        if not isinstance(parallel, (bool, np.bool_)):
-            raise ValueError("parallel: expected true or false")
-        if (A is None) == (lam is None):
-            raise ValueError("provide exactly one of A or lam")
-        from_spectrum = lam is not None
-        if from_spectrum:
-            lam = np.asarray(lam, dtype=float)
-            if lam.ndim != 1 or lam.size < 3:
-                raise ValueError(f"lambda: expected at least 3 principal curvatures, got shape {lam.shape}")
-            A = np.diag(lam)
-        A = np.array(A, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError(f"A: expected a square matrix, got shape {A.shape}")
-        n = A.shape[0]
-        if n < 3:
-            raise ValueError(f"A: dimension must be at least 3, got {n}")
-        scale = 1.0 + np.abs(A).max()
-        _require_scale("lambda" if from_spectrum else "A", scale)
-        if np.abs(A - A.T).max() > tol * scale:
-            raise ValueError("A: shape operator must be symmetric")
-        A = 0.5 * (A + A.T)
-        c = float(c)
-        _require_scale("c", 1.0 + abs(c))
-        _warn_unusual(c, float(np.sum(A * A)))
-        nabla = hess = None
-        if nablaA is not None:
-            nabla = np.asarray(nablaA, dtype=float)
-            if nabla.shape == (20,) and n == 4:
-                nabla = _nabla_from_flat(nabla)
-            if nabla.shape != (n, n, n):
-                raise ValueError(f"nablaA: expected shape {(n, n, n)} or a flat 20-vector, got {nabla.shape}")
-            sym = _symmetrize3(nabla)
-            nscale = 1.0 + np.abs(nabla).max()
-            _require_scale("nablaA", nscale)
-            if np.abs(nabla - sym).max() > tol * nscale:
-                raise ValueError("nablaA: components must be totally symmetric")
-            nabla = sym
-            nabla.setflags(write=False)
-        if hessS is not None:
-            hess = np.array(hessS, dtype=float)
-            if hess.shape != (n, n):
-                raise ValueError(f"hessS: expected shape {(n, n)}, got {hess.shape}")
-            hscale = 1.0 + np.abs(hess).max()
-            _require_scale("hessS", hscale)
-            if np.abs(hess - hess.T).max() > tol * hscale:
-                raise ValueError("hessS: must be symmetric")
-            hess = 0.5 * (hess + hess.T)
-            hess.setflags(write=False)
-        A.setflags(write=False)
-        self.n = n
-        self.c = c
-        self.A = A
-        self.nablaA = nabla
-        self.hessS = hess
-        self.parallel = bool(parallel)
-        self._from_spectrum = from_spectrum
-        self.minimal = _is_minimal(A)
-        if nabla is not None and self.minimal:
-            div = np.einsum("iik->k", nabla)
-            if np.abs(div).max() > tol * (1.0 + np.abs(nabla).max()):
-                raise ValueError(
-                    "nablaA: trace A_iik must equal the H gradient, which vanishes for a "
-                    f"minimal state (max violation {np.abs(div).max():.3e})"
-                )
+        (group,) = _validate([dict(A=A, c=c, lam=lam, nablaA=nablaA, hessS=hessS,
+                                   parallel=parallel)], tol=tol)
+        self._read(group, 0)
+
+    @classmethod
+    def _trusted(cls, group: _StateGroup, i: int) -> "PointState":
+        """The state of row i of a validated group, without further checks."""
+        state = cls.__new__(cls)
+        state._read(group, i)
+        return state
+
+    def _read(self, group: _StateGroup, i: int) -> None:
+        self.n = group.A.shape[-1]
+        self.c = float(group.c[i])
+        self.A = group.A[i]
+        self.nablaA = group.nablaA[i]
+        self.hessS = group.hessS[i]
+        self.parallel = group.parallel[i]
+        self.minimal = bool(group.minimal[i])
+        self._from_spectrum = group.from_spectrum[i]
 
     @property
     def H(self) -> float:
@@ -255,32 +495,13 @@ class PointState:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PointState":
-        """State from a decoded JSON object. c, lambda, A, nablaA and hessS hold
-        JSON numbers, n an integer equal to the size of lambda or A, parallel a
-        boolean; anything else is a ValueError."""
-        if not isinstance(data, dict):
-            raise ValueError("point state: expected a JSON object")
-        known = {"n", "c", "lambda", "A", "nablaA", "hessS", "parallel"}
-        for key in data:
-            if key not in known:
-                raise ValueError(f"{key}: unknown field")
-        if ("lambda" in data) == ("A" in data):
-            raise ValueError("point state: provide exactly one of 'lambda' or 'A'")
-        shape_key = "lambda" if "lambda" in data else "A"
-        fields = {key: _json_numbers(key, data[key])
-                  for key in ("c", shape_key, "nablaA", "hessS") if key in data}
-        c, main = fields.get("c", 1.0), fields[shape_key]
-        if "c" in fields and c.ndim:
-            raise ValueError("c: expected a number")
-        if "n" in data:
-            n = data["n"]
-            if type(n) is not int:
-                raise ValueError("n: expected an integer")
-            if main.ndim and len(main) != n:
-                raise ValueError(f"{shape_key}: expected {n} entries, got {len(main)}")
-        kwargs = {"lam" if shape_key == "lambda" else "A": main}
-        return cls(c=float(c), nablaA=fields.get("nablaA"), hessS=fields.get("hessS"),
-                   parallel=data.get("parallel", False), **kwargs)
+        """State from a decoded JSON object, validated as a batch of one under
+        the JSON rules: c, lambda, A, nablaA and hessS hold JSON numbers, n an
+        integer equal to the size of lambda or A, parallel a boolean; anything
+        else is a ValueError. The CLI validates whole batches the same way
+        without building a state per item."""
+        (group,) = _validate([data], _json_args)
+        return cls._trusted(group, 0)
 
     @classmethod
     def from_json(cls, text: str) -> "PointState":
@@ -497,9 +718,9 @@ def weyl_split_norms(A) -> tuple:
     return tuple(out.reshape((3,) + A.shape[:-2]))
 
 
-def _require_four(p: PointState, what: str) -> None:
-    if p.n != 4:
-        raise ValueError(f"{what} supports n = 4 only, got n = {p.n}")
+def _require_four(n: int, what: str) -> None:
+    if n != 4:
+        raise ValueError(f"{what} supports n = 4 only, got n = {n}")
 
 
 def gauss_equations(p: PointState) -> CurvaturePack:
@@ -521,7 +742,7 @@ def weyl_tensor(p: PointState) -> CurvTensor4:
     The result depends only on A; recomputing with any ambient c gives
     bit-identical components. Dimensions other than four are rejected.
     """
-    _require_four(p, "weyl_tensor")
+    _require_four(p.n, "weyl_tensor")
     return CurvTensor4(_weyl_raw(p.A), check=False)
 
 
@@ -554,7 +775,7 @@ def cgb_integrand(p: PointState) -> float:
     Integrating this over a closed hypersurface and dividing by 32 pi^2
     gives the Euler characteristic.
     """
-    _require_four(p, "cgb_integrand")
+    _require_four(p.n, "cgb_integrand")
     H, S, A2sq, trA3 = map(float, _quartic_powers(p.A))
     return _cgb(H, S, A2sq, trA3, p.c)
 
@@ -565,7 +786,7 @@ def signature_integrand(p: PointState) -> float:
     Identically zero for hypersurface-induced metrics: the signature of a
     closed hypersurface of a space form vanishes.
     """
-    _require_four(p, "signature_integrand")
+    _require_four(p.n, "signature_integrand")
     return float(_signatures(p.A[None])[0])
 
 
@@ -600,7 +821,7 @@ def bach_tensor(p: PointState, tol: float = EQUALITY_TOL) -> np.ndarray:
     draws a warning instead of an error so that measured data can still
     be inspected.
     """
-    _require_four(p, "bach_tensor")
+    _require_four(p.n, "bach_tensor")
     if not p.minimal:
         raise ValueError(f"bach_tensor requires a minimal state (H = {p.H:.3e})")
     nabla, hess = _require_derivatives(p, True, True, "bach_tensor")
@@ -638,7 +859,7 @@ def div_weyl_sd(p: PointState) -> list:
     1-based "indices" (k, i, j) and float "plus"/"minus" values, 12 in
     total.
     """
-    _require_four(p, "div_weyl_sd")
+    _require_four(p.n, "div_weyl_sd")
     A = p.A
     off = A - np.diag(np.diag(A))
     if np.abs(off).max() > EQUALITY_TOL * (1.0 + np.abs(A).max()):
@@ -698,7 +919,8 @@ def bochner_residuals(p: PointState, field_data: dict | None = None) -> dict:
             raise ValueError(f"field_data: unknown key {key!r}; known keys {_FIELD_KEYS}")
     out = dict.fromkeys(("lap_A", "simons", "lap_A2", "lap_A2_norm", "first_bach",
                          "second_bach", "scalar_bochner"), "unavailable")
-    if not p.minimal:
+    if not p.minimal or not (field_data or p.parallel or p.nablaA is not None
+                             or p.hessS is not None):
         return out
     n, c, A, S = p.n, p.c, p.A, p.S
     A2 = A @ A

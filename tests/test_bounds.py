@@ -30,6 +30,13 @@ def test_global_data_validation():
         bounds.GlobalData(chi=4, vol=1.0, scalSign="sideways")
 
 
+@pytest.mark.parametrize("chi", [None, 2.5, True, "4", 4.0])
+def test_global_data_requires_an_integer_chi(chi):
+    # a bool is an int to Python but not an Euler characteristic
+    with pytest.raises(ValueError, match="^chi must be an integer"):
+        bounds.GlobalData(chi=chi, vol=1.0)
+
+
 # ------------------------------------------------------------ s_quadratic
 
 

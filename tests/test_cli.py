@@ -4,13 +4,14 @@ import io
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hypercurv import cli
+from hypercurv import cli, extrinsic
 from hypercurv.extrinsic import NABLA_ORDER
 
 
@@ -232,6 +233,19 @@ def test_point_margins_rest_on_the_norms(capsys):
     ("classify", {"n": 5, "lambda": [1, 1, 1, 1, 1]},
      "error: spectrum_report supports n = 4 only, got n = 5"),
     ("classify", {"lambda": [1, -1, 1, -1], "c": None}, "error: c: expected JSON numbers"),
+    # the numeric checks, which run once per dimension on the stacked states
+    ("point", {"lambda": [float(np.nextafter(1e50, np.inf)), 1.0, 1.0, -1.0]},
+     "error: lambda: entries must not exceed 1e+50 in magnitude; "
+     "invariants of degree up to 6 in them would overflow"),
+    ("point", {"A": [[1.0, 1e-3, 0, 0], [0, -1.0, 0, 0], [0, 0, 0.5, 0], [0, 0, 0, -0.5]]},
+     "error: A: shape operator must be symmetric"),
+    ("classify", {"lambda": [1, 1, -1, -1], "nablaA": _trace_free_nabla(0.5),
+                  "hessS": [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]},
+     "error: hessS: must be symmetric"),
+    ("point", {"lambda": [1, 1, -1, -1], "nablaA": [0.5] + [0.0] * 19},
+     "error: nablaA: trace A_iik must equal the H gradient, which vanishes for a minimal "
+     "state (max violation 5.000e-01)"),
+    ("classify", {"n": 5, "lambda": [1, 1, -1, -1]}, "error: lambda: expected 5 entries, got 4"),
 ])
 def test_one_bad_item_fails_the_batch(capsys, command, bad, line, position):
     good = [item for item in _mixed_batch() if item["n"] == 4 and "nablaA" not in item]
@@ -241,6 +255,169 @@ def test_one_bad_item_fails_the_batch(capsys, command, bad, line, position):
     assert code == 2
     assert out == ""
     assert err.splitlines()[-1] == line
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("command, batch, line", [
+    # an item failing two checks raises the one PointState runs first: the
+    # entry cap of lambda before the shape of nablaA, the shape of hessS
+    # before the trace of nablaA, the cap of c before the shape of nablaA
+    ("point", [{"lambda": [1e60, 1, 1, -1], "nablaA": [0.0] * 19}],
+     "error: lambda: entries must not exceed 1e+50 in magnitude; "
+     "invariants of degree up to 6 in them would overflow"),
+    ("point", [{"lambda": [1, 1, -1, -1], "nablaA": [0.5] + [0.0] * 19, "hessS": [[1.0]]}],
+     "error: hessS: expected shape (4, 4), got (1, 1)"),
+    ("point", [{"lambda": [1, 1, -1, -1], "c": 1e60, "nablaA": [0.0] * 19}],
+     "error: c: entries must not exceed 1e+50 in magnitude; "
+     "invariants of degree up to 6 in them would overflow"),
+    # the first failing item wins, whatever the rank of a later item's check
+    ("point", [{"lambda": [1, 1, -1, -1], "nablaA": [0.0] * 19}, {"lambda": "x"}],
+     "error: nablaA: expected shape (4, 4, 4) or a flat 20-vector, got (19,)"),
+    ("point", [{"A": [[1.0, 1e-3, 0, 0], [0, -1.0, 0, 0], [0, 0, 0.5, 0], [0, 0, 0, -0.5]]},
+               {"lambda": [1, 2]}],
+     "error: A: shape operator must be symmetric"),
+    ("classify", [{"n": 5, "lambda": [1] * 5}, {"lambda": "x"}],
+     "error: spectrum_report supports n = 4 only, got n = 5"),
+    ("classify", [{"lambda": "x"}, {"n": 5, "lambda": [1] * 5}],
+     "error: lambda: expected JSON numbers"),
+    ("point", [{"A": (np.eye(4) * 1e60).tolist()}, {"lambda": [1e60, 1, 1, -1]}],
+     "error: A: entries must not exceed 1e+50 in magnitude; "
+     "invariants of degree up to 6 in them would overflow"),
+    ("classify", [{"lambda": [1, 1, -1, -1]}, {"n": 5, "lambda": [1] * 5, "hessS": [[1.0]]}],
+     "error: hessS: expected shape (5, 5), got (1, 1)"),
+    ("classify", [{"lambda": [1, 1, -1, -1]}, {"lambda": [1e60, 1, 1, 1]}, {"lambda": [1, 1, -2]}],
+     "error: lambda: entries must not exceed 1e+50 in magnitude; "
+     "invariants of degree up to 6 in them would overflow"),
+    ("classify", [{"lambda": [1, 1, -1, -1]}, {"lambda": [1, 1, -2]},
+                  {"lambda": [1e60, 1, 1, 1]}],
+     "error: spectrum_report supports n = 4 only, got n = 3"),
+])
+def test_batch_raises_the_first_items_first_check(capsys, command, batch, line):
+    code, out, err = _run(capsys, [command, json.dumps(batch)])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == line
+
+
+def test_failing_batch_warns_only_up_to_its_failing_check(capsys):
+    # the c and S warnings of validation go out in input order for the items
+    # before the first failure, and for the failing item itself when its
+    # failing check comes after them, as they did item by item
+    lam = [1.0, 1.0, -1.0, -1.0]
+    asymmetric = np.zeros((4, 4))
+    asymmetric[0, 1] = 1.0
+    batch = [{"lambda": lam, "c": 2.5}, {"lambda": lam, "c": 3.5, "hessS": asymmetric.tolist()},
+             {"lambda": lam, "c": 4.5}]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, ["point", json.dumps(batch)])
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == "error: hessS: must be symmetric"
+    assert [str(w.message)[:25] for w in caught] == ["ambient curvature c=2.5 l",
+                                                     "ambient curvature c=3.5 l"]
+
+
+_ABOVE_CAP = float(np.nextafter(1e50, np.inf))
+_BELOW_CAP = float(np.nextafter(1e50, 0.0))
+
+
+def _valid_items(command):
+    return [item for item in _mixed_batch() if command == "point" or item["n"] == 4]
+
+
+@st.composite
+def _bad_items(draw):
+    """An n = 4 item with one defect, or with an entry at either side of the
+    cap; a JSON string "INF" stands for the token 1e999, which decodes to inf."""
+    item = {"n": 4, "c": 1.0, "lambda": [1.0, 0.5, -0.25, -1.25],
+            "nablaA": _trace_free_nabla(0.5), "hessS": np.eye(4).tolist()}
+    if draw(st.booleans()):
+        item["A"] = np.diag(item.pop("lambda")).tolist()
+    main = "lambda" if "lambda" in item else "A"
+    defect = draw(st.sampled_from(["inf", "above", "below", "shape", "n", "asymmetric",
+                                   "trace"]))
+    field = draw(st.sampled_from([main, "c", "nablaA", "hessS"]))
+    if defect in ("inf", "above", "below"):
+        value = {"inf": "INF", "above": _ABOVE_CAP, "below": _BELOW_CAP}[defect]
+        if field == "c":
+            item["c"] = value
+        elif field == "nablaA":
+            item["nablaA"][draw(st.integers(0, 19))] = value
+        elif field == "lambda":
+            item["lambda"][draw(st.integers(0, 3))] = value
+        else:
+            i = draw(st.integers(0, 3))
+            item[field][i][i] = value
+    elif defect == "shape":
+        item[field] = draw(st.sampled_from([[1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]],
+                                            [0.0] * 19, np.eye(3).tolist(), np.eye(5).tolist()]))
+    elif defect == "n":
+        item["n"] = draw(st.sampled_from([3, 5]))
+    elif defect == "asymmetric":
+        field = draw(st.sampled_from(["A", "hessS"]))
+        item.pop("lambda", None)
+        item.setdefault("A", np.diag([1.0, 0.5, -0.25, -1.25]).tolist())
+        item[field][0][1] += draw(st.sampled_from([1e-6, 1.0]))
+    else:
+        # nablaA with a nonzero trace A_iik on a minimal state
+        item["nablaA"][0] = draw(st.sampled_from([1e-6, 0.5, 3.0]))
+    return item
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["point", "classify"]), bad=_bad_items(),
+       position=st.floats(0.0, 1.0))
+def test_bad_item_fails_its_batch_with_its_own_error_line(capsys, command, bad, position):
+    # Validation runs on the whole batch at once; the batch still exits as
+    # the item alone does, with the same error line, and a boundary item
+    # that passes gets the report it gets alone.
+    good = _valid_items(command)
+    at = round(position * len(good))
+
+    def run(payload):
+        return _run(capsys, [command, json.dumps(payload).replace('"INF"', "1e999")])
+
+    code, out, err = run(bad)
+    batch_code, batch_out, batch_err = run(good[:at] + [bad] + good[at:])
+    assert batch_code == code
+    if code == 2:
+        assert out == batch_out == ""
+        assert batch_err.splitlines()[-1] == err.splitlines()[-1]
+        assert err.splitlines()[-1].startswith("error: ")
+    else:
+        assert code == 0, err
+        assert json.loads(batch_out)[at] == json.loads(out)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_batches_build_no_state_per_item(capsys, monkeypatch):
+    # point and classify validate a batch as arrays: no PointState is
+    # constructed or read from a dict per item
+    calls = []
+    init, from_dict = extrinsic.PointState.__init__, extrinsic.PointState.from_dict.__func__
+
+    def counted_init(self, *args, **kwargs):
+        calls.append("__init__")
+        init(self, *args, **kwargs)
+
+    def counted_from_dict(cls, data):
+        calls.append("from_dict")
+        return from_dict(cls, data)
+
+    monkeypatch.setattr(extrinsic.PointState, "__init__", counted_init)
+    monkeypatch.setattr(extrinsic.PointState, "from_dict", classmethod(counted_from_dict))
+    for command in ("point", "classify"):
+        items = _valid_items(command)
+        batch = (items * 50)[:50]
+        code, out, _ = _run(capsys, [command, json.dumps(batch)])
+        assert code == 0
+        assert len(json.loads(out)) == 50
+    assert calls == []
+    extrinsic.PointState(lam=[1.0, 1.0, -1.0, -1.0])
+    extrinsic.PointState.from_dict({"lambda": [1.0, 1.0, -1.0, -1.0]})
+    assert calls == ["__init__", "from_dict"]
 
 
 def test_bounds_exact_clifford_data_holds(capsys):

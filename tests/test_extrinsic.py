@@ -87,6 +87,16 @@ def test_point_state_warns_on_odd_c():
         _state([1, 0, 0, 0], c=2.5)
 
 
+def test_point_state_warnings_point_at_the_caller():
+    # a state is validated as a batch of one; its warnings still name the
+    # line that built it, c's before S's
+    with pytest.warns(UserWarning) as record:
+        extrinsic.PointState(lam=[1e5, 0.0, 0.0, 0.0], c=2.5)
+        extrinsic.PointState.from_dict({"lambda": [1e5, 0.0, 0.0, 0.0], "c": 2.5})
+    assert [str(w.message)[:12] for w in record] == ["ambient curv", "S = 1.000e+1"] * 2
+    assert {w.filename for w in record} == {__file__}
+
+
 def test_nabla_validation_and_flat_round_trip():
     nabla = np.zeros((4, 4, 4))
     for p in [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]:
@@ -509,6 +519,20 @@ def test_bochner_unavailable_without_derivatives():
     st = _state([1, 1, -1, -1])
     res = extrinsic.bochner_residuals(st)
     assert all(v == "unavailable" for v in res.values())
+
+
+def test_bochner_returns_before_the_power_sums_without_data(monkeypatch):
+    # a minimal state with no nablaA, hessS, field data or parallel flag has
+    # nothing to check: every residual is unavailable and no kernel runs
+    def fail(*args):
+        raise AssertionError("kernel called")
+
+    monkeypatch.setattr(extrinsic, "_trace_powers", fail)
+    monkeypatch.setattr(extrinsic, "_require_derivatives", fail)
+    res = extrinsic.bochner_residuals(_state([1, 1, -1, -1]))
+    assert set(res.values()) == {"unavailable"} and len(res) == 7
+    with pytest.raises(AssertionError, match="kernel called"):
+        extrinsic.bochner_residuals(_state([1, 1, -1, -1], hessS=np.zeros((4, 4))))
 
 
 def test_bochner_nonminimal_unavailable():
