@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .extrinsic import _MAX_SCALE
 from .tolerances import CLUSTER_TOL
 
 __all__ = [
@@ -51,12 +52,16 @@ class GlobalData:
     def __post_init__(self):
         if isinstance(self.chi, bool) or not isinstance(self.chi, int):
             raise ValueError(f"chi must be an integer, got {self.chi!r}")
-        for name in ("vol", "S", "weylL2", "c", "A2avg"):
+        # PointState's entry cap, exact on ints, keeps every bound finite
+        for name in ("chi", "vol", "S", "weylL2", "c", "A2avg"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if value is not None and not 1 + abs(value) <= _MAX_SCALE:
+                raise ValueError(f"{name} must be finite, got {value}" if not abs(value) < math.inf
+                                 else f"{name} must not exceed {_MAX_SCALE:.0e} in magnitude")
         if self.vol <= 0.0:
             raise ValueError(f"vol must be positive, got {self.vol}")
+        if not 1 + abs(self.chi / self.vol) <= _MAX_SCALE:
+            raise ValueError(f"vol must keep |chi/vol| <= {_MAX_SCALE:.0e}, got {self.vol}")
         if self.S is not None and self.S < 0.0:
             raise ValueError(f"S must be nonnegative, got {self.S}")
         if self.weylL2 is not None and self.weylL2 < 0.0:

@@ -23,11 +23,11 @@ or a measured w that the dictionary contradicts, mark the report as
 indeterminate rather than silently committing to a cluster count.
 
 Every function reads shape operators A: a raw spectrum l is the state
-diag(l), validated by the state validator of ``extrinsic`` as
-PointState(lam=l) is (``_spectrum_rows``: the lambda shape rule, then
-the entry cap row by row, on a whole (N, n) array at once in
-``classify_batch``), but without the state's c and S warnings. A
-diagonal A has its sorted diagonal as spectrum, any other A
+diag(l), validated as PointState(lam=l) is (``extrinsic._spectrum_rows``:
+the lambda shape rule, then the entry rule of every state field, for a
+whole (N, n) array at once in ``classify_batch``), but without the
+state's c and S warnings. A diagonal A has its sorted diagonal as
+spectrum, any other A
 eigvalsh(A); power sums come from ``extrinsic._quartic_powers``, the
 kernel of the norms. One kernel, ``_classify``, does this for (N, 4, 4)
 operators in a single pass: ``spectrum_report`` runs it on a batch of

@@ -20,16 +20,16 @@ with fields n, c, and exactly one of "lambda" or "A", plus optional
 "nablaA" (for n = 4 a flat 20-vector over the lexicographic i<=j<=k
 component order), "hessS", "parallel". A JSON array of such objects is
 processed as a batch with output order preserved. point and classify
-validate the whole batch before building any report, as arrays
-(extrinsic._validate, the validator PointState runs on a batch of one):
-structural checks item by item, then the numeric checks once per
-dimension on the stacked states. One bad item exits 2 with no output and
-the error line it gets alone, that of the first failing item's first
-failing check. The stacked states of one dimension then go through each
-batched kernel together, and an item's report equals the one it gets
-alone. Warnings keep their count and text but come grouped on stderr:
-validation's c and S warnings first, in input order, then the per-state
-Bach warnings. Output is deterministic: identical input yields
+validate the whole batch before building any report, with
+extrinsic._validate, the validator PointState runs on a batch of one:
+types and shapes item by item, values once per dimension on the stacked
+states, field by field. One bad item exits 2 with no output and the
+error line it gets alone. The stacked states of one dimension then go
+through each batched kernel together, and an item's report equals the
+one it gets alone. Warnings keep their count and text but come grouped
+on stderr: validation's c and S warnings first, in input order, then the
+per-state Bach warnings. bounds applies a state's 1e50 entry cap to its
+numbers and to chi/vol. Output is deterministic: identical input yields
 byte-identical JSON.
 """
 

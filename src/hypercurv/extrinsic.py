@@ -23,6 +23,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -68,9 +69,10 @@ _MAX_SCALE = 1e50
 
 def _symmetrize3(arr: np.ndarray) -> np.ndarray:
     """Total symmetrization over the last three axes."""
-    lead = tuple(range(arr.ndim - 3))
-    return sum(arr.transpose(lead + tuple(len(lead) + i for i in p))
-               for p in itertools.permutations(range(3))) / 6.0
+    lead, total = tuple(range(arr.ndim - 3)), 0.0
+    for p in itertools.permutations(range(len(lead), arr.ndim)):
+        total += arr.transpose(lead + p)
+    return total / 6.0
 
 
 def _flat_positions() -> np.ndarray:
@@ -89,18 +91,35 @@ def _nabla_to_flat(arr: np.ndarray) -> list:
     return [float(arr[i - 1, j - 1, k - 1]) for (i, j, k) in NABLA_ORDER]
 
 
-def _require_scale(name: str, scale: float) -> None:
-    # Callers pass the 1 + max|entry| scale they already compute, which is
-    # NaN or inf exactly when an entry is.
-    if not math.isfinite(scale):
-        raise ValueError(f"{name}: entries must be finite numbers")
-    if scale > _MAX_SCALE:
-        raise ValueError(f"{name}: entries must not exceed {_MAX_SCALE:.0e} in magnitude; "
-                         "invariants of degree up to 6 in them would overflow")
+_ASYMMETRIC = {"A": "shape operator must be symmetric",
+               "nablaA": "components must be totally symmetric", "hessS": "must be symmetric"}
 
 
-def _fail(message: str):
-    raise ValueError(message)
+def _entry_failure(name: str, rows: np.ndarray, mirror=None, tol: float = EQUALITY_TOL):
+    """(i, error) for the first row i of a stack of values of field ``name``
+    that breaks the entry rule, else None: a row's scale 1 + max|entry| is
+    finite and at most 1e50, then max|row - mirror| is at most tol times it,
+    given a mirror (a matrix's transpose, nablaA's total symmetrization)."""
+    axes = tuple(range(1, rows.ndim))
+    scale = 1.0 + np.abs(rows).max(axis=axes, initial=0.0)
+    # the rows before the first one over the cap, whose skew cannot overflow
+    end = len(rows) if scale.max(initial=0.0) <= _MAX_SCALE else int(np.argmin(scale <= _MAX_SCALE))
+    if mirror is not None:
+        skew = np.abs(rows[:end] - mirror[:end]).max(axis=axes, initial=0.0) > tol * scale[:end]
+        if skew.any():
+            return int(skew.argmax()), ValueError(f"{name}: {_ASYMMETRIC[name]}")
+    if end < len(rows):
+        return end, ValueError(f"{name}: entries " + (
+            f"must not exceed {_MAX_SCALE:.0e} in magnitude; invariants of degree up to 6 in "
+            "them would overflow" if scale[end] < math.inf else "must be finite numbers"))
+    return None
+
+
+def _require_entries(name: str, rows: np.ndarray, mirror=None) -> None:
+    """Raise the error of the first row that breaks the entry rule."""
+    failure = _entry_failure(name, rows, mirror)
+    if failure is not None:
+        raise failure[1]
 
 
 def _is_minimal(A: np.ndarray):
@@ -132,11 +151,6 @@ def _warn_unusual(c: float, S: float, stacklevel: int = 3) -> None:
                       "roughly half the available precision", stacklevel=stacklevel)
 
 
-# The checks of one state in the order they apply to it: the structural
-# checks (rank 0), then these ranks, of which _C_VALUE, _NABLA_SHAPE and
-# _HESS_SHAPE are the structural checks that follow A's numeric ones.
-(_A_SCALE, _A_SYM, _C_VALUE, _C_SCALE, _NABLA_SHAPE, _NABLA_SCALE, _NABLA_SYM, _HESS_SHAPE,
- _HESS_SCALE, _HESS_SYM, _NABLA_TRACE, _DIMENSION) = range(1, 13)
 _JSON_FIELDS = ("n", "c", "lambda", "A", "nablaA", "hessS", "parallel")
 
 
@@ -197,14 +211,10 @@ def _spectrum_shape(lams, ndim: int) -> np.ndarray:
 
 
 def _spectrum_rows(lams, ndim: int) -> np.ndarray:
-    """(N, n) rows of a raw spectrum (ndim 1) or an (N, n) array (ndim 2),
-    validated as the states PointState(lam=l) with no other field: the shape
-    rule, then the entry cap, raised for the first failing row."""
+    """(N, n) rows of a raw spectrum (ndim 1) or an (N, n) array (ndim 2), as
+    PointState(lam=l) validates them: the shape rule, then the entry rule."""
     lams = np.atleast_2d(_spectrum_shape(lams, ndim))
-    scale = 1.0 + np.abs(lams).max(axis=1, initial=0.0)
-    bad = ~(scale <= _MAX_SCALE)
-    if bad.any():
-        _require_scale("lambda", scale[bad.argmax()])
+    _require_entries("lambda", lams)
     return lams
 
 
@@ -215,24 +225,21 @@ def _diagonal(lams: np.ndarray) -> np.ndarray:
     return A
 
 
-class _Shaped(NamedTuple):
-    """One state's arguments after the structural checks. ``main`` is lam
-    (n,) or A (n, n); ``late`` is (rank, error) of a failed check of c,
-    nablaA or hessS, with that field and the ones after it None."""
-
-    n: int
-    from_spectrum: bool
-    main: np.ndarray
-    c: float
-    nabla: np.ndarray | None
-    hess: np.ndarray | None
-    parallel: bool
-    late: tuple | None
+def _field_array(field: str, value, n: int) -> np.ndarray:
+    """nablaA (n, n, n), for n = 4 also a flat 20-vector, or hessS (n, n)."""
+    arr = np.asarray(value, dtype=float)
+    if field == "nablaA" and arr.shape == (20,) and n == 4:
+        arr = arr[_NABLA_INDEX]
+    shape = (n, n, n) if field == "nablaA" else (n, n)
+    if arr.shape != shape:
+        flat = " or a flat 20-vector" if field == "nablaA" else ""
+        raise ValueError(f"{field}: expected shape {shape}{flat}, got {arr.shape}")
+    return arr
 
 
-def _shaped(A=None, c=1.0, lam=None, nablaA=None, hessS=None, parallel=False) -> _Shaped:
-    """PointState arguments after their structural checks. A failing check
-    ranked before A's numeric checks raises; a later one comes back late."""
+def _shaped(A=None, c=1.0, lam=None, nablaA=None, hessS=None, parallel=False):
+    """PointState arguments after the checks of parallel and of A or lam's
+    shape: n, from_spectrum, main (lam or A), parallel; the others as given."""
     if not isinstance(parallel, (bool, np.bool_)):
         raise ValueError("parallel: expected true or false")
     if (A is None) == (lam is None):
@@ -245,169 +252,160 @@ def _shaped(A=None, c=1.0, lam=None, nablaA=None, hessS=None, parallel=False) ->
             raise ValueError(f"A: expected a square matrix, got shape {main.shape}")
         if len(main) < 3:
             raise ValueError(f"A: dimension must be at least 3, got {len(main)}")
-    n = len(main)
-    value, nabla, hess, rank = math.nan, None, None, _C_VALUE
-    try:
-        value = float(c)
-        rank = _NABLA_SHAPE
-        if nablaA is not None:
-            nabla = np.asarray(nablaA, dtype=float)
-            if nabla.shape == (20,) and n == 4:
-                nabla = nabla[_NABLA_INDEX]
-            if nabla.shape != (n, n, n):
-                raise ValueError(f"nablaA: expected shape {(n, n, n)} or a flat 20-vector, "
-                                 f"got {nabla.shape}")
-        rank = _HESS_SHAPE
-        if hessS is not None:
-            hess = np.array(hessS, dtype=float)
-            if hess.shape != (n, n):
-                raise ValueError(f"hessS: expected shape {(n, n)}, got {hess.shape}")
-    except (OverflowError, TypeError, ValueError) as exc:
-        return _Shaped(n, lam is not None, main, value, nabla if rank == _HESS_SHAPE else None,
-                       None, bool(parallel), (rank, exc))
-    return _Shaped(n, lam is not None, main, value, nabla, hess, bool(parallel), None)
+    return SimpleNamespace(n=len(main), from_spectrum=lam is not None, main=main, c=c,
+                           nablaA=nablaA, hessS=hessS, parallel=bool(parallel))
 
 
 class _StateGroup(NamedTuple):
     """Validated states of one dimension n, in input order: their input
-    positions ``index``; A (N, n, n), c and minimal (N,); per state nablaA
-    (n, n, n) or None, hessS (n, n) or None, parallel and whether it came
-    from a spectrum. The arrays are read-only."""
+    positions ``index``; A (N, n, n), c and minimal (N,); nablaA (n, n, n)
+    and hessS (n, n) by row, for the rows that have them; per state parallel
+    and whether it came from a spectrum. The arrays are read-only."""
 
     index: list
     A: np.ndarray
     c: np.ndarray
     minimal: np.ndarray
-    nablaA: list
-    hessS: list
+    nablaA: dict
+    hessS: dict
     parallel: list
     from_spectrum: list
 
 
-def _check_group(index: list, rows: list, tol: float) -> tuple:
-    """The numeric checks of the shaped states ``rows`` of one dimension, at
-    items ``index``, on stacked arrays: (group, failures, warned), where
-    failures holds (item, rank, error) for the first failing row of each
-    check and warned (item, c, S) for each row with an unusual c or S."""
-    n, count = rows[0].n, len(rows)
-    failures = []
+class _Stop(Exception):
+    """A pass's first failing check: args (k, error) of the failing item k."""
 
-    def first(rank: int, positions, bad: np.ndarray, check) -> None:
-        # check(row) raises the error of a failing row
-        if bad.any():
-            hit = int(bad.argmax())
+
+# a row that breaks the entry rule may overflow or hold NaN in the
+# symmetrization of nablaA
+@np.errstate(all="ignore")
+def _check_group(index: list, rows: list, tol: float, check_n, queued: list) -> _StateGroup:
+    """The checks after A or lam's shape, for the states ``rows`` of one
+    dimension n at items ``index``: per field, its conversion or shape per
+    row, then its entry rule on the stacked values; check_n(n) last. Queues
+    (item, c, S) of each state with an unusual c or S once c has passed."""
+    n, every = rows[0].n, range(len(rows))
+
+    def stacked(given: list, field: str) -> np.ndarray:
+        values = []
+        for j in given:
+            value = getattr(rows[j], field)
             try:
-                check(hit)
-            except ValueError as exc:
-                failures.append((index[positions[hit]], rank, exc))
+                values.append(float(value) if field == "c" else _field_array(field, value, n))
+            except (OverflowError, TypeError, ValueError) as exc:
+                raise _Stop(index[j], exc) from None
+        return np.array(values)
 
-    every = range(count)
-    spectra = [i for i in every if rows[i].from_spectrum]
-    matrices = [i for i in every if not rows[i].from_spectrum]
-    A = np.empty((count, n, n))
+    def check(name, given, raw: np.ndarray, mirror=None) -> np.ndarray:
+        failure = _entry_failure(name, raw, mirror, tol)
+        if failure is not None:
+            raise _Stop(index[given[failure[0]]], failure[1])
+        return raw
+
+    spectra = [j for j in every if rows[j].from_spectrum]
+    matrices = [j for j in every if not rows[j].from_spectrum]
+    A = np.empty((len(rows), n, n))
     if spectra:
-        A[spectra] = _diagonal(np.array([rows[i].main for i in spectra]))
+        A[spectra] = _diagonal(check("lambda", spectra, np.array([rows[j].main for j in spectra])))
     if matrices:
-        A[matrices] = np.array([rows[i].main for i in matrices])
-    scale = 1.0 + np.abs(A).max(axis=(1, 2))
-    first(_A_SCALE, every, ~(scale <= _MAX_SCALE),
-          lambda i: _require_scale("lambda" if rows[i].from_spectrum else "A", scale[i]))
-    first(_A_SYM, every, np.abs(A - A.swapaxes(1, 2)).max(axis=(1, 2)) > tol * scale,
-          lambda i: _fail("A: shape operator must be symmetric"))
-    A = 0.5 * (A + A.swapaxes(1, 2))
-    c = np.array([row.c for row in rows])
-    c_scale = 1.0 + np.abs(c)
-    first(_C_SCALE, every, ~(c_scale <= _MAX_SCALE), lambda i: _require_scale("c", c_scale[i]))
+        raw = np.array([rows[j].main for j in matrices])
+        check("A", matrices, raw, raw.swapaxes(1, 2))
+        A[matrices] = 0.5 * (raw + raw.swapaxes(1, 2))
+    c = check("c", every, stacked(every, "c"))
     minimal = _is_minimal(A)
-    nablaA, hessS = [None] * count, [None] * count
-    given = [i for i in every if rows[i].nabla is not None]
-    if given:
-        raw = np.array([rows[i].nabla for i in given])
-        sym = _symmetrize3(raw)
-        nscale = 1.0 + np.abs(raw).max(axis=(1, 2, 3))
-        first(_NABLA_SCALE, given, ~(nscale <= _MAX_SCALE),
-              lambda j: _require_scale("nablaA", nscale[j]))
-        first(_NABLA_SYM, given, np.abs(raw - sym).max(axis=(1, 2, 3)) > tol * nscale,
-              lambda j: _fail("nablaA: components must be totally symmetric"))
-        div = np.abs(np.einsum("...iik->...k", sym)).max(axis=-1)
-        first(_NABLA_TRACE, given,
-              minimal[given] & (div > tol * (1.0 + np.abs(sym).max(axis=(1, 2, 3)))),
-              lambda j: _fail("nablaA: trace A_iik must equal the H gradient, which vanishes "
-                              f"for a minimal state (max violation {div[j]:.3e})"))
-        sym.setflags(write=False)
-        for i, value in zip(given, sym):
-            nablaA[i] = value
-    given = [i for i in every if rows[i].hess is not None]
-    if given:
-        raw = np.array([rows[i].hess for i in given])
-        hscale = 1.0 + np.abs(raw).max(axis=(1, 2))
-        first(_HESS_SCALE, given, ~(hscale <= _MAX_SCALE),
-              lambda j: _require_scale("hessS", hscale[j]))
-        first(_HESS_SYM, given, np.abs(raw - raw.swapaxes(1, 2)).max(axis=(1, 2)) > tol * hscale,
-              lambda j: _fail("hessS: must be symmetric"))
-        hess = 0.5 * (raw + raw.swapaxes(1, 2))
-        hess.setflags(write=False)
-        for i, value in zip(given, hess):
-            hessS[i] = value
     S = (A * A).sum(axis=(1, 2))
     unusual = (c != -1.0) & (c != 0.0) & (c != 1.0) | (S > _CONDITION_WARN_S)
-    warned = [(index[i], c[i].item(), S[i].item())
-              for i in np.flatnonzero(unusual)] if unusual.any() else []
+    queued += [(index[j], c[j].item(), S[j].item()) for j in np.flatnonzero(unusual)]
+    nablaA, hessS = {}, {}
+    with_nabla = [j for j in every if rows[j].nablaA is not None]
+    if with_nabla:
+        raw = stacked(with_nabla, "nablaA")
+        nabla = _symmetrize3(raw)
+        check("nablaA", with_nabla, raw, nabla)
+    given = [j for j in every if rows[j].hessS is not None]
+    if given:
+        raw = stacked(given, "hessS")
+        check("hessS", given, raw, raw.swapaxes(1, 2))
+        hess = 0.5 * (raw + raw.swapaxes(1, 2))
+        hess.setflags(write=False)
+        hessS = dict(zip(given, hess))
+    if with_nabla:
+        div = np.abs(np.einsum("...iik->...k", nabla)).max(axis=-1)
+        bad = minimal[with_nabla] & (div > tol * (1.0 + np.abs(nabla).max(axis=(1, 2, 3))))
+        if bad.any():
+            j = int(bad.argmax())
+            raise _Stop(index[with_nabla[j]], ValueError(
+                "nablaA: trace A_iik must equal the H gradient, which vanishes for a "
+                f"minimal state (max violation {div[j]:.3e})"))
+        nabla.setflags(write=False)
+        nablaA = dict(zip(with_nabla, nabla))
+    if check_n is not None:
+        try:
+            check_n(n)
+        except ValueError as exc:
+            raise _Stop(index[0], exc) from None
     A.setflags(write=False)
-    group = _StateGroup(index, A, c, minimal, nablaA, hessS, [row.parallel for row in rows],
-                        [row.from_spectrum for row in rows])
-    return group, failures, warned
+    return _StateGroup(index, A, c, minimal, nablaA, hessS, [row.parallel for row in rows],
+                       [row.from_spectrum for row in rows])
+
+
+def _pass(items: list, parse, tol: float, check_n, queued: list) -> list:
+    """One pass of every check over a batch, queuing the warnings of its
+    items: the groups of _validate, or the earliest _Stop of any group."""
+    rows, index_by_n = [], {}
+    for k, item in enumerate(items):
+        try:
+            rows.append(_shaped(**parse(item)))
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise _Stop(k, exc) from None
+        index_by_n.setdefault(rows[k].n, []).append(k)
+    groups, stops = [], []
+    for index in index_by_n.values():
+        try:
+            groups.append(_check_group(index, [rows[k] for k in index], tol, check_n, queued))
+        except _Stop as stop:
+            stops.append(stop)
+    if stops:
+        raise min(stops, key=lambda stop: stop.args[0])
+    return groups
 
 
 def _validate(items, parse=dict, tol: float = EQUALITY_TOL, check_n=None) -> list:
-    """The validated states of a batch of items, as one _StateGroup per
-    dimension in order of first appearance.
+    """The validated states of a batch of items (``parse`` gives an item's
+    PointState arguments; ``_json_args`` for decoded JSON), as one
+    _StateGroup per dimension in order of first appearance.
 
-    ``parse`` turns an item into PointState arguments (``_json_args`` for
-    decoded JSON objects). The structural checks run item by item in plain
-    Python and stop at the first item that fails one; the numeric checks
-    then run once per dimension on stacked arrays. The first failing item
-    raises the error of its first failing check, in PointState's order of
-    checks, after the odd-c and large-S warnings of the items before it.
-    The warnings go out, in input order, when the batch is validated, at
-    the caller of the function that asked for validation. ``check_n(n)``,
-    if given, is the last check of every item of dimension n.
+    Checks run in PointState's order: A or lam's shape and entry rule
+    (``_entry_failure``), c's conversion and cap, nablaA's and hessS's shape
+    and entry rule, nablaA's trace on a minimal state, ``check_n(n)``; types
+    and shapes per item, values once per dimension on stacked arrays. A pass
+    stops each dimension at its first failing check and the batch at the
+    earliest such item, whose predecessors can fail only later checks: a few
+    passes on shorter prefixes reach one that passes, then the last item
+    stopped at raises, alone, its first failing check. The c and S warnings
+    of the passing items, and of that item if it passed c's cap, go out
+    here in input order, at the caller of the function that asked for it.
     """
-    shaped, failures = [], []
-    for k, item in enumerate(items):
-        try:
-            row = _shaped(**parse(item))
-        except (OverflowError, TypeError, ValueError) as exc:
-            failures.append((k, 0, exc))
-            break
-        shaped.append(row)
-        if row.late is not None:
-            failures.append((k,) + row.late)
-            break
-    index_by_n: dict = {}
-    for k, row in enumerate(shaped):
-        index_by_n.setdefault(row.n, []).append(k)
-    groups, warned = [], []
-    # rows that fail a check may overflow or hold NaN in the later ones
-    with np.errstate(all="ignore"):
-        for n, index in index_by_n.items():
-            group, group_failures, group_warned = _check_group(
-                index, [shaped[k] for k in index], tol)
-            groups.append(group)
-            failures += group_failures
-            warned += group_warned
-            if check_n is not None:
-                try:
-                    check_n(n)
-                except ValueError as exc:
-                    failures.append((index[0], _DIMENSION, exc))
-    stop = min(failures, key=lambda failure: failure[:2]) if failures else None
-    for k, c, S in sorted(warned):
-        if stop is None or k < stop[0] or (k == stop[0] and stop[1] > _C_SCALE):
+    items, lone, warned = list(items), None, []
+    try:
+        while True:
+            queued = []
+            try:
+                groups = _pass(items, parse, tol, check_n, queued)
+            except _Stop as stop:
+                k, error = stop.args
+                if len(items) == 1:
+                    warned += queued
+                    raise error from None
+                items, lone = items[:k], items[k]
+                continue
+            warned += sorted(queued)
+            if lone is None:
+                return groups
+            items, lone = [lone], None
+    finally:
+        for _, c, S in warned:
             _warn_unusual(c, S, stacklevel=4)
-    if stop is not None:
-        raise stop[2]
-    return groups
 
 
 class PointState:
@@ -432,10 +430,10 @@ class PointState:
         arrays.
 
     The arguments are validated as a batch of one by ``_validate``, the
-    validator the CLI runs on whole batches: the first failing check
-    (types and shapes, the 1e50 entry cap, symmetry, the trace of nablaA
-    on a minimal state) raises its ValueError, and the c and S warnings
-    point at the caller.
+    validator the CLI runs on whole batches: the first failing check, field
+    by field in the order above (shape, then the 1e50 cap and symmetry;
+    the trace of nablaA on a minimal state last), raises its ValueError,
+    and the c and S warnings point at the caller.
     """
 
     __slots__ = ("n", "c", "A", "nablaA", "hessS", "parallel", "minimal", "_from_spectrum")
@@ -457,8 +455,8 @@ class PointState:
         self.n = group.A.shape[-1]
         self.c = float(group.c[i])
         self.A = group.A[i]
-        self.nablaA = group.nablaA[i]
-        self.hessS = group.hessS[i]
+        self.nablaA = group.nablaA.get(i)
+        self.hessS = group.hessS.get(i)
         self.parallel = group.parallel[i]
         self.minimal = bool(group.minimal[i])
         self._from_spectrum = group.from_spectrum[i]
@@ -697,19 +695,15 @@ def weyl_split_norms(A) -> tuple:
 
     Tensor route: the Weyl tensor of the induced metric, split by the star
     and contracted in full, a fixed-size block of operators at a time. The
-    closed form says |W+|^2 = |W-|^2 = Wpmsq of closed_form_norms. Entries
-    must be finite, at most 1e50 in magnitude, and each matrix symmetric.
-    The three arrays have the leading shape of A.
+    closed form says |W+|^2 = |W-|^2 = Wpmsq of closed_form_norms. The
+    first matrix that breaks PointState's entry rule for A (the 1e50 cap,
+    then symmetry) raises. The three arrays have the leading shape of A.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim < 2 or A.shape[-2:] != (4, 4):
         raise ValueError(f"A: expected shape (..., 4, 4), got {A.shape}")
-    scale = 1.0 + np.abs(A).max(axis=(-2, -1), initial=0.0)
-    _require_scale("A", scale.max(initial=0.0))
-    if (np.abs(A - A.swapaxes(-2, -1)).max(axis=(-2, -1), initial=0.0)
-            > EQUALITY_TOL * scale).any():
-        raise ValueError("A: shape operators must be symmetric")
     flat = A.reshape(-1, 4, 4)
+    _require_entries("A", flat, flat.swapaxes(1, 2))
     out = np.empty((3, len(flat)))
     for rows, W, SW in _weyl_blocks(flat):
         Wp = 0.5 * (W + SW)

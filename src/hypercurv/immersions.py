@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .extrinsic import (PointState, _cgb, _power_rows, _quartic_powers, _require_scale,
-                        _signatures, _w_sq, _warn_unusual)
+from .extrinsic import (PointState, _cgb, _power_rows, _quartic_powers,
+                        _require_entries, _signatures, _w_sq, _warn_unusual)
 from .extrinsic import cgb_integrand  # noqa: F401  (re-exported: callers look it up on this module)
 
 __all__ = [
@@ -613,9 +613,9 @@ def integrate(imm: Immersion, functional: str, res: int = 64,
     operation jets do not carry, through the finite-difference
     extractor `numeric_second_fundamental_form`. The integrand then runs
     on the block's shape operators with the batched kernels of `point`,
-    after PointState's entry cap and warnings. Integrating a
-    non-closed custom chart yields a local patch value only and draws a
-    warning, since the result is not a topological invariant there.
+    after PointState's entry cap (the extracted A are symmetric) and one c
+    and S warning per block. A non-closed custom chart yields a local patch
+    value only, with a warning: it is not a topological invariant there.
     """
     try:
         functional, integrand, norm = _FUNCTIONALS[functional.strip().lower()]
@@ -632,7 +632,7 @@ def integrate(imm: Immersion, functional: str, res: int = 64,
         if dump is not None:
             _dump_rows(dump, grid, value)
         return value * grid.total_weight
-    _require_scale("c", 1.0 + abs(c))
+    _require_entries("c", np.array([c]))
     values, weights = [], []
     extract = _jet_second_fundamental_form
     for params, block_weights in _node_blocks(grid):
@@ -641,7 +641,7 @@ def integrate(imm: Immersion, functional: str, res: int = 64,
         except _JetUnsupported:
             extract = numeric_second_fundamental_form
             A = extract(imm, params)
-        _require_scale("A", 1.0 + np.abs(A).max())
+        _require_entries("A", A)
         _warn_unusual(c, float((A * A).sum(axis=(1, 2)).max()))
         values.append(np.divide(integrand(A, c), norm))
         weights.append(block_weights)

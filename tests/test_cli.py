@@ -291,6 +291,20 @@ def test_one_bad_item_fails_the_batch(capsys, command, bad, line, position):
     ("classify", [{"lambda": [1, 1, -1, -1]}, {"lambda": [1, 1, -2]},
                   {"lambda": [1e60, 1, 1, 1]}],
      "error: spectrum_report supports n = 4 only, got n = 3"),
+    # the first dimension group fails an early check at a late item, an
+    # earlier item of the second group a later check: the earlier item wins
+    ("point", [{"lambda": [1, 1, -1, -1]},
+               {"n": 5, "lambda": [1] * 5, "hessS": np.eye(5, k=1).tolist()},
+               {"lambda": [1e60, 1, 1, -1]}],
+     "error: hessS: must be symmetric"),
+    ("point", [{"A": np.eye(3).tolist()}, {"lambda": [1, 1, -1, -1], "nablaA": [0.5] + [0.0] * 19},
+               {"A": (np.eye(3) * 1e60).tolist()}],
+     "error: nablaA: trace A_iik must equal the H gradient, which vanishes for a minimal "
+     "state (max violation 5.000e-01)"),
+    ("classify", [{"lambda": [1, 1, -1, -1]}, {"lambda": [1, 1, -1, -1], "c": 1e60},
+                  {"lambda": [1, 1, -1, -1], "hessS": [[1.0]]}, {"n": 5, "lambda": [1] * 5}],
+     "error: c: entries must not exceed 1e+50 in magnitude; "
+     "invariants of degree up to 6 in them would overflow"),
 ])
 def test_batch_raises_the_first_items_first_check(capsys, command, batch, line):
     code, out, err = _run(capsys, [command, json.dumps(batch)])
@@ -474,6 +488,51 @@ def test_bounds_non_finite_input_exits_two(capsys, flag, value):
     assert code == 2
     assert out == ""
     assert "must be finite" in err
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--S", "1e200"], "S"), (["--vol", "1e-320"], "vol"), (["--a2avg", "1e308"], "A2avg"),
+    (["--chi", str(10 ** 400)], "chi"),
+])
+def test_bounds_beyond_the_entry_cap_exits_two(capsys, flags, field):
+    # before the cap these printed Infinity tokens, or died on an int too
+    # large for a float
+    args = dict(zip(["--chi", "--vol"] + flags[::2], ["2", "1.0"] + flags[1::2]))
+    code, out, err = _run(capsys, ["bounds"] + [f"{k}={v}" for k, v in args.items()])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {field} must ")
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-finite token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+_EDGE_NUMBERS = ["nan", "inf", "-inf", str(10 ** 400), repr(1e50), repr(-1e50),
+                 repr(_ABOVE_CAP), repr(_BELOW_CAP), "1e200", "1e308", "1e-320", "5e-324"]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(chi=st.one_of(st.integers(-12, 12), st.sampled_from(
+           [10 ** 50, -10 ** 50, 10 ** 50 + 10 ** 36, 10 ** 400, -10 ** 400])),
+       values=st.fixed_dictionaries({}, optional={
+           flag: st.one_of(st.sampled_from(_EDGE_NUMBERS), st.floats().map(repr))
+           for flag in ("--S", "--weyl-l2", "--c", "--a2avg")}),
+       vol=st.one_of(st.sampled_from(_EDGE_NUMBERS), st.floats().map(repr)))
+def test_bounds_exits_two_or_emits_strict_json(capsys, chi, values, vol):
+    # non-finite values, values at either side of the entry cap and ints
+    # too large for a float give an input error or a report of finite numbers
+    argv = ["bounds", f"--chi={chi}", f"--vol={vol}"] + [f"{k}={v}" for k, v in values.items()]
+    code, out, err = _run(capsys, argv)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ")
+    else:
+        assert code in (0, 1), err
+        _strict_json(out)
 
 
 def test_integrate_euler_characteristic(capsys):

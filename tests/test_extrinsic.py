@@ -82,6 +82,36 @@ def test_point_state_caps_the_entry_scale():
         extrinsic.PointState(A=np.full((4, 4), 1e60))
 
 
+@pytest.mark.parametrize("field", ["A", "hessS"])
+@pytest.mark.parametrize("factor, accepted", [(0.5, True), (1.5, False)])
+def test_symmetry_threshold_is_the_skew_against_the_transpose(field, factor, accepted):
+    # one off-diagonal pair factor * tol * (1 + max|X|) apart: the skew is
+    # |X - X^T|, so 1.5 is rejected although |X - sym X| would be 0.75
+    X = np.diag([2.0, 1.0, -1.0, -2.0])
+    X[0, 1] = factor * extrinsic.EQUALITY_TOL * (1.0 + np.abs(X).max())
+    kwargs = {"A": X} if field == "A" else {"lam": [1.0, 1.0, -1.0, -1.0], "hessS": X}
+    if accepted:
+        extrinsic.PointState(**kwargs)
+    else:
+        with pytest.raises(ValueError, match=f"^{field}: .*must be symmetric"):
+            extrinsic.PointState(**kwargs)
+
+
+def test_validation_passes_stay_few_across_many_dimensions(monkeypatch):
+    # a clean item per dimension, then a failing one per dimension in
+    # reverse order: a pass stops at the earliest failing item over all
+    # dimensions, so the items before it pass at once and that item alone
+    # raises; the number of passes does not grow with the dimensions
+    passes = []
+    real = extrinsic._pass
+    monkeypatch.setattr(extrinsic, "_pass", lambda *args: passes.append(1) or real(*args))
+    items = [{"lambda": [1.0] * n} for n in range(3, 43)]
+    items += [{"lambda": [1e60] + [1.0] * (n - 1)} for n in reversed(range(3, 43))]
+    with pytest.raises(ValueError, match="^lambda: entries must not exceed"):
+        extrinsic._validate(items, extrinsic._json_args)
+    assert len(passes) == 3
+
+
 def test_point_state_warns_on_odd_c():
     with pytest.warns(UserWarning):
         _state([1, 0, 0, 0], c=2.5)
@@ -290,6 +320,10 @@ def test_weyl_split_norms_batch():
     (np.arange(16.0).reshape(1, 4, 4), "symmetric"),
     (np.full((2, 4, 4), math.nan), "finite"),
     (np.full((4, 4), 1e60), "must not exceed"),
+    # the first failing operator raises its own error, not the batch's worst
+    (np.stack([np.full((4, 4), 1e60), np.full((4, 4), math.nan)]), "must not exceed"),
+    (np.stack([np.arange(16.0).reshape(4, 4), np.full((4, 4), 1e60)]),
+     "^A: shape operator must be symmetric$"),
 ])
 def test_weyl_split_norms_rejects_bad_input(A, match):
     with pytest.raises(ValueError, match=match):
