@@ -37,6 +37,15 @@ __all__ = [
 _SCAL_SIGNS = ("positive", "zero", "negative", "unknown")
 
 
+def _require_capped(**values) -> None:
+    """PointState's entry cap, exact on ints, on each named number given:
+    1 + |x| is finite and at most 1e50, which keeps every bound finite."""
+    for name, value in values.items():
+        if value is not None and not 1 + abs(value) <= _MAX_SCALE:
+            raise ValueError(f"{name} must be finite, got {value}" if not abs(value) < math.inf
+                             else f"{name} must not exceed {_MAX_SCALE:.0e} in magnitude")
+
+
 @dataclass(frozen=True)
 class GlobalData:
     """Global invariants of a closed hypersurface, possibly partial."""
@@ -52,12 +61,8 @@ class GlobalData:
     def __post_init__(self):
         if isinstance(self.chi, bool) or not isinstance(self.chi, int):
             raise ValueError(f"chi must be an integer, got {self.chi!r}")
-        # PointState's entry cap, exact on ints, keeps every bound finite
-        for name in ("chi", "vol", "S", "weylL2", "c", "A2avg"):
-            value = getattr(self, name)
-            if value is not None and not 1 + abs(value) <= _MAX_SCALE:
-                raise ValueError(f"{name} must be finite, got {value}" if not abs(value) < math.inf
-                                 else f"{name} must not exceed {_MAX_SCALE:.0e} in magnitude")
+        _require_capped(**{name: getattr(self, name)
+                           for name in ("chi", "vol", "S", "weylL2", "c", "A2avg")})
         if self.vol <= 0.0:
             raise ValueError(f"vol must be positive, got {self.vol}")
         if not 1 + abs(self.chi / self.vol) <= _MAX_SCALE:
@@ -96,8 +101,10 @@ def s_quadratic(c: float, chi: int, vol: float, A2avg: float) -> SQuadraticResul
     pointwise consequence A2avg >= S^2/4 a consistency warning is
     attached; the "-" root is then usually the geometric one.
     """
+    _require_capped(c=c, chi=chi, vol=vol, A2avg=A2avg)
     if vol <= 0.0:
         raise ValueError(f"vol must be positive, got {vol}")
+    _require_capped(**{"chi/vol": chi / vol})
     disc = -68.0 * c * c / 9.0 + 32.0 * math.pi ** 2 * chi / (3.0 * vol) + 2.0 * A2avg
     if disc < 0.0:
         raise ValueError(
@@ -135,6 +142,7 @@ def f_lower_bound_candidates(r: float) -> dict:
     Keys: "low" (defined for x <= 1), "mid" (x >= 0), "high" (x >= 2/3).
     f is the pointwise maximum of the defined candidates.
     """
+    _require_capped(r=r)
     return _regimes(math.pi ** 2 * r)
 
 
@@ -151,6 +159,7 @@ def f_lower_bound(r: float) -> float:
     equals the pointwise maximum of the three regime bounds wherever they
     are defined.
     """
+    _require_capped(r=r)
     x = math.pi ** 2 * r
     return _regimes(x)["low" if x <= 9.0 / 25.0 else "mid" if x <= 1.0 else "high"]
 
@@ -222,6 +231,7 @@ def euler_integrand_bounds(S: float) -> tuple:
     is ordered (low, high) only in the sense of which curvature term each
     one controls, e.g. S = 0 gives (3, 0).
     """
+    _require_capped(S=S)
     if S < 0.0:
         raise ValueError(f"S must be nonnegative, got {S}")
     return ((4.0 - S) * (12.0 + S) / 16.0, S * S / 3.0)
@@ -255,6 +265,7 @@ def volume_hypothesis_bounds(chi: int) -> VolumeBound:
     """
     if not isinstance(chi, (int,)) or isinstance(chi, bool):
         raise ValueError(f"chi must be an integer, got {chi!r}")
+    _require_capped(chi=chi)
     if chi % 2 != 0:
         raise ValueError(f"chi must be even for a closed hypersurface, got {chi}")
     if chi == 2:

@@ -28,8 +28,8 @@ error line it gets alone. The stacked states of one dimension then go
 through each batched kernel together, and an item's report equals the
 one it gets alone. Warnings keep their count and text but come grouped
 on stderr: validation's c and S warnings first, in input order, then the
-per-state Bach warnings. bounds applies a state's 1e50 entry cap to its
-numbers and to chi/vol. Output is deterministic: identical input yields
+Bach-trace warnings (tr B = simons/3). bounds applies a state's 1e50
+entry cap to its numbers and to chi/vol. Output is deterministic: identical input yields
 byte-identical JSON.
 """
 
@@ -92,8 +92,8 @@ def _states(payload, check_n=None) -> list:
 
 def _point_reports(groups: list, cluster_tol: float) -> list:
     """The point report of each item of the validated groups. The states of
-    one dimension go through each batched kernel together; Bach and
-    Bochner run per state."""
+    one dimension go through each batched kernel together, Bach and Bochner
+    included; a row's Bach-trace warning reads its simons residual."""
     reports: list = [None] * sum(len(group.index) for group in groups)
     for group in groups:
         A = group.A
@@ -101,27 +101,25 @@ def _point_reports(groups: list, cluster_tol: float) -> list:
         minimal = group.minimal.tolist()
         _, ric, scal, ric_tf = extrinsic._gauss(A, group.c)
         powers = extrinsic._trace_powers(A)
-        spectra = signatures = [None] * len(A)
+        spectra = signatures = bach = bochner = [None] * len(A)
         if n == 4:
             spectra = classify_mod._spectrum_reports(A, powers[:4], minimal, cluster_tol)
             signatures = extrinsic._signatures(A).tolist()
-        for i, (k, c, is_minimal, row, scal_k, ric_k, ric_tf_k, spectrum, signature) in enumerate(
-                zip(group.index, group.c.tolist(), minimal, extrinsic._power_rows(powers),
-                    scal.tolist(), ric.tolist(), ric_tf.tolist(), spectra, signatures)):
+            bach, bochner = extrinsic._derivative_kernel(group, powers)
+        for k, c, is_minimal, row, scal_k, ric_k, ric_tf_k, spectrum, signature, B, record in zip(
+                group.index, group.c.tolist(), minimal, extrinsic._power_rows(powers),
+                scal.tolist(), ric.tolist(), ric_tf.tolist(), spectra, signatures, bach, bochner):
             report = {"n": n, "c": c, "H": row[0], "S": row[1],
                       "minimal": is_minimal, "scal": scal_k, "ric": ric_k, "ricTF": ric_tf_k}
             if n == 4:
-                state = extrinsic.PointState._trusted(group, i)
-                has_derivatives = state.parallel or (state.nablaA is not None
-                                                     and state.hessS is not None)
+                extrinsic._warn_bach_trace(record["simons"], row[1])
                 report.update({
                     "norms": extrinsic._norm_fields(row, 4),
                     "spectrum": spectrum.to_dict(),
                     "cgb_integrand": extrinsic._cgb(*row[:4], c),
                     "signature_integrand": signature,
-                    "bach": (extrinsic.bach_tensor(state).tolist()
-                             if is_minimal and has_derivatives else None),
-                    "bochner": extrinsic.bochner_residuals(state),
+                    "bach": B.tolist() if record["simons"] != "unavailable" else None,
+                    "bochner": record,
                 })
             reports[k] = report
     return reports

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,8 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lambda2 import CurvTensor4, _kn_raw, _star4, triple
-from .lambda2 import inner, star_weyl  # noqa: F401  (re-exported: looked up on this module)
+from .lambda2 import CurvTensor4, _kn_raw, _star4
+from .lambda2 import inner, star_weyl, triple  # noqa: F401  (looked up on this module)
 from .tolerances import EQUALITY_TOL
 
 __all__ = [
@@ -444,13 +445,6 @@ class PointState:
                                    parallel=parallel)], tol=tol)
         self._read(group, 0)
 
-    @classmethod
-    def _trusted(cls, group: _StateGroup, i: int) -> "PointState":
-        """The state of row i of a validated group, without further checks."""
-        state = cls.__new__(cls)
-        state._read(group, i)
-        return state
-
     def _read(self, group: _StateGroup, i: int) -> None:
         self.n = group.A.shape[-1]
         self.c = float(group.c[i])
@@ -498,8 +492,9 @@ class PointState:
         integer equal to the size of lambda or A, parallel a boolean; anything
         else is a ValueError. The CLI validates whole batches the same way
         without building a state per item."""
-        (group,) = _validate([data], _json_args)
-        return cls._trusted(group, 0)
+        state = cls.__new__(cls)
+        state._read(*_validate([data], _json_args), 0)
+        return state
 
     @classmethod
     def from_json(cls, text: str) -> "PointState":
@@ -784,22 +779,81 @@ def signature_integrand(p: PointState) -> float:
     return float(_signatures(p.A[None])[0])
 
 
-def _require_derivatives(p: PointState, need_nabla: bool, need_hess: bool, what: str):
-    nabla = p.nablaA
-    hess = p.hessS
-    if p.parallel:
-        if nabla is None:
-            nabla = np.zeros((p.n, p.n, p.n))
-        if hess is None:
-            hess = np.zeros((p.n, p.n))
-    missing = []
-    if need_nabla and nabla is None:
-        missing.append("nablaA")
-    if need_hess and hess is None:
-        missing.append("hessS")
+def _require_derivatives(p: PointState, names: tuple, what: str) -> None:
+    missing = [name for name in names if getattr(p, name) is None and not p.parallel]
     if missing:
         raise ValueError(f"{what} needs {' and '.join(missing)} (or the parallel flag)")
-    return nabla, hess
+
+
+_INPUT_AXES = {"nablaA": 3, "hessS": 2, "lap_A": 2, "lap_A2": 2, "lap_A2_sq": 0, "grad_A2_sq": 0}
+_FIELD_KEYS = tuple(_INPUT_AXES)[2:]
+_RESIDUALS = ("lap_A", "simons", "lap_A2", "lap_A2_norm", "first_bach", "second_bach",
+              "scalar_bochner")
+
+
+def _lone(p: PointState) -> _StateGroup:
+    """A state as the batch of one that _validate gives for it."""
+    return _StateGroup([0], p.A[None], np.array([p.c]), np.array([p.minimal]),
+                       {} if p.nablaA is None else {0: p.nablaA},
+                       {} if p.hessS is None else {0: p.hessS}, [p.parallel], [p._from_spectrum])
+
+
+def _derivative_kernel(group: _StateGroup, powers: tuple, fields=None, weyl=True) -> tuple:
+    """(B, records) of a validated group, its _trace_powers and its field data
+    by row per _FIELD_KEYS key: (N, 4, 4) Bach tensors (None unless n = 4)
+    and each row's Bochner residuals, "unavailable" where NaN or not minimal.
+    B needs what simons needs. Without ``weyl``, scalar_bochner is NaN."""
+    A, c, (_, S, A2sq, trA3, trA5, trA6) = group.A, group.c, powers
+    N, n = A.shape[:2]
+    parallel = np.array(group.parallel, dtype=bool)
+    given = {"nablaA": group.nablaA, "hessS": group.hessS, **(fields or {})}
+    missing = np.where(parallel, 0.0, np.nan)  # an input not given; NaN propagates
+    nabla, hess, lap_A, lap_A2, lap_A2_sq, grad_A2_sq = inputs = [
+        missing.repeat(n ** axes).reshape((N,) + (n,) * axes) for axes in _INPUT_AXES.values()]
+    for stack, key in zip(inputs, _INPUT_AXES):
+        for i, value in given.get(key, {}).items():
+            stack[i] = value
+    A2 = A @ A
+    T2 = np.einsum("nikt,njkt->nij", nabla, nabla)  # A_ikt A_jkt
+    grad_sq = (nabla * nabla).sum(axis=(1, 2, 3))
+    lap_S = np.trace(hess, axis1=1, axis2=2)
+    k = n * c - S  # the Simons factor nc - S
+    table = np.array([
+        np.abs(lap_A - _bcast(k, 2) * A).max(axis=(1, 2)),
+        0.5 * lap_S - grad_sq - S * k,
+        np.abs(lap_A2 - _bcast(2.0 * k, 2) * A2 - 2.0 * T2).max(axis=(1, 2)),
+        0.5 * lap_A2_sq - (grad_A2_sq + 2.0 * k * A2sq + 2.0 * (A2 * T2).sum(axis=(1, 2))),
+        np.einsum("nij,nikl,njkl->n", A, nabla, nabla) - (
+            trA5 - (2.0 * c + S / 3.0) * trA3 + (A * hess).sum(axis=(1, 2)) / 6.0),
+        # S^3 as a Python float power, whose rounding numpy's ** does not keep
+        0.5 * lap_A2_sq - (grad_A2_sq + 2.0 * trA6 - 2.0 * trA3 * trA3 - 7.0 / 6.0 * S * A2sq
+                           + np.array([s ** 3 for s in S.tolist()]) / 6.0 + c * (4.0 * A2sq - S * S)
+                           + (hess * A2).sum(axis=(1, 2)) / 3.0 + S * lap_S / 6.0),
+        np.full(N, np.nan),
+    ]).T
+    B = None
+    if n == 4:
+        B = 0.5 * (2.0 * (A2 @ A2) - _bcast(2.0 * trA3, 2) * A - _bcast(4.0 * c, 2) * A2
+                   + _bcast(4.0 / 3.0 * S, 2) * A2 + hess / 3.0 - 2.0 * T2
+                   + _bcast(grad_sq / 3.0 + c * S / 3.0 - S * S / 6.0 - 0.5 * A2sq, 2) * np.eye(4))
+        rows = np.flatnonzero(parallel & weyl)
+        for block, W, SW in _weyl_blocks(A[rows]):
+            Wp, at = 0.5 * (W + SW), rows[block]
+            table[at, 6] = (_gauss(A[at], c[at])[2] * (Wp * Wp).sum(axis=(1, 2, 3, 4))
+                            - 6.0 * np.einsum("nijkl,npqkl,nijpq->n", Wp, Wp, Wp))
+    else:  # the Bach identities are four-dimensional
+        table[:, 4:] = np.nan
+    table[~group.minimal] = np.nan
+    return B, [{name: value if value == value else "unavailable"
+                for name, value in zip(_RESIDUALS, row)} for row in table.tolist()]
+
+
+def _warn_bach_trace(simons, S: float, tol: float = EQUALITY_TOL, stacklevel: int = 2):
+    """Warn, by default at the caller, of a Bach trace tr B = simons/3 above
+    tol (1 + S^2); simons "unavailable" has no Bach tensor."""
+    if simons != "unavailable" and abs(simons / 3.0) > tol * (1.0 + S * S):
+        warnings.warn(f"bach_tensor trace {simons / 3.0:.3e} is not zero; the supplied "
+                      "derivative data violates the Simons identity", stacklevel=stacklevel)
 
 
 def bach_tensor(p: PointState, tol: float = EQUALITY_TOL) -> np.ndarray:
@@ -810,30 +864,18 @@ def bach_tensor(p: PointState, tol: float = EQUALITY_TOL) -> np.ndarray:
              + (1/3 |nabla A|^2 + 1/3 c S - 1/6 S^2 - 1/2 |A^2|^2) d_ij.
 
     Derivative data must be supplied or asserted zero via the parallel
-    flag. The result is trace-free only when the supplied derivative data
-    is consistent with the Simons identity; a materially nonzero trace
-    draws a warning instead of an error so that measured data can still
-    be inspected.
+    flag. tr B = simons/3 (bochner_residuals), so B is trace-free only when
+    the derivative data satisfies the Simons identity; a trace above tol (1
+    + S^2) draws a warning instead of an error so that measured data can
+    still be inspected.
     """
     _require_four(p.n, "bach_tensor")
     if not p.minimal:
         raise ValueError(f"bach_tensor requires a minimal state (H = {p.H:.3e})")
-    nabla, hess = _require_derivatives(p, True, True, "bach_tensor")
-    A, c, S = p.A, p.c, p.S
-    A2 = A @ A
-    A4 = A2 @ A2
-    _, _, A2sq, trA3 = map(float, _quartic_powers(A))
-    T2 = np.einsum("ikt,jkt->ij", nabla, nabla)
-    grad_sq = float(np.sum(nabla * nabla))
-    twoB = (2.0 * A4 - 2.0 * trA3 * A - 4.0 * c * A2 + 4.0 / 3.0 * S * A2
-            + hess / 3.0 - 2.0 * T2
-            + (grad_sq / 3.0 + c * S / 3.0 - S * S / 6.0 - 0.5 * A2sq) * np.eye(4))
-    B = 0.5 * twoB
-    tr = float(np.trace(B))
-    if abs(tr) > tol * (1.0 + S * S):
-        warnings.warn(f"bach_tensor trace {tr:.3e} is not zero; the supplied derivative "
-                      "data violates the Simons identity", stacklevel=2)
-    return B
+    _require_derivatives(p, ("nablaA", "hessS"), "bach_tensor")
+    B, (record,) = _derivative_kernel(_lone(p), _trace_powers(p.A[None]), weyl=False)
+    _warn_bach_trace(record["simons"], p.S, tol, stacklevel=3)
+    return B[0]
 
 
 _DIV_PAIRS = (((1, 2), (3, 4)), ((1, 3), (4, 2)), ((1, 4), (2, 3)))
@@ -859,7 +901,8 @@ def div_weyl_sd(p: PointState) -> list:
     if np.abs(off).max() > EQUALITY_TOL * (1.0 + np.abs(A).max()):
         raise ValueError("div_weyl_sd needs the shape operator in a principal frame "
                          "(diagonal matrix)")
-    nabla, _ = _require_derivatives(p, True, False, "div_weyl_sd")
+    _require_derivatives(p, ("nablaA",), "div_weyl_sd")
+    nabla = np.zeros((4, 4, 4)) if p.nablaA is None else p.nablaA
     lam = np.diag(A)
     out = []
     for k in range(1, 5):
@@ -882,7 +925,31 @@ def div_weyl_sd_norms(p: PointState) -> tuple:
     return float(plus), float(minus)
 
 
-_FIELD_KEYS = ("lap_A", "lap_A2", "lap_A2_sq", "grad_A2_sq")
+def _field_values(field_data, n: int) -> dict:
+    """The given entries of bochner_residuals' field_data, as _derivative_kernel
+    takes them for a batch of one: lap_A and lap_A2 must be (n, n) arrays,
+    lap_A2_sq and grad_A2_sq real numbers, each under the state entry rule;
+    None is not given."""
+    values = {}
+    for key, value in (field_data or {}).items():
+        if key not in _FIELD_KEYS:
+            raise ValueError(f"field_data: unknown key {key!r}; known keys {_FIELD_KEYS}")
+        if value is None:
+            continue
+        shape = (n,) * _INPUT_AXES[key]
+        try:
+            if not shape and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+                raise ValueError(f"expected a real number, got {value!r}")
+            arr = np.asarray(value, dtype=float)
+            if arr.shape != shape:
+                raise ValueError(f"expected shape {shape}, got {arr.shape}")
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise ValueError(f"field_data: {key}: {exc}") from None
+        failure = _entry_failure(key, arr[None])
+        if failure is not None:
+            raise ValueError(f"field_data: {failure[1]}")
+        values[key] = {0: arr}
+    return values
 
 
 def bochner_residuals(p: PointState, field_data: dict | None = None) -> dict:
@@ -895,9 +962,11 @@ def bochner_residuals(p: PointState, field_data: dict | None = None) -> dict:
     data named below. The parallel flag sets all derivative inputs to zero.
 
     Recognized ``field_data`` keys: "lap_A" (n x n), "lap_A2" (n x n),
-    "lap_A2_sq" (float, Laplacian of |A^2|^2), "grad_A2_sq" (float,
-    squared norm of the gradient of A^2). The Laplacian of S is taken as
-    the trace of hessS.
+    "lap_A2_sq" (real number, Laplacian of |A^2|^2), "grad_A2_sq" (real
+    number, squared norm of the gradient of A^2); None is not given. The
+    Laplacian of S is taken as the trace of hessS. Field data of another
+    shape or type, or that breaks the entry rule of a state (finite, 1 +
+    max|entry| <= 1e50), raises a ValueError "field_data: <key>: ...".
 
     Residual keys, with their data: "lap_A" (lap_A), "simons" (nablaA,
     hessS), "lap_A2" (lap_A2, nablaA), "lap_A2_norm" (lap_A2_sq,
@@ -907,48 +976,8 @@ def bochner_residuals(p: PointState, field_data: dict | None = None) -> dict:
     (R |W+|^2 = 6 triple W+, valid when W is parallel; parallel flag).
     Tensor-valued residuals are reported as max-abs entries.
     """
-    field_data = dict(field_data or {})
-    for key in field_data:
-        if key not in _FIELD_KEYS:
-            raise ValueError(f"field_data: unknown key {key!r}; known keys {_FIELD_KEYS}")
-    out = dict.fromkeys(("lap_A", "simons", "lap_A2", "lap_A2_norm", "first_bach",
-                         "second_bach", "scalar_bochner"), "unavailable")
-    if not p.minimal or not (field_data or p.parallel or p.nablaA is not None
+    fields = _field_values(field_data, p.n)
+    if not p.minimal or not (fields or p.parallel or p.nablaA is not None
                              or p.hessS is not None):
-        return out
-    n, c, A, S = p.n, p.c, p.A, p.S
-    A2 = A @ A
-    nabla, hess = _require_derivatives(p, False, False, "bochner_residuals")
-    if p.parallel:
-        field_data = {"lap_A": np.zeros((n, n)), "lap_A2": np.zeros((n, n)),
-                      "lap_A2_sq": 0.0, "grad_A2_sq": 0.0, **field_data}
-    lap_A, lap_A2, lap_A2_sq, grad_A2_sq = map(field_data.get, _FIELD_KEYS)
-    # A_ikt A_jkt enters only identities that need field data
-    T2 = np.einsum("ikt,jkt->ij", nabla, nabla) if nabla is not None and field_data else None
-    _, _, A2sq, trA3, trA5, trA6 = map(float, _trace_powers(A))
-
-    if lap_A is not None:
-        out["lap_A"] = float(np.abs(np.asarray(lap_A, dtype=float) - (n * c - S) * A).max())
-    if nabla is not None and hess is not None:
-        out["simons"] = 0.5 * float(np.trace(hess)) - float(np.sum(nabla * nabla)) - S * (n * c - S)
-    if lap_A2 is not None and nabla is not None:
-        out["lap_A2"] = float(np.abs(np.asarray(lap_A2, dtype=float) - 2.0 * (n * c - S) * A2
-                                     - 2.0 * T2).max())
-    if lap_A2_sq is not None and grad_A2_sq is not None and nabla is not None:
-        out["lap_A2_norm"] = 0.5 * float(lap_A2_sq) - (
-            float(grad_A2_sq) + 2.0 * (n * c - S) * A2sq + 2.0 * float(np.sum(A2 * T2)))
-    if n == 4 and nabla is not None and hess is not None:
-        out["first_bach"] = float(np.einsum("ij,ikl,jkl->", A, nabla, nabla)) - (
-            trA5 - (2.0 * c + S / 3.0) * trA3 + float(np.sum(A * hess)) / 6.0)
-    if n == 4 and lap_A2_sq is not None and grad_A2_sq is not None and hess is not None:
-        out["second_bach"] = 0.5 * float(lap_A2_sq) - (
-            float(grad_A2_sq) + 2.0 * trA6 - 2.0 * trA3 * trA3
-            - 7.0 / 6.0 * S * A2sq + S ** 3 / 6.0
-            + c * (4.0 * A2sq - S * S)
-            + float(np.sum(hess * A2)) / 3.0 + S * float(np.trace(hess)) / 6.0)
-    if n == 4 and p.parallel:
-        W = _weyl_raw(A)
-        Wp = 0.5 * (W + _star4(W))
-        out["scalar_bochner"] = (float(_gauss(A, c)[2]) * float(np.sum(Wp * Wp))
-                                 - 6.0 * triple(Wp, Wp, Wp))
-    return out
+        return dict.fromkeys(_RESIDUALS, "unavailable")
+    return _derivative_kernel(_lone(p), _trace_powers(p.A[None]), fields)[1][0]

@@ -241,6 +241,25 @@ def test_volume_hypothesis_bounds_matches_f():
                 bounds.f_lower_bound_candidates(r)["high"], rel=1e-12)
 
 
+@pytest.mark.parametrize("function, args, name", [
+    (bounds.f_lower_bound, (1e308,), "r must not exceed"),
+    (bounds.f_lower_bound, (math.nan,), "r must be finite"),
+    (bounds.f_lower_bound_candidates, (1e308,), "r must not exceed"),
+    (bounds.f_lower_bound_candidates, (math.nan,), "r must be finite"),
+    (bounds.euler_integrand_bounds, (1e200,), "S must not exceed"),
+    (bounds.euler_integrand_bounds, (math.nan,), "S must be finite"),
+    (bounds.s_quadratic, (1.0, 2, 1.0, 1e308), "A2avg must not exceed"),
+    (bounds.s_quadratic, (math.inf, 2, 1.0, 1.0), "c must be finite"),
+    (bounds.s_quadratic, (1.0, 2, 1e-300, 1.0), "chi/vol must not exceed"),
+    (bounds.volume_hypothesis_bounds, (10 ** 400,), "chi must not exceed"),
+])
+def test_direct_calls_apply_the_entry_cap(function, args, name):
+    # without a GlobalData the functions cap their own arguments, so no
+    # bound comes out infinite or NaN and no OverflowError escapes
+    with pytest.raises(ValueError, match=f"^{name}"):
+        function(*args)
+
+
 def test_volume_hypothesis_rejects_bad_chi():
     with pytest.raises(ValueError):
         bounds.volume_hypothesis_bounds(3)

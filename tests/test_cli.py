@@ -684,6 +684,32 @@ def test_point_at_the_scale_cap_emits_finite_json(capsys):
     assert np.isfinite(rep["bach"]).all()
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_point_derivative_kernel_rows_at_the_scale_cap_emit_finite_json(capsys):
+    # The Bach and Bochner kernel runs on every n = 4 row, also those the
+    # reports leave unavailable: a non-minimal parallel row, a non-minimal
+    # row with hessS only, and a minimal row with nablaA and hessS, all at
+    # the entry cap. pytest turns any overflow RuntimeWarning into an error.
+    a = 9.99e49
+    full = np.random.default_rng(7).uniform(-a, a, size=(4, 4))
+    batch = [
+        {"n": 4, "c": 1.0, "lambda": [a, a / 2, -0.3 * a, 0.9 * a], "parallel": True},
+        {"n": 4, "c": 1.0, "A": (0.5 * (full + full.T)).tolist(), "hessS": np.eye(4).tolist()},
+        {"n": 4, "c": 1.0, "lambda": [a, a, -a, -a], "nablaA": _trace_free_nabla(a),
+         "hessS": (np.eye(4) * a).tolist()},
+    ]
+    code, out, err = _run(capsys, ["point", json.dumps(batch)])
+    assert code == 0, err
+
+    def reject(token):
+        raise AssertionError(f"non-finite JSON token {token}")
+
+    reports = json.loads(out, parse_constant=reject)
+    assert [rep["bach"] is None for rep in reports] == [True, True, False]
+    assert [set(rep["bochner"].values()) == {"unavailable"} for rep in reports] == [
+        True, True, False]
+
+
 @pytest.mark.parametrize("value", ["not-a-float", "0", "-1e-3", "nan", "inf"])
 def test_env_tolerance_must_parse(capsys, monkeypatch, value):
     monkeypatch.setenv("HYPERCURV_TOL", value)

@@ -300,6 +300,47 @@ def test_batched_kernels_equal_per_state_calls(monkeypatch):
     assert [row[:2] for row in rows] == [[st.H, st.S] for st in states]
 
 
+def _trace_free_state(rng, **kw):
+    A = _rand_sym(rng, scale=rng.uniform(0.1, 3.0))
+    A -= np.trace(A) / 4.0 * np.eye(4)
+    return extrinsic.PointState(A=A, c=float(rng.choice([-1.0, 0.0, 1.0])), **kw)
+
+
+def test_derivative_kernel_rows_equal_lone_calls(monkeypatch):
+    # The Bach and Bochner kernel on a stacked group gives each row the
+    # bits of bach_tensor and bochner_residuals on that state alone: rows
+    # with nablaA and hessS, with one of them, parallel rows (several Weyl
+    # blocks of 3), non-minimal rows and rows without data.
+    monkeypatch.setattr(extrinsic, "_WEYL_BLOCK", 3)
+    rng = np.random.default_rng(35)
+    states = [_trace_free_state(rng, nablaA=_trace_free_nabla(rng), hessS=_rand_sym(rng))
+              for _ in range(8)]
+    states += [_trace_free_state(rng, hessS=_rand_sym(rng)), _trace_free_state(rng),
+               _trace_free_state(rng, nablaA=_trace_free_nabla(rng)),
+               extrinsic.PointState(A=_rand_sym(rng), hessS=_rand_sym(rng)),
+               _trace_free_state(rng, parallel=True, hessS=_rand_sym(rng))]
+    states += [_state(lam, parallel=True) for lam in (
+        [1, 1, -1, -1], [SQRT3, -1 / SQRT3, -1 / SQRT3, -1 / SQRT3], [0, 0, 0, 0],
+        [-1, 1, 1, -1], [1, 0.5, -0.3, 0.9], [2, 2, 2, -1], [3, -1, -1, -1])]
+    group = extrinsic._StateGroup(
+        list(range(len(states))), np.array([st.A for st in states]),
+        np.array([st.c for st in states]), np.array([st.minimal for st in states]),
+        {k: st.nablaA for k, st in enumerate(states) if st.nablaA is not None},
+        {k: st.hessS for k, st in enumerate(states) if st.hessS is not None},
+        [st.parallel for st in states], [False] * len(states))
+    B, records = extrinsic._derivative_kernel(group, extrinsic._trace_powers(group.A))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # random data violates the Simons identity
+        for k, st in enumerate(states):
+            # repr tells -0.0 from 0.0 and prints every float exactly
+            assert repr(records[k]) == repr(extrinsic.bochner_residuals(st)), k
+            if records[k]["simons"] != "unavailable":
+                assert np.array_equal(B[k].view(np.uint64),
+                                      extrinsic.bach_tensor(st).view(np.uint64)), k
+    available = [record["simons"] != "unavailable" for record in records]
+    assert available == [True] * 8 + [False] * 4 + [True] * 5 + [False, False, True]
+
+
 def test_weyl_split_norms_batch():
     rng = np.random.default_rng(34)
     M = rng.normal(size=(2, 3, 4, 4))
@@ -632,6 +673,22 @@ def test_first_bach_is_minus_the_bach_tensor_against_A():
         assert abs(res["first_bach"] + float(np.sum(B * st.A))) <= 1e-12 * scale
 
 
+def test_bach_trace_is_a_third_of_simons():
+    # tr B = simons/3 on a minimal state: the Bach-trace warning reads
+    # simons instead of taking a second trace
+    rng = np.random.default_rng(89)
+    for _ in range(200):
+        A = _rand_sym(rng, scale=rng.uniform(0.1, 3.0))
+        A -= np.trace(A) / 4.0 * np.eye(4)
+        st = extrinsic.PointState(A=A, c=float(rng.choice([-1.0, 0.0, 1.0])),
+                                  nablaA=_trace_free_nabla(rng), hessS=_rand_sym(rng))
+        simons = extrinsic.bochner_residuals(st)["simons"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # random data violates the Simons identity
+            trace = float(np.trace(extrinsic.bach_tensor(st)))
+        assert trace == pytest.approx(simons / 3.0, rel=1e-12, abs=0.0)
+
+
 # The data each residual needs besides a minimal state, as the
 # bochner_residuals docstring states it, and whether it needs n = 4.
 # The parallel flag supplies every derivative input.
@@ -735,3 +792,30 @@ def test_bochner_rejects_unknown_field_data_key():
     with pytest.raises(ValueError, match="^field_data: unknown key 'lap_S'"):
         extrinsic.bochner_residuals(_state([1, 1, -1, -1], parallel=True),
                                     field_data={"lap_S": 0.0})
+
+
+@pytest.mark.parametrize("field_data, match", [
+    ({"lap_A": 5.0}, r"^field_data: lap_A: expected shape \(4, 4\), got \(\)$"),
+    ({"lap_A": np.zeros((3, 3))}, r"^field_data: lap_A: expected shape \(4, 4\), got \(3, 3\)$"),
+    ({"lap_A2": [["x"] * 4] * 4}, "^field_data: lap_A2: could not convert"),
+    ({"lap_A2": np.full((4, 4), math.inf)}, "^field_data: lap_A2: entries must be finite"),
+    ({"lap_A": np.full((4, 4), 1e60)}, "^field_data: lap_A: entries must not exceed 1e[+]50"),
+    ({"lap_A2_sq": [1.0, 2.0]},
+     r"^field_data: lap_A2_sq: expected a real number, got \[1.0, 2.0\]$"),
+    ({"lap_A2_sq": math.nan}, "^field_data: lap_A2_sq: entries must be finite"),
+    ({"lap_A2_sq": 10 ** 400}, "^field_data: lap_A2_sq: int too large"),
+    ({"grad_A2_sq": True}, "^field_data: grad_A2_sq: expected a real number"),
+    ({"grad_A2_sq": "1.0"}, "^field_data: grad_A2_sq: expected a real number"),
+    ({"grad_A2_sq": -1e51}, "^field_data: grad_A2_sq: entries must not exceed"),
+])
+def test_bochner_rejects_malformed_field_data(field_data, match):
+    with pytest.raises(ValueError, match=match):
+        extrinsic.bochner_residuals(_state([1, 1, -1, -1], parallel=True), field_data=field_data)
+
+
+def test_bochner_field_data_none_is_not_given():
+    st = _state([1, 1, -1, -1], nablaA=np.zeros((4, 4, 4)), hessS=np.zeros((4, 4)))
+    res = extrinsic.bochner_residuals(st, {"lap_A": None, "lap_A2_sq": 0, "grad_A2_sq": None})
+    assert res == extrinsic.bochner_residuals(st, {"lap_A2_sq": np.float64(0.0)})
+    assert res["lap_A"] == res["lap_A2_norm"] == "unavailable"
+    assert res["simons"] == 0.0
