@@ -223,13 +223,14 @@ def weyl_threshold_report(g: GlobalData, tol: float = CLUSTER_TOL) -> dict:
 
 
 def euler_integrand_bounds(S: float) -> tuple:
-    """Pointwise envelope of the Gauss-Bonnet integrand density at level S.
+    """(low, high) at level S for a minimal state of the unit sphere with
+    |A|^2 = S; they bound two different quantities.
 
-    Returns (1/16 (4 - S)(12 + S), 1/3 S^2), the lower and upper envelope
-    of the normalized integrand for a minimal state in the unit sphere
-    with |A|^2 = S. Both values are reported as-is; for small S the pair
-    is ordered (low, high) only in the sense of which curvature term each
-    one controls, e.g. S = 0 gives (3, 0).
+    low = 1/16 (4 - S)(12 + S) is the minimum of the normalized
+    Gauss-Bonnet integrand cgb/8, since cgb/8 = low + 3/16 |W|^2; it is
+    reached exactly at conformally flat points. high = 1/3 S^2 is the
+    maximum of |W|^2/4 at that level, reached exactly at Einstein points.
+    high does not bound cgb/8: S = 0 gives (3, 0) with cgb/8 = 3.
     """
     _require_capped(S=S)
     if S < 0.0:

@@ -23,19 +23,20 @@ processed as a batch with output order preserved. point and classify
 validate the whole batch before building any report, with
 extrinsic._validate, the validator PointState runs on a batch of one:
 types and shapes item by item, values once per dimension on the stacked
-states, field by field. One bad item exits 2 with no output and the
-error line it gets alone. The stacked states of one dimension then go
-through each batched kernel together, and an item's report equals the
-one it gets alone. Warnings keep their count and text but come grouped
-on stderr: validation's c and S warnings first, in input order, then the
-Bach-trace warnings (tr B = simons/3). bounds applies a state's 1e50
-entry cap to its numbers and to chi/vol. Output is deterministic: identical input yields
-byte-identical JSON.
+states, field by field, in one pass. A batch with bad items exits 2 with
+no output and the error line its first bad item gets alone. The stacked
+states of one dimension then go through each batched kernel together,
+and an item's report equals the one it gets alone. Warnings keep their
+count and text but come grouped on stderr: validation's c and S warnings
+first, in input order, then the Bach-trace warnings (tr B = simons/3).
+bounds applies a state's 1e50 entry cap to its numbers and to chi/vol.
+Output is deterministic: identical input yields byte-identical JSON.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -206,14 +207,8 @@ def _cmd_verify(args) -> int:
             results = [polyverify.verify_identity(args.identity)]
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
-    report = [{
-        "name": r.name,
-        "passed": r.passed,
-        "components": r.components,
-        "witness": r.witness,
-        "detail": r.detail,
-    } for r in results]
-    _emit({"identities": report, "all_passed": all(r.passed for r in results)})
+    _emit({"identities": [dataclasses.asdict(r) for r in results],
+           "all_passed": all(r.passed for r in results)})
     return _EXIT_OK if all(r.passed for r in results) else _EXIT_VIOLATION
 
 

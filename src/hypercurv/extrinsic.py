@@ -127,7 +127,7 @@ def _is_minimal(A: np.ndarray):
     """The minimality rule of every state and spectrum, for (..., n, n)
     operators: |tr A| <= 1e-10 (1 + |A|_F), with |A|_F summed as
     np.linalg.norm sums it."""
-    flat = A.reshape(A.shape[:-2] + (1, -1))
+    flat = A.reshape(A.shape[:-2] + (1, A.shape[-1] ** 2))
     norm = np.sqrt((flat @ flat.swapaxes(-2, -1))[..., 0, 0])
     return np.abs(np.trace(A, axis1=-2, axis2=-1)) <= _MINIMAL_REL_TOL * (1.0 + norm)
 
@@ -273,102 +273,92 @@ class _StateGroup(NamedTuple):
     from_spectrum: list
 
 
-class _Stop(Exception):
-    """A pass's first failing check: args (k, error) of the failing item k."""
-
-
 # a row that breaks the entry rule may overflow or hold NaN in the
-# symmetrization of nablaA
+# symmetrization of A or nablaA
 @np.errstate(all="ignore")
-def _check_group(index: list, rows: list, tol: float, check_n, queued: list) -> _StateGroup:
+def _check_group(index: list, rows: list, tol: float, check_n, queued: list):
     """The checks after A or lam's shape, for the states ``rows`` of one
-    dimension n at items ``index``: per field, its conversion or shape per
-    row, then its entry rule on the stacked values; check_n(n) last. Queues
+    dimension n at items ``index``, in PointState's order: per field, its
+    conversion or shape per row, then its entry rule on the stacked values;
+    check_n(n) last. The first row that fails a check ends the group, so
+    each later check runs only on the rows before it, which have passed
+    every check so far. Returns the _StateGroup, or (k, error) of the
+    group's earliest failing item k and its first failing check. Queues
     (item, c, S) of each state with an unusual c or S once c has passed."""
-    n, every = rows[0].n, range(len(rows))
+    n, end, stop = rows[0].n, len(rows), None
 
-    def stacked(given: list, field: str) -> np.ndarray:
+    def fail(j: int, error: Exception) -> None:
+        nonlocal end, stop
+        end, stop = j, (index[j], error)
+
+    def stacked(at, field: str) -> np.ndarray:
+        """The values of field at rows ``at``, up to the first whose
+        conversion or shape fails."""
         values = []
-        for j in given:
+        for j in at:
             value = getattr(rows[j], field)
             try:
                 values.append(float(value) if field == "c" else _field_array(field, value, n))
             except (OverflowError, TypeError, ValueError) as exc:
-                raise _Stop(index[j], exc) from None
+                fail(j, exc)
+                break
         return np.array(values)
 
-    def check(name, given, raw: np.ndarray, mirror=None) -> np.ndarray:
+    def check(name: str, at, raw: np.ndarray, mirror=None) -> None:
         failure = _entry_failure(name, raw, mirror, tol)
         if failure is not None:
-            raise _Stop(index[given[failure[0]]], failure[1])
-        return raw
+            fail(at[failure[0]], failure[1])
 
-    spectra = [j for j in every if rows[j].from_spectrum]
-    matrices = [j for j in every if not rows[j].from_spectrum]
-    A = np.empty((len(rows), n, n))
+    A = np.empty((end, n, n))
+    spectra = [j for j in range(end) if rows[j].from_spectrum]
     if spectra:
-        A[spectra] = _diagonal(check("lambda", spectra, np.array([rows[j].main for j in spectra])))
+        lams = np.array([rows[j].main for j in spectra])
+        check("lambda", spectra, lams)
+        A[spectra] = _diagonal(lams)
+    matrices = [j for j in range(end) if not rows[j].from_spectrum]
     if matrices:
         raw = np.array([rows[j].main for j in matrices])
         check("A", matrices, raw, raw.swapaxes(1, 2))
         A[matrices] = 0.5 * (raw + raw.swapaxes(1, 2))
-    c = check("c", every, stacked(every, "c"))
+    c = stacked(range(end), "c")
+    check("c", range(end), c)
+    A, c = A[:end], c[:end]
     minimal = _is_minimal(A)
     S = (A * A).sum(axis=(1, 2))
-    unusual = (c != -1.0) & (c != 0.0) & (c != 1.0) | (S > _CONDITION_WARN_S)
-    queued += [(index[j], c[j].item(), S[j].item()) for j in np.flatnonzero(unusual)]
-    nablaA, hessS = {}, {}
-    with_nabla = [j for j in every if rows[j].nablaA is not None]
-    if with_nabla:
-        raw = stacked(with_nabla, "nablaA")
+    queued += [(index[j], c_j, S_j) for j, (c_j, S_j) in enumerate(zip(c.tolist(), S.tolist()))
+               if c_j not in (-1.0, 0.0, 1.0) or S_j > _CONDITION_WARN_S]
+    with_nabla = [j for j in range(end) if rows[j].nablaA is not None]
+    nabla = raw = stacked(with_nabla, "nablaA")
+    if len(raw):
         nabla = _symmetrize3(raw)
         check("nablaA", with_nabla, raw, nabla)
-    given = [j for j in every if rows[j].hessS is not None]
-    if given:
-        raw = stacked(given, "hessS")
-        check("hessS", given, raw, raw.swapaxes(1, 2))
-        hess = 0.5 * (raw + raw.swapaxes(1, 2))
-        hess.setflags(write=False)
-        hessS = dict(zip(given, hess))
+    with_hess = [j for j in range(end) if rows[j].hessS is not None]
+    hess = stacked(with_hess, "hessS")
+    if len(hess):
+        check("hessS", with_hess, hess, hess.swapaxes(1, 2))
+        hess = 0.5 * (hess + hess.swapaxes(1, 2))
+    with_nabla = [j for j in with_nabla if j < end]
     if with_nabla:
+        nabla = nabla[:len(with_nabla)]
         div = np.abs(np.einsum("...iik->...k", nabla)).max(axis=-1)
         bad = minimal[with_nabla] & (div > tol * (1.0 + np.abs(nabla).max(axis=(1, 2, 3))))
         if bad.any():
             j = int(bad.argmax())
-            raise _Stop(index[with_nabla[j]], ValueError(
+            fail(with_nabla[j], ValueError(
                 "nablaA: trace A_iik must equal the H gradient, which vanishes for a "
                 f"minimal state (max violation {div[j]:.3e})"))
-        nabla.setflags(write=False)
-        nablaA = dict(zip(with_nabla, nabla))
-    if check_n is not None:
+    if check_n is not None and end:
         try:
             check_n(n)
         except ValueError as exc:
-            raise _Stop(index[0], exc) from None
-    A.setflags(write=False)
-    return _StateGroup(index, A, c, minimal, nablaA, hessS, [row.parallel for row in rows],
+            fail(0, exc)
+    if stop is not None:
+        return stop
+    for array in (A, nabla, hess):
+        array.setflags(write=False)
+    return _StateGroup(index, A, c, minimal, dict(zip(with_nabla, nabla)),
+                       dict(zip(with_hess, hess)), [row.parallel for row in rows],
                        [row.from_spectrum for row in rows])
-
-
-def _pass(items: list, parse, tol: float, check_n, queued: list) -> list:
-    """One pass of every check over a batch, queuing the warnings of its
-    items: the groups of _validate, or the earliest _Stop of any group."""
-    rows, index_by_n = [], {}
-    for k, item in enumerate(items):
-        try:
-            rows.append(_shaped(**parse(item)))
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise _Stop(k, exc) from None
-        index_by_n.setdefault(rows[k].n, []).append(k)
-    groups, stops = [], []
-    for index in index_by_n.values():
-        try:
-            groups.append(_check_group(index, [rows[k] for k in index], tol, check_n, queued))
-        except _Stop as stop:
-            stops.append(stop)
-    if stops:
-        raise min(stops, key=lambda stop: stop.args[0])
-    return groups
 
 
 def _validate(items, parse=dict, tol: float = EQUALITY_TOL, check_n=None) -> list:
@@ -379,34 +369,33 @@ def _validate(items, parse=dict, tol: float = EQUALITY_TOL, check_n=None) -> lis
     Checks run in PointState's order: A or lam's shape and entry rule
     (``_entry_failure``), c's conversion and cap, nablaA's and hessS's shape
     and entry rule, nablaA's trace on a minimal state, ``check_n(n)``; types
-    and shapes per item, values once per dimension on stacked arrays. A pass
-    stops each dimension at its first failing check and the batch at the
-    earliest such item, whose predecessors can fail only later checks: a few
-    passes on shorter prefixes reach one that passes, then the last item
-    stopped at raises, alone, its first failing check. The c and S warnings
-    of the passing items, and of that item if it passed c's cap, go out
-    here in input order, at the caller of the function that asked for it.
+    and shapes per item, values once per dimension on stacked arrays. One
+    pass finds the first failing item: the shape checks run item by item
+    up to the first that fails them, and each dimension's checks stop at
+    its first failing row (``_check_group``); the earliest of these items
+    raises its first failing check. The c and S warnings of the items
+    before it, and of that item if it passed c's cap, go out here in input
+    order, at the caller of the function that asked for it.
     """
-    items, lone, warned = list(items), None, []
-    try:
-        while True:
-            queued = []
-            try:
-                groups = _pass(items, parse, tol, check_n, queued)
-            except _Stop as stop:
-                k, error = stop.args
-                if len(items) == 1:
-                    warned += queued
-                    raise error from None
-                items, lone = items[:k], items[k]
-                continue
-            warned += sorted(queued)
-            if lone is None:
-                return groups
-            items, lone = [lone], None
-    finally:
-        for _, c, S in warned:
+    rows, index_by_n, stops = [], {}, []
+    for k, item in enumerate(items):
+        try:
+            rows.append(_shaped(**parse(item)))
+        except (OverflowError, TypeError, ValueError) as exc:
+            stops.append((k, exc))
+            break
+        index_by_n.setdefault(rows[k].n, []).append(k)
+    queued = []
+    groups = [_check_group(index, [rows[k] for k in index], tol, check_n, queued)
+              for index in index_by_n.values()]
+    stops += [group for group in groups if not isinstance(group, _StateGroup)]
+    stop = min(stops, key=lambda stop: stop[0], default=None)
+    for k, c, S in sorted(queued):
+        if stop is None or k <= stop[0]:
             _warn_unusual(c, S, stacklevel=4)
+    if stop is not None:
+        raise stop[1] from None
+    return groups
 
 
 class PointState:
@@ -431,10 +420,10 @@ class PointState:
         arrays.
 
     The arguments are validated as a batch of one by ``_validate``, the
-    validator the CLI runs on whole batches: the first failing check, field
-    by field in the order above (shape, then the 1e50 cap and symmetry;
-    the trace of nablaA on a minimal state last), raises its ValueError,
-    and the c and S warnings point at the caller.
+    one-pass validator the CLI runs on whole batches: the first failing
+    check, field by field in the order above (shape, then the 1e50 cap and
+    symmetry; the trace of nablaA on a minimal state last), raises its
+    ValueError, and the c and S warnings point at the caller.
     """
 
     __slots__ = ("n", "c", "A", "nablaA", "hessS", "parallel", "minimal", "_from_spectrum")

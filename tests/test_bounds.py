@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hypercurv import bounds
+from hypercurv import bounds, extrinsic
 
 PI = math.pi
 X1 = 9.0 / (25.0 * PI * PI)   # first breakpoint of f in r = chi/vol
@@ -211,6 +211,34 @@ def test_euler_integrand_bounds():
     assert lo == pytest.approx(0.0) and hi == pytest.approx(16.0 / 3.0)
     with pytest.raises(ValueError):
         bounds.euler_integrand_bounds(-1.0)
+
+
+def _cgb_and_weyl(lam):
+    """(cgb/8, |W|^2, S) of the minimal unit-sphere state with spectrum lam."""
+    st = extrinsic.PointState(lam=lam, c=1.0)
+    return extrinsic.cgb_integrand(st) / 8.0, extrinsic.closed_form_norms(st).Wsq, st.S
+
+
+def test_euler_integrand_bounds_bound_cgb_below_and_weyl_above():
+    # low is the minimum of cgb/8 (cgb/8 = low + 3/16 |W|^2), high the
+    # maximum of |W|^2/4, at level S
+    rng = np.random.default_rng(17)
+    for _ in range(500):
+        lam = rng.normal(size=4) * rng.choice([0.1, 1.0, 3.0])
+        cgb8, wsq, S = _cgb_and_weyl(lam - lam.mean())
+        low, high = bounds.euler_integrand_bounds(S)
+        scale = 1.0 + S * S
+        assert cgb8 == pytest.approx(low + 3.0 * wsq / 16.0, rel=0, abs=1e-12 * scale)
+        assert cgb8 >= low - 1e-12 * scale
+        assert wsq / 4.0 <= high + 1e-12 * scale
+    for t in (0.3, 1.0, 2.5):
+        # conformally flat: cgb/8 = low; Einstein: |W|^2/4 = high
+        cgb8, wsq, S = _cgb_and_weyl([-3 * t, t, t, t])
+        assert cgb8 == pytest.approx(bounds.euler_integrand_bounds(S)[0], rel=1e-12)
+        cgb8, wsq, S = _cgb_and_weyl([t, t, -t, -t])
+        assert wsq / 4.0 == pytest.approx(bounds.euler_integrand_bounds(S)[1], rel=1e-12)
+    cgb8, _, S = _cgb_and_weyl([0.0, 0.0, 0.0, 0.0])
+    assert bounds.euler_integrand_bounds(S)[1] < cgb8 == 3.0
 
 
 def test_volume_hypothesis_bounds_values():

@@ -405,6 +405,69 @@ def test_bad_item_fails_its_batch_with_its_own_error_line(capsys, command, bad, 
         assert json.loads(batch_out)[at] == json.loads(out)
 
 
+@st.composite
+def _unusual_items(draw):
+    """A valid item of dimension 3 to 6, often with an unusual c (2.5) or
+    with entries near 1e5, so that S > 1e8."""
+    n = draw(st.integers(3, 6))
+    scale = draw(st.sampled_from([1.0, 1e5]))
+    lam = [scale * x for x in draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))]
+    item = {"c": draw(st.sampled_from([-1.0, 0.0, 1.0, 2.5]))}
+    if draw(st.booleans()):
+        item["lambda"] = lam
+    else:
+        item["A"] = np.diag(lam).tolist()
+    if draw(st.booleans()):
+        item["n"] = n
+    return item
+
+
+def _one_by_one(items):
+    """(error text or None, warning texts) of the items through
+    PointState.from_dict alone, in order, up to the first that raises."""
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for item in items:
+            try:
+                extrinsic.PointState.from_dict(item)
+            except ValueError as exc:
+                error = str(exc)
+                break
+    return error, [str(w.message) for w in caught]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(bad=st.lists(_bad_items(), min_size=2, max_size=4),
+       good=st.lists(_unusual_items(), min_size=1, max_size=8), data=st.data())
+def test_batch_with_several_failures_fails_as_its_items_one_by_one(capsys, bad, good, data):
+    # Several bad items among valid ones of n = 3 to 6: the batch, validated
+    # in one pass, raises the error the items meet one by one, after the
+    # same c and S warnings in the same order; point exits with that line.
+    text = json.dumps(data.draw(st.permutations(bad + good))).replace('"INF"', "1e999")
+    batch = json.loads(text)
+    error, messages = _one_by_one(batch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            extrinsic._validate(batch, extrinsic._json_args)
+        except ValueError as exc:
+            assert str(exc) == error
+        else:
+            assert error is None
+    assert [str(w.message) for w in caught] == messages
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, ["point", text])
+    assert code == (0 if error is None else 2), err
+    if error is not None:
+        assert out == ""
+        assert err.splitlines()[-1] == f"error: {error}"
+    assert [str(w.message) for w in caught
+            if not str(w.message).startswith("bach_tensor trace")] == messages
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_batches_build_no_state_per_item(capsys, monkeypatch):
     # point and classify validate a batch as arrays: no PointState is

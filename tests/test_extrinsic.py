@@ -99,17 +99,18 @@ def test_symmetry_threshold_is_the_skew_against_the_transpose(field, factor, acc
 
 def test_validation_passes_stay_few_across_many_dimensions(monkeypatch):
     # a clean item per dimension, then a failing one per dimension in
-    # reverse order: a pass stops at the earliest failing item over all
-    # dimensions, so the items before it pass at once and that item alone
-    # raises; the number of passes does not grow with the dimensions
-    passes = []
-    real = extrinsic._pass
-    monkeypatch.setattr(extrinsic, "_pass", lambda *args: passes.append(1) or real(*args))
+    # reverse order: each dimension is checked once, stopping at its first
+    # failing row, and the earliest of those items raises
+    groups = []
+    real = extrinsic._check_group
+    monkeypatch.setattr(extrinsic, "_check_group",
+                        lambda index, *args: groups.append(index) or real(index, *args))
     items = [{"lambda": [1.0] * n} for n in range(3, 43)]
     items += [{"lambda": [1e60] + [1.0] * (n - 1)} for n in reversed(range(3, 43))]
     with pytest.raises(ValueError, match="^lambda: entries must not exceed"):
         extrinsic._validate(items, extrinsic._json_args)
-    assert len(passes) == 3
+    assert len(groups) == 40
+    assert sorted(len(index) for index in groups) == [2] * 40
 
 
 def test_point_state_warns_on_odd_c():
