@@ -17,9 +17,12 @@ right-hand sides are the shipped closed-form kernels that
 ``closed_form_norms`` and ``cgb_integrand`` evaluate in floating point:
 power sums, |W+-|^2, |W|^2, |Ric0|^2, the Chern-Gauss-Bonnet integrand,
 the Fialkow tensor and the general-n minimal |W|^2. All are looked up at
-call time, so a defect in the code that ``hypercurv point`` runs fails
-certification, and a float constant that is not an integer raises
-TypeError instead of certifying an approximation.
+each ``verify_all``/``verify_identity`` call, so a defect in the code that
+``hypercurv point`` runs fails certification, and a float constant that
+is not an integer raises TypeError instead of certifying an
+approximation. Within one call, W and W+- are built once, kept read-only
+and shared by the records that contract them; nothing is kept between
+calls.
 
 The diagonal-A reduction is the only analytic step taken on faith here,
 and it is spot-checked in floating point against non-diagonal shape
@@ -36,8 +39,11 @@ or at the stated relation, and is reported rather than auto-corrected.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,18 +72,19 @@ _SCALARS = (int, float, Fraction)
 # without carries, and int order is graded-lex order on exponent tuples.
 _BITS = 5
 _DIGIT = (1 << _BITS) - 1
+# The zero polynomial of each variable count, shared: instances are immutable.
+_ZEROS: dict = {}
 
 
-def _frac(x) -> Fraction:
-    # Integer-valued floats are exact (the float Levi-Civita entries of the
-    # shipped star kernel); any other float means a kernel left the
-    # rationals, so it raises instead of certifying an approximation.
-    if isinstance(x, Fraction):
+def _exact(x):
+    # An int stays an int and an integer-valued float becomes one (the float
+    # Levi-Civita entries of the shipped star kernel); any other float means
+    # a kernel left the rationals, so it raises instead of certifying an
+    # approximation.
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, float) and x.is_integer():
-        return Fraction(int(x))
+        return int(x)
     raise TypeError(f"rational coefficient expected, got {type(x).__name__} {x!r}")
 
 
@@ -98,11 +105,14 @@ class RationalPoly:
     identity; exceeding the cap means an assembly bug, so it raises, and a
     product checks it once, on the sum of the leading monomials. The
     constructor validates its input; arithmetic builds results through
-    ``_trusted``. Instances are immutable, so sums and products with a zero
+    ``_trusted``. Instances are immutable, so the zero of each variable
+    count is one shared instance, and sums and products with a zero
     operand return an operand unchanged; object einsum over sparse tensors
-    produces mostly such products. Products with a non-scalar (an ndarray)
-    are left to the other operand, so polynomials and object arrays combine
-    elementwise on either side.
+    produces mostly such products. A square (``p * p`` on one object, as
+    in ``einsum("ijkl,ijkl->", W, W)``) takes each cross product once, and
+    an integer-valued float scalar multiplies as an int. Products with a
+    non-scalar (an ndarray) are left to the other operand, so polynomials
+    and object arrays combine elementwise on either side.
     """
 
     __slots__ = ("nvars", "_num", "_den")
@@ -110,10 +120,10 @@ class RationalPoly:
     def __init__(self, nvars: int, terms=None):
         clean = {}
         for exps, coeff in (terms or {}).items():
-            coeff = _frac(coeff)
+            coeff = _exact(coeff)
             if coeff == 0:
                 continue
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(operator.index, exps))
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps} does not match nvars = {nvars}")
             if min(exps, default=0) < 0:
@@ -144,11 +154,14 @@ class RationalPoly:
 
     @classmethod
     def zero(cls, nvars: int) -> "RationalPoly":
-        return cls._trusted(nvars, {}, 1)
+        poly = _ZEROS.get(nvars)
+        if poly is None:
+            poly = _ZEROS[nvars] = cls._trusted(nvars, {}, 1)
+        return poly
 
     @classmethod
     def const(cls, value, nvars: int) -> "RationalPoly":
-        value = value if type(value) is int else _frac(value)
+        value = _exact(value)
         return cls._trusted(nvars, {0: value.numerator} if value else {}, value.denominator)
 
     @classmethod
@@ -198,7 +211,11 @@ class RationalPoly:
         return RationalPoly._trusted(self.nvars, num, den)
 
     def __add__(self, other):
-        other = self._coerce(other)
+        if type(other) is not RationalPoly or other.nvars != self.nvars:
+            if type(other) is int and not other:
+                # object einsum starts every sum at the int 0
+                return self
+            other = self._coerce(other)
         if not other._num:
             return self
         if not self._num:
@@ -211,7 +228,8 @@ class RationalPoly:
         return RationalPoly._trusted(self.nvars, {k: -v for k, v in self._num.items()}, self._den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        if type(other) is not RationalPoly or other.nvars != self.nvars:
+            other = self._coerce(other)
         if not other._num:
             return self
         if not self._num:
@@ -221,20 +239,24 @@ class RationalPoly:
     def __rsub__(self, other):
         return self._coerce(other) - self
 
+    def _scale(self, other):
+        if type(other) is not int:
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
+            other = _exact(other)
+        if not other:
+            return RationalPoly.zero(self.nvars)
+        if other == 1 or not self._num:
+            return self
+        return RationalPoly._trusted(
+            self.nvars, {k: v * other.numerator for k, v in self._num.items()},
+            self._den * other.denominator)
+
     def __mul__(self, other):
-        if not isinstance(other, RationalPoly):
-            if type(other) is not int:
-                if not isinstance(other, _SCALARS):
-                    return NotImplemented
-                other = _frac(other)
-            if not other:
-                return RationalPoly.zero(self.nvars)
-            if other == 1 or not self._num:
-                return self
-            return RationalPoly._trusted(
-                self.nvars, {k: v * other.numerator for k, v in self._num.items()},
-                self._den * other.denominator)
-        other = self._coerce(other)
+        if type(other) is not RationalPoly or other.nvars != self.nvars:
+            if not isinstance(other, RationalPoly):
+                return self._scale(other)
+            other = self._coerce(other)
         if not self._num:
             return self
         if not other._num:
@@ -246,11 +268,22 @@ class RationalPoly:
             raise ValueError(f"degree cap {_DEGREE_CAP} exceeded by term {self._exps(lead)}")
         num: dict = {}
         get = num.get
-        items = other._num.items()
-        for k1, c1 in self._num.items():
-            for k2, c2 in items:
-                k = k1 + k2
-                num[k] = get(k, 0) + c1 * c2
+        if other is self:
+            # A square takes each cross product once, doubled.
+            items = list(self._num.items())
+            for a, (k1, c1) in enumerate(items):
+                k = k1 + k1
+                num[k] = get(k, 0) + c1 * c1
+                c1 += c1
+                for k2, c2 in items[a + 1:]:
+                    k = k1 + k2
+                    num[k] = get(k, 0) + c1 * c2
+        else:
+            items = other._num.items()
+            for k1, c1 in self._num.items():
+                for k2, c2 in items:
+                    k = k1 + k2
+                    num[k] = get(k, 0) + c1 * c2
         num = {k: v for k, v in num.items() if v}
         return RationalPoly._trusted(self.nvars, num, self._den * other._den)
 
@@ -294,7 +327,7 @@ class RationalPoly:
         return out
 
     def eval(self, point) -> Fraction:
-        values = [_frac(v) for v in point]
+        values = [_exact(v) for v in point]
         if len(values) != self.nvars:
             raise ValueError(f"point has {len(values)} coordinates, expected {self.nvars}")
         total = Fraction(0)
@@ -341,15 +374,58 @@ def _diag_powers(lams):
     return extrinsic._trace_powers(_diag(lams))
 
 
-def _weyl4(lams):
-    """H-general Weyl tensor of a diagonal shape operator, n = 4."""
+# Inside a ``_sharing()`` block, the Weyl tensors built so far, keyed by
+# (builder, lams); None outside one.
+_SHARED: contextvars.ContextVar = contextvars.ContextVar("_SHARED", default=None)
+
+
+@contextlib.contextmanager
+def _sharing():
+    """Build each Weyl tensor once inside the block; nothing outlives it."""
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _shared(build, lams):
+    """``build(lams)``, built once per ``_sharing()`` block and stored read-only."""
+    memo = _SHARED.get()
+    if memo is None:
+        return build(lams)
+    key = (build, tuple(lams))
+    if key not in memo:
+        value = build(lams)
+        for T in value if isinstance(value, tuple) else (value,):
+            T.setflags(write=False)
+        memo[key] = value
+    return memo[key]
+
+
+def _build_weyl4(lams):
     return extrinsic._weyl_raw(_diag(lams))
 
 
-def _weyl4_pm(lams):
+def _build_weyl4_pm(lams):
     W = _weyl4(lams)
     SW = lambda2._star4(W)
     return (W + SW) / 2, (W - SW) / 2
+
+
+def _weyl4(lams):
+    """H-general Weyl tensor of a diagonal shape operator, n = 4."""
+    return _shared(_build_weyl4, lams)
+
+
+def _weyl4_pm(lams):
+    """Self-dual and anti-self-dual halves W+- = (W +- *W)/2 of ``_weyl4``."""
+    return _shared(_build_weyl4_pm, lams)
+
+
+def _triple(T):
+    """T_ijkl T_pqkl T_ijpq, contracted one pair at a time."""
+    return np.einsum("ijpq,ijpq->", np.einsum("ijkl,pqkl->ijpq", T, T), T)
 
 
 def _eliminate_last(poly: RationalPoly, n: int) -> RationalPoly:
@@ -422,7 +498,7 @@ def _build_fialkow():
 def _build_cubic_contraction():
     lams = _lam_vars(4, 4)
     W = _weyl4(lams)
-    lhs = _eliminate_last(np.einsum("ijkl,pqkl,ijpq->", W, W, W), 4)
+    lhs = _eliminate_last(_triple(W), 4)
     _, S, A2sq, trA3, _, trA6 = _diag_powers(lams)
     rhs = _eliminate_last(
         trA3 * trA3 * 10 - trA6 * 28 + S * A2sq * 19 - S ** 3 * Fraction(23, 9), 4)
@@ -434,8 +510,8 @@ def _build_cubic_half():
     lams = _lam_vars(4, nv)
     W = _weyl4(lams)
     Wp, _ = _weyl4_pm(lams)
-    lhs = _eliminate_last(np.einsum("ijkl,pqkl,ijpq->", W, W, W), 4)
-    rhs = _eliminate_last(np.einsum("ijkl,pqkl,ijpq->", Wp, Wp, Wp) * 2, 4)
+    lhs = _eliminate_last(_triple(W), 4)
+    rhs = _eliminate_last(_triple(Wp) * 2, 4)
     return [(lhs, rhs)]
 
 
@@ -459,7 +535,7 @@ def _build_harmweyl_equality():
     _, S, A2sq, trA3, _, trA6 = _diag_powers(lams)
     lhs = (trA3 * trA3 * 15 - trA6 * 42 + S * A2sq * Fraction(55, 2)
            - S ** 3 * Fraction(13, 4))
-    rhs = (np.einsum("ijkl,pqkl,ijpq->", Wp, Wp, Wp) * 3
+    rhs = (_triple(Wp) * 3
            + S * np.einsum("ijkl,ijkl->", Wp, Wp) * Fraction(1, 2))
     return [(_eliminate_last(lhs, 4), _eliminate_last(rhs, 4))]
 
@@ -634,31 +710,27 @@ def verify_identity(name: str) -> VerifyResult:
 
 
 def verify_all() -> list:
-    return [verify_record(rec) for rec in REGISTRY.values()]
+    """Certify every registered identity; the records share their Weyl tensors."""
+    with _sharing():
+        return [verify_record(rec) for rec in REGISTRY.values()]
 
 
 _RECIPES = {}
 
 
 def _register_recipes():
-    def scalars(minimal):
-        lams = _lam_vars(4, 4)
-        powers = _diag_powers(lams)
-        out = dict(zip(("H", "S", "A2sq", "trA3", "trA5", "trA6"), powers))
-        out["Wpmsq"] = extrinsic._wpm_sq(*powers[:4])
-        out["Wsq"] = extrinsic._w_sq(*powers[:4])
-        out["ricTFsq"] = extrinsic._ric0_sq(*powers[:4], 4)
+    lams = _lam_vars(4, 4)
+    powers = _diag_powers(lams)
+    out = dict(zip(("H", "S", "A2sq", "trA3", "trA5", "trA6"), powers))
+    out["Wpmsq"] = extrinsic._wpm_sq(*powers[:4])
+    out["Wsq"] = extrinsic._w_sq(*powers[:4])
+    out["ricTFsq"] = extrinsic._ric0_sq(*powers[:4], 4)
+    with _sharing():
         W = _weyl4(lams)
         out["trWstarW"] = np.einsum("ijkl,ijkl->", W, lambda2._star4(W))
-        out["tripleW"] = np.einsum("ijkl,pqkl,ijpq->", W, W, W)
-        Wp, _ = _weyl4_pm(lams)
-        out["tripleWplus"] = np.einsum("ijkl,pqkl,ijpq->", Wp, Wp, Wp)
-        if minimal:
-            out = {k: _eliminate_last(v, 4) for k, v in out.items()}
-        return out
-
-    _RECIPES[False] = scalars(False)
-    _RECIPES[True] = scalars(True)
+        out["tripleW"] = _triple(W)
+        out["tripleWplus"] = _triple(_weyl4_pm(lams)[0])
+    _RECIPES.update({False: out, True: {k: _eliminate_last(v, 4) for k, v in out.items()}})
 
 
 _ALIASES = {

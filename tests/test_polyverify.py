@@ -50,6 +50,9 @@ def test_zero_and_const_degrees():
     z = RationalPoly.zero(4)
     assert z.is_zero
     assert z.degree() == 0
+    assert RationalPoly.zero(4) is z and z != RationalPoly.zero(3)
+    x = RationalPoly.variable(0, 4)
+    assert x + 0 is x and 0 + x is x
     c = RationalPoly.const(Fraction(9, 2), 4)
     assert c.degree() == 0
     assert c.eval(tuple(Fraction(1) for _ in range(4))) == Fraction(9, 2)
@@ -62,6 +65,8 @@ def test_degree_cap_guards_runaway_products():
         p = p * x
     with pytest.raises(ValueError, match="degree cap"):
         p * x
+    with pytest.raises(ValueError, match="degree cap"):
+        p * p
 
 
 def test_representation_is_canonical():
@@ -86,6 +91,11 @@ def test_constructor_and_products_validate():
         RationalPoly(2, {(1, 0, 0): 1})
     with pytest.raises(ValueError, match="negative exponent"):
         RationalPoly(2, {(-1, 2): 1})
+    # exponents are integers, not truncated floats or parsed strings
+    with pytest.raises(TypeError):
+        RationalPoly(1, {(1.5,): 1})
+    with pytest.raises(TypeError):
+        RationalPoly(2, {(1, '2'): 3})
     x6 = RationalPoly(2, {(6, 0): 1})
     with pytest.raises(ValueError, match="degree cap"):
         x6 * RationalPoly(2, {(3, 4): Fraction(1, 2)})
@@ -205,6 +215,32 @@ def test_float_coefficients_must_be_integers():
     with pytest.raises(TypeError, match="rational coefficient"):
         x * 0.5
     assert (x / 2).eval((1,)) == Fraction(1, 2)
+    # the check comes before the zero shortcut, and covers inf and nan
+    for poly, scalar in [(RationalPoly.zero(3), 0.5), (x, float("inf")), (x, float("nan"))]:
+        with pytest.raises(TypeError, match="rational coefficient"):
+            poly * scalar
+
+
+def _weyl_tensors():
+    lams = polyverify._lam_vars(4, 4)
+    return [polyverify._weyl4(lams), *polyverify._weyl4_pm(lams)]
+
+
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["W", "W+", "W-"])
+def test_pairwise_triple_matches_the_three_operand_einsum(which):
+    T = _weyl_tensors()[which]
+    assert polyverify._triple(T) == np.einsum("ijkl,pqkl,ijpq->", T, T, T)
+
+
+@pytest.mark.parametrize("module, name", [(extrinsic, "_weyl_raw"), (lambda2, "_star4")])
+def test_weyl_tensors_are_shared_within_one_call_only(monkeypatch, module, name):
+    assert all(r.passed for r in polyverify.verify_all())
+    with monkeypatch.context() as patch:
+        patch.setattr(module, name, _doubled(getattr(module, name)))
+        bad = {r.name: r for r in polyverify.verify_all()}["normWpm_generalH"]
+        assert not bad.passed
+        assert bad.witness["point"] is not None
+    assert all(r.passed for r in polyverify.verify_all())
 
 
 def test_unknown_identity_lists_known_names():

@@ -56,6 +56,9 @@ def test_arithmetic_matches_sympy(case):
     assert (p + q).terms == _terms(P + Q)
     assert (p - q).terms == _terms(P - Q)
     assert (p * q).terms == _terms(P * Q)
+    assert (p * p).terms == _terms(P * P)
+    for k in (-3, -1, 0, 2):
+        assert (p * float(k)).terms == _terms(P * k)
     substituted = sympy.Poly(P.as_expr().subs(gens[index], Q.as_expr()), *gens,
                              domain=sympy.QQ)
     assert p.substitute(index, q).terms == _terms(substituted)
