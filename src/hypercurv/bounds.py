@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .extrinsic import _MAX_SCALE
-from .tolerances import CLUSTER_TOL
+from .tolerances import _MAX_SCALE, CLUSTER_TOL
 
 __all__ = [
     "GlobalData",
@@ -222,20 +221,22 @@ def weyl_threshold_report(g: GlobalData, tol: float = CLUSTER_TOL) -> dict:
     return out
 
 
-def euler_integrand_bounds(S: float) -> tuple:
-    """(low, high) at level S for a minimal state of the unit sphere with
-    |A|^2 = S; they bound two different quantities.
+def euler_integrand_bounds(S: float, c: float = 1.0) -> tuple:
+    """(low, high) at level S for a minimal state with |A|^2 = S in the
+    space form of curvature c (the data's c, as in s_quadratic); they bound
+    two different quantities.
 
-    low = 1/16 (4 - S)(12 + S) is the minimum of the normalized
+    low = 1/16 (4c - S)(12c + S) is the minimum of the normalized
     Gauss-Bonnet integrand cgb/8, since cgb/8 = low + 3/16 |W|^2; it is
     reached exactly at conformally flat points. high = 1/3 S^2 is the
-    maximum of |W|^2/4 at that level, reached exactly at Einstein points.
-    high does not bound cgb/8: S = 0 gives (3, 0) with cgb/8 = 3.
+    maximum of |W|^2/4 at that level, whatever c, reached exactly at
+    Einstein points. high does not bound cgb/8: S = 0 and c = 1 give (3, 0)
+    with cgb/8 = 3.
     """
-    _require_capped(S=S)
+    _require_capped(S=S, c=c)
     if S < 0.0:
         raise ValueError(f"S must be nonnegative, got {S}")
-    return ((4.0 - S) * (12.0 + S) / 16.0, S * S / 3.0)
+    return ((4.0 * c - S) * (12.0 * c + S) / 16.0, S * S / 3.0)
 
 
 @dataclass(frozen=True)

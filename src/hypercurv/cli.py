@@ -155,7 +155,7 @@ def _cmd_bounds(args) -> int:
     report: dict = {"thresholds": bounds_mod.weyl_threshold_report(data, tol=args.tol)}
     report["f_lower_bound"] = bounds_mod.f_lower_bound(data.chi / data.vol)
     if data.S is not None:
-        low, high = bounds_mod.euler_integrand_bounds(data.S)
+        low, high = bounds_mod.euler_integrand_bounds(data.S, data.c)
         report["euler_integrand_bounds"] = {"low": low, "high": high}
     if args.chi % 2 == 0:
         vb = bounds_mod.volume_hypothesis_bounds(args.chi)

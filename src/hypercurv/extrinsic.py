@@ -29,9 +29,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lambda2 import CurvTensor4, _kn_raw, _star4
+from .lambda2 import LAMBDA2_BASIS, CurvTensor4, _kn_raw, _sd_split, _star4
 from .lambda2 import inner, star_weyl, triple  # noqa: F401  (looked up on this module)
-from .tolerances import EQUALITY_TOL
+from .tolerances import EQUALITY_TOL, _entry_failure, _require_entries
 
 __all__ = [
     "PointState",
@@ -62,10 +62,6 @@ NABLA_ORDER = tuple(
 
 _MINIMAL_REL_TOL = 1e-10
 _CONDITION_WARN_S = 1e8
-# Cap on the 1 + max|entry| scale of A or a spectrum, of c, nablaA and hessS:
-# with every input below it the degree-6 invariants (trA^6, S^3, their
-# products with H) and the Bach, Bochner and CGB values stay inside float64.
-_MAX_SCALE = 1e50
 
 
 def _symmetrize3(arr: np.ndarray) -> np.ndarray:
@@ -90,37 +86,6 @@ _NABLA_INDEX = _flat_positions()
 
 def _nabla_to_flat(arr: np.ndarray) -> list:
     return [float(arr[i - 1, j - 1, k - 1]) for (i, j, k) in NABLA_ORDER]
-
-
-_ASYMMETRIC = {"A": "shape operator must be symmetric",
-               "nablaA": "components must be totally symmetric", "hessS": "must be symmetric"}
-
-
-def _entry_failure(name: str, rows: np.ndarray, mirror=None, tol: float = EQUALITY_TOL):
-    """(i, error) for the first row i of a stack of values of field ``name``
-    that breaks the entry rule, else None: a row's scale 1 + max|entry| is
-    finite and at most 1e50, then max|row - mirror| is at most tol times it,
-    given a mirror (a matrix's transpose, nablaA's total symmetrization)."""
-    axes = tuple(range(1, rows.ndim))
-    scale = 1.0 + np.abs(rows).max(axis=axes, initial=0.0)
-    # the rows before the first one over the cap, whose skew cannot overflow
-    end = len(rows) if scale.max(initial=0.0) <= _MAX_SCALE else int(np.argmin(scale <= _MAX_SCALE))
-    if mirror is not None:
-        skew = np.abs(rows[:end] - mirror[:end]).max(axis=axes, initial=0.0) > tol * scale[:end]
-        if skew.any():
-            return int(skew.argmax()), ValueError(f"{name}: {_ASYMMETRIC[name]}")
-    if end < len(rows):
-        return end, ValueError(f"{name}: entries " + (
-            f"must not exceed {_MAX_SCALE:.0e} in magnitude; invariants of degree up to 6 in "
-            "them would overflow" if scale[end] < math.inf else "must be finite numbers"))
-    return None
-
-
-def _require_entries(name: str, rows: np.ndarray, mirror=None) -> None:
-    """Raise the error of the first row that breaks the entry rule."""
-    failure = _entry_failure(name, rows, mirror)
-    if failure is not None:
-        raise failure[1]
 
 
 def _is_minimal(A: np.ndarray):
@@ -655,11 +620,10 @@ _WEYL_BLOCK = 256
 
 
 def _weyl_blocks(A: np.ndarray):
-    """(slice, W, *W) for consecutive blocks of an (N, 4, 4) batch."""
+    """(slice, W) for consecutive blocks of an (N, 4, 4) batch."""
     for start in range(0, len(A), _WEYL_BLOCK):
         rows = slice(start, start + _WEYL_BLOCK)
-        W = _weyl_raw(A[rows])
-        yield rows, W, _star4(W)
+        yield rows, _weyl_raw(A[rows])
 
 
 def _contract(T1: np.ndarray, T2: np.ndarray) -> np.ndarray:
@@ -669,8 +633,8 @@ def _contract(T1: np.ndarray, T2: np.ndarray) -> np.ndarray:
 def _signatures(A: np.ndarray) -> np.ndarray:
     """<W, *W> of each shape operator in an (N, 4, 4) float batch."""
     out = np.empty(len(A))
-    for rows, W, SW in _weyl_blocks(A):
-        out[rows] = _contract(W, SW)
+    for rows, W in _weyl_blocks(A):
+        out[rows] = _contract(W, _star4(W))
     return out
 
 
@@ -689,9 +653,8 @@ def weyl_split_norms(A) -> tuple:
     flat = A.reshape(-1, 4, 4)
     _require_entries("A", flat, flat.swapaxes(1, 2))
     out = np.empty((3, len(flat)))
-    for rows, W, SW in _weyl_blocks(flat):
-        Wp = 0.5 * (W + SW)
-        Wm = 0.5 * (W - SW)
+    for rows, W in _weyl_blocks(flat):
+        Wp, Wm = _sd_split(W)
         out[:, rows] = _contract(Wp, Wp), _contract(Wm, Wm), _contract(W, W)
     return tuple(out.reshape((3,) + A.shape[:-2]))
 
@@ -826,8 +789,8 @@ def _derivative_kernel(group: _StateGroup, powers: tuple, fields=None, weyl=True
                    + _bcast(4.0 / 3.0 * S, 2) * A2 + hess / 3.0 - 2.0 * T2
                    + _bcast(grad_sq / 3.0 + c * S / 3.0 - S * S / 6.0 - 0.5 * A2sq, 2) * np.eye(4))
         rows = np.flatnonzero(parallel & weyl)
-        for block, W, SW in _weyl_blocks(A[rows]):
-            Wp, at = 0.5 * (W + SW), rows[block]
+        for block, W in _weyl_blocks(A[rows]):
+            Wp, at = _sd_split(W)[0], rows[block]
             table[at, 6] = (_gauss(A[at], c[at])[2] * (Wp * Wp).sum(axis=(1, 2, 3, 4))
                             - 6.0 * np.einsum("nijkl,npqkl,nijpq->n", Wp, Wp, Wp))
     else:  # the Bach identities are four-dimensional
@@ -867,15 +830,17 @@ def bach_tensor(p: PointState, tol: float = EQUALITY_TOL) -> np.ndarray:
     return B[0]
 
 
-_DIV_PAIRS = (((1, 2), (3, 4)), ((1, 3), (4, 2)), ((1, 4), (2, 3)))
+_DIV_PAIRS = tuple(zip(LAMBDA2_BASIS[:3], LAMBDA2_BASIS[3:]))
 
 
 def div_weyl_sd(p: PointState) -> list:
     """Components of the divergence of W+ and W- in a principal frame.
 
-    Requires a diagonal shape operator (state built from a spectrum, or a
-    matrix that is diagonal to working precision) and nablaA. For each
-    frame direction k and each basis pair (i, j) the two values
+    Requires nablaA and a diagonal shape operator (a state built from a
+    spectrum, or a matrix that is diagonal to working precision): A passes
+    the entry rule against its mirror diag(diag A) at EQUALITY_TOL, else a
+    ValueError. For each frame direction k and each basis pair (i, j) the
+    two values
 
         (dW+-)_kij = 1/4 [ (l_i - l_j) A_kij +- (l_a - l_b) A_kab ]
 
@@ -886,10 +851,8 @@ def div_weyl_sd(p: PointState) -> list:
     """
     _require_four(p.n, "div_weyl_sd")
     A = p.A
-    off = A - np.diag(np.diag(A))
-    if np.abs(off).max() > EQUALITY_TOL * (1.0 + np.abs(A).max()):
-        raise ValueError("div_weyl_sd needs the shape operator in a principal frame "
-                         "(diagonal matrix)")
+    _require_entries("A", A[None], np.diag(np.diag(A))[None], rule="div_weyl_sd needs the "
+                     "shape operator in a principal frame (diagonal matrix)")
     _require_derivatives(p, ("nablaA",), "div_weyl_sd")
     nabla = np.zeros((4, 4, 4)) if p.nablaA is None else p.nablaA
     lam = np.diag(A)

@@ -38,9 +38,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .extrinsic import (PointState, _cgb, _power_rows, _quartic_powers,
-                        _require_entries, _signatures, _w_sq, _warn_unusual)
+from .extrinsic import (PointState, _cgb, _power_rows, _quartic_powers, _signatures, _w_sq,
+                        _warn_unusual)
 from .extrinsic import cgb_integrand  # noqa: F401  (re-exported: callers look it up on this module)
+from .tolerances import _require_entries
 
 __all__ = [
     "Factor",

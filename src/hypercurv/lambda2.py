@@ -28,7 +28,7 @@ import json
 
 import numpy as np
 
-from .tolerances import EQUALITY_TOL
+from .tolerances import EQUALITY_TOL, _require_entries
 
 __all__ = [
     "LAMBDA2_BASIS",
@@ -49,7 +49,10 @@ __all__ = [
 # image of the first under the star, in order.
 LAMBDA2_BASIS = ((1, 2), (1, 3), (1, 4), (3, 4), (4, 2), (2, 3))
 
-_PAIRS0 = tuple((i - 1, j - 1) for i, j in LAMBDA2_BASIS)
+# The basis as 0-based index arrays: pair p is (_I[p], _J[p]).
+_I, _J = np.array(LAMBDA2_BASIS).T - 1
+# The 6x6 upper triangle, row-major: the order of the JSON entries.
+_UPPER = np.triu_indices(6)
 
 
 def _build_epsilon4() -> np.ndarray:
@@ -70,12 +73,7 @@ _EPS4.setflags(write=False)
 
 # Rotation from the pair basis onto the SD/ASD eigenbasis: the first three
 # rotated vectors span the +1 eigenspace, the last three the -1 eigenspace.
-_P_SD = np.zeros((6, 6))
-_P_SD[:3, :3] = np.eye(3)
-_P_SD[:3, 3:] = np.eye(3)
-_P_SD[3:, :3] = np.eye(3)
-_P_SD[3:, 3:] = -np.eye(3)
-_P_SD /= np.sqrt(2.0)
+_P_SD = np.block([[np.eye(3), np.eye(3)], [np.eye(3), -np.eye(3)]]) / np.sqrt(2.0)
 _P_SD.setflags(write=False)
 
 
@@ -96,15 +94,20 @@ def levi_civita_tensor() -> np.ndarray:
     return _EPS4
 
 
-def _as_components(obj, shape, name):
+def _as_components(obj, shape, name, mirror):
+    """obj's components as floats of ``shape`` that pass the entry rule
+    against mirror(components)."""
     arr = np.asarray(getattr(obj, "components", obj), dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    _require_entries(name, arr[None], mirror(arr)[None])
     return arr
 
 
 class TwoForm:
-    """A two-form on R^4, stored as its antisymmetric component matrix."""
+    """A two-form on R^4, stored as its antisymmetric component matrix. With
+    ``check`` the components pass the entry rule against -w^T (finite, 1 +
+    max|entry| <= 1e50, antisymmetric to tol), else a ValueError."""
 
     __slots__ = ("components",)
 
@@ -113,9 +116,7 @@ class TwoForm:
         if arr.shape != (4, 4):
             raise ValueError(f"TwoForm components must be 4x4, got {arr.shape}")
         if check:
-            scale = 1.0 + np.abs(arr).max()
-            if np.abs(arr + arr.T).max() > tol * scale:
-                raise ValueError("TwoForm components must be antisymmetric")
+            _require_entries("two-form", arr[None], -arr.T[None], tol)
             arr = 0.5 * (arr - arr.T)
         arr.setflags(write=False)
         self.components = arr
@@ -149,11 +150,8 @@ class TwoForm:
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
-        terms = []
-        for i, j in LAMBDA2_BASIS:
-            c = 2.0 * self.components[i - 1, j - 1]
-            if c != 0.0:
-                terms.append(f"{c:+g} e{i}^e{j}")
+        terms = [f"{c:+g} e{i}^e{j}" for c, (i, j) in
+                 zip(2.0 * self.components[_I, _J], LAMBDA2_BASIS) if c != 0.0]
         return "TwoForm(" + (" ".join(terms) if terms else "0") + ")"
 
 
@@ -161,27 +159,14 @@ def hodge_star(omega):
     """Hodge star of a two-form: (*w)_ij = 1/2 mu_ijkl w_kl.
 
     Accepts a TwoForm or a raw antisymmetric (4,4) array and returns the
-    same kind. Applying the star twice returns the input exactly up to
-    floating point (the map is an involution in dimension four).
+    same kind; a raw array passes TwoForm's check. Applying the star twice
+    returns the input exactly up to floating point (the map is an
+    involution in dimension four).
     """
     if isinstance(omega, TwoForm):
         return TwoForm(0.5 * np.einsum("ijkl,kl->ij", _EPS4, omega.components), check=False)
-    arr = _as_components(omega, (4, 4), "two-form")
+    arr = _as_components(omega, (4, 4), "two-form", lambda w: -w.T)
     return 0.5 * np.einsum("ijkl,kl->ij", _EPS4, arr)
-
-
-def _check_curvature_symmetries(arr: np.ndarray, tol: float) -> None:
-    scale = 1.0 + np.abs(arr).max()
-    asym1 = np.abs(arr + arr.transpose(1, 0, 2, 3)).max()
-    asym2 = np.abs(arr + arr.transpose(0, 1, 3, 2)).max()
-    pair = np.abs(arr - arr.transpose(2, 3, 0, 1)).max()
-    if asym1 > tol * scale or asym2 > tol * scale:
-        raise ValueError(
-            "curvature tensor must be antisymmetric in the first and last index pairs "
-            f"(violations {asym1:.3e}, {asym2:.3e})"
-        )
-    if pair > tol * scale:
-        raise ValueError(f"curvature tensor must satisfy pair symmetry (violation {pair:.3e})")
 
 
 class CurvTensor4:
@@ -189,11 +174,13 @@ class CurvTensor4:
 
     Stores the (4,4,4,4) component array (0-based internally) and converts
     losslessly to and from the symmetric 6x6 operator matrix over the
-    ordered Lambda^2 basis. Required symmetries: antisymmetry in (i,j) and
-    in (k,l), plus symmetry under swapping the pairs. The first Bianchi
-    identity is not required; the star of a non-trace-free tensor can
-    legitimately break pair symmetry, so outputs of internal operations are
-    constructed unchecked.
+    ordered Lambda^2 basis. With ``check`` the components pass the entry
+    rule (finite, 1 + max|entry| <= 1e50) and, to tol, the required
+    symmetries: antisymmetry in (i,j) and in (k,l), plus symmetry under
+    swapping the pairs; the first failure raises a ValueError naming it.
+    The first Bianchi identity is not required; the star of a
+    non-trace-free tensor can legitimately break pair symmetry, so outputs
+    of internal operations are constructed unchecked.
     """
 
     __slots__ = ("components",)
@@ -202,8 +189,12 @@ class CurvTensor4:
         arr = np.array(components, dtype=float)
         if arr.shape != (4, 4, 4, 4):
             raise ValueError(f"CurvTensor4 components must be 4x4x4x4, got {arr.shape}")
-        if check:
-            _check_curvature_symmetries(arr, tol)
+        if check:  # against each mirror -T_jikl, -T_ijlk, T_klij in turn
+            for mirror, rule in (
+                    (-arr.swapaxes(0, 1), "must be antisymmetric in its first index pair"),
+                    (-arr.swapaxes(2, 3), "must be antisymmetric in its last index pair"),
+                    (arr.transpose(2, 3, 0, 1), "must satisfy pair symmetry")):
+                _require_entries("curvature tensor", arr[None], mirror[None], tol, rule)
         arr.setflags(write=False)
         self.components = arr
 
@@ -213,11 +204,7 @@ class CurvTensor4:
 
     def operator6(self) -> np.ndarray:
         """Symmetric 6x6 matrix of the tensor over the Lambda^2 pair basis."""
-        op = np.empty((6, 6))
-        for p, (i, j) in enumerate(_PAIRS0):
-            for q, (k, l) in enumerate(_PAIRS0):
-                op[p, q] = self.components[i, j, k, l]
-        return op
+        return self.components[_I[:, None], _J[:, None], _I, _J]
 
     @classmethod
     def from_operator6(cls, op, check: bool = False) -> "CurvTensor4":
@@ -226,13 +213,9 @@ class CurvTensor4:
         if op.shape != (6, 6):
             raise ValueError(f"operator matrix must be 6x6, got {op.shape}")
         arr = np.zeros((4, 4, 4, 4))
-        for p, (i, j) in enumerate(_PAIRS0):
-            for q, (k, l) in enumerate(_PAIRS0):
-                v = op[p, q]
-                arr[i, j, k, l] = v
-                arr[j, i, k, l] = -v
-                arr[i, j, l, k] = -v
-                arr[j, i, l, k] = v
+        I, J = _I[:, None], _J[:, None]
+        arr[I, J, _I, _J] = arr[J, I, _J, _I] = op
+        arr[J, I, _I, _J] = arr[I, J, _J, _I] = -op
         return cls(arr, check=check)
 
     def to_json(self) -> str:
@@ -242,24 +225,20 @@ class CurvTensor4:
         "lambda2_op". Only pair-symmetric tensors round-trip; that is the
         type invariant.
         """
-        op = self.operator6()
-        entries = [op[i, j] for i in range(6) for j in range(i, 6)]
-        return json.dumps({"lambda2_op": entries})
+        return json.dumps({"lambda2_op": self.operator6()[_UPPER].tolist()})
 
     @classmethod
     def from_json(cls, text: str) -> "CurvTensor4":
+        """Inverse of to_json, checked as CurvTensor4 is: json.loads takes
+        NaN and Infinity, which raise a ValueError here."""
         data = json.loads(text)
-        entries = data.get("lambda2_op")
-        if entries is None or len(entries) != 21:
+        entries = data.get("lambda2_op") if isinstance(data, dict) else None
+        if not isinstance(entries, list) or len(entries) != 21:
             raise ValueError("expected key 'lambda2_op' with 21 entries")
         op = np.zeros((6, 6))
-        pos = 0
-        for i in range(6):
-            for j in range(i, 6):
-                op[i, j] = entries[pos]
-                op[j, i] = entries[pos]
-                pos += 1
-        return cls.from_operator6(op)
+        op[_UPPER] = entries
+        op[_UPPER[::-1]] = entries
+        return cls.from_operator6(op, check=True)
 
     def __add__(self, other: "CurvTensor4") -> "CurvTensor4":
         return CurvTensor4(self.components + other.components, check=False)
@@ -294,15 +273,11 @@ def star_weyl(T, tol: float = EQUALITY_TOL) -> CurvTensor4:
     """Star operator acting on an algebraic curvature tensor from the left.
 
     (*T)_ijkl = 1/2 mu_ijrs T_rskl. The input must carry the curvature
-    symmetries (checked; a violation is an input error). For trace-free T
-    the output is again a curvature tensor; otherwise pair symmetry of the
-    output may fail, which is expected and not validated.
+    symmetries (a raw array is checked as CurvTensor4 is). For trace-free
+    T the output is again a curvature tensor; otherwise pair symmetry of
+    the output may fail, which is expected and not validated.
     """
-    if isinstance(T, CurvTensor4):
-        arr = T.components
-    else:
-        arr = _as_components(T, (4, 4, 4, 4), "curvature tensor")
-        _check_curvature_symmetries(arr, tol)
+    arr = (T if isinstance(T, CurvTensor4) else CurvTensor4(T, tol=tol)).components
     return CurvTensor4(_star4(arr), check=False)
 
 
@@ -338,11 +313,20 @@ def kulkarni_nomizu(U, V) -> CurvTensor4:
     product is symmetric in U and V, and for symmetric U, V it already
     carries the curvature symmetries; the average only changes float
     rounding and is kept so that results stay byte-identical. In
-    particular (g o g)_ijkl = 2 (d_ik d_jl - d_il d_jk).
+    particular (g o g)_ijkl = 2 (d_ik d_jl - d_il d_jk). U and V pass the
+    entry rule (finite, 1 + max|entry| <= 1e50, symmetric), else a
+    ValueError.
     """
-    Ua = _as_components(U, (4, 4), "U")
-    Va = _as_components(V, (4, 4), "V")
+    Ua = _as_components(U, (4, 4), "U", np.transpose)
+    Va = _as_components(V, (4, 4), "V", np.transpose)
     return CurvTensor4(0.5 * (_kn_raw(Ua, Va) + _kn_raw(Va, Ua)), check=False)
+
+
+def _sd_split(T):
+    """(T+, T-) = ((T + *T)/2, (T - *T)/2), broadcasting over leading axes;
+    generic in the dtype, so it divides by 2 (0.5 * poly raises)."""
+    star = _star4(T)
+    return (T + star) / 2, (T - star) / 2
 
 
 def sd_asd_split(T, tol: float = EQUALITY_TOL):
@@ -352,13 +336,10 @@ def sd_asd_split(T, tol: float = EQUALITY_TOL):
     *T_plus = +T_plus and *T_minus = -T_minus, and <T_plus, T_minus> = 0.
     The Ricci contraction of the input must vanish; the split of a tensor
     with trace would not satisfy the eigenproperty, so a nonzero trace is
-    an input error reporting the offending norm.
+    an input error reporting the offending norm. A raw array is checked as
+    CurvTensor4 is.
     """
-    if isinstance(T, CurvTensor4):
-        arr = T.components
-    else:
-        arr = _as_components(T, (4, 4, 4, 4), "curvature tensor")
-        _check_curvature_symmetries(arr, tol)
+    arr = (T if isinstance(T, CurvTensor4) else CurvTensor4(T, tol=tol)).components
     ric = np.einsum("ijkj->ik", arr)
     scale = 1.0 + np.abs(arr).max()
     tr_norm = float(np.abs(ric).max())
@@ -366,10 +347,8 @@ def sd_asd_split(T, tol: float = EQUALITY_TOL):
         raise ValueError(
             f"sd_asd_split requires a trace-free tensor; Ricci contraction has max entry {tr_norm:.6e}"
         )
-    star = _star4(arr)
-    plus = CurvTensor4(0.5 * (arr + star), check=False)
-    minus = CurvTensor4(0.5 * (arr - star), check=False)
-    return plus, minus
+    plus, minus = _sd_split(arr)
+    return CurvTensor4(plus, check=False), CurvTensor4(minus, check=False)
 
 
 def lambda2_spectrum(T, part: str = "plus", tol: float = EQUALITY_TOL) -> np.ndarray:

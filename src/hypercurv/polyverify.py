@@ -10,16 +10,17 @@ polynomial. That is a proof, not a numerical test: no sampling, no
 tolerance.
 
 The tensor left-hand sides are the shipped kernels themselves, evaluated
-over Q[l1..ln]: the Weyl tensor is ``extrinsic._weyl_raw``, the star is
-``lambda2._star4``, Kulkarni-Nomizu products are ``lambda2._kn_raw`` and
-Ricci data come from the Gauss-equation kernel ``extrinsic._gauss``. The
+over Q[l1..ln]: the Weyl tensor is ``extrinsic._weyl_raw``, the star and
+W+- split are ``lambda2._star4`` and ``lambda2._sd_split``, as ``point``
+runs them, Kulkarni-Nomizu products are ``lambda2._kn_raw`` and Ricci
+data come from the Gauss-equation kernel ``extrinsic._gauss``. The
 right-hand sides are the shipped closed-form kernels that
 ``closed_form_norms`` and ``cgb_integrand`` evaluate in floating point:
 power sums, |W+-|^2, |W|^2, |Ric0|^2, the Chern-Gauss-Bonnet integrand,
 the Fialkow tensor and the general-n minimal |W|^2. All are looked up at
-each ``verify_all``/``verify_identity`` call, so a defect in the code that
-``hypercurv point`` runs fails certification, and a float constant that
-is not an integer raises TypeError instead of certifying an
+each ``verify_all``/``verify_identity`` call, so a defect in the code
+that ``hypercurv point`` runs fails certification, and a float constant
+that is not an integer raises TypeError instead of certifying an
 approximation. Within one call, W and W+- are built once, kept read-only
 and shared by the records that contract them; nothing is kept between
 calls.
@@ -110,9 +111,10 @@ class RationalPoly:
     operand return an operand unchanged; object einsum over sparse tensors
     produces mostly such products. A square (``p * p`` on one object, as
     in ``einsum("ijkl,ijkl->", W, W)``) takes each cross product once, and
-    an integer-valued float scalar multiplies as an int. Products with a
-    non-scalar (an ndarray) are left to the other operand, so polynomials
-    and object arrays combine elementwise on either side.
+    an integer-valued float scalar multiplies as an int. Sums, differences
+    and products with a non-scalar (an ndarray) are left to the other
+    operand, so polynomials and object arrays combine elementwise on either
+    side.
     """
 
     __slots__ = ("nvars", "_num", "_den")
@@ -195,6 +197,8 @@ class RationalPoly:
             if other.nvars != self.nvars:
                 raise ValueError(f"nvars mismatch: {self.nvars} vs {other.nvars}")
             return other
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
         return RationalPoly.const(other, self.nvars)
 
     def _combine(self, other: "RationalPoly", sign: int) -> "RationalPoly":
@@ -215,7 +219,8 @@ class RationalPoly:
             if type(other) is int and not other:
                 # object einsum starts every sum at the int 0
                 return self
-            other = self._coerce(other)
+            if (other := self._coerce(other)) is NotImplemented:
+                return other
         if not other._num:
             return self
         if not self._num:
@@ -229,7 +234,8 @@ class RationalPoly:
 
     def __sub__(self, other):
         if type(other) is not RationalPoly or other.nvars != self.nvars:
-            other = self._coerce(other)
+            if (other := self._coerce(other)) is NotImplemented:
+                return other
         if not other._num:
             return self
         if not self._num:
@@ -237,7 +243,7 @@ class RationalPoly:
         return self._combine(other, -1)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return -self + other
 
     def _scale(self, other):
         if type(other) is not int:
@@ -313,7 +319,8 @@ class RationalPoly:
 
     def substitute(self, index: int, replacement: "RationalPoly") -> "RationalPoly":
         """Replace variable ``index`` by a polynomial (same variable space)."""
-        replacement = self._coerce(replacement)
+        if (replacement := self._coerce(replacement)) is NotImplemented:
+            raise TypeError("replacement must be a polynomial or a rational number")
         n = self.nvars
         shift = _BITS * (n - 1 - range(n)[index])
         by_power: dict = {}
@@ -408,9 +415,7 @@ def _build_weyl4(lams):
 
 
 def _build_weyl4_pm(lams):
-    W = _weyl4(lams)
-    SW = lambda2._star4(W)
-    return (W + SW) / 2, (W - SW) / 2
+    return lambda2._sd_split(_weyl4(lams))
 
 
 def _weyl4(lams):
@@ -419,7 +424,7 @@ def _weyl4(lams):
 
 
 def _weyl4_pm(lams):
-    """Self-dual and anti-self-dual halves W+- = (W +- *W)/2 of ``_weyl4``."""
+    """Self-dual and anti-self-dual halves of ``_weyl4``, by ``lambda2._sd_split``."""
     return _shared(_build_weyl4_pm, lams)
 
 

@@ -1,4 +1,4 @@
-"""Tolerance defaults shared across the package.
+"""Tolerance defaults and the entry rule shared across the package.
 
 Every numerical equality test is relative: a quantity x is treated as equal
 to y when |x - y| <= tol * scale for a scale natural to the data. The two
@@ -6,12 +6,18 @@ defaults below bind at import and can be overridden per call. Without
 --tol the command line takes `default_cluster_tol()`, which reads the
 HYPERCURV_TOL environment variable; library calls do not, unless the
 caller passes `default_tol()` or `default_cluster_tol()` as ``tol``.
+
+It also owns the entry rule of every tensor the package takes in,
+``_entry_failure``: 1 + max|entry| is finite and at most 1e50, then
+|x - mirror| <= tol * (1 + max|entry|) for the input's mirror, if any.
 """
 
 from __future__ import annotations
 
 import math
 import os
+
+import numpy as np
 
 ENV_VAR = "HYPERCURV_TOL"
 
@@ -45,3 +51,45 @@ def default_tol(fallback: float = EQUALITY_TOL) -> float:
 def default_cluster_tol() -> float:
     """`default_tol` with the clustering default as fallback."""
     return default_tol(CLUSTER_TOL)
+
+
+# Cap on the 1 + max|entry| scale of every input: with A or a spectrum, c,
+# nablaA and hessS below it the degree-6 invariants (trA^6, S^3, their
+# products with H) and the Bach, Bochner and CGB values stay inside float64.
+_MAX_SCALE = 1e50
+
+# The symmetry a field's mirror states, named in the entry rule's error;
+# "must be symmetric" for other fields.
+_ASYMMETRIC = {"A": "shape operator must be symmetric",
+               "nablaA": "components must be totally symmetric", "two-form": "must be antisymmetric"}
+
+
+def _entry_failure(name: str, rows: np.ndarray, mirror=None, tol: float = EQUALITY_TOL,
+                   rule: str | None = None):
+    """(i, error) for the first row i of a stack of values of field ``name``
+    that breaks the entry rule, else None: a row's scale 1 + max|entry| is
+    finite and at most 1e50, then max|row - mirror| is at most tol times it,
+    given a mirror. The error of a broken mirror states ``rule``, by default
+    the field's symmetry in ``_ASYMMETRIC``."""
+    axes = tuple(range(1, rows.ndim))
+    scale = 1.0 + np.abs(rows).max(axis=axes, initial=0.0)
+    # the rows before the first one over the cap, whose skew cannot overflow
+    end = len(rows) if scale.max(initial=0.0) <= _MAX_SCALE else int(np.argmin(scale <= _MAX_SCALE))
+    if mirror is not None:
+        skew = np.abs(rows[:end] - mirror[:end]).max(axis=axes, initial=0.0) > tol * scale[:end]
+        if skew.any():
+            return int(skew.argmax()), ValueError(
+                f"{name}: {rule or _ASYMMETRIC.get(name, 'must be symmetric')}")
+    if end < len(rows):
+        return end, ValueError(f"{name}: entries " + (
+            f"must not exceed {_MAX_SCALE:.0e} in magnitude; invariants of degree up to 6 in "
+            "them would overflow" if scale[end] < math.inf else "must be finite numbers"))
+    return None
+
+
+def _require_entries(name: str, rows: np.ndarray, mirror=None, tol: float = EQUALITY_TOL,
+                     rule: str | None = None) -> None:
+    """Raise the error of the first row that breaks the entry rule."""
+    failure = _entry_failure(name, rows, mirror, tol, rule)
+    if failure is not None:
+        raise failure[1]

@@ -213,32 +213,45 @@ def test_euler_integrand_bounds():
         bounds.euler_integrand_bounds(-1.0)
 
 
-def _cgb_and_weyl(lam):
-    """(cgb/8, |W|^2, S) of the minimal unit-sphere state with spectrum lam."""
-    st = extrinsic.PointState(lam=lam, c=1.0)
+def _cgb_and_weyl(lam, c=1.0):
+    """(cgb/8, |W|^2, S) of the minimal state with spectrum lam in the space
+    form of curvature c."""
+    st = extrinsic.PointState(lam=lam, c=c)
     return extrinsic.cgb_integrand(st) / 8.0, extrinsic.closed_form_norms(st).Wsq, st.S
 
 
-def test_euler_integrand_bounds_bound_cgb_below_and_weyl_above():
+@pytest.mark.filterwarnings("ignore:ambient curvature c=2.0 lies outside")
+@pytest.mark.parametrize("c", [-1.0, 0.0, 1.0, 2.0])
+def test_euler_integrand_bounds_bound_cgb_below_and_weyl_above(c):
     # low is the minimum of cgb/8 (cgb/8 = low + 3/16 |W|^2), high the
-    # maximum of |W|^2/4, at level S
+    # maximum of |W|^2/4, at level S in the space form of curvature c
     rng = np.random.default_rng(17)
     for _ in range(500):
         lam = rng.normal(size=4) * rng.choice([0.1, 1.0, 3.0])
-        cgb8, wsq, S = _cgb_and_weyl(lam - lam.mean())
-        low, high = bounds.euler_integrand_bounds(S)
-        scale = 1.0 + S * S
+        cgb8, wsq, S = _cgb_and_weyl(lam - lam.mean(), c)
+        low, high = bounds.euler_integrand_bounds(S, c)
+        scale = 1.0 + S * S + c * c
         assert cgb8 == pytest.approx(low + 3.0 * wsq / 16.0, rel=0, abs=1e-12 * scale)
         assert cgb8 >= low - 1e-12 * scale
         assert wsq / 4.0 <= high + 1e-12 * scale
     for t in (0.3, 1.0, 2.5):
         # conformally flat: cgb/8 = low; Einstein: |W|^2/4 = high
-        cgb8, wsq, S = _cgb_and_weyl([-3 * t, t, t, t])
-        assert cgb8 == pytest.approx(bounds.euler_integrand_bounds(S)[0], rel=1e-12)
-        cgb8, wsq, S = _cgb_and_weyl([t, t, -t, -t])
-        assert wsq / 4.0 == pytest.approx(bounds.euler_integrand_bounds(S)[1], rel=1e-12)
-    cgb8, _, S = _cgb_and_weyl([0.0, 0.0, 0.0, 0.0])
-    assert bounds.euler_integrand_bounds(S)[1] < cgb8 == 3.0
+        cgb8, wsq, S = _cgb_and_weyl([-3 * t, t, t, t], c)
+        assert cgb8 == pytest.approx(bounds.euler_integrand_bounds(S, c)[0], rel=1e-12)
+        cgb8, wsq, S = _cgb_and_weyl([t, t, -t, -t], c)
+        assert wsq / 4.0 == pytest.approx(bounds.euler_integrand_bounds(S, c)[1], rel=1e-12)
+    cgb8, _, S = _cgb_and_weyl([0.0, 0.0, 0.0, 0.0], c)
+    low, high = bounds.euler_integrand_bounds(S, c)
+    assert low == cgb8 == 3.0 * c * c
+    if c == 1.0:
+        assert high < cgb8 == 3.0
+
+
+def test_euler_integrand_bounds_keep_their_bits_at_c_one():
+    for S in (0.0, 0.3, 4.0, 17.25):
+        assert bounds.euler_integrand_bounds(S) == ((4.0 - S) * (12.0 + S) / 16.0, S * S / 3.0)
+    # the c = 0 minimal state (-3t, t, t, t) with S = 4 has cgb/8 = -1
+    assert bounds.euler_integrand_bounds(4.0, 0.0)[0] == -1.0
 
 
 def test_volume_hypothesis_bounds_values():
@@ -276,6 +289,7 @@ def test_volume_hypothesis_bounds_matches_f():
     (bounds.f_lower_bound_candidates, (math.nan,), "r must be finite"),
     (bounds.euler_integrand_bounds, (1e200,), "S must not exceed"),
     (bounds.euler_integrand_bounds, (math.nan,), "S must be finite"),
+    (bounds.euler_integrand_bounds, (4.0, 1e60), "c must not exceed"),
     (bounds.s_quadratic, (1.0, 2, 1.0, 1e308), "A2avg must not exceed"),
     (bounds.s_quadratic, (math.inf, 2, 1.0, 1.0), "c must be finite"),
     (bounds.s_quadratic, (1.0, 2, 1e-300, 1.0), "chi/vol must not exceed"),

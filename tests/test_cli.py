@@ -51,6 +51,13 @@ CLASSIFY_ONE = json.dumps({"n": 4, "c": 1.0, "A": [
     [-0.6759282071610884, -0.42951724499752675, -0.10531461781210746, 0.2940723613958591]]})
 
 
+# The warnings each golden run emits, in order: the golden point input has
+# two states whose derivative data break the Simons identity.
+GOLDEN_WARNINGS = {"point_golden_out.json": [
+    f"bach_tensor trace {trace} is not zero; the supplied derivative data violates the "
+    "Simons identity" for trace in ("-1.459e+01", "3.732e+02")]}
+
+
 @pytest.mark.parametrize("argv, golden", [
     (["point", str(DATA / "point_golden_in.json")], "point_golden_out.json"),
     (["verify", "--all"], "verify_all_golden.json"),
@@ -58,9 +65,14 @@ CLASSIFY_ONE = json.dumps({"n": 4, "c": 1.0, "A": [
     (["classify", CLASSIFY_ONE], "classify_golden_one_out.json"),
 ])
 def test_output_matches_golden_bytes(capsys, argv, golden):
-    code, out, _ = _run(capsys, argv)
+    # the warnings are part of the output: their count, text and order
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = _run(capsys, argv)
     assert code == 0
     assert out == (DATA / golden).read_text()
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (UserWarning, message) for message in GOLDEN_WARNINGS.get(golden, ())]
 
 
 def test_point_clifford_report(capsys):
@@ -495,6 +507,12 @@ def test_batches_build_no_state_per_item(capsys, monkeypatch):
     extrinsic.PointState(lam=[1.0, 1.0, -1.0, -1.0])
     extrinsic.PointState.from_dict({"lambda": [1.0, 1.0, -1.0, -1.0]})
     assert calls == ["__init__", "from_dict"]
+
+
+def test_bounds_euler_integrand_low_reads_the_data_c(capsys):
+    # the c = 0 minimal state (-3t, t, t, t) with S = 4 has cgb/8 = -1
+    _, rep = _run_json(capsys, ["bounds", "--chi", "2", "--vol", "10", "--S", "4", "--c", "0"])
+    assert rep["euler_integrand_bounds"] == {"low": -1.0, "high": 16.0 / 3.0}
 
 
 def test_bounds_exact_clifford_data_holds(capsys):

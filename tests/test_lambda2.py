@@ -1,13 +1,17 @@
 """Tests for the four-dimensional two-form and curvature-operator algebra."""
 
 import itertools
+import json
+import warnings
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercurv import lambda2
+from hypercurv import extrinsic, lambda2
 
 ATOL = 1e-12
 
@@ -259,3 +263,209 @@ def test_inner_and_triple_agree_with_einsum():
         float(np.einsum("ijkl,ijkl->", a1, a2)), rel=1e-13)
     assert lambda2.triple(T1, T2, T1) == pytest.approx(
         float(np.einsum("ijkl,pqkl,ijpq->", a1, a2, a1)), rel=1e-13)
+
+
+# ------------------------------------------------------------ entry rule
+
+def _antisym(rng):
+    M = rng.normal(size=(4, 4))
+    return M - M.T
+
+
+def _sym(rng):
+    M = rng.normal(size=(4, 4))
+    return M + M.T
+
+
+def _state(A):
+    # PointState rejects such an A itself, so div_weyl_sd's own entry rule
+    # is reached only by a state that bypassed that validation
+    return SimpleNamespace(n=4, A=A, nablaA=np.zeros((4, 4, 4)), parallel=False)
+
+
+def _json_call(T):
+    # to_json writes NaN and Infinity tokens, which json.loads takes back
+    return lambda2.CurvTensor4.from_json(lambda2.CurvTensor4(T, check=False).to_json())
+
+
+# (call, a valid input, the entry that a corruption changes, the error of a
+# broken mirror); a corruption of the entry alone breaks the input's mirror
+_ENTRY_POINTS = {
+    "TwoForm": (lambda2.TwoForm, _antisym, (0, 1), "two-form: must be antisymmetric"),
+    "hodge_star": (lambda2.hodge_star, _antisym, (0, 1), "two-form: must be antisymmetric"),
+    "CurvTensor4": (lambda2.CurvTensor4, None, (0, 1, 0, 1),
+                    "curvature tensor: must be antisymmetric in its first index pair"),
+    "star_weyl": (lambda2.star_weyl, None, (0, 1, 0, 1),
+                  "curvature tensor: must be antisymmetric in its first index pair"),
+    "sd_asd_split": (lambda2.sd_asd_split, None, (0, 1, 0, 1),
+                     "curvature tensor: must be antisymmetric in its first index pair"),
+    "lambda2_spectrum": (lambda2.lambda2_spectrum, None, (0, 1, 0, 1),
+                         "curvature tensor: must be antisymmetric in its first index pair"),
+    "kulkarni_nomizu U": (lambda U: lambda2.kulkarni_nomizu(U, np.eye(4)), _sym, (0, 1),
+                          "U: must be symmetric"),
+    "kulkarni_nomizu V": (lambda V: lambda2.kulkarni_nomizu(np.eye(4), V), _sym, (0, 1),
+                          "V: must be symmetric"),
+    # the JSON form stores one triangle of the operator, so no symmetry breaks
+    "from_json": (_json_call, None, (0, 1, 0, 1), None),
+    "div_weyl_sd": (lambda A: extrinsic.div_weyl_sd(_state(A)),
+                    lambda rng: np.diag(rng.normal(size=4)), (0, 1),
+                    "A: div_weyl_sd needs the shape operator in a principal frame"),
+}
+
+
+@pytest.mark.parametrize("entry, bad", [
+    (entry, bad) for entry, spec in _ENTRY_POINTS.items()
+    for bad in ("nan", "inf", "-inf", "cap", "mirror") if bad != "mirror" or spec[3]])
+def test_entry_points_reject_bad_input_with_a_value_error(entry, bad):
+    call, valid, at, asymmetric = _ENTRY_POINTS[entry]
+    rng = np.random.default_rng(40)
+    arr = _rand_curv(rng, trace_free=True).components.copy() if valid is None else valid(rng)
+    if bad == "cap":
+        # scaled, so every symmetry still holds
+        arr *= 1e51 / np.abs(arr).max()
+        message = "entries must not exceed 1e\\+50 in magnitude"
+    elif bad == "mirror":
+        arr[at] += 1.0
+        message = asymmetric
+    else:
+        arr[at] = float(bad)
+        message = "entries must be finite numbers"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message) as info:
+            call(arr)
+    assert not isinstance(info.value, np.linalg.LinAlgError)
+
+
+@pytest.mark.parametrize("entries, rule", [
+    ({(0, 1, 2, 3): 1.0, (0, 1, 3, 2): -1.0, (1, 0, 2, 3): -1.0, (1, 0, 3, 2): 1.0},
+     "must satisfy pair symmetry"),
+    ({(0, 1, 0, 1): 1.0, (1, 0, 0, 1): -1.0}, "must be antisymmetric in its last index pair"),
+])
+def test_curvature_check_names_the_broken_symmetry(entries, rule):
+    T = np.zeros((4, 4, 4, 4))
+    for index, value in entries.items():
+        T[index] = value
+    with pytest.raises(ValueError, match=f"^curvature tensor: {rule}$"):
+        lambda2.CurvTensor4(T)
+
+
+@pytest.mark.parametrize("factor, passes", [(0.9, True), (1.1, False)])
+def test_div_weyl_sd_principal_frame_boundary(factor, passes):
+    # off-diagonal entries up to tol (1 + max|A|) count as a principal frame
+    A = np.diag([1.0, 2.0, -1.0, -2.0])
+    A[0, 1] = A[1, 0] = factor * lambda2.EQUALITY_TOL * (1.0 + 2.0)
+    st = extrinsic.PointState(A=A, c=1.0, parallel=True)
+    if passes:
+        assert len(extrinsic.div_weyl_sd(st)) == 12
+    else:
+        with pytest.raises(ValueError, match="principal frame"):
+            extrinsic.div_weyl_sd(st)
+
+
+# --------------------------------------------- one Lambda^2 index table
+
+# The per-entry loops the index arrays replaced, kept as the reference.
+_PAIRS0 = tuple((i - 1, j - 1) for i, j in lambda2.LAMBDA2_BASIS)
+
+
+def _operator6_loop(components):
+    op = np.empty((6, 6))
+    for p, (i, j) in enumerate(_PAIRS0):
+        for q, (k, l) in enumerate(_PAIRS0):
+            op[p, q] = components[i, j, k, l]
+    return op
+
+
+def _from_operator6_loop(op):
+    arr = np.zeros((4, 4, 4, 4))
+    for p, (i, j) in enumerate(_PAIRS0):
+        for q, (k, l) in enumerate(_PAIRS0):
+            v = op[p, q]
+            arr[i, j, k, l] = v
+            arr[j, i, k, l] = -v
+            arr[i, j, l, k] = -v
+            arr[j, i, l, k] = v
+    return arr
+
+
+def _to_json_loop(components):
+    op = _operator6_loop(components)
+    return json.dumps({"lambda2_op": [op[i, j] for i in range(6) for j in range(i, 6)]})
+
+
+def _from_json_loop(text):
+    entries = json.loads(text)["lambda2_op"]
+    op = np.zeros((6, 6))
+    pos = 0
+    for i in range(6):
+        for j in range(i, 6):
+            op[i, j] = entries[pos]
+            op[j, i] = entries[pos]
+            pos += 1
+    return _from_operator6_loop(op)
+
+
+def _twoform_repr_loop(components):
+    terms = []
+    for i, j in lambda2.LAMBDA2_BASIS:
+        c = 2.0 * components[i - 1, j - 1]
+        if c != 0.0:
+            terms.append(f"{c:+g} e{i}^e{j}")
+    return "TwoForm(" + (" ".join(terms) if terms else "0") + ")"
+
+
+def _bits(arr):
+    return np.asarray(arr, dtype=float).view(np.uint64)
+
+
+def test_lambda2_index_arrays_match_the_loops_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        M = rng.normal(size=(6, 6)) * rng.choice([1e-3, 1.0, 1e3])
+        op = M + M.T
+        # signed zeros, and ints as JSON may hold them
+        op[rng.random((6, 6)) < 0.2] = 0.0
+        op[rng.random((6, 6)) < 0.2] *= -0.0
+        op = np.triu(op) + np.triu(op, 1).T
+        raw = rng.normal(size=(4, 4, 4, 4))
+        raw[rng.random(raw.shape) < 0.3] = -0.0
+        T = lambda2.CurvTensor4.from_operator6(op)
+        assert np.array_equal(_bits(T.components), _bits(_from_operator6_loop(op)))
+        for comps in (T.components, raw):
+            got = lambda2.CurvTensor4(comps, check=False)
+            assert np.array_equal(_bits(got.operator6()), _bits(_operator6_loop(comps)))
+            assert got.to_json() == _to_json_loop(comps)
+        w = op[:4, :4] - op[:4, :4].T
+        assert repr(lambda2.TwoForm(w)) == _twoform_repr_loop(w)
+        text = _to_json_loop(T.components)
+        assert np.array_equal(_bits(lambda2.CurvTensor4.from_json(text).components),
+                              _bits(_from_json_loop(text)))
+    ints = json.dumps({"lambda2_op": list(range(21))})
+    assert np.array_equal(_bits(lambda2.CurvTensor4.from_json(ints).components),
+                          _bits(_from_json_loop(ints)))
+
+
+# ------------------------------------------------------- one W+- split
+
+def test_sd_split_is_the_float_half_sum_bit_for_bit():
+    rng = np.random.default_rng(42)
+    M = rng.normal(size=(50, 4, 4))
+    W = extrinsic._weyl_raw(M + M.transpose(0, 2, 1))
+    star = lambda2._star4(W)
+    plus, minus = lambda2._sd_split(W)
+    assert np.array_equal(_bits(plus), _bits(0.5 * (W + star)))
+    assert np.array_equal(_bits(minus), _bits(0.5 * (W - star)))
+
+
+def test_sd_split_is_the_half_sum_on_polynomials():
+    from hypercurv import polyverify
+
+    W = polyverify._weyl4(polyverify._lam_vars(4, 4))
+    star = lambda2._star4(W)
+    plus, minus = lambda2._sd_split(W)
+    assert all(p == Fraction(1, 2) * (w + s) for p, w, s in zip(plus.flat, W.flat, star.flat))
+    assert all(m == Fraction(1, 2) * (w - s) for m, w, s in zip(minus.flat, W.flat, star.flat))
+    # a float half would leave the rationals
+    with pytest.raises(TypeError, match="rational coefficient expected"):
+        0.5 * W[0, 1, 0, 1]

@@ -27,6 +27,24 @@ def test_binomial_cube_expansion():
     ]
 
 
+def test_sums_with_object_arrays_are_elementwise_on_either_side():
+    x = RationalPoly.variable(0, 2)
+    y = RationalPoly.variable(1, 2)
+    a = np.array([x, y], dtype=object)
+    for got, want in ((x + a, [x + x, x + y]), (a + x, [x + x, y + x]),
+                      (x - a, [x - x, x - y]), (a - x, [x - x, y - x])):
+        assert isinstance(got, np.ndarray) and got.dtype == object
+        assert list(got) == want
+    assert 1 - x == RationalPoly.const(1, 2) - x
+    with pytest.raises(TypeError, match="rational coefficient expected"):
+        x + 0.5
+    for bad in (lambda: x + "s", lambda: x - "s", lambda: "s" - x):
+        with pytest.raises(TypeError):
+            bad()
+    with pytest.raises(TypeError, match="replacement must be a polynomial"):
+        x.substitute(0, a)
+
+
 def test_add_sub_round_trip_is_bit_exact():
     x = RationalPoly.variable(0, 2)
     y = RationalPoly.variable(1, 2)
