@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -269,8 +268,8 @@ def _check_group(index: list, rows: list, tol: float, check_n, queued: list):
                 break
         return np.array(values)
 
-    def check(name: str, at, raw: np.ndarray, mirror=None) -> None:
-        failure = _entry_failure(name, raw, mirror, tol)
+    def check(name: str, at, raw: np.ndarray, mirror=None, rule="must be symmetric") -> None:
+        failure = _entry_failure(name, raw, mirror, tol, rule)
         if failure is not None:
             fail(at[failure[0]], failure[1])
 
@@ -283,7 +282,7 @@ def _check_group(index: list, rows: list, tol: float, check_n, queued: list):
     matrices = [j for j in range(end) if not rows[j].from_spectrum]
     if matrices:
         raw = np.array([rows[j].main for j in matrices])
-        check("A", matrices, raw, raw.swapaxes(1, 2))
+        check("A", matrices, raw, raw.swapaxes(1, 2), "shape operator must be symmetric")
         A[matrices] = 0.5 * (raw + raw.swapaxes(1, 2))
     c = stacked(range(end), "c")
     check("c", range(end), c)
@@ -296,7 +295,7 @@ def _check_group(index: list, rows: list, tol: float, check_n, queued: list):
     nabla = raw = stacked(with_nabla, "nablaA")
     if len(raw):
         nabla = _symmetrize3(raw)
-        check("nablaA", with_nabla, raw, nabla)
+        check("nablaA", with_nabla, raw, nabla, "components must be totally symmetric")
     with_hess = [j for j in range(end) if rows[j].hessS is not None]
     hess = stacked(with_hess, "hessS")
     if len(hess):
@@ -651,7 +650,7 @@ def weyl_split_norms(A) -> tuple:
     if A.ndim < 2 or A.shape[-2:] != (4, 4):
         raise ValueError(f"A: expected shape (..., 4, 4), got {A.shape}")
     flat = A.reshape(-1, 4, 4)
-    _require_entries("A", flat, flat.swapaxes(1, 2))
+    _require_entries("A", flat, flat.swapaxes(1, 2), rule="shape operator must be symmetric")
     out = np.empty((3, len(flat)))
     for rows, W in _weyl_blocks(flat):
         Wp, Wm = _sd_split(W)
@@ -790,7 +789,7 @@ def _derivative_kernel(group: _StateGroup, powers: tuple, fields=None, weyl=True
                    + _bcast(grad_sq / 3.0 + c * S / 3.0 - S * S / 6.0 - 0.5 * A2sq, 2) * np.eye(4))
         rows = np.flatnonzero(parallel & weyl)
         for block, W in _weyl_blocks(A[rows]):
-            Wp, at = _sd_split(W)[0], rows[block]
+            Wp, at = next(_sd_split(W)), rows[block]
             table[at, 6] = (_gauss(A[at], c[at])[2] * (Wp * Wp).sum(axis=(1, 2, 3, 4))
                             - 6.0 * np.einsum("nijkl,npqkl,nijpq->n", Wp, Wp, Wp))
     else:  # the Bach identities are four-dimensional

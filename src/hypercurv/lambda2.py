@@ -28,7 +28,7 @@ import json
 
 import numpy as np
 
-from .tolerances import EQUALITY_TOL, _require_entries
+from .tolerances import _CURVATURE_SCALE, EQUALITY_TOL, _require_entries
 
 __all__ = [
     "LAMBDA2_BASIS",
@@ -94,20 +94,20 @@ def levi_civita_tensor() -> np.ndarray:
     return _EPS4
 
 
-def _as_components(obj, shape, name, mirror):
+def _as_components(obj, shape, name, mirror, rule="must be symmetric"):
     """obj's components as floats of ``shape`` that pass the entry rule
     against mirror(components)."""
     arr = np.asarray(getattr(obj, "components", obj), dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    _require_entries(name, arr[None], mirror(arr)[None])
+    _require_entries(name, arr[None], mirror(arr)[None], rule=rule, cap=_CURVATURE_SCALE)
     return arr
 
 
 class TwoForm:
     """A two-form on R^4, stored as its antisymmetric component matrix. With
     ``check`` the components pass the entry rule against -w^T (finite, 1 +
-    max|entry| <= 1e50, antisymmetric to tol), else a ValueError."""
+    max|entry| <= 1e102, antisymmetric to tol), else a ValueError."""
 
     __slots__ = ("components",)
 
@@ -116,7 +116,8 @@ class TwoForm:
         if arr.shape != (4, 4):
             raise ValueError(f"TwoForm components must be 4x4, got {arr.shape}")
         if check:
-            _require_entries("two-form", arr[None], -arr.T[None], tol)
+            _require_entries("two-form", arr[None], -arr.T[None], tol, "must be antisymmetric",
+                             _CURVATURE_SCALE)
             arr = 0.5 * (arr - arr.T)
         arr.setflags(write=False)
         self.components = arr
@@ -165,7 +166,7 @@ def hodge_star(omega):
     """
     if isinstance(omega, TwoForm):
         return TwoForm(0.5 * np.einsum("ijkl,kl->ij", _EPS4, omega.components), check=False)
-    arr = _as_components(omega, (4, 4), "two-form", lambda w: -w.T)
+    arr = _as_components(omega, (4, 4), "two-form", lambda w: -w.T, "must be antisymmetric")
     return 0.5 * np.einsum("ijkl,kl->ij", _EPS4, arr)
 
 
@@ -175,7 +176,7 @@ class CurvTensor4:
     Stores the (4,4,4,4) component array (0-based internally) and converts
     losslessly to and from the symmetric 6x6 operator matrix over the
     ordered Lambda^2 basis. With ``check`` the components pass the entry
-    rule (finite, 1 + max|entry| <= 1e50) and, to tol, the required
+    rule (finite, 1 + max|entry| <= 1e102) and, to tol, the required
     symmetries: antisymmetry in (i,j) and in (k,l), plus symmetry under
     swapping the pairs; the first failure raises a ValueError naming it.
     The first Bianchi identity is not required; the star of a
@@ -194,7 +195,8 @@ class CurvTensor4:
                     (-arr.swapaxes(0, 1), "must be antisymmetric in its first index pair"),
                     (-arr.swapaxes(2, 3), "must be antisymmetric in its last index pair"),
                     (arr.transpose(2, 3, 0, 1), "must satisfy pair symmetry")):
-                _require_entries("curvature tensor", arr[None], mirror[None], tol, rule)
+                _require_entries("curvature tensor", arr[None], mirror[None], tol, rule,
+                                 _CURVATURE_SCALE)
         arr.setflags(write=False)
         self.components = arr
 
@@ -314,7 +316,7 @@ def kulkarni_nomizu(U, V) -> CurvTensor4:
     carries the curvature symmetries; the average only changes float
     rounding and is kept so that results stay byte-identical. In
     particular (g o g)_ijkl = 2 (d_ik d_jl - d_il d_jk). U and V pass the
-    entry rule (finite, 1 + max|entry| <= 1e50, symmetric), else a
+    entry rule (finite, 1 + max|entry| <= 1e102, symmetric), else a
     ValueError.
     """
     Ua = _as_components(U, (4, 4), "U", np.transpose)
@@ -323,10 +325,11 @@ def kulkarni_nomizu(U, V) -> CurvTensor4:
 
 
 def _sd_split(T):
-    """(T+, T-) = ((T + *T)/2, (T - *T)/2), broadcasting over leading axes;
-    generic in the dtype, so it divides by 2 (0.5 * poly raises)."""
+    """Yields T+ = (T + *T)/2, then T- = (T - *T)/2, over leading axes, so
+    next() forms T+ alone; dtype-generic, so it divides by 2 (0.5 * poly raises)."""
     star = _star4(T)
-    return (T + star) / 2, (T - star) / 2
+    yield (T + star) / 2
+    yield (T - star) / 2
 
 
 def sd_asd_split(T, tol: float = EQUALITY_TOL):
@@ -362,8 +365,7 @@ def lambda2_spectrum(T, part: str = "plus", tol: float = EQUALITY_TOL) -> np.nda
     """
     if part not in ("plus", "minus"):
         raise ValueError(f"part must be 'plus' or 'minus', got {part!r}")
-    if not isinstance(T, CurvTensor4):
-        T = CurvTensor4(T, tol=tol)
+    T = T if isinstance(T, CurvTensor4) else CurvTensor4(T, tol=tol)
     rot = _P_SD @ T.operator6() @ _P_SD.T
     block = rot[:3, :3] if part == "plus" else rot[3:, 3:]
     block = 0.5 * (block + block.T)
@@ -373,14 +375,11 @@ def lambda2_spectrum(T, part: str = "plus", tol: float = EQUALITY_TOL) -> np.nda
 
 def inner(T1, T2) -> float:
     """Full component contraction <T1, T2> = T1_ijkl T2_ijkl."""
-    a1 = T1.components if isinstance(T1, CurvTensor4) else np.asarray(T1, dtype=float)
-    a2 = T2.components if isinstance(T2, CurvTensor4) else np.asarray(T2, dtype=float)
+    a1, a2 = (np.asarray(getattr(T, "components", T), dtype=float) for T in (T1, T2))
     return float(np.einsum("ijkl,ijkl->", a1, a2))
 
 
 def triple(T1, T2, T3) -> float:
     """Cubic contraction T1_ijkl T2_pqkl T3_ijpq."""
-    a1 = T1.components if isinstance(T1, CurvTensor4) else np.asarray(T1, dtype=float)
-    a2 = T2.components if isinstance(T2, CurvTensor4) else np.asarray(T2, dtype=float)
-    a3 = T3.components if isinstance(T3, CurvTensor4) else np.asarray(T3, dtype=float)
+    a1, a2, a3 = (np.asarray(getattr(T, "components", T), dtype=float) for T in (T1, T2, T3))
     return float(np.einsum("ijkl,pqkl,ijpq->", a1, a2, a3))

@@ -415,7 +415,7 @@ def _build_weyl4(lams):
 
 
 def _build_weyl4_pm(lams):
-    return lambda2._sd_split(_weyl4(lams))
+    return tuple(lambda2._sd_split(_weyl4(lams)))
 
 
 def _weyl4(lams):

@@ -230,7 +230,7 @@ def test_euler_integrand_bounds_bound_cgb_below_and_weyl_above(c):
         lam = rng.normal(size=4) * rng.choice([0.1, 1.0, 3.0])
         cgb8, wsq, S = _cgb_and_weyl(lam - lam.mean(), c)
         low, high = bounds.euler_integrand_bounds(S, c)
-        scale = 1.0 + S * S + c * c
+        scale = max(1.0, c * c) + S * S
         assert cgb8 == pytest.approx(low + 3.0 * wsq / 16.0, rel=0, abs=1e-12 * scale)
         assert cgb8 >= low - 1e-12 * scale
         assert wsq / 4.0 <= high + 1e-12 * scale

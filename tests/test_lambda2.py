@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 import warnings
 from fractions import Fraction
 from types import SimpleNamespace
@@ -321,9 +322,11 @@ def test_entry_points_reject_bad_input_with_a_value_error(entry, bad):
     rng = np.random.default_rng(40)
     arr = _rand_curv(rng, trace_free=True).components.copy() if valid is None else valid(rng)
     if bad == "cap":
-        # scaled, so every symmetry still holds
-        arr *= 1e51 / np.abs(arr).max()
-        message = "entries must not exceed 1e\\+50 in magnitude"
+        # scaled, so every symmetry still holds; div_weyl_sd takes a state's
+        # A, the others curvature-level input
+        cap = 1e50 if entry == "div_weyl_sd" else 1e102
+        arr *= 10.0 * cap / np.abs(arr).max()
+        message = re.escape(f"entries must not exceed {cap:.0e} in magnitude")
     elif bad == "mirror":
         arr[at] += 1.0
         message = asymmetric
@@ -335,6 +338,26 @@ def test_entry_points_reject_bad_input_with_a_value_error(entry, bad):
         with pytest.raises(ValueError, match=message) as info:
             call(arr)
     assert not isinstance(info.value, np.linalg.LinAlgError)
+
+
+def test_curvature_of_a_state_at_the_cap_passes_the_curvature_entry_rule():
+    # the package's own tensors stay inputs of lambda2: Gauss and Weyl
+    # tensors of a state at the 1e50 cap reach 1e100 and still round-trip
+    rng = np.random.default_rng(44)
+    M = rng.choice([-1.0, 1.0], size=(4, 4))
+    with pytest.warns(UserWarning, match="is large"):
+        p = extrinsic.PointState(A=0.99e50 * np.sign(M + M.T + 0.5), c=1.0)
+    W = extrinsic.weyl_tensor(p)
+    assert np.abs(W.components).max() > 1e100
+    lambda2.CurvTensor4(extrinsic.gauss_equations(p).riem.components)
+    back = lambda2.CurvTensor4.from_json(W.to_json())
+    assert np.array_equal(back.components, W.components)
+    for part in ("plus", "minus"):
+        assert np.array_equal(lambda2.lambda2_spectrum(W.components, part),
+                              lambda2.lambda2_spectrum(W, part))
+    lambda2.sd_asd_split(W.components)  # the entry rule, then the trace check
+    assert np.array_equal(lambda2.star_weyl(W.components).components,
+                          lambda2.star_weyl(W).components)
 
 
 @pytest.mark.parametrize("entries, rule", [
