@@ -9,141 +9,52 @@ classification of the Weyl operator spectrum. Catalog isoparametric
 immersions support numerical integration of these invariants, and an
 exact rational-arithmetic certifier proves the underlying polynomial
 identities rather than sampling them.
+
+Names load lazily: ``import hypercurv`` imports no submodule, and each
+public name or submodule is imported on first access, so the command
+line pays only for the modules its subcommand runs.
 """
 
-from .bounds import (
-    GlobalData,
-    SQuadraticResult,
-    VolumeBound,
-    euler_integrand_bounds,
-    f_lower_bound,
-    f_lower_bound_candidates,
-    s_quadratic,
-    volume_hypothesis_bounds,
-    weyl_threshold_report,
-)
-from .classify import (
-    SharpReport,
-    SpectrumReport,
-    classify_batch,
-    principal_multiplicities,
-    sharp_inequalities,
-    spectrum_report,
-    structure_predicates,
-    weyl_operator_spectrum,
-)
-from .extrinsic import (
-    CurvaturePack,
-    NormPack,
-    PointState,
-    bach_tensor,
-    bochner_residuals,
-    cgb_integrand,
-    closed_form_norms,
-    div_weyl_sd,
-    div_weyl_sd_norms,
-    gauss_equations,
-    signature_integrand,
-    weyl_split_norms,
-    weyl_tensor,
-)
-from .immersions import (
-    Immersion,
-    QuadratureGrid,
-    build_grid,
-    catalog_point,
-    clifford_immersion,
-    get_immersion,
-    integrate,
-    numeric_second_fundamental_form,
-    totally_geodesic_sphere,
-)
-from .lambda2 import (
-    LAMBDA2_BASIS,
-    CurvTensor4,
-    TwoForm,
-    hodge_star,
-    inner,
-    kulkarni_nomizu,
-    lambda2_spectrum,
-    levi_civita,
-    levi_civita_tensor,
-    sd_asd_split,
-    star_weyl,
-    triple,
-)
-from .polyverify import (
-    REGISTRY,
-    RationalPoly,
-    VerifyResult,
-    assemble_symbolic,
-    verify_all,
-    verify_identity,
-)
-from .tolerances import CLUSTER_TOL, EQUALITY_TOL, default_cluster_tol, default_tol
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CLUSTER_TOL",
-    "CurvTensor4",
-    "CurvaturePack",
-    "EQUALITY_TOL",
-    "GlobalData",
-    "Immersion",
-    "LAMBDA2_BASIS",
-    "NormPack",
-    "PointState",
-    "QuadratureGrid",
-    "REGISTRY",
-    "RationalPoly",
-    "SQuadraticResult",
-    "SharpReport",
-    "SpectrumReport",
-    "TwoForm",
-    "VerifyResult",
-    "VolumeBound",
-    "assemble_symbolic",
-    "bach_tensor",
-    "bochner_residuals",
-    "build_grid",
-    "catalog_point",
-    "cgb_integrand",
-    "classify_batch",
-    "clifford_immersion",
-    "closed_form_norms",
-    "default_cluster_tol",
-    "default_tol",
-    "div_weyl_sd",
-    "div_weyl_sd_norms",
-    "euler_integrand_bounds",
-    "f_lower_bound",
-    "f_lower_bound_candidates",
-    "gauss_equations",
-    "get_immersion",
-    "hodge_star",
-    "inner",
-    "integrate",
-    "kulkarni_nomizu",
-    "lambda2_spectrum",
-    "levi_civita",
-    "levi_civita_tensor",
-    "numeric_second_fundamental_form",
-    "principal_multiplicities",
-    "s_quadratic",
-    "sd_asd_split",
-    "sharp_inequalities",
-    "signature_integrand",
-    "spectrum_report",
-    "star_weyl",
-    "structure_predicates",
-    "totally_geodesic_sphere",
-    "triple",
-    "verify_all",
-    "verify_identity",
-    "volume_hypothesis_bounds",
-    "weyl_operator_spectrum",
-    "weyl_split_norms",
-    "weyl_tensor",
-    "weyl_threshold_report",
-]
+# Each public name, listed once under the submodule that defines it.
+_EXPORTS = {
+    "bounds": ("GlobalData", "SQuadraticResult", "VolumeBound", "euler_integrand_bounds",
+               "f_lower_bound", "f_lower_bound_candidates", "s_quadratic",
+               "volume_hypothesis_bounds", "weyl_threshold_report"),
+    "classify": ("SharpReport", "SpectrumReport", "classify_batch", "principal_multiplicities",
+                 "sharp_inequalities", "spectrum_report", "structure_predicates",
+                 "weyl_operator_spectrum"),
+    "extrinsic": ("CurvaturePack", "NormPack", "PointState", "bach_tensor", "bochner_residuals",
+                  "cgb_integrand", "closed_form_norms", "div_weyl_sd", "div_weyl_sd_norms",
+                  "gauss_equations", "signature_integrand", "weyl_split_norms", "weyl_tensor"),
+    "immersions": ("Immersion", "QuadratureGrid", "build_grid", "catalog_point",
+                   "clifford_immersion", "get_immersion", "integrate",
+                   "numeric_second_fundamental_form", "totally_geodesic_sphere"),
+    "lambda2": ("LAMBDA2_BASIS", "CurvTensor4", "TwoForm", "hodge_star", "inner",
+                "kulkarni_nomizu", "lambda2_spectrum", "levi_civita", "levi_civita_tensor",
+                "sd_asd_split", "star_weyl", "triple"),
+    "polyverify": ("REGISTRY", "RationalPoly", "VerifyResult", "assemble_symbolic", "verify_all",
+                   "verify_identity"),
+    "tolerances": ("CLUSTER_TOL", "EQUALITY_TOL", "default_cluster_tol", "default_tol"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    """Import a submodule, or the submodule that owns a public name, on first access."""
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_EXPORTS, *_OWNER})

@@ -31,12 +31,19 @@ count and text but come grouped on stderr: validation's c and S warnings
 first, in input order, then the Bach-trace warnings (tr B = simons/3).
 bounds applies a state's 1e50 entry cap to its numbers and to chi/vol.
 Output is deterministic: identical input yields byte-identical JSON.
+
+Importing this module loads tolerances, lambda2, extrinsic and classify,
+what point and classify run; bounds, integrate and verify import their
+module (bounds, immersions, polyverify) when they run. The argument parser
+is built once per process; --tol and its environment default are read on
+each call.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -44,9 +51,8 @@ import sys
 
 import numpy as np
 
-from . import bounds as bounds_mod
 from . import classify as classify_mod
-from . import extrinsic, immersions, polyverify
+from . import extrinsic
 from .tolerances import CLUSTER_TOL, ENV_VAR, default_cluster_tol
 
 _EXIT_OK = 0
@@ -100,7 +106,7 @@ def _point_reports(groups: list, cluster_tol: float) -> list:
         A = group.A
         n = A.shape[-1]
         minimal = group.minimal.tolist()
-        _, ric, scal, ric_tf = extrinsic._gauss(A, group.c)
+        ric, scal, ric_tf = extrinsic._ricci(A, group.c)
         powers = extrinsic._trace_powers(A)
         spectra = signatures = bach = bochner = [None] * len(A)
         if n == 4:
@@ -146,6 +152,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from . import bounds as bounds_mod
     try:
         data = bounds_mod.GlobalData(
             chi=args.chi, vol=args.vol, S=args.S, weylL2=args.weyl_l2,
@@ -179,6 +186,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
+    from . import immersions
     try:
         imm = immersions.get_immersion(args.geometry)
     except ValueError as exc:
@@ -198,6 +206,7 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import polyverify
     if not args.all and args.identity is None:
         raise _InputError("verify needs --identity NAME or --all")
     try:
@@ -212,6 +221,7 @@ def _cmd_verify(args) -> int:
     return _EXIT_OK if all(r.passed for r in results) else _EXIT_VIOLATION
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypercurv",
@@ -261,8 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.tol is None:
         try:
             args.tol = default_cluster_tol()

@@ -548,17 +548,22 @@ def _power_rows(powers: tuple) -> list:
     return np.stack(powers, axis=-1).tolist()
 
 
-def _gauss(A: np.ndarray, c) -> tuple:
-    """(riem, ric, scal, ricTF) from (A, c) in any dimension; see gauss_equations.
+def _ricci(A: np.ndarray, c) -> tuple:
+    """(ric, scal, ricTF) from (A, c) in any dimension; see gauss_equations.
     c is a scalar or has the leading shape of A."""
     n = A.shape[-1]
     I = np.eye(n, dtype=A.dtype)
     H = A.trace(axis1=-2, axis2=-1)
     S = (A * A).sum(axis=(-2, -1))
-    riem = _bcast(c / 2, 4) * _kn_raw(I, I) + _kn_raw(A, A) / 2
     ric = _bcast((n - 1) * c, 2) * I + _bcast(H, 2) * A - A @ A
     scal = n * (n - 1) * c + H * H - S
-    return riem, ric, scal, ric - _bcast(scal / n, 2) * I
+    return ric, scal, ric - _bcast(scal / n, 2) * I
+
+
+def _gauss(A: np.ndarray, c) -> tuple:
+    """(riem, ric, scal, ricTF): the curvature tensor, then the _ricci data."""
+    I = np.eye(A.shape[-1], dtype=A.dtype)
+    return (_bcast(c / 2, 4) * _kn_raw(I, I) + _kn_raw(A, A) / 2,) + _ricci(A, c)
 
 
 def _wpm_sq(H, S, A2sq, trA3):
@@ -790,7 +795,7 @@ def _derivative_kernel(group: _StateGroup, powers: tuple, fields=None, weyl=True
         rows = np.flatnonzero(parallel & weyl)
         for block, W in _weyl_blocks(A[rows]):
             Wp, at = next(_sd_split(W)), rows[block]
-            table[at, 6] = (_gauss(A[at], c[at])[2] * (Wp * Wp).sum(axis=(1, 2, 3, 4))
+            table[at, 6] = (_ricci(A[at], c[at])[1] * (Wp * Wp).sum(axis=(1, 2, 3, 4))
                             - 6.0 * np.einsum("nijkl,npqkl,nijpq->n", Wp, Wp, Wp))
     else:  # the Bach identities are four-dimensional
         table[:, 4:] = np.nan

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 
 import numpy as np
 
@@ -94,14 +95,24 @@ def levi_civita_tensor() -> np.ndarray:
     return _EPS4
 
 
-def _as_components(obj, shape, name, mirror, rule="must be symmetric"):
-    """obj's components as floats of ``shape`` that pass the entry rule
-    against mirror(components)."""
+def _as_components(obj, shape, name, mirror=None, rule="must be symmetric"):
+    """obj's components as floats of ``shape`` that pass the entry rule,
+    against mirror(components) given a mirror."""
     arr = np.asarray(getattr(obj, "components", obj), dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    _require_entries(name, arr[None], mirror(arr)[None], rule=rule, cap=_CURVATURE_SCALE)
+    _require_entries(name, arr[None], None if mirror is None else mirror(arr)[None], rule=rule,
+                     cap=_CURVATURE_SCALE)
     return arr
+
+
+def _finite(scalar) -> float:
+    """scalar as a float, which must be finite: a product with inf or nan
+    would leave non-finite components behind."""
+    x = float(scalar)
+    if not math.isfinite(x):
+        raise ValueError(f"scalar factor must be a finite number, got {x}")
+    return x
 
 
 class TwoForm:
@@ -146,7 +157,7 @@ class TwoForm:
         return TwoForm(self.components - other.components, check=False)
 
     def __mul__(self, scalar: float) -> "TwoForm":
-        return TwoForm(self.components * float(scalar), check=False)
+        return TwoForm(self.components * _finite(scalar), check=False)
 
     __rmul__ = __mul__
 
@@ -249,7 +260,7 @@ class CurvTensor4:
         return CurvTensor4(self.components - other.components, check=False)
 
     def __mul__(self, scalar: float) -> "CurvTensor4":
-        return CurvTensor4(self.components * float(scalar), check=False)
+        return CurvTensor4(self.components * _finite(scalar), check=False)
 
     __rmul__ = __mul__
 
@@ -373,13 +384,19 @@ def lambda2_spectrum(T, part: str = "plus", tol: float = EQUALITY_TOL) -> np.nda
     return eig[::-1].copy()
 
 
+def _operands(*tensors) -> list:
+    """Each operand's components: a CurvTensor4's as stored, a raw array's
+    after the shape check for (4, 4, 4, 4) and the entry rule without a
+    mirror (a star need not keep pair symmetry)."""
+    return [T.components if isinstance(T, CurvTensor4) else
+            _as_components(T, (4, 4, 4, 4), f"T{k}") for k, T in enumerate(tensors, 1)]
+
+
 def inner(T1, T2) -> float:
     """Full component contraction <T1, T2> = T1_ijkl T2_ijkl."""
-    a1, a2 = (np.asarray(getattr(T, "components", T), dtype=float) for T in (T1, T2))
-    return float(np.einsum("ijkl,ijkl->", a1, a2))
+    return float(np.einsum("ijkl,ijkl->", *_operands(T1, T2)))
 
 
 def triple(T1, T2, T3) -> float:
     """Cubic contraction T1_ijkl T2_pqkl T3_ijpq."""
-    a1, a2, a3 = (np.asarray(getattr(T, "components", T), dtype=float) for T in (T1, T2, T3))
-    return float(np.einsum("ijkl,pqkl,ijpq->", a1, a2, a3))
+    return float(np.einsum("ijkl,pqkl,ijpq->", *_operands(T1, T2, T3)))

@@ -12,8 +12,9 @@ tolerance.
 The tensor left-hand sides are the shipped kernels themselves, evaluated
 over Q[l1..ln]: the Weyl tensor is ``extrinsic._weyl_raw``, the star and
 W+- split are ``lambda2._star4`` and ``lambda2._sd_split``, as ``point``
-runs them, Kulkarni-Nomizu products are ``lambda2._kn_raw`` and Ricci
-data come from the Gauss-equation kernel ``extrinsic._gauss``. The
+runs them, Kulkarni-Nomizu products are ``lambda2._kn_raw``, Ricci data
+come from ``extrinsic._ricci`` and the curvature tensor from the
+Gauss-equation kernel ``extrinsic._gauss``. The
 right-hand sides are the shipped closed-form kernels that
 ``closed_form_norms`` and ``cgb_integrand`` evaluate in floating point:
 power sums, |W+-|^2, |W|^2, |Ric0|^2, the Chern-Gauss-Bonnet integrand,
@@ -475,7 +476,7 @@ def _build_ricTFsq():
     # Ric0 does not depend on c, so c = 0 keeps the four variables.
     nv = 4
     lams = _lam_vars(4, nv)
-    ric_tf = extrinsic._gauss(_diag(lams), RationalPoly.zero(nv))[3]
+    ric_tf = extrinsic._ricci(_diag(lams), RationalPoly.zero(nv))[2]
     return [(np.sum(ric_tf * ric_tf), extrinsic._ric0_sq(*_diag_powers(lams)[:4], 4))]
 
 
@@ -484,7 +485,7 @@ def _build_cgb():
     nv = 5
     lams = _lam_vars(4, nv)
     c = RationalPoly.variable(4, nv)
-    _, _, scal, ric_tf = extrinsic._gauss(_diag(lams), c)
+    _, scal, ric_tf = extrinsic._ricci(_diag(lams), c)
     W = _weyl4(lams)
     lhs = np.einsum("ijkl,ijkl->", W, W) - np.sum(ric_tf * ric_tf) * 2 + scal * scal / 6
     return [(lhs, extrinsic._cgb(*_diag_powers(lams)[:4], c))]

@@ -808,3 +808,16 @@ def test_env_tolerance_applies_to_clustering(capsys, monkeypatch):
     code, rep = _run_json(capsys, ["classify", near])
     assert code == 0
     assert rep["m"] == 2
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["point"], 2), (["nosuch"], 2),
+                                        (["--tol", "x", "classify", "{}"], 2)])
+def test_parser_is_built_once_and_answers_alike_each_call(capsys, argv, code):
+    assert cli._build_parser() is cli._build_parser()
+    seen = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        seen.append((info.value.code, capsys.readouterr()))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == code and seen[0][1].out + seen[0][1].err

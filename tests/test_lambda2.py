@@ -266,6 +266,42 @@ def test_inner_and_triple_agree_with_einsum():
         float(np.einsum("ijkl,pqkl,ijpq->", a1, a2, a1)), rel=1e-13)
 
 
+@pytest.mark.parametrize("call", [
+    lambda T: lambda2.inner(T, np.ones((4, 4, 4, 4))),
+    lambda T: lambda2.triple(np.ones((4, 4, 4, 4)), T, np.ones((4, 4, 4, 4))),
+], ids=["inner", "triple"])
+@pytest.mark.parametrize("shape", [(4, 4, 4), (4, 4), (2, 4, 4, 4, 4)])
+def test_inner_and_triple_check_the_shape_of_raw_operands(call, shape):
+    with pytest.raises(ValueError, match=re.escape(f"must have shape (4, 4, 4, 4), got {shape}")):
+        call(np.ones(shape))
+
+
+def test_inner_and_triple_take_raw_operands_without_pair_symmetry():
+    # the star of a tensor with trace breaks pair symmetry; as a raw array it
+    # is still an operand, and contracts as its CurvTensor4 does
+    T = _rand_curv(np.random.default_rng(16))
+    star = lambda2.star_weyl(T)
+    with pytest.raises(ValueError, match="pair symmetry"):
+        lambda2.CurvTensor4(star.components)
+    assert lambda2.inner(star.components, T.components) == lambda2.inner(star, T)
+    assert lambda2.triple(star.components, T.components, star.components) == lambda2.triple(
+        star, T, star)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("make", [
+    lambda: _rand_curv(np.random.default_rng(17)),
+    lambda: lambda2.TwoForm.basis(1, 2),
+], ids=["CurvTensor4", "TwoForm"])
+def test_product_with_a_non_finite_scalar_is_a_value_error(make, value):
+    x = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for product in (lambda: x * value, lambda: value * x):
+            with pytest.raises(ValueError, match="scalar factor must be a finite number"):
+                product()
+
+
 # ------------------------------------------------------------ entry rule
 
 def _antisym(rng):
@@ -311,6 +347,13 @@ _ENTRY_POINTS = {
     "div_weyl_sd": (lambda A: extrinsic.div_weyl_sd(_state(A)),
                     lambda rng: np.diag(rng.normal(size=4)), (0, 1),
                     "A: div_weyl_sd needs the shape operator in a principal frame"),
+    # contractions check no symmetry: a star need not keep pair symmetry
+    "inner T1": (lambda T: lambda2.inner(T, np.ones((4, 4, 4, 4))), None, (0, 1, 0, 1), None),
+    "inner T2": (lambda T: lambda2.inner(np.ones((4, 4, 4, 4)), T), None, (0, 1, 0, 1), None),
+    "triple T1": (lambda T: lambda2.triple(T, np.ones((4, 4, 4, 4)), np.ones((4, 4, 4, 4))),
+                  None, (0, 1, 0, 1), None),
+    "triple T3": (lambda T: lambda2.triple(np.ones((4, 4, 4, 4)), np.ones((4, 4, 4, 4)), T),
+                  None, (0, 1, 0, 1), None),
 }
 
 

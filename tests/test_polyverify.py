@@ -183,9 +183,16 @@ def _doubled(kernel):
 
 
 def _doubled_ric_tf(kernel):
+    def ricci(A, c):
+        ric, scal, ric_tf = kernel(A, c)
+        return ric, scal, ric_tf * 2
+    return ricci
+
+
+def _doubled_riem(kernel):
     def gauss(A, c):
-        riem, ric, scal, ric_tf = kernel(A, c)
-        return riem, ric, scal, ric_tf * 2
+        riem, *ricci = kernel(A, c)
+        return (riem * 2, *ricci)
     return gauss
 
 
@@ -198,7 +205,8 @@ _CORRUPTIONS = {
     "_ric0_sq": (_doubled, ["ricTFsq"]),
     "_cgb": (_doubled, ["cgb_consistency"]),
     "_w_sq_minimal": (_doubled, ["generalN_weylnorm"]),
-    "_gauss": (_doubled_ric_tf, ["ricTFsq", "cgb_consistency", "generalN_weylnorm"]),
+    "_ricci": (_doubled_ric_tf, ["ricTFsq", "cgb_consistency", "generalN_weylnorm"]),
+    "_gauss": (_doubled_riem, ["generalN_weylnorm"]),
     "_fialkow": (_doubled, ["fialkow_form"]),
 }
 
@@ -207,10 +215,12 @@ _CORRUPTIONS = {
     (extrinsic, "_weyl_raw"), (lambda2, "_star4"), (extrinsic, "_wpm_sq"),
     (extrinsic, "_w_sq"), (extrinsic, "_ric0_sq"), (extrinsic, "_cgb"),
     (extrinsic, "_w_sq_minimal"), (extrinsic, "_gauss"), (extrinsic, "_fialkow"),
+    (extrinsic, "_ricci"),
 ])
 def test_certifier_runs_the_shipped_kernels(monkeypatch, module, name):
     # Doubles a shipped kernel's value (the trace-free Ricci tensor for the
-    # Gauss kernel): every identity built on it must fail with a witness.
+    # Ricci kernel, the curvature tensor for the Gauss kernel): every
+    # identity built on it must fail with a witness.
     corrupt, identities = _CORRUPTIONS[name]
     monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
     for identity in identities:
