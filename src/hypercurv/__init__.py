@@ -33,9 +33,8 @@ _EXPORTS = {
     "immersions": ("Immersion", "QuadratureGrid", "build_grid", "catalog_point",
                    "clifford_immersion", "get_immersion", "integrate",
                    "numeric_second_fundamental_form", "totally_geodesic_sphere"),
-    "lambda2": ("LAMBDA2_BASIS", "CurvTensor4", "TwoForm", "hodge_star", "inner",
-                "kulkarni_nomizu", "lambda2_spectrum", "levi_civita", "levi_civita_tensor",
-                "sd_asd_split", "star_weyl", "triple"),
+    "lambda2": ("LAMBDA2_BASIS", "CurvTensor4", "hodge_star", "inner", "kulkarni_nomizu",
+                "lambda2_spectrum", "levi_civita_tensor", "sd_asd_split", "star_weyl", "triple"),
     "polyverify": ("REGISTRY", "RationalPoly", "VerifyResult", "assemble_symbolic", "verify_all",
                    "verify_identity"),
     "tolerances": ("CLUSTER_TOL", "EQUALITY_TOL", "default_cluster_tol", "default_tol"),

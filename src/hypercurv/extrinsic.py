@@ -30,7 +30,7 @@ import numpy as np
 
 from .lambda2 import LAMBDA2_BASIS, CurvTensor4, _kn_raw, _sd_split, _star4
 from .lambda2 import inner, star_weyl, triple  # noqa: F401  (looked up on this module)
-from .tolerances import EQUALITY_TOL, _entry_failure, _require_entries
+from .tolerances import EQUALITY_TOL, _entry_failure, _json_numbers, _require_entries
 
 __all__ = [
     "PointState",
@@ -117,22 +117,6 @@ def _warn_unusual(c: float, S: float, stacklevel: int = 3) -> None:
 
 
 _JSON_FIELDS = ("n", "c", "lambda", "A", "nablaA", "hessS", "parallel")
-
-
-def _json_numbers(name: str, value) -> np.ndarray:
-    """A JSON number or nested arrays of them as a float array; booleans,
-    strings, null, objects, ragged arrays and ints beyond float range raise."""
-    # a float or a flat list of floats, the common case, needs no object array
-    if type(value) is float or (type(value) is list and all(type(v) is float for v in value)):
-        return np.array(value)
-    leaves = np.asarray(value, dtype=object)
-    # A ragged array leaves lists among the object leaves.
-    if not set(map(type, leaves.flat)) <= {int, float}:
-        raise ValueError(f"{name}: expected JSON numbers")
-    try:
-        return leaves.astype(float)
-    except OverflowError as exc:
-        raise ValueError(f"{name}: {exc}") from None
 
 
 def _json_args(data) -> dict:

@@ -1,4 +1,4 @@
-"""Two-form algebra and algebraic curvature operators in dimension four.
+"""The Hodge star and algebraic curvature operators in dimension four.
 
 On an oriented 4-dimensional inner product space the Hodge star is an
 involution of the 6-dimensional space of two-forms and splits it into the
@@ -7,11 +7,12 @@ tensor acts on two-forms as a symmetric 6x6 operator; for trace-free
 curvature tensors that operator block-diagonalizes over the splitting, and
 the two 3x3 blocks carry the self-dual and anti-self-dual spectra.
 
-Conventions. Components are w.r.t. an oriented orthonormal frame, indices
-run 1..4 in the public API. Two-form components w_ij carry the full
-antisymmetric sum convention, so the basis form theta^i ^ theta^j has
-components +1/2 at (i,j) and -1/2 at (j,i). With that convention the star
-acts by (*w)_ij = 1/2 mu_ijkl w_kl and on curvature tensors by
+Conventions. Components are w.r.t. an oriented orthonormal frame and are
+stored as 0-based numpy arrays; only the basis pairs below are named
+1-based. Two-form components w_ij carry the full antisymmetric sum
+convention, so the basis form theta^i ^ theta^j has components +1/2 at
+(i,j) and -1/2 at (j,i). With that convention the star acts by
+(*w)_ij = 1/2 mu_ijkl w_kl and on curvature tensors by
 (*T)_ijkl = 1/2 mu_ijrs T_rskl, where mu is the Levi-Civita symbol.
 
 The ordered Lambda^2 basis used for 6x6 operator matrices is
@@ -25,17 +26,14 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 
 import numpy as np
 
-from .tolerances import _CURVATURE_SCALE, EQUALITY_TOL, _require_entries
+from .tolerances import _CURVATURE_SCALE, EQUALITY_TOL, _json_numbers, _require_entries
 
 __all__ = [
     "LAMBDA2_BASIS",
-    "TwoForm",
     "CurvTensor4",
-    "levi_civita",
     "levi_civita_tensor",
     "hodge_star",
     "star_weyl",
@@ -78,27 +76,16 @@ _P_SD = np.block([[np.eye(3), np.eye(3)], [np.eye(3), -np.eye(3)]]) / np.sqrt(2.
 _P_SD.setflags(write=False)
 
 
-def levi_civita(i: int, j: int, k: int, l: int) -> int:
-    """Totally antisymmetric symbol mu_ijkl with mu_1234 = +1.
-
-    Indices are 1-based and must lie in 1..4; anything else is an input
-    error, not a zero.
-    """
-    for idx in (i, j, k, l):
-        if not isinstance(idx, (int, np.integer)) or not 1 <= idx <= 4:
-            raise ValueError(f"levi_civita indices must be integers in 1..4, got {(i, j, k, l)}")
-    return int(_EPS4[i - 1, j - 1, k - 1, l - 1])
-
-
 def levi_civita_tensor() -> np.ndarray:
-    """Read-only (4,4,4,4) array of mu values, 0-based."""
+    """Read-only (4,4,4,4) array of the Levi-Civita symbol mu, 0-based, so
+    mu_1234 = +1 is entry [0, 1, 2, 3]."""
     return _EPS4
 
 
 def _as_components(obj, shape, name, mirror=None, rule="must be symmetric"):
-    """obj's components as floats of ``shape`` that pass the entry rule,
-    against mirror(components) given a mirror."""
-    arr = np.asarray(getattr(obj, "components", obj), dtype=float)
+    """obj as floats of ``shape`` that pass the entry rule, against
+    mirror(obj) given a mirror."""
+    arr = np.asarray(obj, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
     _require_entries(name, arr[None], None if mirror is None else mirror(arr)[None], rule=rule,
@@ -106,77 +93,15 @@ def _as_components(obj, shape, name, mirror=None, rule="must be symmetric"):
     return arr
 
 
-def _finite(scalar) -> float:
-    """scalar as a float, which must be finite: a product with inf or nan
-    would leave non-finite components behind."""
-    x = float(scalar)
-    if not math.isfinite(x):
-        raise ValueError(f"scalar factor must be a finite number, got {x}")
-    return x
-
-
-class TwoForm:
-    """A two-form on R^4, stored as its antisymmetric component matrix. With
-    ``check`` the components pass the entry rule against -w^T (finite, 1 +
-    max|entry| <= 1e102, antisymmetric to tol), else a ValueError."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components, check: bool = True, tol: float = EQUALITY_TOL):
-        arr = np.array(components, dtype=float)
-        if arr.shape != (4, 4):
-            raise ValueError(f"TwoForm components must be 4x4, got {arr.shape}")
-        if check:
-            _require_entries("two-form", arr[None], -arr.T[None], tol, "must be antisymmetric",
-                             _CURVATURE_SCALE)
-            arr = 0.5 * (arr - arr.T)
-        arr.setflags(write=False)
-        self.components = arr
-
-    @classmethod
-    def basis(cls, i: int, j: int) -> "TwoForm":
-        """The basis form theta^i ^ theta^j (1-based indices)."""
-        if not (1 <= i <= 4 and 1 <= j <= 4) or i == j:
-            raise ValueError(f"basis two-form needs distinct indices in 1..4, got {(i, j)}")
-        arr = np.zeros((4, 4))
-        arr[i - 1, j - 1] = 0.5
-        arr[j - 1, i - 1] = -0.5
-        return cls(arr, check=False)
-
-    def __getitem__(self, idx):
-        i, j = idx
-        return self.components[i - 1, j - 1]
-
-    def norm_sq(self) -> float:
-        return float(np.sum(self.components * self.components))
-
-    def __add__(self, other: "TwoForm") -> "TwoForm":
-        return TwoForm(self.components + other.components, check=False)
-
-    def __sub__(self, other: "TwoForm") -> "TwoForm":
-        return TwoForm(self.components - other.components, check=False)
-
-    def __mul__(self, scalar: float) -> "TwoForm":
-        return TwoForm(self.components * _finite(scalar), check=False)
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        terms = [f"{c:+g} e{i}^e{j}" for c, (i, j) in
-                 zip(2.0 * self.components[_I, _J], LAMBDA2_BASIS) if c != 0.0]
-        return "TwoForm(" + (" ".join(terms) if terms else "0") + ")"
-
-
-def hodge_star(omega):
+def hodge_star(omega) -> np.ndarray:
     """Hodge star of a two-form: (*w)_ij = 1/2 mu_ijkl w_kl.
 
-    Accepts a TwoForm or a raw antisymmetric (4,4) array and returns the
-    same kind; a raw array passes TwoForm's check. Applying the star twice
-    returns the input exactly up to floating point (the map is an
-    involution in dimension four).
+    Takes and returns the (4,4) antisymmetric component array. The input
+    passes the entry rule (finite, 1 + max|entry| <= 1e102, antisymmetric
+    to tol), else a ValueError. Applying the star twice returns the input
+    exactly up to floating point (the map is an involution in dimension
+    four).
     """
-    if isinstance(omega, TwoForm):
-        return TwoForm(0.5 * np.einsum("ijkl,kl->ij", _EPS4, omega.components), check=False)
     arr = _as_components(omega, (4, 4), "two-form", lambda w: -w.T, "must be antisymmetric")
     return 0.5 * np.einsum("ijkl,kl->ij", _EPS4, arr)
 
@@ -184,12 +109,13 @@ def hodge_star(omega):
 class CurvTensor4:
     """Rank-4 algebraic curvature tensor on R^4.
 
-    Stores the (4,4,4,4) component array (0-based internally) and converts
-    losslessly to and from the symmetric 6x6 operator matrix over the
-    ordered Lambda^2 basis. With ``check`` the components pass the entry
-    rule (finite, 1 + max|entry| <= 1e102) and, to tol, the required
-    symmetries: antisymmetry in (i,j) and in (k,l), plus symmetry under
-    swapping the pairs; the first failure raises a ValueError naming it.
+    Stores the read-only (4,4,4,4) component array, 0-based, on which any
+    arithmetic runs, and converts losslessly to and from the symmetric 6x6
+    operator matrix over the ordered Lambda^2 basis. With ``check`` the
+    components pass the entry rule (finite, 1 + max|entry| <= 1e102) and,
+    to tol, the required symmetries: antisymmetry in (i,j) and in (k,l),
+    plus symmetry under swapping the pairs; the first failure raises a
+    ValueError naming it.
     The first Bianchi identity is not required; the star of a
     non-trace-free tensor can legitimately break pair symmetry, so outputs
     of internal operations are constructed unchecked.
@@ -211,17 +137,14 @@ class CurvTensor4:
         arr.setflags(write=False)
         self.components = arr
 
-    def __getitem__(self, idx):
-        i, j, k, l = idx
-        return self.components[i - 1, j - 1, k - 1, l - 1]
-
     def operator6(self) -> np.ndarray:
         """Symmetric 6x6 matrix of the tensor over the Lambda^2 pair basis."""
         return self.components[_I[:, None], _J[:, None], _I, _J]
 
     @classmethod
-    def from_operator6(cls, op, check: bool = False) -> "CurvTensor4":
-        """Rebuild the rank-4 tensor from its 6x6 pair-basis matrix."""
+    def from_operator6(cls, op) -> "CurvTensor4":
+        """Rebuild the rank-4 tensor from its 6x6 pair-basis matrix, checked
+        as CurvTensor4 is: a non-symmetric op breaks pair symmetry."""
         op = np.asarray(op, dtype=float)
         if op.shape != (6, 6):
             raise ValueError(f"operator matrix must be 6x6, got {op.shape}")
@@ -229,7 +152,7 @@ class CurvTensor4:
         I, J = _I[:, None], _J[:, None]
         arr[I, J, _I, _J] = arr[J, I, _J, _I] = op
         arr[J, I, _I, _J] = arr[I, J, _J, _I] = -op
-        return cls(arr, check=check)
+        return cls(arr)
 
     def to_json(self) -> str:
         """Serialize as the 21-entry upper triangle of the 6x6 operator.
@@ -242,37 +165,32 @@ class CurvTensor4:
 
     @classmethod
     def from_json(cls, text: str) -> "CurvTensor4":
-        """Inverse of to_json, checked as CurvTensor4 is: json.loads takes
+        """Inverse of to_json. The entries are JSON numbers, as a state's
+        are, and the tensor is checked as CurvTensor4 is: json.loads takes
         NaN and Infinity, which raise a ValueError here."""
         data = json.loads(text)
         entries = data.get("lambda2_op") if isinstance(data, dict) else None
         if not isinstance(entries, list) or len(entries) != 21:
             raise ValueError("expected key 'lambda2_op' with 21 entries")
+        values = _json_numbers("lambda2_op", entries)
+        if values.ndim != 1:
+            raise ValueError("lambda2_op: expected JSON numbers")
         op = np.zeros((6, 6))
-        op[_UPPER] = entries
-        op[_UPPER[::-1]] = entries
-        return cls.from_operator6(op, check=True)
-
-    def __add__(self, other: "CurvTensor4") -> "CurvTensor4":
-        return CurvTensor4(self.components + other.components, check=False)
-
-    def __sub__(self, other: "CurvTensor4") -> "CurvTensor4":
-        return CurvTensor4(self.components - other.components, check=False)
-
-    def __mul__(self, scalar: float) -> "CurvTensor4":
-        return CurvTensor4(self.components * _finite(scalar), check=False)
-
-    __rmul__ = __mul__
+        op[_UPPER] = values
+        op[_UPPER[::-1]] = values
+        return cls.from_operator6(op)
 
     def norm_sq(self) -> float:
         return float(np.sum(self.components * self.components))
 
-    def ricci_contraction(self) -> np.ndarray:
-        """Contraction T_ijkj over the second and fourth slots."""
-        return np.einsum("ijkj->ik", self.components)
-
     def __repr__(self) -> str:
         return f"CurvTensor4(|T|^2={self.norm_sq():.6g})"
+
+
+def _tensor(T, tol: float) -> CurvTensor4:
+    """T as a CurvTensor4: one as it stands, a raw array checked as
+    CurvTensor4 is."""
+    return T if isinstance(T, CurvTensor4) else CurvTensor4(T, tol=tol)
 
 
 def _star4(arr: np.ndarray) -> np.ndarray:
@@ -290,8 +208,7 @@ def star_weyl(T, tol: float = EQUALITY_TOL) -> CurvTensor4:
     T the output is again a curvature tensor; otherwise pair symmetry of
     the output may fail, which is expected and not validated.
     """
-    arr = (T if isinstance(T, CurvTensor4) else CurvTensor4(T, tol=tol)).components
-    return CurvTensor4(_star4(arr), check=False)
+    return CurvTensor4(_star4(_tensor(T, tol).components), check=False)
 
 
 def _swap_pairs(T: np.ndarray) -> np.ndarray:
@@ -353,7 +270,7 @@ def sd_asd_split(T, tol: float = EQUALITY_TOL):
     an input error reporting the offending norm. A raw array is checked as
     CurvTensor4 is.
     """
-    arr = (T if isinstance(T, CurvTensor4) else CurvTensor4(T, tol=tol)).components
+    arr = _tensor(T, tol).components
     ric = np.einsum("ijkj->ik", arr)
     scale = 1.0 + np.abs(arr).max()
     tr_norm = float(np.abs(ric).max())
@@ -376,8 +293,7 @@ def lambda2_spectrum(T, part: str = "plus", tol: float = EQUALITY_TOL) -> np.nda
     """
     if part not in ("plus", "minus"):
         raise ValueError(f"part must be 'plus' or 'minus', got {part!r}")
-    T = T if isinstance(T, CurvTensor4) else CurvTensor4(T, tol=tol)
-    rot = _P_SD @ T.operator6() @ _P_SD.T
+    rot = _P_SD @ _tensor(T, tol).operator6() @ _P_SD.T
     block = rot[:3, :3] if part == "plus" else rot[3:, 3:]
     block = 0.5 * (block + block.T)
     eig = np.linalg.eigvalsh(block)

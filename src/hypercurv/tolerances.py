@@ -9,7 +9,8 @@ caller passes `default_tol()` or `default_cluster_tol()` as ``tol``.
 
 It also owns the entry rule of every tensor the package takes in,
 ``_entry_failure``: 1 + max|entry| is finite and at most its cap, then
-|x - mirror| <= tol * (1 + max|entry|) for the input's mirror, if any.
+|x - mirror| <= tol * (1 + max|entry|) for the input's mirror, if any;
+and the rule of JSON input, ``_json_numbers``: numbers only.
 """
 
 from __future__ import annotations
@@ -58,9 +59,10 @@ def default_cluster_tol() -> float:
 # products with H) and the Bach, Bochner and CGB values stay inside float64.
 _MAX_SCALE = 1e50
 
-# Cap on curvature-level input (the tensors, two-forms and Kulkarni-Nomizu
-# factors of lambda2): with a = max|A| and |c| at most 1e50, the Gauss and
-# Weyl tensors of a state have entries below 24 a^2 + 9 |c| < 1e102.
+# Cap on curvature-level input (every tensor lambda2 takes in: curvature
+# tensors, hodge_star's two-form arrays, Kulkarni-Nomizu factors): with
+# a = max|A| and |c| at most 1e50, the Gauss and Weyl tensors of a state
+# have entries below 24 a^2 + 9 |c| < 1e102.
 _CURVATURE_SCALE = 1e102
 
 # The end of the error of an entry over each cap.
@@ -95,3 +97,19 @@ def _require_entries(name: str, rows: np.ndarray, mirror=None, tol: float = EQUA
     failure = _entry_failure(name, rows, mirror, tol, rule, cap)
     if failure is not None:
         raise failure[1]
+
+
+def _json_numbers(name: str, value) -> np.ndarray:
+    """A JSON number or nested arrays of them as a float array; booleans,
+    strings, null, objects, ragged arrays and ints beyond float range raise."""
+    # a float or a flat list of floats, the common case, needs no object array
+    if type(value) is float or (type(value) is list and all(type(v) is float for v in value)):
+        return np.array(value)
+    leaves = np.asarray(value, dtype=object)
+    # A ragged array leaves lists among the object leaves.
+    if not set(map(type, leaves.flat)) <= {int, float}:
+        raise ValueError(f"{name}: expected JSON numbers")
+    try:
+        return leaves.astype(float)
+    except OverflowError as exc:
+        raise ValueError(f"{name}: {exc}") from None

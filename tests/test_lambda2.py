@@ -1,4 +1,4 @@
-"""Tests for the four-dimensional two-form and curvature-operator algebra."""
+"""Tests for the four-dimensional Hodge star and curvature-operator algebra."""
 
 import itertools
 import json
@@ -24,24 +24,30 @@ def _rand_curv(rng, trace_free=False):
     U = 0.5 * (U + U.T)
     T = lambda2.kulkarni_nomizu(U, U)
     if trace_free:
-        ric = T.ricci_contraction()
+        ric = np.einsum("ijkj->ik", T.components)
         ricTF = ric - np.trace(ric) / 4.0 * np.eye(4)
         scal = np.trace(ric)
         g = np.eye(4)
-        T = T - 0.5 * lambda2.kulkarni_nomizu(ricTF, g) \
-            - scal / 24.0 * lambda2.kulkarni_nomizu(g, g)
+        T = lambda2.CurvTensor4(T.components - 0.5 * lambda2.kulkarni_nomizu(ricTF, g).components
+                                - scal / 24.0 * lambda2.kulkarni_nomizu(g, g).components,
+                                check=False)
     return T
 
 
+def _basis(i, j):
+    # the basis form theta^i ^ theta^j (1-based indices) as components
+    w = np.zeros((4, 4))
+    w[i - 1, j - 1], w[j - 1, i - 1] = 0.5, -0.5
+    return w
+
+
 def test_levi_civita_values():
-    assert lambda2.levi_civita(1, 2, 3, 4) == 1
-    assert lambda2.levi_civita(2, 1, 3, 4) == -1
-    assert lambda2.levi_civita(1, 1, 3, 4) == 0
-    assert lambda2.levi_civita(4, 3, 2, 1) == 1
-    with pytest.raises(ValueError):
-        lambda2.levi_civita(0, 1, 2, 3)
-    with pytest.raises(ValueError):
-        lambda2.levi_civita(1, 2, 3, 5)
+    eps = lambda2.levi_civita_tensor()
+    assert eps[0, 1, 2, 3] == 1
+    assert eps[1, 0, 2, 3] == -1
+    assert eps[0, 0, 2, 3] == 0
+    assert eps[3, 2, 1, 0] == 1
+    assert not eps.flags.writeable
 
 
 def test_levi_civita_tensor_contractions():
@@ -73,20 +79,20 @@ def test_hodge_star_basis_table():
     # orientation convention used everywhere downstream
     pairs = [((1, 2), (3, 4)), ((1, 3), (4, 2)), ((1, 4), (2, 3))]
     for (i, j), (k, l) in pairs:
-        w = lambda2.TwoForm.basis(i, j)
-        sw = lambda2.hodge_star(w.components)
-        np.testing.assert_allclose(sw, lambda2.TwoForm.basis(k, l).components, atol=ATOL)
+        w = _basis(i, j)
+        sw = lambda2.hodge_star(w)
+        np.testing.assert_allclose(sw, _basis(k, l), atol=ATOL)
         # and back: the star is an involution on Lambda^2 in dim 4
-        np.testing.assert_allclose(lambda2.hodge_star(sw), w.components, atol=ATOL)
+        np.testing.assert_allclose(lambda2.hodge_star(sw), w, atol=ATOL)
 
 
 def test_hodge_star_involution_random():
     rng = np.random.default_rng(11)
     for _ in range(25):
         M = rng.normal(size=(4, 4))
-        w = lambda2.TwoForm(M - M.T)
-        ww = lambda2.hodge_star(lambda2.hodge_star(w.components))
-        np.testing.assert_allclose(ww, w.components, atol=1e-13)
+        w = M - M.T
+        ww = lambda2.hodge_star(lambda2.hodge_star(w))
+        np.testing.assert_allclose(ww, w, atol=1e-13)
 
 
 @given(st.lists(st.floats(-50, 50), min_size=6, max_size=6))
@@ -95,20 +101,16 @@ def test_hodge_star_isometry(coeffs):
     # |<*w, *w>| == <w, w> for any two-form
     w = np.zeros((4, 4))
     for c, (i, j) in zip(coeffs, lambda2.LAMBDA2_BASIS):
-        w += c * lambda2.TwoForm.basis(i, j).components
+        w += c * _basis(i, j)
     sw = lambda2.hodge_star(w)
     assert np.sum(sw * sw) == pytest.approx(np.sum(w * w), rel=1e-12, abs=1e-12)
 
 
-def test_twoform_validation():
-    with pytest.raises(ValueError):
-        lambda2.TwoForm(np.eye(4))
-    with pytest.raises(ValueError):
-        lambda2.TwoForm(np.zeros((3, 3)))
-    b = lambda2.TwoForm.basis(1, 2)
-    assert b.components[0, 1] == 0.5
-    assert b.components[1, 0] == -0.5
-    assert b.norm_sq() == pytest.approx(0.5)
+def test_hodge_star_validation():
+    with pytest.raises(ValueError, match="^two-form: must be antisymmetric$"):
+        lambda2.hodge_star(np.eye(4))
+    with pytest.raises(ValueError, match=re.escape("two-form must have shape (4, 4), got (3, 3)")):
+        lambda2.hodge_star(np.zeros((3, 3)))
 
 
 def test_curv_tensor_symmetry_validation():
@@ -146,11 +148,11 @@ def test_operator6_action_matches_tensor_action():
     T = _rand_curv(rng)
     op = T.operator6()
     for a, (i, j) in enumerate(lambda2.LAMBDA2_BASIS):
-        w = lambda2.TwoForm.basis(i, j).components
+        w = _basis(i, j)
         acted = np.einsum("ijkl,kl->ij", T.components, w)
         # expand the image in the basis: coefficient = <acted, e_b> / <e_b, e_b>
         for b, (k, l) in enumerate(lambda2.LAMBDA2_BASIS):
-            coeff = 2.0 * np.sum(acted * lambda2.TwoForm.basis(k, l).components)
+            coeff = 2.0 * np.sum(acted * _basis(k, l))
             assert coeff == pytest.approx(2.0 * op[b, a], abs=1e-10)
 
 
@@ -158,7 +160,7 @@ def test_sd_asd_split_properties():
     rng = np.random.default_rng(9)
     T = _rand_curv(rng, trace_free=True)
     Tp, Tm = lambda2.sd_asd_split(T)
-    np.testing.assert_allclose((Tp + Tm).components, T.components, atol=1e-11)
+    np.testing.assert_allclose(Tp.components + Tm.components, T.components, atol=1e-11)
     np.testing.assert_allclose(lambda2.star_weyl(Tp).components, Tp.components, atol=1e-10)
     np.testing.assert_allclose(lambda2.star_weyl(Tm).components, -Tm.components, atol=1e-10)
     assert lambda2.inner(Tp, Tm) == pytest.approx(0.0, abs=1e-10)
@@ -191,7 +193,7 @@ def test_kulkarni_nomizu_normalizations():
     U = rng.normal(size=(4, 4))
     U = 0.5 * (U + U.T)
     T = lambda2.kulkarni_nomizu(U, g)
-    ric = T.ricci_contraction()
+    ric = np.einsum("ijkj->ik", T.components)
     np.testing.assert_allclose(ric, 2.0 * U + np.trace(U) * g, atol=1e-12)
 
 
@@ -288,20 +290,6 @@ def test_inner_and_triple_take_raw_operands_without_pair_symmetry():
         star, T, star)
 
 
-@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
-@pytest.mark.parametrize("make", [
-    lambda: _rand_curv(np.random.default_rng(17)),
-    lambda: lambda2.TwoForm.basis(1, 2),
-], ids=["CurvTensor4", "TwoForm"])
-def test_product_with_a_non_finite_scalar_is_a_value_error(make, value):
-    x = make()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for product in (lambda: x * value, lambda: value * x):
-            with pytest.raises(ValueError, match="scalar factor must be a finite number"):
-                product()
-
-
 # ------------------------------------------------------------ entry rule
 
 def _antisym(rng):
@@ -328,7 +316,6 @@ def _json_call(T):
 # (call, a valid input, the entry that a corruption changes, the error of a
 # broken mirror); a corruption of the entry alone breaks the input's mirror
 _ENTRY_POINTS = {
-    "TwoForm": (lambda2.TwoForm, _antisym, (0, 1), "two-form: must be antisymmetric"),
     "hodge_star": (lambda2.hodge_star, _antisym, (0, 1), "two-form: must be antisymmetric"),
     "CurvTensor4": (lambda2.CurvTensor4, None, (0, 1, 0, 1),
                     "curvature tensor: must be antisymmetric in its first index pair"),
@@ -342,6 +329,10 @@ _ENTRY_POINTS = {
                           "U: must be symmetric"),
     "kulkarni_nomizu V": (lambda V: lambda2.kulkarni_nomizu(np.eye(4), V), _sym, (0, 1),
                           "V: must be symmetric"),
+    # a non-symmetric operator breaks the pair symmetry of its tensor
+    "from_operator6": (lambda2.CurvTensor4.from_operator6,
+                       lambda rng: _rand_curv(rng, trace_free=True).operator6(), (0, 1),
+                       "curvature tensor: must satisfy pair symmetry"),
     # the JSON form stores one triangle of the operator, so no symmetry breaks
     "from_json": (_json_call, None, (0, 1, 0, 1), None),
     "div_weyl_sd": (lambda A: extrinsic.div_weyl_sd(_state(A)),
@@ -401,6 +392,18 @@ def test_curvature_of_a_state_at_the_cap_passes_the_curvature_entry_rule():
     lambda2.sd_asd_split(W.components)  # the entry rule, then the trace check
     assert np.array_equal(lambda2.star_weyl(W.components).components,
                           lambda2.star_weyl(W).components)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([True] * 21, "lambda2_op: expected JSON numbers"),
+    (["1"] * 21, "lambda2_op: expected JSON numbers"),
+    ([[1.0]] * 21, "lambda2_op: expected JSON numbers"),
+    ([10 ** 400] + [0] * 20, "lambda2_op: int too large to convert to float"),
+], ids=["bool", "string", "nested", "401-digit int"])
+def test_from_json_takes_json_numbers_only(entries, message):
+    # the rule of a state's JSON fields: bools and strings are not numbers
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        lambda2.CurvTensor4.from_json(json.dumps({"lambda2_op": entries}))
 
 
 @pytest.mark.parametrize("entries, rule", [
@@ -472,15 +475,6 @@ def _from_json_loop(text):
     return _from_operator6_loop(op)
 
 
-def _twoform_repr_loop(components):
-    terms = []
-    for i, j in lambda2.LAMBDA2_BASIS:
-        c = 2.0 * components[i - 1, j - 1]
-        if c != 0.0:
-            terms.append(f"{c:+g} e{i}^e{j}")
-    return "TwoForm(" + (" ".join(terms) if terms else "0") + ")"
-
-
 def _bits(arr):
     return np.asarray(arr, dtype=float).view(np.uint64)
 
@@ -502,8 +496,6 @@ def test_lambda2_index_arrays_match_the_loops_bit_for_bit():
             got = lambda2.CurvTensor4(comps, check=False)
             assert np.array_equal(_bits(got.operator6()), _bits(_operator6_loop(comps)))
             assert got.to_json() == _to_json_loop(comps)
-        w = op[:4, :4] - op[:4, :4].T
-        assert repr(lambda2.TwoForm(w)) == _twoform_repr_loop(w)
         text = _to_json_loop(T.components)
         assert np.array_equal(_bits(lambda2.CurvTensor4.from_json(text).components),
                               _bits(_from_json_loop(text)))

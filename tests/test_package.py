@@ -38,12 +38,22 @@ def test_bare_import_loads_no_submodule():
 def test_every_public_name_resolves_by_attribute_and_star_import():
     _run("import hypercurv\n"
          "names = hypercurv.__all__\n"
-         "assert names == sorted(set(names)) and len(names) == 61, names\n"
+         "assert names == sorted(set(names)) and len(names) == 59, names\n"
          "assert all(getattr(hypercurv, name) is not None for name in names)\n"
          "assert set(names) <= set(dir(hypercurv))\n"
          "space = {}\n"
          "exec('from hypercurv import *', space)\n"
          "assert {name for name in space if name != '__builtins__'} == set(names)\n")
+
+
+def test_each_submodule_star_import_holds_its_listed_names():
+    # the names __init__ lists under a submodule and the ones it exports
+    # itself must not drift apart
+    _run("import hypercurv\n"
+         "for module, names in hypercurv._EXPORTS.items():\n"
+         "    space = {}\n"
+         "    exec(f'from hypercurv.{module} import *', space)\n"
+         "    assert set(names) <= set(space), (module, set(names) - set(space))\n")
 
 
 def test_unknown_name_is_an_attribute_error():
