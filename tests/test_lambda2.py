@@ -394,6 +394,22 @@ def test_curvature_of_a_state_at_the_cap_passes_the_curvature_entry_rule():
                           lambda2.star_weyl(W).components)
 
 
+@pytest.mark.parametrize("call", [
+    lambda T, **kw: lambda2.star_weyl(T, **kw).components,
+    lambda T, **kw: np.array([P.components for P in lambda2.sd_asd_split(T, **kw)]),
+    lambda2.lambda2_spectrum,
+], ids=["star_weyl", "sd_asd_split", "lambda2_spectrum"])
+def test_raw_operand_is_checked_as_curv_tensor4_at_the_callers_tol(call):
+    # a raw array meets the CurvTensor4 check under the tol the caller
+    # passes, and then gives what the checked tensor gives
+    arr = _rand_curv(np.random.default_rng(41), trace_free=True).components.copy()
+    arr[0, 1, 0, 1] += 1e-6 * (1.0 + np.abs(arr).max())
+    with pytest.raises(ValueError, match="must be antisymmetric in its first index pair"):
+        call(arr)
+    assert np.array_equal(call(arr, tol=1e-4),
+                          call(lambda2.CurvTensor4(arr, tol=1e-4), tol=1e-4))
+
+
 @pytest.mark.parametrize("entries, message", [
     ([True] * 21, "lambda2_op: expected JSON numbers"),
     (["1"] * 21, "lambda2_op: expected JSON numbers"),
