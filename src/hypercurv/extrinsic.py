@@ -5,9 +5,10 @@ curvature c is described by its shape operator A (symmetric, expressed in
 an orthonormal tangent frame), optionally together with first and second
 derivative data. The Gauss equation then determines the full intrinsic
 curvature tensor, and in dimension four the Weyl tensor, its self-dual and
-anti-self-dual energies, the extrinsic Chern-Gauss-Bonnet integrand, the
-Bach tensor, and the divergence of the (anti-)self-dual Weyl parts are all
-closed-form expressions in A and its derivatives.
+anti-self-dual energies, the extrinsic Chern-Gauss-Bonnet integrand and
+the Bach tensor are closed-form expressions in A and its derivatives, and
+the divergence of the (anti-)self-dual Weyl parts is the derivative of
+the Weyl kernel, nabla_m W = 2 W(A, nabla_m A), in any frame.
 
 Index conventions match :mod:`hypercurv.lambda2`: orthonormal frames,
 1-based indices in reported component labels. The third fundamental
@@ -252,8 +253,8 @@ def _check_group(index: list, rows: list, tol: float, check_n, queued: list):
                 break
         return np.array(values)
 
-    def check(name: str, at, raw: np.ndarray, mirror=None, rule="must be symmetric") -> None:
-        failure = _entry_failure(name, raw, mirror, tol, rule)
+    def check(name: str, at, raw: np.ndarray, *mirrors) -> None:
+        failure = _entry_failure(name, raw, mirrors, tol)
         if failure is not None:
             fail(at[failure[0]], failure[1])
 
@@ -266,7 +267,7 @@ def _check_group(index: list, rows: list, tol: float, check_n, queued: list):
     matrices = [j for j in range(end) if not rows[j].from_spectrum]
     if matrices:
         raw = np.array([rows[j].main for j in matrices])
-        check("A", matrices, raw, raw.swapaxes(1, 2), "shape operator must be symmetric")
+        check("A", matrices, raw, (raw.swapaxes(1, 2), "shape operator must be symmetric"))
         A[matrices] = 0.5 * (raw + raw.swapaxes(1, 2))
     c = stacked(range(end), "c")
     check("c", range(end), c)
@@ -279,11 +280,11 @@ def _check_group(index: list, rows: list, tol: float, check_n, queued: list):
     nabla = raw = stacked(with_nabla, "nablaA")
     if len(raw):
         nabla = _symmetrize3(raw)
-        check("nablaA", with_nabla, raw, nabla, "components must be totally symmetric")
+        check("nablaA", with_nabla, raw, (nabla, "components must be totally symmetric"))
     with_hess = [j for j in range(end) if rows[j].hessS is not None]
     hess = stacked(with_hess, "hessS")
     if len(hess):
-        check("hessS", with_hess, hess, hess.swapaxes(1, 2))
+        check("hessS", with_hess, hess, (hess.swapaxes(1, 2), "must be symmetric"))
         hess = 0.5 * (hess + hess.swapaxes(1, 2))
     with_nabla = [j for j in with_nabla if j < end]
     if with_nabla:
@@ -473,26 +474,32 @@ def _bcast(x, k: int) -> np.ndarray:
     return np.asarray(x)[(...,) + (None,) * k]
 
 
-def _weyl_raw(A: np.ndarray) -> np.ndarray:
-    """Weyl tensor of the induced metric, from the shape operator alone.
+def _weyl_raw(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
+    """Weyl tensor of the induced metric, from the shape operator alone;
+    given B, its symmetric bilinear form W(A, B), so W(A, A) = W(A) and,
+    W being quadratic in A, nabla_m W = 2 W(A, nabla_m A) exactly.
 
-    Broadcasts over leading axes: A of shape (..., 4, 4) gives a
+    Broadcasts over leading axes: A and B of shape (..., 4, 4) give a
     (..., 4, 4, 4, 4) result. The ambient curvature c drops out of the
     Weyl part entirely, which is why it does not appear here. Generic in
     the dtype: only integer constants enter, so the exact certifier runs
     this same kernel on object arrays of rational polynomials.
     """
     A = np.asarray(A)
+    B = A if B is None else np.asarray(B)
     I = np.eye(A.shape[-1], dtype=A.dtype)
-    A2 = A @ A
-    H = np.trace(A, axis1=-2, axis2=-1)
-    S = np.einsum("...ij,...ij->...", A, A)
+    H, HB = np.trace(A, axis1=-2, axis2=-1), np.trace(B, axis1=-2, axis2=-1)
     # U o g = g o U exactly, in floats too: each component has at most two
     # nonzero terms, so their order cannot change the rounding.
-    W = _kn_raw(A, A) / 2
-    W -= _bcast(H / 2, 4) * _kn_raw(A, I)
-    W += _kn_raw(A2, I) / 2
-    W += _bcast((H * H - S) / 12, 4) * _kn_raw(I, I)
+    W = _kn_raw(A, B) / 2
+    if B is A:  # W(A, A), with A^2 and A o g formed once
+        W -= _bcast(H / 2, 4) * _kn_raw(A, I)
+        AB = A @ A
+    else:  # each product of two A's becomes their symmetrized product with B
+        W -= (_bcast(H, 4) * _kn_raw(B, I) + _bcast(HB, 4) * _kn_raw(A, I)) / 4
+        AB = (A @ B + B @ A) / 2
+    W += _kn_raw(AB, I) / 2
+    W += _bcast((H * HB - np.einsum("...ij,...ij->...", A, B)) / 12, 4) * _kn_raw(I, I)
     return W
 
 
@@ -639,7 +646,7 @@ def weyl_split_norms(A) -> tuple:
     if A.ndim < 2 or A.shape[-2:] != (4, 4):
         raise ValueError(f"A: expected shape (..., 4, 4), got {A.shape}")
     flat = A.reshape(-1, 4, 4)
-    _require_entries("A", flat, flat.swapaxes(1, 2), rule="shape operator must be symmetric")
+    _require_entries("A", flat, ((flat.swapaxes(1, 2), "shape operator must be symmetric"),))
     out = np.empty((3, len(flat)))
     for rows, W in _weyl_blocks(flat):
         Wp, Wm = _sd_split(W)
@@ -818,47 +825,36 @@ def bach_tensor(p: PointState, tol: float = EQUALITY_TOL) -> np.ndarray:
     return B[0]
 
 
-_DIV_PAIRS = tuple(zip(LAMBDA2_BASIS[:3], LAMBDA2_BASIS[3:]))
-
-
 def div_weyl_sd(p: PointState) -> list:
-    """Components of the divergence of W+ and W- in a principal frame.
+    """Components of the divergence of W+ and W-, in any orthonormal frame.
 
-    Requires nablaA and a diagonal shape operator (a state built from a
-    spectrum, or a matrix that is diagonal to working precision): A passes
-    the entry rule against its mirror diag(diag A) at EQUALITY_TOL, else a
-    ValueError. For each frame direction k and each basis pair (i, j) the
-    two values
-
-        (dW+-)_kij = 1/4 [ (l_i - l_j) A_kij +- (l_a - l_b) A_kab ]
-
-    are returned, where (a, b) is the complementary pair in the order
-    (1,2)|(3,4), (1,3)|(4,2), (1,4)|(2,3). Output entries are dicts with
-    1-based "indices" (k, i, j) and float "plus"/"minus" values, 12 in
-    total.
+    (dW+-)_kij = nabla_m (W+-)_mkij with nabla_m W = 2 W(A, nabla_m A), the
+    derivative of the Weyl kernel. In dimension four dW is the Cotton
+    tensor nabla_i P_jk - nabla_j P_ik, P the Schouten tensor, and dW+- its
+    self-dual and anti-self-dual parts in (i, j). Requires nablaA (or the
+    parallel flag) and A symmetric under the entry rule, else a ValueError.
+    Output entries are 12 dicts with 1-based "indices" (k, i, j), for each
+    direction k and pair (i, j) in (1,2), (1,3), (1,4), and float
+    "plus"/"minus" values; dW+ repeats them on the star images (3,4),
+    (4,2), (2,3), dW- negates them. Reversing the orientation swaps plus
+    and minus.
     """
     _require_four(p.n, "div_weyl_sd")
-    A = p.A
-    _require_entries("A", A[None], np.diag(np.diag(A))[None], rule="div_weyl_sd needs the "
-                     "shape operator in a principal frame (diagonal matrix)")
+    _require_entries("A", p.A[None], ((p.A.T[None], "shape operator must be symmetric"),))
     _require_derivatives(p, ("nablaA",), "div_weyl_sd")
     nabla = np.zeros((4, 4, 4)) if p.nablaA is None else p.nablaA
-    lam = np.diag(A)
-    out = []
-    for k in range(1, 5):
-        for (i, j), (a, b) in _DIV_PAIRS:
-            own = (lam[i - 1] - lam[j - 1]) * nabla[k - 1, i - 1, j - 1]
-            partner = (lam[a - 1] - lam[b - 1]) * nabla[k - 1, a - 1, b - 1]
-            out.append({
-                "indices": (k, i, j),
-                "plus": 0.25 * (own + partner),
-                "minus": 0.25 * (own - partner),
-            })
-    return out
+    # stack axis m holds nabla_m A = nablaA[..., m]
+    plus, minus = (np.einsum("mmkij->kij", T)
+                   for T in _sd_split(2 * _weyl_raw(p.A, np.moveaxis(nabla, 2, 0))))
+    return [{"indices": (k + 1, i, j), "plus": plus[k, i - 1, j - 1],
+             "minus": minus[k, i - 1, j - 1]} for k in range(4) for i, j in LAMBDA2_BASIS[:3]]
 
 
 def div_weyl_sd_norms(p: PointState) -> tuple:
-    """Sum of squares of the 12 listed (dW+)_kij and (dW-)_kij components."""
+    """Sums of squares of the 12 plus and of the 12 minus values of
+    div_weyl_sd: 1/4 of the full |dW+|^2 and |dW-|^2, as the rows hold one
+    of the two orders of three of the six pairs. Frame-independent;
+    reversing the orientation swaps the two."""
     comps = div_weyl_sd(p)
     plus = sum(e["plus"] ** 2 for e in comps)
     minus = sum(e["minus"] ** 2 for e in comps)

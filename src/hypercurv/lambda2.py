@@ -88,7 +88,7 @@ def _as_components(obj, shape, name, mirror=None, rule="must be symmetric"):
     arr = np.asarray(obj, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    _require_entries(name, arr[None], None if mirror is None else mirror(arr)[None], rule=rule,
+    _require_entries(name, arr[None], () if mirror is None else ((mirror(arr)[None], rule),),
                      cap=_CURVATURE_SCALE)
     return arr
 
@@ -128,12 +128,11 @@ class CurvTensor4:
         if arr.shape != (4, 4, 4, 4):
             raise ValueError(f"CurvTensor4 components must be 4x4x4x4, got {arr.shape}")
         if check:  # against each mirror -T_jikl, -T_ijlk, T_klij in turn
-            for mirror, rule in (
-                    (-arr.swapaxes(0, 1), "must be antisymmetric in its first index pair"),
-                    (-arr.swapaxes(2, 3), "must be antisymmetric in its last index pair"),
-                    (arr.transpose(2, 3, 0, 1), "must satisfy pair symmetry")):
-                _require_entries("curvature tensor", arr[None], mirror[None], tol, rule,
-                                 _CURVATURE_SCALE)
+            T = arr[None]
+            _require_entries("curvature tensor", T, (
+                (-T.swapaxes(1, 2), "must be antisymmetric in its first index pair"),
+                (-T.swapaxes(3, 4), "must be antisymmetric in its last index pair"),
+                (T.transpose(0, 3, 4, 1, 2), "must satisfy pair symmetry")), tol, _CURVATURE_SCALE)
         arr.setflags(write=False)
         self.components = arr
 

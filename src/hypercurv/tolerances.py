@@ -9,7 +9,7 @@ caller passes `default_tol()` or `default_cluster_tol()` as ``tol``.
 
 It also owns the entry rule of every tensor the package takes in,
 ``_entry_failure``: 1 + max|entry| is finite and at most its cap, then
-|x - mirror| <= tol * (1 + max|entry|) for the input's mirror, if any;
+|x - mirror| <= tol * (1 + max|entry|) for each of the input's mirrors;
 and the rule of JSON input, ``_json_numbers``: numbers only.
 """
 
@@ -70,20 +70,23 @@ _CAP_REASON = {_MAX_SCALE: "invariants of degree up to 6 in them would overflow"
                _CURVATURE_SCALE: f"the curvature of a state within {_MAX_SCALE:.0e} stays below it"}
 
 
-def _entry_failure(name: str, rows: np.ndarray, mirror=None, tol: float = EQUALITY_TOL,
-                   rule: str = "must be symmetric", cap: float = _MAX_SCALE):
+def _entry_failure(name: str, rows: np.ndarray, mirrors=(), tol: float = EQUALITY_TOL,
+                   cap: float = _MAX_SCALE):
     """(i, error) for the first row i of a stack of values of field ``name``
     that breaks the entry rule, else None: a row's scale 1 + max|entry| is
     finite and at most ``cap``, then max|row - mirror| is at most tol times
-    it, given a mirror. The error of a broken mirror states ``rule``."""
+    it for each (mirror, rule) of ``mirrors`` in turn. The error of a
+    broken mirror states its rule."""
     axes = tuple(range(1, rows.ndim))
     scale = 1.0 + np.abs(rows).max(axis=axes, initial=0.0)
     # the rows before the first one over the cap, whose skew cannot overflow
     end = len(rows) if scale.max(initial=0.0) <= cap else int(np.argmin(scale <= cap))
-    if mirror is not None:
-        skew = np.abs(rows[:end] - mirror[:end]).max(axis=axes, initial=0.0) > tol * scale[:end]
+    if mirrors:
+        skew = np.array([np.abs(rows[:end] - mirror[:end]).max(axis=axes, initial=0.0)
+                         for mirror, _ in mirrors]) > tol * scale[:end]
         if skew.any():
-            return int(skew.argmax()), ValueError(f"{name}: {rule}")
+            i = int(skew.any(axis=0).argmax())
+            return i, ValueError(f"{name}: {mirrors[int(skew[:, i].argmax())][1]}")
     if end < len(rows):
         return end, ValueError(f"{name}: entries " + (
             f"must not exceed {cap:.0e} in magnitude; {_CAP_REASON[cap]}"
@@ -91,10 +94,10 @@ def _entry_failure(name: str, rows: np.ndarray, mirror=None, tol: float = EQUALI
     return None
 
 
-def _require_entries(name: str, rows: np.ndarray, mirror=None, tol: float = EQUALITY_TOL,
-                     rule: str = "must be symmetric", cap: float = _MAX_SCALE) -> None:
+def _require_entries(name: str, rows: np.ndarray, mirrors=(), tol: float = EQUALITY_TOL,
+                     cap: float = _MAX_SCALE) -> None:
     """Raise the error of the first row that breaks the entry rule."""
-    failure = _entry_failure(name, rows, mirror, tol, rule, cap)
+    failure = _entry_failure(name, rows, mirrors, tol, cap)
     if failure is not None:
         raise failure[1]
 

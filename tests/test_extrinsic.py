@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from hypercurv import extrinsic, lambda2
 from hypercurv.lambda2 import _kn_raw
@@ -562,13 +564,162 @@ def test_div_weyl_norms_equal_when_diagonal_gradient_vanishes():
     assert np_ == pytest.approx(nm, rel=1e-12)
 
 
-def test_div_weyl_requires_diagonal_A():
+def _rotation(rng):
+    """A random rotation of R^4 (determinant +1)."""
+    Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    if np.linalg.det(Q) < 0:
+        Q[:, 3] = -Q[:, 3]
+    return Q
+
+
+def _rotated(A, nabla, Q):
+    """The state of shape operator A and gradient nabla, in the frame whose
+    a-th vector is sum_i Q_ia e_i."""
+    return extrinsic.PointState(A=Q.T @ A @ Q, c=1.0,
+                                nablaA=np.einsum("ia,jb,kc,ijk->abc", Q, Q, Q, nabla))
+
+
+def _random_gradient(rng, minimal):
+    """A totally symmetric nablaA, trace-free for a minimal state."""
+    nabla = extrinsic._symmetrize3(rng.normal(size=(4, 4, 4)))
+    if minimal:
+        # subtract the symmetrized g (x) v with the trace that cancels A_iik
+        v = np.einsum("iik->k", nabla) / 6.0
+        g = np.eye(4)
+        nabla -= (np.einsum("ij,k->ijk", g, v) + np.einsum("ik,j->ijk", g, v)
+                  + np.einsum("jk,i->ijk", g, v))
+    return nabla
+
+
+def _cotton_sd(p):
+    """(dW+, dW-) as (k, i, j) arrays from the Cotton form
+    dW_kij = nabla_i P_jk - nabla_j P_ik, P = (Ric - scal/6 g)/2 the Schouten
+    tensor, Ric = 3c g + H A - A^2, each split by _sd_split in (i, j)."""
+    A, dA = p.A, np.moveaxis(p.nablaA, 2, 0)
+    H, dH = np.trace(A), np.einsum("mii->m", dA)
+    dric = dH[:, None, None] * A + H * dA - (dA @ A + A @ dA)
+    dscal = 2 * H * dH - 2 * np.einsum("ij,mij->m", A, dA)
+    dP = (dric - dscal[:, None, None] / 6 * np.eye(4)) / 2
+    C = np.einsum("ijk->kij", dP) - np.einsum("jik->kij", dP)
+    return tuple(np.moveaxis(T[..., 0], 2, 0)
+                 for T in lambda2._sd_split(np.moveaxis(C, 0, 2)[..., None]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=hst.integers(0, 2 ** 32 - 1), minimal=hst.booleans(),
+       c=hst.sampled_from([-1.0, 0.0, 1.0]), a_scale=hst.sampled_from([1e-3, 1.0, 1e2]),
+       n_scale=hst.sampled_from([1e-6, 1.0, 1e3]))
+def test_div_weyl_sd_is_the_cotton_form_in_any_frame(seed, minimal, c, a_scale, n_scale):
+    rng = np.random.default_rng(seed)
+    A = _rand_sym(rng, scale=a_scale)
+    if minimal:
+        A -= np.trace(A) / 4 * np.eye(4)
+    nabla = n_scale * _random_gradient(rng, minimal)
+    p = extrinsic.PointState(A=A, c=c, nablaA=nabla)
+    assert p.minimal == minimal
+    plus, minus = _cotton_sd(p)
+    bound = 1e-12 * (1 + np.abs(A).max()) * (1 + np.abs(nabla).max())
+    rows = extrinsic.div_weyl_sd(p)
+    assert [r["indices"] for r in rows] == [(k, i, j) for k in range(1, 5)
+                                            for i, j in ((1, 2), (1, 3), (1, 4))]
+    for r in rows:
+        k, i, j = r["indices"]
+        assert abs(r["plus"] - plus[k - 1, i - 1, j - 1]) <= bound
+        assert abs(r["minus"] - minus[k - 1, i - 1, j - 1]) <= bound
+
+
+def test_div_weyl_sd_follows_the_gradient_of_S():
+    # minimal, nablaA trace-free, nabla_1 S = 2 (1 - 2) = -2: the rows that
+    # the principal-frame formula of a parallel-S state put at 1/4 and 0
+    nabla = np.zeros((4, 4, 4))
+    nabla[0, 0, 0] = 1.0
+    for p in [(0, 1, 1), (1, 0, 1), (1, 1, 0)]:
+        nabla[p] = -1.0
+    st = _state([1, 2, 3, -6], nablaA=nabla)
+    assert st.minimal
+    rows = {r["indices"]: r for r in extrinsic.div_weyl_sd(st)}
+    for part in ("plus", "minus"):
+        assert rows[(2, 1, 2)][part] == pytest.approx(1 / 6, rel=1e-12)
+        assert rows[(3, 1, 3)][part] == pytest.approx(-1 / 12, rel=1e-12)
+
+
+def test_div_weyl_sd_matches_the_principal_frame_formula_with_parallel_S():
+    # a minimal diagonal state whose nablaA has no A_iik entry (so nabla S
+    # = 0): dW+-_kij = 1/4 [(l_i - l_j) A_kij +- (l_a - l_b) A_kab]
+    rng = np.random.default_rng(35)
+    for _ in range(20):
+        lam = rng.normal(size=4)
+        lam -= lam.mean()
+        nabla = extrinsic._symmetrize3(rng.normal(size=(4, 4, 4)))
+        for i, k in itertools.product(range(4), repeat=2):
+            nabla[i, i, k] = nabla[i, k, i] = nabla[k, i, i] = 0.0
+        rows = extrinsic.div_weyl_sd(_state(lam, nablaA=nabla))
+        dual = dict(zip(lambda2.LAMBDA2_BASIS[:3], lambda2.LAMBDA2_BASIS[3:]))
+        for r in rows:
+            k, i, j = (x - 1 for x in r["indices"])
+            a, b = (x - 1 for x in dual[(i + 1, j + 1)])
+            own = (lam[i] - lam[j]) * nabla[k, i, j]
+            partner = (lam[a] - lam[b]) * nabla[k, a, b]
+            assert r["plus"] == pytest.approx((own + partner) / 4, abs=1e-14)
+            assert r["minus"] == pytest.approx((own - partner) / 4, abs=1e-14)
+
+
+def test_div_weyl_sd_norms_are_frame_invariant_and_swap_under_reflection():
+    rng = np.random.default_rng(36)
+    for minimal in (True, False):
+        A = _rand_sym(rng)
+        if minimal:
+            A -= np.trace(A) / 4 * np.eye(4)
+        nabla = _random_gradient(rng, minimal)
+        base = extrinsic.div_weyl_sd_norms(_rotated(A, nabla, np.eye(4)))
+        turned = extrinsic.div_weyl_sd_norms(_rotated(A, nabla, _rotation(rng)))
+        assert turned == pytest.approx(base, rel=1e-12)
+        flipped = extrinsic.div_weyl_sd_norms(_rotated(A, nabla, np.diag([1.0, 1, 1, -1])))
+        assert flipped == pytest.approx(base[::-1], rel=1e-12)
+        assert base[0] != pytest.approx(base[1], rel=1e-3)
+
+
+def test_div_weyl_sd_norms_are_a_quarter_of_the_full_norms():
+    rng = np.random.default_rng(37)
+    for minimal in (True, False):
+        A = _rand_sym(rng)
+        if minimal:
+            A -= np.trace(A) / 4 * np.eye(4)
+        p = extrinsic.PointState(A=A, c=0.0, nablaA=_random_gradient(rng, minimal))
+        full = [float(np.sum(T * T)) for T in _cotton_sd(p)]
+        assert extrinsic.div_weyl_sd_norms(p) == pytest.approx([f / 4 for f in full], rel=1e-12)
+
+
+def test_div_weyl_sd_any_frame_gives_the_rotated_norms():
+    # a state in a general frame is an input like a principal one: the
+    # rotated state gives the norms of its principal frame
     rng = np.random.default_rng(32)
-    A = _rand_sym(rng)
-    A -= np.trace(A) / 4 * np.eye(4)
-    st = extrinsic.PointState(A=A, c=1.0, parallel=True)
-    with pytest.raises(ValueError):
-        extrinsic.div_weyl_sd(st)
+    lam = rng.normal(size=4)
+    lam -= lam.mean()
+    nabla = _random_gradient(rng, minimal=True)
+    Q = _rotation(rng)
+    principal = extrinsic.div_weyl_sd_norms(_state(lam, nablaA=nabla))
+    general = _rotated(np.diag(lam), nabla, Q)
+    assert np.abs(general.A - np.diag(np.diag(general.A))).max() > 0.1
+    assert extrinsic.div_weyl_sd_norms(general) == pytest.approx(principal, rel=1e-12)
+
+
+def test_weyl_kernel_polarization():
+    # W(A, A) is W(A) bit for bit; W(A, B) is symmetric to rounding, and a
+    # stack of B's broadcasts against one A
+    rng = np.random.default_rng(38)
+    A = _rand_sym(rng, scale=3.0)
+    B = np.array([_rand_sym(rng) for _ in range(4)])
+    W = extrinsic._weyl_raw(A)
+    assert np.array_equal(extrinsic._weyl_raw(A, A).view(np.uint64), W.view(np.uint64))
+    AB = extrinsic._weyl_raw(A, B)
+    assert AB.shape == (4, 4, 4, 4, 4)
+    for m in range(4):
+        BA = extrinsic._weyl_raw(B[m], A)
+        assert np.abs(AB[m] - BA).max() <= 1e-15 * np.abs(A).max() * np.abs(B[m]).max() * 64
+        assert np.array_equal(AB[m], extrinsic._weyl_raw(A, B[m]))
+    assert np.allclose((extrinsic._weyl_raw(A + B[0]) - extrinsic._weyl_raw(A - B[0])) / 4,
+                       AB[0], rtol=0, atol=1e-13)
 
 
 def test_div_weyl_parallel_gives_zero_rows():

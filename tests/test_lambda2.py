@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercurv import extrinsic, lambda2
+from hypercurv import extrinsic, lambda2, tolerances
 
 ATOL = 1e-12
 
@@ -337,7 +337,7 @@ _ENTRY_POINTS = {
     "from_json": (_json_call, None, (0, 1, 0, 1), None),
     "div_weyl_sd": (lambda A: extrinsic.div_weyl_sd(_state(A)),
                     lambda rng: np.diag(rng.normal(size=4)), (0, 1),
-                    "A: div_weyl_sd needs the shape operator in a principal frame"),
+                    "A: shape operator must be symmetric"),
     # contractions check no symmetry: a star need not keep pair symmetry
     "inner T1": (lambda T: lambda2.inner(T, np.ones((4, 4, 4, 4))), None, (0, 1, 0, 1), None),
     "inner T2": (lambda T: lambda2.inner(np.ones((4, 4, 4, 4)), T), None, (0, 1, 0, 1), None),
@@ -435,17 +435,49 @@ def test_curvature_check_names_the_broken_symmetry(entries, rule):
         lambda2.CurvTensor4(T)
 
 
-@pytest.mark.parametrize("factor, passes", [(0.9, True), (1.1, False)])
-def test_div_weyl_sd_principal_frame_boundary(factor, passes):
-    # off-diagonal entries up to tol (1 + max|A|) count as a principal frame
+def test_entry_rule_reports_the_first_row_then_its_first_broken_mirror():
+    # one scale and cap test, then the mirrors in the order given: a
+    # tensor over the cap or non-finite reports that before any symmetry
+    T = np.zeros((4, 4, 4, 4))
+    T[0, 1, 2, 3] = 1.0  # breaks all three mirrors of CurvTensor4
+    with pytest.raises(ValueError, match="must be antisymmetric in its first index pair$"):
+        lambda2.CurvTensor4(T)
+    T[1, 0, 2, 3] = -1.0  # now the last pair first
+    with pytest.raises(ValueError, match="must be antisymmetric in its last index pair$"):
+        lambda2.CurvTensor4(T)
+    T[3, 3, 3, 3] = np.nan
+    with pytest.raises(ValueError, match="entries must be finite numbers$"):
+        lambda2.CurvTensor4(T)
+    # in a stack the earliest failing row wins, then its first broken mirror
+    rows = np.zeros((4, 2, 2))
+    rows[1, 0, 0] = 1.0  # breaks the second mirror only
+    rows[2, 0, 1] = 1.0  # breaks both
+    rows[3, 0, 0] = np.inf
+    mirrors = ((rows.swapaxes(1, 2), "first"), (np.zeros_like(rows), "second"))
+    for at, order, expect in [(slice(None), mirrors, (1, "x: second")),
+                              ([0, 2], mirrors, (1, "x: first")),
+                              ([0, 2], mirrors[::-1], (1, "x: second")),
+                              ([0, 3], mirrors, (1, "x: entries must be finite numbers"))]:
+        index, error = tolerances._entry_failure(
+            "x", rows[at], tuple((m[at], rule) for m, rule in order))
+        assert (index, str(error)) == expect
+
+
+@pytest.mark.parametrize("factor", [0.9, 1.1])
+def test_div_weyl_sd_near_diagonal_rows_are_continuous(factor):
+    # off-diagonal entries on either side of tol (1 + max|A|) are a frame
+    # like any other: the rows move by O(tol) from those of the diagonal state
     A = np.diag([1.0, 2.0, -1.0, -2.0])
+    nabla = np.zeros((4, 4, 4))
+    for p in itertools.permutations((0, 1, 2)):
+        nabla[p] = 1.0
+    diagonal = extrinsic.div_weyl_sd(extrinsic.PointState(A=A, c=1.0, nablaA=nabla))
     A[0, 1] = A[1, 0] = factor * lambda2.EQUALITY_TOL * (1.0 + 2.0)
-    st = extrinsic.PointState(A=A, c=1.0, parallel=True)
-    if passes:
-        assert len(extrinsic.div_weyl_sd(st)) == 12
-    else:
-        with pytest.raises(ValueError, match="principal frame"):
-            extrinsic.div_weyl_sd(st)
+    rows = extrinsic.div_weyl_sd(extrinsic.PointState(A=A, c=1.0, nablaA=nabla))
+    assert [r["indices"] for r in rows] == [r["indices"] for r in diagonal]
+    for r, d in zip(rows, diagonal):
+        for part in ("plus", "minus"):
+            assert abs(r[part] - d[part]) <= 10 * lambda2.EQUALITY_TOL
 
 
 # --------------------------------------------- one Lambda^2 index table
