@@ -491,14 +491,13 @@ def _weyl_raw(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     H, HB = np.trace(A, axis1=-2, axis2=-1), np.trace(B, axis1=-2, axis2=-1)
     # U o g = g o U exactly, in floats too: each component has at most two
     # nonzero terms, so their order cannot change the rounding.
+    # Each product of two A's in W(A) becomes its symmetrized product with B.
+    # For B = A the terms are those of 1/2 A o A - H/2 A o g + 1/2 A^2 o g
+    # + (H^2 - |A|^2)/12 g o g bit for bit, barring subnormals: a sum of two
+    # equal terms and a division by a power of two are exact.
     W = _kn_raw(A, B) / 2
-    if B is A:  # W(A, A), with A^2 and A o g formed once
-        W -= _bcast(H / 2, 4) * _kn_raw(A, I)
-        AB = A @ A
-    else:  # each product of two A's becomes their symmetrized product with B
-        W -= (_bcast(H, 4) * _kn_raw(B, I) + _bcast(HB, 4) * _kn_raw(A, I)) / 4
-        AB = (A @ B + B @ A) / 2
-    W += _kn_raw(AB, I) / 2
+    W -= (_bcast(H, 4) * _kn_raw(B, I) + _bcast(HB, 4) * _kn_raw(A, I)) / 4
+    W += _kn_raw((A @ B + B @ A) / 2, I) / 2
     W += _bcast((H * HB - np.einsum("...ij,...ij->...", A, B)) / 12, 4) * _kn_raw(I, I)
     return W
 

@@ -463,23 +463,6 @@ def test_entry_rule_reports_the_first_row_then_its_first_broken_mirror():
         assert (index, str(error)) == expect
 
 
-@pytest.mark.parametrize("factor", [0.9, 1.1])
-def test_div_weyl_sd_near_diagonal_rows_are_continuous(factor):
-    # off-diagonal entries on either side of tol (1 + max|A|) are a frame
-    # like any other: the rows move by O(tol) from those of the diagonal state
-    A = np.diag([1.0, 2.0, -1.0, -2.0])
-    nabla = np.zeros((4, 4, 4))
-    for p in itertools.permutations((0, 1, 2)):
-        nabla[p] = 1.0
-    diagonal = extrinsic.div_weyl_sd(extrinsic.PointState(A=A, c=1.0, nablaA=nabla))
-    A[0, 1] = A[1, 0] = factor * lambda2.EQUALITY_TOL * (1.0 + 2.0)
-    rows = extrinsic.div_weyl_sd(extrinsic.PointState(A=A, c=1.0, nablaA=nabla))
-    assert [r["indices"] for r in rows] == [r["indices"] for r in diagonal]
-    for r, d in zip(rows, diagonal):
-        for part in ("plus", "minus"):
-            assert abs(r[part] - d[part]) <= 10 * lambda2.EQUALITY_TOL
-
-
 # --------------------------------------------- one Lambda^2 index table
 
 # The per-entry loops the index arrays replaced, kept as the reference.
