@@ -197,7 +197,7 @@ def weyl_threshold_report(g: GlobalData, tol: float = CLUSTER_TOL) -> dict:
     out = {}
     out["weyl_c0_strict"] = _entry(
         None if g.c == 0.0 else f"requires c = 0, data has c = {g.c:g}",
-        256.0 / 9.0 * math.pi ** 2 * g.chi if g.chi is not None else None,
+        256.0 / 9.0 * math.pi ** 2 * g.chi,
         g.weylL2, tol)
 
     violated = None

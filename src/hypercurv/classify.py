@@ -158,23 +158,13 @@ def principal_multiplicities(lam, tol: float = CLUSTER_TOL):
     return len(partition), partition
 
 
-def weyl_operator_spectrum(lam, H: float | None = None, S: float | None = None,
-                           tol: float = CLUSTER_TOL):
+def weyl_operator_spectrum(lam, tol: float = CLUSTER_TOL):
     """Distinct-eigenvalue count w and eigenvalues of the SD Weyl operator.
 
-    H and S are accepted for interface symmetry but recomputed from the
-    spectrum; a materially inconsistent pair is an input error. Returns
-    (w, eigenvalues sorted descending). The eigenvalues sum to zero.
+    Returns (w, eigenvalues sorted descending). The eigenvalues sum to zero.
     """
     A = _operators(lam, 4)
-    lams, powers = _spectra(A), _quartic_powers(A)
-    scale = 1.0 + np.abs(lams).max()
-    lam_H, lam_S = float(powers[0][0]), float(powers[1][0])
-    if H is not None and abs(H - lam_H) > 1e-8 * scale:
-        raise ValueError(f"H = {H} inconsistent with the spectrum (sum {lam_H})")
-    if S is not None and abs(S - lam_S) > 1e-8 * scale * scale:
-        raise ValueError(f"S = {S} inconsistent with the spectrum")
-    _, v, w, _ = _classify(lams, powers, tol)
+    _, v, w, _ = _classify(_spectra(A), _quartic_powers(A), tol)
     return int(w[0]), v[0]
 
 

@@ -19,12 +19,13 @@ The ordered Lambda^2 basis used for 6x6 operator matrices is
 
     e1^e2, e1^e3, e1^e4, e3^e4, e4^e2, e2^e3
 
-so that the star swaps the first and last three basis elements.
+so that the star swaps the first and last three basis elements: a pair
+(i, j) with image (a, b) has (*T)_ij.. = (T_ab.. - T_ba..)/2. The code reads
+(a, b) off this order; mu is data derived from it.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 
 import numpy as np
@@ -53,27 +54,19 @@ _I, _J = np.array(LAMBDA2_BASIS).T - 1
 # The 6x6 upper triangle, row-major: the order of the JSON entries.
 _UPPER = np.triu_indices(6)
 
+# The star over flat pairs 4i + j: pair p maps to pair p + 3, so at 4i + j
+# the star reads + at _STAR_PLUS and - at _STAR_MINUS, and the reversed pair
+# reads them swapped. A diagonal pair reads entry 0 in both, so its row is 0.
+_IJ, _JI = 4 * _I + _J, 4 * _J + _I
+_STAR_PLUS, _STAR_MINUS = np.zeros((2, 16), dtype=int)
+_STAR_PLUS[_IJ] = _STAR_MINUS[_JI] = np.roll(_IJ, 3)
+_STAR_MINUS[_IJ] = _STAR_PLUS[_JI] = np.roll(_JI, 3)
 
-def _build_epsilon4() -> np.ndarray:
-    eps = np.zeros((4, 4, 4, 4))
-    for perm in itertools.permutations(range(4)):
-        sign = 1
-        p = list(perm)
-        for a in range(4):
-            for b in range(a + 1, 4):
-                if p[a] > p[b]:
-                    sign = -sign
-        eps[perm] = sign
-    return eps
-
-
-_EPS4 = _build_epsilon4()
+# mu_ijrs: +1 where 4r + s is _STAR_PLUS at 4i + j, -1 where it is _STAR_MINUS.
+_FLAT = np.arange(16).reshape(4, 4)
+_EPS4 = np.subtract(_STAR_PLUS.reshape(4, 4, 1, 1) == _FLAT,
+                    _STAR_MINUS.reshape(4, 4, 1, 1) == _FLAT, dtype=float)
 _EPS4.setflags(write=False)
-
-# Rotation from the pair basis onto the SD/ASD eigenbasis: the first three
-# rotated vectors span the +1 eigenspace, the last three the -1 eigenspace.
-_P_SD = np.block([[np.eye(3), np.eye(3)], [np.eye(3), -np.eye(3)]]) / np.sqrt(2.0)
-_P_SD.setflags(write=False)
 
 
 def levi_civita_tensor() -> np.ndarray:
@@ -103,7 +96,7 @@ def hodge_star(omega) -> np.ndarray:
     four).
     """
     arr = _as_components(omega, (4, 4), "two-form", lambda w: -w.T, "must be antisymmetric")
-    return 0.5 * np.einsum("ijkl,kl->ij", _EPS4, arr)
+    return (arr.take(_STAR_PLUS) - arr.take(_STAR_MINUS)).reshape(4, 4) / 2
 
 
 class CurvTensor4:
@@ -193,10 +186,12 @@ def _tensor(T, tol: float) -> CurvTensor4:
 
 
 def _star4(arr: np.ndarray) -> np.ndarray:
-    # Left star on the first pair; broadcasts over leading axes. Generic in
-    # the dtype (the exact certifier runs it on polynomial object arrays);
-    # _EPS4 stays float because an integer symbol doubles the float cost.
-    return np.einsum("ijrs,...rskl->...ijkl", _EPS4, arr) / 2
+    # Left star on the first pair; broadcasts over leading axes and keeps
+    # broadcast trailing ones. It only subtracts and halves, so it is exact
+    # in any dtype (the certifier runs it on polynomial object arrays), and
+    # returns a C-contiguous array, so later contractions sum in one order.
+    flat = arr.reshape(arr.shape[:-4] + (16,) + arr.shape[-2:])
+    return ((flat.take(_STAR_PLUS, -3) - flat.take(_STAR_MINUS, -3)) / 2).reshape(arr.shape)
 
 
 def star_weyl(T, tol: float = EQUALITY_TOL) -> CurvTensor4:
@@ -210,22 +205,16 @@ def star_weyl(T, tol: float = EQUALITY_TOL) -> CurvTensor4:
     return CurvTensor4(_star4(_tensor(T, tol).components), check=False)
 
 
-def _swap_pairs(T: np.ndarray) -> np.ndarray:
-    """T_jilk: swaps i with j and k with l."""
-    return T.swapaxes(-4, -3).swapaxes(-2, -1)
-
-
 def _kn_raw(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     # (U o V)_ijkl = U_ik V_jl + U_jl V_ik - U_il V_jk - U_jk V_il,
     # broadcasting over leading axes of U and V; generic in the dtype.
-    # With P = U_ik V_jl and Q = U_il V_jk the four terms are P, P_jilk, Q
-    # and Q_jilk, summed in this order.
+    # With P = U_ik V_jl the four terms are P, P_jilk, P_ijlk and P_jikl,
+    # summed in this order.
     U, V = np.asarray(U), np.asarray(V)
     P = U[..., :, None, :, None] * V[..., None, :, None, :]
-    Q = U[..., :, None, None, :] * V[..., None, :, :, None]
-    out = P + _swap_pairs(P)
-    out -= Q
-    out -= _swap_pairs(Q)
+    out = P + P.swapaxes(-4, -3).swapaxes(-2, -1)
+    out -= P.swapaxes(-2, -1)
+    out -= P.swapaxes(-4, -3)
     if out.dtype.kind == "f":
         # A zero product with a negative factor is -0.0; adding +0.0 turns
         # every zero into +0.0, matching the einsum reference in the tests
@@ -284,19 +273,19 @@ def sd_asd_split(T, tol: float = EQUALITY_TOL):
 def lambda2_spectrum(T, part: str = "plus", tol: float = EQUALITY_TOL) -> np.ndarray:
     """Eigenvalues of the self-dual or anti-self-dual 3x3 operator block.
 
-    ``part`` selects "plus" or "minus". The tensor's 6x6 operator is
-    rotated onto the SD/ASD eigenbasis and the requested diagonal block is
-    diagonalized. Passing a full trace-free tensor or its already-split
-    part gives the same block. Returns the three eigenvalues sorted in
-    descending order; for a trace-free operator they sum to zero.
+    ``part`` selects "plus" or "minus". The star swaps the two basis
+    triples, so with B11, B12, B21, B22 the 3x3 blocks of the tensor's 6x6
+    operator the block is (B11 + B22 +- (B12 + B21))/2, and eigvalsh reads
+    one triangle of it. Passing a full trace-free tensor or its
+    already-split part gives the same block. Returns the three eigenvalues
+    sorted in descending order; for a trace-free operator they sum to zero.
     """
     if part not in ("plus", "minus"):
         raise ValueError(f"part must be 'plus' or 'minus', got {part!r}")
-    rot = _P_SD @ _tensor(T, tol).operator6() @ _P_SD.T
-    block = rot[:3, :3] if part == "plus" else rot[3:, 3:]
-    block = 0.5 * (block + block.T)
-    eig = np.linalg.eigvalsh(block)
-    return eig[::-1].copy()
+    op = _tensor(T, tol).operator6()
+    cross = op[:3, 3:] + op[3:, :3]
+    block = (op[:3, :3] + op[3:, 3:] + (cross if part == "plus" else -cross)) / 2
+    return np.linalg.eigvalsh(block)[::-1].copy()
 
 
 def _operands(*tensors) -> list:

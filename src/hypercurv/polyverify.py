@@ -79,10 +79,10 @@ _ZEROS: dict = {}
 
 
 def _exact(x):
-    # An int stays an int and an integer-valued float becomes one (the float
-    # Levi-Civita entries of the shipped star kernel); any other float means
-    # a kernel left the rationals, so it raises instead of certifying an
-    # approximation.
+    # An int stays an int and an integer-valued float becomes one, so a
+    # polynomial may meet a float array of integers such as np.eye(4); any
+    # other float means a kernel left the rationals, so it raises instead of
+    # certifying an approximation.
     if isinstance(x, (int, Fraction)):
         return x
     if isinstance(x, float) and x.is_integer():

@@ -61,15 +61,6 @@ def test_weyl_operator_spectrum_matches_lambda2_block():
                                    atol=1e-9 * (1.0 + np.abs(vals).max()))
 
 
-def test_weyl_operator_spectrum_rejects_inconsistent_hs():
-    with pytest.raises(ValueError):
-        classify.weyl_operator_spectrum([1.0, 1.0, -1.0, -1.0], H=3.0)
-    with pytest.raises(ValueError):
-        classify.weyl_operator_spectrum([1.0, 1.0, -1.0, -1.0], S=17.0)
-    # consistent values pass
-    classify.weyl_operator_spectrum([1.0, 1.0, -1.0, -1.0], H=0.0, S=4.0)
-
-
 def test_pairing_difference_products():
     # v_i - v_j factor into products of principal curvature differences;
     # this is the mechanism behind the multiplicity dictionary

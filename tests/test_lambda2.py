@@ -41,13 +41,29 @@ def _basis(i, j):
     return w
 
 
+def _parity_mu():
+    # the Levi-Civita symbol by permutation parity: the reference mu
+    eps = np.zeros((4, 4, 4, 4))
+    for perm in itertools.permutations(range(4)):
+        sign = 1
+        for a in range(4):
+            for b in range(a + 1, 4):
+                if perm[a] > perm[b]:
+                    sign = -sign
+        eps[perm] = sign
+    return eps
+
+
 def test_levi_civita_values():
     eps = lambda2.levi_civita_tensor()
     assert eps[0, 1, 2, 3] == 1
     assert eps[1, 0, 2, 3] == -1
     assert eps[0, 0, 2, 3] == 0
     assert eps[3, 2, 1, 0] == 1
+    assert eps.dtype == float and np.array_equal(eps, _parity_mu())
+    # read-only down to its base array
     assert not eps.flags.writeable
+    assert eps.base is None or not eps.base.flags.writeable
 
 
 def test_levi_civita_tensor_contractions():
@@ -558,3 +574,117 @@ def test_sd_split_is_the_half_sum_on_polynomials():
     # a float half would leave the rationals
     with pytest.raises(TypeError, match="rational coefficient expected"):
         0.5 * W[0, 1, 0, 1]
+
+
+# ---------------------------------------------- one star index table
+
+def _star_einsum(T):
+    return np.einsum("ijrs,...rskl->...ijkl", _parity_mu(), T) / 2
+
+
+# the rotation of the pair basis onto the SD/ASD eigenbasis: the reference
+# for the blocks of lambda2_spectrum
+_P_SD = np.block([[np.eye(3), np.eye(3)], [np.eye(3), -np.eye(3)]]) / np.sqrt(2.0)
+
+
+def _weyl_operands(rng):
+    M = rng.normal(size=(750, 4, 4))
+    A = M + M.transpose(0, 2, 1)
+    diagonal = np.zeros_like(A)
+    diagonal[:, range(4), range(4)] = rng.normal(size=(750, 4))
+    negative = A - (np.abs(np.trace(A, axis1=1, axis2=2)) + 1.0)[:, None, None] * np.eye(4)
+    zero_row = A.copy()
+    zero_row[:, 2, :] = zero_row[:, :, 2] = 0.0
+    return {"random": A, "diagonal": diagonal, "negative trace": negative, "zero row": zero_row}
+
+
+def test_star4_is_the_parity_einsum_bit_for_bit_on_weyl_tensors():
+    for name, A in _weyl_operands(np.random.default_rng(50)).items():
+        W = extrinsic._weyl_raw(A)
+        got = lambda2._star4(W)
+        assert got.flags.c_contiguous, name
+        assert got.shape == W.shape
+        assert np.array_equal(_bits(got), _bits(_star_einsum(W))), name
+
+
+def test_star4_agrees_with_the_einsum_up_to_the_sign_of_zero_on_any_tensor():
+    # the gather computes T_ab - T_ba, the einsum a sum of sixteen products:
+    # where T_ab = -0 and T_ba = +0 the gather keeps -0, the einsum gives +0
+    rng = np.random.default_rng(51)
+    T = rng.normal(size=(50, 4, 4, 4, 4))
+    T[rng.random(T.shape) < 0.3] = 0.0
+    T[rng.random(T.shape) < 0.3] = -0.0
+    got, ref = lambda2._star4(T), _star_einsum(T)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, ref)
+    differ = _bits(got) != _bits(ref)
+    assert differ.any() and (got[differ] == 0).all()
+    # broadcast trailing axes stay: the Cotton oracle passes (4, 4, 4, 1)
+    T1 = T[0, ..., :1]
+    assert np.array_equal(lambda2._star4(T1), _star_einsum(T1))
+
+
+def test_hodge_star_is_the_parity_einsum_bit_for_bit():
+    rng = np.random.default_rng(52)
+    zeros = 0
+    for _ in range(200):
+        M = rng.normal(size=(4, 4)) * rng.choice([1e-3, 1.0, 1e3])
+        M[rng.random((4, 4)) < 0.4] = 0.0
+        omega = M - M.T
+        zeros += np.count_nonzero(omega == 0) - 4
+        assert np.array_equal(_bits(lambda2.hodge_star(omega)),
+                              _bits(0.5 * np.einsum("ijkl,kl->ij", _parity_mu(), omega)))
+    assert zeros > 0
+
+
+def test_star_stays_in_the_fractions():
+    # the float symbol made an exact Weyl tensor float
+    A = np.array([[Fraction(i + j + 1, 1 + i * j) for j in range(4)] for i in range(4)],
+                 dtype=object)
+    W = extrinsic._weyl_raw(A + A.T)
+    star = lambda2._star4(W)
+    assert all(type(x) is Fraction for x in star.flat)
+    for half in lambda2._sd_split(W):
+        assert all(type(x) is Fraction for x in half.flat)
+    assert np.array_equal(star.astype(float), _star_einsum(W.astype(float)))
+
+
+def test_star4_is_the_parity_einsum_on_polynomials():
+    from hypercurv import polyverify
+
+    W = polyverify._weyl4(polyverify._lam_vars(4, 4))
+    star, ref = lambda2._star4(W), _star_einsum(W)
+    assert star.shape == ref.shape
+    assert all(s == r for s, r in zip(star.flat, ref.flat))
+
+
+def _weyl_family(rng, n):
+    # n hypersurface Weyl tensors, whose SD and ASD spectra agree, then n
+    # with SD and ASD blocks drawn apart: trace-free symmetric 3x3 each
+    M = rng.normal(size=(n, 4, 4)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1, 1))
+    yield from extrinsic._weyl_raw(M + M.transpose(0, 2, 1))
+    blocks = rng.normal(size=(n, 2, 3, 3)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1, 1, 1))
+    blocks = blocks + blocks.swapaxes(-2, -1)
+    blocks -= np.trace(blocks, axis1=-2, axis2=-1)[..., None, None] * np.eye(3) / 3
+    D = np.zeros((n, 6, 6))
+    D[:, :3, :3], D[:, 3:, 3:] = blocks[:, 0], blocks[:, 1]
+    op = _P_SD.T @ D @ _P_SD
+    for o in (op + op.swapaxes(-2, -1)) / 2:
+        yield lambda2.CurvTensor4.from_operator6(o).components
+
+
+def test_lambda2_spectrum_is_the_rotated_block():
+    # the half sums of the 3x3 blocks against the irrational rotation
+    worst, apart = 0.0, 0
+    for W in _weyl_family(np.random.default_rng(53), 1000):
+        T = lambda2.CurvTensor4(W, check=False)
+        rot = _P_SD @ T.operator6() @ _P_SD.T
+        spectra = []
+        for part, block in (("plus", rot[:3, :3]), ("minus", rot[3:, 3:])):
+            ref = np.linalg.eigvalsh(0.5 * (block + block.T))[::-1]
+            got = lambda2.lambda2_spectrum(T, part)
+            worst = max(worst, np.abs(got - ref).max() / (1.0 + np.abs(ref).max()))
+            spectra.append(got)
+        apart += not np.allclose(*spectra)
+    assert worst <= 4e-15
+    assert apart >= 900
