@@ -161,23 +161,11 @@ def principal_multiplicities(lam, tol: float = CLUSTER_TOL):
 def weyl_operator_spectrum(lam, tol: float = CLUSTER_TOL):
     """Distinct-eigenvalue count w and eigenvalues of the SD Weyl operator.
 
-    Returns (w, eigenvalues sorted descending). The eigenvalues sum to zero.
+    Returns (w, eigenvalues sorted descending), those of
+    ``spectrum_report(lam, tol)``. The eigenvalues sum to zero.
     """
-    A = _operators(lam, 4)
-    _, v, w, _ = _classify(_spectra(A), _quartic_powers(A), tol)
-    return int(w[0]), v[0]
-
-
-def _flags(lams: np.ndarray, codes: np.ndarray, powers: tuple, tol: float) -> list:
-    """Structure flags of each row of (N, 4) spectra from its code and
-    _quartic_powers; the Einstein test reads the Ric_0 eigenvalues
-    H l - l^2 - (H^2 - S)/4."""
-    H, S = (p[:, None] for p in powers[:2])
-    ric_tf = H * lams - lams * lams - (H * H - S) / 4.0
-    einstein = np.abs(ric_tf).max(axis=1) <= tol * (1.0 + S[:, 0])
-    return [{"lcf": lcf, "einstein": is_einstein, "twoTwoSplit": _PARTITIONS[code] == (2, 2)}
-            for lcf, is_einstein, code in zip(
-                (_DICTIONARY_W[codes] == 1).tolist(), einstein.tolist(), codes.tolist())]
+    report = spectrum_report(lam, tol)
+    return report.w, np.array(report.weyl_eigen)
 
 
 def structure_predicates(lam, tol: float = CLUSTER_TOL) -> dict:
@@ -188,11 +176,10 @@ def structure_predicates(lam, tol: float = CLUSTER_TOL) -> dict:
     einstein: the trace-free Ricci tensor vanishes; for a minimal state
     this happens exactly for the (l, l, -l, -l) spectra and A = 0.
     twoTwoSplit: the multiplicity partition is (2, 2).
+
+    These are the flags of ``spectrum_report(lam, tol)``.
     """
-    A = _operators(lam, 4)
-    lams = _spectra(A)
-    cuts, _, _ = _lambda_cuts(lams, tol)
-    return _flags(lams, cuts @ _CUT_INDEX, _quartic_powers(A), tol)[0]
+    return spectrum_report(lam, tol).flags
 
 
 @dataclass(frozen=True)
@@ -271,17 +258,23 @@ class SpectrumReport:
 def _spectrum_reports(A: np.ndarray, powers: tuple, minimal, tol: float) -> list:
     """SpectrumReport of each of the validated (N, 4, 4) operators A, given
     their _quartic_powers, from one _classify pass; row i gets margins when
-    minimal[i] is true."""
+    minimal[i] is true. The Einstein flag reads the Ric_0 eigenvalues
+    H l - l^2 - (H^2 - S)/4."""
     lams = _spectra(A)
     codes, v, w, indeterminate = _classify(lams, powers, tol)
+    H, S = (p[:, None] for p in powers[:2])
+    ric_tf = H * lams - lams * lams - (H * H - S) / 4.0
+    einstein = np.abs(ric_tf).max(axis=1) <= tol * (1.0 + S[:, 0])
     sharp = iter(_sharp([p[np.array(minimal, dtype=bool)] for p in powers], 4, EQUALITY_TOL))
     return [SpectrumReport(m=len(_PARTITIONS[code]), partition=_PARTITIONS[code], w=w_row,
-                           weyl_eigen=tuple(v_row), flags=flags,
+                           weyl_eigen=tuple(v_row),
+                           flags={"lcf": lcf, "einstein": is_einstein,
+                                  "twoTwoSplit": _PARTITIONS[code] == (2, 2)},
                            margins=next(sharp).margins if trace_free else {},
                            indeterminate=unsure)
-            for code, v_row, w_row, flags, unsure, trace_free in zip(
-                codes.tolist(), v.tolist(), w.tolist(), _flags(lams, codes, powers, tol),
-                indeterminate.tolist(), minimal)]
+            for code, v_row, w_row, lcf, is_einstein, unsure, trace_free in zip(
+                codes.tolist(), v.tolist(), w.tolist(), (_DICTIONARY_W[codes] == 1).tolist(),
+                einstein.tolist(), indeterminate.tolist(), minimal)]
 
 
 def spectrum_report(state, tol: float = CLUSTER_TOL) -> SpectrumReport:

@@ -19,12 +19,13 @@ right-hand sides are the shipped closed-form kernels that
 ``closed_form_norms`` and ``cgb_integrand`` evaluate in floating point:
 power sums, |W+-|^2, |W|^2, |Ric0|^2, the Chern-Gauss-Bonnet integrand,
 the Fialkow tensor and the general-n minimal |W|^2. All are looked up at
-each ``verify_all``/``verify_identity`` call, so a defect in the code
-that ``hypercurv point`` runs fails certification, and a float constant
-that is not an integer raises TypeError instead of certifying an
-approximation. Within one call, W and W+- are built once, kept read-only
-and shared by the records that contract them; nothing is kept between
-calls.
+each ``verify_all``/``verify_identity``/``assemble_symbolic`` call, so a
+defect in the code that ``hypercurv point`` runs fails certification, and
+a float constant that is not an integer raises TypeError instead of
+certifying an approximation. Each quantity of diag(l1..l4) that the
+registry and the recipes share (the power sums, the closed forms, W, W+-
+and their contractions) is named once, in ``_SYMBOLS``, and computed at
+most once per call, kept read-only; nothing is kept between calls.
 
 The diagonal-A reduction is the only analytic step taken on faith here,
 and it is spot-checked in floating point against non-diagonal shape
@@ -377,19 +378,14 @@ def _lam_vars(n: int, nv: int):
     return [RationalPoly.variable(i, nv) for i in range(n)]
 
 
-def _diag_powers(lams):
-    """Shipped power sums (H, S, A2sq, trA3, trA5, trA6) of diag(lams)."""
-    return extrinsic._trace_powers(_diag(lams))
-
-
-# Inside a ``_sharing()`` block, the Weyl tensors built so far, keyed by
-# (builder, lams); None outside one.
+# Inside a ``_sharing()`` block, the named quantities computed so far; None
+# outside one.
 _SHARED: contextvars.ContextVar = contextvars.ContextVar("_SHARED", default=None)
 
 
 @contextlib.contextmanager
 def _sharing():
-    """Build each Weyl tensor once inside the block; nothing outlives it."""
+    """Compute each named quantity once inside the block; nothing outlives it."""
     token = _SHARED.set({})
     try:
         yield
@@ -397,41 +393,48 @@ def _sharing():
         _SHARED.reset(token)
 
 
-def _shared(build, lams):
-    """``build(lams)``, built once per ``_sharing()`` block and stored read-only."""
+def _symbol(name: str):
+    """The quantity ``name`` of diag(l1..l4), computed by ``_SYMBOLS[name]``:
+    once per ``_sharing()`` block and stored read-only, afresh outside one."""
     memo = _SHARED.get()
     if memo is None:
-        return build(lams)
-    key = (build, tuple(lams))
-    if key not in memo:
-        value = build(lams)
+        return _SYMBOLS[name]()
+    if name not in memo:
+        value = _SYMBOLS[name]()
         for T in value if isinstance(value, tuple) else (value,):
-            T.setflags(write=False)
-        memo[key] = value
-    return memo[key]
-
-
-def _build_weyl4(lams):
-    return extrinsic._weyl_raw(_diag(lams))
-
-
-def _build_weyl4_pm(lams):
-    return tuple(lambda2._sd_split(_weyl4(lams)))
-
-
-def _weyl4(lams):
-    """H-general Weyl tensor of a diagonal shape operator, n = 4."""
-    return _shared(_build_weyl4, lams)
-
-
-def _weyl4_pm(lams):
-    """Self-dual and anti-self-dual halves of ``_weyl4``, by ``lambda2._sd_split``."""
-    return _shared(_build_weyl4_pm, lams)
+            if isinstance(T, np.ndarray):
+                T.setflags(write=False)
+        memo[name] = value
+    return memo[name]
 
 
 def _triple(T):
     """T_ijkl T_pqkl T_ijpq, contracted one pair at a time."""
     return np.einsum("ijpq,ijpq->", np.einsum("ijkl,pqkl->ijpq", T, T), T)
+
+
+# Each symbolic quantity of diag(l1..l4), by name, from the shipped kernel
+# that computes it. The recipes of ``assemble_symbolic`` are the targets of
+# ``_ALIASES``; A, powers, W and Wpm = (W+, W-) are the operator, the
+# power-sum tuple and the tensors that the recipes and the registry read.
+_SYMBOLS = {
+    "A": lambda: _diag(_lam_vars(4, 4)),
+    "powers": lambda: extrinsic._trace_powers(_symbol("A")),
+    "H": lambda: _symbol("powers")[0],
+    "S": lambda: _symbol("powers")[1],
+    "A2sq": lambda: _symbol("powers")[2],
+    "trA3": lambda: _symbol("powers")[3],
+    "trA5": lambda: _symbol("powers")[4],
+    "trA6": lambda: _symbol("powers")[5],
+    "Wpmsq": lambda: extrinsic._wpm_sq(*_symbol("powers")[:4]),
+    "Wsq": lambda: extrinsic._w_sq(*_symbol("powers")[:4]),
+    "ricTFsq": lambda: extrinsic._ric0_sq(*_symbol("powers")[:4], 4),
+    "W": lambda: extrinsic._weyl_raw(_symbol("A")),
+    "Wpm": lambda: tuple(lambda2._sd_split(_symbol("W"))),
+    "trWstarW": lambda: np.einsum("ijkl,ijkl->", _symbol("W"), lambda2._star4(_symbol("W"))),
+    "tripleW": lambda: _triple(_symbol("W")),
+    "tripleWplus": lambda: _triple(_symbol("Wpm")[0]),
+}
 
 
 def _eliminate_last(poly: RationalPoly, n: int) -> RationalPoly:
@@ -457,75 +460,55 @@ class IdentityRecord:
 
 
 def _build_normWpm():
-    lams = _lam_vars(4, 4)
-    Wp, Wm = _weyl4_pm(lams)
-    rhs = extrinsic._wpm_sq(*_diag_powers(lams)[:4])
-    return [
-        (np.einsum("ijkl,ijkl->", Wp, Wp), rhs),
-        (np.einsum("ijkl,ijkl->", Wm, Wm), rhs),
-    ]
+    rhs = _symbol("Wpmsq")
+    return [(np.einsum("ijkl,ijkl->", T, T), rhs) for T in _symbol("Wpm")]
 
 
 def _build_normW():
-    lams = _lam_vars(4, 4)
-    W = _weyl4(lams)
-    return [(np.einsum("ijkl,ijkl->", W, W), extrinsic._w_sq(*_diag_powers(lams)[:4]))]
+    W = _symbol("W")
+    return [(np.einsum("ijkl,ijkl->", W, W), _symbol("Wsq"))]
 
 
 def _build_ricTFsq():
     # Ric0 does not depend on c, so c = 0 keeps the four variables.
-    nv = 4
-    lams = _lam_vars(4, nv)
-    ric_tf = extrinsic._ricci(_diag(lams), RationalPoly.zero(nv))[2]
-    return [(np.sum(ric_tf * ric_tf), extrinsic._ric0_sq(*_diag_powers(lams)[:4], 4))]
+    ric_tf = extrinsic._ricci(_symbol("A"), RationalPoly.zero(4))[2]
+    return [(np.sum(ric_tf * ric_tf), _symbol("ricTFsq"))]
 
 
 def _build_cgb():
     # c is carried as the fifth variable.
     nv = 5
-    lams = _lam_vars(4, nv)
+    A = _diag(_lam_vars(4, nv))
     c = RationalPoly.variable(4, nv)
-    _, scal, ric_tf = extrinsic._ricci(_diag(lams), c)
-    W = _weyl4(lams)
+    _, scal, ric_tf = extrinsic._ricci(A, c)
+    W = extrinsic._weyl_raw(A)
     lhs = np.einsum("ijkl,ijkl->", W, W) - np.sum(ric_tf * ric_tf) * 2 + scal * scal / 6
-    return [(lhs, extrinsic._cgb(*_diag_powers(lams)[:4], c))]
+    return [(lhs, extrinsic._cgb(*extrinsic._trace_powers(A)[:4], c))]
 
 
 def _build_fialkow():
-    lams = _lam_vars(4, 4)
-    W = _weyl4(lams)
-    A = _diag(lams)
-    F = extrinsic._fialkow(A, _diag_powers(lams)[1])
+    A = _symbol("A")
+    F = extrinsic._fialkow(A, _symbol("S"))
     rhs = lambda2._kn_raw(A, A) / 2 + lambda2._kn_raw(F, np.eye(4, dtype=object))
     return [(_eliminate_last(w, 4), _eliminate_last(r, 4))
-            for w, r in zip(W.flat, rhs.flat)]
+            for w, r in zip(_symbol("W").flat, rhs.flat)]
 
 
 def _build_cubic_contraction():
-    lams = _lam_vars(4, 4)
-    W = _weyl4(lams)
-    lhs = _eliminate_last(_triple(W), 4)
-    _, S, A2sq, trA3, _, trA6 = _diag_powers(lams)
-    rhs = _eliminate_last(
-        trA3 * trA3 * 10 - trA6 * 28 + S * A2sq * 19 - S ** 3 * Fraction(23, 9), 4)
-    return [(lhs, rhs)]
+    S, A2sq, trA3, trA6 = map(_symbol, ("S", "A2sq", "trA3", "trA6"))
+    rhs = trA3 * trA3 * 10 - trA6 * 28 + S * A2sq * 19 - S ** 3 * Fraction(23, 9)
+    return [(_eliminate_last(_symbol("tripleW"), 4), _eliminate_last(rhs, 4))]
 
 
 def _build_cubic_half():
-    nv = 4
-    lams = _lam_vars(4, nv)
-    W = _weyl4(lams)
-    Wp, _ = _weyl4_pm(lams)
-    lhs = _eliminate_last(_triple(W), 4)
-    rhs = _eliminate_last(_triple(Wp) * 2, 4)
-    return [(lhs, rhs)]
+    return [(_eliminate_last(_symbol("tripleW"), 4),
+             _eliminate_last(_symbol("tripleWplus") * 2, 4))]
 
 
 def _build_quadratic_split():
-    nv = 4
     pairs = []
-    zero = RationalPoly.zero(nv)
-    for T in _weyl4_pm(_lam_vars(4, nv)):
+    zero = RationalPoly.zero(4)
+    for T in _symbol("Wpm"):
         wsq = np.einsum("ijkl,ijkl->", T, T)
         lhs = np.einsum("ipkq,jplq->ijkl", T, T) + np.einsum("iplq,jpkq->ijkl", T, T)
         for (i, j, k, l), poly in np.ndenumerate(lhs):
@@ -536,12 +519,11 @@ def _build_quadratic_split():
 def _build_harmweyl_equality():
     # The (S/2)|W+|^2 term is part of the source relation; omitting it
     # leaves a nonzero polynomial.
-    lams = _lam_vars(4, 4)
-    Wp, _ = _weyl4_pm(lams)
-    _, S, A2sq, trA3, _, trA6 = _diag_powers(lams)
+    S, A2sq, trA3, trA6 = map(_symbol, ("S", "A2sq", "trA3", "trA6"))
+    Wp = _symbol("Wpm")[0]
     lhs = (trA3 * trA3 * 15 - trA6 * 42 + S * A2sq * Fraction(55, 2)
            - S ** 3 * Fraction(13, 4))
-    rhs = (_triple(Wp) * 3
+    rhs = (_symbol("tripleWplus") * 3
            + S * np.einsum("ijkl,ijkl->", Wp, Wp) * Fraction(1, 2))
     return [(_eliminate_last(lhs, 4), _eliminate_last(rhs, 4))]
 
@@ -551,12 +533,12 @@ def _build_general_n():
     pairs = []
     for n in range(3, 9):
         nv = n + 1
-        lams = _lam_vars(n, nv)
+        A = _diag(_lam_vars(n, nv))
         # the Weyl tensor by its definition, riem - Ric0 o g/(n-2) - R g o g/(2n(n-1))
-        riem, _, scal, ric_tf = extrinsic._gauss(_diag(lams), RationalPoly.variable(n, nv))
+        riem, _, scal, ric_tf = extrinsic._gauss(A, RationalPoly.variable(n, nv))
         I = np.eye(n, dtype=object)
         W = riem - kn(ric_tf, I) / (n - 2) - scal / (2 * n * (n - 1)) * kn(I, I)
-        _, S, A2sq, _, _, _ = _diag_powers(lams)
+        _, S, A2sq, _, _, _ = extrinsic._trace_powers(A)
         rhs = extrinsic._w_sq_minimal(S, A2sq, n)
         lhs = np.einsum("ijkl,ijkl->", W, W)
         pairs.append((_eliminate_last(lhs, n), _eliminate_last(rhs, n)))
@@ -575,7 +557,7 @@ def _build_strict_harmweyl_rhs():
 
 def _build_lcf_trace6():
     t = RationalPoly.variable(0, 1)
-    _, S, _, _, _, trA6 = _diag_powers([t * (-3), t, t, t])
+    _, S, _, _, _, trA6 = extrinsic._trace_powers(_diag([t * (-3), t, t, t]))
     return [(trA6, S ** 3 * Fraction(61, 144))]
 
 
@@ -643,7 +625,7 @@ def corrupted_normWpm_record() -> IdentityRecord:
     0 and the corrupted side is -1/6.
     """
     def build():
-        S = _diag_powers(_lam_vars(4, 4))[1]
+        S = _symbol("S")
         return [(lhs, rhs - S * S / 6) for lhs, rhs in _build_normWpm()]
 
     return IdentityRecord(
@@ -712,33 +694,18 @@ def verify_identity(name: str) -> VerifyResult:
     """Certify one registered identity by exact polynomial expansion."""
     if name not in REGISTRY:
         raise ValueError(f"unknown identity {name!r}; known: {sorted(REGISTRY)}")
-    return verify_record(REGISTRY[name])
+    with _sharing():
+        return verify_record(REGISTRY[name])
 
 
 def verify_all() -> list:
-    """Certify every registered identity; the records share their Weyl tensors."""
+    """Certify every registered identity; the records share their named quantities."""
     with _sharing():
         return [verify_record(rec) for rec in REGISTRY.values()]
 
 
-_RECIPES = {}
-
-
-def _register_recipes():
-    lams = _lam_vars(4, 4)
-    powers = _diag_powers(lams)
-    out = dict(zip(("H", "S", "A2sq", "trA3", "trA5", "trA6"), powers))
-    out["Wpmsq"] = extrinsic._wpm_sq(*powers[:4])
-    out["Wsq"] = extrinsic._w_sq(*powers[:4])
-    out["ricTFsq"] = extrinsic._ric0_sq(*powers[:4], 4)
-    with _sharing():
-        W = _weyl4(lams)
-        out["trWstarW"] = np.einsum("ijkl,ijkl->", W, lambda2._star4(W))
-        out["tripleW"] = _triple(W)
-        out["tripleWplus"] = _triple(_weyl4_pm(lams)[0])
-    _RECIPES.update({False: out, True: {k: _eliminate_last(v, 4) for k, v in out.items()}})
-
-
+# Accepted spellings, lowercased and without spaces, of the recipes of
+# ``assemble_symbolic``; each recipe spells itself too.
 _ALIASES = {
     "s": "S", "h": "H",
     "a2sq": "A2sq", "|a^2|^2": "A2sq", "|a2|^2": "A2sq",
@@ -762,16 +729,13 @@ def assemble_symbolic(recipe: str, minimal: bool = False) -> RationalPoly:
     aliases like "|W+-|^2" and "tr(W o *W)". With ``minimal`` the result
     is restricted to the trace-free surface. trWstarW expands to the zero
     polynomial: the signature integrand of an induced metric vanishes
-    identically.
+    identically. Each call runs the shipped kernels afresh, computing
+    each named quantity once; nothing is kept between calls.
     """
-    if not _RECIPES:
-        _register_recipes()
-    key = recipe.strip()
-    table = _RECIPES[bool(minimal)]
-    if key in table:
-        return table[key]
-    norm = key.lower().replace(" ", "")
-    if norm in _ALIASES:
-        return table[_ALIASES[norm]]
-    raise ValueError(f"unsupported recipe pattern {recipe!r}; known recipes: "
-                     f"{sorted(table)}")
+    name = _ALIASES.get(recipe.strip().lower().replace(" ", ""))
+    if name is None:
+        raise ValueError(f"unsupported recipe pattern {recipe!r}; known recipes: "
+                         f"{sorted(set(_ALIASES.values()))}")
+    with _sharing():
+        value = _symbol(name)
+    return _eliminate_last(value, 4) if minimal else value

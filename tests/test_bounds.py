@@ -67,6 +67,11 @@ def test_s_quadratic_negative_discriminant():
         bounds.s_quadratic(1.0, -100, 1.0, 0.0)
 
 
+def test_s_quadratic_rejects_a_nonpositive_volume():
+    with pytest.raises(ValueError, match="^vol must be positive, got 0.0$"):
+        bounds.s_quadratic(1.0, 2, 0.0, 1.0)
+
+
 def test_s_quadratic_inconsistency_warning():
     # round-sphere data: the + root violates A2avg >= S^2/4 and says so
     r = bounds.s_quadratic(1.0, 2, 8 * PI**2 / 3, 0.0)

@@ -708,6 +708,14 @@ def test_input_errors_exit_two(capsys, argv):
     assert "error" in err.lower()
 
 
+@pytest.mark.parametrize("payload", ["[1]", '[{"lambda": [1, 1, -1, -1]}, 3]'],
+                         ids=["lone", "in-batch"])
+def test_non_object_item_exits_two(capsys, payload):
+    code, out, err = _run(capsys, ["point", payload])
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == "error: point state: expected a JSON object"
+
+
 _VALID_STATES = (
     {"n": 4, "c": 1.0, "lambda": [1.0, 1.0, -1.0, -1.0], "parallel": False,
      "nablaA": _trace_free_nabla(0.5), "hessS": np.eye(4).tolist()},

@@ -38,6 +38,8 @@ def test_point_state_validation():
         extrinsic.PointState(A=np.arange(16.0).reshape(4, 4))  # not symmetric
     with pytest.raises(ValueError):
         extrinsic.PointState(A=np.eye(2))  # n < 3
+    with pytest.raises(ValueError, match=r"^A: expected a square matrix, got shape \(2, 3\)$"):
+        extrinsic.PointState(A=[[1, 2, 3], [4, 5, 6]])
     st = _state([3, -1, -1, -1])
     assert st.H == pytest.approx(0.0)
     assert st.S == pytest.approx(12.0)

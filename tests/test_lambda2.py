@@ -566,7 +566,7 @@ def test_sd_split_is_the_float_half_sum_bit_for_bit():
 def test_sd_split_is_the_half_sum_on_polynomials():
     from hypercurv import polyverify
 
-    W = polyverify._weyl4(polyverify._lam_vars(4, 4))
+    W = polyverify._symbol("W")
     star = lambda2._star4(W)
     plus, minus = lambda2._sd_split(W)
     assert all(p == Fraction(1, 2) * (w + s) for p, w, s in zip(plus.flat, W.flat, star.flat))
@@ -652,7 +652,7 @@ def test_star_stays_in_the_fractions():
 def test_star4_is_the_parity_einsum_on_polynomials():
     from hypercurv import polyverify
 
-    W = polyverify._weyl4(polyverify._lam_vars(4, 4))
+    W = polyverify._symbol("W")
     star, ref = lambda2._star4(W), _star_einsum(W)
     assert star.shape == ref.shape
     assert all(s == r for s, r in zip(star.flat, ref.flat))

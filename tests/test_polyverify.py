@@ -102,6 +102,16 @@ def test_representation_is_canonical():
     assert (third * 3 ** 60).terms == {(0, 0, 0): Fraction(1)}
 
 
+def test_repr_of_zero_and_of_long_polynomials():
+    x = RationalPoly.variable(0, 2)
+    y = RationalPoly.variable(1, 2)
+    assert repr(RationalPoly.zero(2)) == "RationalPoly(0)"
+    assert repr(x * x * y * 2 - Fraction(1, 3)) == "RationalPoly(-1/3 + 2*x0^2*x1)"
+    # ten terms: the first eight in graded-lex order, then " + ..."
+    assert repr((x + y + 1) ** 3) == (
+        "RationalPoly(1 + 3*x1 + 3*x0 + 3*x1^2 + 6*x0*x1 + 3*x0^2 + 1*x1^3 + 3*x0*x1^2 + ...)")
+
+
 def test_constructor_and_products_validate():
     with pytest.raises(ValueError, match="degree cap"):
         RationalPoly(2, {(7, 6): 1})
@@ -178,6 +188,17 @@ def test_corrupted_record_is_caught_with_witness():
     assert "nonzero polynomial" in bad.detail
 
 
+def test_witness_found_among_the_random_points():
+    # x0 x1 x2 vanishes on every axis and pair candidate
+    x0, x1, x2 = (RationalPoly.variable(i, 3) for i in range(3))
+    product = x0 * x1 * x2
+    witness = polyverify._find_witness(product, RationalPoly.zero(3))
+    point = tuple(Fraction(v) for v in witness["point"])
+    assert all(point)
+    assert Fraction(witness["lhs"]) == product.eval(point) != 0
+    assert witness["rhs"] == "0"
+
+
 def _doubled(kernel):
     return lambda *args: kernel(*args) * 2
 
@@ -250,8 +271,7 @@ def test_float_coefficients_must_be_integers():
 
 
 def _weyl_tensors():
-    lams = polyverify._lam_vars(4, 4)
-    return [polyverify._weyl4(lams), *polyverify._weyl4_pm(lams)]
+    return [polyverify._symbol("W"), *polyverify._symbol("Wpm")]
 
 
 @pytest.mark.parametrize("which", [0, 1, 2], ids=["W", "W+", "W-"])
@@ -271,14 +291,57 @@ def test_weyl_tensors_are_shared_within_one_call_only(monkeypatch, module, name)
     assert all(r.passed for r in polyverify.verify_all())
 
 
+def test_recipes_rerun_the_shipped_kernels_each_call(monkeypatch):
+    # nothing is kept between calls: a recipe read after a kernel changes
+    # is the new kernel's polynomial (W doubled makes a cubic 8 times larger)
+    before = polyverify.assemble_symbolic("tripleW")
+    monkeypatch.setattr(extrinsic, "_weyl_raw", _doubled(extrinsic._weyl_raw))
+    assert polyverify.assemble_symbolic("tripleW") == before * 8
+    assert not before.is_zero
+
+
+def test_each_triple_is_contracted_once_per_call(monkeypatch):
+    # tripleW serves cubic_contraction and cubic_half; tripleWplus serves
+    # cubic_half and harmweyl_equality_form
+    calls = []
+    triple = polyverify._triple
+    monkeypatch.setattr(polyverify, "_triple", lambda T: calls.append(T) or triple(T))
+    assert all(r.passed for r in polyverify.verify_all())
+    assert len(calls) == 2
+
+
+def test_no_shared_values_outlive_a_call():
+    polyverify.verify_all()
+    assert polyverify._SHARED.get() is None
+    polyverify.verify_identity("cubic_half_relation")
+    assert polyverify._SHARED.get() is None
+    polyverify.assemble_symbolic("tripleWplus", minimal=True)
+    assert polyverify._SHARED.get() is None
+
+
+def test_shared_tensors_are_read_only():
+    with polyverify._sharing():
+        W = polyverify._symbol("W")
+        assert polyverify._symbol("W") is W
+        assert not any(T.flags.writeable for T in (W, *polyverify._symbol("Wpm")))
+    assert polyverify._symbol("W") is not W
+
+
 def test_unknown_identity_lists_known_names():
     with pytest.raises(ValueError, match="ricTFsq"):
         polyverify.verify_identity("not_a_real_identity")
 
 
 def test_unknown_recipe_rejected():
-    with pytest.raises(ValueError, match="unsupported recipe pattern"):
+    with pytest.raises(ValueError, match="unsupported recipe pattern") as info:
         polyverify.assemble_symbolic("garbage recipe")
+    assert str(info.value).endswith(
+        "known recipes: ['A2sq', 'H', 'S', 'Wpmsq', 'Wsq', 'ricTFsq', 'trA3', 'trA5', "
+        "'trA6', 'trWstarW', 'tripleW', 'tripleWplus']")
+    # the table's tensors are not recipes
+    for name in ("W", "Wpm", "A", "powers"):
+        with pytest.raises(ValueError, match="unsupported recipe pattern"):
+            polyverify.assemble_symbolic(name)
 
 
 def test_weyl_norm_recipe_golden():
