@@ -25,19 +25,17 @@ _EXPORTS = {
                "f_lower_bound", "f_lower_bound_candidates", "s_quadratic",
                "volume_hypothesis_bounds", "weyl_threshold_report"),
     "classify": ("SharpReport", "SpectrumReport", "classify_batch", "principal_multiplicities",
-                 "sharp_inequalities", "spectrum_report", "structure_predicates",
-                 "weyl_operator_spectrum"),
+                 "sharp_inequalities", "spectrum_report"),
     "extrinsic": ("CurvaturePack", "NormPack", "PointState", "bach_tensor", "bochner_residuals",
-                  "cgb_integrand", "closed_form_norms", "div_weyl_sd", "div_weyl_sd_norms",
-                  "gauss_equations", "signature_integrand", "weyl_split_norms", "weyl_tensor"),
-    "immersions": ("Immersion", "QuadratureGrid", "build_grid", "catalog_point",
-                   "clifford_immersion", "get_immersion", "integrate",
-                   "numeric_second_fundamental_form", "totally_geodesic_sphere"),
+                  "cgb_integrand", "closed_form_norms", "div_weyl_sd", "gauss_equations",
+                  "signature_integrand", "weyl_split_norms", "weyl_tensor"),
+    "immersions": ("Immersion", "QuadratureGrid", "build_grid", "catalog_point", "get_immersion",
+                   "integrate", "numeric_second_fundamental_form"),
     "lambda2": ("LAMBDA2_BASIS", "CurvTensor4", "hodge_star", "inner", "kulkarni_nomizu",
                 "lambda2_spectrum", "levi_civita_tensor", "sd_asd_split", "star_weyl", "triple"),
     "polyverify": ("REGISTRY", "RationalPoly", "VerifyResult", "assemble_symbolic", "verify_all",
                    "verify_identity"),
-    "tolerances": ("CLUSTER_TOL", "EQUALITY_TOL", "default_cluster_tol", "default_tol"),
+    "tolerances": ("CLUSTER_TOL", "EQUALITY_TOL", "default_tol"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

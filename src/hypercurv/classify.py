@@ -51,8 +51,6 @@ __all__ = [
     "SharpReport",
     "classify_batch",
     "principal_multiplicities",
-    "weyl_operator_spectrum",
-    "structure_predicates",
     "sharp_inequalities",
     "spectrum_report",
 ]
@@ -158,30 +156,6 @@ def principal_multiplicities(lam, tol: float = CLUSTER_TOL):
     return len(partition), partition
 
 
-def weyl_operator_spectrum(lam, tol: float = CLUSTER_TOL):
-    """Distinct-eigenvalue count w and eigenvalues of the SD Weyl operator.
-
-    Returns (w, eigenvalues sorted descending), those of
-    ``spectrum_report(lam, tol)``. The eigenvalues sum to zero.
-    """
-    report = spectrum_report(lam, tol)
-    return report.w, np.array(report.weyl_eigen)
-
-
-def structure_predicates(lam, tol: float = CLUSTER_TOL) -> dict:
-    """Pointwise structure flags from the principal curvature spectrum.
-
-    lcf: some principal curvature has multiplicity >= 3 (the conformal
-    flatness criterion; equivalent to W = 0 at the point).
-    einstein: the trace-free Ricci tensor vanishes; for a minimal state
-    this happens exactly for the (l, l, -l, -l) spectra and A = 0.
-    twoTwoSplit: the multiplicity partition is (2, 2).
-
-    These are the flags of ``spectrum_report(lam, tol)``.
-    """
-    return spectrum_report(lam, tol).flags
-
-
 @dataclass(frozen=True)
 class SharpReport:
     """Slack and equality flags for the sharp pointwise inequalities."""
@@ -239,7 +213,15 @@ def _sharp(powers: tuple, n: int, tol: float) -> list:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Aggregated pointwise classification of a 4-dim state."""
+    """Aggregated pointwise classification of a 4-dim state.
+
+    weyl_eigen holds the SD Weyl operator eigenvalues, descending and
+    summing to zero; w counts the distinct ones. flags: lcf, some principal
+    curvature has multiplicity >= 3 (conformal flatness, W = 0 at the
+    point); einstein, the trace-free Ricci tensor vanishes (for a minimal
+    state exactly at the (l, l, -l, -l) spectra and A = 0); twoTwoSplit,
+    the multiplicity partition is (2, 2).
+    """
 
     m: int
     partition: tuple

@@ -13,7 +13,8 @@ integrate  quadrature of a functional over a catalog geometry; --dump
 verify     exact polynomial certification of the identity registry
 
 Exit codes: 0 success, 1 assertion or bound violation (failed identity,
-violated applicable bound), 2 input error (bad schema, unknown names).
+violated applicable bound), 2 input error (bad schema, unknown names, an
+input file that cannot be read or a --dump path that cannot be written).
 
 Point input is a JSON object (inline, a file path, or '-' for stdin)
 with fields n, c, and exactly one of "lambda" or "A", plus optional
@@ -53,7 +54,7 @@ import numpy as np
 
 from . import classify as classify_mod
 from . import extrinsic
-from .tolerances import CLUSTER_TOL, ENV_VAR, default_cluster_tol
+from .tolerances import CLUSTER_TOL, ENV_VAR, default_tol
 
 _EXIT_OK = 0
 _EXIT_VIOLATION = 1
@@ -69,13 +70,16 @@ def _emit(obj) -> None:
 
 
 def _load_point_payload(raw: str):
-    if raw == "-":
-        text = sys.stdin.read()
-    elif os.path.exists(raw):
-        with open(raw) as fh:
-            text = fh.read()
-    else:
-        text = raw
+    try:
+        if raw == "-":
+            text = sys.stdin.read()
+        elif os.path.exists(raw):
+            with open(raw) as fh:
+                text = fh.read()
+        else:
+            text = raw
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _InputError(f"cannot read input {raw}: {exc}") from exc
     try:
         return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
@@ -195,6 +199,8 @@ def _cmd_integrate(args) -> int:
         value = immersions.integrate(imm, args.functional, res=args.res, dump=args.dump)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
+    except OSError as exc:
+        raise _InputError(f"cannot write --dump: {exc}") from exc
     _emit({
         "geometry": imm.label,
         "functional": args.functional,
@@ -274,7 +280,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.tol is None:
         try:
-            args.tol = default_cluster_tol()
+            args.tol = default_tol(CLUSTER_TOL)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return _EXIT_INPUT

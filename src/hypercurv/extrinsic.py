@@ -46,7 +46,6 @@ __all__ = [
     "weyl_split_norms",
     "bach_tensor",
     "div_weyl_sd",
-    "div_weyl_sd_norms",
     "bochner_residuals",
 ]
 
@@ -433,10 +432,6 @@ class PointState:
         state = cls.__new__(cls)
         state._read(*_validate([data], _json_args), 0)
         return state
-
-    @classmethod
-    def from_json(cls, text: str) -> "PointState":
-        return cls.from_dict(json.loads(text))
 
     def __repr__(self) -> str:
         return (f"PointState(n={self.n}, c={self.c:g}, H={self.H:.6g}, S={self.S:.6g}, "
@@ -847,17 +842,6 @@ def div_weyl_sd(p: PointState) -> list:
                    for T in _sd_split(2 * _weyl_raw(p.A, np.moveaxis(nabla, 2, 0))))
     return [{"indices": (k + 1, i, j), "plus": plus[k, i - 1, j - 1],
              "minus": minus[k, i - 1, j - 1]} for k in range(4) for i, j in LAMBDA2_BASIS[:3]]
-
-
-def div_weyl_sd_norms(p: PointState) -> tuple:
-    """Sums of squares of the 12 plus and of the 12 minus values of
-    div_weyl_sd: 1/4 of the full |dW+|^2 and |dW-|^2, as the rows hold one
-    of the two orders of three of the six pairs. Frame-independent;
-    reversing the orientation swaps the two."""
-    comps = div_weyl_sd(p)
-    plus = sum(e["plus"] ** 2 for e in comps)
-    minus = sum(e["minus"] ** 2 for e in comps)
-    return float(plus), float(minus)
 
 
 def _field_values(field_data, n: int) -> dict:

@@ -48,8 +48,6 @@ __all__ = [
     "Immersion",
     "QuadratureGrid",
     "catalog_point",
-    "clifford_immersion",
-    "totally_geodesic_sphere",
     "get_immersion",
     "build_grid",
     "numeric_second_fundamental_form",
@@ -112,15 +110,9 @@ class QuadratureGrid:
     weights: tuple
 
     @property
-    def factor_sums(self) -> tuple:
-        return tuple(float(w.sum()) for w in self.weights)
-
-    @property
     def total_weight(self) -> float:
-        total = 1.0
-        for s in self.factor_sums:
-            total *= s
-        return float(total)
+        """Product of the factor weight sums, taken left to right."""
+        return float(math.prod(float(w.sum()) for w in self.weights))
 
 
 @dataclass(frozen=True)
@@ -174,9 +166,9 @@ def _parse_label(label: str) -> tuple:
         if len(parts) != 3:
             raise ValueError(f"clifford geometry must be 'clifford:n:k', got {label!r}")
         return name, int(parts[1]), int(parts[2])
-    if name in ("geodesic", "totallygeodesicsphere", "s4"):
+    if name in ("geodesic", "totallygeodesicsphere", "s4") and len(parts) <= 2:
         return "geodesic", int(parts[1]) if len(parts) > 1 else 4, None
-    if name in ("m4", "m4point", "isoparametric", "isoparametricm4point"):
+    if name in ("m4", "m4point", "isoparametric", "isoparametricm4point") and len(parts) == 1:
         return "m4", 4, None
     raise ValueError(f"unknown geometry {label!r}")
 
@@ -374,34 +366,20 @@ def _sphere_product(kind: str, label: str, k: int, spectrum: np.ndarray) -> Imme
                      volume=volume)
 
 
-def clifford_immersion(n: int = 4, k: int = 1) -> Immersion:
-    """Clifford product S^k(sqrt(k/n)) x S^(n-k)(sqrt((n-k)/n)) in S^(n+1).
-
-    Charts and quadrature are provided for n = 4. The normal is oriented
-    so the S^k factor carries the positive principal curvature
-    sqrt((n-k)/k).
-    """
-    if n != 4:
-        raise ValueError(f"clifford_immersion charts support n = 4 only, got n = {n}")
-    return _sphere_product("cliffordProduct", f"clifford:4:{k}", k, _clifford_spectrum(n, k))
-
-
-def totally_geodesic_sphere(n: int = 4) -> Immersion:
-    """Equatorial totally geodesic S^4 in S^5, with normal e_6."""
-    if n != 4:
-        raise ValueError(f"totally_geodesic_sphere charts support n = 4 only, got n = {n}")
-    return _sphere_product("totallyGeodesicSphere", "geodesic:4", 4, np.zeros(4))
-
-
 def get_immersion(label: str) -> Immersion:
-    """Resolve a geometry label of `_parse_label`, such as 'clifford:4:1'."""
+    """The chart of a geometry label of `_parse_label` with n = 4, such as
+    'clifford:4:1': the Clifford product S^k(1/2 sqrt k) x S^(4-k)(1/2 sqrt(4-k))
+    in S^5, whose S^k factor carries the positive principal curvature
+    sqrt((4-k)/k), or the equatorial totally geodesic S^4, with normal e_6."""
     name, n, k = _parse_label(label)
+    if name == "m4":
+        raise ValueError("the isoparametric m4 family member is point-data only; "
+                         "use catalog_point('m4')")
+    if n != 4:
+        raise ValueError(f"{name} charts support n = 4 only, got n = {n}")
     if name == "clifford":
-        return clifford_immersion(n, k)
-    if name == "geodesic":
-        return totally_geodesic_sphere(n)
-    raise ValueError("the isoparametric m4 family member is point-data only; "
-                     "use catalog_point('m4')")
+        return _sphere_product("cliffordProduct", f"clifford:4:{k}", k, _clifford_spectrum(4, k))
+    return _sphere_product("totallyGeodesicSphere", "geodesic:4", 4, np.zeros(4))
 
 
 def build_grid(imm: Immersion, res: int) -> QuadratureGrid:

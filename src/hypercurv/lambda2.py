@@ -26,11 +26,9 @@ so that the star swaps the first and last three basis elements: a pair
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
-from .tolerances import _CURVATURE_SCALE, EQUALITY_TOL, _json_numbers, _require_entries
+from .tolerances import _CURVATURE_SCALE, EQUALITY_TOL, _require_entries
 
 __all__ = [
     "LAMBDA2_BASIS",
@@ -51,8 +49,6 @@ LAMBDA2_BASIS = ((1, 2), (1, 3), (1, 4), (3, 4), (4, 2), (2, 3))
 
 # The basis as 0-based index arrays: pair p is (_I[p], _J[p]).
 _I, _J = np.array(LAMBDA2_BASIS).T - 1
-# The 6x6 upper triangle, row-major: the order of the JSON entries.
-_UPPER = np.triu_indices(6)
 
 # The star over flat pairs 4i + j: pair p maps to pair p + 3, so at 4i + j
 # the star reads + at _STAR_PLUS and - at _STAR_MINUS, and the reversed pair
@@ -145,32 +141,6 @@ class CurvTensor4:
         arr[I, J, _I, _J] = arr[J, I, _J, _I] = op
         arr[J, I, _I, _J] = arr[I, J, _J, _I] = -op
         return cls(arr)
-
-    def to_json(self) -> str:
-        """Serialize as the 21-entry upper triangle of the 6x6 operator.
-
-        Entries are row-major over the upper triangle, under the key
-        "lambda2_op". Only pair-symmetric tensors round-trip; that is the
-        type invariant.
-        """
-        return json.dumps({"lambda2_op": self.operator6()[_UPPER].tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "CurvTensor4":
-        """Inverse of to_json. The entries are JSON numbers, as a state's
-        are, and the tensor is checked as CurvTensor4 is: json.loads takes
-        NaN and Infinity, which raise a ValueError here."""
-        data = json.loads(text)
-        entries = data.get("lambda2_op") if isinstance(data, dict) else None
-        if not isinstance(entries, list) or len(entries) != 21:
-            raise ValueError("expected key 'lambda2_op' with 21 entries")
-        values = _json_numbers("lambda2_op", entries)
-        if values.ndim != 1:
-            raise ValueError("lambda2_op: expected JSON numbers")
-        op = np.zeros((6, 6))
-        op[_UPPER] = values
-        op[_UPPER[::-1]] = values
-        return cls.from_operator6(op)
 
     def norm_sq(self) -> float:
         return float(np.sum(self.components * self.components))

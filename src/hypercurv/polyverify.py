@@ -414,9 +414,9 @@ def _triple(T):
 
 
 # Each symbolic quantity of diag(l1..l4), by name, from the shipped kernel
-# that computes it. The recipes of ``assemble_symbolic`` are the targets of
-# ``_ALIASES``; A, powers, W and Wpm = (W+, W-) are the operator, the
-# power-sum tuple and the tensors that the recipes and the registry read.
+# that computes it. Every name but A, powers, W and Wpm = (W+, W-), the
+# operator, the power-sum tuple and the tensors that the recipes and the
+# registry read, is a recipe of ``assemble_symbolic``.
 _SYMBOLS = {
     "A": lambda: _diag(_lam_vars(4, 4)),
     "powers": lambda: extrinsic._trace_powers(_symbol("A")),
@@ -435,6 +435,7 @@ _SYMBOLS = {
     "tripleW": lambda: _triple(_symbol("W")),
     "tripleWplus": lambda: _triple(_symbol("Wpm")[0]),
 }
+_RECIPES = sorted(set(_SYMBOLS) - {"A", "powers", "W", "Wpm"})
 
 
 def _eliminate_last(poly: RationalPoly, n: int) -> RationalPoly:
@@ -704,38 +705,19 @@ def verify_all() -> list:
         return [verify_record(rec) for rec in REGISTRY.values()]
 
 
-# Accepted spellings, lowercased and without spaces, of the recipes of
-# ``assemble_symbolic``; each recipe spells itself too.
-_ALIASES = {
-    "s": "S", "h": "H",
-    "a2sq": "A2sq", "|a^2|^2": "A2sq", "|a2|^2": "A2sq",
-    "tra3": "trA3", "tra5": "trA5", "tra6": "trA6",
-    "wsq": "Wsq", "|w|^2": "Wsq",
-    "wpmsq": "Wpmsq", "|w+|^2": "Wpmsq", "|w-|^2": "Wpmsq",
-    "|w+-|^2": "Wpmsq", "|w±|²": "Wpmsq", "|w±|^2": "Wpmsq",
-    "rictfsq": "ricTFsq", "|ric0|^2": "ricTFsq",
-    "trwstarw": "trWstarW", "tr(wo*w)": "trWstarW",
-    "tr(w∘⋆w)": "trWstarW",
-    "tr(w*w)": "trWstarW",
-    "triplew": "tripleW", "triplewplus": "tripleWplus", "triplew+": "tripleWplus",
-}
-
-
 def assemble_symbolic(recipe: str, minimal: bool = False) -> RationalPoly:
     """Exact polynomial for a named scalar invariant in l1..l4.
 
-    Recognized recipes: S, H, A2sq, trA3, trA5, trA6, Wsq, Wpmsq,
-    ricTFsq, trWstarW, tripleW, tripleWplus, plus the usual notational
-    aliases like "|W+-|^2" and "tr(W o *W)". With ``minimal`` the result
-    is restricted to the trace-free surface. trWstarW expands to the zero
-    polynomial: the signature integrand of an induced metric vanishes
-    identically. Each call runs the shipped kernels afresh, computing
-    each named quantity once; nothing is kept between calls.
+    ``recipe`` is one of the names S, H, A2sq, trA3, trA5, trA6, Wsq,
+    Wpmsq, ricTFsq, trWstarW, tripleW, tripleWplus, spelled exactly so;
+    any other string is a ValueError listing them. With ``minimal`` the
+    result is restricted to the trace-free surface. trWstarW expands to
+    the zero polynomial: the signature integrand of an induced metric
+    vanishes identically. Each call runs the shipped kernels afresh,
+    computing each named quantity once; nothing is kept between calls.
     """
-    name = _ALIASES.get(recipe.strip().lower().replace(" ", ""))
-    if name is None:
-        raise ValueError(f"unsupported recipe pattern {recipe!r}; known recipes: "
-                         f"{sorted(set(_ALIASES.values()))}")
+    if recipe not in _RECIPES:
+        raise ValueError(f"unsupported recipe pattern {recipe!r}; known recipes: {_RECIPES}")
     with _sharing():
-        value = _symbol(name)
+        value = _symbol(recipe)
     return _eliminate_last(value, 4) if minimal else value

@@ -3,9 +3,9 @@
 Every numerical equality test is relative: a quantity x is treated as equal
 to y when |x - y| <= tol * scale for a scale natural to the data. The two
 defaults below bind at import and can be overridden per call. Without
---tol the command line takes `default_cluster_tol()`, which reads the
+--tol the command line takes `default_tol(CLUSTER_TOL)`, which reads the
 HYPERCURV_TOL environment variable; library calls do not, unless the
-caller passes `default_tol()` or `default_cluster_tol()` as ``tol``.
+caller passes `default_tol()` or `default_tol(CLUSTER_TOL)` as ``tol``.
 
 It also owns the entry rule of every tensor the package takes in,
 ``_entry_failure``: 1 + max|entry| is finite and at most its cap, then
@@ -47,11 +47,6 @@ def default_tol(fallback: float = EQUALITY_TOL) -> float:
     if not 0.0 < value < math.inf:
         raise ValueError(f"{ENV_VAR} must be positive and finite, got {value}")
     return value
-
-
-def default_cluster_tol() -> float:
-    """`default_tol` with the clustering default as fallback."""
-    return default_tol(CLUSTER_TOL)
 
 
 # Cap on the 1 + max|entry| scale of a state's inputs: with A or a spectrum,

@@ -37,15 +37,13 @@ def test_multiplicities_respect_tolerance():
 
 
 def test_weyl_operator_spectrum_golden():
-    w, vals = classify.weyl_operator_spectrum([1.0, 1.0, -1.0, -1.0])
-    assert w == 2
-    np.testing.assert_allclose(sorted(vals, reverse=True),
-                               [4.0 / 3.0, -2.0 / 3.0, -2.0 / 3.0], rtol=1e-12)
-    w, vals = classify.weyl_operator_spectrum([SQRT3] + [-1 / SQRT3] * 3)
-    assert w == 1
-    np.testing.assert_allclose(vals, 0.0, atol=1e-12)
-    w, vals = classify.weyl_operator_spectrum([0.0, 0.0, 0.0, 0.0])
-    assert w == 1
+    rep = classify.spectrum_report([1.0, 1.0, -1.0, -1.0])
+    assert rep.w == 2
+    np.testing.assert_allclose(rep.weyl_eigen, [4.0 / 3.0, -2.0 / 3.0, -2.0 / 3.0], rtol=1e-12)
+    rep = classify.spectrum_report([SQRT3] + [-1 / SQRT3] * 3)
+    assert rep.w == 1
+    np.testing.assert_allclose(rep.weyl_eigen, 0.0, atol=1e-12)
+    assert classify.spectrum_report([0.0, 0.0, 0.0, 0.0]).w == 1
 
 
 def test_weyl_operator_spectrum_matches_lambda2_block():
@@ -54,7 +52,7 @@ def test_weyl_operator_spectrum_matches_lambda2_block():
     rng = np.random.default_rng(41)
     for _ in range(20):
         lam = rng.normal(size=4) * 3.0
-        _, vals = classify.weyl_operator_spectrum(lam)
+        vals = np.array(classify.spectrum_report(lam).weyl_eigen)
         W = extrinsic.weyl_tensor(extrinsic.PointState(lam=lam, c=0.0))
         block = lambda2.lambda2_spectrum(W, "plus")
         np.testing.assert_allclose(np.sort(vals), np.sort(block),
@@ -67,7 +65,7 @@ def test_pairing_difference_products():
     rng = np.random.default_rng(42)
     for _ in range(20):
         lam = np.sort(rng.normal(size=4) * 2.0)[::-1]
-        _, v = classify.weyl_operator_spectrum(lam)
+        v = classify.spectrum_report(lam).weyl_eigen
         l1, l2, l3, l4 = lam
         diff12 = 0.5 * (l2 - l3) * (l1 - l4)
         diff13 = 0.5 * (l2 - l4) * (l1 - l3)
@@ -114,14 +112,14 @@ def test_report_invariant_under_permutation_and_sign(lam):
     assert (rep_n.m, rep_n.w) == (rep.m, rep.w)
 
 
-def test_structure_predicates_catalog():
-    flags = classify.structure_predicates([1.0, 1.0, -1.0, -1.0])
+def test_structure_flags_catalog():
+    flags = classify.spectrum_report([1.0, 1.0, -1.0, -1.0]).flags
     assert flags == {"lcf": False, "einstein": True, "twoTwoSplit": True}
-    flags = classify.structure_predicates([SQRT3] + [-1 / SQRT3] * 3)
+    flags = classify.spectrum_report([SQRT3] + [-1 / SQRT3] * 3).flags
     assert flags == {"lcf": True, "einstein": False, "twoTwoSplit": False}
-    flags = classify.structure_predicates([0.0, 0.0, 0.0, 0.0])
+    flags = classify.spectrum_report([0.0, 0.0, 0.0, 0.0]).flags
     assert flags == {"lcf": True, "einstein": True, "twoTwoSplit": False}
-    flags = classify.structure_predicates([3.0, 2.0, 1.0, -6.0])
+    flags = classify.spectrum_report([3.0, 2.0, 1.0, -6.0]).flags
     assert flags == {"lcf": False, "einstein": False, "twoTwoSplit": False}
 
 
@@ -132,7 +130,7 @@ def test_lcf_flag_iff_weyl_vanishes():
         if rng.random() < 0.5:
             # force a genuine multiplicity-3 spectrum
             lam[1] = lam[2] = lam[3]
-        flags = classify.structure_predicates(lam)
+        flags = classify.spectrum_report(lam).flags
         st = extrinsic.PointState(lam=lam, c=0.0)
         wsq = extrinsic.closed_form_norms(st).Wsq
         ssq = st.S * st.S
@@ -173,7 +171,7 @@ def test_raw_spectra_must_be_finite(lam):
 def test_raw_spectra_share_the_state_scale_cap():
     classify.spectrum_report([1e50, 1e50, -1e50, -1e50])
     for fn, arg in ((classify.spectrum_report, [1e160, 1.0, 1.0, -1.0]),
-                    (classify.structure_predicates, [1e60, 1.0, 1.0, -1.0]),
+                    (classify.principal_multiplicities, [1e60, 1.0, 1.0, -1.0]),
                     (classify.classify_batch, [[1.0, 1.0, -1.0, -1.0], [1e60, 1.0, 1.0, -1.0]])):
         with pytest.raises(ValueError, match="must not exceed 1e\\+50"):
             fn(arg)
@@ -392,8 +390,7 @@ def test_per_item_functions_equal_the_batched_report_rows_bitwise():
     for lam, row in zip(lams, classify._spectrum_reports(
             A, extrinsic._quartic_powers(A), minimal, 1e-8)):
         assert classify.spectrum_report(lam) == row
-        flags = classify.structure_predicates(lam)
-        assert flags == row.flags and all(type(v) is bool for v in flags.values())
+        assert all(type(v) is bool for v in row.flags.values())
         if row.margins:
             sharp = classify.sharp_inequalities(lam)
             assert list(map(float.hex, sharp.margins.values())) == \
@@ -459,9 +456,6 @@ def test_a_spectrum_its_state_and_its_cli_row_get_one_answer(capsys, tmp_path):
             == _hexed(row) == _hexed(classify.spectrum_report(
                 extrinsic.PointState(A=np.diag(lam))).to_dict())
         assert (m[k], w[k], indeterminate[k]) == (report.m, report.w, report.indeterminate)
-        assert classify.structure_predicates(lam) == classify.structure_predicates(state)
-        assert _hexed(classify.weyl_operator_spectrum(lam)) == \
-            _hexed(classify.weyl_operator_spectrum(state))
         assert classify.principal_multiplicities(lam) == classify.principal_multiplicities(state)
         assert _sharp_or_error(lam) == _sharp_or_error(state)
     for n in (3, 5, 6):
@@ -473,8 +467,7 @@ def test_a_spectrum_its_state_and_its_cli_row_get_one_answer(capsys, tmp_path):
     for lam in ([], [0.0], [1.0, -1.0]):
         with pytest.raises(ValueError) as refused:
             extrinsic.PointState(lam=lam)
-        for function in (classify.spectrum_report, classify.structure_predicates,
-                         classify.weyl_operator_spectrum, classify.principal_multiplicities,
+        for function in (classify.spectrum_report, classify.principal_multiplicities,
                          classify.sharp_inequalities):
             with pytest.raises(ValueError) as exc:
                 function(lam)

@@ -638,6 +638,36 @@ def test_integrate_alias_and_dump(capsys, tmp_path):
     assert header[-2:] == ["integrand", "weight"]
 
 
+def test_integrate_dump_to_an_unwritable_path_exits_two(capsys, tmp_path):
+    dump = tmp_path / "missing" / "rows.csv"
+    code, out, err = _run(capsys, ["integrate", "--geometry", "geodesic:4", "--res", "2",
+                                   "--dump", str(dump)])
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write --dump: [Errno 2] No such file or directory: {str(dump)!r}\n"
+
+
+@pytest.mark.parametrize("command", ["point", "classify"])
+@pytest.mark.parametrize("kind", ["directory", "non-UTF-8 file"])
+def test_unreadable_input_exits_two(capsys, tmp_path, command, kind):
+    path = tmp_path
+    if kind != "directory":
+        path = tmp_path / "state.json"
+        path.write_bytes(b"\xff\xfe" + CLIFFORD22.encode("utf-16-le"))
+    code, out, err = _run(capsys, [command, str(path)])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot read input {path}: ")
+
+
+def test_linear_algebra_failure_exits_one(capsys, monkeypatch):
+    def fail(*args):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr("hypercurv.classify._spectra", fail)
+    code, out, err = _run(capsys, ["classify", CLIFFORD22])
+    assert (code, out) == (1, "")
+    assert err == "error: linear algebra failure: Eigenvalues did not converge\n"
+
+
 def test_verify_all_passes(capsys):
     code, rep = _run_json(capsys, ["verify", "--all"])
     assert code == 0
@@ -667,6 +697,10 @@ def test_verify_single_identity(capsys):
     ["classify", '{"n": 4, "lambda": [Infinity, 1, 1, -1]}'],
     ["classify", '[{"n": 4, "lambda": [1, 1, -1, -1]}, {"n": 4, "lambda": [-Infinity, 1, 1, 1]}]'],
     ["integrate", "--geometry", "torus:7"],
+    # a geodesic label takes at most ':n', an m4 label no field
+    ["integrate", "--geometry", "geodesic:4:5"],
+    ["integrate", "--geometry", "s4:4:1"],
+    ["integrate", "--geometry", "m4:junk"],
     ["integrate", "--geometry", "clifford:4:2", "--functional", "nope"],
     ["verify"],
     ["verify", "--identity", "not_registered"],

@@ -553,6 +553,13 @@ def test_div_weyl_sd_golden_components():
     assert rows[(3, 1, 2)]["minus"] == pytest.approx(-0.25)
 
 
+def _div_weyl_square_sums(p):
+    """Sums of squares of the 12 plus and of the 12 minus values of
+    div_weyl_sd: 1/4 of |dW+|^2 and |dW-|^2."""
+    rows = extrinsic.div_weyl_sd(p)
+    return tuple(float(sum(r[part] ** 2 for r in rows)) for part in ("plus", "minus"))
+
+
 def test_div_weyl_norms_equal_when_diagonal_gradient_vanishes():
     # with no diagonal gradient the principal curvatures are critical and
     # the SD and ASD divergence norms must agree
@@ -562,7 +569,7 @@ def test_div_weyl_norms_equal_when_diagonal_gradient_vanishes():
     for p in [(0, 1, 3), (0, 3, 1), (1, 0, 3), (1, 3, 0), (3, 0, 1), (3, 1, 0)]:
         nabla[p] = -0.3
     st = _state([1, 2, 3, -6], nablaA=nabla, hessS=np.zeros((4, 4)))
-    np_, nm = extrinsic.div_weyl_sd_norms(st)
+    np_, nm = _div_weyl_square_sums(st)
     assert np_ == pytest.approx(nm, rel=1e-12)
 
 
@@ -666,22 +673,22 @@ def test_div_weyl_sd_matches_the_principal_frame_formula_with_parallel_S():
             assert r["minus"] == pytest.approx((own - partner) / 4, abs=1e-14)
 
 
-def test_div_weyl_sd_norms_are_frame_invariant_and_swap_under_reflection():
+def test_div_weyl_sd_square_sums_are_frame_invariant_and_swap_under_reflection():
     rng = np.random.default_rng(36)
     for minimal in (True, False):
         A = _rand_sym(rng)
         if minimal:
             A -= np.trace(A) / 4 * np.eye(4)
         nabla = _random_gradient(rng, minimal)
-        base = extrinsic.div_weyl_sd_norms(_rotated(A, nabla, np.eye(4)))
-        turned = extrinsic.div_weyl_sd_norms(_rotated(A, nabla, _rotation(rng)))
+        base = _div_weyl_square_sums(_rotated(A, nabla, np.eye(4)))
+        turned = _div_weyl_square_sums(_rotated(A, nabla, _rotation(rng)))
         assert turned == pytest.approx(base, rel=1e-12)
-        flipped = extrinsic.div_weyl_sd_norms(_rotated(A, nabla, np.diag([1.0, 1, 1, -1])))
+        flipped = _div_weyl_square_sums(_rotated(A, nabla, np.diag([1.0, 1, 1, -1])))
         assert flipped == pytest.approx(base[::-1], rel=1e-12)
         assert base[0] != pytest.approx(base[1], rel=1e-3)
 
 
-def test_div_weyl_sd_norms_are_a_quarter_of_the_full_norms():
+def test_div_weyl_sd_square_sums_are_a_quarter_of_the_full_norms():
     rng = np.random.default_rng(37)
     for minimal in (True, False):
         A = _rand_sym(rng)
@@ -689,7 +696,7 @@ def test_div_weyl_sd_norms_are_a_quarter_of_the_full_norms():
             A -= np.trace(A) / 4 * np.eye(4)
         p = extrinsic.PointState(A=A, c=0.0, nablaA=_random_gradient(rng, minimal))
         full = [float(np.sum(T * T)) for T in _cotton_sd(p)]
-        assert extrinsic.div_weyl_sd_norms(p) == pytest.approx([f / 4 for f in full], rel=1e-12)
+        assert _div_weyl_square_sums(p) == pytest.approx([f / 4 for f in full], rel=1e-12)
 
 
 def test_div_weyl_sd_any_frame_gives_the_rotated_norms():
@@ -700,10 +707,10 @@ def test_div_weyl_sd_any_frame_gives_the_rotated_norms():
     lam -= lam.mean()
     nabla = _random_gradient(rng, minimal=True)
     Q = _rotation(rng)
-    principal = extrinsic.div_weyl_sd_norms(_state(lam, nablaA=nabla))
+    principal = _div_weyl_square_sums(_state(lam, nablaA=nabla))
     general = _rotated(np.diag(lam), nabla, Q)
     assert np.abs(general.A - np.diag(np.diag(general.A))).max() > 0.1
-    assert extrinsic.div_weyl_sd_norms(general) == pytest.approx(principal, rel=1e-12)
+    assert _div_weyl_square_sums(general) == pytest.approx(principal, rel=1e-12)
 
 
 def test_weyl_kernel_polarization():
@@ -928,7 +935,7 @@ def test_to_json_round_trip():
     ]
     for st in states:
         text = st.to_json()
-        back = extrinsic.PointState.from_json(text)
+        back = extrinsic.PointState.from_dict(json.loads(text))
         _assert_same_state(st, back)
         assert json.loads(back.to_json()).keys() == json.loads(text).keys()
     assert "lambda" in json.loads(states[2].to_json())

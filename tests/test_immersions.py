@@ -61,6 +61,10 @@ def test_get_immersion_errors():
             parse("nope")
         with pytest.raises(ValueError, match=r"must be 'clifford:n:k'"):
             parse("clifford:4")
+        # a geodesic label takes at most ':n', the m4 labels no field
+        for label in ("geodesic:4:5", "s4:4:1", "m4:junk", "m4:4", "isoparametric:", "M4Point:1"):
+            with pytest.raises(ValueError, match=f"^unknown geometry {label!r}$"):
+                parse(label)
 
 
 def test_catalog_point_and_get_immersion_share_aliases():
@@ -76,8 +80,10 @@ def test_catalog_point_and_get_immersion_share_aliases():
     # catalog spectra exist in any dimension, charts only for n = 4
     assert immersions.catalog_point("clifford:5:2").n == 5
     assert immersions.catalog_point("geodesic:6").n == 6
-    with pytest.raises(ValueError, match="n = 4 only"):
+    with pytest.raises(ValueError, match=r"^clifford charts support n = 4 only, got n = 5$"):
         immersions.get_immersion("clifford:5:2")
+    with pytest.raises(ValueError, match=r"^geodesic charts support n = 4 only, got n = 6$"):
+        immersions.get_immersion("geodesic:6")
 
 
 def test_catalog_volumes():
@@ -132,8 +138,16 @@ def test_quadrature_grid_structure():
     assert len(grid.nodes) == 4 and len(grid.weights) == 4
     assert all(len(n) == 8 for n in grid.nodes)
     assert grid.total_weight == pytest.approx(imm.volume, rel=1e-12)
+    total = 1.0
+    for weights in grid.weights:  # the factor sums, multiplied left to right
+        total *= float(weights.sum())
+    assert grid.total_weight == total
     with pytest.raises(ValueError):
         immersions.build_grid(imm, 1)
+    with pytest.raises(ValueError, match="^clifford:4:2 has no quadrature factors$"):
+        immersions.build_grid(dataclasses.replace(imm, factors=()), 8)
+    with pytest.raises(ValueError, match="^unknown factor kind 'radial'$"):
+        immersions.Factor("r", "radial").nodes_weights(8)
 
 
 def test_euler_characteristics():
@@ -403,6 +417,10 @@ def test_point_requires_spectrum():
     broken = dataclasses.replace(imm, spectrum=None)
     with pytest.raises(ValueError):
         broken.point()
+    # with neither a spectrum nor a chart there is nothing to integrate
+    bare = dataclasses.replace(broken, chart=None)
+    with pytest.raises(ValueError, match="^clifford:4:2 is point-data only and has no chart$"):
+        immersions.integrate(bare, "volume", res=2)
 
 
 def test_dump_on_the_finite_difference_path(tmp_path):

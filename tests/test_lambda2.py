@@ -1,7 +1,6 @@
 """Tests for the four-dimensional Hodge star and curvature-operator algebra."""
 
 import itertools
-import json
 import re
 import warnings
 from fractions import Fraction
@@ -149,13 +148,6 @@ def test_operator6_round_trip():
     np.testing.assert_allclose(T2.components, T.components, atol=1e-12)
 
 
-def test_curv_tensor_json_round_trip():
-    rng = np.random.default_rng(7)
-    T = _rand_curv(rng)
-    T2 = lambda2.CurvTensor4.from_json(T.to_json())
-    np.testing.assert_allclose(T2.components, T.components, atol=0)
-
-
 def test_operator6_action_matches_tensor_action():
     # op stores raw components T_ijkl over the pair basis; the two-form
     # action tensor-contracts both slots, so its coefficients come out
@@ -294,6 +286,19 @@ def test_inner_and_triple_check_the_shape_of_raw_operands(call, shape):
         call(np.ones(shape))
 
 
+@pytest.mark.parametrize("call, shape, message", [
+    (lambda2.CurvTensor4, (4, 4, 4), "CurvTensor4 components must be 4x4x4x4, got (4, 4, 4)"),
+    (lambda2.CurvTensor4, (6, 6), "CurvTensor4 components must be 4x4x4x4, got (6, 6)"),
+    (lambda2.CurvTensor4.from_operator6, (21,), "operator matrix must be 6x6, got (21,)"),
+    (lambda2.CurvTensor4.from_operator6, (4, 4, 4, 4),
+     "operator matrix must be 6x6, got (4, 4, 4, 4)"),
+], ids=["CurvTensor4 rank 3", "CurvTensor4 6x6", "from_operator6 triangle",
+        "from_operator6 rank 4"])
+def test_curvature_tensors_check_their_shape(call, shape, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(np.zeros(shape))
+
+
 def test_inner_and_triple_take_raw_operands_without_pair_symmetry():
     # the star of a tensor with trace breaks pair symmetry; as a raw array it
     # is still an operand, and contracts as its CurvTensor4 does
@@ -324,11 +329,6 @@ def _state(A):
     return SimpleNamespace(n=4, A=A, nablaA=np.zeros((4, 4, 4)), parallel=False)
 
 
-def _json_call(T):
-    # to_json writes NaN and Infinity tokens, which json.loads takes back
-    return lambda2.CurvTensor4.from_json(lambda2.CurvTensor4(T, check=False).to_json())
-
-
 # (call, a valid input, the entry that a corruption changes, the error of a
 # broken mirror); a corruption of the entry alone breaks the input's mirror
 _ENTRY_POINTS = {
@@ -349,8 +349,6 @@ _ENTRY_POINTS = {
     "from_operator6": (lambda2.CurvTensor4.from_operator6,
                        lambda rng: _rand_curv(rng, trace_free=True).operator6(), (0, 1),
                        "curvature tensor: must satisfy pair symmetry"),
-    # the JSON form stores one triangle of the operator, so no symmetry breaks
-    "from_json": (_json_call, None, (0, 1, 0, 1), None),
     "div_weyl_sd": (lambda A: extrinsic.div_weyl_sd(_state(A)),
                     lambda rng: np.diag(rng.normal(size=4)), (0, 1),
                     "A: shape operator must be symmetric"),
@@ -400,7 +398,7 @@ def test_curvature_of_a_state_at_the_cap_passes_the_curvature_entry_rule():
     W = extrinsic.weyl_tensor(p)
     assert np.abs(W.components).max() > 1e100
     lambda2.CurvTensor4(extrinsic.gauss_equations(p).riem.components)
-    back = lambda2.CurvTensor4.from_json(W.to_json())
+    back = lambda2.CurvTensor4.from_operator6(W.operator6())
     assert np.array_equal(back.components, W.components)
     for part in ("plus", "minus"):
         assert np.array_equal(lambda2.lambda2_spectrum(W.components, part),
@@ -426,16 +424,6 @@ def test_raw_operand_is_checked_as_curv_tensor4_at_the_callers_tol(call):
                           call(lambda2.CurvTensor4(arr, tol=1e-4), tol=1e-4))
 
 
-@pytest.mark.parametrize("entries, message", [
-    ([True] * 21, "lambda2_op: expected JSON numbers"),
-    (["1"] * 21, "lambda2_op: expected JSON numbers"),
-    ([[1.0]] * 21, "lambda2_op: expected JSON numbers"),
-    ([10 ** 400] + [0] * 20, "lambda2_op: int too large to convert to float"),
-], ids=["bool", "string", "nested", "401-digit int"])
-def test_from_json_takes_json_numbers_only(entries, message):
-    # the rule of a state's JSON fields: bools and strings are not numbers
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        lambda2.CurvTensor4.from_json(json.dumps({"lambda2_op": entries}))
 
 
 @pytest.mark.parametrize("entries, rule", [
@@ -505,23 +493,6 @@ def _from_operator6_loop(op):
     return arr
 
 
-def _to_json_loop(components):
-    op = _operator6_loop(components)
-    return json.dumps({"lambda2_op": [op[i, j] for i in range(6) for j in range(i, 6)]})
-
-
-def _from_json_loop(text):
-    entries = json.loads(text)["lambda2_op"]
-    op = np.zeros((6, 6))
-    pos = 0
-    for i in range(6):
-        for j in range(i, 6):
-            op[i, j] = entries[pos]
-            op[j, i] = entries[pos]
-            pos += 1
-    return _from_operator6_loop(op)
-
-
 def _bits(arr):
     return np.asarray(arr, dtype=float).view(np.uint64)
 
@@ -531,7 +502,7 @@ def test_lambda2_index_arrays_match_the_loops_bit_for_bit():
     for _ in range(200):
         M = rng.normal(size=(6, 6)) * rng.choice([1e-3, 1.0, 1e3])
         op = M + M.T
-        # signed zeros, and ints as JSON may hold them
+        # signed zeros
         op[rng.random((6, 6)) < 0.2] = 0.0
         op[rng.random((6, 6)) < 0.2] *= -0.0
         op = np.triu(op) + np.triu(op, 1).T
@@ -542,13 +513,6 @@ def test_lambda2_index_arrays_match_the_loops_bit_for_bit():
         for comps in (T.components, raw):
             got = lambda2.CurvTensor4(comps, check=False)
             assert np.array_equal(_bits(got.operator6()), _bits(_operator6_loop(comps)))
-            assert got.to_json() == _to_json_loop(comps)
-        text = _to_json_loop(T.components)
-        assert np.array_equal(_bits(lambda2.CurvTensor4.from_json(text).components),
-                              _bits(_from_json_loop(text)))
-    ints = json.dumps({"lambda2_op": list(range(21))})
-    assert np.array_equal(_bits(lambda2.CurvTensor4.from_json(ints).components),
-                          _bits(_from_json_loop(ints)))
 
 
 # ------------------------------------------------------- one W+- split

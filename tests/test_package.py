@@ -38,7 +38,7 @@ def test_bare_import_loads_no_submodule():
 def test_every_public_name_resolves_by_attribute_and_star_import():
     _run("import hypercurv\n"
          "names = hypercurv.__all__\n"
-         "assert names == sorted(set(names)) and len(names) == 59, names\n"
+         "assert names == sorted(set(names)) and len(names) == 53, names\n"
          "assert all(getattr(hypercurv, name) is not None for name in names)\n"
          "assert set(names) <= set(dir(hypercurv))\n"
          "space = {}\n"

@@ -131,6 +131,14 @@ def test_constructor_and_products_validate():
         x6 * RationalPoly.variable(0, 3)
     with pytest.raises(ValueError, match="nvars mismatch"):
         x6 + RationalPoly.variable(0, 3)
+    with pytest.raises(ValueError, match="^variable index 2 out of range for nvars = 2$"):
+        RationalPoly.variable(2, 2)
+    with pytest.raises(ValueError, match="^point has 3 coordinates, expected 2$"):
+        x6.eval((1, 2, 3))
+    with pytest.raises(ZeroDivisionError, match="^polynomial division by zero$"):
+        x6 / 0
+    with pytest.raises(ValueError, match="^exponent must be a nonnegative integer$"):
+        x6 ** -1
 
 
 _coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -197,6 +205,16 @@ def test_witness_found_among_the_random_points():
     assert all(point)
     assert Fraction(witness["lhs"]) == product.eval(point) != 0
     assert witness["rhs"] == "0"
+
+
+def test_witness_falls_back_to_the_leading_term(monkeypatch):
+    # when no candidate separates the sides, the witness names the leading
+    # term of their difference instead of a point
+    monkeypatch.setattr(polyverify, "_witness_candidates", lambda nvars: [(0,) * nvars])
+    x0, x1, x2 = (RationalPoly.variable(i, 3) for i in range(3))
+    witness = polyverify._find_witness(x0 * x1 * x2 * 3, x1 * 2)
+    assert witness == {"point": None, "lhs": None, "rhs": None,
+                       "leading_term": {"exponents": (1, 1, 1), "coefficient": "3"}}
 
 
 def _doubled(kernel):
@@ -394,15 +412,14 @@ def test_symbolic_matches_float_layer_at_rational_points():
             assert approx == pytest.approx(exact, rel=1e-12, abs=1e-12), name
 
 
-@pytest.mark.parametrize("minimal", [False, True])
-def test_every_recipe_alias_resolves_to_its_canonical_polynomial(minimal):
-    for alias, canonical in polyverify._ALIASES.items():
-        assert polyverify.assemble_symbolic(alias, minimal) == \
-            polyverify.assemble_symbolic(canonical, minimal), alias
-
-
-def test_spaced_recipe_resolves_like_its_unspaced_alias():
-    # the lookup strips spaces, so one unspaced key serves both spellings
-    for minimal in (False, True):
-        assert polyverify.assemble_symbolic("tr(W ∘ ⋆W)", minimal) == \
-            polyverify.assemble_symbolic("trWstarW", minimal)
+@pytest.mark.parametrize("spelling", [
+    "|A^2|^2", "|A2|^2", "|W|^2", "|W+|^2", "|W-|^2", "|W+-|^2", "|W±|²", "|W±|^2",
+    "|Ric0|^2", "tr(W o *W)", "tr(W ∘ ⋆W)", "tr(W*W)", "tripleW+",
+    "s", "wsq", " Wsq", "triple W", "TRIPLEWPLUS"])
+def test_recipes_are_taken_by_their_exact_names_only(spelling):
+    # a notation or a respelling of a recipe is not a recipe: tr(W*W) reads
+    # as |W|^2 to one reader and as the star pairing to another
+    with pytest.raises(ValueError, match="unsupported recipe pattern") as info:
+        polyverify.assemble_symbolic(spelling)
+    assert str(info.value).endswith(f"known recipes: {polyverify._RECIPES}")
+    assert len(polyverify._RECIPES) == 12
