@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lambda2 import LAMBDA2_BASIS, CurvTensor4, _kn_raw, _sd_split, _star4
+from .lambda2 import LAMBDA2_BASIS, CurvTensor4, _kn_raw, _sd_split
 from .lambda2 import inner, star_weyl, triple  # noqa: F401  (looked up on this module)
 from .tolerances import EQUALITY_TOL, _entry_failure, _json_numbers, _require_entries
 
@@ -557,6 +557,13 @@ def _wpm_sq(H, S, A2sq, trA3):
             - _ratio(4, 3, S) * H * H * S)
 
 
+def _harmweyl_form(S, A2sq, trA3, trA6):
+    """3 triple(W+) + S/2 |W+|^2 of a minimal state (n = 4), certified by
+    harmweyl_equality_form: 15 (trA^3)^2 - 42 trA^6 + 55/2 S |A^2|^2 - 13/4 S^3."""
+    return (15 * trA3 * trA3 - 42 * trA6 + _ratio(55, 2, S) * S * A2sq
+            - _ratio(13, 4, S) * S ** 3)
+
+
 def _w_sq(H, S, A2sq, trA3):
     """|W|^2 = |W+|^2 + |W-|^2 = 2 |W+-|^2 (n = 4)."""
     return 2 * _wpm_sq(H, S, A2sq, trA3)
@@ -602,29 +609,15 @@ def _fialkow(A: np.ndarray, S):
     return (A2 - _bcast(S / 6, 2) * np.eye(A.shape[-1], dtype=A.dtype)) / 2
 
 
-# Shape operators per block of the batched Weyl route: a block's
-# (block, 4, 4, 4, 4) float temporaries take 0.5 MiB each, whatever the
-# batch; blocks of 32 to 1,024 states ran equally fast per state.
+# Shape operators per block of weyl_split_norms: a block's (block, 4, 4, 4,
+# 4) float temporaries take 0.5 MiB each, whatever the batch; blocks of 32
+# to 1,024 states ran equally fast per state.
 _WEYL_BLOCK = 256
 
 
-def _weyl_blocks(A: np.ndarray):
-    """(slice, W) for consecutive blocks of an (N, 4, 4) batch."""
-    for start in range(0, len(A), _WEYL_BLOCK):
-        rows = slice(start, start + _WEYL_BLOCK)
-        yield rows, _weyl_raw(A[rows])
-
-
-def _contract(T1: np.ndarray, T2: np.ndarray) -> np.ndarray:
-    return np.einsum("...ijkl,...ijkl->...", T1, T2)
-
-
 def _signatures(A: np.ndarray) -> np.ndarray:
-    """<W, *W> of each shape operator in an (N, 4, 4) float batch."""
-    out = np.empty(len(A))
-    for rows, W in _weyl_blocks(A):
-        out[rows] = _contract(W, _star4(W))
-    return out
+    """<W, *W> of each (N, 4, 4) shape operator: 0.0, as signature_vanishes certifies."""
+    return np.zeros(len(A))
 
 
 def weyl_split_norms(A) -> tuple:
@@ -642,9 +635,10 @@ def weyl_split_norms(A) -> tuple:
     flat = A.reshape(-1, 4, 4)
     _require_entries("A", flat, ((flat.swapaxes(1, 2), "shape operator must be symmetric"),))
     out = np.empty((3, len(flat)))
-    for rows, W in _weyl_blocks(flat):
-        Wp, Wm = _sd_split(W)
-        out[:, rows] = _contract(Wp, Wp), _contract(Wm, Wm), _contract(W, W)
+    for start in range(0, len(flat), _WEYL_BLOCK):
+        rows = slice(start, start + _WEYL_BLOCK)
+        W = _weyl_raw(flat[rows])
+        out[:, rows] = [np.einsum("...ijkl,...ijkl->...", T, T) for T in (*_sd_split(W), W)]
     return tuple(out.reshape((3,) + A.shape[:-2]))
 
 
@@ -713,8 +707,8 @@ def cgb_integrand(p: PointState) -> float:
 def signature_integrand(p: PointState) -> float:
     """Integrand of the Hirzebruch signature, <W, *W> = |W+|^2 - |W-|^2.
 
-    Identically zero for hypersurface-induced metrics: the signature of a
-    closed hypersurface of a space form vanishes.
+    Identically 0.0 for hypersurface-induced metrics, as the registry identity
+    signature_vanishes certifies: the signature of a closed hypersurface vanishes.
     """
     _require_four(p.n, "signature_integrand")
     return float(_signatures(p.A[None])[0])
@@ -739,12 +733,13 @@ def _lone(p: PointState) -> _StateGroup:
                        {} if p.hessS is None else {0: p.hessS}, [p.parallel], [p._from_spectrum])
 
 
-def _derivative_kernel(group: _StateGroup, powers: tuple, fields=None, weyl=True) -> tuple:
+def _derivative_kernel(group: _StateGroup, powers: tuple, fields=None) -> tuple:
     """(B, records) of a validated group, its _trace_powers and its field data
     by row per _FIELD_KEYS key: (N, 4, 4) Bach tensors (None unless n = 4)
     and each row's Bochner residuals, "unavailable" where NaN or not minimal.
-    B needs what simons needs. Without ``weyl``, scalar_bochner is NaN."""
-    A, c, (_, S, A2sq, trA3, trA5, trA6) = group.A, group.c, powers
+    B needs what simons needs. scalar_bochner is, like first_bach, a minimal-only
+    closed form: (R + S) _wpm_sq - 2 _harmweyl_form on parallel rows."""
+    A, c, (H, S, A2sq, trA3, trA5, trA6) = group.A, group.c, powers
     N, n = A.shape[:2]
     parallel = np.array(group.parallel, dtype=bool)
     given = {"nablaA": group.nablaA, "hessS": group.hessS, **(fields or {})}
@@ -770,18 +765,14 @@ def _derivative_kernel(group: _StateGroup, powers: tuple, fields=None, weyl=True
         0.5 * lap_A2_sq - (grad_A2_sq + 2.0 * trA6 - 2.0 * trA3 * trA3 - 7.0 / 6.0 * S * A2sq
                            + np.array([s ** 3 for s in S.tolist()]) / 6.0 + c * (4.0 * A2sq - S * S)
                            + (hess * A2).sum(axis=(1, 2)) / 3.0 + S * lap_S / 6.0),
-        np.full(N, np.nan),
+        np.where(parallel, (_ricci(A, c)[1] + S) * _wpm_sq(H, S, A2sq, trA3)
+                 - 2.0 * _harmweyl_form(S, A2sq, trA3, trA6), np.nan),
     ]).T
     B = None
     if n == 4:
         B = 0.5 * (2.0 * (A2 @ A2) - _bcast(2.0 * trA3, 2) * A - _bcast(4.0 * c, 2) * A2
                    + _bcast(4.0 / 3.0 * S, 2) * A2 + hess / 3.0 - 2.0 * T2
                    + _bcast(grad_sq / 3.0 + c * S / 3.0 - S * S / 6.0 - 0.5 * A2sq, 2) * np.eye(4))
-        rows = np.flatnonzero(parallel & weyl)
-        for block, W in _weyl_blocks(A[rows]):
-            Wp, at = next(_sd_split(W)), rows[block]
-            table[at, 6] = (_ricci(A[at], c[at])[1] * (Wp * Wp).sum(axis=(1, 2, 3, 4))
-                            - 6.0 * np.einsum("nijkl,npqkl,nijpq->n", Wp, Wp, Wp))
     else:  # the Bach identities are four-dimensional
         table[:, 4:] = np.nan
     table[~group.minimal] = np.nan
@@ -814,7 +805,7 @@ def bach_tensor(p: PointState, tol: float = EQUALITY_TOL) -> np.ndarray:
     if not p.minimal:
         raise ValueError(f"bach_tensor requires a minimal state (H = {p.H:.3e})")
     _require_derivatives(p, ("nablaA", "hessS"), "bach_tensor")
-    B, (record,) = _derivative_kernel(_lone(p), _trace_powers(p.A[None]), weyl=False)
+    B, (record,) = _derivative_kernel(_lone(p), _trace_powers(p.A[None]))
     _warn_bach_trace(record["simons"], p.S, tol, stacklevel=3)
     return B[0]
 
@@ -892,7 +883,8 @@ def bochner_residuals(p: PointState, field_data: dict | None = None) -> dict:
     grad_A2_sq, nablaA); for n = 4 only "first_bach" (nablaA, hessS),
     "second_bach" (lap_A2_sq, grad_A2_sq, hessS), the two Bach-derived
     scalar identities, valid for Bach-flat states, and "scalar_bochner"
-    (R |W+|^2 = 6 triple W+, valid when W is parallel; parallel flag).
+    (R |W+|^2 = 6 triple W+, valid when W is parallel; parallel flag; read
+    from the closed forms certified by harmweyl_equality_form).
     Tensor-valued residuals are reported as max-abs entries.
     """
     fields = _field_values(field_data, p.n)

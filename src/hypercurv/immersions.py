@@ -554,7 +554,7 @@ _CGB = ("cgbEuler", lambda A, c: [_cgb(*row, c) for row in _power_rows(_quartic_
 _WEYL = ("weylFunctional", lambda A, c: [_w_sq(*row) for row in _power_rows(_quartic_powers(A))],
          1.0)
 _FUNCTIONALS = {
-    "cgbeuler": _CGB, "cgb": _CGB, "euler": _CGB,
+    "cgbeuler": _CGB, "cgb": _CGB,
     "weylfunctional": _WEYL, "weyl": _WEYL,
     "signature": ("signature", lambda A, c: _signatures(A), 48.0 * math.pi ** 2),
     "volume": ("volume", lambda A, c: np.ones(len(A)), 1.0),
@@ -580,8 +580,8 @@ def integrate(imm: Immersion, functional: str, res: int = 64,
 
     Functionals: "cgbEuler" (normalized by 32 pi^2; equals the Euler
     characteristic on closed geometries), "weylFunctional" (the plain
-    integral of |W|^2), "signature" (normalized by 48 pi^2; equals the
-    Hirzebruch signature), "volume". Short aliases cgb/weyl are accepted.
+    integral of |W|^2), "signature" (normalized by 48 pi^2; the Hirzebruch
+    signature, 0 by signature_vanishes), "volume". Short aliases cgb/weyl.
 
     Catalog geometries have constant curvature data over the chart, so
     the integrand is evaluated once and the quadrature carries the volume

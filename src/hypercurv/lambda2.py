@@ -211,11 +211,10 @@ def kulkarni_nomizu(U, V) -> CurvTensor4:
 
 
 def _sd_split(T):
-    """Yields T+ = (T + *T)/2, then T- = (T - *T)/2, over leading axes, so
-    next() forms T+ alone; dtype-generic, so it divides by 2 (0.5 * poly raises)."""
+    """(T+, T-) = ((T + *T)/2, (T - *T)/2) over leading axes; dtype-generic, so
+    it divides by 2 (0.5 * poly raises)."""
     star = _star4(T)
-    yield (T + star) / 2
-    yield (T - star) / 2
+    return (T + star) / 2, (T - star) / 2
 
 
 def sd_asd_split(T, tol: float = EQUALITY_TOL):

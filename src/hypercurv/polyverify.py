@@ -9,23 +9,24 @@ diagonal variables l1..ln and checking that the difference is the zero
 polynomial. That is a proof, not a numerical test: no sampling, no
 tolerance.
 
-The tensor left-hand sides are the shipped kernels themselves, evaluated
-over Q[l1..ln]: the Weyl tensor is ``extrinsic._weyl_raw``, the star and
-W+- split are ``lambda2._star4`` and ``lambda2._sd_split``, as ``point``
-runs them, Kulkarni-Nomizu products are ``lambda2._kn_raw``, Ricci data
-come from ``extrinsic._ricci`` and the curvature tensor from the
-Gauss-equation kernel ``extrinsic._gauss``. The
-right-hand sides are the shipped closed-form kernels that
-``closed_form_norms`` and ``cgb_integrand`` evaluate in floating point:
-power sums, |W+-|^2, |W|^2, |Ric0|^2, the Chern-Gauss-Bonnet integrand,
-the Fialkow tensor and the general-n minimal |W|^2. All are looked up at
-each ``verify_all``/``verify_identity``/``assemble_symbolic`` call, so a
-defect in the code that ``hypercurv point`` runs fails certification, and
-a float constant that is not an integer raises TypeError instead of
-certifying an approximation. Each quantity of diag(l1..l4) that the
-registry and the recipes share (the power sums, the closed forms, W, W+-
-and their contractions) is named once, in ``_SYMBOLS``, and computed at
-most once per call, kept read-only; nothing is kept between calls.
+The tensor sides are the shipped kernels themselves, evaluated over
+Q[l1..ln]: the Weyl tensor is ``extrinsic._weyl_raw``, the star and W+-
+split are ``lambda2._star4`` and ``lambda2._sd_split``, as ``weyl_tensor``
+and ``div_weyl_sd`` run them, Kulkarni-Nomizu products are
+``lambda2._kn_raw``, Ricci data come from ``extrinsic._ricci`` and the
+curvature tensor from the Gauss-equation kernel ``extrinsic._gauss``. The
+other sides are the shipped closed-form kernels that ``point`` evaluates
+in floating point: power sums, |W+-|^2, |W|^2, |Ric0|^2, the
+Chern-Gauss-Bonnet integrand, the Fialkow tensor, the general-n minimal
+|W|^2, the zero signature integrand and the cubic Weyl form of
+``scalar_bochner``, so that ``point`` builds no Weyl tensor. All are
+looked up at each ``verify_all``/``verify_identity``/``assemble_symbolic``
+call, so a defect in the code that ``hypercurv point`` runs fails
+certification, and a float constant that is not an integer raises
+TypeError instead of certifying an approximation. Each quantity of
+diag(l1..l4) that the registry and the recipes share (the power sums, the
+closed forms, W, W+- and their contractions) is named once, in ``_SYMBOLS``,
+computed at most once per call and kept read-only, not between calls.
 
 The diagonal-A reduction is the only analytic step taken on faith here,
 and it is spot-checked in floating point against non-diagonal shape
@@ -430,7 +431,7 @@ _SYMBOLS = {
     "Wsq": lambda: extrinsic._w_sq(*_symbol("powers")[:4]),
     "ricTFsq": lambda: extrinsic._ric0_sq(*_symbol("powers")[:4], 4),
     "W": lambda: extrinsic._weyl_raw(_symbol("A")),
-    "Wpm": lambda: tuple(lambda2._sd_split(_symbol("W"))),
+    "Wpm": lambda: lambda2._sd_split(_symbol("W")),
     "trWstarW": lambda: np.einsum("ijkl,ijkl->", _symbol("W"), lambda2._star4(_symbol("W"))),
     "tripleW": lambda: _triple(_symbol("W")),
     "tripleWplus": lambda: _triple(_symbol("Wpm")[0]),
@@ -468,6 +469,12 @@ def _build_normWpm():
 def _build_normW():
     W = _symbol("W")
     return [(np.einsum("ijkl,ijkl->", W, W), _symbol("Wsq"))]
+
+
+def _build_signature():
+    # the right side is the n = 4 signature integrand that point reports
+    zero = extrinsic._signatures(_symbol("A")[None])[0]
+    return [(_symbol("trWstarW"), RationalPoly.const(zero, 4))]
 
 
 def _build_ricTFsq():
@@ -520,12 +527,9 @@ def _build_quadratic_split():
 def _build_harmweyl_equality():
     # The (S/2)|W+|^2 term is part of the source relation; omitting it
     # leaves a nonzero polynomial.
-    S, A2sq, trA3, trA6 = map(_symbol, ("S", "A2sq", "trA3", "trA6"))
-    Wp = _symbol("Wpm")[0]
-    lhs = (trA3 * trA3 * 15 - trA6 * 42 + S * A2sq * Fraction(55, 2)
-           - S ** 3 * Fraction(13, 4))
-    rhs = (_symbol("tripleWplus") * 3
-           + S * np.einsum("ijkl,ijkl->", Wp, Wp) * Fraction(1, 2))
+    S, Wp = _symbol("S"), _symbol("Wpm")[0]
+    lhs = extrinsic._harmweyl_form(S, *map(_symbol, ("A2sq", "trA3", "trA6")))
+    rhs = _symbol("tripleWplus") * 3 + S * np.einsum("ijkl,ijkl->", Wp, Wp) / 2
     return [(_eliminate_last(lhs, 4), _eliminate_last(rhs, 4))]
 
 
@@ -572,6 +576,10 @@ REGISTRY = {
             "normW_generalH", "none",
             "|W|^2 equals twice the one-sided closed form",
             _build_normW),
+        IdentityRecord(
+            "signature_vanishes", "none",
+            "<W, *W> = |W+|^2 - |W-|^2 = 0: the signature integrand vanishes",
+            _build_signature),
         IdentityRecord(
             "ricTFsq", "none",
             "|Ric0|^2 = |A^2|^2 - 1/4 S^2 + 3/2 H^2 S - 2H trA^3 - 1/4 H^4",

@@ -217,8 +217,8 @@ def test_criterion_08_symbolic_certification():
     failures = []
     t0 = time.perf_counter()
     results = polyverify.verify_all()
-    if len(results) != 12:
-        failures.append(f"registry has {len(results)} identities, expected 12")
+    if len(results) != 13:
+        failures.append(f"registry has {len(results)} identities, expected 13")
     for r in results:
         if not r.passed or r.witness is not None:
             failures.append(f"identity {r.name} failed: {r.detail}")
@@ -228,7 +228,7 @@ def test_criterion_08_symbolic_certification():
     elapsed = time.perf_counter() - t0
     if elapsed >= 60.0:
         failures.append(f"runtime {elapsed:.1f}s exceeds 60s")
-    _finish(8, f"all 12 identities certify exactly, corrupted control caught "
+    _finish(8, f"all 13 identities certify exactly, corrupted control caught "
                f"({elapsed:.1f}s)", failures)
 
 

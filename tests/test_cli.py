@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface (in-process)."""
 
+import dataclasses
 import io
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hypercurv import cli, extrinsic
+from hypercurv import cli, extrinsic, immersions
 from hypercurv.extrinsic import NABLA_ORDER
 
 
@@ -40,9 +41,11 @@ CLIFFORD22 = json.dumps({"n": 4, "c": 1.0, "lambda": [1.0, 1.0, -1.0, -1.0]})
 # Golden outputs pin stdout byte for byte. The verify file was generated by
 # the code before the certifier ran on the shipped tensor kernels; the point
 # and classify files were regenerated when classification moved onto the
-# trace power sums of the shape operator. classify_golden_in.json covers the
-# five multiplicity patterns, near and band gaps, A and lambda input, minimal
-# and mean-curved states.
+# trace power sums of the shape operator, and the point file again when its
+# signature_integrand and scalar_bochner values came to read the certified
+# closed forms in place of the tensor route's rounding.
+# classify_golden_in.json covers the five multiplicity patterns, near and
+# band gaps, A and lambda input, minimal and mean-curved states.
 DATA = pathlib.Path(__file__).parent / "data"
 CLASSIFY_ONE = json.dumps({"n": 4, "c": 1.0, "A": [
     [-1.6212914500116016, -0.5461485462310042, 0.11754435342211597, -0.6759282071610884],
@@ -73,6 +76,28 @@ def test_output_matches_golden_bytes(capsys, argv, golden):
     assert out == (DATA / golden).read_text()
     assert [(w.category, str(w.message)) for w in caught] == [
         (UserWarning, message) for message in GOLDEN_WARNINGS.get(golden, ())]
+
+
+def test_point_and_integrate_build_no_weyl_tensor(capsys, monkeypatch):
+    # both fields of point that the Weyl tensor used to serve, and the
+    # signature functional, read the certified closed forms
+    def fail(*args):
+        raise AssertionError("the Weyl tensor was built")
+
+    monkeypatch.setattr(extrinsic, "_weyl_raw", fail)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the golden input's two Bach-trace warnings
+        code, out, _ = _run(capsys, ["point", str(DATA / "point_golden_in.json")])
+    assert (code, out) == (0, (DATA / "point_golden_out.json").read_text())
+    chart = dataclasses.replace(immersions.get_immersion("clifford:4:1"), spectrum=None)
+    assert immersions.integrate(chart, "signature", res=4) == 0.0
+
+
+def test_integrate_retired_euler_alias_exits_two(capsys):
+    code, out, err = _run(capsys, ["integrate", "--geometry", "clifford:4:2",
+                                   "--functional", "euler", "--res", "2"])
+    assert (code, out) == (2, "")
+    assert err == "error: unknown functional 'euler'\n"
 
 
 def test_point_clifford_report(capsys):
@@ -672,7 +697,7 @@ def test_verify_all_passes(capsys):
     code, rep = _run_json(capsys, ["verify", "--all"])
     assert code == 0
     assert rep["all_passed"] is True
-    assert len(rep["identities"]) == 12
+    assert len(rep["identities"]) == 13
     assert all(r["passed"] for r in rep["identities"])
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from hypercurv import extrinsic, lambda2
+from hypercurv import extrinsic, immersions, lambda2
 from hypercurv.lambda2 import _kn_raw
 
 RTOL = 1e-10
@@ -282,9 +282,7 @@ def test_weyl_kernel_matches_symmetrized_reference_bitwise():
     assert np.array_equal(extrinsic._weyl_raw(A).view(np.uint64), ref.view(np.uint64))
 
 
-def test_batched_kernels_equal_per_state_calls(monkeypatch):
-    # A small Weyl block makes the batch span several blocks.
-    monkeypatch.setattr(extrinsic, "_WEYL_BLOCK", 7)
+def test_batched_kernels_equal_per_state_calls():
     rng = np.random.default_rng(33)
     states = [extrinsic.PointState(A=_rand_sym(rng, scale=2.0), c=float(k % 3 - 1))
               for k in range(30)]
@@ -292,7 +290,7 @@ def test_batched_kernels_equal_per_state_calls(monkeypatch):
     A = np.array([st.A for st in states])
     _, ric, scal, ric_tf = extrinsic._gauss(A, np.array([st.c for st in states]))
     rows = extrinsic._power_rows(extrinsic._trace_powers(A))
-    signatures = extrinsic._signatures(A)
+    assert extrinsic._signatures(A).tolist() == [0.0] * len(states)
     for k, st in enumerate(states):
         pack = extrinsic.gauss_equations(st)
         assert np.array_equal(pack.ric, ric[k]) and np.array_equal(pack.ricTF, ric_tf[k])
@@ -301,7 +299,7 @@ def test_batched_kernels_equal_per_state_calls(monkeypatch):
         fields = extrinsic._norm_fields(rows[k], 4)
         assert fields == {key: getattr(norms, key) for key in fields}
         assert extrinsic.cgb_integrand(st) == extrinsic._cgb(*rows[k][:4], st.c)
-        assert extrinsic.signature_integrand(st) == signatures[k]
+        assert extrinsic.signature_integrand(st) == 0.0
     assert [row[:2] for row in rows] == [[st.H, st.S] for st in states]
 
 
@@ -311,12 +309,11 @@ def _trace_free_state(rng, **kw):
     return extrinsic.PointState(A=A, c=float(rng.choice([-1.0, 0.0, 1.0])), **kw)
 
 
-def test_derivative_kernel_rows_equal_lone_calls(monkeypatch):
+def test_derivative_kernel_rows_equal_lone_calls():
     # The Bach and Bochner kernel on a stacked group gives each row the
     # bits of bach_tensor and bochner_residuals on that state alone: rows
-    # with nablaA and hessS, with one of them, parallel rows (several Weyl
-    # blocks of 3), non-minimal rows and rows without data.
-    monkeypatch.setattr(extrinsic, "_WEYL_BLOCK", 3)
+    # with nablaA and hessS, with one of them, parallel rows, non-minimal
+    # rows and rows without data.
     rng = np.random.default_rng(35)
     states = [_trace_free_state(rng, nablaA=_trace_free_nabla(rng), hessS=_rand_sym(rng))
               for _ in range(8)]
@@ -478,11 +475,14 @@ def test_cgb_integrand_golden_values():
 
 
 def test_signature_integrand_vanishes():
+    # the certified zero is exact; the tensor route gives rounding noise
     rng = np.random.default_rng(30)
     for _ in range(10):
         st = extrinsic.PointState(A=_rand_sym(rng, scale=3.0), c=1.0)
         wsq = extrinsic.closed_form_norms(st).Wsq
-        assert extrinsic.signature_integrand(st) == pytest.approx(0.0, abs=1e-9 * (1 + wsq))
+        assert extrinsic.signature_integrand(st) == 0.0
+        W = extrinsic.weyl_tensor(st)
+        assert abs(lambda2.inner(W, lambda2.star_weyl(W))) <= 1e-9 * (1 + wsq)
 
 
 def test_signature_integrand_is_star_pairing():
@@ -911,6 +911,29 @@ def test_bochner_scalar_identity_at_clifford_22():
     assert scal * wpsq == pytest.approx(256.0 / 3.0, rel=1e-12)
     assert 6.0 * lambda2.triple(Wp, Wp, Wp) == pytest.approx(256.0 / 3.0, rel=1e-12)
     assert extrinsic.bochner_residuals(st)["scalar_bochner"] == pytest.approx(0.0, abs=1e-10)
+
+
+def _parallel_minimal_states():
+    """Random trace-free states, c in {-1, 0, 1}, and the catalog spectra of
+    n = 4 (m4 included), all flagged parallel."""
+    rng = np.random.default_rng(98)
+    states = [_trace_free_state(rng, parallel=True) for _ in range(60)]
+    for c in (-1.0, 0.0, 1.0):
+        for label in ("clifford:4:1", "clifford:4:2", "clifford:4:3", "geodesic:4", "m4"):
+            states.append(_state(immersions.catalog_point(label).lam, c=c, parallel=True))
+    return states
+
+
+def test_scalar_bochner_closed_form_equals_the_tensor_route():
+    # (R + S)|W+|^2 - 2(3 triple(W+) + S/2 |W+|^2) against R|W+|^2 - 6 triple(W+)
+    # from the public Weyl tensor, its split and the triple contraction
+    for st in _parallel_minimal_states():
+        assert st.minimal
+        Wp, _ = lambda2.sd_asd_split(extrinsic.weyl_tensor(st))
+        tensor = (extrinsic.gauss_equations(st).scal * lambda2.inner(Wp, Wp)
+                  - 6.0 * lambda2.triple(Wp, Wp, Wp))
+        closed = extrinsic.bochner_residuals(st)["scalar_bochner"]
+        assert abs(closed - tensor) <= 1e-12 * (1.0 + st.S) ** 3, (st, closed, tensor)
 
 
 def _assert_same_state(a, b):

@@ -182,9 +182,9 @@ def test_functional_aliases_and_errors():
         immersions.integrate(imm, "entropy", res=8)
 
 
-def test_dump_csv_columns():
+def test_dump_csv_columns(tmp_path):
     imm = immersions.get_immersion("clifford:4:1")
-    path = "/tmp/hypercurv_test_nodes.csv"
+    path = tmp_path / "nodes.csv"
     immersions.integrate(imm, "cgb", res=3, dump=path)
     with open(path) as fh:
         rows = list(csv.reader(fh))

@@ -180,7 +180,7 @@ def test_eval_is_ring_homomorphism(p, pt):
 
 def test_registry_all_pass():
     results = polyverify.verify_all()
-    assert len(results) == len(polyverify.REGISTRY) == 12
+    assert len(results) == len(polyverify.REGISTRY) == 13
     assert {r.name for r in results} == set(polyverify.REGISTRY)
     for r in results:
         assert r.passed, r
@@ -267,6 +267,27 @@ def test_certifier_runs_the_shipped_kernels(monkeypatch, module, name):
         assert not bad.passed, identity
         assert bad.witness["point"] is not None
         assert Fraction(bad.witness["lhs"]) != Fraction(bad.witness["rhs"])
+
+
+def test_harmweyl_certifies_the_closed_form_point_runs(monkeypatch):
+    # scalar_bochner reads _harmweyl_form; without its S^3 term the
+    # certificate fails at a rational point
+    def no_cubic(S, A2sq, trA3, trA6):
+        return 15 * trA3 * trA3 - 42 * trA6 + extrinsic._ratio(55, 2, S) * S * A2sq
+
+    monkeypatch.setattr(extrinsic, "_harmweyl_form", no_cubic)
+    bad = polyverify.verify_identity("harmweyl_equality_form")
+    assert not bad.passed
+    assert bad.witness["point"] is not None
+    assert Fraction(bad.witness["lhs"]) != Fraction(bad.witness["rhs"])
+
+
+def test_signature_vanishes_certifies_the_zero_point_reports(monkeypatch):
+    assert polyverify.verify_identity("signature_vanishes").passed
+    monkeypatch.setattr(extrinsic, "_signatures", lambda A: np.ones(len(A)))
+    bad = polyverify.verify_identity("signature_vanishes")
+    assert not bad.passed
+    assert (bad.witness["lhs"], bad.witness["rhs"]) == ("0", "1")
 
 
 def test_registry_components_are_polynomials():
