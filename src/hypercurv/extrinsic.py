@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lambda2 import LAMBDA2_BASIS, CurvTensor4, _kn_raw, _sd_split
+from .lambda2 import LAMBDA2_BASIS, CurvTensor4, _I, _J, _expand, _inner, _kn_raw, _sd_split
 from .lambda2 import inner, star_weyl, triple  # noqa: F401  (looked up on this module)
 from .tolerances import EQUALITY_TOL, _entry_failure, _json_numbers, _require_entries
 
@@ -465,7 +465,7 @@ class NormPack:
 
 def _bcast(x, k: int) -> np.ndarray:
     """x, a scalar or a (...) batch of scalars, with k trailing unit axes, so
-    that it broadcasts against a (..., n^k) batch of tensors."""
+    that it broadcasts against a (..., n, n) batch of matrices or operators."""
     return np.asarray(x)[(...,) + (None,) * k]
 
 
@@ -475,8 +475,8 @@ def _weyl_raw(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     W being quadratic in A, nabla_m W = 2 W(A, nabla_m A) exactly.
 
     Broadcasts over leading axes: A and B of shape (..., 4, 4) give a
-    (..., 4, 4, 4, 4) result. The ambient curvature c drops out of the
-    Weyl part entirely, which is why it does not appear here. Generic in
+    (..., 6, 6) operator on Lambda^2. The ambient curvature c drops out of
+    the Weyl part entirely, which is why it does not appear here. Generic in
     the dtype: only integer constants enter, so the exact certifier runs
     this same kernel on object arrays of rational polynomials.
     """
@@ -491,9 +491,9 @@ def _weyl_raw(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     # + (H^2 - |A|^2)/12 g o g bit for bit, barring subnormals: a sum of two
     # equal terms and a division by a power of two are exact.
     W = _kn_raw(A, B) / 2
-    W -= (_bcast(H, 4) * _kn_raw(B, I) + _bcast(HB, 4) * _kn_raw(A, I)) / 4
+    W -= (_bcast(H, 2) * _kn_raw(B, I) + _bcast(HB, 2) * _kn_raw(A, I)) / 4
     W += _kn_raw((A @ B + B @ A) / 2, I) / 2
-    W += _bcast((H * HB - np.einsum("...ij,...ij->...", A, B)) / 12, 4) * _kn_raw(I, I)
+    W += _bcast((H * HB - np.einsum("...ij,...ij->...", A, B)) / 12, 2) * _kn_raw(I, I)
     return W
 
 
@@ -546,9 +546,9 @@ def _ricci(A: np.ndarray, c) -> tuple:
 
 
 def _gauss(A: np.ndarray, c) -> tuple:
-    """(riem, ric, scal, ricTF): the curvature tensor, then the _ricci data."""
+    """(riem, ric, scal, ricTF): the curvature operator, then the _ricci data."""
     I = np.eye(A.shape[-1], dtype=A.dtype)
-    return (_bcast(c / 2, 4) * _kn_raw(I, I) + _kn_raw(A, A) / 2,) + _ricci(A, c)
+    return (_bcast(c / 2, 2) * _kn_raw(I, I) + _kn_raw(A, A) / 2,) + _ricci(A, c)
 
 
 def _wpm_sq(H, S, A2sq, trA3):
@@ -609,9 +609,9 @@ def _fialkow(A: np.ndarray, S):
     return (A2 - _bcast(S / 6, 2) * np.eye(A.shape[-1], dtype=A.dtype)) / 2
 
 
-# Shape operators per block of weyl_split_norms: a block's (block, 4, 4, 4,
-# 4) float temporaries take 0.5 MiB each, whatever the batch; blocks of 32
-# to 1,024 states ran equally fast per state.
+# Shape operators per block of weyl_split_norms: a block's (block, 6, 6)
+# float temporaries take 72 KiB each, whatever the batch; unblocked, 1e5
+# states peaked at 141 MiB traced, against 25 MiB in blocks of 256.
 _WEYL_BLOCK = 256
 
 
@@ -623,7 +623,7 @@ def _signatures(A: np.ndarray) -> np.ndarray:
 def weyl_split_norms(A) -> tuple:
     """(|W+|^2, |W-|^2, |W|^2) of each shape operator in a (..., 4, 4) batch.
 
-    Tensor route: the Weyl tensor of the induced metric, split by the star
+    Tensor route: the Weyl operator of the induced metric, split by the star
     and contracted in full, a fixed-size block of operators at a time. The
     closed form says |W+|^2 = |W-|^2 = Wpmsq of closed_form_norms. The
     first matrix that breaks PointState's entry rule for A (the 1e50 cap,
@@ -638,7 +638,7 @@ def weyl_split_norms(A) -> tuple:
     for start in range(0, len(flat), _WEYL_BLOCK):
         rows = slice(start, start + _WEYL_BLOCK)
         W = _weyl_raw(flat[rows])
-        out[:, rows] = [np.einsum("...ijkl,...ijkl->...", T, T) for T in (*_sd_split(W), W)]
+        out[:, rows] = [_inner(T, T) for T in (*_sd_split(W), W)]
     return tuple(out.reshape((3,) + A.shape[:-2]))
 
 
@@ -656,8 +656,8 @@ def gauss_equations(p: PointState) -> CurvaturePack:
     R = n(n-1) c + H^2 - S, and the trace-free Ricci tensor.
     """
     riem, ric, scal, ricTF = _gauss(p.A, p.c)
-    riem_out = CurvTensor4(riem, check=False) if p.n == 4 else riem
-    return CurvaturePack(riem=riem_out, ric=ric, scal=float(scal), ricTF=ricTF)
+    riem = CurvTensor4(_expand(riem), check=False) if p.n == 4 else _expand(riem, p.n)
+    return CurvaturePack(riem=riem, ric=ric, scal=float(scal), ricTF=ricTF)
 
 
 def weyl_tensor(p: PointState) -> CurvTensor4:
@@ -667,7 +667,7 @@ def weyl_tensor(p: PointState) -> CurvTensor4:
     bit-identical components. Dimensions other than four are rejected.
     """
     _require_four(p.n, "weyl_tensor")
-    return CurvTensor4(_weyl_raw(p.A), check=False)
+    return CurvTensor4(_expand(_weyl_raw(p.A)), check=False)
 
 
 def closed_form_norms(p: PointState) -> NormPack:
@@ -828,11 +828,13 @@ def div_weyl_sd(p: PointState) -> list:
     _require_entries("A", p.A[None], ((p.A.T[None], "shape operator must be symmetric"),))
     _require_derivatives(p, ("nablaA",), "div_weyl_sd")
     nabla = np.zeros((4, 4, 4)) if p.nablaA is None else p.nablaA
-    # stack axis m holds nabla_m A = nablaA[..., m]
-    plus, minus = (np.einsum("mmkij->kij", T)
+    # stack axis m holds nabla_m A = nablaA[..., m]; W_mk.. is row p of the
+    # operator times E[m, k, p] = +-1 where (m, k) is pair p or its reverse
+    E = _expand(np.eye(6))[..., _I, _J]
+    plus, minus = (np.einsum("mkp,mpq->kq", E, T)
                    for T in _sd_split(2 * _weyl_raw(p.A, np.moveaxis(nabla, 2, 0))))
-    return [{"indices": (k + 1, i, j), "plus": plus[k, i - 1, j - 1],
-             "minus": minus[k, i - 1, j - 1]} for k in range(4) for i, j in LAMBDA2_BASIS[:3]]
+    return [{"indices": (k + 1, *LAMBDA2_BASIS[q]), "plus": plus[k, q], "minus": minus[k, q]}
+            for k in range(4) for q in range(3)]
 
 
 def _field_values(field_data, n: int) -> dict:

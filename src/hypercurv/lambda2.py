@@ -3,9 +3,9 @@
 On an oriented 4-dimensional inner product space the Hodge star is an
 involution of the 6-dimensional space of two-forms and splits it into the
 +1 (self-dual) and -1 (anti-self-dual) eigenspaces. An algebraic curvature
-tensor acts on two-forms as a symmetric 6x6 operator; for trace-free
-curvature tensors that operator block-diagonalizes over the splitting, and
-the two 3x3 blocks carry the self-dual and anti-self-dual spectra.
+tensor is a symmetric 6x6 operator on two-forms; for trace-free curvature
+tensors that operator block-diagonalizes over the splitting, and the two
+3x3 blocks carry the self-dual and anti-self-dual spectra.
 
 Conventions. Components are w.r.t. an oriented orthonormal frame and are
 stored as 0-based numpy arrays; only the basis pairs below are named
@@ -19,9 +19,10 @@ The ordered Lambda^2 basis used for 6x6 operator matrices is
 
     e1^e2, e1^e3, e1^e4, e3^e4, e4^e2, e2^e3
 
-so that the star swaps the first and last three basis elements: a pair
-(i, j) with image (a, b) has (*T)_ij.. = (T_ab.. - T_ba..)/2. The code reads
-(a, b) off this order; mu is data derived from it.
+so that the star is the permutation p <-> p + 3 of the basis. The kernels
+run on (..., P, P) operators over the pairs of R^n (this basis for n = 4,
+the pairs i < j otherwise), entry [p, q] = T_ijkl at p = (i, j), q = (k, l);
+components exist only at the public boundary, written by one map, _expand.
 """
 
 from __future__ import annotations
@@ -30,18 +31,8 @@ import numpy as np
 
 from .tolerances import _CURVATURE_SCALE, EQUALITY_TOL, _require_entries
 
-__all__ = [
-    "LAMBDA2_BASIS",
-    "CurvTensor4",
-    "levi_civita_tensor",
-    "hodge_star",
-    "star_weyl",
-    "kulkarni_nomizu",
-    "sd_asd_split",
-    "lambda2_spectrum",
-    "inner",
-    "triple",
-]
+__all__ = ["LAMBDA2_BASIS", "CurvTensor4", "levi_civita_tensor", "hodge_star", "star_weyl",
+           "kulkarni_nomizu", "sd_asd_split", "lambda2_spectrum", "inner", "triple"]
 
 # Lambda^2 basis as ordered 1-based index pairs. The second triple is the
 # image of the first under the star, in order.
@@ -50,25 +41,34 @@ LAMBDA2_BASIS = ((1, 2), (1, 3), (1, 4), (3, 4), (4, 2), (2, 3))
 # The basis as 0-based index arrays: pair p is (_I[p], _J[p]).
 _I, _J = np.array(LAMBDA2_BASIS).T - 1
 
-# The star over flat pairs 4i + j: pair p maps to pair p + 3, so at 4i + j
-# the star reads + at _STAR_PLUS and - at _STAR_MINUS, and the reversed pair
-# reads them swapped. A diagonal pair reads entry 0 in both, so its row is 0.
-_IJ, _JI = 4 * _I + _J, 4 * _J + _I
-_STAR_PLUS, _STAR_MINUS = np.zeros((2, 16), dtype=int)
-_STAR_PLUS[_IJ] = _STAR_MINUS[_JI] = np.roll(_IJ, 3)
-_STAR_MINUS[_IJ] = _STAR_PLUS[_JI] = np.roll(_JI, 3)
+_SWAP = np.roll(np.arange(6), 3)  # the star maps pair p to pair p +- 3
 
-# mu_ijrs: +1 where 4r + s is _STAR_PLUS at 4i + j, -1 where it is _STAR_MINUS.
-_FLAT = np.arange(16).reshape(4, 4)
-_EPS4 = np.subtract(_STAR_PLUS.reshape(4, 4, 1, 1) == _FLAT,
-                    _STAR_MINUS.reshape(4, 4, 1, 1) == _FLAT, dtype=float)
-_EPS4.setflags(write=False)
+
+def _pairs(n: int) -> tuple:
+    """(i, j, k, l): the pairs of R^n as row (P, 1) and column (P,) indices."""
+    I, J = (_I, _J) if n == 4 else np.triu_indices(n, 1)
+    return I[:, None], J[:, None], I, J
+
+
+def _expand(op: np.ndarray, n: int = 4) -> np.ndarray:
+    """The (..., n, n, n, n) components of (..., P, P) operators: op, negated
+    where one pair is reversed, and the dtype's zero (int 0 in object
+    arrays) where a pair repeats an index. Exact in any dtype."""
+    i, j, k, l = _pairs(n)
+    out = np.zeros(op.shape[:-2] + (n,) * 4, dtype=op.dtype)
+    out[..., i, j, k, l] = out[..., j, i, l, k] = op
+    out[..., j, i, k, l] = out[..., i, j, l, k] = -op
+    return out
+
+
+_MU = _expand(np.eye(6)[_SWAP]) + 0.0  # + 0.0 makes every zero +0.0
+_MU.setflags(write=False)
 
 
 def levi_civita_tensor() -> np.ndarray:
     """Read-only (4,4,4,4) array of the Levi-Civita symbol mu, 0-based, so
     mu_1234 = +1 is entry [0, 1, 2, 3]."""
-    return _EPS4
+    return _MU
 
 
 def _as_components(obj, shape, name, mirror=None, rule="must be symmetric"):
@@ -87,12 +87,12 @@ def hodge_star(omega) -> np.ndarray:
 
     Takes and returns the (4,4) antisymmetric component array. The input
     passes the entry rule (finite, 1 + max|entry| <= 1e102, antisymmetric
-    to tol), else a ValueError. Applying the star twice returns the input
-    exactly up to floating point (the map is an involution in dimension
-    four).
+    to tol), else a ValueError. It contracts mu at the basis pairs kl with
+    the pair vector w_kl, so applying it twice returns an exactly
+    antisymmetric input exactly (the map is an involution in dimension four).
     """
     arr = _as_components(omega, (4, 4), "two-form", lambda w: -w.T, "must be antisymmetric")
-    return (arr.take(_STAR_PLUS) - arr.take(_STAR_MINUS)).reshape(4, 4) / 2
+    return _MU[..., _I, _J] @ arr[_I, _J]
 
 
 class CurvTensor4:
@@ -127,7 +127,7 @@ class CurvTensor4:
 
     def operator6(self) -> np.ndarray:
         """Symmetric 6x6 matrix of the tensor over the Lambda^2 pair basis."""
-        return self.components[_I[:, None], _J[:, None], _I, _J]
+        return self.components[_pairs(4)]
 
     @classmethod
     def from_operator6(cls, op) -> "CurvTensor4":
@@ -136,11 +136,7 @@ class CurvTensor4:
         op = np.asarray(op, dtype=float)
         if op.shape != (6, 6):
             raise ValueError(f"operator matrix must be 6x6, got {op.shape}")
-        arr = np.zeros((4, 4, 4, 4))
-        I, J = _I[:, None], _J[:, None]
-        arr[I, J, _I, _J] = arr[J, I, _J, _I] = op
-        arr[J, I, _I, _J] = arr[I, J, _J, _I] = -op
-        return cls(arr)
+        return cls(_expand(op))
 
     def norm_sq(self) -> float:
         return float(np.sum(self.components * self.components))
@@ -155,13 +151,11 @@ def _tensor(T, tol: float) -> CurvTensor4:
     return T if isinstance(T, CurvTensor4) else CurvTensor4(T, tol=tol)
 
 
-def _star4(arr: np.ndarray) -> np.ndarray:
-    # Left star on the first pair; broadcasts over leading axes and keeps
-    # broadcast trailing ones. It only subtracts and halves, so it is exact
-    # in any dtype (the certifier runs it on polynomial object arrays), and
-    # returns a C-contiguous array, so later contractions sum in one order.
-    flat = arr.reshape(arr.shape[:-4] + (16,) + arr.shape[-2:])
-    return ((flat.take(_STAR_PLUS, -3) - flat.take(_STAR_MINUS, -3)) / 2).reshape(arr.shape)
+def _star(op: np.ndarray) -> np.ndarray:
+    # The star from the left on (..., 6, 6) operators: the row permutation
+    # p <-> p + 3. A gather, so it is exact in any dtype (the certifier runs
+    # it on polynomial object arrays).
+    return op.take(_SWAP, axis=-2)
 
 
 def star_weyl(T, tol: float = EQUALITY_TOL) -> CurvTensor4:
@@ -172,19 +166,18 @@ def star_weyl(T, tol: float = EQUALITY_TOL) -> CurvTensor4:
     T the output is again a curvature tensor; otherwise pair symmetry of
     the output may fail, which is expected and not validated.
     """
-    return CurvTensor4(_star4(_tensor(T, tol).components), check=False)
+    return CurvTensor4(_expand(_star(_tensor(T, tol).operator6())), check=False)
 
 
 def _kn_raw(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    # (U o V)_ijkl = U_ik V_jl + U_jl V_ik - U_il V_jk - U_jk V_il,
-    # broadcasting over leading axes of U and V; generic in the dtype.
-    # With P = U_ik V_jl the four terms are P, P_jilk, P_ijlk and P_jikl,
-    # summed in this order.
+    # The (..., P, P) operator of (U o V)_ijkl = U_ik V_jl + U_jl V_ik - U_il V_jk
+    # - U_jk V_il, summed in this order; broadcasts over leading axes of U
+    # and V and is generic in the dtype.
     U, V = np.asarray(U), np.asarray(V)
-    P = U[..., :, None, :, None] * V[..., None, :, None, :]
-    out = P + P.swapaxes(-4, -3).swapaxes(-2, -1)
-    out -= P.swapaxes(-2, -1)
-    out -= P.swapaxes(-4, -3)
+    i, j, k, l = _pairs(U.shape[-1])
+    out = U[..., i, k] * V[..., j, l] + U[..., j, l] * V[..., i, k]
+    out -= U[..., i, l] * V[..., j, k]
+    out -= U[..., j, k] * V[..., i, l]
     if out.dtype.kind == "f":
         # A zero product with a negative factor is -0.0; adding +0.0 turns
         # every zero into +0.0, matching the einsum reference in the tests
@@ -207,14 +200,14 @@ def kulkarni_nomizu(U, V) -> CurvTensor4:
     """
     Ua = _as_components(U, (4, 4), "U", np.transpose)
     Va = _as_components(V, (4, 4), "V", np.transpose)
-    return CurvTensor4(0.5 * (_kn_raw(Ua, Va) + _kn_raw(Va, Ua)), check=False)
+    return CurvTensor4(_expand(0.5 * (_kn_raw(Ua, Va) + _kn_raw(Va, Ua))), check=False)
 
 
-def _sd_split(T):
-    """(T+, T-) = ((T + *T)/2, (T - *T)/2) over leading axes; dtype-generic, so
-    it divides by 2 (0.5 * poly raises)."""
-    star = _star4(T)
-    return (T + star) / 2, (T - star) / 2
+def _sd_split(op):
+    """(O+, O-) = ((O + *O)/2, (O - *O)/2) of (..., 6, 6) operators;
+    dtype-generic, so it divides by 2 (0.5 * poly raises)."""
+    star = _star(op)
+    return (op + star) / 2, (op - star) / 2
 
 
 def sd_asd_split(T, tol: float = EQUALITY_TOL):
@@ -227,16 +220,12 @@ def sd_asd_split(T, tol: float = EQUALITY_TOL):
     an input error reporting the offending norm. A raw array is checked as
     CurvTensor4 is.
     """
-    arr = _tensor(T, tol).components
-    ric = np.einsum("ijkj->ik", arr)
-    scale = 1.0 + np.abs(arr).max()
-    tr_norm = float(np.abs(ric).max())
-    if tr_norm > tol * scale:
-        raise ValueError(
-            f"sd_asd_split requires a trace-free tensor; Ricci contraction has max entry {tr_norm:.6e}"
-        )
-    plus, minus = _sd_split(arr)
-    return CurvTensor4(plus, check=False), CurvTensor4(minus, check=False)
+    T = _tensor(T, tol)
+    tr_norm = float(np.abs(np.einsum("ijkj->ik", T.components)).max())
+    if tr_norm > tol * (1.0 + np.abs(T.components).max()):
+        raise ValueError("sd_asd_split requires a trace-free tensor; Ricci contraction has "
+                         f"max entry {tr_norm:.6e}")
+    return tuple(CurvTensor4(_expand(O), check=False) for O in _sd_split(T.operator6()))
 
 
 def lambda2_spectrum(T, part: str = "plus", tol: float = EQUALITY_TOL) -> np.ndarray:
@@ -273,3 +262,13 @@ def inner(T1, T2) -> float:
 def triple(T1, T2, T3) -> float:
     """Cubic contraction T1_ijkl T2_pqkl T3_ijpq."""
     return float(np.einsum("ijkl,pqkl,ijpq->", *_operands(T1, T2, T3)))
+
+
+# inner and triple on the (..., P, P) operators, dtype-generic: a pair
+# counts in both orders, so each pair index contributes a factor 2.
+def _inner(O1, O2):
+    return 4 * np.einsum("...pq,...pq->...", O1, O2)
+
+
+def _triple(O1, O2, O3):  # 8 sum O1[a, c] O2[b, c] O3[a, b], one pair at a time
+    return 8 * np.einsum("...ab,...ab->...", np.einsum("...ac,...bc->...ab", O1, O2), O3)

@@ -10,23 +10,24 @@ polynomial. That is a proof, not a numerical test: no sampling, no
 tolerance.
 
 The tensor sides are the shipped kernels themselves, evaluated over
-Q[l1..ln]: the Weyl tensor is ``extrinsic._weyl_raw``, the star and W+-
-split are ``lambda2._star4`` and ``lambda2._sd_split``, as ``weyl_tensor``
-and ``div_weyl_sd`` run them, Kulkarni-Nomizu products are
-``lambda2._kn_raw``, Ricci data come from ``extrinsic._ricci`` and the
-curvature tensor from the Gauss-equation kernel ``extrinsic._gauss``. The
-other sides are the shipped closed-form kernels that ``point`` evaluates
-in floating point: power sums, |W+-|^2, |W|^2, |Ric0|^2, the
-Chern-Gauss-Bonnet integrand, the Fialkow tensor, the general-n minimal
-|W|^2, the zero signature integrand and the cubic Weyl form of
-``scalar_bochner``, so that ``point`` builds no Weyl tensor. All are
-looked up at each ``verify_all``/``verify_identity``/``assemble_symbolic``
-call, so a defect in the code that ``hypercurv point`` runs fails
-certification, and a float constant that is not an integer raises
-TypeError instead of certifying an approximation. Each quantity of
-diag(l1..l4) that the registry and the recipes share (the power sums, the
-closed forms, W, W+- and their contractions) is named once, in ``_SYMBOLS``,
-computed at most once per call and kept read-only, not between calls.
+Q[l1..ln] on (P, P) operators over the pairs of R^n: the Weyl operator
+``extrinsic._weyl_raw``, the star and W+- split ``lambda2._star`` and
+``lambda2._sd_split`` that ``weyl_tensor`` and ``div_weyl_sd`` run,
+Kulkarni-Nomizu products ``lambda2._kn_raw``, the Ricci data
+``extrinsic._ricci`` and the Gauss-equation kernel ``extrinsic._gauss``.
+They contract on the pairs, with the factors stated once, in
+``lambda2._inner`` (<T, T'> = 4 sum O O') and ``lambda2._triple`` (8 sum
+O1[a, c] O2[b, c] O3[a, b]); only ``weyl_quadratic_split`` expands W+- to
+components. The other sides are the shipped closed-form kernels that
+``point`` evaluates in floating point: power sums, |W+-|^2, |W|^2,
+|Ric0|^2, the Chern-Gauss-Bonnet integrand, the Fialkow tensor, the
+general-n minimal |W|^2, the zero signature integrand and the cubic Weyl
+form of ``scalar_bochner``. All are looked up at each call, so a defect in
+the code that ``hypercurv point`` runs fails certification, and a float
+constant that is not an integer raises TypeError instead of certifying an
+approximation. Each quantity of diag(l1..l4) that the registry and the
+recipes share is named once, in ``_SYMBOLS``, computed at most once per
+call and kept read-only, not between calls.
 
 The diagonal-A reduction is the only analytic step taken on faith here,
 and it is spot-checked in floating point against non-diagonal shape
@@ -82,9 +83,9 @@ _ZEROS: dict = {}
 
 def _exact(x):
     # An int stays an int and an integer-valued float becomes one, so a
-    # polynomial may meet a float array of integers such as np.eye(4); any
-    # other float means a kernel left the rationals, so it raises instead of
-    # certifying an approximation.
+    # polynomial may meet the float 0.0 of extrinsic._signatures, which
+    # signature_vanishes certifies; any other float means a kernel left the
+    # rationals, so it raises instead of certifying an approximation.
     if isinstance(x, (int, Fraction)):
         return x
     if isinstance(x, float) and x.is_integer():
@@ -113,7 +114,7 @@ class RationalPoly:
     count is one shared instance, and sums and products with a zero
     operand return an operand unchanged; object einsum over sparse tensors
     produces mostly such products. A square (``p * p`` on one object, as
-    in ``einsum("ijkl,ijkl->", W, W)``) takes each cross product once, and
+    in ``einsum("pq,pq->", W, W)``) takes each cross product once, and
     an integer-valued float scalar multiplies as an int. Sums, differences
     and products with a non-scalar (an ndarray) are left to the other
     operand, so polynomials and object arrays combine elementwise on either
@@ -409,15 +410,10 @@ def _symbol(name: str):
     return memo[name]
 
 
-def _triple(T):
-    """T_ijkl T_pqkl T_ijpq, contracted one pair at a time."""
-    return np.einsum("ijpq,ijpq->", np.einsum("ijkl,pqkl->ijpq", T, T), T)
-
-
 # Each symbolic quantity of diag(l1..l4), by name, from the shipped kernel
 # that computes it. Every name but A, powers, W and Wpm = (W+, W-), the
-# operator, the power-sum tuple and the tensors that the recipes and the
-# registry read, is a recipe of ``assemble_symbolic``.
+# shape operator, the power-sum tuple and the 6x6 operators that the recipes
+# and the registry read, is a recipe of ``assemble_symbolic``.
 _SYMBOLS = {
     "A": lambda: _diag(_lam_vars(4, 4)),
     "powers": lambda: extrinsic._trace_powers(_symbol("A")),
@@ -432,9 +428,9 @@ _SYMBOLS = {
     "ricTFsq": lambda: extrinsic._ric0_sq(*_symbol("powers")[:4], 4),
     "W": lambda: extrinsic._weyl_raw(_symbol("A")),
     "Wpm": lambda: lambda2._sd_split(_symbol("W")),
-    "trWstarW": lambda: np.einsum("ijkl,ijkl->", _symbol("W"), lambda2._star4(_symbol("W"))),
-    "tripleW": lambda: _triple(_symbol("W")),
-    "tripleWplus": lambda: _triple(_symbol("Wpm")[0]),
+    "trWstarW": lambda: lambda2._inner(_symbol("W"), lambda2._star(_symbol("W"))),
+    "tripleW": lambda: lambda2._triple(*[_symbol("W")] * 3),
+    "tripleWplus": lambda: lambda2._triple(*[_symbol("Wpm")[0]] * 3),
 }
 _RECIPES = sorted(set(_SYMBOLS) - {"A", "powers", "W", "Wpm"})
 
@@ -463,12 +459,12 @@ class IdentityRecord:
 
 def _build_normWpm():
     rhs = _symbol("Wpmsq")
-    return [(np.einsum("ijkl,ijkl->", T, T), rhs) for T in _symbol("Wpm")]
+    return [(lambda2._inner(T, T), rhs) for T in _symbol("Wpm")]
 
 
 def _build_normW():
     W = _symbol("W")
-    return [(np.einsum("ijkl,ijkl->", W, W), _symbol("Wsq"))]
+    return [(lambda2._inner(W, W), _symbol("Wsq"))]
 
 
 def _build_signature():
@@ -490,7 +486,7 @@ def _build_cgb():
     c = RationalPoly.variable(4, nv)
     _, scal, ric_tf = extrinsic._ricci(A, c)
     W = extrinsic._weyl_raw(A)
-    lhs = np.einsum("ijkl,ijkl->", W, W) - np.sum(ric_tf * ric_tf) * 2 + scal * scal / 6
+    lhs = lambda2._inner(W, W) - np.sum(ric_tf * ric_tf) * 2 + scal * scal / 6
     return [(lhs, extrinsic._cgb(*extrinsic._trace_powers(A)[:4], c))]
 
 
@@ -516,8 +512,8 @@ def _build_cubic_half():
 def _build_quadratic_split():
     pairs = []
     zero = RationalPoly.zero(4)
-    for T in _symbol("Wpm"):
-        wsq = np.einsum("ijkl,ijkl->", T, T)
+    for O in _symbol("Wpm"):
+        wsq, T = lambda2._inner(O, O), lambda2._expand(O)
         lhs = np.einsum("ipkq,jplq->ijkl", T, T) + np.einsum("iplq,jpkq->ijkl", T, T)
         for (i, j, k, l), poly in np.ndenumerate(lhs):
             pairs.append((poly, wsq / 8 if (i == j and k == l) else zero))
@@ -529,7 +525,7 @@ def _build_harmweyl_equality():
     # leaves a nonzero polynomial.
     S, Wp = _symbol("S"), _symbol("Wpm")[0]
     lhs = extrinsic._harmweyl_form(S, *map(_symbol, ("A2sq", "trA3", "trA6")))
-    rhs = _symbol("tripleWplus") * 3 + S * np.einsum("ijkl,ijkl->", Wp, Wp) / 2
+    rhs = _symbol("tripleWplus") * 3 + S * lambda2._inner(Wp, Wp) / 2
     return [(_eliminate_last(lhs, 4), _eliminate_last(rhs, 4))]
 
 
@@ -545,7 +541,7 @@ def _build_general_n():
         W = riem - kn(ric_tf, I) / (n - 2) - scal / (2 * n * (n - 1)) * kn(I, I)
         _, S, A2sq, _, _, _ = extrinsic._trace_powers(A)
         rhs = extrinsic._w_sq_minimal(S, A2sq, n)
-        lhs = np.einsum("ijkl,ijkl->", W, W)
+        lhs = lambda2._inner(W, W)
         pairs.append((_eliminate_last(lhs, n), _eliminate_last(rhs, n)))
     return pairs
 

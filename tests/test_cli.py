@@ -43,7 +43,9 @@ CLIFFORD22 = json.dumps({"n": 4, "c": 1.0, "lambda": [1.0, 1.0, -1.0, -1.0]})
 # and classify files were regenerated when classification moved onto the
 # trace power sums of the shape operator, and the point file again when its
 # signature_integrand and scalar_bochner values came to read the certified
-# closed forms in place of the tensor route's rounding.
+# closed forms in place of the tensor route's rounding; the verify file's
+# fialkow_form count went from 256 to 36 when the certifier came to compare
+# the entries of 6x6 operators.
 # classify_golden_in.json covers the five multiplicity patterns, near and
 # band gaps, A and lambda input, minimal and mean-curved states.
 DATA = pathlib.Path(__file__).parent / "data"

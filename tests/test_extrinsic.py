@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from hypercurv import extrinsic, immersions, lambda2
-from hypercurv.lambda2 import _kn_raw
+from hypercurv.lambda2 import _expand, _kn_raw
 
 RTOL = 1e-10
 SQRT3 = math.sqrt(3.0)
@@ -233,10 +233,10 @@ def test_weyl_routes_agree():
         st = extrinsic.PointState(A=A, c=1.0)
         pack = extrinsic.gauss_equations(st)
         g = np.eye(4)
-        decomp = (pack.riem.components
+        decomp = (pack.riem.operator6()
                   - 0.5 * _kn_raw(pack.ricTF, g)
                   - pack.scal / 24.0 * _kn_raw(g, g))
-        W = extrinsic.weyl_tensor(st).components
+        W = extrinsic.weyl_tensor(st).operator6()
         np.testing.assert_allclose(W, decomp, atol=1e-11 * (1 + np.abs(W).max()))
 
 
@@ -255,7 +255,7 @@ def test_weyl_fialkow_route_minimal():
     st = extrinsic.PointState(A=A, c=1.0)
     F = 0.5 * (A @ A - st.S / 6.0 * np.eye(4))
     route = 0.5 * _kn_raw(A, A) + 0.5 * (_kn_raw(F, np.eye(4)) + _kn_raw(np.eye(4), F))
-    W = extrinsic.weyl_tensor(st).components
+    W = extrinsic.weyl_tensor(st).operator6()
     np.testing.assert_allclose(route, W, atol=1e-12 * (1 + np.abs(W).max()))
     np.testing.assert_allclose(extrinsic.closed_form_norms(st).F, F, atol=1e-12)
 
@@ -273,8 +273,8 @@ def test_weyl_kernel_matches_symmetrized_reference_bitwise():
     def sym(U, V):
         return (_kn_raw(U, V) + _kn_raw(V, U)) / 2
 
-    H = np.trace(A, axis1=-2, axis2=-1)[:, None, None, None, None]
-    S = np.einsum("...ij,...ij->...", A, A)[:, None, None, None, None]
+    H = np.trace(A, axis1=-2, axis2=-1)[:, None, None]
+    S = np.einsum("...ij,...ij->...", A, A)[:, None, None]
     ref = _kn_raw(A, A) / 2
     ref = ref - H / 2 * sym(A, g)
     ref = ref + sym(A @ A, g) / 2
@@ -435,8 +435,8 @@ def test_general_dimension_minimal_weyl_norm():
         pack = extrinsic.gauss_equations(st)
         g = np.eye(n)
         W = (pack.riem
-             - _kn_raw(pack.ricTF, g) / (n - 2)
-             - pack.scal / (2 * n * (n - 1)) * _kn_raw(g, g))
+             - _expand(_kn_raw(pack.ricTF, g), n) / (n - 2)
+             - pack.scal / (2 * n * (n - 1)) * _expand(_kn_raw(g, g), n))
         wsq = float(np.einsum("ijkl,ijkl->", W, W))
         assert norms.Wsq == pytest.approx(wsq, rel=1e-11)
         assert norms.Wpmsq is None and norms.F is None
@@ -603,15 +603,15 @@ def _random_gradient(rng, minimal):
 def _cotton_sd(p):
     """(dW+, dW-) as (k, i, j) arrays from the Cotton form
     dW_kij = nabla_i P_jk - nabla_j P_ik, P = (Ric - scal/6 g)/2 the Schouten
-    tensor, Ric = 3c g + H A - A^2, each split by _sd_split in (i, j)."""
+    tensor, Ric = 3c g + H A - A^2, each C_k split by hodge_star in (i, j)."""
     A, dA = p.A, np.moveaxis(p.nablaA, 2, 0)
     H, dH = np.trace(A), np.einsum("mii->m", dA)
     dric = dH[:, None, None] * A + H * dA - (dA @ A + A @ dA)
     dscal = 2 * H * dH - 2 * np.einsum("ij,mij->m", A, dA)
     dP = (dric - dscal[:, None, None] / 6 * np.eye(4)) / 2
     C = np.einsum("ijk->kij", dP) - np.einsum("jik->kij", dP)
-    return tuple(np.moveaxis(T[..., 0], 2, 0)
-                 for T in lambda2._sd_split(np.moveaxis(C, 0, 2)[..., None]))
+    star = np.array([lambda2.hodge_star(C_k) for C_k in C])
+    return (C + star) / 2, (C - star) / 2
 
 
 @settings(max_examples=150, deadline=None)
@@ -722,7 +722,7 @@ def test_weyl_kernel_polarization():
     W = extrinsic._weyl_raw(A)
     assert np.array_equal(extrinsic._weyl_raw(A, A).view(np.uint64), W.view(np.uint64))
     AB = extrinsic._weyl_raw(A, B)
-    assert AB.shape == (4, 4, 4, 4, 4)
+    assert AB.shape == (4, 6, 6)
     for m in range(4):
         BA = extrinsic._weyl_raw(B[m], A)
         assert np.abs(AB[m] - BA).max() <= 1e-15 * np.abs(A).max() * np.abs(B[m]).max() * 64

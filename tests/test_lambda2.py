@@ -222,34 +222,48 @@ def _kn_einsum(U, V):
             - np.einsum("...il,...jk->...ijkl", U, V) - np.einsum("...jk,...il->...ijkl", U, V))
 
 
-def test_kn_raw_matches_einsum_reference_bitwise():
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_kn_raw_matches_einsum_reference_bitwise(n):
     rng = np.random.default_rng(15)
-    M = rng.normal(size=(300, 4, 4))
+    M = rng.normal(size=(300, n, n))
     A = M + M.transpose(0, 2, 1)
     A[::3, 1, :] = 0.0
     A[::3, :, 1] = 0.0
-    g = np.eye(4)
+    g = np.eye(n)
     # zero entries times negative ones: the plain products hold -0.0
     P = A[:, :, None, :, None] * A[:, None, :, None, :]
     assert (np.signbit(P) & (P == 0)).any()
+    pairs, moved_zeros = lambda2._pairs(n), 0
     for U, V in [(A, A), (A, g), (g, A), (g, g), (-g, A), (A[0], A[1]),
-                 (A[:, None], A[None, :5])]:
+                 (A[:60, None], A[None, :5])]:
         got, ref = lambda2._kn_raw(U, V), _kn_einsum(U, V)
-        assert got.shape == ref.shape
-        # compared as bit patterns, so the sign of every zero counts
-        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        # the operator is the reference at the pairs, compared as bit
+        # patterns, so the sign of every zero counts
+        assert np.array_equal(_bits(got), _bits(ref[(...,) + pairs]))
+        # its expansion negates the operator where a pair is reversed, where
+        # the reference sums the four terms in another order: a rounding,
+        # and -0.0 where the operator holds +0.0
+        full = lambda2._expand(got, n)
+        assert full.shape == ref.shape
+        assert np.abs(full - ref).max() <= 1e-15 * np.abs(ref).max()
+        zeros = (_bits(full) != _bits(ref)) & (full == ref)
+        assert np.signbit(full[zeros]).all()
+        moved_zeros += np.count_nonzero(zeros)
+    assert moved_zeros
 
 
-def test_kn_raw_matches_einsum_reference_on_polynomials():
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_kn_raw_matches_einsum_reference_on_polynomials(n):
     from hypercurv.polyverify import RationalPoly, _diag
 
-    x = [RationalPoly.variable(i, 4) for i in range(4)]
+    x = [RationalPoly.variable(i, n) for i in range(n)]
     D = _diag(x)
-    F = np.array([[x[(i + j) % 4] * (i - j + 1) for j in range(4)] for i in range(4)],
+    F = np.array([[x[(i + j) % n] * (i - j + 1) for j in range(n)] for i in range(n)],
                  dtype=object)
-    g = np.eye(4, dtype=object)
+    g = np.eye(n, dtype=object)
     for U, V in [(D, D), (D, g), (g, F), (F, D)]:
-        got, ref = lambda2._kn_raw(U, V), _kn_einsum(U, V)
+        got, ref = lambda2._expand(lambda2._kn_raw(U, V), n), _kn_einsum(U, V)
+        assert got.shape == ref.shape
         assert all((a - b).is_zero for a, b in zip(got.flat, ref.flat))
 
 
@@ -521,7 +535,7 @@ def test_sd_split_is_the_float_half_sum_bit_for_bit():
     rng = np.random.default_rng(42)
     M = rng.normal(size=(50, 4, 4))
     W = extrinsic._weyl_raw(M + M.transpose(0, 2, 1))
-    star = lambda2._star4(W)
+    star = lambda2._star(W)
     plus, minus = lambda2._sd_split(W)
     assert np.array_equal(_bits(plus), _bits(0.5 * (W + star)))
     assert np.array_equal(_bits(minus), _bits(0.5 * (W - star)))
@@ -531,13 +545,13 @@ def test_sd_split_is_the_half_sum_on_polynomials():
     from hypercurv import polyverify
 
     W = polyverify._symbol("W")
-    star = lambda2._star4(W)
+    star = lambda2._star(W)
     plus, minus = lambda2._sd_split(W)
     assert all(p == Fraction(1, 2) * (w + s) for p, w, s in zip(plus.flat, W.flat, star.flat))
     assert all(m == Fraction(1, 2) * (w - s) for m, w, s in zip(minus.flat, W.flat, star.flat))
     # a float half would leave the rationals
     with pytest.raises(TypeError, match="rational coefficient expected"):
-        0.5 * W[0, 1, 0, 1]
+        0.5 * W[0, 0]
 
 
 # ---------------------------------------------- one star index table
@@ -562,30 +576,36 @@ def _weyl_operands(rng):
     return {"random": A, "diagonal": diagonal, "negative trace": negative, "zero row": zero_row}
 
 
-def test_star4_is_the_parity_einsum_bit_for_bit_on_weyl_tensors():
+def test_star_is_the_parity_einsum_on_weyl_operators():
     for name, A in _weyl_operands(np.random.default_rng(50)).items():
         W = extrinsic._weyl_raw(A)
-        got = lambda2._star4(W)
+        got = lambda2._star(W)
         assert got.flags.c_contiguous, name
         assert got.shape == W.shape
-        assert np.array_equal(_bits(got), _bits(_star_einsum(W))), name
+        # bit for bit at the basis pairs; elsewhere the bits differ only at
+        # zeros: the expansion writes -0.0 where a reversed pair mirrors a
+        # +0.0, the einsum +0.0
+        full, ref = lambda2._expand(got), _star_einsum(lambda2._expand(W))
+        pairs = (...,) + lambda2._pairs(4)
+        assert np.array_equal(_bits(full[pairs]), _bits(ref[pairs])), name
+        differ = _bits(full) != _bits(ref)
+        assert np.array_equal(full, ref) and (full[differ] == 0).all(), name
 
 
-def test_star4_agrees_with_the_einsum_up_to_the_sign_of_zero_on_any_tensor():
-    # the gather computes T_ab - T_ba, the einsum a sum of sixteen products:
-    # where T_ab = -0 and T_ba = +0 the gather keeps -0, the einsum gives +0
+def test_star_is_the_parity_einsum_on_any_operator():
+    # a row gather, exact on any operator, symmetric or not (the star of a
+    # tensor with trace breaks pair symmetry); the einsum sums sixteen
+    # products, so where the gather keeps a -0 it may give +0
     rng = np.random.default_rng(51)
-    T = rng.normal(size=(50, 4, 4, 4, 4))
-    T[rng.random(T.shape) < 0.3] = 0.0
-    T[rng.random(T.shape) < 0.3] = -0.0
-    got, ref = lambda2._star4(T), _star_einsum(T)
+    O = rng.normal(size=(50, 6, 6))
+    O[rng.random(O.shape) < 0.3] = 0.0
+    O[rng.random(O.shape) < 0.3] = -0.0
+    got = lambda2._star(O)
     assert got.flags.c_contiguous
-    assert np.array_equal(got, ref)
-    differ = _bits(got) != _bits(ref)
-    assert differ.any() and (got[differ] == 0).all()
-    # broadcast trailing axes stay: the Cotton oracle passes (4, 4, 4, 1)
-    T1 = T[0, ..., :1]
-    assert np.array_equal(lambda2._star4(T1), _star_einsum(T1))
+    assert np.array_equal(_bits(got), _bits(O[:, [3, 4, 5, 0, 1, 2]]))
+    full, ref = lambda2._expand(got), _star_einsum(lambda2._expand(O))
+    differ = _bits(full) != _bits(ref)
+    assert np.array_equal(full, ref) and differ.any() and (full[differ] == 0).all()
 
 
 def test_hodge_star_is_the_parity_einsum_bit_for_bit():
@@ -606,27 +626,48 @@ def test_star_stays_in_the_fractions():
     A = np.array([[Fraction(i + j + 1, 1 + i * j) for j in range(4)] for i in range(4)],
                  dtype=object)
     W = extrinsic._weyl_raw(A + A.T)
-    star = lambda2._star4(W)
+    star = lambda2._star(W)
     assert all(type(x) is Fraction for x in star.flat)
     for half in lambda2._sd_split(W):
         assert all(type(x) is Fraction for x in half.flat)
-    assert np.array_equal(star.astype(float), _star_einsum(W.astype(float)))
+    assert np.array_equal(lambda2._expand(star).astype(float),
+                          _star_einsum(lambda2._expand(W).astype(float)))
 
 
-def test_star4_is_the_parity_einsum_on_polynomials():
+def test_star_is_the_parity_einsum_on_polynomials():
     from hypercurv import polyverify
 
     W = polyverify._symbol("W")
-    star, ref = lambda2._star4(W), _star_einsum(W)
+    star, ref = lambda2._expand(lambda2._star(W)), _star_einsum(lambda2._expand(W))
     assert star.shape == ref.shape
-    assert all(s == r for s, r in zip(star.flat, ref.flat))
+    # a repeated index holds the int 0 of _expand, which the float mu makes 0.0
+    diffs = [s - r for s, r in zip(star.flat, ref.flat)]
+    assert all(d.is_zero if isinstance(d, polyverify.RationalPoly) else d == 0 for d in diffs)
+
+
+def test_public_tensors_are_exactly_antisymmetric_in_each_pair():
+    # one index map writes every tensor the package returns: each entry of a
+    # reversed pair is the exact negative of its partner
+    rng = np.random.default_rng(54)
+    for k in range(40):
+        M = rng.normal(size=(4, 4)) * 10.0 ** rng.uniform(-3, 3)
+        A = M + M.T
+        if k % 2:
+            A -= np.trace(A) / 4 * np.eye(4)
+        p = extrinsic.PointState(A=A, c=float(k % 3 - 1))
+        W = extrinsic.weyl_tensor(p)
+        for T in (W.components, extrinsic.gauss_equations(p).riem.components,
+                  lambda2.star_weyl(W).components,
+                  lambda2.star_weyl(extrinsic.gauss_equations(p).riem).components):
+            assert np.array_equal(T, -T.swapaxes(0, 1))
+            assert np.array_equal(T, -T.swapaxes(2, 3))
 
 
 def _weyl_family(rng, n):
     # n hypersurface Weyl tensors, whose SD and ASD spectra agree, then n
     # with SD and ASD blocks drawn apart: trace-free symmetric 3x3 each
     M = rng.normal(size=(n, 4, 4)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1, 1))
-    yield from extrinsic._weyl_raw(M + M.transpose(0, 2, 1))
+    yield from lambda2._expand(extrinsic._weyl_raw(M + M.transpose(0, 2, 1)))
     blocks = rng.normal(size=(n, 2, 3, 3)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1, 1, 1))
     blocks = blocks + blocks.swapaxes(-2, -1)
     blocks -= np.trace(blocks, axis1=-2, axis2=-1)[..., None, None] * np.eye(3) / 3

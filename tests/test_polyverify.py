@@ -221,6 +221,11 @@ def _doubled(kernel):
     return lambda *args: kernel(*args) * 2
 
 
+def _halved(kernel):
+    # on the Lambda^2 contraction, its factor 4 becomes 2
+    return lambda *args: kernel(*args) / 2
+
+
 def _doubled_ric_tf(kernel):
     def ricci(A, c):
         ric, scal, ric_tf = kernel(A, c)
@@ -238,7 +243,8 @@ def _doubled_riem(kernel):
 # kernel name -> (corruption, identities it must fail)
 _CORRUPTIONS = {
     "_weyl_raw": (_doubled, ["normWpm_generalH"]),
-    "_star4": (_doubled, ["normWpm_generalH"]),
+    "_star": (_doubled, ["normWpm_generalH"]),
+    "_inner": (_halved, ["normWpm_generalH"]),
     "_wpm_sq": (_doubled, ["normWpm_generalH"]),
     "_w_sq": (_doubled, ["normW_generalH"]),
     "_ric0_sq": (_doubled, ["ricTFsq"]),
@@ -251,7 +257,7 @@ _CORRUPTIONS = {
 
 
 @pytest.mark.parametrize("module, name", [
-    (extrinsic, "_weyl_raw"), (lambda2, "_star4"), (extrinsic, "_wpm_sq"),
+    (extrinsic, "_weyl_raw"), (lambda2, "_star"), (lambda2, "_inner"), (extrinsic, "_wpm_sq"),
     (extrinsic, "_w_sq"), (extrinsic, "_ric0_sq"), (extrinsic, "_cgb"),
     (extrinsic, "_w_sq_minimal"), (extrinsic, "_gauss"), (extrinsic, "_fialkow"),
     (extrinsic, "_ricci"),
@@ -309,17 +315,21 @@ def test_float_coefficients_must_be_integers():
             poly * scalar
 
 
-def _weyl_tensors():
+def _weyl_operators():
     return [polyverify._symbol("W"), *polyverify._symbol("Wpm")]
 
 
 @pytest.mark.parametrize("which", [0, 1, 2], ids=["W", "W+", "W-"])
 def test_pairwise_triple_matches_the_three_operand_einsum(which):
-    T = _weyl_tensors()[which]
-    assert polyverify._triple(T) == np.einsum("ijkl,pqkl,ijpq->", T, T, T)
+    # the Lambda^2 contractions against the component einsums of the
+    # expanded tensors
+    O = _weyl_operators()[which]
+    T = lambda2._expand(O)
+    assert lambda2._triple(O, O, O) == np.einsum("ijkl,pqkl,ijpq->", T, T, T)
+    assert lambda2._inner(O, O) == np.einsum("ijkl,ijkl->", T, T)
 
 
-@pytest.mark.parametrize("module, name", [(extrinsic, "_weyl_raw"), (lambda2, "_star4")])
+@pytest.mark.parametrize("module, name", [(extrinsic, "_weyl_raw"), (lambda2, "_star")])
 def test_weyl_tensors_are_shared_within_one_call_only(monkeypatch, module, name):
     assert all(r.passed for r in polyverify.verify_all())
     with monkeypatch.context() as patch:
@@ -343,8 +353,8 @@ def test_each_triple_is_contracted_once_per_call(monkeypatch):
     # tripleW serves cubic_contraction and cubic_half; tripleWplus serves
     # cubic_half and harmweyl_equality_form
     calls = []
-    triple = polyverify._triple
-    monkeypatch.setattr(polyverify, "_triple", lambda T: calls.append(T) or triple(T))
+    triple = lambda2._triple
+    monkeypatch.setattr(lambda2, "_triple", lambda *O: calls.append(O) or triple(*O))
     assert all(r.passed for r in polyverify.verify_all())
     assert len(calls) == 2
 
