@@ -37,7 +37,7 @@ def main():
     print()
 
     # dropping the stored spectrum makes integrate() take the shape
-    # operator at every node (128 nodes per chart call) from exact
+    # operator at every node (512 nodes per chart call) from exact
     # second-order jets of the chart, so the result differs from the
     # analytic value only by the volume quadrature; a chart using an
     # operation jets do not carry falls back to the differences above

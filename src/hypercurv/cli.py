@@ -66,7 +66,8 @@ class _InputError(Exception):
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    # reports are freshly built trees, so there is no cycle to look for
+    print(json.dumps(obj, indent=2, sort_keys=True, check_circular=False))
 
 
 def _load_point_payload(raw: str):

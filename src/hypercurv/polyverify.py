@@ -514,7 +514,9 @@ def _build_quadratic_split():
     zero = RationalPoly.zero(4)
     for O in _symbol("Wpm"):
         wsq, T = lambda2._inner(O, O), lambda2._expand(O)
-        lhs = np.einsum("ipkq,jplq->ijkl", T, T) + np.einsum("iplq,jpkq->ijkl", T, T)
+        # the second contraction, iplq,jpkq->ijkl, is the first with k and l swapped
+        E = np.einsum("ipkq,jplq->ijkl", T, T)
+        lhs = E + E.transpose(0, 1, 3, 2)
         for (i, j, k, l), poly in np.ndenumerate(lhs):
             pairs.append((poly, wsq / 8 if (i == j and k == l) else zero))
     return pairs
@@ -539,7 +541,7 @@ def _build_general_n():
         riem, _, scal, ric_tf = extrinsic._gauss(A, RationalPoly.variable(n, nv))
         I = np.eye(n, dtype=object)
         W = riem - kn(ric_tf, I) / (n - 2) - scal / (2 * n * (n - 1)) * kn(I, I)
-        _, S, A2sq, _, _, _ = extrinsic._trace_powers(A)
+        _, S, A2sq, _ = extrinsic._quartic_powers(A)
         rhs = extrinsic._w_sq_minimal(S, A2sq, n)
         lhs = lambda2._inner(W, W)
         pairs.append((_eliminate_last(lhs, n), _eliminate_last(rhs, n)))

@@ -373,6 +373,28 @@ def test_weyl_split_norms_rejects_bad_input(A, match):
         extrinsic.weyl_split_norms(A)
 
 
+@pytest.mark.parametrize("bad, match", [
+    ({3: math.nan, 700: "skew"}, "finite"),  # in the first block
+    ({300: "skew", 700: math.nan}, "symmetric"),  # in a later block
+    ({600: 1e60, 601: "skew"}, "must not exceed"),
+    ({800: "skew"}, "symmetric"),  # in the last, short block
+])
+def test_weyl_split_norms_checks_block_by_block_like_the_whole_batch(bad, match):
+    # the entry check runs on each block before its kernel: blocks before
+    # the first bad matrix pass, so that matrix names the error
+    A = np.tile(np.diag([1.0, 2.0, -1.0, 0.5]), (3 * extrinsic._WEYL_BLOCK + 100, 1, 1))
+    for row, entry in bad.items():
+        if entry == "skew":
+            A[row, 0, 1] += 1.0
+        else:
+            A[row, 2, 2] = entry
+    with pytest.raises(ValueError, match=match) as whole:
+        extrinsic._require_entries("A", A, ((A.swapaxes(1, 2), "shape operator must be symmetric"),))
+    with pytest.raises(ValueError) as blocked:
+        extrinsic.weyl_split_norms(A)
+    assert str(blocked.value) == str(whole.value)
+
+
 def test_weyl_tensor_trace_free():
     rng = np.random.default_rng(26)
     W = extrinsic.weyl_tensor(extrinsic.PointState(A=_rand_sym(rng), c=1.0))

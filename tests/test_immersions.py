@@ -150,6 +150,18 @@ def test_quadrature_grid_structure():
         immersions.Factor("r", "radial").nodes_weights(8)
 
 
+def test_polar_factors_share_one_read_only_legendre_rule():
+    rule = immersions._legendre(8)
+    assert immersions._legendre(8) is rule
+    x, w = rule
+    assert not x.flags.writeable and not w.flags.writeable
+    expect = np.polynomial.legendre.leggauss(8)
+    assert np.array_equal(x, expect[0]) and np.array_equal(w, expect[1])
+    # the factor's own arrays are fresh and writable
+    nodes, weights = immersions.Factor("theta", "polar", power=2).nodes_weights(8)
+    assert nodes.flags.writeable and weights.flags.writeable
+
+
 def test_euler_characteristics():
     assert immersions.integrate(immersions.get_immersion("clifford:4:1"),
                                 "cgbEuler", res=16) == pytest.approx(0.0, abs=1e-10)
@@ -515,14 +527,37 @@ def test_catalog_jets_give_exact_spectra():
                                    rtol=0, atol=1e-14)
 
 
-def test_jet_path_makes_one_chart_call_per_block():
+def test_jet_path_makes_one_chart_call_per_block(monkeypatch):
     imm = immersions.get_immersion("clifford:4:2")
     calls = []
     counted = dataclasses.replace(imm, spectrum=None,
                                   chart=lambda p: calls.append(type(p)) or imm.chart(p))
-    # 4^4 = 256 nodes are two blocks of 128
-    immersions.integrate(counted, "cgbEuler", res=4)
-    assert calls == [immersions._Jet, immersions._Jet]
+    # 5^4 = 625 nodes: two blocks of 512, five of 128; the size is read per call
+    for block in (immersions._BLOCK, 128):
+        monkeypatch.setattr(immersions, "_BLOCK", block)
+        calls.clear()
+        immersions.integrate(counted, "cgbEuler", res=5)
+        assert calls == [immersions._Jet] * -(-625 // block)
+
+
+@pytest.mark.parametrize("label", ["clifford:4:1", "clifford:4:2", "clifford:4:3", "geodesic:4"])
+def test_integrals_do_not_depend_on_the_block_size(monkeypatch, label):
+    # each node's shape operator is computed on its own and the final sum
+    # runs over the same arrays, so the bits cannot depend on the blocking;
+    # at res 8 a sum taken block by block would already move the last bits
+    imm = dataclasses.replace(immersions.get_immersion(label), spectrum=None)
+    cases = [(imm, f, res) for f in ("cgbEuler", "weylFunctional", "signature", "volume")
+             for res in (3, 5, 8)]
+    if label == "clifford:4:2":
+        # the finite-difference route; res 5 is 625 nodes, two blocks against five
+        cases += [(_exp_chart(), "cgbEuler", res) for res in (3, 5)]
+
+    def values():
+        return [immersions.integrate(chart, f, res=res) for chart, f, res in cases]
+
+    default = values()
+    monkeypatch.setattr(immersions, "_BLOCK", 128)
+    assert values() == default
 
 
 def test_chart_without_jet_support_falls_back_to_finite_differences():
