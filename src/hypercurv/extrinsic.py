@@ -528,8 +528,13 @@ def _trace_powers(A: np.ndarray) -> tuple:
 
 
 def _power_rows(powers: tuple) -> list:
-    """Power-sum columns as one row of Python floats per operator: the closed
-    forms run on those, as their ``**`` rounds differently from numpy's."""
+    """Power-sum columns as one row of Python floats per operator. Only the
+    `point` reports still run the closed forms on these rows (`classify`
+    reads its own the same way), which keeps their golden bytes: Python's
+    ``**`` rounds H^4 apart from numpy's in about 3% of values.
+    `immersions.integrate` runs the same kernels on the columns as arrays,
+    so where H != 0 its integrands can differ from `point`'s in the last
+    bits."""
     return np.stack(powers, axis=-1).tolist()
 
 

@@ -16,14 +16,20 @@ Charts without an analytic spectrum get their second fundamental form
 from derivatives of the chart. `integrate` seeds each block of nodes as
 a second-order jet (`_Jet`) and makes one chart call per block, which
 yields the points, the Jacobian and the second derivatives exact to
-rounding. A chart that uses an operation jets do not carry (say np.exp)
+rounding. np.cos and np.sin of one jet share one evaluation of cos, sin
+and the gradient outer product, and both skip the seed's zero Hessian.
+A chart that uses an operation jets do not carry (say np.exp)
 falls back to `numeric_second_fundamental_form`: central second
 differences with one Richardson extrapolation level, one chart call per
 block for all stencil rows. Both routes share one tail: the second
 derivatives are projected onto the unit normal that the projector onto
 the kernel of [x; J] (chart point and Jacobian) yields, behind a gate on
 the metric condition number taken from eigvalsh. The finite-difference
-extractor also serves as an oracle for the catalog spectra.
+extractor also serves as an oracle for the catalog spectra. The
+integrands of `point` then run on each block's power-sum columns as
+arrays; numpy's ``**`` rounds H^4 apart from Python's in about 3% of
+values, so on a chart with H != 0 an integral can move in its last bits
+against a per-node evaluation with Python floats.
 """
 
 from __future__ import annotations
@@ -38,8 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .extrinsic import (PointState, _cgb, _power_rows, _quartic_powers, _signatures, _w_sq,
-                        _warn_unusual)
+from .extrinsic import PointState, _cgb, _quartic_powers, _signatures, _w_sq, _warn_unusual
 from .extrinsic import cgb_integrand  # noqa: F401  (re-exported: callers look it up on this module)
 from .tolerances import _require_entries
 
@@ -219,16 +224,24 @@ class _Jet(np.lib.mixins.NDArrayOperatorsMixin):
     `_JetUnsupported`.
     """
 
-    __slots__ = ("val", "grad", "hess")
+    __slots__ = ("val", "grad", "hess", "flat", "trig")
 
-    def __init__(self, val, grad, hess):
+    def __init__(self, val, grad, hess, flat=False):
         self.val, self.grad, self.hess = val, grad, hess
+        # ``flat`` marks a Hessian known to be zero (the seed and its slices):
+        # the trig rules then skip their Hessian term
+        self.flat = flat
+        # (cos val, sin val, grad grad^T), filled by the first trig rule run on
+        # this jet and read by the second; val, grad and hess are never written,
+        # and a derived jet (slice, sum, product) starts without it
+        self.trig = None
 
     @classmethod
     def seed(cls, params: np.ndarray) -> "_Jet":
         """The coordinate functions at an (N, 4) batch of parameter points."""
         n = len(params)
-        return cls(params, np.broadcast_to(np.eye(4), (n, 4, 4)), np.zeros((n, 4, 4, 4)))
+        return cls(params, np.broadcast_to(np.eye(4), (n, 4, 4)), np.zeros((n, 4, 4, 4)),
+                   flat=True)
 
     @classmethod
     def lift(cls, a) -> "_Jet":
@@ -247,7 +260,7 @@ class _Jet(np.lib.mixins.NDArrayOperatorsMixin):
         # an Ellipsis anchors the key on the trailing value axes
         tail = any(k is Ellipsis for k in key)
         return _Jet(self.val[key], self.grad[key + (slice(None),) * tail],
-                    self.hess[key + (slice(None),) * (2 * tail)])
+                    self.hess[key + (slice(None),) * (2 * tail)], self.flat)
 
     def __array__(self, dtype=None, copy=None):
         raise _JetUnsupported("a jet cannot be converted to an array")
@@ -272,16 +285,28 @@ def _outer(a, b):
     return a[..., :, None] * b[..., None, :]
 
 
+def _jet_trig(a):
+    """(cos, sin, grad grad^T) of a jet, computed once: np.cos and np.sin of
+    one jet, as `_sphere_coords` takes them, share the three arrays."""
+    if a.trig is None:
+        a.trig = np.cos(a.val), np.sin(a.val), _outer(a.grad, a.grad)
+    return a.trig
+
+
 def _jet_cos(a):
-    cos, sin = np.cos(a.val), np.sin(a.val)
-    return _Jet(cos, -sin[..., None] * a.grad,
-                -cos[..., None, None] * _outer(a.grad, a.grad) - sin[..., None, None] * a.hess)
+    cos, sin, gg = _jet_trig(a)
+    hess = -cos[..., None, None] * gg
+    if not a.flat:
+        hess = hess - sin[..., None, None] * a.hess
+    return _Jet(cos, -sin[..., None] * a.grad, hess)
 
 
 def _jet_sin(a):
-    cos, sin = np.cos(a.val), np.sin(a.val)
-    return _Jet(sin, cos[..., None] * a.grad,
-                cos[..., None, None] * a.hess - sin[..., None, None] * _outer(a.grad, a.grad))
+    cos, sin, gg = _jet_trig(a)
+    hess = -sin[..., None, None] * gg
+    if not a.flat:
+        hess = cos[..., None, None] * a.hess + hess
+    return _Jet(sin, cos[..., None] * a.grad, hess)
 
 
 def _jet_multiply(a, b):
@@ -328,13 +353,13 @@ def _sphere_coords(angles: np.ndarray) -> np.ndarray:
     if d == 0:
         return np.ones(angles.shape[:-1] + (1,))
     cos, sin = np.cos(angles), np.sin(angles)
-    out = []
-    sin_prod = 1.0
-    for i in range(d - 1):
+    # the running sine product starts at the first factor: 1.0 * x is x, bit
+    # for bit, so a leading multiply by 1.0 would only cost one jet product
+    out, sin_prod = [cos[..., 0]], sin[..., 0]
+    for i in range(1, d):
         out.append(sin_prod * cos[..., i])
         sin_prod = sin_prod * sin[..., i]
-    out.append(sin_prod * cos[..., d - 1])
-    out.append(sin_prod * sin[..., d - 1])
+    out.append(sin_prod)
     return np.stack(out, axis=-1)
 
 
@@ -494,17 +519,24 @@ def _jet_second_fundamental_form(imm: Immersion, params: np.ndarray) -> np.ndarr
     rotated (non-orthogonal) charts the error grows with it, to 1.4e-8
     below the 1e8 bound, the size of the finite-difference floor. A
     vanishing derivative stays zero, so its metric stays rank-deficient
-    and is rejected.
+    and is rejected. The second derivatives are projected onto the normal
+    as they come from the chart, and only the (N, 4, 4) projection is
+    divided by d_i d_j: the d_i are powers of two, so that order rounds
+    nothing either, and the (N, 6, 4, 4) Hessian is not scaled.
+
+    H = tr A is not zero on every chart (a small sphere is umbilic), and
+    `integrate` reads these A with array integrands whose H^4 can round
+    apart from the Python-float kernels of `point`; see there.
     """
     # without a chart, the finite-difference route raises the input error
     X = None if imm.chart is None else imm.chart(_Jet.seed(params))
     if not isinstance(X, _Jet):
         raise _JetUnsupported(f"{imm.label} has no chart that returns a jet")
     d = np.ldexp(1.0, np.frexp(np.linalg.norm(X.grad, axis=-2))[1])
-    hess = X.hess / (d[:, None, :, None] * d[:, None, None, :])
     return _shape_operators(imm, params, X.val[None],
                             lambda: (X.grad / d[:, None, :]).swapaxes(-1, -2)[None],
-                            lambda nu: np.einsum("bdij,bd->bij", hess, nu[0])[None])[0]
+                            lambda nu: (np.einsum("bdij,bd->bij", X.hess, nu[0])
+                                        / (d[:, :, None] * d[:, None, :]))[None])[0]
 
 
 def numeric_second_fundamental_form(imm: Immersion, params, h: float = 1e-4,
@@ -562,10 +594,8 @@ def numeric_second_fundamental_form(imm: Immersion, params, h: float = 1e-4,
 
 # Lower-case functional name or alias -> (name, integrand over an (N, 4, 4)
 # float batch of shape operators at curvature c, normalization): `point`'s kernels.
-_CGB = ("cgbEuler", lambda A, c: [_cgb(*row, c) for row in _power_rows(_quartic_powers(A))],
-        32.0 * math.pi ** 2)
-_WEYL = ("weylFunctional", lambda A, c: [_w_sq(*row) for row in _power_rows(_quartic_powers(A))],
-         1.0)
+_CGB = ("cgbEuler", lambda A, c: _cgb(*_quartic_powers(A), c), 32.0 * math.pi ** 2)
+_WEYL = ("weylFunctional", lambda A, c: _w_sq(*_quartic_powers(A)), 1.0)
 _FUNCTIONALS = {
     "cgbeuler": _CGB, "cgb": _CGB,
     "weylfunctional": _WEYL, "weyl": _WEYL,
@@ -604,10 +634,16 @@ def integrate(imm: Immersion, functional: str, res: int = 64,
     jets, which give exact derivatives, or, for a chart that uses an
     operation jets do not carry, through the finite-difference
     extractor `numeric_second_fundamental_form`. The integrand then runs
-    on the block's shape operators with the batched kernels of `point`,
-    after PointState's entry cap (the extracted A are symmetric) and one c
-    and S warning per block. A non-closed custom chart yields a local patch
-    value only, with a warning: it is not a topological invariant there.
+    on the block's shape operators with the closed-form kernels of
+    `point`, after PointState's entry cap (the extracted A are symmetric)
+    and one c and S warning per block. It runs on the block's (N,) power-sum
+    columns as arrays, not on per-node rows of Python floats: numpy's
+    ``**`` rounds H^4 apart from Python's in about 3% of values, so where
+    H != 0 a node's integrand, and the integral, can differ from `point`'s
+    in the last bits (on the catalog charts H is zero to rounding and its
+    H^4 does not reach the sum). A non-closed custom
+    chart yields a local patch value only, with a warning: it is not a
+    topological invariant there.
     """
     try:
         functional, integrand, norm = _FUNCTIONALS[functional.strip().lower()]

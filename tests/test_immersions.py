@@ -459,6 +459,18 @@ def _exp_chart():
                                chart=lambda p: imm.chart(p) * np.exp(0.0 * p[..., :1]))
 
 
+def _small_sphere(r):
+    """The umbilic 4-sphere x = r u + sqrt(1 - r^2) e_6 of radius r, from the
+    geodesic:4 chart, with neither spectrum nor normal: every principal
+    curvature is sqrt(1 - r^2)/r, so H != 0, and the volume carries r^4."""
+    imm = immersions.get_immersion("geodesic:4")
+    lift = np.array([r, r, r, r, r, 0.0])
+    pole = np.array([0.0, 0.0, 0.0, 0.0, 0.0, math.sqrt(1.0 - r * r)])
+    first = dataclasses.replace(imm.factors[0], scale=imm.factors[0].scale * r ** 4)
+    return dataclasses.replace(imm, chart=lambda p: imm.chart(p) * lift + pole, normal=None,
+                               spectrum=None, factors=(first,) + imm.factors[1:])
+
+
 def _rotated(imm, R):
     """The chart of ``imm`` in the rotated coordinates q = R p."""
     def chart(p):
@@ -504,6 +516,39 @@ def test_jet_rules_match_closed_form_derivatives(p, a, b, alpha, beta):
     for part in ("val", "grad", "hess"):
         for k, jet in enumerate((f, g, h)):
             np.testing.assert_array_equal(getattr(joined, part)[:, k], getattr(jet, part))
+
+
+def _jet_parts_equal(a, b):
+    return all(np.array_equal(getattr(a, part), getattr(b, part))
+               for part in ("val", "grad", "hess"))
+
+
+def test_cos_and_sin_of_one_jet_share_one_evaluation():
+    x = immersions._Jet.seed(np.random.default_rng(79).uniform(-3.0, 3.0, (5, 4)))
+    angles = x[..., 1:3]
+    bent = np.sin(x) * x - 0.5
+
+    def fresh(jet, flat=None):
+        return immersions._Jet(jet.val.copy(), jet.grad.copy(), jet.hess.copy(),
+                               jet.flat if flat is None else flat)
+
+    for jet in (angles, bent):
+        for first, second in ((np.cos, np.sin), (np.sin, np.cos)):
+            shared = fresh(jet)
+            got = first(shared), second(shared)
+            assert shared.trig is not None
+            for rule, result in zip((first, second), got):
+                assert _jet_parts_equal(result, rule(fresh(jet)))
+                # the seed's slices skip their zero Hessian to the same values
+                assert _jet_parts_equal(result, rule(fresh(jet, flat=False)))
+    assert angles.flat and not bent.flat
+    # a slice, sum or product of a jet computes its own cos and sin
+    np.cos(bent)
+    for derived, val in ((bent[..., 0], bent.val[..., 0]), (bent + 1.0, bent.val + 1.0),
+                         (bent * bent, bent.val * bent.val)):
+        assert derived.trig is None
+        np.testing.assert_array_equal(np.cos(derived).val, np.cos(val))
+        np.testing.assert_array_equal(np.sin(derived).val, np.sin(val))
 
 
 def test_jet_rejects_operations_it_does_not_carry():
@@ -560,6 +605,19 @@ def test_integrals_do_not_depend_on_the_block_size(monkeypatch, label):
     assert values() == default
 
 
+@pytest.mark.parametrize("r", [0.3, 0.9])
+def test_small_sphere_integrals_do_not_depend_on_the_block_size(monkeypatch, r):
+    # a chart with H != 0 and no analytic normal; res 8 is 4,096 nodes
+    cases = [(f, res) for f in ("cgbEuler", "weylFunctional", "volume") for res in (3, 5, 8)]
+
+    def values():
+        return [immersions.integrate(_small_sphere(r), f, res=res) for f, res in cases]
+
+    default = values()
+    monkeypatch.setattr(immersions, "_BLOCK", 128)
+    assert values() == default
+
+
 def test_chart_without_jet_support_falls_back_to_finite_differences():
     # the value the finite-difference path gives for clifford:4:2 at res 6
     assert immersions.integrate(_exp_chart(), "cgbEuler", res=6) == 3.9999999899482654
@@ -580,6 +638,21 @@ def test_fallback_without_analytic_normal_orients_both_steps_alike():
 def test_spectrum_free_euler_characteristic_to_rounding(label, chi, res):
     imm = dataclasses.replace(immersions.get_immersion(label), spectrum=None)
     assert abs(immersions.integrate(imm, "cgbEuler", res=res) - chi) <= 1e-12
+
+
+@pytest.mark.parametrize("r", [0.3, 0.6, 0.9])
+def test_spectrum_free_small_sphere(r):
+    # without an analytic normal each node orients its own normal, so a
+    # node's four principal curvatures are all +sqrt(1 - r^2)/r or all minus
+    imm = _small_sphere(r)
+    lam = math.sqrt(1.0 - r * r) / r
+    for params, _ in immersions._node_blocks(immersions.build_grid(imm, 12)):
+        spectra = np.linalg.eigvalsh(immersions._jet_second_fundamental_form(imm, params))
+        np.testing.assert_allclose(spectra, np.broadcast_to(np.sign(spectra[:, :1]) * lam,
+                                                            spectra.shape), rtol=0, atol=1e-13)
+    for res in (12, 16):
+        assert abs(immersions.integrate(imm, "cgbEuler", res=res) - 2.0) <= 1e-12
+    assert abs(immersions.integrate(imm, "weylFunctional", res=12)) <= 1e-11
 
 
 @pytest.mark.parametrize("res", [10, 14])
