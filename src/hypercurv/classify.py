@@ -185,30 +185,28 @@ def sharp_inequalities(state, tol: float = EQUALITY_TOL) -> SharpReport:
     if not _is_minimal(A[0]):
         raise ValueError(f"sharp_inequalities requires a trace-free shape operator "
                          f"(H = {powers[0][0]:.3e})")
-    return _sharp(powers, A.shape[-1], tol)[0]
+    (margins,) = _sharp(powers, A.shape[-1])
+    (S,) = powers[1].tolist()
+    return SharpReport(margins=margins, equality={
+        "lcf": margins["a2_upper"] <= tol * (S * S),
+        "einstein": margins["a2_lower"] <= tol * (S * S),
+        "trace": min(margins["tr3_upper"], margins["tr3_lower"]) <= tol * S ** 1.5,
+    })
 
 
-def _sharp(powers: tuple, n: int, tol: float) -> list:
-    """SharpReport of each trace-free n-dim row of _quartic_powers. The
-    margins are taken on Python floats: numpy's array S ** 1.5 differs from
-    Python's in the last bit on some rows."""
+def _sharp(powers: tuple, n: int) -> list:
+    """The margins dict of each trace-free n-dim row of _quartic_powers, as
+    the reports hold them. They are taken on Python floats, row by row:
+    numpy's array S ** 1.5 differs from Python's in the last bit on some
+    rows."""
     upper = (n * n - 3 * n + 3) / (n * (n - 1))
     tr3_factor = (n - 2) / math.sqrt(n * (n - 1))
-    reports = []
+    margins = []
     for S, A2sq, trA3 in zip(*(p.tolist() for p in powers[1:])):
         tr3_bound = tr3_factor * S ** 1.5
-        margins = {
-            "a2_lower": A2sq - S * S / n,
-            "a2_upper": upper * S * S - A2sq,
-            "tr3_upper": tr3_bound - trA3,
-            "tr3_lower": trA3 + tr3_bound,
-        }
-        reports.append(SharpReport(margins=margins, equality={
-            "lcf": margins["a2_upper"] <= tol * (S * S),
-            "einstein": margins["a2_lower"] <= tol * (S * S),
-            "trace": min(margins["tr3_upper"], margins["tr3_lower"]) <= tol * S ** 1.5,
-        }))
-    return reports
+        margins.append({"a2_lower": A2sq - S * S / n, "a2_upper": upper * S * S - A2sq,
+                        "tr3_upper": tr3_bound - trA3, "tr3_lower": trA3 + tr3_bound})
+    return margins
 
 
 @dataclass(frozen=True)
@@ -221,6 +219,9 @@ class SpectrumReport:
     point); einstein, the trace-free Ricci tensor vanishes (for a minimal
     state exactly at the (l, l, -l, -l) spectra and A = 0); twoTwoSplit,
     the multiplicity partition is (2, 2).
+
+    ``spectrum_report`` builds it from the report dict of a batch of one;
+    the CLI emits those dicts, which ``to_dict`` gives back.
     """
 
     m: int
@@ -237,23 +238,26 @@ class SpectrumReport:
                 "margins": dict(self.margins), "indeterminate": self.indeterminate}
 
 
+# The (2, 2) partition's code: cut_0 = 0, cut_1 = 1, cut_2 = 0.
+_TWO_TWO = _PARTITIONS.index((2, 2))
+
+
 def _spectrum_reports(A: np.ndarray, powers: tuple, minimal, tol: float) -> list:
-    """SpectrumReport of each of the validated (N, 4, 4) operators A, given
-    their _quartic_powers, from one _classify pass; row i gets margins when
-    minimal[i] is true. The Einstein flag reads the Ric_0 eigenvalues
-    H l - l^2 - (H^2 - S)/4."""
+    """The report dict (``SpectrumReport.to_dict``'s keys) of each of the
+    validated (N, 4, 4) operators A, given their _quartic_powers, from one
+    _classify pass: every column is read out with one ``tolist``, and row
+    i gets _sharp margins when minimal[i] is true. The Einstein flag reads
+    the Ric_0 eigenvalues H l - l^2 - (H^2 - S)/4."""
     lams = _spectra(A)
     codes, v, w, indeterminate = _classify(lams, powers, tol)
     H, S = (p[:, None] for p in powers[:2])
     ric_tf = H * lams - lams * lams - (H * H - S) / 4.0
     einstein = np.abs(ric_tf).max(axis=1) <= tol * (1.0 + S[:, 0])
-    sharp = iter(_sharp([p[np.array(minimal, dtype=bool)] for p in powers], 4, EQUALITY_TOL))
-    return [SpectrumReport(m=len(_PARTITIONS[code]), partition=_PARTITIONS[code], w=w_row,
-                           weyl_eigen=tuple(v_row),
-                           flags={"lcf": lcf, "einstein": is_einstein,
-                                  "twoTwoSplit": _PARTITIONS[code] == (2, 2)},
-                           margins=next(sharp).margins if trace_free else {},
-                           indeterminate=unsure)
+    sharp = iter(_sharp([p[np.array(minimal, dtype=bool)] for p in powers], 4))
+    return [{"m": len(_PARTITIONS[code]), "partition": list(_PARTITIONS[code]), "w": w_row,
+             "weylEigen": v_row,
+             "flags": {"lcf": lcf, "einstein": is_einstein, "twoTwoSplit": code == _TWO_TWO},
+             "margins": next(sharp) if trace_free else {}, "indeterminate": unsure}
             for code, v_row, w_row, lcf, is_einstein, unsure, trace_free in zip(
                 codes.tolist(), v.tolist(), w.tolist(), (_DICTIONARY_W[codes] == 1).tolist(),
                 einstein.tolist(), indeterminate.tolist(), minimal)]
@@ -268,4 +272,7 @@ def spectrum_report(state, tol: float = CLUSTER_TOL) -> SpectrumReport:
     not apply.
     """
     A = _operators(state, 4)
-    return _spectrum_reports(A, _quartic_powers(A), [_is_minimal(A[0])], tol)[0]
+    (report,) = _spectrum_reports(A, _quartic_powers(A), [_is_minimal(A[0])], tol)
+    return SpectrumReport(m=report["m"], partition=tuple(report["partition"]), w=report["w"],
+                          weyl_eigen=tuple(report["weylEigen"]), flags=report["flags"],
+                          margins=report["margins"], indeterminate=report["indeterminate"])

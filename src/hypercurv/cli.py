@@ -23,13 +23,17 @@ component order), "hessS", "parallel". A JSON array of such objects is
 processed as a batch with output order preserved. point and classify
 validate the whole batch before building any report, with
 extrinsic._validate, the validator PointState runs on a batch of one:
-types and shapes item by item, values once per dimension on the stacked
-states, field by field, in one pass. A batch with bad items exits 2 with
-no output and the error line its first bad item gets alone. The stacked
-states of one dimension then go through each batched kernel together,
-and an item's report equals the one it gets alone. Warnings keep their
-count and text but come grouped on stderr: validation's c and S warnings
-first, in input order, then the Bach-trace warnings (tr B = simons/3).
+types and shapes item by item on the decoded lists, then values once
+per dimension on the stacked states, lambda and A converted by one array
+call over the items' lists, field by field, in one pass. A batch with bad
+items exits 2 with no output and the error line its first bad item gets
+alone. The states of one dimension then go through each batched kernel
+together, and an item's report equals the one it gets alone; the
+classification blocks are the dicts classify._spectrum_reports builds
+from the batched columns, emitted as they are, with no report object
+per row. Warnings keep their count and text but come grouped on stderr:
+validation's c and S warnings first, in input order, then the
+Bach-trace warnings (tr B = simons/3).
 bounds applies a state's 1e50 entry cap to its numbers and to chi/vol.
 Output is deterministic: identical input yields byte-identical JSON.
 
@@ -127,7 +131,7 @@ def _point_reports(groups: list, cluster_tol: float) -> list:
                 extrinsic._warn_bach_trace(record["simons"], row[1])
                 report.update({
                     "norms": extrinsic._norm_fields(row, 4),
-                    "spectrum": spectrum.to_dict(),
+                    "spectrum": spectrum,
                     "cgb_integrand": extrinsic._cgb(*row[:4], c),
                     "signature_integrand": signature,
                     "bach": B.tolist() if record["simons"] != "unavailable" else None,
@@ -150,8 +154,7 @@ def _cmd_classify(args) -> int:
     # every item has n = 4, so one group holds them all, in input order
     A = groups[0].A if groups else np.empty((0, 4, 4))
     minimal = groups[0].minimal.tolist() if groups else []
-    reports = [r.to_dict() for r in classify_mod._spectrum_reports(
-        A, extrinsic._quartic_powers(A), minimal, args.tol)]
+    reports = classify_mod._spectrum_reports(A, extrinsic._quartic_powers(A), minimal, args.tol)
     _emit(reports if isinstance(payload, list) else reports[0])
     return _EXIT_OK
 

@@ -24,14 +24,14 @@ import numbers
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
 from .lambda2 import LAMBDA2_BASIS, CurvTensor4, _I, _J, _expand, _inner, _kn_raw, _sd_split
 from .lambda2 import inner, star_weyl, triple  # noqa: F401  (looked up on this module)
-from .tolerances import EQUALITY_TOL, _entry_failure, _json_numbers, _require_entries
+from .tolerances import (EQUALITY_TOL, _entry_failure, _float_shape, _json_numbers,
+                         _require_entries)
 
 __all__ = [
     "PointState",
@@ -116,35 +116,37 @@ def _warn_unusual(c: float, S: float, stacklevel: int = 3) -> None:
                       "roughly half the available precision", stacklevel=stacklevel)
 
 
-_JSON_FIELDS = ("n", "c", "lambda", "A", "nablaA", "hessS", "parallel")
+_JSON_FIELDS = frozenset(("n", "c", "lambda", "A", "nablaA", "hessS", "parallel"))
 
 
 def _json_args(data) -> dict:
-    """PointState arguments of one decoded JSON object. c, lambda, A, nablaA
-    and hessS hold JSON numbers, n an integer equal to the size of lambda or
-    A, parallel a boolean; anything else is a ValueError."""
+    """PointState arguments of one decoded JSON object, checked on the decoded
+    values: c, lambda, A, nablaA and hessS hold JSON numbers, n an integer
+    equal to the size of lambda or A, parallel a boolean; anything else is
+    a ValueError. Floats in lists stay the decoded lists (``_json_numbers``),
+    and _validate converts lambda's and A's a dimension at a time; ``shape``
+    is lambda's or A's, as the check of its numbers found it."""
     if not isinstance(data, dict):
         raise ValueError("point state: expected a JSON object")
-    for key in data:
-        if key not in _JSON_FIELDS:
-            raise ValueError(f"{key}: unknown field")
+    if not _JSON_FIELDS.issuperset(data):
+        raise ValueError(f"{next(key for key in data if key not in _JSON_FIELDS)}: unknown field")
     if ("lambda" in data) == ("A" in data):
         raise ValueError("point state: provide exactly one of 'lambda' or 'A'")
     shape_key = "lambda" if "lambda" in data else "A"
-    fields = {key: _json_numbers(key, data[key])
-              for key in ("c", shape_key, "nablaA", "hessS") if key in data}
-    c, main = fields.get("c", 1.0), fields[shape_key]
-    if "c" in fields and c.ndim:
+    c, c_shape = _json_numbers("c", data["c"]) if "c" in data else (1.0, ())
+    main, shape = _json_numbers(shape_key, data[shape_key])
+    nablaA = _json_numbers("nablaA", data["nablaA"])[0] if "nablaA" in data else None
+    hessS = _json_numbers("hessS", data["hessS"])[0] if "hessS" in data else None
+    if c_shape:
         raise ValueError("c: expected a number")
     if "n" in data:
         n = data["n"]
         if type(n) is not int:
             raise ValueError("n: expected an integer")
-        if main.ndim and len(main) != n:
-            raise ValueError(f"{shape_key}: expected {n} entries, got {len(main)}")
-    return {"lam" if shape_key == "lambda" else "A": main, "c": float(c),
-            "nablaA": fields.get("nablaA"), "hessS": fields.get("hessS"),
-            "parallel": data.get("parallel", False)}
+        if shape and shape[0] != n:
+            raise ValueError(f"{shape_key}: expected {n} entries, got {shape[0]}")
+    return {"lam" if shape_key == "lambda" else "A": main, "c": c, "nablaA": nablaA,
+            "hessS": hessS, "parallel": data.get("parallel", False), "shape": shape}
 
 
 def _spectrum_shape(lams, ndim: int) -> np.ndarray:
@@ -153,10 +155,13 @@ def _spectrum_shape(lams, ndim: int) -> np.ndarray:
     lams = np.asarray(lams, dtype=float)
     if ndim == 2 and lams.ndim != 2:
         raise ValueError(f"expected a spectrum array with 2 axes, got shape {lams.shape}")
-    if lams.ndim != ndim or lams.shape[-1] < 3:
-        raise ValueError(f"lambda: expected at least 3 principal curvatures, "
-                         f"got shape {lams.shape}")
+    _require_spectrum_shape(lams.shape, ndim)
     return lams
+
+
+def _require_spectrum_shape(shape: tuple, ndim: int) -> None:
+    if len(shape) != ndim or shape[-1] < 3:
+        raise ValueError(f"lambda: expected at least 3 principal curvatures, got shape {shape}")
 
 
 def _spectrum_rows(lams, ndim: int) -> np.ndarray:
@@ -186,23 +191,31 @@ def _field_array(field: str, value, n: int) -> np.ndarray:
     return arr
 
 
-def _shaped(A=None, c=1.0, lam=None, nablaA=None, hessS=None, parallel=False):
+def _shaped(A=None, c=1.0, lam=None, nablaA=None, hessS=None, parallel=False,
+            shape=None) -> tuple:
     """PointState arguments after the checks of parallel and of A or lam's
-    shape: n, from_spectrum, main (lam or A), parallel; the others as given."""
+    shape, as the row (n, from_spectrum, main, c, nablaA, hessS, parallel):
+    main is lam or A: floats nested in lists as given, for their group to
+    convert together, anything else as a float array. ``shape`` is main's
+    when the caller has walked it (_json_args); the others as given."""
     if not isinstance(parallel, (bool, np.bool_)):
         raise ValueError("parallel: expected true or false")
     if (A is None) == (lam is None):
         raise ValueError("provide exactly one of A or lam")
+    main = A if lam is None else lam
+    if shape is None:
+        shape = _float_shape(main)
+    if shape is None:
+        main = np.asarray(main, dtype=float)
+        shape = main.shape
     if lam is not None:
-        main = _spectrum_shape(lam, 1)
+        _require_spectrum_shape(shape, 1)
     else:
-        main = np.array(A, dtype=float)
-        if main.ndim != 2 or main.shape[0] != main.shape[1]:
-            raise ValueError(f"A: expected a square matrix, got shape {main.shape}")
-        if len(main) < 3:
-            raise ValueError(f"A: dimension must be at least 3, got {len(main)}")
-    return SimpleNamespace(n=len(main), from_spectrum=lam is not None, main=main, c=c,
-                           nablaA=nablaA, hessS=hessS, parallel=bool(parallel))
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"A: expected a square matrix, got shape {shape}")
+        if shape[0] < 3:
+            raise ValueError(f"A: dimension must be at least 3, got {shape[0]}")
+    return shape[0], lam is not None, main, c, nablaA, hessS, bool(parallel)
 
 
 class _StateGroup(NamedTuple):
@@ -225,63 +238,71 @@ class _StateGroup(NamedTuple):
 # symmetrization of A or nablaA
 @np.errstate(all="ignore")
 def _check_group(index: list, rows: list, tol: float, check_n, queued: list):
-    """The checks after A or lam's shape, for the states ``rows`` of one
+    """The checks after A or lam's shape, for the _shaped rows of one
     dimension n at items ``index``, in PointState's order: per field, its
-    conversion or shape per row, then its entry rule on the stacked values;
-    check_n(n) last. The first row that fails a check ends the group, so
-    each later check runs only on the rows before it, which have passed
-    every check so far. Returns the _StateGroup, or (k, error) of the
-    group's earliest failing item k and its first failing check. Queues
-    (item, c, S) of each state with an unusual c or S once c has passed."""
-    n, end, stop = rows[0].n, len(rows), None
+    conversion or shape per row, then its entry rule on the values of the
+    rows as one array (lambda and A converted by one array call over the
+    rows' lists). The first row that fails a check ends the
+    group, so each later check runs only on the rows before it, which have
+    passed every check so far; check_n(n) runs last. Returns the
+    _StateGroup, or (k, error) of the group's earliest failing item k and
+    its first failing check. Queues (item, c, S) of each state with an
+    unusual c or S once c has passed."""
+    n, end, stop = rows[0][0], len(rows), None
+    _, from_spectrum, main, given_c, given_nabla, given_hess, parallel = zip(*rows)
 
     def fail(j: int, error: Exception) -> None:
         nonlocal end, stop
         end, stop = j, (index[j], error)
 
-    def stacked(at, field: str) -> np.ndarray:
+    def stacked(at, values: tuple, field: str) -> np.ndarray:
         """The values of field at rows ``at``, up to the first whose
         conversion or shape fails."""
-        values = []
+        converted = []
         for j in at:
-            value = getattr(rows[j], field)
             try:
-                values.append(float(value) if field == "c" else _field_array(field, value, n))
+                converted.append(float(values[j]) if field == "c"
+                                 else _field_array(field, values[j], n))
             except (OverflowError, TypeError, ValueError) as exc:
                 fail(j, exc)
                 break
-        return np.array(values)
+        return np.array(converted)
 
     def check(name: str, at, raw: np.ndarray, *mirrors) -> None:
         failure = _entry_failure(name, raw, mirrors, tol)
         if failure is not None:
             fail(at[failure[0]], failure[1])
 
-    A = np.empty((end, n, n))
-    spectra = [j for j in range(end) if rows[j].from_spectrum]
-    if spectra:
-        lams = np.array([rows[j].main for j in spectra])
+    spectra = list(itertools.compress(range(end), from_spectrum))
+    if len(spectra) == end:
+        lams = np.array(main, dtype=float)
         check("lambda", spectra, lams)
-        A[spectra] = _diagonal(lams)
-    matrices = [j for j in range(end) if not rows[j].from_spectrum]
-    if matrices:
-        raw = np.array([rows[j].main for j in matrices])
-        check("A", matrices, raw, (raw.swapaxes(1, 2), "shape operator must be symmetric"))
-        A[matrices] = 0.5 * (raw + raw.swapaxes(1, 2))
-    c = stacked(range(end), "c")
+        A = _diagonal(lams)
+    else:
+        A = np.empty((end, n, n))
+        if spectra:
+            lams = np.array([main[j] for j in spectra], dtype=float)
+            check("lambda", spectra, lams)
+            A[spectra] = _diagonal(lams)
+        matrices = [j for j in range(end) if not from_spectrum[j]]
+        if matrices:
+            raw = np.array([main[j] for j in matrices], dtype=float)
+            check("A", matrices, raw, (raw.swapaxes(1, 2), "shape operator must be symmetric"))
+            A[matrices] = 0.5 * (raw + raw.swapaxes(1, 2))
+    c = stacked(range(end), given_c, "c")
     check("c", range(end), c)
     A, c = A[:end], c[:end]
     minimal = _is_minimal(A)
     S = (A * A).sum(axis=(1, 2))
     queued += [(index[j], c_j, S_j) for j, (c_j, S_j) in enumerate(zip(c.tolist(), S.tolist()))
                if c_j not in (-1.0, 0.0, 1.0) or S_j > _CONDITION_WARN_S]
-    with_nabla = [j for j in range(end) if rows[j].nablaA is not None]
-    nabla = raw = stacked(with_nabla, "nablaA")
+    with_nabla = [j for j in range(end) if given_nabla[j] is not None]
+    nabla = raw = stacked(with_nabla, given_nabla, "nablaA")
     if len(raw):
         nabla = _symmetrize3(raw)
         check("nablaA", with_nabla, raw, (nabla, "components must be totally symmetric"))
-    with_hess = [j for j in range(end) if rows[j].hessS is not None]
-    hess = stacked(with_hess, "hessS")
+    with_hess = [j for j in range(end) if given_hess[j] is not None]
+    hess = stacked(with_hess, given_hess, "hessS")
     if len(hess):
         check("hessS", with_hess, hess, (hess.swapaxes(1, 2), "must be symmetric"))
         hess = 0.5 * (hess + hess.swapaxes(1, 2))
@@ -305,8 +326,7 @@ def _check_group(index: list, rows: list, tol: float, check_n, queued: list):
     for array in (A, nabla, hess):
         array.setflags(write=False)
     return _StateGroup(index, A, c, minimal, dict(zip(with_nabla, nabla)),
-                       dict(zip(with_hess, hess)), [row.parallel for row in rows],
-                       [row.from_spectrum for row in rows])
+                       dict(zip(with_hess, hess)), list(parallel), list(from_spectrum))
 
 
 def _validate(items, parse=dict, tol: float = EQUALITY_TOL, check_n=None) -> list:
@@ -317,7 +337,9 @@ def _validate(items, parse=dict, tol: float = EQUALITY_TOL, check_n=None) -> lis
     Checks run in PointState's order: A or lam's shape and entry rule
     (``_entry_failure``), c's conversion and cap, nablaA's and hessS's shape
     and entry rule, nablaA's trace on a minimal state, ``check_n(n)``; types
-    and shapes per item, values once per dimension on stacked arrays. One
+    and shapes per item (``_shaped``), on the decoded lists as they are
+    where those hold floats, then values once per dimension on stacked
+    arrays, lambda's and A's converted by one array call over the rows. One
     pass finds the first failing item: the shape checks run item by item
     up to the first that fails them, and each dimension's checks stop at
     its first failing row (``_check_group``); the earliest of these items
@@ -328,11 +350,12 @@ def _validate(items, parse=dict, tol: float = EQUALITY_TOL, check_n=None) -> lis
     rows, index_by_n, stops = [], {}, []
     for k, item in enumerate(items):
         try:
-            rows.append(_shaped(**parse(item)))
+            row = _shaped(**parse(item))
         except (OverflowError, TypeError, ValueError) as exc:
             stops.append((k, exc))
             break
-        index_by_n.setdefault(rows[k].n, []).append(k)
+        rows.append(row)
+        index_by_n.setdefault(row[0], []).append(k)
     queued = []
     groups = [_check_group(index, [rows[k] for k in index], tol, check_n, queued)
               for index in index_by_n.values()]

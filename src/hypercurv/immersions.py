@@ -471,8 +471,10 @@ def _shape_operators(imm: Immersion, batch: np.ndarray, x0: np.ndarray, jacobian
     taken. The metric g = J J^T must have eigenvalues (eigvalsh) with
     0 < lambda_min and lambda_max <= 1e8 lambda_min. The unit normal nu is
     the normalised largest-diagonal column of the projector onto the
-    kernel of [x; J], oriented by the analytic ``normal`` if any, else by
-    its largest component at the first step. ``second(nu)`` gives the
+    kernel of [x; J], oriented by the analytic ``normal`` if any, else so
+    that det[x; J; nu] > 0: that sign is constant on a connected chart
+    where J has full rank, so one chart gets one normal field, and a
+    positive rescaling of the coordinates keeps it. ``second(nu)`` gives the
     projected second derivatives h_ij = <d_i d_j x, nu>, and the result
     is L^-1 h L^-T for g = L L^T, symmetrised.
     """
@@ -495,10 +497,11 @@ def _shape_operators(imm: Immersion, batch: np.ndarray, x0: np.ndarray, jacobian
     k = np.argmax(np.diagonal(P, axis1=-2, axis2=-1), axis=-1)
     nu = np.take_along_axis(P, k[..., None, None], axis=-1)[..., 0]
     nu /= np.linalg.norm(nu, axis=-1, keepdims=True)
-    # without an analytic normal, every step makes the component largest at
-    # the first step positive: a per-step choice can flip one step where two tie
-    ref = imm.normal(batch) if imm.normal is not None else np.eye(6)[np.argmax(abs(nu[0]), -1)]
-    nu = np.where((np.einsum("sbd,bd->sb", nu, ref) < 0.0)[..., None], -nu, nu)
+    if imm.normal is not None:
+        flip = np.einsum("sbd,bd->sb", nu, imm.normal(batch)) < 0.0
+    else:
+        flip = np.linalg.det(np.concatenate([M, nu[..., None, :]], axis=-2)) < 0.0
+    nu = np.where(flip[..., None], -nu, nu)
     Linv = np.linalg.inv(np.linalg.cholesky(g))
     A = Linv @ second(nu) @ Linv.swapaxes(-1, -2)
     return 0.5 * (A + A.swapaxes(-1, -2))
@@ -553,13 +556,14 @@ def numeric_second_fundamental_form(imm: Immersion, params, h: float = 1e-4,
     the largest-diagonal column, normalised, of the projector
     I - M^T (M M^T)^-1 M onto the kernel of M = [x; J], the chart point
     over the rows of the difference Jacobian. The analytic ``normal``,
-    if any, only orients it; otherwise the component largest at step h
-    is made positive at both steps. Each chart image must lie on the
-    unit sphere (checked to 1e-10), and the metric g = J J^T must have
-    eigenvalues (eigvalsh) with lambda_max <= 1e8 lambda_min: a rank-
-    deficient chart Jacobian (e.g. a polar axis point) is an input error
-    reporting the metric condition number lambda_max / lambda_min, inf
-    when lambda_min <= 0. Both errors name the first failing point. The
+    if any, only orients it; otherwise det[x; J; nu] is made positive at
+    each step, which orients every node of a connected chart alike. Each
+    chart image must lie on the unit sphere (checked to 1e-10), and the
+    metric g = J J^T must have eigenvalues (eigvalsh) with lambda_max <=
+    1e8 lambda_min: a rank-deficient chart Jacobian (e.g. a polar axis
+    point) is an input error reporting the metric condition number
+    lambda_max / lambda_min, inf when lambda_min <= 0. Both errors name
+    the first failing point. The
     result is expressed in an orthonormal eigenframe-agnostic basis:
     compare spectra, not raw matrices. `integrate` uses it for charts
     that jets cannot run through.
@@ -593,14 +597,15 @@ def numeric_second_fundamental_form(imm: Immersion, params, h: float = 1e-4,
 
 
 # Lower-case functional name or alias -> (name, integrand over an (N, 4, 4)
-# float batch of shape operators at curvature c, normalization): `point`'s kernels.
-_CGB = ("cgbEuler", lambda A, c: _cgb(*_quartic_powers(A), c), 32.0 * math.pi ** 2)
-_WEYL = ("weylFunctional", lambda A, c: _w_sq(*_quartic_powers(A)), 1.0)
+# float batch of shape operators, their _quartic_powers columns and the
+# curvature c, normalization): `point`'s kernels.
+_CGB = ("cgbEuler", lambda A, powers, c: _cgb(*powers, c), 32.0 * math.pi ** 2)
+_WEYL = ("weylFunctional", lambda A, powers, c: _w_sq(*powers), 1.0)
 _FUNCTIONALS = {
     "cgbeuler": _CGB, "cgb": _CGB,
     "weylfunctional": _WEYL, "weyl": _WEYL,
-    "signature": ("signature", lambda A, c: _signatures(A), 48.0 * math.pi ** 2),
-    "volume": ("volume", lambda A, c: np.ones(len(A)), 1.0),
+    "signature": ("signature", lambda A, powers, c: _signatures(A), 48.0 * math.pi ** 2),
+    "volume": ("volume", lambda A, powers, c: np.ones(len(A)), 1.0),
 }
 
 
@@ -656,7 +661,8 @@ def integrate(imm: Immersion, functional: str, res: int = 64,
                       "local patch value only, not a topological invariant", stacklevel=2)
     c = float(imm.c)
     if imm.spectrum is not None:
-        value = float(np.divide(integrand(imm.point().A[None], c), norm)[0])
+        A = imm.point().A[None]
+        value = float(np.divide(integrand(A, _quartic_powers(A), c), norm)[0])
         if dump is not None:
             _dump_rows(dump, grid, value)
         return value * grid.total_weight
@@ -670,8 +676,10 @@ def integrate(imm: Immersion, functional: str, res: int = 64,
             extract = numeric_second_fundamental_form
             A = extract(imm, params)
         _require_entries("A", A)
-        _warn_unusual(c, float((A * A).sum(axis=(1, 2)).max()))
-        values.append(np.divide(integrand(A, c), norm))
+        powers = _quartic_powers(A)
+        # S of the warning is the integrand's own column
+        _warn_unusual(c, float(powers[1].max()))
+        values.append(np.divide(integrand(A, powers, c), norm))
         weights.append(block_weights)
     values = np.concatenate(values)
     if dump is not None:

@@ -10,11 +10,13 @@ caller passes `default_tol()` or `default_tol(CLUSTER_TOL)` as ``tol``.
 It also owns the entry rule of every tensor the package takes in,
 ``_entry_failure``: 1 + max|entry| is finite and at most its cap, then
 |x - mirror| <= tol * (1 + max|entry|) for each of the input's mirrors;
-and the rule of JSON input, ``_json_numbers``: numbers only.
+and the rule of JSON input, ``_json_numbers``: numbers only, checked on the
+decoded lists themselves.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 
@@ -97,17 +99,41 @@ def _require_entries(name: str, rows: np.ndarray, mirrors=(), tol: float = EQUAL
         raise failure[1]
 
 
-def _json_numbers(name: str, value) -> np.ndarray:
-    """A JSON number or nested arrays of them as a float array; booleans,
-    strings, null, objects, ragged arrays and ints beyond float range raise."""
-    # a float or a flat list of floats, the common case, needs no object array
-    if type(value) is float or (type(value) is list and all(type(v) is float for v in value)):
-        return np.array(value)
+_FLOAT, _LIST = frozenset((float,)), frozenset((list,))
+
+
+def _float_shape(value):
+    """The shape of a float, or of lists of floats nested to equal lengths as
+    JSON decodes them, walked one depth at a time; None for anything else."""
+    if type(value) is float:
+        return ()
+    if type(value) is not list:
+        return None
+    shape, level = (len(value),), value
+    while not _FLOAT.issuperset(map(type, level)):
+        sizes = set(map(len, level)) if _LIST.issuperset(map(type, level)) else ()
+        if len(sizes) != 1:
+            return None
+        shape += tuple(sizes)
+        level = list(itertools.chain.from_iterable(level))
+    return shape
+
+
+def _json_numbers(name: str, value) -> tuple:
+    """(numbers, shape) of a JSON number or nested arrays of them: a float or
+    the decoded lists of floats as given, which the caller converts with
+    the rest of its batch, else a float array; booleans, strings, null,
+    objects, ragged arrays and ints beyond float range raise."""
+    # floats in lists of equal lengths, the common case, are already checked
+    shape = _float_shape(value)
+    if shape is not None:
+        return value, shape
     leaves = np.asarray(value, dtype=object)
     # A ragged array leaves lists among the object leaves.
     if not set(map(type, leaves.flat)) <= {int, float}:
         raise ValueError(f"{name}: expected JSON numbers")
     try:
-        return leaves.astype(float)
+        numbers = leaves.astype(float)
     except OverflowError as exc:
         raise ValueError(f"{name}: {exc}") from None
+    return (float(numbers) if numbers.ndim == 0 else numbers), numbers.shape

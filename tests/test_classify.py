@@ -389,12 +389,12 @@ def test_per_item_functions_equal_the_batched_report_rows_bitwise():
     A = np.array([np.diag(lam) for lam in lams])
     for lam, row in zip(lams, classify._spectrum_reports(
             A, extrinsic._quartic_powers(A), minimal, 1e-8)):
-        assert classify.spectrum_report(lam) == row
-        assert all(type(v) is bool for v in row.flags.values())
-        if row.margins:
+        assert classify.spectrum_report(lam).to_dict() == row
+        assert all(type(v) is bool for v in row["flags"].values())
+        if row["margins"]:
             sharp = classify.sharp_inequalities(lam)
             assert list(map(float.hex, sharp.margins.values())) == \
-                list(map(float.hex, row.margins.values())) == \
+                list(map(float.hex, row["margins"].values())) == \
                 list(map(float.hex, _reference_margins(lam)))
             assert all(type(v) is bool for v in sharp.equality.values())
 

@@ -642,14 +642,16 @@ def test_spectrum_free_euler_characteristic_to_rounding(label, chi, res):
 
 @pytest.mark.parametrize("r", [0.3, 0.6, 0.9])
 def test_spectrum_free_small_sphere(r):
-    # without an analytic normal each node orients its own normal, so a
-    # node's four principal curvatures are all +sqrt(1 - r^2)/r or all minus
+    # without an analytic normal, det[x; J; nu] > 0 orients the one normal
+    # field of the connected chart: every node's four principal curvatures
+    # are sqrt(1 - r^2)/r with one sign over the whole chart
     imm = _small_sphere(r)
     lam = math.sqrt(1.0 - r * r) / r
-    for params, _ in immersions._node_blocks(immersions.build_grid(imm, 12)):
-        spectra = np.linalg.eigvalsh(immersions._jet_second_fundamental_form(imm, params))
-        np.testing.assert_allclose(spectra, np.broadcast_to(np.sign(spectra[:, :1]) * lam,
-                                                            spectra.shape), rtol=0, atol=1e-13)
+    spectra = np.concatenate([
+        np.linalg.eigvalsh(immersions._jet_second_fundamental_form(imm, params))
+        for params, _ in immersions._node_blocks(immersions.build_grid(imm, 12))])
+    np.testing.assert_allclose(spectra, np.full(spectra.shape, np.sign(spectra[0, 0]) * lam),
+                               rtol=0, atol=1e-13)
     for res in (12, 16):
         assert abs(immersions.integrate(imm, "cgbEuler", res=res) - 2.0) <= 1e-12
     assert abs(immersions.integrate(imm, "weylFunctional", res=12)) <= 1e-11
