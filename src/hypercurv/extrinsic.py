@@ -273,22 +273,18 @@ def _check_group(index: list, rows: list, tol: float, check_n, queued: list):
         if failure is not None:
             fail(at[failure[0]], failure[1])
 
+    A = np.zeros((end, n, n))
     spectra = list(itertools.compress(range(end), from_spectrum))
-    if len(spectra) == end:
-        lams = np.array(main, dtype=float)
+    if spectra:
+        lams = np.array(list(itertools.compress(main, from_spectrum)), dtype=float)
         check("lambda", spectra, lams)
-        A = _diagonal(lams)
-    else:
-        A = np.empty((end, n, n))
-        if spectra:
-            lams = np.array([main[j] for j in spectra], dtype=float)
-            check("lambda", spectra, lams)
-            A[spectra] = _diagonal(lams)
-        matrices = [j for j in range(end) if not from_spectrum[j]]
-        if matrices:
-            raw = np.array([main[j] for j in matrices], dtype=float)
-            check("A", matrices, raw, (raw.swapaxes(1, 2), "shape operator must be symmetric"))
-            A[matrices] = 0.5 * (raw + raw.swapaxes(1, 2))
+        # diag(l) of each spectrum row, written in place
+        A.reshape(len(A), n * n)[spectra, ::n + 1] = lams
+    matrices = [j for j in range(end) if not from_spectrum[j]]
+    if matrices:
+        raw = np.array([main[j] for j in matrices], dtype=float)
+        check("A", matrices, raw, (raw.swapaxes(1, 2), "shape operator must be symmetric"))
+        A[matrices] = 0.5 * (raw + raw.swapaxes(1, 2))
     c = stacked(range(end), given_c, "c")
     check("c", range(end), c)
     A, c = A[:end], c[:end]

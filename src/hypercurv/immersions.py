@@ -597,15 +597,14 @@ def numeric_second_fundamental_form(imm: Immersion, params, h: float = 1e-4,
 
 
 # Lower-case functional name or alias -> (name, integrand over an (N, 4, 4)
-# float batch of shape operators, their _quartic_powers columns and the
-# curvature c, normalization): `point`'s kernels.
-_CGB = ("cgbEuler", lambda A, powers, c: _cgb(*powers, c), 32.0 * math.pi ** 2)
-_WEYL = ("weylFunctional", lambda A, powers, c: _w_sq(*powers), 1.0)
+# float batch of shape operators at curvature c, normalization): `point`'s kernels.
+_CGB = ("cgbEuler", lambda A, c: _cgb(*_quartic_powers(A), c), 32.0 * math.pi ** 2)
+_WEYL = ("weylFunctional", lambda A, c: _w_sq(*_quartic_powers(A)), 1.0)
 _FUNCTIONALS = {
     "cgbeuler": _CGB, "cgb": _CGB,
     "weylfunctional": _WEYL, "weyl": _WEYL,
-    "signature": ("signature", lambda A, powers, c: _signatures(A), 48.0 * math.pi ** 2),
-    "volume": ("volume", lambda A, powers, c: np.ones(len(A)), 1.0),
+    "signature": ("signature", lambda A, c: _signatures(A), 48.0 * math.pi ** 2),
+    "volume": ("volume", lambda A, c: np.ones(len(A)), 1.0),
 }
 
 
@@ -661,8 +660,7 @@ def integrate(imm: Immersion, functional: str, res: int = 64,
                       "local patch value only, not a topological invariant", stacklevel=2)
     c = float(imm.c)
     if imm.spectrum is not None:
-        A = imm.point().A[None]
-        value = float(np.divide(integrand(A, _quartic_powers(A), c), norm)[0])
+        value = float(np.divide(integrand(imm.point().A[None], c), norm)[0])
         if dump is not None:
             _dump_rows(dump, grid, value)
         return value * grid.total_weight
@@ -676,10 +674,8 @@ def integrate(imm: Immersion, functional: str, res: int = 64,
             extract = numeric_second_fundamental_form
             A = extract(imm, params)
         _require_entries("A", A)
-        powers = _quartic_powers(A)
-        # S of the warning is the integrand's own column
-        _warn_unusual(c, float(powers[1].max()))
-        values.append(np.divide(integrand(A, powers, c), norm))
+        _warn_unusual(c, float((A * A).sum(axis=(1, 2)).max()))
+        values.append(np.divide(integrand(A, c), norm))
         weights.append(block_weights)
     values = np.concatenate(values)
     if dump is not None:
