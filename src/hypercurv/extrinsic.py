@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lambda2 import LAMBDA2_BASIS, CurvTensor4, _I, _J, _expand, _inner, _kn_raw, _sd_split
+from .lambda2 import LAMBDA2_BASIS, CurvTensor4, _E, _expand, _inner, _kn_raw, _sd_split
 from .lambda2 import inner, star_weyl, triple  # noqa: F401  (looked up on this module)
 from .tolerances import (EQUALITY_TOL, _entry_failure, _float_shape, _json_numbers,
                          _require_entries)
@@ -684,7 +684,7 @@ def gauss_equations(p: PointState) -> CurvaturePack:
     R = n(n-1) c + H^2 - S, and the trace-free Ricci tensor.
     """
     riem, ric, scal, ricTF = _gauss(p.A, p.c)
-    riem = CurvTensor4(_expand(riem), check=False) if p.n == 4 else _expand(riem, p.n)
+    riem = CurvTensor4._of(riem) if p.n == 4 else _expand(riem, p.n)
     return CurvaturePack(riem=riem, ric=ric, scal=float(scal), ricTF=ricTF)
 
 
@@ -695,7 +695,7 @@ def weyl_tensor(p: PointState) -> CurvTensor4:
     bit-identical components. Dimensions other than four are rejected.
     """
     _require_four(p.n, "weyl_tensor")
-    return CurvTensor4(_expand(_weyl_raw(p.A)), check=False)
+    return CurvTensor4._of(_weyl_raw(p.A))
 
 
 def closed_form_norms(p: PointState) -> NormPack:
@@ -858,8 +858,7 @@ def div_weyl_sd(p: PointState) -> list:
     nabla = np.zeros((4, 4, 4)) if p.nablaA is None else p.nablaA
     # stack axis m holds nabla_m A = nablaA[..., m]; W_mk.. is row p of the
     # operator times E[m, k, p] = +-1 where (m, k) is pair p or its reverse
-    E = _expand(np.eye(6))[..., _I, _J]
-    plus, minus = (np.einsum("mkp,mpq->kq", E, T)
+    plus, minus = (np.einsum("mkp,mpq->kq", _E, T)
                    for T in _sd_split(2 * _weyl_raw(p.A, np.moveaxis(nabla, 2, 0))))
     return [{"indices": (k + 1, *LAMBDA2_BASIS[q]), "plus": plus[k, q], "minus": minus[k, q]}
             for k in range(4) for q in range(3)]

@@ -21,8 +21,9 @@ The ordered Lambda^2 basis used for 6x6 operator matrices is
 
 so that the star is the permutation p <-> p + 3 of the basis. The kernels
 run on (..., P, P) operators over the pairs of R^n (this basis for n = 4,
-the pairs i < j otherwise), entry [p, q] = T_ijkl at p = (i, j), q = (k, l);
-components exist only at the public boundary, written by one map, _expand.
+the pairs i < j otherwise), entry [p, q] = T_ijkl at p = (i, j), q = (k, l).
+A CurvTensor4 stores only its 6x6 operator and every contraction runs on
+operators; components exist only at the public boundary, written by _expand.
 """
 
 from __future__ import annotations
@@ -64,6 +65,10 @@ def _expand(op: np.ndarray, n: int = 4) -> np.ndarray:
 _MU = _expand(np.eye(6)[_SWAP]) + 0.0  # + 0.0 makes every zero +0.0
 _MU.setflags(write=False)
 
+# E[i, j, p] = +1 where (i, j) is basis pair p, -1 where it is that pair reversed
+_E = _expand(np.eye(6))[..., _I, _J]
+_E.setflags(write=False)
+
 
 def levi_civita_tensor() -> np.ndarray:
     """Read-only (4,4,4,4) array of the Levi-Civita symbol mu, 0-based, so
@@ -71,14 +76,12 @@ def levi_civita_tensor() -> np.ndarray:
     return _MU
 
 
-def _as_components(obj, shape, name, mirror=None, rule="must be symmetric"):
-    """obj as floats of ``shape`` that pass the entry rule, against
-    mirror(obj) given a mirror."""
+def _as_components(obj, shape, name, mirror, rule="must be symmetric"):
+    """obj as floats of ``shape`` that pass the entry rule against mirror(obj)."""
     arr = np.asarray(obj, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    _require_entries(name, arr[None], () if mirror is None else ((mirror(arr)[None], rule),),
-                     cap=_CURVATURE_SCALE)
+    _require_entries(name, arr[None], ((mirror(arr)[None], rule),), cap=_CURVATURE_SCALE)
     return arr
 
 
@@ -98,57 +101,75 @@ def hodge_star(omega) -> np.ndarray:
 class CurvTensor4:
     """Rank-4 algebraic curvature tensor on R^4.
 
-    Stores the read-only (4,4,4,4) component array, 0-based, on which any
-    arithmetic runs, and converts losslessly to and from the symmetric 6x6
-    operator matrix over the ordered Lambda^2 basis. With ``check`` the
-    components pass the entry rule (finite, 1 + max|entry| <= 1e102) and,
-    to tol, the required symmetries: antisymmetry in (i,j) and in (k,l),
-    plus symmetry under swapping the pairs; the first failure raises a
-    ValueError naming it.
-    The first Bianchi identity is not required; the star of a
-    non-trace-free tensor can legitimately break pair symmetry, so outputs
-    of internal operations are constructed unchecked.
+    Stores only its read-only 6x6 operator over the ordered Lambda^2 basis,
+    on which any arithmetic runs; ``components`` is the read-only 0-based
+    (4,4,4,4) array that _expand writes from it. Component input passes the
+    entry rule (finite, 1 + max|entry| <= 1e102) and, to tol, the required
+    symmetries: antisymmetry in (i,j) and in (k,l), plus symmetry under
+    swapping the pairs; the first failure raises a ValueError naming it.
+    It is then read at the basis pairs, so its components come back exactly
+    antisymmetric in each pair. The first Bianchi identity is not required;
+    the star of a non-trace-free tensor can legitimately break pair
+    symmetry, so the package builds its outputs from operators unchecked.
     """
 
-    __slots__ = ("components",)
+    __slots__ = ("_op",)
 
-    def __init__(self, components, check: bool = True, tol: float = EQUALITY_TOL):
-        arr = np.array(components, dtype=float)
-        if arr.shape != (4, 4, 4, 4):
-            raise ValueError(f"CurvTensor4 components must be 4x4x4x4, got {arr.shape}")
-        if check:  # against each mirror -T_jikl, -T_ijlk, T_klij in turn
-            T = arr[None]
-            _require_entries("curvature tensor", T, (
-                (-T.swapaxes(1, 2), "must be antisymmetric in its first index pair"),
-                (-T.swapaxes(3, 4), "must be antisymmetric in its last index pair"),
-                (T.transpose(0, 3, 4, 1, 2), "must satisfy pair symmetry")), tol, _CURVATURE_SCALE)
-        arr.setflags(write=False)
-        self.components = arr
+    def __init__(self, components, tol: float = EQUALITY_TOL):
+        self._op = _operator(components, tol)
+
+    @classmethod
+    def _of(cls, op: np.ndarray) -> "CurvTensor4":
+        # a package output, from a float (6, 6) operator that nothing else holds
+        T = object.__new__(cls)
+        op.setflags(write=False)
+        T._op = op
+        return T
+
+    @property
+    def components(self) -> np.ndarray:
+        out = _expand(self._op)
+        out.setflags(write=False)
+        return out
 
     def operator6(self) -> np.ndarray:
-        """Symmetric 6x6 matrix of the tensor over the Lambda^2 pair basis."""
-        return self.components[_pairs(4)]
+        """A writable copy of the 6x6 matrix over the Lambda^2 pair basis."""
+        return self._op.copy()
 
     @classmethod
     def from_operator6(cls, op) -> "CurvTensor4":
-        """Rebuild the rank-4 tensor from its 6x6 pair-basis matrix, checked
-        as CurvTensor4 is: a non-symmetric op breaks pair symmetry."""
-        op = np.asarray(op, dtype=float)
+        """The tensor of a 6x6 pair-basis matrix, checked as CurvTensor4 is:
+        a non-symmetric op breaks pair symmetry."""
+        op = np.array(op, dtype=float)
         if op.shape != (6, 6):
             raise ValueError(f"operator matrix must be 6x6, got {op.shape}")
-        return cls(_expand(op))
-
-    def norm_sq(self) -> float:
-        return float(np.sum(self.components * self.components))
+        _require_entries("curvature tensor", op[None],
+                         ((op.T[None], "must satisfy pair symmetry"),), cap=_CURVATURE_SCALE)
+        return cls._of(op)
 
     def __repr__(self) -> str:
-        return f"CurvTensor4(|T|^2={self.norm_sq():.6g})"
+        return f"CurvTensor4(|T|^2={inner(self, self):.6g})"
 
 
-def _tensor(T, tol: float) -> CurvTensor4:
-    """T as a CurvTensor4: one as it stands, a raw array checked as
-    CurvTensor4 is."""
-    return T if isinstance(T, CurvTensor4) else CurvTensor4(T, tol=tol)
+def _operator(T, tol: float = EQUALITY_TOL, name: str | None = None) -> np.ndarray:
+    """T's read-only (6, 6) operator: a CurvTensor4's as stored, a raw array's
+    read at the basis pairs once it is checked as CurvTensor4 is, or, as the
+    contraction operand ``name``, for antisymmetry in each pair only."""
+    if isinstance(T, CurvTensor4):
+        return T._op
+    arr = np.asarray(T, dtype=float)
+    if arr.shape != (4, 4, 4, 4):
+        raise ValueError(f"CurvTensor4 components must be 4x4x4x4, got {arr.shape}" if name is None
+                         else f"{name} must have shape (4, 4, 4, 4), got {arr.shape}")
+    A = arr[None]  # against each mirror -T_jikl, -T_ijlk, T_klij in turn
+    _require_entries(name or "curvature tensor", A, (
+        (-A.swapaxes(1, 2), "must be antisymmetric in its first index pair"),
+        (-A.swapaxes(3, 4), "must be antisymmetric in its last index pair"),
+        (A.transpose(0, 3, 4, 1, 2), "must satisfy pair symmetry"))[:2 if name else 3], tol,
+        _CURVATURE_SCALE)
+    op = arr[_pairs(4)]
+    op.setflags(write=False)
+    return op
 
 
 def _star(op: np.ndarray) -> np.ndarray:
@@ -166,7 +187,7 @@ def star_weyl(T, tol: float = EQUALITY_TOL) -> CurvTensor4:
     T the output is again a curvature tensor; otherwise pair symmetry of
     the output may fail, which is expected and not validated.
     """
-    return CurvTensor4(_expand(_star(_tensor(T, tol).operator6())), check=False)
+    return CurvTensor4._of(_star(_operator(T, tol)))
 
 
 def _kn_raw(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -200,7 +221,7 @@ def kulkarni_nomizu(U, V) -> CurvTensor4:
     """
     Ua = _as_components(U, (4, 4), "U", np.transpose)
     Va = _as_components(V, (4, 4), "V", np.transpose)
-    return CurvTensor4(_expand(0.5 * (_kn_raw(Ua, Va) + _kn_raw(Va, Ua))), check=False)
+    return CurvTensor4._of(0.5 * (_kn_raw(Ua, Va) + _kn_raw(Va, Ua)))
 
 
 def _sd_split(op):
@@ -220,12 +241,17 @@ def sd_asd_split(T, tol: float = EQUALITY_TOL):
     an input error reporting the offending norm. A raw array is checked as
     CurvTensor4 is.
     """
-    T = _tensor(T, tol)
-    tr_norm = float(np.abs(np.einsum("ijkj->ik", T.components)).max())
-    if tr_norm > tol * (1.0 + np.abs(T.components).max()):
+    op = _operator(T, tol)
+    tr_norm = float(np.abs(_ricci_contraction(op)).max())
+    if tr_norm > tol * (1.0 + np.abs(op).max()):
         raise ValueError("sd_asd_split requires a trace-free tensor; Ricci contraction has "
                          f"max entry {tr_norm:.6e}")
-    return tuple(CurvTensor4(_expand(O), check=False) for O in _sd_split(T.operator6()))
+    return tuple(map(CurvTensor4._of, _sd_split(op)))
+
+
+def _ricci_contraction(op: np.ndarray) -> np.ndarray:
+    """Ric_ik = T_ijkj of the tensor T_ijkl = E[i,j,p] E[k,l,q] op[p,q]."""
+    return np.einsum("ijp,kjq,pq->ik", _E, _E, op)
 
 
 def lambda2_spectrum(T, part: str = "plus", tol: float = EQUALITY_TOL) -> np.ndarray:
@@ -240,28 +266,21 @@ def lambda2_spectrum(T, part: str = "plus", tol: float = EQUALITY_TOL) -> np.nda
     """
     if part not in ("plus", "minus"):
         raise ValueError(f"part must be 'plus' or 'minus', got {part!r}")
-    op = _tensor(T, tol).operator6()
+    op = _operator(T, tol)
     cross = op[:3, 3:] + op[3:, :3]
     block = (op[:3, :3] + op[3:, 3:] + (cross if part == "plus" else -cross)) / 2
     return np.linalg.eigvalsh(block)[::-1].copy()
 
 
-def _operands(*tensors) -> list:
-    """Each operand's components: a CurvTensor4's as stored, a raw array's
-    after the shape check for (4, 4, 4, 4) and the entry rule without a
-    mirror (a star need not keep pair symmetry)."""
-    return [T.components if isinstance(T, CurvTensor4) else
-            _as_components(T, (4, 4, 4, 4), f"T{k}") for k, T in enumerate(tensors, 1)]
-
-
 def inner(T1, T2) -> float:
-    """Full component contraction <T1, T2> = T1_ijkl T2_ijkl."""
-    return float(np.einsum("ijkl,ijkl->", *_operands(T1, T2)))
+    """Full component contraction <T1, T2> = T1_ijkl T2_ijkl, on the operators;
+    a raw operand must be antisymmetric in each pair, pair symmetry is not required."""
+    return float(_inner(_operator(T1, name="T1"), _operator(T2, name="T2")))
 
 
 def triple(T1, T2, T3) -> float:
-    """Cubic contraction T1_ijkl T2_pqkl T3_ijpq."""
-    return float(np.einsum("ijkl,pqkl,ijpq->", *_operands(T1, T2, T3)))
+    """Cubic contraction T1_ijkl T2_pqkl T3_ijpq, on the operators; raw operands as inner's."""
+    return float(_triple(*(_operator(T, name=f"T{k}") for k, T in enumerate((T1, T2, T3), 1))))
 
 
 # inner and triple on the (..., P, P) operators, dtype-generic: a pair

@@ -1,5 +1,6 @@
 """Tests for the four-dimensional Hodge star and curvature-operator algebra."""
 
+import hashlib
 import itertools
 import re
 import warnings
@@ -28,9 +29,13 @@ def _rand_curv(rng, trace_free=False):
         scal = np.trace(ric)
         g = np.eye(4)
         T = lambda2.CurvTensor4(T.components - 0.5 * lambda2.kulkarni_nomizu(ricTF, g).components
-                                - scal / 24.0 * lambda2.kulkarni_nomizu(g, g).components,
-                                check=False)
+                                - scal / 24.0 * lambda2.kulkarni_nomizu(g, g).components)
     return T
+
+
+# a raw contraction operand: antisymmetric in each index pair, but not
+# pair-symmetric, as the star of a tensor with trace is not
+_ANTI = lambda2._expand(np.triu(np.ones((6, 6))))
 
 
 def _basis(i, j):
@@ -279,20 +284,75 @@ def test_lambda2_spectrum_block_structure():
         lambda2.lambda2_spectrum(T, "sideways")
 
 
+# The component contractions that inner, triple and sd_asd_split's trace
+# check ran before they ran on the operators, kept as the reference.
+def _inner_einsum(a1, a2):
+    return float(np.einsum("ijkl,ijkl->", a1, a2))
+
+
+def _triple_einsum(a1, a2, a3):
+    return float(np.einsum("ijkl,pqkl,ijpq->", a1, a2, a3))
+
+
+def _contraction_operands(rng):
+    # tensors with and without a trace, their stars (not pair-symmetric when
+    # the tensor has a trace) and SD/ASD halves
+    T, W = _rand_curv(rng), _rand_curv(rng, trace_free=True)
+    M = rng.normal(size=(4, 4)) * 10.0 ** rng.uniform(-2, 2)
+    riem = extrinsic.gauss_equations(extrinsic.PointState(A=M + M.T, c=1.0)).riem
+    return [T, W, riem, lambda2.star_weyl(T), lambda2.star_weyl(riem), lambda2.star_weyl(W),
+            *lambda2.sd_asd_split(W)]
+
+
 def test_inner_and_triple_agree_with_einsum():
     rng = np.random.default_rng(15)
-    T1 = _rand_curv(rng)
-    T2 = _rand_curv(rng)
-    a1, a2 = T1.components, T2.components
-    assert lambda2.inner(T1, T2) == pytest.approx(
-        float(np.einsum("ijkl,ijkl->", a1, a2)), rel=1e-13)
-    assert lambda2.triple(T1, T2, T1) == pytest.approx(
-        float(np.einsum("ijkl,pqkl,ijpq->", a1, a2, a1)), rel=1e-13)
+    worst, stars = 0.0, 0
+    for _ in range(6):
+        tensors = _contraction_operands(rng)
+        stars += sum(not np.allclose(T.operator6(), T.operator6().T) for T in tensors)
+        operands = [(T, T.components) for T in tensors]
+        for (T1, a1), (T2, a2), (T3, a3) in itertools.product(operands, repeat=3):
+            # error relative to the contraction of the absolute values
+            got, ref = lambda2.triple(T1, T2, T3), _triple_einsum(a1, a2, a3)
+            worst = max(worst, abs(got - ref) / _triple_einsum(*map(np.abs, (a1, a2, a3))))
+            for U, u, V, v in ((T1, a1, T2, a2), (T1, a1, T1, a1)):  # <T, T>: the squared norm
+                got, ref = lambda2.inner(U, V), _inner_einsum(u, v)
+                worst = max(worst, abs(got - ref) / _inner_einsum(np.abs(u), np.abs(v)))
+    assert stars >= 12
+    assert worst <= 1e-13
+
+
+def test_trace_check_is_the_component_ricci_contraction():
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    for _ in range(20):
+        for T in _contraction_operands(rng):
+            a = T.components
+            ref = np.einsum("ijkj->ik", a)
+            got = lambda2._ricci_contraction(T.operator6())
+            worst = max(worst, np.abs(got - ref).max() / np.abs(a).max())
+            if np.abs(ref).max() > 1e-6 * np.abs(a).max():  # a tensor with trace
+                with pytest.raises(ValueError, match="Ricci contraction has max entry") as info:
+                    lambda2.sd_asd_split(T)
+                reported = float(str(info.value).rsplit(" ", 1)[1])
+                assert reported == pytest.approx(np.abs(ref).max(), rel=1e-6)
+    assert worst <= 1e-13
+
+
+def test_curv_tensor4_keeps_its_operator_to_itself():
+    T = _rand_curv(np.random.default_rng(18))
+    op, comps = T.operator6(), T.components
+    mutated = T.operator6()
+    mutated[...] = 7.0
+    assert np.array_equal(_bits(T.operator6()), _bits(op))
+    assert np.array_equal(_bits(T.components), _bits(comps))
+    with pytest.raises(ValueError, match="read-only"):
+        T.components[0, 1, 0, 1] = 1.0
 
 
 @pytest.mark.parametrize("call", [
-    lambda T: lambda2.inner(T, np.ones((4, 4, 4, 4))),
-    lambda T: lambda2.triple(np.ones((4, 4, 4, 4)), T, np.ones((4, 4, 4, 4))),
+    lambda T: lambda2.inner(T, _ANTI),
+    lambda T: lambda2.triple(_ANTI, T, _ANTI),
 ], ids=["inner", "triple"])
 @pytest.mark.parametrize("shape", [(4, 4, 4), (4, 4), (2, 4, 4, 4, 4)])
 def test_inner_and_triple_check_the_shape_of_raw_operands(call, shape):
@@ -323,6 +383,20 @@ def test_inner_and_triple_take_raw_operands_without_pair_symmetry():
     assert lambda2.inner(star.components, T.components) == lambda2.inner(star, T)
     assert lambda2.triple(star.components, T.components, star.components) == lambda2.triple(
         star, T, star)
+
+
+@pytest.mark.parametrize("k, call", [
+    (1, lambda X, T: lambda2.inner(X, T)), (2, lambda X, T: lambda2.inner(T, X)),
+    (1, lambda X, T: lambda2.triple(X, T, T)), (2, lambda X, T: lambda2.triple(T, X, T)),
+    (3, lambda X, T: lambda2.triple(T, T, X)),
+], ids=["inner T1", "inner T2", "triple T1", "triple T2", "triple T3"])
+def test_raw_operands_must_be_antisymmetric_in_the_last_pair_too(k, call):
+    # its operator would hold only the pair-antisymmetric part of the array
+    rng = np.random.default_rng(19)
+    R = rng.normal(size=(4, 4, 4, 4))
+    first_only = R - R.swapaxes(0, 1)
+    with pytest.raises(ValueError, match=f"^T{k}: must be antisymmetric in its last index pair$"):
+        call(first_only, _rand_curv(rng))
 
 
 # ------------------------------------------------------------ entry rule
@@ -366,19 +440,22 @@ _ENTRY_POINTS = {
     "div_weyl_sd": (lambda A: extrinsic.div_weyl_sd(_state(A)),
                     lambda rng: np.diag(rng.normal(size=4)), (0, 1),
                     "A: shape operator must be symmetric"),
-    # contractions check no symmetry: a star need not keep pair symmetry
-    "inner T1": (lambda T: lambda2.inner(T, np.ones((4, 4, 4, 4))), None, (0, 1, 0, 1), None),
-    "inner T2": (lambda T: lambda2.inner(np.ones((4, 4, 4, 4)), T), None, (0, 1, 0, 1), None),
-    "triple T1": (lambda T: lambda2.triple(T, np.ones((4, 4, 4, 4)), np.ones((4, 4, 4, 4))),
-                  None, (0, 1, 0, 1), None),
-    "triple T3": (lambda T: lambda2.triple(np.ones((4, 4, 4, 4)), np.ones((4, 4, 4, 4)), T),
-                  None, (0, 1, 0, 1), None),
+    # contraction operands must be antisymmetric in each pair but need not
+    # be pair-symmetric: a star need not keep pair symmetry
+    "inner T1": (lambda T: lambda2.inner(T, _ANTI), None, (0, 1, 0, 1),
+                 "T1: must be antisymmetric in its first index pair"),
+    "inner T2": (lambda T: lambda2.inner(_ANTI, T), None, (0, 1, 0, 1),
+                 "T2: must be antisymmetric in its first index pair"),
+    "triple T1": (lambda T: lambda2.triple(T, _ANTI, _ANTI), None, (0, 1, 0, 1),
+                  "T1: must be antisymmetric in its first index pair"),
+    "triple T3": (lambda T: lambda2.triple(_ANTI, _ANTI, T), None, (0, 1, 0, 1),
+                  "T3: must be antisymmetric in its first index pair"),
 }
 
 
 @pytest.mark.parametrize("entry, bad", [
-    (entry, bad) for entry, spec in _ENTRY_POINTS.items()
-    for bad in ("nan", "inf", "-inf", "cap", "mirror") if bad != "mirror" or spec[3]])
+    (entry, bad) for entry in _ENTRY_POINTS
+    for bad in ("nan", "inf", "-inf", "cap", "mirror")])
 def test_entry_points_reject_bad_input_with_a_value_error(entry, bad):
     call, valid, at, asymmetric = _ENTRY_POINTS[entry]
     rng = np.random.default_rng(40)
@@ -520,13 +597,15 @@ def test_lambda2_index_arrays_match_the_loops_bit_for_bit():
         op[rng.random((6, 6)) < 0.2] = 0.0
         op[rng.random((6, 6)) < 0.2] *= -0.0
         op = np.triu(op) + np.triu(op, 1).T
-        raw = rng.normal(size=(4, 4, 4, 4))
+        # a raw operand, not pair-symmetric, with signed zeros of its own
+        raw = rng.normal(size=(6, 6))
         raw[rng.random(raw.shape) < 0.3] = -0.0
+        raw = _from_operator6_loop(raw)
         T = lambda2.CurvTensor4.from_operator6(op)
         assert np.array_equal(_bits(T.components), _bits(_from_operator6_loop(op)))
-        for comps in (T.components, raw):
-            got = lambda2.CurvTensor4(comps, check=False)
-            assert np.array_equal(_bits(got.operator6()), _bits(_operator6_loop(comps)))
+        assert np.array_equal(_bits(lambda2.CurvTensor4(T.components).operator6()),
+                              _bits(_operator6_loop(T.components)))
+        assert np.array_equal(_bits(lambda2._operator(raw, name="T1")), _bits(_operator6_loop(raw)))
 
 
 # ------------------------------------------------------- one W+- split
@@ -663,6 +742,56 @@ def test_public_tensors_are_exactly_antisymmetric_in_each_pair():
             assert np.array_equal(T, -T.swapaxes(2, 3))
 
 
+# sha256 of the stacked float64 outputs on the states of _pin_states, taken
+# when CurvTensor4 stored its (4,4,4,4) components: storing the operator
+# instead keeps every bit of the package's tensors
+_PINNED = {
+    "weyl_tensor": "efce22156eb80d67c41cfb659730fc9d382cb8e0d3fd137246a6a658d8ad9c44",
+    "riem": "c639d6ba234f02e1550087f3b15d2393268ff660887e2c7491430eb4d3595418",
+    "star_weyl W": "096434279997fd7bccc01d5e926213c923fe26658c0ee6fffceaeebe128d784b",
+    "star_weyl riem": "b7965053a7521b7b56a923fe5ac1348c9558c500c2ebbad9f38594aa697db7de",
+    "sd plus": "df4230273307ced67d361dcf0122dff5423671d82faf157b0895b8de15096887",
+    "sd minus": "1f23d47427c41a64eaba3848287721c33d804419c9681b447870f62e69a56abd",
+    "kulkarni_nomizu": "694f6589387c903a431fd68841a9ff04d7c00581be708d75e04a1a0697bb8c42",
+    "lambda2_spectrum": "ecf017c35182957f16ea7a6f01bd8f31c1330ed70112c717d4f1e33c4afea8c1",
+}
+
+
+def _pin_states():
+    # scales 1e-3 to 1e3, c in {-1, 0, 1}, diagonal, zero-row and trace-free A
+    rng = np.random.default_rng(31)
+    for k in range(60):
+        M = rng.normal(size=(4, 4)) * 10.0 ** rng.uniform(-3, 3)
+        A = M + M.T
+        if k % 3 == 1:
+            A = np.diag(np.diag(A))
+        if k % 4 == 2:
+            A[1, :] = A[:, 1] = 0.0
+        if k % 5 == 3:
+            A -= np.trace(A) / 4 * np.eye(4)
+        yield extrinsic.PointState(A=A, c=float(k % 3 - 1))
+
+
+def test_public_tensors_keep_their_pinned_bits():
+    out = {name: [] for name in _PINNED}
+    for p in _pin_states():
+        W, riem = extrinsic.weyl_tensor(p), extrinsic.gauss_equations(p).riem
+        Wp, Wm = lambda2.sd_asd_split(W)
+        out["weyl_tensor"].append(W.components)
+        out["riem"].append(riem.components)
+        out["star_weyl W"].append(lambda2.star_weyl(W).components)
+        out["star_weyl riem"].append(lambda2.star_weyl(riem).components)
+        out["sd plus"].append(Wp.components)
+        out["sd minus"].append(Wm.components)
+        out["kulkarni_nomizu"] += [lambda2.kulkarni_nomizu(p.A, p.A).components,
+                                   lambda2.kulkarni_nomizu(p.A, np.eye(4)).components]
+        out["lambda2_spectrum"] += [lambda2.lambda2_spectrum(T, part) for T in (W, riem)
+                                    for part in ("plus", "minus")]
+    got = {name: hashlib.sha256(np.ascontiguousarray(arrays).tobytes()).hexdigest()
+           for name, arrays in out.items()}
+    assert got == _PINNED
+
+
 def _weyl_family(rng, n):
     # n hypersurface Weyl tensors, whose SD and ASD spectra agree, then n
     # with SD and ASD blocks drawn apart: trace-free symmetric 3x3 each
@@ -682,7 +811,7 @@ def test_lambda2_spectrum_is_the_rotated_block():
     # the half sums of the 3x3 blocks against the irrational rotation
     worst, apart = 0.0, 0
     for W in _weyl_family(np.random.default_rng(53), 1000):
-        T = lambda2.CurvTensor4(W, check=False)
+        T = lambda2.CurvTensor4(W)
         rot = _P_SD @ T.operator6() @ _P_SD.T
         spectra = []
         for part, block in (("plus", rot[:3, :3]), ("minus", rot[3:, 3:])):
