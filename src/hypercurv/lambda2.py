@@ -39,8 +39,10 @@ __all__ = ["LAMBDA2_BASIS", "CurvTensor4", "levi_civita_tensor", "hodge_star", "
 # image of the first under the star, in order.
 LAMBDA2_BASIS = ((1, 2), (1, 3), (1, 4), (3, 4), (4, 2), (2, 3))
 
-# The basis as 0-based index arrays: pair p is (_I[p], _J[p]).
+# The basis as 0-based index arrays: pair p is (_I[p], _J[p]). _F[p, q] is
+# where entry [p, q] of the operator sits in the 256 components, in C order.
 _I, _J = np.array(LAMBDA2_BASIS).T - 1
+_F = 16 * (4 * _I + _J)[:, None] + 4 * _I + _J
 
 _SWAP = np.roll(np.arange(6), 3)  # the star maps pair p to pair p +- 3
 
@@ -76,13 +78,20 @@ def levi_civita_tensor() -> np.ndarray:
     return _MU
 
 
-def _as_components(obj, shape, name, mirror, rule="must be symmetric"):
-    """obj as floats of ``shape`` that pass the entry rule against mirror(obj)."""
+def _as_components(obj, shape, name, mirrors, tol: float = EQUALITY_TOL):
+    """obj as floats of ``shape`` that pass the entry rule against each (mirror(obj), rule)."""
     arr = np.asarray(obj, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    _require_entries(name, arr[None], ((mirror(arr)[None], rule),), cap=_CURVATURE_SCALE)
+    _require_entries(name, arr[None], [(m(arr)[None], rule) for m, rule in mirrors], tol,
+                     _CURVATURE_SCALE)
     return arr
+
+
+# -T_jikl and -T_ijlk, which T equals if antisymmetric in each pair; T_klij too if curvature
+_ANTISYMMETRIC = ((lambda a: -a.swapaxes(0, 1), "must be antisymmetric in its first index pair"),
+                  (lambda a: -a.swapaxes(2, 3), "must be antisymmetric in its last index pair"))
+_CURVATURE = _ANTISYMMETRIC + ((lambda a: a.transpose(2, 3, 0, 1), "must satisfy pair symmetry"),)
 
 
 def hodge_star(omega) -> np.ndarray:
@@ -94,7 +103,7 @@ def hodge_star(omega) -> np.ndarray:
     the pair vector w_kl, so applying it twice returns an exactly
     antisymmetric input exactly (the map is an involution in dimension four).
     """
-    arr = _as_components(omega, (4, 4), "two-form", lambda w: -w.T, "must be antisymmetric")
+    arr = _as_components(omega, (4, 4), "two-form", [(lambda w: -w.T, "must be antisymmetric")])
     return _MU[..., _I, _J] @ arr[_I, _J]
 
 
@@ -103,20 +112,23 @@ class CurvTensor4:
 
     Stores only its read-only 6x6 operator over the ordered Lambda^2 basis,
     on which any arithmetic runs; ``components`` is the read-only 0-based
-    (4,4,4,4) array that _expand writes from it. Component input passes the
-    entry rule (finite, 1 + max|entry| <= 1e102) and, to tol, the required
-    symmetries: antisymmetry in (i,j) and in (k,l), plus symmetry under
-    swapping the pairs; the first failure raises a ValueError naming it.
-    It is then read at the basis pairs, so its components come back exactly
-    antisymmetric in each pair. The first Bianchi identity is not required;
-    the star of a non-trace-free tensor can legitimately break pair
-    symmetry, so the package builds its outputs from operators unchecked.
+    (4,4,4,4) array _expand writes from it. Component input passes the entry
+    rule (finite, 1 + max|entry| <= 1e102) and, to tol, antisymmetry in
+    (i,j) and in (k,l) and symmetry under swapping the pairs; the first
+    failure raises a ValueError naming it. It is then read at the basis
+    pairs, so its components come back exactly antisymmetric in each pair.
+    The first Bianchi identity is not required; the star of a tensor with
+    trace can break pair symmetry, so package outputs are built unchecked.
     """
 
     __slots__ = ("_op",)
 
     def __init__(self, components, tol: float = EQUALITY_TOL):
-        self._op = _operator(components, tol)
+        arr = np.asarray(components, dtype=float)
+        if arr.shape != (4, 4, 4, 4):
+            raise ValueError(f"CurvTensor4 components must be 4x4x4x4, got {arr.shape}")
+        self._op = _read(arr, "curvature tensor", _CURVATURE, tol)
+        self._op.setflags(write=False)
 
     @classmethod
     def _of(cls, op: np.ndarray) -> "CurvTensor4":
@@ -151,25 +163,17 @@ class CurvTensor4:
         return f"CurvTensor4(|T|^2={inner(self, self):.6g})"
 
 
-def _operator(T, tol: float = EQUALITY_TOL, name: str | None = None) -> np.ndarray:
-    """T's read-only (6, 6) operator: a CurvTensor4's as stored, a raw array's
-    read at the basis pairs once it is checked as CurvTensor4 is, or, as the
-    contraction operand ``name``, for antisymmetry in each pair only."""
+def _operator(T, tol: float = EQUALITY_TOL) -> np.ndarray:
+    """T's read-only (6, 6) operator; a raw array is checked as CurvTensor4 is."""
+    return (T if isinstance(T, CurvTensor4) else CurvTensor4(T, tol))._op
+
+
+def _read(T, name: str, mirrors, tol: float = EQUALITY_TOL) -> np.ndarray:
+    """T's (6, 6) operator: a CurvTensor4's, else that of the (4,4,4,4) array T
+    once it passes the entry rule against each of ``mirrors``."""
     if isinstance(T, CurvTensor4):
         return T._op
-    arr = np.asarray(T, dtype=float)
-    if arr.shape != (4, 4, 4, 4):
-        raise ValueError(f"CurvTensor4 components must be 4x4x4x4, got {arr.shape}" if name is None
-                         else f"{name} must have shape (4, 4, 4, 4), got {arr.shape}")
-    A = arr[None]  # against each mirror -T_jikl, -T_ijlk, T_klij in turn
-    _require_entries(name or "curvature tensor", A, (
-        (-A.swapaxes(1, 2), "must be antisymmetric in its first index pair"),
-        (-A.swapaxes(3, 4), "must be antisymmetric in its last index pair"),
-        (A.transpose(0, 3, 4, 1, 2), "must satisfy pair symmetry"))[:2 if name else 3], tol,
-        _CURVATURE_SCALE)
-    op = arr[_pairs(4)]
-    op.setflags(write=False)
-    return op
+    return _as_components(T, (4, 4, 4, 4), name, mirrors, tol).take(_F)
 
 
 def _star(op: np.ndarray) -> np.ndarray:
@@ -219,8 +223,8 @@ def kulkarni_nomizu(U, V) -> CurvTensor4:
     entry rule (finite, 1 + max|entry| <= 1e102, symmetric), else a
     ValueError.
     """
-    Ua = _as_components(U, (4, 4), "U", np.transpose)
-    Va = _as_components(V, (4, 4), "V", np.transpose)
+    Ua = _as_components(U, (4, 4), "U", [(np.transpose, "must be symmetric")])
+    Va = _as_components(V, (4, 4), "V", [(np.transpose, "must be symmetric")])
     return CurvTensor4._of(0.5 * (_kn_raw(Ua, Va) + _kn_raw(Va, Ua)))
 
 
@@ -242,16 +246,12 @@ def sd_asd_split(T, tol: float = EQUALITY_TOL):
     CurvTensor4 is.
     """
     op = _operator(T, tol)
-    tr_norm = float(np.abs(_ricci_contraction(op)).max())
+    # Ric_ik = T_ijkj of T_ijkl = E[i,j,p] E[k,l,q] op[p,q]
+    tr_norm = float(np.abs(np.einsum("ijp,kjq,pq->ik", _E, _E, op)).max())
     if tr_norm > tol * (1.0 + np.abs(op).max()):
         raise ValueError("sd_asd_split requires a trace-free tensor; Ricci contraction has "
                          f"max entry {tr_norm:.6e}")
     return tuple(map(CurvTensor4._of, _sd_split(op)))
-
-
-def _ricci_contraction(op: np.ndarray) -> np.ndarray:
-    """Ric_ik = T_ijkj of the tensor T_ijkl = E[i,j,p] E[k,l,q] op[p,q]."""
-    return np.einsum("ijp,kjq,pq->ik", _E, _E, op)
 
 
 def lambda2_spectrum(T, part: str = "plus", tol: float = EQUALITY_TOL) -> np.ndarray:
@@ -275,12 +275,13 @@ def lambda2_spectrum(T, part: str = "plus", tol: float = EQUALITY_TOL) -> np.nda
 def inner(T1, T2) -> float:
     """Full component contraction <T1, T2> = T1_ijkl T2_ijkl, on the operators;
     a raw operand must be antisymmetric in each pair, pair symmetry is not required."""
-    return float(_inner(_operator(T1, name="T1"), _operator(T2, name="T2")))
+    return float(_inner(_read(T1, "T1", _ANTISYMMETRIC), _read(T2, "T2", _ANTISYMMETRIC)))
 
 
 def triple(T1, T2, T3) -> float:
     """Cubic contraction T1_ijkl T2_pqkl T3_ijpq, on the operators; raw operands as inner's."""
-    return float(_triple(*(_operator(T, name=f"T{k}") for k, T in enumerate((T1, T2, T3), 1))))
+    ops = (_read(T, f"T{k}", _ANTISYMMETRIC) for k, T in enumerate((T1, T2, T3), 1))
+    return float(_triple(*ops))
 
 
 # inner and triple on the (..., P, P) operators, dtype-generic: a pair
