@@ -15,6 +15,8 @@ verify     exact polynomial certification of the identity registry
 Exit codes: 0 success, 1 assertion or bound violation (failed identity,
 violated applicable bound), 2 input error (bad schema, unknown names, an
 input file that cannot be read or a --dump path that cannot be written).
+A reader that closes stdout before the output is written (``| head -1``)
+also gets 1, with no traceback.
 
 Point input is a JSON object (inline, a file path, or '-' for stdin)
 with fields n, c, and exactly one of "lambda" or "A", plus optional
@@ -292,7 +294,14 @@ def main(argv=None) -> int:
         print(f"error: --tol must be positive and finite, got {args.tol}", file=sys.stderr)
         return _EXIT_INPUT
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: send what is left to devnull, so
+        # the flush at shutdown stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _EXIT_VIOLATION
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT

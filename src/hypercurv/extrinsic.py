@@ -620,11 +620,10 @@ def _norm_fields(powers, n: int) -> dict:
     trA6) of Python floats. For n != 4 the Weyl norm is the minimal-case
     one, and Wpmsq is None."""
     H, S, A2sq, trA3, trA5, trA6 = powers
-    four = n == 4
+    Wpmsq = _wpm_sq(H, S, A2sq, trA3) if n == 4 else None
     return dict(S=S, A2sq=A2sq, trA3=trA3, trA5=trA5, trA6=trA6,
-                Wsq=_w_sq(H, S, A2sq, trA3) if four else _w_sq_minimal(S, A2sq, n),
-                Wpmsq=_wpm_sq(H, S, A2sq, trA3) if four else None,
-                RicTFsq=_ric0_sq(H, S, A2sq, trA3, n))
+                Wsq=2 * Wpmsq if n == 4 else _w_sq_minimal(S, A2sq, n),
+                Wpmsq=Wpmsq, RicTFsq=_ric0_sq(H, S, A2sq, trA3, n))
 
 
 def _fialkow(A: np.ndarray, S):

@@ -24,7 +24,10 @@ differences with one Richardson extrapolation level, one chart call per
 block for all stencil rows. Both routes share one tail: the second
 derivatives are projected onto the unit normal that the projector onto
 the kernel of [x; J] (chart point and Jacobian) yields, behind a gate on
-the metric condition number taken from eigvalsh. The finite-difference
+the metric condition number: the block's one Cholesky factor, which the
+congruence to an orthonormal frame reuses, clears each node that a norm
+bound shows well conditioned, and eigvalsh decides only the rest, as it
+would decide every node, with the same message. The finite-difference
 extractor also serves as an oracle for the catalog spectra. The
 integrands of `point` then run on each block's power-sum columns as
 arrays; numpy's ``**`` rounds H^4 apart from Python's in about 3% of
@@ -468,8 +471,12 @@ def _shape_operators(imm: Immersion, batch: np.ndarray, x0: np.ndarray, jacobian
     unit sphere. ``jacobian()`` gives J (S, B, 4, 6), whose rows are the
     partial derivatives; it is called after that check, so a chart image
     off the sphere (inf, say) is reported before any difference of it is
-    taken. The metric g = J J^T must have eigenvalues (eigvalsh) with
-    0 < lambda_min and lambda_max <= 1e8 lambda_min. The unit normal nu is
+    taken. The metric g = J J^T must have 0 < lambda_min and lambda_max <=
+    1e8 lambda_min. Its Cholesky factor L, which the congruence below uses,
+    clears a node when tr(g) |L^-1|_F^2 <= 1e7; eigvalsh decides only the
+    other nodes (a NaN metric, or every node when some metric is not
+    positive definite), and the first failing node in flat order is
+    reported as eigvalsh of every metric would report it. The unit normal nu is
     the normalised largest-diagonal column of the projector onto the
     kernel of [x; J], oriented by the analytic ``normal`` if any, else so
     that det[x; J; nu] > 0: that sign is constant on a connected chart
@@ -486,10 +493,22 @@ def _shape_operators(imm: Immersion, batch: np.ndarray, x0: np.ndarray, jacobian
                          f"{batch[b].tolist()}, |x| = {float(radius[b])!r}")
     J = jacobian()
     g = J @ J.swapaxes(-1, -2)
-    lam = np.linalg.eigvalsh(g)
-    bad = np.flatnonzero(~((lam[..., 0] > 0.0) & (lam[..., -1] <= 1e8 * lam[..., 0])))
+    # tr(g) |L^-1|_F^2 = tr(g) tr(g^-1) >= lambda_max / lambda_min, so a node
+    # whose bound is at most 1e7 passes the 1e8 gate: the tenfold margin
+    # covers the rounding of L, L^-1 and eigvalsh. tr(g), not |g|_F, whose
+    # squares underflow for entries below 1e-154 and would clear any node.
+    try:
+        Linv = np.linalg.inv(np.linalg.cholesky(g))
+        rest = np.flatnonzero(~(np.trace(g, axis1=-2, axis2=-1)
+                                * np.einsum("...ij,...ij->...", Linv, Linv) <= 1e7))
+    except np.linalg.LinAlgError:
+        # some metric is not positive definite; Cholesky completes on every
+        # metric the gate passes (Higham 2002, ch. 10), so the gate raises
+        rest = np.arange(g.size // 16)
+    lam = np.linalg.eigvalsh(g.reshape(-1, 4, 4)[rest])
+    bad = np.flatnonzero(~((lam[:, 0] > 0.0) & (lam[:, -1] <= 1e8 * lam[:, 0])))
     if bad.size:
-        b, (lo, hi) = bad[0] % len(batch), lam.reshape(-1, 4)[bad[0], [0, -1]]
+        b, (lo, hi) = rest[bad[0]] % len(batch), lam[bad[0], [0, -1]]
         raise ValueError(f"degenerate chart Jacobian at params {batch[b].tolist()} "
                          f"(metric condition number {hi / lo if lo > 0.0 else math.inf:.3e})")
     M = np.concatenate([x0[:, :, None], J], axis=2)
@@ -502,7 +521,6 @@ def _shape_operators(imm: Immersion, batch: np.ndarray, x0: np.ndarray, jacobian
     else:
         flip = np.linalg.det(np.concatenate([M, nu[..., None, :]], axis=-2)) < 0.0
     nu = np.where(flip[..., None], -nu, nu)
-    Linv = np.linalg.inv(np.linalg.cholesky(g))
     A = Linv @ second(nu) @ Linv.swapaxes(-1, -2)
     return 0.5 * (A + A.swapaxes(-1, -2))
 
@@ -559,10 +577,11 @@ def numeric_second_fundamental_form(imm: Immersion, params, h: float = 1e-4,
     if any, only orients it; otherwise det[x; J; nu] is made positive at
     each step, which orients every node of a connected chart alike. Each
     chart image must lie on the unit sphere (checked to 1e-10), and the
-    metric g = J J^T must have eigenvalues (eigvalsh) with lambda_max <=
-    1e8 lambda_min: a rank-deficient chart Jacobian (e.g. a polar axis
-    point) is an input error reporting the metric condition number
-    lambda_max / lambda_min, inf when lambda_min <= 0. Both errors name
+    metric g = J J^T must have lambda_max <= 1e8 lambda_min, cleared by a
+    bound from its Cholesky factor or else decided by eigvalsh: a
+    rank-deficient chart Jacobian (e.g. a polar axis point) is an input
+    error reporting the eigvalsh condition number lambda_max /
+    lambda_min, inf when lambda_min <= 0. Both errors name
     the first failing point. The
     result is expressed in an orthonormal eigenframe-agnostic basis:
     compare spectra, not raw matrices. `integrate` uses it for charts

@@ -1,10 +1,14 @@
-"""End-to-end tests of the command line interface (in-process)."""
+"""End-to-end tests of the command line interface (in-process, except one run
+that needs a real pipe)."""
 
 import dataclasses
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -694,6 +698,21 @@ def test_linear_algebra_failure_exits_one(capsys, monkeypatch):
     assert (code, out) == (1, "")
     assert err == "error: linear algebra failure: Eigenvalues did not converge\n"
 
+
+def test_reader_closing_stdout_early_exits_one_without_traceback(tmp_path):
+    # about 130 KB of output, more than a pipe buffer holds: the CLI is still
+    # writing when the pipe closes
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps([{"n": 4, "c": 1.0, "lambda": [1.0, 0.5, -0.5, -1.0]}] * 400))
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parent.parent))
+    proc = subprocess.Popen([sys.executable, "-m", "hypercurv.cli", "classify", str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(1) == b"["
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 1
+    assert err == b""
 
 def test_verify_all_passes(capsys):
     code, rep = _run_json(capsys, ["verify", "--all"])

@@ -381,6 +381,124 @@ def test_grid_through_polar_axis_raises_degenerate_jacobian():
         immersions.integrate(imm, "cgbEuler", grid=polar)
 
 
+def _eigvalsh_gate(J, batch):
+    """The metric gate as eigvalsh of every metric g = J J^T: the error of the
+    first failing node in flat order, as "type: text", or None."""
+    try:
+        lam = np.linalg.eigvalsh(J @ J.swapaxes(-1, -2))
+    except np.linalg.LinAlgError as exc:
+        return f"LinAlgError: {exc}"
+    bad = np.flatnonzero(~((lam[..., 0] > 0.0) & (lam[..., -1] <= 1e8 * lam[..., 0])))
+    if not bad.size:
+        return None
+    b, (lo, hi) = bad[0] % len(batch), lam.reshape(-1, 4)[bad[0], [0, -1]]
+    return (f"ValueError: degenerate chart Jacobian at params {batch[b].tolist()} "
+            f"(metric condition number {hi / lo if lo > 0.0 else math.inf:.3e})")
+
+
+def _shipped_gate(J, batch):
+    """The error `_shape_operators` raises on Jacobians J (S, B, 4, 6) at
+    x0 = e_6, as "type: text", or None when it returns."""
+    imm = dataclasses.replace(immersions.get_immersion("clifford:4:2"), normal=None)
+    x0 = np.broadcast_to(np.eye(6)[5], J.shape[:2] + (6,))
+    try:
+        immersions._shape_operators(imm, batch, x0, lambda: J,
+                                    lambda nu: np.zeros(nu.shape[:-1] + (4, 4)))
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+def _spy_metrics(monkeypatch):
+    """The number of 4x4 matrices each later np.linalg.eigvalsh call gets
+    (leggauss calls it on other shapes)."""
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        if np.shape(a)[-2:] == (4, 4):
+            seen.append(np.size(a) // 16)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return seen
+
+
+def _jacobians(rng, shape, lo, hi, rotated):
+    """Jacobians (*shape, 4, 6) orthogonal to e_6 whose metrics have condition
+    numbers log-uniform in [lo, hi] and scales log-uniform in [1e-180, 1e120]:
+    down to where the squares of their entries underflow, and up to below
+    where det[x; J; nu] overflows."""
+    cond = np.exp(rng.uniform(math.log(lo), math.log(hi), shape))
+    powers = np.concatenate([np.zeros(shape + (1,)), rng.uniform(0, 1, shape + (2,)),
+                             np.ones(shape + (1,))], axis=-1)
+    lam = cond[..., None] ** -powers
+    J = np.zeros(shape + (4, 6))
+    J[..., range(4), range(4)] = np.sqrt(lam) * 10.0 ** rng.uniform(-90, 60, shape)[..., None]
+    if rotated:
+        U = np.linalg.qr(rng.normal(size=shape + (4, 4)))[0]
+        V = np.linalg.qr(rng.normal(size=shape + (5, 5)))[0]
+        J[..., :5] = U @ J[..., :5] @ V
+    return J
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+@pytest.mark.parametrize("rotated", [False, True])
+def test_metric_gate_decides_as_eigvalsh_of_every_metric(monkeypatch, steps, rotated):
+    # the shipped gate sends eigvalsh only the metrics a Cholesky bound
+    # cannot clear; each metric alone, then batches, must meet the same
+    # verdict and error text as eigvalsh of every metric, in bands around
+    # the bound's 1e7 and the gate's 1e8 too
+    rng = np.random.default_rng(101 + 2 * steps + rotated)
+    seen = _spy_metrics(monkeypatch)
+    verdicts, sent = [], 0
+    for lo, hi in [(1.0, 1e12), (5e6, 2e7), (5e7, 2e8)]:
+        J = _jacobians(rng, (steps, 60), lo, hi, rotated)
+        params = rng.uniform(0.0, PI, (60, 4))
+        for b in range(60):
+            expect = _eigvalsh_gate(J[:, b:b + 1], params[b:b + 1])
+            before = sum(seen)
+            assert _shipped_gate(J[:, b:b + 1], params[b:b + 1]) == expect
+            sent += sum(seen) - before
+            verdicts.append(expect is None)
+        for start in range(0, 60, 6):
+            assert (_shipped_gate(J[:, start:start + 6], params[start:start + 6])
+                    == _eigvalsh_gate(J[:, start:start + 6], params[start:start + 6]))
+    # both verdicts occur, and the bound clears some metrics but not all
+    assert 0 < sum(verdicts) < len(verdicts)
+    assert 0 < sent < len(verdicts) * steps
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+def test_metric_gate_names_the_first_nan_or_singular_node(steps):
+    # a singular metric makes Cholesky fail for its whole batch, and a NaN
+    # metric gets a NaN factor: either way eigvalsh sees the metric, and the
+    # error is the one eigvalsh of every metric gives, its own LinAlgError on
+    # NaN, else the first failing node in flat order (steps first)
+    rng = np.random.default_rng(107 + steps)
+    params = rng.uniform(0.0, PI, (6, 4))
+    J = _jacobians(rng, (steps, 6), 1.0, 1e3, True)
+    nan = J.copy()
+    nan[:, 2, 1, 3] = np.nan
+    failing = _jacobians(rng, (steps, 1), 1e10, 1e11, True)[:, 0]
+    cases = [nan]
+    for singular, bad in [(1, 4), (4, 1)]:
+        case = J.copy()
+        case[:, singular, 2] = 0.0
+        case[:, bad] = failing
+        cases.append(case)
+    if steps == 2:
+        # the second step's failing node comes after the first step's singular one
+        case = J.copy()
+        case[0, 3, 2] = 0.0
+        case[1, 0] = failing[1]
+        cases.append(case)
+    for case in cases:
+        expect = _eigvalsh_gate(case, params)
+        assert expect is not None
+        assert _shipped_gate(case, params) == expect
+
+
 @pytest.mark.parametrize("functional", ["cgbEuler", "weylFunctional", "signature", "volume"])
 @pytest.mark.parametrize("label", ["clifford:4:1", "clifford:4:2", "clifford:4:3", "geodesic:4"])
 def test_spectrum_free_res6_integrals(label, functional):
@@ -639,6 +757,19 @@ def test_spectrum_free_euler_characteristic_to_rounding(label, chi, res):
     imm = dataclasses.replace(immersions.get_immersion(label), spectrum=None)
     assert abs(immersions.integrate(imm, "cgbEuler", res=res) - chi) <= 1e-12
 
+
+
+@pytest.mark.parametrize("chart, res", [(label, res) for label in ("clifford:4:1", "clifford:4:2",
+                                                                   "clifford:4:3", "geodesic:4")
+                                        for res in (6, 16)] + [("exp", 6)])
+def test_spectrum_free_charts_send_no_metric_to_eigvalsh(monkeypatch, chart, res):
+    # the Cholesky factor of the congruence clears every catalog metric, so
+    # the metric gate runs no eigendecomposition
+    imm = (_exp_chart() if chart == "exp"
+           else dataclasses.replace(immersions.get_immersion(chart), spectrum=None))
+    seen = _spy_metrics(monkeypatch)
+    immersions.integrate(imm, "cgbEuler", res=res)
+    assert sum(seen) == 0
 
 @pytest.mark.parametrize("r", [0.3, 0.6, 0.9])
 def test_spectrum_free_small_sphere(r):
