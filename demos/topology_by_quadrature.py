@@ -8,6 +8,8 @@ chi = 2 for S^4, and signature 0 for all three.
 """
 
 import math
+import os
+import tempfile
 
 from hypercurv import immersions
 
@@ -36,9 +38,11 @@ def main():
     # per-node detail: dump the integrand and quadrature weight at each
     # product node of a coarse grid
     imm = immersions.get_immersion("clifford:4:2")
-    immersions.integrate(imm, "cgbEuler", res=4, dump="/tmp/cgb_nodes.csv")
-    with open("/tmp/cgb_nodes.csv") as fh:
-        lines = fh.read().splitlines()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cgb_nodes.csv")
+        immersions.integrate(imm, "cgbEuler", res=4, dump=path)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
     print(f"dumped {len(lines) - 1} quadrature rows; header: {lines[0]}")
     print(f"first row: {lines[1]}")
 

@@ -164,7 +164,7 @@ class SharpReport:
     equality: dict
 
 
-def sharp_inequalities(state, tol: float = EQUALITY_TOL) -> SharpReport:
+def sharp_inequalities(state) -> SharpReport:
     """Slack in the sharp bounds on |A^2|^2 and trA^3 for trace-free A.
 
     For a minimal n-dimensional state,
@@ -173,12 +173,12 @@ def sharp_inequalities(state, tol: float = EQUALITY_TOL) -> SharpReport:
         |trA^3| <= (n-2)/sqrt(n(n-1)) S^(3/2)
 
     (for n = 4 the constants are 1/4, 7/12 and 1/sqrt3). Margins are
-    reported as nonnegative-when-satisfied slacks; equality flags identify
-    the rigidity cases: the upper |A^2|^2 bound is attained exactly at
-    conformally flat points, the lower one exactly at Einstein points,
-    and the trace bound exactly when some eigenspace has multiplicity
-    >= n - 1. A state with nonzero mean curvature is outside the scope of
-    these bounds and is an input error.
+    nonnegative-when-satisfied slacks; equality flags (a slack within
+    EQUALITY_TOL S^2, S^(3/2) for trA^3) identify the rigidity cases: the
+    upper |A^2|^2 bound is attained exactly at conformally flat points, the
+    lower one exactly at Einstein points, and the trace bound exactly when
+    some eigenspace has multiplicity >= n - 1. A state with nonzero mean
+    curvature is outside the scope of these bounds and is an input error.
     """
     A = _operators(state)
     powers = _quartic_powers(A)
@@ -188,9 +188,9 @@ def sharp_inequalities(state, tol: float = EQUALITY_TOL) -> SharpReport:
     (margins,) = _sharp(powers, A.shape[-1])
     (S,) = powers[1].tolist()
     return SharpReport(margins=margins, equality={
-        "lcf": margins["a2_upper"] <= tol * (S * S),
-        "einstein": margins["a2_lower"] <= tol * (S * S),
-        "trace": min(margins["tr3_upper"], margins["tr3_lower"]) <= tol * S ** 1.5,
+        "lcf": margins["a2_upper"] <= EQUALITY_TOL * (S * S),
+        "einstein": margins["a2_lower"] <= EQUALITY_TOL * (S * S),
+        "trace": min(margins["tr3_upper"], margins["tr3_lower"]) <= EQUALITY_TOL * S ** 1.5,
     })
 
 

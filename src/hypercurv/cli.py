@@ -286,7 +286,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.tol is None:
         try:
-            args.tol = default_tol(CLUSTER_TOL)
+            args.tol = default_tol()
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return _EXIT_INPUT

@@ -59,7 +59,6 @@ NABLA_ORDER = tuple(
     for k in range(j, 5)
 )
 
-_MINIMAL_REL_TOL = 1e-10
 _CONDITION_WARN_S = 1e8
 
 
@@ -89,11 +88,11 @@ def _nabla_to_flat(arr: np.ndarray) -> list:
 
 def _is_minimal(A: np.ndarray):
     """The minimality rule of every state and spectrum, for (..., n, n)
-    operators: |tr A| <= 1e-10 (1 + |A|_F), with |A|_F summed as
+    operators: |tr A| <= EQUALITY_TOL (1 + |A|_F), with |A|_F summed as
     np.linalg.norm sums it."""
     flat = A.reshape(A.shape[:-2] + (1, A.shape[-1] ** 2))
     norm = np.sqrt((flat @ flat.swapaxes(-2, -1))[..., 0, 0])
-    return np.abs(np.trace(A, axis1=-2, axis2=-1)) <= _MINIMAL_REL_TOL * (1.0 + norm)
+    return np.abs(np.trace(A, axis1=-2, axis2=-1)) <= EQUALITY_TOL * (1.0 + norm)
 
 
 def _spectra(A: np.ndarray) -> np.ndarray:
@@ -237,7 +236,7 @@ class _StateGroup(NamedTuple):
 # a row that breaks the entry rule may overflow or hold NaN in the
 # symmetrization of A or nablaA
 @np.errstate(all="ignore")
-def _check_group(index: list, rows: list, tol: float, check_n, queued: list):
+def _check_group(index: list, rows: list, check_n, queued: list):
     """The checks after A or lam's shape, for the _shaped rows of one
     dimension n at items ``index``, in PointState's order: per field, its
     conversion or shape per row, then its entry rule on the values of the
@@ -269,7 +268,7 @@ def _check_group(index: list, rows: list, tol: float, check_n, queued: list):
         return np.array(converted)
 
     def check(name: str, at, raw: np.ndarray, *mirrors) -> None:
-        failure = _entry_failure(name, raw, mirrors, tol)
+        failure = _entry_failure(name, raw, mirrors)
         if failure is not None:
             fail(at[failure[0]], failure[1])
 
@@ -306,7 +305,7 @@ def _check_group(index: list, rows: list, tol: float, check_n, queued: list):
     if with_nabla:
         nabla = nabla[:len(with_nabla)]
         div = np.abs(np.einsum("...iik->...k", nabla)).max(axis=-1)
-        bad = minimal[with_nabla] & (div > tol * (1.0 + np.abs(nabla).max(axis=(1, 2, 3))))
+        bad = minimal[with_nabla] & (div > EQUALITY_TOL * (1.0 + np.abs(nabla).max(axis=(1, 2, 3))))
         if bad.any():
             j = int(bad.argmax())
             fail(with_nabla[j], ValueError(
@@ -325,7 +324,7 @@ def _check_group(index: list, rows: list, tol: float, check_n, queued: list):
                        dict(zip(with_hess, hess)), list(parallel), list(from_spectrum))
 
 
-def _validate(items, parse=dict, tol: float = EQUALITY_TOL, check_n=None) -> list:
+def _validate(items, parse=dict, check_n=None) -> list:
     """The validated states of a batch of items (``parse`` gives an item's
     PointState arguments; ``_json_args`` for decoded JSON), as one
     _StateGroup per dimension in order of first appearance.
@@ -353,7 +352,7 @@ def _validate(items, parse=dict, tol: float = EQUALITY_TOL, check_n=None) -> lis
         rows.append(row)
         index_by_n.setdefault(row[0], []).append(k)
     queued = []
-    groups = [_check_group(index, [rows[k] for k in index], tol, check_n, queued)
+    groups = [_check_group(index, [rows[k] for k in index], check_n, queued)
               for index in index_by_n.values()]
     stops += [group for group in groups if not isinstance(group, _StateGroup)]
     stop = min(stops, key=lambda stop: stop[0], default=None)
@@ -396,9 +395,9 @@ class PointState:
     __slots__ = ("n", "c", "A", "nablaA", "hessS", "parallel", "minimal", "_from_spectrum")
 
     def __init__(self, A=None, c: float = 1.0, lam=None, nablaA=None, hessS=None,
-                 parallel: bool = False, tol: float = EQUALITY_TOL):
+                 parallel: bool = False):
         (group,) = _validate([dict(A=A, c=c, lam=lam, nablaA=nablaA, hessS=hessS,
-                                   parallel=parallel)], tol=tol)
+                                   parallel=parallel)])
         self._read(group, 0)
 
     def _read(self, group: _StateGroup, i: int) -> None:
@@ -807,15 +806,15 @@ def _derivative_kernel(group: _StateGroup, powers: tuple, fields=None) -> tuple:
                 for name, value in zip(_RESIDUALS, row)} for row in table.tolist()]
 
 
-def _warn_bach_trace(simons, S: float, tol: float = EQUALITY_TOL, stacklevel: int = 2):
+def _warn_bach_trace(simons, S: float, stacklevel: int = 2):
     """Warn, by default at the caller, of a Bach trace tr B = simons/3 above
-    tol (1 + S^2); simons "unavailable" has no Bach tensor."""
-    if simons != "unavailable" and abs(simons / 3.0) > tol * (1.0 + S * S):
+    EQUALITY_TOL (1 + S^2); simons "unavailable" has no Bach tensor."""
+    if simons != "unavailable" and abs(simons / 3.0) > EQUALITY_TOL * (1.0 + S * S):
         warnings.warn(f"bach_tensor trace {simons / 3.0:.3e} is not zero; the supplied "
                       "derivative data violates the Simons identity", stacklevel=stacklevel)
 
 
-def bach_tensor(p: PointState, tol: float = EQUALITY_TOL) -> np.ndarray:
+def bach_tensor(p: PointState) -> np.ndarray:
     """Bach tensor of the induced metric of a minimal 4-dim hypersurface.
 
     2 B_ij = 2 A^4_ij - 2 trA^3 A_ij - 4c A^2_ij + 4/3 S A^2_ij
@@ -824,16 +823,16 @@ def bach_tensor(p: PointState, tol: float = EQUALITY_TOL) -> np.ndarray:
 
     Derivative data must be supplied or asserted zero via the parallel
     flag. tr B = simons/3 (bochner_residuals), so B is trace-free only when
-    the derivative data satisfies the Simons identity; a trace above tol (1
-    + S^2) draws a warning instead of an error so that measured data can
-    still be inspected.
+    the derivative data satisfies the Simons identity; a trace above
+    EQUALITY_TOL (1 + S^2) draws a warning instead of an error so that
+    measured data can still be inspected.
     """
     _require_four(p.n, "bach_tensor")
     if not p.minimal:
         raise ValueError(f"bach_tensor requires a minimal state (H = {p.H:.3e})")
     _require_derivatives(p, ("nablaA", "hessS"), "bach_tensor")
     B, (record,) = _derivative_kernel(_lone(p), _trace_powers(p.A[None]))
-    _warn_bach_trace(record["simons"], p.S, tol, stacklevel=3)
+    _warn_bach_trace(record["simons"], p.S, stacklevel=3)
     return B[0]
 
 

@@ -139,16 +139,14 @@ class QuadratureGrid:
 class Immersion:
     """A hypersurface of the unit 5-sphere with an optional product chart.
 
-    ``chart`` and ``normal`` map parameters of shape (..., n) to points
-    and unit normals of shape (..., n + 2). A chart written with the
+    ``chart`` and ``normal`` map parameters of shape (..., 4) to points
+    and unit normals of shape (..., 6). A chart written with the
     operations that `_Jet` carries also runs on jets, which gives
     `integrate` its exact derivatives.
     """
 
     kind: str
     label: str
-    n: int = 4
-    k: int | None = None
     chart: object = None
     normal: object = None
     spectrum: np.ndarray | None = None
@@ -162,7 +160,7 @@ class Immersion:
             raise ValueError(f"{self.label} carries no analytic spectrum")
         parallel = self.kind in ("cliffordProduct", "totallyGeodesicSphere")
         return PointState(lam=self.spectrum, c=self.c, parallel=parallel,
-                          hessS=None if parallel else np.zeros((self.n, self.n)))
+                          hessS=None if parallel else np.zeros((4, 4)))
 
 
 def _clifford_spectrum(n: int, k: int) -> np.ndarray:
@@ -400,10 +398,8 @@ def _sphere_product(kind: str, label: str, k: int, spectrum: np.ndarray) -> Imme
 
     factors = _sphere_factors(dims[0], r1, suffixes[0]) + _sphere_factors(dims[1], r2, suffixes[1])
     volume = _SPHERE_VOL[dims[0]] * r1 ** dims[0] * _SPHERE_VOL[dims[1]] * r2 ** dims[1]
-    # ``Immersion.k`` is the Clifford factor dimension, which S^4 x S^0 lacks
-    return Immersion(kind=kind, label=label, n=4, k=k if k < 4 else None, chart=chart,
-                     normal=normal, spectrum=spectrum, factors=factors, closed=True,
-                     volume=volume)
+    return Immersion(kind=kind, label=label, chart=chart, normal=normal, spectrum=spectrum,
+                     factors=factors, closed=True, volume=volume)
 
 
 def get_immersion(label: str) -> Immersion:
@@ -474,16 +470,18 @@ def _shape_operators(imm: Immersion, batch: np.ndarray, x0: np.ndarray, jacobian
     taken. The metric g = J J^T must have 0 < lambda_min and lambda_max <=
     1e8 lambda_min. Its Cholesky factor L, which the congruence below uses,
     clears a node when tr(g) |L^-1|_F^2 <= 1e7; eigvalsh decides only the
-    other nodes (a NaN metric, or every node when some metric is not
-    positive definite), and the first failing node in flat order is
-    reported as eigvalsh of every metric would report it. The unit normal nu is
-    the normalised largest-diagonal column of the projector onto the
-    kernel of [x; J], oriented by the analytic ``normal`` if any, else so
-    that det[x; J; nu] > 0: that sign is constant on a connected chart
-    where J has full rank, so one chart gets one normal field, and a
-    positive rescaling of the coordinates keeps it. ``second(nu)`` gives the
-    projected second derivatives h_ij = <d_i d_j x, nu>, and the result
-    is L^-1 h L^-T for g = L L^T, symmetrised.
+    other finite metrics (every node when some metric is not positive
+    definite), a non-finite metric fails with condition number nan, and
+    the first failing node in flat order is reported as eigvalsh of every
+    metric would report it. The unit normal nu is the normalised
+    largest-diagonal column of the projector onto the kernel of [x; J],
+    oriented by the analytic ``normal`` if any, else so that the sign of
+    det[x; J; nu], read from slogdet, which cannot overflow, is positive:
+    it is constant on a connected chart where J has full rank, so one
+    chart gets one normal field, and a positive rescaling of the
+    coordinates keeps it. ``second(nu)`` gives the projected second
+    derivatives h_ij = <d_i d_j x, nu>, and the result is L^-1 h L^-T for
+    g = L L^T, symmetrised.
     """
     radius = np.linalg.norm(x0[0], axis=-1)
     bad = np.flatnonzero(~(np.abs(radius - 1.0) <= 1e-10))
@@ -505,12 +503,15 @@ def _shape_operators(imm: Immersion, batch: np.ndarray, x0: np.ndarray, jacobian
         # some metric is not positive definite; Cholesky completes on every
         # metric the gate passes (Higham 2002, ch. 10), so the gate raises
         rest = np.arange(g.size // 16)
-    lam = np.linalg.eigvalsh(g.reshape(-1, 4, 4)[rest])
+    metrics = g.reshape(-1, 4, 4)[rest]
+    finite = np.isfinite(metrics).all(axis=(1, 2))
+    lam = np.full((len(rest), 4), math.nan)  # a non-finite metric fails on its NaN row
+    lam[finite] = np.linalg.eigvalsh(metrics[finite])
     bad = np.flatnonzero(~((lam[:, 0] > 0.0) & (lam[:, -1] <= 1e8 * lam[:, 0])))
     if bad.size:
-        b, (lo, hi) = rest[bad[0]] % len(batch), lam[bad[0], [0, -1]]
+        b, (lo, hi) = rest[bad[0]] % len(batch), lam[bad[0], [0, -1]].tolist()
         raise ValueError(f"degenerate chart Jacobian at params {batch[b].tolist()} "
-                         f"(metric condition number {hi / lo if lo > 0.0 else math.inf:.3e})")
+                         f"(metric condition number {math.inf if lo <= 0.0 else hi / lo:.3e})")
     M = np.concatenate([x0[:, :, None], J], axis=2)
     P = np.eye(6) - M.swapaxes(-1, -2) @ np.linalg.solve(M @ M.swapaxes(-1, -2), M)
     k = np.argmax(np.diagonal(P, axis1=-2, axis2=-1), axis=-1)
@@ -519,7 +520,7 @@ def _shape_operators(imm: Immersion, batch: np.ndarray, x0: np.ndarray, jacobian
     if imm.normal is not None:
         flip = np.einsum("sbd,bd->sb", nu, imm.normal(batch)) < 0.0
     else:
-        flip = np.linalg.det(np.concatenate([M, nu[..., None, :]], axis=-2)) < 0.0
+        flip = np.linalg.slogdet(np.concatenate([M, nu[..., None, :]], axis=-2))[0] < 0.0
     nu = np.where(flip[..., None], -nu, nu)
     A = Linv @ second(nu) @ Linv.swapaxes(-1, -2)
     return 0.5 * (A + A.swapaxes(-1, -2))
@@ -560,15 +561,14 @@ def _jet_second_fundamental_form(imm: Immersion, params: np.ndarray) -> np.ndarr
                                         / (d[:, :, None] * d[:, None, :]))[None])[0]
 
 
-def numeric_second_fundamental_form(imm: Immersion, params, h: float = 1e-4,
-                                    richardson: bool = True) -> np.ndarray:
+def numeric_second_fundamental_form(imm: Immersion, params, h: float = 1e-4) -> np.ndarray:
     """Shape operator at chart points by central finite differences.
 
     ``params`` is one chart point of shape (4,), giving a (4, 4) result,
     or a batch of shape (N, 4), giving (N, 4, 4); a single point is a
-    batch of one. Uses step ``h``, positive and finite, and, when
-    ``richardson`` is set, one Richardson extrapolation level combining
-    steps h and h/2; one chart call evaluates the stencils of both.
+    batch of one. Uses step ``h``, positive and finite, and one Richardson
+    extrapolation level combining steps h and h/2, which cancels the
+    leading h^2 error; one chart call evaluates the stencils of both.
 
     Second differences of the chart are projected onto its unit normal:
     the largest-diagonal column, normalised, of the projector
@@ -580,11 +580,11 @@ def numeric_second_fundamental_form(imm: Immersion, params, h: float = 1e-4,
     metric g = J J^T must have lambda_max <= 1e8 lambda_min, cleared by a
     bound from its Cholesky factor or else decided by eigvalsh: a
     rank-deficient chart Jacobian (e.g. a polar axis point) is an input
-    error reporting the eigvalsh condition number lambda_max /
-    lambda_min, inf when lambda_min <= 0. Both errors name
-    the first failing point. The
-    result is expressed in an orthonormal eigenframe-agnostic basis:
-    compare spectra, not raw matrices. `integrate` uses it for charts
+    error reporting the eigvalsh condition number lambda_max / lambda_min,
+    inf when lambda_min <= 0 and nan for a non-finite metric. Both errors
+    name the first failing point. The result is expressed in an
+    orthonormal eigenframe-agnostic basis: compare spectra, not raw
+    matrices. `integrate` uses it for charts
     that jets cannot run through.
     """
     if imm.chart is None:
@@ -595,7 +595,7 @@ def numeric_second_fundamental_form(imm: Immersion, params, h: float = 1e-4,
     if params.ndim not in (1, 2) or params.shape[-1] != 4:
         raise ValueError(f"params must have shape (4,) or (N, 4), got {params.shape}")
     batch = params.reshape(-1, 4)
-    steps = (h, 0.5 * h) if richardson else (h,)
+    steps = (h, 0.5 * h)
     # axis 0 follows the steps, axis 2 the stencil rows
     x = imm.chart(np.stack([batch[:, None, :] + step * _UNIT_STENCIL for step in steps]))
     x0, plus, minus = x[:, :, 0], x[:, :, 1:9:2], x[:, :, 2:9:2]
@@ -611,7 +611,7 @@ def numeric_second_fundamental_form(imm: Immersion, params, h: float = 1e-4,
         return hij
 
     A = _shape_operators(imm, batch, x0, lambda: (plus - minus) / (2.0 * step), second)
-    A = (4.0 * A[1] - A[0]) / 3.0 if richardson else A[0]
+    A = (4.0 * A[1] - A[0]) / 3.0
     return A.reshape(params.shape[:-1] + (4, 4))
 
 
@@ -640,8 +640,7 @@ def _dump_rows(path: str, grid: QuadratureGrid, values):
                                 + [repr(float(value)), repr(float(weight))])
 
 
-def integrate(imm: Immersion, functional: str, res: int = 64,
-              grid: QuadratureGrid | None = None, dump: str | None = None) -> float:
+def integrate(imm: Immersion, functional: str, res: int = 64, dump: str | None = None) -> float:
     """Integrate a curvature functional over a product-chart geometry.
 
     Functionals: "cgbEuler" (normalized by 32 pi^2; equals the Euler
@@ -649,31 +648,30 @@ def integrate(imm: Immersion, functional: str, res: int = 64,
     integral of |W|^2), "signature" (normalized by 48 pi^2; the Hirzebruch
     signature, 0 by signature_vanishes), "volume". Short aliases cgb/weyl.
 
-    Catalog geometries have constant curvature data over the chart, so
-    the integrand is evaluated once and the quadrature carries the volume
-    factor. Charts without an analytic spectrum are evaluated at the
-    nodes, in row-major order with the product of their factor weights,
-    in blocks of 512 with a single chart call per block: on second-order
-    jets, which give exact derivatives, or, for a chart that uses an
-    operation jets do not carry, through the finite-difference
-    extractor `numeric_second_fundamental_form`. The integrand then runs
-    on the block's shape operators with the closed-form kernels of
-    `point`, after PointState's entry cap (the extracted A are symmetric)
-    and one c and S warning per block. It runs on the block's (N,) power-sum
-    columns as arrays, not on per-node rows of Python floats: numpy's
-    ``**`` rounds H^4 apart from Python's in about 3% of values, so where
-    H != 0 a node's integrand, and the integral, can differ from `point`'s
-    in the last bits (on the catalog charts H is zero to rounding and its
-    H^4 does not reach the sum). A non-closed custom
-    chart yields a local patch value only, with a warning: it is not a
-    topological invariant there.
+    The grid is `build_grid(imm, res)`. Catalog geometries have constant
+    curvature data over the chart, so the integrand is evaluated once and
+    the quadrature carries the volume factor. Charts without an analytic
+    spectrum are evaluated at the nodes, in row-major order with the product
+    of their factor weights, in blocks of 512 with a single chart call per
+    block: on second-order jets, which give exact derivatives, or, for a
+    chart that uses an operation jets do not carry, through the
+    finite-difference extractor `numeric_second_fundamental_form`. The
+    integrand then runs on the block's shape operators with the closed-form
+    kernels of `point`, after PointState's entry cap (the extracted A are
+    symmetric) and one c and S warning per block. It runs on the block's
+    (N,) power-sum columns as arrays, not on per-node rows of Python floats:
+    numpy's ``**`` rounds H^4 apart from Python's in about 3% of values, so
+    where H != 0 a node's integrand, and the integral, can differ from
+    `point`'s in the last bits (on the catalog charts H is zero to rounding
+    and its H^4 does not reach the sum). A non-closed custom chart yields a
+    local patch value only, with a warning: it is not a topological
+    invariant there.
     """
     try:
         functional, integrand, norm = _FUNCTIONALS[functional.strip().lower()]
     except KeyError:
         raise ValueError(f"unknown functional {functional!r}") from None
-    if grid is None:
-        grid = build_grid(imm, res)
+    grid = build_grid(imm, res)
     if not imm.closed and functional in ("cgbEuler", "signature"):
         warnings.warn(f"{imm.label} is not closed: {functional} over the chart is a "
                       "local patch value only, not a topological invariant", stacklevel=2)

@@ -78,12 +78,12 @@ def levi_civita_tensor() -> np.ndarray:
     return _MU
 
 
-def _as_components(obj, shape, name, mirrors, tol: float = EQUALITY_TOL):
+def _as_components(obj, shape, name, mirrors):
     """obj as floats of ``shape`` that pass the entry rule against each (mirror(obj), rule)."""
     arr = np.asarray(obj, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    _require_entries(name, arr[None], [(m(arr)[None], rule) for m, rule in mirrors], tol,
+    _require_entries(name, arr[None], [(m(arr)[None], rule) for m, rule in mirrors],
                      _CURVATURE_SCALE)
     return arr
 
@@ -99,8 +99,8 @@ def hodge_star(omega) -> np.ndarray:
 
     Takes and returns the (4,4) antisymmetric component array. The input
     passes the entry rule (finite, 1 + max|entry| <= 1e102, antisymmetric
-    to tol), else a ValueError. It contracts mu at the basis pairs kl with
-    the pair vector w_kl, so applying it twice returns an exactly
+    to EQUALITY_TOL), else a ValueError. It contracts mu at the basis pairs
+    kl with the pair vector w_kl, so applying it twice returns an exactly
     antisymmetric input exactly (the map is an involution in dimension four).
     """
     arr = _as_components(omega, (4, 4), "two-form", [(lambda w: -w.T, "must be antisymmetric")])
@@ -113,21 +113,22 @@ class CurvTensor4:
     Stores only its read-only 6x6 operator over the ordered Lambda^2 basis,
     on which any arithmetic runs; ``components`` is the read-only 0-based
     (4,4,4,4) array _expand writes from it. Component input passes the entry
-    rule (finite, 1 + max|entry| <= 1e102) and, to tol, antisymmetry in
-    (i,j) and in (k,l) and symmetry under swapping the pairs; the first
-    failure raises a ValueError naming it. It is then read at the basis
-    pairs, so its components come back exactly antisymmetric in each pair.
+    rule (finite, 1 + max|entry| <= 1e102) and, to EQUALITY_TOL,
+    antisymmetry in (i,j) and in (k,l) and symmetry under swapping the
+    pairs; the first failure raises a ValueError naming it. It is then read
+    at the basis pairs, so its components come back exactly antisymmetric
+    in each pair.
     The first Bianchi identity is not required; the star of a tensor with
     trace can break pair symmetry, so package outputs are built unchecked.
     """
 
     __slots__ = ("_op",)
 
-    def __init__(self, components, tol: float = EQUALITY_TOL):
+    def __init__(self, components):
         arr = np.asarray(components, dtype=float)
         if arr.shape != (4, 4, 4, 4):
             raise ValueError(f"CurvTensor4 components must be 4x4x4x4, got {arr.shape}")
-        self._op = _read(arr, "curvature tensor", _CURVATURE, tol)
+        self._op = _read(arr, "curvature tensor", _CURVATURE)
         self._op.setflags(write=False)
 
     @classmethod
@@ -156,24 +157,24 @@ class CurvTensor4:
         if op.shape != (6, 6):
             raise ValueError(f"operator matrix must be 6x6, got {op.shape}")
         _require_entries("curvature tensor", op[None],
-                         ((op.T[None], "must satisfy pair symmetry"),), cap=_CURVATURE_SCALE)
+                         ((op.T[None], "must satisfy pair symmetry"),), _CURVATURE_SCALE)
         return cls._of(op)
 
     def __repr__(self) -> str:
         return f"CurvTensor4(|T|^2={inner(self, self):.6g})"
 
 
-def _operator(T, tol: float = EQUALITY_TOL) -> np.ndarray:
+def _operator(T) -> np.ndarray:
     """T's read-only (6, 6) operator; a raw array is checked as CurvTensor4 is."""
-    return (T if isinstance(T, CurvTensor4) else CurvTensor4(T, tol))._op
+    return (T if isinstance(T, CurvTensor4) else CurvTensor4(T))._op
 
 
-def _read(T, name: str, mirrors, tol: float = EQUALITY_TOL) -> np.ndarray:
+def _read(T, name: str, mirrors) -> np.ndarray:
     """T's (6, 6) operator: a CurvTensor4's, else that of the (4,4,4,4) array T
     once it passes the entry rule against each of ``mirrors``."""
     if isinstance(T, CurvTensor4):
         return T._op
-    return _as_components(T, (4, 4, 4, 4), name, mirrors, tol).take(_F)
+    return _as_components(T, (4, 4, 4, 4), name, mirrors).take(_F)
 
 
 def _star(op: np.ndarray) -> np.ndarray:
@@ -183,7 +184,7 @@ def _star(op: np.ndarray) -> np.ndarray:
     return op.take(_SWAP, axis=-2)
 
 
-def star_weyl(T, tol: float = EQUALITY_TOL) -> CurvTensor4:
+def star_weyl(T) -> CurvTensor4:
     """Star operator acting on an algebraic curvature tensor from the left.
 
     (*T)_ijkl = 1/2 mu_ijrs T_rskl. The input must carry the curvature
@@ -191,7 +192,7 @@ def star_weyl(T, tol: float = EQUALITY_TOL) -> CurvTensor4:
     T the output is again a curvature tensor; otherwise pair symmetry of
     the output may fail, which is expected and not validated.
     """
-    return CurvTensor4._of(_star(_operator(T, tol)))
+    return CurvTensor4._of(_star(_operator(T)))
 
 
 def _kn_raw(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -235,26 +236,26 @@ def _sd_split(op):
     return (op + star) / 2, (op - star) / 2
 
 
-def sd_asd_split(T, tol: float = EQUALITY_TOL):
+def sd_asd_split(T):
     """Split a trace-free curvature tensor into star eigenparts.
 
     Returns (T_plus, T_minus) with T = T_plus + T_minus,
     *T_plus = +T_plus and *T_minus = -T_minus, and <T_plus, T_minus> = 0.
     The Ricci contraction of the input must vanish; the split of a tensor
-    with trace would not satisfy the eigenproperty, so a nonzero trace is
-    an input error reporting the offending norm. A raw array is checked as
-    CurvTensor4 is.
+    with trace would not satisfy the eigenproperty, so a trace with an
+    entry above EQUALITY_TOL (1 + max|T|) is an input error reporting that
+    entry. A raw array is checked as CurvTensor4 is.
     """
-    op = _operator(T, tol)
+    op = _operator(T)
     # Ric_ik = T_ijkj of T_ijkl = E[i,j,p] E[k,l,q] op[p,q]
     tr_norm = float(np.abs(np.einsum("ijp,kjq,pq->ik", _E, _E, op)).max())
-    if tr_norm > tol * (1.0 + np.abs(op).max()):
+    if tr_norm > EQUALITY_TOL * (1.0 + np.abs(op).max()):
         raise ValueError("sd_asd_split requires a trace-free tensor; Ricci contraction has "
                          f"max entry {tr_norm:.6e}")
     return tuple(map(CurvTensor4._of, _sd_split(op)))
 
 
-def lambda2_spectrum(T, part: str = "plus", tol: float = EQUALITY_TOL) -> np.ndarray:
+def lambda2_spectrum(T, part: str = "plus") -> np.ndarray:
     """Eigenvalues of the self-dual or anti-self-dual 3x3 operator block.
 
     ``part`` selects "plus" or "minus". The star swaps the two basis
@@ -266,7 +267,7 @@ def lambda2_spectrum(T, part: str = "plus", tol: float = EQUALITY_TOL) -> np.nda
     """
     if part not in ("plus", "minus"):
         raise ValueError(f"part must be 'plus' or 'minus', got {part!r}")
-    op = _operator(T, tol)
+    op = _operator(T)
     cross = op[:3, 3:] + op[3:, :3]
     block = (op[:3, :3] + op[3:, 3:] + (cross if part == "plus" else -cross)) / 2
     return np.linalg.eigvalsh(block)[::-1].copy()

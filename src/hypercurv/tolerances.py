@@ -1,17 +1,18 @@
-"""Tolerance defaults and the entry rule shared across the package.
+"""Tolerance constants and the entry rule shared across the package.
 
 Every numerical equality test is relative: a quantity x is treated as equal
-to y when |x - y| <= tol * scale for a scale natural to the data. The two
-defaults below bind at import and can be overridden per call. Without
---tol the command line takes `default_tol(CLUSTER_TOL)`, which reads the
-HYPERCURV_TOL environment variable; library calls do not, unless the
-caller passes `default_tol()` or `default_tol(CLUSTER_TOL)` as ``tol``.
+to y when |x - y| <= EQUALITY_TOL * scale for a scale natural to the data.
+That tolerance is a constant; only the functions of `classify` that cluster
+spectra and the threshold tests of `bounds` take a ``tol``, which defaults
+to CLUSTER_TOL. Without --tol the command line takes `default_tol()`, which
+reads the HYPERCURV_TOL environment variable; library calls do not, unless
+the caller passes `default_tol()` as ``tol``.
 
 It also owns the entry rule of every tensor the package takes in,
 ``_entry_failure``: 1 + max|entry| is finite and at most its cap, then
-|x - mirror| <= tol * (1 + max|entry|) for each of the input's mirrors;
-and the rule of JSON input, ``_json_numbers``: numbers only, checked on the
-decoded lists themselves.
+|x - mirror| <= EQUALITY_TOL * (1 + max|entry|) for each of the input's
+mirrors; and the rule of JSON input, ``_json_numbers``: numbers only,
+checked on the decoded lists themselves.
 """
 
 from __future__ import annotations
@@ -32,16 +33,16 @@ EQUALITY_TOL = 1e-10
 CLUSTER_TOL = 1e-8
 
 
-def default_tol(fallback: float = EQUALITY_TOL) -> float:
-    """Resolve a tolerance from the environment at call time.
+def default_tol() -> float:
+    """Resolve the clustering tolerance from the environment at call time.
 
     The HYPERCURV_TOL environment variable, when set to a positive finite
-    float, overrides ``fallback``; any other value is a ValueError. Pass
+    float, overrides CLUSTER_TOL; any other value is a ValueError. Pass
     the result as an explicit ``tol``.
     """
     raw = os.environ.get(ENV_VAR)
     if raw is None:
-        return fallback
+        return CLUSTER_TOL
     try:
         value = float(raw)
     except ValueError as exc:
@@ -67,20 +68,19 @@ _CAP_REASON = {_MAX_SCALE: "invariants of degree up to 6 in them would overflow"
                _CURVATURE_SCALE: f"the curvature of a state within {_MAX_SCALE:.0e} stays below it"}
 
 
-def _entry_failure(name: str, rows: np.ndarray, mirrors=(), tol: float = EQUALITY_TOL,
-                   cap: float = _MAX_SCALE):
+def _entry_failure(name: str, rows: np.ndarray, mirrors=(), cap: float = _MAX_SCALE):
     """(i, error) for the first row i of a stack of values of field ``name``
     that breaks the entry rule, else None: a row's scale 1 + max|entry| is
-    finite and at most ``cap``, then max|row - mirror| is at most tol times
-    it for each (mirror, rule) of ``mirrors`` in turn. The error of a
-    broken mirror states its rule."""
+    finite and at most ``cap``, then max|row - mirror| is at most
+    EQUALITY_TOL times it for each (mirror, rule) of ``mirrors`` in turn.
+    The error of a broken mirror states its rule."""
     axes = tuple(range(1, rows.ndim))
     scale = 1.0 + np.abs(rows).max(axis=axes, initial=0.0)
     # the rows before the first one over the cap, whose skew cannot overflow
     end = len(rows) if scale.max(initial=0.0) <= cap else int(np.argmin(scale <= cap))
     if mirrors:
         skew = np.array([np.abs(rows[:end] - mirror[:end]).max(axis=axes, initial=0.0)
-                         for mirror, _ in mirrors]) > tol * scale[:end]
+                         for mirror, _ in mirrors]) > EQUALITY_TOL * scale[:end]
         if skew.any():
             i = int(skew.any(axis=0).argmax())
             return i, ValueError(f"{name}: {mirrors[int(skew[:, i].argmax())][1]}")
@@ -91,10 +91,9 @@ def _entry_failure(name: str, rows: np.ndarray, mirrors=(), tol: float = EQUALIT
     return None
 
 
-def _require_entries(name: str, rows: np.ndarray, mirrors=(), tol: float = EQUALITY_TOL,
-                     cap: float = _MAX_SCALE) -> None:
+def _require_entries(name: str, rows: np.ndarray, mirrors=(), cap: float = _MAX_SCALE) -> None:
     """Raise the error of the first row that breaks the entry rule."""
-    failure = _entry_failure(name, rows, mirrors, tol, cap)
+    failure = _entry_failure(name, rows, mirrors, cap)
     if failure is not None:
         raise failure[1]
 

@@ -230,22 +230,6 @@ def test_numeric_second_fundamental_form_matches_spectra():
             np.testing.assert_allclose(lam, exact, atol=5e-7)
 
 
-def test_numeric_extraction_richardson_beats_plain():
-    # at h = 1e-3 the h^2 truncation term dominates roundoff, which is
-    # the regime the extrapolation is supposed to cancel
-    imm = immersions.get_immersion("clifford:4:2")
-    params = np.array([0.9, 1.3, 1.1, 2.0])
-    exact = np.sort(np.asarray(imm.spectrum, dtype=float))[::-1]
-    plain = immersions.numeric_second_fundamental_form(imm, params, h=1e-3,
-                                                       richardson=False)
-    rich = immersions.numeric_second_fundamental_form(imm, params, h=1e-3,
-                                                      richardson=True)
-    err_plain = np.abs(np.sort(np.linalg.eigvalsh(plain))[::-1] - exact).max()
-    err_rich = np.abs(np.sort(np.linalg.eigvalsh(rich))[::-1] - exact).max()
-    assert err_rich < err_plain
-    assert err_plain < 1e-4
-
-
 def test_batched_extraction_matches_single_points():
     # integrate() extracts shape operators a block of nodes at a time
     rng = np.random.default_rng(65)
@@ -361,6 +345,21 @@ def test_chart_without_analytic_normal_agrees_up_to_sign():
         immersions.integrate(imm, "cgbEuler", res=3), rel=0, abs=1e-12)
 
 
+def test_chart_without_normal_in_tiny_parameter_units_keeps_its_orientation():
+    # parameters in units of 1e-100 make the Jacobian rows about 1e100, where
+    # det[x; J; nu] would overflow (an error under the RuntimeWarning filter);
+    # the finite-difference route at h = 1e-104 orients nu by the sign of
+    # slogdet, as at unit scale: a flip would turn <A, A_unit> ~ 4 into ~ -4
+    imm = dataclasses.replace(immersions.get_immersion("clifford:4:2"), normal=None)
+    tiny = dataclasses.replace(imm, chart=lambda p: imm.chart(np.asarray(p) * 1e100))
+    rng = np.random.default_rng(68)
+    params = np.column_stack([rng.uniform(0.6, PI - 0.6, 20), rng.uniform(0.5, 5.5, 20),
+                              rng.uniform(0.6, PI - 0.6, 20), rng.uniform(0.5, 5.5, 20)])
+    unit = immersions.numeric_second_fundamental_form(imm, params)
+    scaled = immersions.numeric_second_fundamental_form(tiny, params * 1e-100, h=1e-104)
+    assert (np.einsum("bij,bij->b", scaled, unit) > 2.0).all()
+
+
 def test_extraction_checks_name_the_failing_node():
     imm = immersions.get_immersion("clifford:4:2")
     params = np.array([[0.9, 1.3, 1.1, 2.0], [0.8, 1.2, 1.0, 1.9]])
@@ -372,28 +371,34 @@ def test_extraction_checks_name_the_failing_node():
 
 
 def test_grid_through_polar_axis_raises_degenerate_jacobian():
-    # phi1 = 0 is the pole of the first S^2 factor: d/dtheta1 vanishes there
+    # phi1 = 0 is the pole of the first S^2 factor: d/dtheta1 vanishes there,
+    # and both extractors name the first grid node on it
     imm = dataclasses.replace(immersions.get_immersion("clifford:4:2"), spectrum=None)
     grid = immersions.build_grid(imm, 3)
     polar = dataclasses.replace(grid, nodes=(np.array([0.0, 1.0, 2.0]),) + grid.nodes[1:])
-    with pytest.raises(ValueError, match=r"degenerate chart Jacobian at params \[0\.0, 0\.0, "
-                                         r".*metric condition number"):
-        immersions.integrate(imm, "cgbEuler", grid=polar)
+    (params, _), = immersions._node_blocks(polar)
+    for extract in (immersions._jet_second_fundamental_form,
+                    immersions.numeric_second_fundamental_form):
+        with pytest.raises(ValueError, match=r"degenerate chart Jacobian at params \[0\.0, "
+                                             r"0\.0, .*metric condition number"):
+            extract(imm, params)
 
 
 def _eigvalsh_gate(J, batch):
-    """The metric gate as eigvalsh of every metric g = J J^T: the error of the
+    """The metric gate as eigvalsh of every metric g = J J^T, a metric with a
+    non-finite entry failing with condition number nan: the error of the
     first failing node in flat order, as "type: text", or None."""
-    try:
-        lam = np.linalg.eigvalsh(J @ J.swapaxes(-1, -2))
-    except np.linalg.LinAlgError as exc:
-        return f"LinAlgError: {exc}"
+    g = J @ J.swapaxes(-1, -2)
+    finite = np.isfinite(g).all(axis=(-2, -1))
+    lam = np.full(g.shape[:-1], math.nan)
+    lam[finite] = np.linalg.eigvalsh(g[finite])
     bad = np.flatnonzero(~((lam[..., 0] > 0.0) & (lam[..., -1] <= 1e8 * lam[..., 0])))
     if not bad.size:
         return None
-    b, (lo, hi) = bad[0] % len(batch), lam.reshape(-1, 4)[bad[0], [0, -1]]
+    b, (lo, hi) = bad[0] % len(batch), lam.reshape(-1, 4)[bad[0], [0, -1]].tolist()
+    cond = math.nan if math.isnan(lo) else hi / lo if lo > 0.0 else math.inf
     return (f"ValueError: degenerate chart Jacobian at params {batch[b].tolist()} "
-            f"(metric condition number {hi / lo if lo > 0.0 else math.inf:.3e})")
+            f"(metric condition number {cond:.3e})")
 
 
 def _shipped_gate(J, batch):
@@ -426,15 +431,16 @@ def _spy_metrics(monkeypatch):
 
 def _jacobians(rng, shape, lo, hi, rotated):
     """Jacobians (*shape, 4, 6) orthogonal to e_6 whose metrics have condition
-    numbers log-uniform in [lo, hi] and scales log-uniform in [1e-180, 1e120]:
-    down to where the squares of their entries underflow, and up to below
-    where det[x; J; nu] overflows."""
+    numbers log-uniform in [lo, hi] and scales log-uniform in [1e-180, 1e300]:
+    down to where the squares of their entries underflow, and up past where
+    det[x; J; nu] overflows (from about 1e154), which the slogdet sign that
+    orients nu does not."""
     cond = np.exp(rng.uniform(math.log(lo), math.log(hi), shape))
     powers = np.concatenate([np.zeros(shape + (1,)), rng.uniform(0, 1, shape + (2,)),
                              np.ones(shape + (1,))], axis=-1)
     lam = cond[..., None] ** -powers
     J = np.zeros(shape + (4, 6))
-    J[..., range(4), range(4)] = np.sqrt(lam) * 10.0 ** rng.uniform(-90, 60, shape)[..., None]
+    J[..., range(4), range(4)] = np.sqrt(lam) * 10.0 ** rng.uniform(-90, 150, shape)[..., None]
     if rotated:
         U = np.linalg.qr(rng.normal(size=shape + (4, 4)))[0]
         V = np.linalg.qr(rng.normal(size=shape + (5, 5)))[0]
@@ -472,16 +478,24 @@ def test_metric_gate_decides_as_eigvalsh_of_every_metric(monkeypatch, steps, rot
 @pytest.mark.parametrize("steps", [1, 2])
 def test_metric_gate_names_the_first_nan_or_singular_node(steps):
     # a singular metric makes Cholesky fail for its whole batch, and a NaN
-    # metric gets a NaN factor: either way eigvalsh sees the metric, and the
-    # error is the one eigvalsh of every metric gives, its own LinAlgError on
-    # NaN, else the first failing node in flat order (steps first)
+    # metric gets a NaN factor: either way the gate judges the metric, a NaN
+    # one as a degenerate node with condition number nan, and the error is
+    # the one of the first failing node in flat order (steps first)
     rng = np.random.default_rng(107 + steps)
     params = rng.uniform(0.0, PI, (6, 4))
     J = _jacobians(rng, (steps, 6), 1.0, 1e3, True)
     nan = J.copy()
     nan[:, 2, 1, 3] = np.nan
+    assert _shipped_gate(nan, params) == (
+        f"ValueError: degenerate chart Jacobian at params {params[2].tolist()} "
+        "(metric condition number nan)")
     failing = _jacobians(rng, (steps, 1), 1e10, 1e11, True)[:, 0]
     cases = [nan]
+    for bad in (1, 4):
+        # an ill-conditioned node before or after the NaN node
+        case = nan.copy()
+        case[:, bad] = failing
+        cases.append(case)
     for singular, bad in [(1, 4), (4, 1)]:
         case = J.copy()
         case[:, singular, 2] = 0.0

@@ -340,23 +340,41 @@ def test_operator_contractions_agree_with_einsum_on_stars_and_halves():
     assert 2 * held_relative >= total
 
 
+def _trace_and_top(T):
+    # the component einsum's Ricci norm max|T_ijkj| and max|T_ijkl|
+    a = T.components
+    return np.abs(np.einsum("ijkj->ik", a)).max(), np.abs(a).max()
+
+
 def test_trace_check_is_the_component_ricci_contraction():
-    # sd_asd_split raises when its Ricci norm exceeds tol (1 + max|T|): moving
-    # tol across the component einsum's norm by 1e-13 max|T| must flip it
+    # sd_asd_split raises when its Ricci norm exceeds EQUALITY_TOL (1 + max|T|):
+    # a trace-free B plus t G, with t set so that the component einsum's norm
+    # sits 1.5e-13 max|T| above or below that bound, must flip it
     rng = np.random.default_rng(17)
-    traced = 0
+    tol, pairs = tolerances.EQUALITY_TOL, 0
     for _ in range(20):
-        for T in _contraction_operands(rng):
-            a = T.components
-            ref, top = np.abs(np.einsum("ijkj->ik", a)).max(), np.abs(a).max()
-            lambda2.sd_asd_split(T, tol=(ref + 1e-13 * top) / (1.0 + top))
-            if ref > 1e-13 * top:
-                traced += ref > 1e-6 * top
+        operands = [(T, *_trace_and_top(T)) for T in _contraction_operands(rng)]
+        free = [(T, top) for T, ref, top in operands if ref <= 1e-13 * top]
+        traced = [(T, ref) for T, ref, top in operands if ref > 1e-3 * top]
+        for T, _ in free:
+            lambda2.sd_asd_split(T)
+        for (B, top), (G, ref) in zip(free, traced):
+            scale = 10.0 ** rng.uniform(-2, 3)
+            for side in (1.5, -1.5):
+                t = (tol * (1.0 + scale * top) + side * 1e-13 * scale * top) / ref
+                X = lambda2.CurvTensor4._of(scale * B.operator6() + t * G.operator6())
+                ref_x, top_x = _trace_and_top(X)
+                # X's trace sits 1e-13 to 2e-13 max|X| on the chosen side
+                assert 1.0 <= np.sign(side) * (ref_x - tol * (1.0 + top_x)) / (1e-13 * top_x) <= 2.0
+                if side < 0:
+                    lambda2.sd_asd_split(X)
+                    continue
                 with pytest.raises(ValueError, match="Ricci contraction has max entry") as info:
-                    lambda2.sd_asd_split(T, tol=(ref - 1e-13 * top) / (1.0 + top))
+                    lambda2.sd_asd_split(X)
                 reported = float(str(info.value).rsplit(" ", 1)[1])
-                assert reported == pytest.approx(ref, rel=1e-6)
-    assert traced >= 40
+                assert reported == pytest.approx(ref_x, rel=1e-6)
+            pairs += 1
+    assert pairs >= 40
 
 
 def test_curv_tensor4_keeps_its_operator_to_itself():
@@ -520,19 +538,26 @@ def test_curvature_of_a_state_at_the_cap_passes_the_curvature_entry_rule():
 
 
 @pytest.mark.parametrize("call", [
-    lambda T, **kw: lambda2.star_weyl(T, **kw).components,
-    lambda T, **kw: np.array([P.components for P in lambda2.sd_asd_split(T, **kw)]),
+    lambda T: lambda2.star_weyl(T).components,
+    lambda T: np.array([P.components for P in lambda2.sd_asd_split(T)]),
     lambda2.lambda2_spectrum,
 ], ids=["star_weyl", "sd_asd_split", "lambda2_spectrum"])
-def test_raw_operand_is_checked_as_curv_tensor4_at_the_callers_tol(call):
-    # a raw array meets the CurvTensor4 check under the tol the caller
-    # passes, and then gives what the checked tensor gives
-    arr = _rand_curv(np.random.default_rng(41), trace_free=True).components.copy()
-    arr[0, 1, 0, 1] += 1e-6 * (1.0 + np.abs(arr).max())
-    with pytest.raises(ValueError, match="must be antisymmetric in its first index pair"):
-        call(arr)
-    assert np.array_equal(call(arr, tol=1e-4),
-                          call(lambda2.CurvTensor4(arr, tol=1e-4), tol=1e-4))
+def test_raw_operand_is_checked_as_curv_tensor4(call):
+    # a raw array meets the CurvTensor4 check at EQUALITY_TOL: skewed just
+    # inside it, it gives what the checked tensor gives, and just outside it
+    # both raise the same error
+    arr = _rand_curv(np.random.default_rng(41), trace_free=True).components
+    bound = tolerances.EQUALITY_TOL * (1.0 + np.abs(arr).max())
+    for skew in (0.9, 1.1):
+        # T_1234 touches no Ricci entry, so sd_asd_split's trace check stays quiet
+        bent = arr.copy()
+        bent[0, 1, 2, 3] += skew * bound
+        if skew < 1.0:
+            assert np.array_equal(call(bent), call(lambda2.CurvTensor4(bent)))
+            continue
+        for check in (call, lambda2.CurvTensor4):
+            with pytest.raises(ValueError, match="must be antisymmetric in its first index pair"):
+                check(bent)
 
 
 

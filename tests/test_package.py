@@ -1,5 +1,6 @@
 """The package's import budget and public surface, each in a fresh interpreter."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -54,6 +55,59 @@ def test_each_submodule_star_import_holds_its_listed_names():
          "    space = {}\n"
          "    exec(f'from hypercurv.{module} import *', space)\n"
          "    assert set(names) <= set(space), (module, set(names) - set(space))\n")
+
+
+# The defaulted parameters of every public callable and of each public method
+# of a public class, as name=repr(default); one not listed takes none. Each
+# equality test reads tolerances.EQUALITY_TOL, so a new option is an edit here.
+_OPTIONS = {
+    "GlobalData": "S=None weylL2=None c=1.0 A2avg=None scalSign='unknown'",
+    "SQuadraticResult": "warnings=<factory>",
+    "VolumeBound": "note=None",
+    "euler_integrand_bounds": "c=1.0",
+    "weyl_threshold_report": "tol=1e-08",
+    "SpectrumReport": "margins=<factory> indeterminate=False",
+    "classify_batch": "tol=1e-08",
+    "principal_multiplicities": "tol=1e-08",
+    "spectrum_report": "tol=1e-08",
+    "PointState": "A=None c=1.0 lam=None nablaA=None hessS=None parallel=False",
+    "bochner_residuals": "field_data=None",
+    "Immersion": "chart=None normal=None spectrum=None factors=<factory> closed=True "
+                 "volume=None c=1.0",
+    "integrate": "res=64 dump=None",
+    "numeric_second_fundamental_form": "h=0.0001",
+    "lambda2_spectrum": "part='plus'",
+    "RationalPoly": "terms=None",
+    "VerifyResult": "witness=None detail=''",
+    "assemble_symbolic": "minimal=False",
+}
+
+_LIST_OPTIONS = """
+import inspect, json
+import hypercurv
+
+def defaulted(fn):
+    return " ".join(f"{p.name}={p.default!r}" for p in inspect.signature(fn).parameters.values()
+                    if p.default is not inspect.Parameter.empty)
+
+options = {}
+for name in hypercurv.__all__:
+    obj = getattr(hypercurv, name)
+    if not callable(obj):
+        continue
+    options[name] = defaulted(obj)
+    if inspect.isclass(obj):
+        for attr in vars(obj):
+            member = getattr(obj, attr)
+            if not attr.startswith("_") and (inspect.isfunction(member)
+                                             or inspect.ismethod(member)):
+                options[f"{name}.{attr}"] = defaulted(member)
+print(json.dumps({name: text for name, text in options.items() if text}))
+"""
+
+
+def test_public_options_are_the_pinned_table():
+    assert json.loads(_run(_LIST_OPTIONS)) == _OPTIONS
 
 
 def test_unknown_name_is_an_attribute_error():
